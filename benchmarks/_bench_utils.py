@@ -4,7 +4,9 @@ Every benchmark module reproduces one table or figure of the paper at laptop
 scale: the synthetic datasets are smaller and the search budgets lower than
 the paper's AWS setup, so absolute numbers differ, but each module prints the
 same rows / series the paper reports (plus the paper's value where available)
-and writes them to ``benchmarks/results/`` for EXPERIMENTS.md.
+and writes them to ``benchmarks/results/latest/``.  That directory is
+ignored by git, so a test run never rewrites the committed reference tables
+in ``benchmarks/results/``; refreshing those is a deliberate copy.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from pathlib import Path
 from repro.core.config import FeatAugConfig
 from repro.query.engine import engine_for
 
-#: Where the printed tables are persisted so EXPERIMENTS.md can reference them.
-RESULTS_DIR = Path(__file__).parent / "results"
+#: Where a run persists its printed tables (git-ignored).
+RESULTS_DIR = Path(__file__).parent / "results" / "latest"
 
 #: Dataset scale used by the experiment benchmarks (fraction of the default
 #: synthetic entity count).
@@ -54,13 +56,13 @@ def cold_engine(table) -> None:
 
 
 def write_result(name: str, text: str, append: bool = False) -> None:
-    """Persist a printed result table under benchmarks/results/.
+    """Persist a printed result table under benchmarks/results/latest/.
 
     ``append`` adds a section to an existing file instead of replacing it --
     used when several benchmarks in one module contribute to one report.
     A previously appended section with the same title line (the first line of
     *text*) is replaced, so re-running one benchmark alone never duplicates
-    its section in the committed results file.
+    its section in the results file.
     """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"

@@ -19,9 +19,8 @@ stats are printed for the Fig. 5 optimisation story.
 sqlite backend to compare the execution backends head to head (equivalence
 within 1e-9 asserted; timings reported, no speed bar -- sqlite pays
 materialisation and generated-SQL costs by design).
-``test_sharded_vs_serial_batch`` replays the batch with 4 plan-shard workers
-(and, for reference, 4 group-range workers): bit-identical results asserted
-always; the >= 1.8x speed bar applies on hosts with >= 4 cores (thread
+``test_sharded_vs_serial_batch`` replays the batch with 4 plan-shard workers:
+bit-identical results asserted always; the >= 1.8x speed bar applies on hosts with >= 4 cores (thread
 parallelism cannot beat 1x on fewer -- the run reports its numbers and
 skips the bar there).
 """
@@ -299,32 +298,21 @@ def test_sharded_vs_serial_batch():
         return best, results, engine
 
     serial_seconds, serial_results, _ = run_best_of(EngineConfig(num_workers=1))
-    plan_seconds, plan_results, plan_engine = run_best_of(
-        EngineConfig(num_workers=4, shard_strategy="plan")
-    )
-    group_seconds, group_results, group_engine = run_best_of(
-        EngineConfig(num_workers=4, shard_strategy="group")
-    )
+    plan_seconds, plan_results, plan_engine = run_best_of(EngineConfig(num_workers=4))
 
     # Sharded execution must be bit-for-bit identical to serial execution.
-    for serial_table, plan_table, group_table in zip(
-        serial_results, plan_results, group_results
-    ):
+    for serial_table, plan_table in zip(serial_results, plan_results):
         assert_feature_tables_match(serial_table, plan_table)
-        assert_feature_tables_match(serial_table, group_table)
 
     # The parallel paths genuinely ran (not silently degraded to serial).
     # 5 fused plans dispatched; heavy ones split into aggregate-spec units.
     assert plan_engine.stats.sharded_batches >= 1
     assert plan_engine.stats.plan_shards >= 5
-    assert group_engine.stats.group_shards > 0
 
     plan_speedup = serial_seconds / plan_seconds
-    group_speedup = serial_seconds / group_seconds
     rows = [
         ["serial (1 worker)", round(serial_seconds, 4), 1.0],
         ["plan-sharded (4 workers)", round(plan_seconds, 4), round(plan_speedup, 2)],
-        ["group-sharded (4 workers)", round(group_seconds, 4), round(group_speedup, 2)],
     ]
     stats = plan_engine.stats
     text = "Sharded execution micro-benchmark (50-query batch, 4 workers)\n"
@@ -342,102 +330,11 @@ def test_sharded_vs_serial_batch():
     if cores < 4:
         pytest.skip(
             f"sharded speed bar needs >= 4 cores, host has {cores}; "
-            f"measured plan={plan_speedup:.2f}x, group={group_speedup:.2f}x "
-            f"(results verified bit-identical)"
+            f"measured plan={plan_speedup:.2f}x (results verified bit-identical)"
         )
     assert plan_speedup >= 1.8, (
         f"expected >= 1.8x from plan-level sharding at 4 workers, "
         f"got {plan_speedup:.2f}x"
-    )
-
-
-def test_process_vs_thread_vs_serial_batch():
-    """Process-pool sharding vs thread sharding vs serial, 4 workers.
-
-    The process executor places the table's columns in shared memory once
-    and runs the plan shards on worker *processes*, sidestepping the GIL
-    that caps the thread executor on CPU-bound kernels.  Results are
-    asserted bit-identical to serial at every executor, and the engine's
-    shared-memory segments must be gone after ``close()``.  The >= 1.8x
-    process-over-serial bar is asserted on hosts with >= 4 cores; on fewer
-    cores the expectation is rough parity (worker processes timeslice the
-    same cores and pay pickling + dispatch overhead), so the run just
-    reports its numbers there.
-    """
-    relevant = make_student(n_sessions=400, events_per_session=150, seed=0).relevant
-    queries = make_queries()
-
-    def run_best_of(config: EngineConfig, repeats: int = 3):
-        """Best-of-N wall clock, cold engine per repetition (see above)."""
-        best, results, engine = float("inf"), None, None
-        for _ in range(repeats):
-            if engine is not None:
-                engine.close()  # release the previous repetition's pool/shm
-            engine = QueryEngine(relevant, config=config)
-            start = time.perf_counter()
-            results = engine.execute_batch(queries)
-            best = min(best, time.perf_counter() - start)
-        return best, results, engine
-
-    serial_seconds, serial_results, serial_engine = run_best_of(
-        EngineConfig(num_workers=1, executor="thread")
-    )
-    thread_seconds, thread_results, thread_engine = run_best_of(
-        EngineConfig(num_workers=4, shard_strategy="plan", executor="thread")
-    )
-    process_seconds, process_results, process_engine = run_best_of(
-        EngineConfig(num_workers=4, shard_strategy="plan", executor="process")
-    )
-
-    for serial_table, thread_table, process_table in zip(
-        serial_results, thread_results, process_results
-    ):
-        assert_feature_tables_match(serial_table, thread_table)
-        assert_feature_tables_match(serial_table, process_table)
-
-    # The process path genuinely fanned out over shared memory.
-    assert process_engine.stats.executor == "process"
-    assert process_engine.stats.sharded_batches >= 1
-    store = process_engine.sharder.store
-    segment_names = list(store.segment_names) if store is not None else []
-    assert segment_names
-
-    thread_speedup = serial_seconds / thread_seconds
-    process_speedup = serial_seconds / process_seconds
-    rows = [
-        ["serial (1 worker)", round(serial_seconds, 4), 1.0],
-        ["thread-sharded (4 workers)", round(thread_seconds, 4), round(thread_speedup, 2)],
-        ["process-sharded (4 workers)", round(process_seconds, 4), round(process_speedup, 2)],
-    ]
-    text = "Executor micro-benchmark (50-query batch, plan sharding, 4 workers)\n"
-    text += render_table(["variant", "seconds", "speedup vs serial"], rows)
-    text += (
-        f"\nshared-memory segments: {len(segment_names)}, "
-        f"process shard seconds: "
-        + ", ".join(
-            f"{k}={v:.4f}s" for k, v in sorted(process_engine.stats.shard_seconds.items())
-        )
-        + f"\ncpu cores: {os.cpu_count()}"
-    )
-    print(text)
-    write_result("bench_engine", text, append=True)
-
-    for engine in (serial_engine, thread_engine, process_engine):
-        engine.close()
-    leaked = [n for n in segment_names if os.path.exists("/dev/shm/" + n)]
-    assert not leaked, f"shared-memory segments leaked after close(): {leaked}"
-
-    cores = os.cpu_count() or 1
-    if cores < 4:
-        pytest.skip(
-            f"process speed bar needs >= 4 cores, host has {cores}; measured "
-            f"thread={thread_speedup:.2f}x, process={process_speedup:.2f}x "
-            f"(expected ~parity here; results verified bit-identical, "
-            f"shared memory released)"
-        )
-    assert process_speedup >= 1.8, (
-        f"expected >= 1.8x from process-pool sharding at 4 workers, "
-        f"got {process_speedup:.2f}x"
     )
 
 
@@ -512,7 +409,7 @@ def test_fused_sort_reuse_vs_per_aggregate():
 
     fused_engine, fused_results, fused_seconds = run_fused(EngineConfig())
     sharded_engine, sharded_results, sharded_seconds = run_fused(
-        EngineConfig(num_workers=4, shard_strategy="plan")
+        EngineConfig(num_workers=4)
     )
 
     for per_agg, fused, sharded in zip(per_agg_results, fused_results, sharded_results):
@@ -645,7 +542,7 @@ def test_fused_quantile_family_sort_reuse_vs_per_aggregate():
 
     fused_engine, fused_results, fused_seconds = run_fused(EngineConfig())
     sharded_engine, sharded_results, sharded_seconds = run_fused(
-        EngineConfig(num_workers=4, shard_strategy="plan")
+        EngineConfig(num_workers=4)
     )
 
     for per_agg, fused, sharded in zip(per_agg_results, fused_results, sharded_results):

@@ -29,7 +29,6 @@ from repro.experiments.reporting import render_table
 from repro.experiments.runner import METHOD_NAMES, run_method
 from repro.ml.model_zoo import MODEL_NAMES
 from repro.query.backends import backend_names
-from repro.query.sharding import EXECUTORS, SHARD_STRATEGIES
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -59,24 +58,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "(default: $REPRO_ENGINE_WORKERS or 1 = serial)",
     )
     parser.add_argument(
-        "--engine-shard-strategy",
-        choices=list(SHARD_STRATEGIES),
-        default=None,
-        help="how a multi-worker engine shards: 'plan' partitions a batch's "
-        "fused plans across workers, 'group' splits one plan's group ranges, "
-        "'auto' picks per dispatch (plan for wide batches, group for a "
-        "single heavy plan); default $REPRO_ENGINE_SHARD_STRATEGY or 'plan'",
-    )
-    parser.add_argument(
-        "--engine-executor",
-        choices=list(EXECUTORS),
-        default=None,
-        help="execution substrate of the sharded engine: 'thread' runs "
-        "shards on an in-process pool, 'process' on a process pool over "
-        "shared-memory table columns "
-        "(default: $REPRO_ENGINE_EXECUTOR or thread)",
-    )
-    parser.add_argument(
         "--engine-incremental",
         action="store_true",
         default=None,
@@ -93,40 +74,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         help="global size-aware budget shared by the engine's mask / result "
         "/ sort-order caches (default: unbounded)",
     )
-    parser.add_argument(
-        "--service-window-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="QueryService micro-batch coalescing window: how long the "
-        "dispatcher waits for concurrent requests to fuse into one round "
-        "(default: $REPRO_SERVICE_WINDOW_MS or 2)",
-    )
-    parser.add_argument(
-        "--service-max-batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="QueryService bound on queries executed per fused round "
-        "(default: $REPRO_SERVICE_MAX_BATCH or 64)",
-    )
-    parser.add_argument(
-        "--service-queue-depth",
-        type=int,
-        default=None,
-        metavar="N",
-        help="QueryService admission-queue bound in queries; submissions "
-        "that would overflow it are rejected with backpressure "
-        "(default: $REPRO_SERVICE_QUEUE_DEPTH or 1024)",
-    )
-    parser.add_argument(
-        "--service-timeout-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="QueryService default per-request deadline on queue wait "
-        "(default: $REPRO_SERVICE_TIMEOUT_MS or no deadline)",
-    )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
 
 
@@ -140,14 +87,8 @@ def _config_from_args(args: argparse.Namespace) -> FeatAugConfig:
         search_batch_size=args.search_batch_size,
         engine_backend=args.engine_backend,
         engine_workers=args.engine_workers,
-        engine_shard_strategy=args.engine_shard_strategy,
-        engine_executor=args.engine_executor,
         engine_memory_budget=args.memory_budget,
         engine_incremental=args.engine_incremental,
-        service_window_ms=args.service_window_ms,
-        service_max_batch=args.service_max_batch,
-        service_queue_depth=args.service_queue_depth,
-        service_timeout_ms=args.service_timeout_ms,
         seed=args.seed,
     )
 

@@ -84,17 +84,6 @@ class FeatAugConfig:
     #: execution); ``None`` uses the process default
     #: (``$REPRO_ENGINE_WORKERS`` or 1 = serial).
     engine_workers: int | None = None
-    #: shard strategy with ``engine_workers > 1``: "plan" partitions a
-    #: batch's fused plans across workers, "group" splits one plan's
-    #: group-code space into contiguous ranges, "auto" picks between the two
-    #: per dispatch; ``None`` keeps the engine default
-    #: (``$REPRO_ENGINE_SHARD_STRATEGY`` or "plan").
-    engine_shard_strategy: str | None = None
-    #: execution substrate of the sharded engine: "thread" runs shards on an
-    #: in-process pool, "process" runs them on a process pool over
-    #: shared-memory table columns (:mod:`repro.query.procpool`); ``None``
-    #: uses the process default (``$REPRO_ENGINE_EXECUTOR`` or "thread").
-    engine_executor: str | None = None
     #: global size-aware budget (bytes) shared by the engine's mask / result
     #: / sort-order caches; ``None`` = unbounded (entry-count limits only).
     engine_memory_budget: int | None = None
@@ -104,16 +93,6 @@ class FeatAugConfig:
     #: ``None`` uses the process default (``$REPRO_ENGINE_INCREMENTAL`` or
     #: off, which flushes on append -- always correct, never stale).
     engine_incremental: bool | None = None
-    #: admission-control knobs of :class:`repro.query.QueryService` when the
-    #: run serves concurrent callers: micro-batch coalescing window (ms),
-    #: per-round query bound, admission-queue bound and default per-request
-    #: deadline (ms).  ``None`` uses the process defaults
-    #: (``$REPRO_SERVICE_WINDOW_MS`` / ``$REPRO_SERVICE_MAX_BATCH`` /
-    #: ``$REPRO_SERVICE_QUEUE_DEPTH`` / ``$REPRO_SERVICE_TIMEOUT_MS``).
-    service_window_ms: float | None = None
-    service_max_batch: int | None = None
-    service_queue_depth: int | None = None
-    service_timeout_ms: float | None = None
 
     # ------------------------------------------------------------------
     # Proxy and evaluation
@@ -144,17 +123,14 @@ class FeatAugConfig:
             raise ValueError(f"Unknown search strategy {self.search_strategy!r}")
         if self.search_batch_size < 1:
             raise ValueError("search_batch_size must be >= 1")
-        # Delegate to the engine-config validation so the backend / worker /
-        # strategy checks (and their error messages) have exactly one
+        # Delegate to the engine-config validation so the backend / worker
+        # checks (and their error messages) have exactly one
         # implementation.  Always run it: even with every engine field left
         # ``None``, the resolved defaults read $REPRO_ENGINE_BACKEND /
         # $REPRO_ENGINE_WORKERS, and a garbage environment value should fail
         # here -- where the run is configured -- rather than at the first
         # query's engine lookup deep inside the search.
         self.engine_config().validate()
-        # Same eager-failure rationale for the service knobs: resolution
-        # reads $REPRO_SERVICE_*, so garbage values surface here.
-        self.service_config().validate()
 
     def engine_config(self):
         """The :class:`repro.query.engine.EngineConfig` the run's shared
@@ -167,28 +143,11 @@ class FeatAugConfig:
         """
         from repro.query.engine import EngineConfig
 
-        kwargs: dict = {
-            "backend": self.engine_backend,
-            "num_workers": self.engine_workers,
-        }
-        if self.engine_shard_strategy is not None:
-            kwargs["shard_strategy"] = self.engine_shard_strategy
-        kwargs["executor"] = self.engine_executor
-        kwargs["memory_budget_bytes"] = self.engine_memory_budget
-        kwargs["incremental"] = self.engine_incremental
-        return EngineConfig(**kwargs)
-
-    def service_config(self):
-        """The :class:`repro.query.service.ServiceConfig` a
-        :class:`~repro.query.service.QueryService` over the run's engine is
-        built with (admission queue, coalescing window, deadlines)."""
-        from repro.query.service import ServiceConfig
-
-        return ServiceConfig(
-            coalesce_window_ms=self.service_window_ms,
-            max_batch=self.service_max_batch,
-            max_queue=self.service_queue_depth,
-            request_timeout_ms=self.service_timeout_ms,
+        return EngineConfig(
+            backend=self.engine_backend,
+            num_workers=self.engine_workers,
+            memory_budget_bytes=self.engine_memory_budget,
+            incremental=self.engine_incremental,
         )
 
     def with_overrides(self, **kwargs) -> "FeatAugConfig":

@@ -12,17 +12,17 @@ Implements the paper's core abstractions (Section III):
 * :class:`QueryEngine` -- the batched execution engine bound to one relevant
   table: factorized group index, LRU predicate-mask / result caches and a
   batched API with cache statistics (:class:`EngineStats`).  Construction is
-  configured by :class:`EngineConfig` (execution backend, cache sizes).
+  configured by :class:`EngineConfig` (execution backend, cache sizes,
+  worker count).
 * :class:`ExecutionBackend` / :func:`register_backend` -- the pluggable
   execution layer plans are delegated to: ``"numpy"`` (vectorized grouped
   kernels, the default), ``"python"`` (per-group reference loop) and
   ``"sqlite"`` (generated SQL over an in-memory database) ship built in;
   third-party backends register under their own name.
-* :class:`ShardScheduler` and friends (:mod:`repro.query.sharding`) -- the
-  sharded parallel execution layer: ``EngineConfig(num_workers,
-  shard_strategy)`` partitions a batch's fused plans across per-worker
-  backend instances ("plan") or splits one plan's group-code space into
-  contiguous ranges ("group"), bit-identical to serial execution.
+* :class:`ShardScheduler` (:mod:`repro.query.sharding`) -- the parallel
+  execution layer: ``EngineConfig(num_workers=N)`` partitions a batch's
+  fused plans across a thread pool of per-worker backend instances,
+  bit-identical to serial execution.
 * :class:`QueryService` (:mod:`repro.query.service`) -- the admission layer
   over one warm engine: concurrent callers' submissions queue behind a
   bounded admission queue (deterministic :class:`ServiceOverloadedError`
@@ -56,16 +56,7 @@ from repro.query.engine import (
     engine_for,
     resolve_engine,
 )
-from repro.query.sharding import (
-    EXECUTORS,
-    SHARD_STRATEGIES,
-    GroupRangeShards,
-    ShardedGroupedAggregator,
-    ShardScheduler,
-    default_executor_name,
-    default_worker_count,
-    split_ranges,
-)
+from repro.query.sharding import ShardScheduler, default_worker_count, split_ranges
 from repro.query.service import (
     DeadlineExpiredError,
     QueryService,
@@ -106,12 +97,7 @@ __all__ = [
     "default_backend_name",
     "engine_for",
     "resolve_engine",
-    "SHARD_STRATEGIES",
-    "EXECUTORS",
-    "GroupRangeShards",
-    "ShardedGroupedAggregator",
     "ShardScheduler",
-    "default_executor_name",
     "default_worker_count",
     "split_ranges",
     "QueryService",

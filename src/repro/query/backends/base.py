@@ -31,8 +31,6 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
 from repro.query.plan import QueryPlan
@@ -187,12 +185,11 @@ class GroupIndexBackend(ExecutionBackend):
 
         Runs on the coordinator thread (see the base-class contract), so the
         mask / index caches and their counters book in fused-plan order.
-        Workers may memoise derived per-plan state (``group_rows``,
-        group-range shards) into the returned dict, but spec-split units of
-        one plan can share it across workers: memoised values must be
-        idempotent and stored with one atomic assignment (``group_rows``
-        is -- a racing duplicate computes the same list and either write is
-        valid).
+        Workers may memoise derived per-plan state (``group_rows``) into
+        the returned dict, but spec-split units of one plan can share it
+        across workers: memoised values must be idempotent and stored with
+        one atomic assignment (``group_rows`` is -- a racing duplicate
+        computes the same list and either write is valid).
         """
         engine = self.engine
         index = engine.group_index(plan.keys)
@@ -209,46 +206,6 @@ class GroupIndexBackend(ExecutionBackend):
             # (predicate, keys, attr) identity.
             "sort_keys": {attr: plan.sort_key(attr) for attr in plan.specs_by_attr()},
         }
-
-    def range_context(self, plan: QueryPlan, lo: int, hi: int) -> dict:
-        """A plan context restricted to the contiguous group-code range
-        ``[lo, hi)`` -- the worker-process half of scheduler-level
-        group-range sharding (:mod:`repro.query.procpool`).
-
-        The restriction mirrors :class:`~repro.query.sharding.GroupRangeShards`
-        exactly (boolean selection over the compact codes, so within every
-        group the rows keep their original relative order), which is what
-        makes per-range aggregation bit-identical to serial.  Two cache
-        contracts matter here:
-
-        * ``agg_rows`` stays the plan's **full** filtered row set:
-          categorical aggregation values must be coded by first appearance
-          within the whole filter (what serial execution sees), not within
-          one range.
-        * Every sort-order cache key is dropped (``None``): the range's
-          filtered rows are not what the engine-level ``sort_key`` identity
-          describes, so orders are recomputed per range instead of
-          poisoning -- or wrongly hitting -- the worker engine's cache.
-        """
-        context = self.plan_context(plan)
-        codes = context["codes"]
-        row_idx = context["row_idx"]
-        group_ids = context["group_ids"]
-        selected = (codes >= lo) & (codes < hi)
-        restricted = dict(context)
-        restricted["codes"] = codes[selected] - lo
-        restricted["row_idx"] = (
-            row_idx[selected] if row_idx is not None else np.flatnonzero(selected)
-        )
-        restricted["group_ids"] = (
-            np.arange(lo, hi, dtype=np.int64) if group_ids is None else group_ids[lo:hi]
-        )
-        restricted["n_groups"] = hi - lo
-        restricted["agg_rows"] = row_idx
-        restricted["sort_keys"] = {attr: None for attr in context["sort_keys"]}
-        restricted.pop("group_rows", None)
-        restricted.pop("group_shards", None)
-        return restricted
 
     def refresh(self, old_rows: int) -> None:
         """No-op: every piece of derived state these backends aggregate over

@@ -1,7 +1,7 @@
 """The vectorized grouped-kernel backend (the default execution path).
 
-This is the former ``kernels="vectorized"`` branch of the engine moved behind
-the :class:`~repro.query.backends.base.ExecutionBackend` seam: every
+Registered as ``"numpy"`` behind the
+:class:`~repro.query.backends.base.ExecutionBackend` seam: every
 aggregate is computed for all groups at once from the factorized group codes
 (:mod:`repro.dataframe.grouped_kernels` -- ``np.bincount`` for the
 accumulation family, one sort + segment boundaries for the order-statistics
@@ -21,15 +21,6 @@ so queries of one template reuse it *across* plans and batches; the plan
 context carries the resolved orders so the scheduler's aggregate-spec-split
 units of one heavy plan consult the engine cache exactly once per value
 column regardless of the worker count.
-
-Under ``EngineConfig(shard_strategy="group", num_workers=N)`` a single heavy
-plan is split into contiguous group-code ranges
-(:class:`~repro.query.sharding.GroupRangeShards`) and the kernels run once
-per range on the engine's worker pool -- still bit-identical, because groups
-never straddle a range boundary (see :mod:`repro.query.sharding`).  A
-prefetched full order is sliced into per-range local orders instead of each
-range re-sorting.  The per-plan row selections are memoised in the shared
-plan context so all aggregates of one fused plan reuse them.
 """
 
 from __future__ import annotations
@@ -39,7 +30,6 @@ import threading
 from repro.dataframe.grouped_kernels import SORT_BASED_KERNELS, GroupedAggregator
 from repro.query.backends.base import GroupIndexBackend, register_backend
 from repro.query.plan import QueryPlan
-from repro.query.sharding import GroupRangeShards, ShardedGroupedAggregator
 
 
 @register_backend("numpy")
@@ -64,47 +54,18 @@ class NumpyBackend(GroupIndexBackend):
         context["sort_locks"] = {attr: threading.Lock() for attr in context["sort_keys"]}
         return context
 
-    def range_context(self, plan: QueryPlan, lo: int, hi: int) -> dict:
-        restricted = super().range_context(plan, lo, hi)
-        # Fresh sort state: the per-range filtered rows have no engine-level
-        # cache identity (every key in sort_keys is already None), so orders
-        # are computed locally per range.
-        restricted["sort_orders"] = {}
-        restricted["mad_orders"] = {}
-        restricted["mad_sort_keys"] = {attr: None for attr in restricted["sort_keys"]}
-        restricted["sort_locks"] = {
-            attr: threading.Lock() for attr in restricted["sort_keys"]
-        }
-        return restricted
-
     def prepare_attr(self, attr: str, context: dict):
         row_idx = context["row_idx"]
-        # ``agg_rows`` (present in range-restricted contexts) keeps
-        # categorical first-appearance coding over the *full* filtered row
-        # set while the gather below restricts to this range's rows.
-        values = self.engine.agg_values(attr, context.get("agg_rows", row_idx))
+        values = self.engine.agg_values(attr, row_idx)
         if row_idx is not None:
             values = values[row_idx]
-        order_cache = self._order_cache(attr, context, "sort_orders", "sort_keys")
-        mad_order_cache = self._order_cache(attr, context, "mad_orders", "mad_sort_keys")
-        sharder = self.engine.sharder
-        if sharder.group_range_active(context["n_groups"]):
-            shards = context.get("group_shards")
-            if shards is None:
-                shards = GroupRangeShards(
-                    context["codes"], context["n_groups"], sharder.num_workers
-                )
-                context["group_shards"] = shards
-            return ShardedGroupedAggregator(
-                shards,
-                values,
-                sharder,
-                order_cache=order_cache,
-                mad_order_cache=mad_order_cache,
-            )
         aggregator = GroupedAggregator(context["codes"], values, context["n_groups"])
-        aggregator.order_cache = order_cache
-        aggregator.mad_order_cache = mad_order_cache
+        aggregator.order_cache = self._order_cache(
+            attr, context, "sort_orders", "sort_keys"
+        )
+        aggregator.mad_order_cache = self._order_cache(
+            attr, context, "mad_orders", "mad_sort_keys"
+        )
         return aggregator
 
     def _order_cache(self, attr: str, context: dict, memo_slot: str, key_slot: str):

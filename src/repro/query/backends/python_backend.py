@@ -1,6 +1,6 @@
 """The per-group Python-loop backend (the in-engine reference path).
 
-This is the former ``kernels="python"`` branch of the engine moved behind the
+Registered as ``"python"`` behind the
 :class:`~repro.query.backends.base.ExecutionBackend` seam: group row
 positions are materialised and every aggregate runs the scalar reference
 functions of :mod:`repro.dataframe.aggregates` one group at a time.  It is
@@ -8,11 +8,6 @@ the baseline the kernel benchmark measures the numpy backend against, and the
 executable in-process specification newer backends are compared to.  The
 plan scaffolding is shared with the numpy backend via
 :class:`~repro.query.backends.base.GroupIndexBackend`.
-
-Under ``EngineConfig(shard_strategy="group", num_workers=N)`` the per-group
-loop runs one contiguous group range per worker (trivially bit-identical:
-each group is still aggregated by the same scalar reference function, and
-ranges concatenate in group order).
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ import numpy as np
 
 from repro.dataframe.aggregates import resolve_aggregate
 from repro.query.backends.base import GroupIndexBackend, register_backend
-from repro.query.sharding import split_ranges
 
 
 @register_backend("python")
@@ -39,32 +33,12 @@ class PythonBackend(GroupIndexBackend):
                 context["index"], context["codes"], context["n_groups"], context["row_idx"]
             )
             context["group_rows"] = group_rows
-        # ``agg_rows`` (present in range-restricted contexts, see
-        # ``GroupIndexBackend.range_context``) keeps categorical coding over
-        # the full filtered row set; ``group_rows`` carries full-table
-        # positions either way, so the gather below is unchanged.
-        values = self.engine.agg_values(
-            attr, context.get("agg_rows", context["row_idx"])
-        )
+        values = self.engine.agg_values(attr, context["row_idx"])
         return [values[rows] for rows in group_rows]
-
-    @staticmethod
-    def _aggregate_range(reference, chunks: List[np.ndarray]) -> np.ndarray:
-        feature = np.empty(len(chunks), dtype=np.float64)
-        for g, chunk in enumerate(chunks):
-            feature[g] = reference(chunk)
-        return feature
 
     def aggregate(self, spec, prepared: List[np.ndarray]):
         reference = resolve_aggregate(spec.func, spec.param)
-        sharder = self.engine.sharder
-        if sharder.group_range_active(len(prepared)):
-            ranges = split_ranges(len(prepared), sharder.num_workers)
-            parts = sharder.map_shards(
-                [
-                    (lambda chunk=prepared[lo:hi]: self._aggregate_range(reference, chunk))
-                    for lo, hi in ranges
-                ]
-            )
-            return np.concatenate(parts)
-        return self._aggregate_range(reference, prepared)
+        feature = np.empty(len(prepared), dtype=np.float64)
+        for g, chunk in enumerate(prepared):
+            feature[g] = reference(chunk)
+        return feature

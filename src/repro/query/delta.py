@@ -20,8 +20,8 @@ enforced by ``tests/query/test_delta_equivalence.py``):
 * **Predicate masks** are partition-scoped: a cached atom mask covers the
   rows it was computed over, so on append the atom is re-evaluated over the
   new slice only and the boolean tails are concatenated.  Masks whose key
-  cannot be turned back into a predicate (foreign keys injected by tests)
-  or whose length does not match the synced row count are evicted.
+  cannot be turned back into a predicate over one of the table's columns,
+  or whose length does not match the synced row count, are evicted.
 * **Group indexes** are extended, never reshuffled: the appended rows are
   factorized on their own and remapped into the existing code space
   (:meth:`~repro.query.engine.GroupIndex.extend`).  First-appearance group
@@ -50,8 +50,13 @@ enforced by ``tests/query/test_delta_equivalence.py``):
 Storage-owning backends participate through ``ExecutionBackend.refresh``:
 sqlite ``INSERT``\\ s the appended slice into its materialised table
 (extending the first-appearance label dictionaries so rowids and codes
-continue), and the process-pool scheduler unlinks its shared-memory
-segments so the next dispatch republishes the appended table.
+continue), once per worker backend.
+
+Failures are loud: the upgrade checks the conditions under which an entry
+cannot be upgraded and evicts only those.  Any other error raised while
+upgrading (a predicate whose ``mask`` fails, a kernel bug) propagates out of
+``QueryEngine.sync_with_table``, after the engine has dropped every cache so
+that no half-upgraded entry can be served later.
 """
 
 from __future__ import annotations
@@ -100,7 +105,7 @@ def default_incremental() -> bool:
     )
 
 
-def _atom_predicate(signature) -> Optional[Predicate]:
+def _atom_predicate(signature, table: Table) -> Optional[Predicate]:
     """Reconstruct the predicate behind one mask-cache key (atom signature).
 
     Mask-cache keys are exactly ``PredicateAtom.signature()`` tuples --
@@ -108,26 +113,24 @@ def _atom_predicate(signature) -> Optional[Predicate]:
     ``("in", attr, members)`` / ``("window", attr, low, high)`` -- pinned by
     ``tests/query/test_plan.py``.  Dispatch is on the kind tag, never on the
     tuple length (``"in"`` signatures are also 3-tuples).  Returns ``None``
-    for any other shape (the caller evicts the entry).
+    for any other shape, and for an attribute that is not a column of
+    *table* (the caller evicts the entry).
     """
-    if not isinstance(signature, tuple) or not signature:
+    if not isinstance(signature, tuple) or len(signature) < 3:
+        return None
+    if not isinstance(signature[1], str) or signature[1] not in table:
         return None
     kind = signature[0]
-    if kind == "eq" and len(signature) == 3 and isinstance(signature[1], str):
+    if kind == "eq" and len(signature) == 3:
         return Equals(signature[1], signature[2])
-    if kind == "range" and len(signature) == 4 and isinstance(signature[1], str):
+    if kind == "range" and len(signature) == 4:
         low, high = signature[2], signature[3]
         if low is None and high is None:
             return None
         return Range(signature[1], low=low, high=high)
-    if (
-        kind == "in"
-        and len(signature) == 3
-        and isinstance(signature[1], str)
-        and isinstance(signature[2], tuple)
-    ):
+    if kind == "in" and len(signature) == 3 and isinstance(signature[2], tuple):
         return IsIn(signature[1], list(signature[2]))
-    if kind == "window" and len(signature) == 4 and isinstance(signature[1], str):
+    if kind == "window" and len(signature) == 4:
         low, high = signature[2], signature[3]
         if low is None or high is None:
             return None
@@ -162,7 +165,13 @@ def refresh_engine(engine: "QueryEngine", table: Table) -> None:
     if appended < 0 or not engine.incremental:
         _flush(engine)
         return
-    _upgrade_in_place(engine, table, old_rows)
+    try:
+        _upgrade_in_place(engine, table, old_rows)
+    except BaseException:
+        # Some entries may already be upgraded and others not: drop them
+        # all, so the engine rebuilds from the table, and let the error out.
+        engine.clear_caches()
+        raise
 
 
 def _flush(engine: "QueryEngine") -> None:
@@ -189,21 +198,16 @@ def _upgrade_in_place(engine: "QueryEngine", table: Table, old_rows: int) -> Non
     # ------------------------------------------------------------------
     extended_masks: Dict[tuple, np.ndarray] = {}
     for key, mask in engine._masks.snapshot():
-        predicate = _atom_predicate(key)
-        tail = None
-        if (
+        predicate = _atom_predicate(key, table)
+        if not (
             predicate is not None
             and isinstance(mask, np.ndarray)
             and mask.dtype == np.bool_
             and mask.shape[0] == old_rows
         ):
-            try:
-                tail = np.asarray(predicate.mask(delta_view), dtype=bool)
-            except Exception:
-                tail = None
-        if tail is None:
             evictions += engine._masks.discard(key)
             continue
+        tail = np.asarray(predicate.mask(delta_view), dtype=bool)
         extended = np.concatenate([mask, tail])
         engine._masks.replace(key, extended)
         extended_masks[key] = extended
@@ -243,13 +247,10 @@ def _upgrade_in_place(engine: "QueryEngine", table: Table, old_rows: int) -> Non
             return mask
         if atom_sig in atom_masks:
             return atom_masks[atom_sig]
-        predicate = _atom_predicate(atom_sig)
+        predicate = _atom_predicate(atom_sig, table)
         mask = None
         if predicate is not None:
-            try:
-                mask = np.asarray(predicate.mask(table), dtype=bool)
-            except Exception:
-                mask = None
+            mask = np.asarray(predicate.mask(table), dtype=bool)
         atom_masks[atom_sig] = mask
         return mask
 
@@ -288,11 +289,13 @@ def _upgrade_in_place(engine: "QueryEngine", table: Table, old_rows: int) -> Non
         info: Optional[dict] = None
         ok, mask = signature_mask(sig)
         index = None
-        if ok and isinstance(keys, tuple):
-            try:
-                index = engine.group_index(keys)
-            except Exception:
-                index = None
+        if (
+            ok
+            and isinstance(keys, tuple)
+            and keys
+            and all(isinstance(key, str) and key in table for key in keys)
+        ):
+            index = engine.group_index(keys)
         if index is not None:
             if mask is None:
                 n_old = (
@@ -389,10 +392,7 @@ def _merged_order(
     if info is None or not isinstance(attr, str) or attr not in table:
         return None
     row_idx = info["row_idx"]
-    try:
-        aligned = engine.agg_values(attr, row_idx)
-    except Exception:
-        return None
+    aligned = engine.agg_values(attr, row_idx)
     f_values = aligned if row_idx is None else aligned[row_idx]
     f_codes = info["codes"]
     old_count = info["old_count"]

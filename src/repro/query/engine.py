@@ -29,18 +29,12 @@ re-scan every WHERE predicate) wastes almost all of that work, so a
    per-backend wall-clock split and per-shard busy time) consumed by the
    Figure 5 benchmarks.
 4. **Sharded parallel execution** -- with ``EngineConfig(num_workers > 1)``
-   the engine's :class:`~repro.query.sharding.ShardScheduler` either
-   partitions a batch's fused plans across a thread pool of per-worker
-   backend instances (``shard_strategy="plan"``) or splits one plan's
-   group-code space into contiguous ranges (``shard_strategy="group"``);
-   results and statistics counters are identical at every worker count
-   (see :mod:`repro.query.sharding` for the determinism contract).
-   ``EngineConfig(executor="process")`` carries the same two strategies on
-   a process pool over shared-memory tables instead
-   (:mod:`repro.query.procpool`) -- results stay bit-identical, while
-   worker-local cache counters then book inside the worker processes.  All
-   shared state -- the LRU caches, the group-index map and every
-   statistics mutation -- is lock-protected, so concurrent
+   the engine's :class:`~repro.query.sharding.ShardScheduler` partitions a
+   batch's fused plans across a thread pool of per-worker backend
+   instances; results and statistics counters are identical at every
+   worker count (see :mod:`repro.query.sharding` for the determinism
+   contract).  All shared state -- the LRU caches, the group-index map
+   and every statistics mutation -- is lock-protected, so concurrent
    ``execute_batch`` callers are safe too, and
    ``EngineConfig(memory_budget_bytes=...)`` bounds the summed bytes of
    the mask / result / sort-order caches with size-aware cross-cache
@@ -73,7 +67,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import warnings
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -94,14 +87,7 @@ from repro.query.backends import ExecutionBackend, backend_names, make_backend
 from repro.query.delta import default_incremental, refresh_engine
 from repro.query.plan import QueryPlan, atoms_from_query
 from repro.query.query import PredicateAwareQuery
-from repro.query.sharding import (
-    EXECUTORS,
-    SHARD_STRATEGIES,
-    ShardScheduler,
-    default_executor_name,
-    default_shard_strategy,
-    default_worker_count,
-)
+from repro.query.sharding import ShardScheduler, default_worker_count
 
 #: Default bound on the number of cached predicate masks per engine.
 DEFAULT_MASK_CACHE_SIZE = 256
@@ -117,11 +103,6 @@ DEFAULT_SORT_CACHE_SIZE = 64
 #: Environment variable overriding the default backend name (used by the CI
 #: backend matrix to replay the query suites per backend).
 BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
-
-#: Legacy ``kernels=`` modes and the backends they map onto.  The flag is
-#: deprecated: ``EngineConfig(backend=...)`` is the supported spelling.
-KERNEL_MODES = ("vectorized", "python")
-_KERNEL_MODE_BACKENDS = {"vectorized": "numpy", "python": "python"}
 
 
 def default_backend_name() -> str:
@@ -151,18 +132,9 @@ class EngineConfig:
     time, so a config built before ``$REPRO_ENGINE_BACKEND`` changes still
     follows the environment; ``num_workers`` of ``None`` likewise resolves to
     :func:`repro.query.sharding.default_worker_count`
-    (``$REPRO_ENGINE_WORKERS`` or 1) and ``executor`` of ``None`` to
-    :func:`repro.query.sharding.default_executor_name`
-    (``$REPRO_ENGINE_EXECUTOR`` or ``"thread"``).  ``shard_strategy`` selects
-    how a multi-worker engine parallelises: ``"plan"`` partitions a batch's
-    fused plans across workers, ``"group"`` splits one plan's group-code
-    space into contiguous ranges, and ``"auto"`` chooses between the two per
-    dispatch -- plan-level for wide fused batches, group-range for a single
-    heavy plan (see :mod:`repro.query.sharding`); ``None`` follows
-    ``$REPRO_ENGINE_SHARD_STRATEGY`` at use time (default ``"plan"``);
-    ``executor`` selects what carries the shards -- a thread pool in the
-    engine's address space or a process pool over shared-memory tables
-    (:mod:`repro.query.procpool`).  ``memory_budget_bytes`` imposes one
+    (``$REPRO_ENGINE_WORKERS`` or 1).  A multi-worker engine partitions a
+    batch's fused plans across a thread pool (see
+    :mod:`repro.query.sharding`).  ``memory_budget_bytes`` imposes one
     global size-aware budget across the mask / result / sort-order caches
     (``None`` = unbounded bytes; the per-cache entry-count bounds always
     apply).
@@ -172,16 +144,10 @@ class EngineConfig:
     mask_cache_size: int = DEFAULT_MASK_CACHE_SIZE
     result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE
     num_workers: Optional[int] = None
-    #: Shard strategy: ``"plan"`` | ``"group"`` | ``"auto"``; ``None`` follows
-    #: ``$REPRO_ENGINE_SHARD_STRATEGY`` at use time (default ``"plan"``).
-    shard_strategy: Optional[str] = None
     #: Bound on the engine's shared sort-order cache; ``0`` disables it (the
     #: order-statistics kernels then re-sort per plan, the pre-cache
     #: behaviour -- the benchmark baseline uses this).
     sort_cache_size: int = DEFAULT_SORT_CACHE_SIZE
-    #: Executor kind carrying the shards: ``"thread"`` | ``"process"``;
-    #: ``None`` follows ``$REPRO_ENGINE_EXECUTOR`` at use time.
-    executor: Optional[str] = None
     #: Global byte budget shared by the mask / result / sort-order caches
     #: (size-aware cross-cache eviction, see :class:`CacheBudget`); ``None``
     #: disables byte-based eviction.
@@ -208,35 +174,10 @@ class EngineConfig:
                     f"Unknown execution backend {name!r}; "
                     f"registered backends: {backend_names()}"
                 )
-        if self.executor is not None:
-            name = self.executor.strip()
-            object.__setattr__(self, "executor", name or None)
-            if name and name not in EXECUTORS:
-                raise ValueError(
-                    f"Unknown executor {name!r}; expected one of {EXECUTORS}"
-                )
-        if self.shard_strategy is not None:
-            name = self.shard_strategy.strip()
-            object.__setattr__(self, "shard_strategy", name or None)
-            if name and name not in SHARD_STRATEGIES:
-                raise ValueError(
-                    f"Unknown shard strategy {name!r}; "
-                    f"expected one of {SHARD_STRATEGIES}"
-                )
 
     @property
     def backend_name(self) -> str:
         return self.backend or default_backend_name()
-
-    @property
-    def executor_name(self) -> str:
-        """The resolved executor kind (explicit value, else the process default)."""
-        return self.executor or default_executor_name()
-
-    @property
-    def shard_strategy_name(self) -> str:
-        """The resolved shard strategy (explicit value, else the env default)."""
-        return self.shard_strategy or default_shard_strategy()
 
     @property
     def worker_count(self) -> int:
@@ -253,7 +194,7 @@ class EngineConfig:
         return default_incremental()
 
     def validate(self) -> None:
-        """Raise ``ValueError`` on an unknown backend / strategy, non-positive
+        """Raise ``ValueError`` on an unknown backend, non-positive
         caches or a non-positive worker count (explicit or from the
         environment)."""
         if self.backend_name not in backend_names():
@@ -265,19 +206,9 @@ class EngineConfig:
             raise ValueError("Cache sizes must be >= 1")
         if self.sort_cache_size < 0:
             raise ValueError("sort_cache_size must be >= 0 (0 disables the cache)")
-        if self.shard_strategy_name not in SHARD_STRATEGIES:  # malformed env
-            raise ValueError(
-                f"Unknown shard strategy {self.shard_strategy_name!r}; "
-                f"expected one of {SHARD_STRATEGIES}"
-            )
         if self.worker_count < 1:  # also raises on a malformed env override
             raise ValueError(
                 f"num_workers must be >= 1, got {self.num_workers!r}"
-            )
-        if self.executor_name not in EXECUTORS:  # malformed env override
-            raise ValueError(
-                f"Unknown executor {self.executor_name!r}; "
-                f"expected one of {EXECUTORS}"
             )
         if self.memory_budget_bytes is not None and self.memory_budget_bytes < 1:
             raise ValueError(
@@ -295,9 +226,7 @@ class EngineConfig:
             self.mask_cache_size,
             self.result_cache_size,
             self.worker_count,
-            self.shard_strategy_name,
             self.sort_cache_size,
-            self.executor_name,
             self.memory_budget_bytes,
             self.incremental_enabled,
         )
@@ -320,8 +249,6 @@ class EngineStats:
     backend: str = ""
     #: The engine's resolved worker count (identity, like ``backend``).
     workers: int = 0
-    #: The engine's executor kind ("thread" | "process"; identity).
-    executor: str = ""
     queries: int = 0
     batches: int = 0
     batched_queries: int = 0
@@ -360,16 +287,13 @@ class EngineStats:
     backend_seconds: Dict[str, float] = field(default_factory=dict)
     #: Number of ``execute_plans`` batches that ran on the worker pool.
     sharded_batches: int = 0
-    #: Plan-level scheduling units executed by shard workers (strategy
-    #: "plan").  A heavy fused plan may split into several aggregate-spec
-    #: units, so this can exceed the number of fused plans dispatched.
+    #: Plan-level scheduling units executed by shard workers.  A heavy
+    #: fused plan may split into several aggregate-spec units, so this can
+    #: exceed the number of fused plans dispatched.
     plan_shards: int = 0
-    #: Group-range shard tasks executed (strategy "group").
-    group_shards: int = 0
     #: Coordinator wall-clock spent inside parallel shard sections.
     seconds_sharding: float = 0.0
-    #: Busy wall-clock per shard: plan-level worker slots book under
-    #: ``"w<slot>"``, group-range shards under ``"g<range>"``.
+    #: Busy wall-clock per worker slot, keyed ``"w<slot>"``.
     shard_seconds: Dict[str, float] = field(default_factory=dict)
     #: Entries evicted by the global memory budget's size-aware cross-cache
     #: eviction (:class:`CacheBudget`); per-cache entry-count evictions keep
@@ -435,7 +359,7 @@ class EngineStats:
     )
 
     #: Identity fields: carried through :meth:`reset` and :meth:`delta_since`.
-    IDENTITY_FIELDS = ("backend", "workers", "executor")
+    IDENTITY_FIELDS = ("backend", "workers")
 
     #: Gauge fields: current values, not lifetime counters -- carried
     #: through :meth:`delta_since` unsubtracted and zeroed when the caches
@@ -481,9 +405,7 @@ class EngineStats:
         Capacity is ``workers * seconds_sharding`` -- what the pool could
         have worked during the parallel sections; 1.0 means every worker was
         busy the whole time (perfectly balanced shards).  The ratio is
-        clamped to 1.0: ``shard_seconds`` mixes plan-level (``w*``) and
-        group-range (``g*``) keys accumulated over the engine's whole
-        lifetime, and per-batch timer skew between the coordinator's
+        clamped to 1.0: per-batch timer skew between the coordinator's
         section clock and the workers' busy clocks can nudge the summed
         lifetime ratio past true capacity on long-lived engines.  Per-run
         reports should prefer the windowed value :meth:`delta_since`
@@ -552,8 +474,8 @@ class EngineStats:
                 self.python_aggregations += 1
 
     def reset(self) -> None:
-        """Zero every counter and timer; identity fields (backend, workers,
-        executor), the byte gauges and the delta-refresh fields survive --
+        """Zero every counter and timer; identity fields (backend, workers),
+        the byte gauges and the delta-refresh fields survive --
         gauges describe the caches' *current* contents and the refresh
         fields the table generation the engine is synced to, neither of
         which resetting counters changes (:meth:`QueryEngine.reset` clears
@@ -575,10 +497,10 @@ class EngineStats:
 
         Engines are shared per table, so per-run reports must subtract the
         traffic of earlier runs; derived rates are recomputed from the deltas,
-        identity fields (the backend name, the worker count, the executor)
-        are carried through unchanged, and gauges (``bytes_cached``,
-        ``cache_bytes``) and the delta-refresh fields (``REFRESH_FIELDS``)
-        pass through as current values -- a byte gauge difference is
+        identity fields (the backend name, the worker count) are carried
+        through unchanged, and gauges (``bytes_cached``, ``cache_bytes``)
+        and the delta-refresh fields (``REFRESH_FIELDS``) pass through as
+        current values -- a byte gauge difference is
         meaningless, and refresh activity describes the table generation,
         not the measurement window.  Tolerant of incomplete baselines: a key
         absent from *baseline* (a snapshot captured before a feature --
@@ -923,26 +845,10 @@ class GroupIndex:
 
 def _resolve_config(
     config: Optional[EngineConfig],
-    kernels: Optional[str],
     mask_cache_size: Optional[int],
     result_cache_size: Optional[int],
 ) -> EngineConfig:
-    """Fold the legacy keyword spellings into one validated :class:`EngineConfig`."""
-    if kernels is not None:
-        if config is not None:
-            raise ValueError("Pass either config= or the deprecated kernels=, not both")
-        backend = _KERNEL_MODE_BACKENDS.get(kernels)
-        if backend is None:
-            raise ValueError(
-                f"Unknown kernel mode {kernels!r}; expected one of {KERNEL_MODES}"
-            )
-        warnings.warn(
-            f"kernels={kernels!r} is deprecated; use "
-            f"EngineConfig(backend={backend!r}) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        config = EngineConfig(backend=backend)
+    """Fold the cache-size keywords into one validated :class:`EngineConfig`."""
     if config is None:
         config = EngineConfig()
     overrides = {}
@@ -959,9 +865,7 @@ def _resolve_config(
 class QueryEngine:
     """Cached, batched execution of query plans on one table.
 
-    ``config`` selects the execution backend and cache sizes; the deprecated
-    ``kernels="vectorized"|"python"`` flag maps onto the numpy / python
-    backends with a ``DeprecationWarning``.
+    ``config`` selects the execution backend, cache sizes and worker count.
     """
 
     def __init__(
@@ -970,14 +874,11 @@ class QueryEngine:
         mask_cache_size: Optional[int] = None,
         result_cache_size: Optional[int] = None,
         weak_table: bool = False,
-        kernels: Optional[str] = None,
         config: Optional[EngineConfig] = None,
     ):
-        self.config = _resolve_config(config, kernels, mask_cache_size, result_cache_size)
+        self.config = _resolve_config(config, mask_cache_size, result_cache_size)
         self.backend_name = self.config.backend_name
         self.num_workers = self.config.worker_count
-        self.shard_strategy = self.config.shard_strategy_name
-        self.executor_name = self.config.executor_name
         self.memory_budget_bytes = self.config.memory_budget_bytes
         # Directly-constructed engines own a strong reference to their table.
         # Registry engines (``engine_for``) hold only a weak one: the registry
@@ -991,11 +892,7 @@ class QueryEngine:
         self._sync_lock = threading.RLock()
         self._synced_version = table.version
         self._synced_rows = table.num_rows
-        self.stats = EngineStats(
-            backend=self.backend_name,
-            workers=self.num_workers,
-            executor=self.executor_name,
-        )
+        self.stats = EngineStats(backend=self.backend_name, workers=self.num_workers)
         self._indexes: Dict[Tuple[str, ...], GroupIndex] = {}
         self._index_lock = threading.Lock()
         #: Global byte budget shared across the three LRU caches (None =
@@ -1034,24 +931,8 @@ class QueryEngine:
         self._agg_lock = threading.Lock()
         self.backend: ExecutionBackend = make_backend(self.backend_name)
         self.backend.bind(table, engine=self)
-        #: Worker pool + per-worker backend instances (see repro.query.sharding
-        #: for the thread scheduler, repro.query.procpool for the process one).
-        if self.executor_name == "process" and self.num_workers > 1:
-            from repro.query.procpool import ProcessShardScheduler
-
-            self.sharder: ShardScheduler = ProcessShardScheduler(
-                self, self.num_workers, self.shard_strategy
-            )
-            # The process scheduler holds the engine weakly, so this
-            # finalizer cannot keep the engine alive; it guarantees the
-            # process pool and shared-memory segments are released even when
-            # the engine is dropped without an explicit close().
-            self._sharder_finalizer = weakref.finalize(
-                self, self.sharder.release, False
-            )
-        else:
-            self.sharder = ShardScheduler(self, self.num_workers, self.shard_strategy)
-            self._sharder_finalizer = None
+        #: Worker pool + per-worker backend instances (repro.query.sharding).
+        self.sharder = ShardScheduler(self, self.num_workers)
         self._closed = False
         self._refresh_byte_gauges()
 
@@ -1310,15 +1191,14 @@ class QueryEngine:
     def execute_plans(self, plans: Sequence[QueryPlan]) -> List[Table]:
         """Batched execution of single-aggregate plans (input order preserved).
 
-        With ``num_workers > 1`` and ``shard_strategy="plan"`` the batch's
-        pending fused plans run in parallel on the engine's worker pool (see
+        With ``num_workers > 1`` the batch's pending fused plans run in
+        parallel on the engine's worker pool (see
         :class:`~repro.query.sharding.ShardScheduler`); results are assembled
         by input position, so the output is identical at any worker count.
 
         An empty batch returns ``[]`` immediately: no backend touch, no
         table sync, and no counter traffic (``batches`` counts rounds that
-        actually carried queries) -- on every backend / executor
-        combination.
+        actually carried queries) -- on every backend.
         """
         plans = list(plans)
         if not plans:
@@ -1503,19 +1383,15 @@ class QueryEngine:
         """Release every backend / OS resource the engine owns.
 
         Drops all caches and backend materialisations (sqlite connections
-        included) and shuts the shard scheduler down -- for the process
-        executor that terminates the worker pool and unlinks the
-        shared-memory segments.  Idempotent, callable from ``engine_for``'s
-        table finalizer (it never touches ``self.table``), and the engine
-        remains usable afterwards: the next execution transparently
-        re-opens it, re-creating backend materialisations, worker pools
-        and (for the process executor) re-publishing the shared-memory
-        image lazily.  Statistics counters survive a close/re-open cycle
-        unchanged -- they are lifetime counters, exactly as across
-        :meth:`clear_caches`.
+        included) and shuts the shard scheduler's thread pool down.
+        Idempotent, callable from ``engine_for``'s table finalizer (it never
+        touches ``self.table``), and the engine remains usable afterwards:
+        the next execution transparently re-opens it, re-creating backend
+        materialisations and worker pools lazily.  Statistics counters
+        survive a close/re-open cycle unchanged -- they are lifetime
+        counters, exactly as across :meth:`clear_caches`.
         """
         self.clear_caches()
-        self.sharder.close()
         self._closed = True
 
     def reset(self) -> None:
@@ -1548,8 +1424,8 @@ def _close_registry_engines(per_table: Dict[tuple, "QueryEngine"]) -> None:
     """Finalizer for one table's registry slot: release engine resources.
 
     Runs when the table is garbage-collected (the WeakKeyDictionary entry is
-    going away anyway); explicit ``close()`` guarantees sqlite connections,
-    process pools and shared-memory segments are released deterministically
+    going away anyway); explicit ``close()`` guarantees sqlite connections
+    and worker pools are released deterministically
     instead of waiting on the engines' own collection.
     """
     for engine in list(per_table.values()):
@@ -1560,21 +1436,14 @@ def _close_registry_engines(per_table: Dict[tuple, "QueryEngine"]) -> None:
     per_table.clear()
 
 
-def engine_for(
-    table: Table,
-    config: Optional[EngineConfig] = None,
-    *,
-    kernels: Optional[str] = None,
-) -> QueryEngine:
+def engine_for(table: Table, config: Optional[EngineConfig] = None) -> QueryEngine:
     """The process-wide shared :class:`QueryEngine` bound to *table*.
 
     Keyed by object identity: every distinct ``Table`` object gets its own
     engine per :class:`EngineConfig`, and all call sites touching the same
-    relevant table with the same config share one.  The deprecated
-    ``kernels=`` keyword maps onto the numpy / python backends with a
-    ``DeprecationWarning``.
+    relevant table with the same config share one.
     """
-    config = _resolve_config(config, kernels, None, None)
+    config = _resolve_config(config, None, None)
     key = config.cache_key()
     with _REGISTRY_LOCK:
         per_table = _ENGINE_REGISTRY.get(table)
@@ -1590,7 +1459,7 @@ def engine_for(
         # double-checked under the lock before insertion, so concurrent
         # first access yields exactly one registered engine; every loser
         # closes its candidate immediately so no backend resource (sqlite
-        # connection, process pool, shm segment) can leak from the race.
+        # connection, worker pool) can leak from the race.
         candidate = QueryEngine(table, weak_table=True, config=config)
         with _REGISTRY_LOCK:
             engine = per_table.get(key)

@@ -38,7 +38,7 @@ the admission layer that turns the engine into a shared service:
 Determinism contract: the dispatcher is one thread and the engine rounds are
 ordinary ``execute_plans`` calls, so results are **bit-identical** to each
 caller running its queries serially on the same engine, at any concurrency
-level, on every backend / shard strategy / executor combination (1e-9 for
+level, on every backend and worker count (1e-9 for
 sqlite, matching the engine's own bar) -- pinned by
 ``tests/query/test_service.py`` and the acceptance hammer test.
 

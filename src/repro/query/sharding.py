@@ -1,37 +1,25 @@
-"""Sharded parallel execution of query plans across backend workers.
+"""Plan-level parallel execution of query plans across backend workers.
 
 The batched engine of :mod:`repro.query.engine` runs every fused plan of an
 ``execute_batch`` call serially on the calling thread.  TPE search traffic
-hammers one engine with 50+ query templates per step, so this module adds the
-two shard strategies the plan/backend seam was built to enable:
-
-* **Plan-level scheduling** (``shard_strategy="plan"``, the default) --
-  :meth:`ShardScheduler.run_fused_plans` partitions the batch's pending fused
-  plans across a thread pool.  Each worker slot holds its **own backend
-  instance** over the shared table (mandatory for backends that own storage,
-  e.g. one sqlite connection per worker; harmless for the stateless
-  in-process backends), and plans are assigned longest-processing-time-first
-  by estimated cost so one heavy plan cannot serialise the batch.
-* **Group-range sharding** (``shard_strategy="group"``) -- for a single
-  heavy plan, :class:`GroupRangeShards` splits the factorized group-code
-  space ``[0, n_groups)`` into contiguous ranges and the grouped-aggregation
-  kernels run once per range, concatenating the per-group results in code
-  order.  Because every group lies entirely inside one shard (groups never
-  straddle a range boundary) and boolean-mask row selection preserves the
-  original row order within each group, every kernel sees exactly the rows,
-  in exactly the accumulation order, the unsharded kernel sees -- so the
-  results are **bit-for-bit identical** for any shard count, preserving the
-  accumulation-order contract of :mod:`repro.dataframe.aggregates`.
+hammers one engine with 50+ query templates per step, so with
+``EngineConfig(num_workers > 1)`` :meth:`ShardScheduler.run_fused_plans`
+partitions the batch's pending fused plans across a thread pool.  Each worker
+slot holds its **own backend instance** over the shared table (mandatory for
+backends that own storage, e.g. one sqlite connection per worker; harmless
+for the stateless in-process backends), and plans are assigned
+longest-processing-time-first by estimated cost so one heavy plan cannot
+serialise the batch: a plan heavier than the ideal per-worker load is split
+into aggregate-spec units over one shared context.
 
 Determinism contract (pinned by ``tests/query/test_sharding_equivalence.py``):
 sharded execution returns element-wise identical tables to serial execution
-for every backend and shard count.  For plan-level scheduling this holds
-because all engine-shared state (predicate masks, group indexes, and their
-statistics) is prepared **serially on the coordinator thread** via
-``ExecutionBackend.plan_context`` before any worker runs, in the same fused
-order serial execution uses; workers only aggregate over the prepared
-(immutable) contexts.  Statistics counters therefore book identical totals
-at every worker count.
+for every backend and worker count.  This holds because all engine-shared
+state (predicate masks, group indexes, and their statistics) is prepared
+**serially on the coordinator thread** via ``ExecutionBackend.plan_context``
+before any worker runs, in the same fused order serial execution uses;
+workers only aggregate over the prepared (immutable) contexts.  Statistics
+counters therefore book identical totals at every worker count.
 
 Threads, not processes: the numpy kernels spend their time inside
 GIL-releasing array primitives and the sqlite backend blocks inside the C
@@ -47,11 +35,8 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.dataframe.grouped_kernels import GroupedAggregator
 from repro.query.backends.base import ExecutionBackend, make_backend
 from repro.query.plan import QueryPlan
 
@@ -62,49 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: Environment variable overriding the default worker count (used by the CI
 #: sharded matrix slot to replay the query suites with ``num_workers=4``).
 WORKERS_ENV_VAR = "REPRO_ENGINE_WORKERS"
-
-#: The shard strategies: partition fused plans across workers ("plan"),
-#: split one plan's group-code space into contiguous ranges ("group"), or
-#: decide per batch from prefetched context sizes ("auto").
-SHARD_STRATEGIES = ("plan", "group", "auto")
-
-#: Environment variable overriding the default shard strategy (used by the CI
-#: auto-strategy matrix slot to replay the query suites with
-#: ``shard_strategy="auto"``).
-SHARD_STRATEGY_ENV_VAR = "REPRO_ENGINE_SHARD_STRATEGY"
-
-#: ``auto`` strategy threshold: a single plan whose estimated cost (filtered
-#: rows x aggregate count) reaches this goes group-range; below it, plan-level
-#: scheduling (i.e. serial for a single plan) wins because the per-range
-#: fan-out overhead would dominate.
-AUTO_HEAVY_PLAN_COST = 100_000.0
-
-
-def resolve_auto_strategy(n_plans: int, plan_cost: float) -> str:
-    """The ``auto`` strategy's deterministic chooser.
-
-    Wide fused batches (``n_plans > 1``) go plan-level -- whole plans are the
-    natural unit of parallelism and group-range splitting each would thrash
-    the pool.  A single plan goes group-range only when its prefetched cost
-    (:meth:`ShardScheduler._plan_cost`, filtered rows x aggregates) reaches
-    :data:`AUTO_HEAVY_PLAN_COST`; light single plans stay serial.  Pure
-    function of its two inputs, so the choice is unit-testable and identical
-    at every worker count.
-    """
-    if n_plans > 1:
-        return "plan"
-    if plan_cost >= AUTO_HEAVY_PLAN_COST:
-        return "group"
-    return "plan"
-
-#: Environment variable overriding the default executor kind (used by the CI
-#: process-executor matrix slot to replay the query suites across processes).
-EXECUTOR_ENV_VAR = "REPRO_ENGINE_EXECUTOR"
-
-#: The two executor kinds: a thread pool sharing the engine's address space
-#: ("thread", this module) or a process pool over shared-memory tables
-#: ("process", :mod:`repro.query.procpool`).
-EXECUTORS = ("thread", "process")
 
 
 def default_worker_count() -> int:
@@ -127,229 +69,16 @@ def default_worker_count() -> int:
     return workers
 
 
-def default_shard_strategy() -> str:
-    """The process-wide default shard strategy:
-    ``$REPRO_ENGINE_SHARD_STRATEGY`` or ``"plan"``.
-
-    Raises ``ValueError`` on an unknown value -- eagerly, like the executor
-    and worker-count defaults, so a typo'd environment surfaces at config
-    resolution instead of silently falling back to plan-level scheduling.
-    """
-    raw = os.environ.get(SHARD_STRATEGY_ENV_VAR, "").strip()
-    if not raw:
-        return "plan"
-    if raw not in SHARD_STRATEGIES:
-        raise ValueError(
-            f"${SHARD_STRATEGY_ENV_VAR} names an unknown shard strategy {raw!r}; "
-            f"expected one of {SHARD_STRATEGIES}"
-        )
-    return raw
-
-
-def default_executor_name() -> str:
-    """The process-wide default executor: ``$REPRO_ENGINE_EXECUTOR`` or thread.
-
-    Raises ``ValueError`` on an unknown value -- eagerly, like the backend and
-    worker-count defaults, so a typo'd environment surfaces at config
-    resolution instead of silently running single-address-space.
-    """
-    raw = os.environ.get(EXECUTOR_ENV_VAR, "").strip()
-    if not raw:
-        return "thread"
-    if raw not in EXECUTORS:
-        raise ValueError(
-            f"${EXECUTOR_ENV_VAR} names an unknown executor {raw!r}; "
-            f"expected one of {EXECUTORS}"
-        )
-    return raw
-
-
 def split_ranges(n: int, shards: int) -> List[Tuple[int, int]]:
     """Contiguous ``[lo, hi)`` ranges covering ``range(n)``, sizes within 1.
 
-    At most ``n`` non-empty ranges are produced, so a group count smaller
-    than the worker count simply yields fewer shards (never empty ones).
+    At most ``n`` non-empty ranges are produced, so fewer items than
+    shards simply yields fewer ranges (never empty ones).
     """
     if n <= 0:
         return [(0, 0)]
     shards = max(1, min(int(shards), n))
     return [(i * n // shards, (i + 1) * n // shards) for i in range(shards)]
-
-
-class GroupRangeShards:
-    """Per-shard row selections of one plan's filtered grouping.
-
-    Splits compact group codes (every code in ``[0, n_groups)``) into the
-    contiguous code ranges of :func:`split_ranges` and materialises, per
-    range, the selected row positions and the range-local codes.  Row
-    selection uses an ascending boolean mask, so within every group the rows
-    keep their original relative order -- the property the bit-identity
-    contract of the kernels rests on.  The selections are attribute
-    independent and shared across all aggregates of one plan.
-    """
-
-    def __init__(self, codes: np.ndarray, n_groups: int, num_shards: int):
-        self.n_groups = int(n_groups)
-        #: The plan's full compact codes (all ranges); kept so a prefetched
-        #: full-table sort order can be sliced into per-range orders.
-        self.all_codes = np.asarray(codes, dtype=np.int64)
-        self.ranges = split_ranges(self.n_groups, num_shards)
-        self.rows: List[np.ndarray] = []
-        self.codes: List[np.ndarray] = []
-        for lo, hi in self.ranges:
-            selected = np.flatnonzero((codes >= lo) & (codes < hi))
-            self.rows.append(selected)
-            self.codes.append(codes[selected] - lo)
-
-    def __len__(self) -> int:
-        return len(self.ranges)
-
-
-class ShardedGroupedAggregator:
-    """Drop-in for :class:`GroupedAggregator` that computes per code range.
-
-    Holds one :class:`GroupedAggregator` per shard (so each shard reuses its
-    own sorted segments and bincount intermediates across the plan's
-    aggregates, exactly like the unsharded aggregator does globally) and
-    concatenates per-range results in code order -- which *is* group order,
-    because the ranges partition ``[0, n_groups)`` contiguously.
-
-    With an *order_cache* (the engine's shared sort-order cache accessor),
-    the plan's **full** filtered lexsort order is resolved once and sliced
-    into per-range local orders (:meth:`_slice_full_order`) instead of each
-    shard paying its own lexsort.  Slicing is bit-neutral: the full order
-    sorts by (code, value, original row) and the code ranges are contiguous,
-    so each range's slice, re-indexed into range-local row positions, is
-    exactly the order the shard's own stable lexsort would produce.
-    """
-
-    def __init__(
-        self,
-        shards: GroupRangeShards,
-        values: np.ndarray,
-        scheduler: "ShardScheduler",
-        order_cache=None,
-        mad_order_cache=None,
-    ):
-        self._scheduler = scheduler
-        self._shards = shards
-        self._values = np.asarray(values, dtype=np.float64)
-        self._order_cache = order_cache
-        self._mad_order_cache = mad_order_cache
-        self._orders: Optional[List[np.ndarray]] = None
-        self._mad_orders: Optional[List[np.ndarray]] = None
-        self._order_lock = threading.Lock()
-        self._parts = [
-            GroupedAggregator(codes, values[rows], hi - lo)
-            for codes, rows, (lo, hi) in zip(shards.codes, shards.rows, shards.ranges)
-        ]
-        if order_cache is not None:
-            for i, part in enumerate(self._parts):
-                # Each part's first sort-based kernel resolves the shared
-                # full order (once, lock-protected) and reads its own slice;
-                # the part's local compute thunk is ignored on purpose.
-                part.order_cache = lambda _compute, i=i: self._part_orders()[i]
-        if mad_order_cache is not None:
-            for i, part in enumerate(self._parts):
-                # Same scheme for MAD's deviation order: one engine-cache
-                # consultation per (plan, value column), sliced per range.
-                part.mad_order_cache = lambda _compute, i=i: self._mad_part_orders()[i]
-
-    def resolve_sort_order(self) -> None:
-        """Resolve + slice the shared full order now (timing-neutral warm-up,
-        mirroring :meth:`GroupedAggregator.resolve_sort_order`).  Without an
-        order cache the parts sort locally inside their own kernels, exactly
-        as before."""
-        if self._order_cache is not None:
-            self._part_orders()
-
-    def resolve_mad_order(self) -> None:
-        """Resolve + slice MAD's shared deviation order (timing-neutral
-        warm-up, mirroring :meth:`GroupedAggregator.resolve_mad_order`)."""
-        if self._mad_order_cache is not None:
-            self._mad_part_orders()
-
-    def _part_orders(self) -> List[np.ndarray]:
-        """Per-range local sort orders, resolved once for all parts.
-
-        The lock keeps the engine-cache consultation to exactly one per
-        (plan, value column) even though the parts run concurrently on the
-        shard workers -- so ``sort_hits`` / ``sort_misses`` book the same
-        totals at every worker count.
-        """
-        orders = self._orders
-        if orders is None:
-            with self._order_lock:
-                if self._orders is None:
-                    self._orders = self._slice_full_order()
-                orders = self._orders
-        return orders
-
-    def _mad_part_orders(self) -> List[np.ndarray]:
-        """Per-range local MAD deviation orders (same contract as
-        :meth:`_part_orders`: exactly one engine-cache consultation)."""
-        orders = self._mad_orders
-        if orders is None:
-            with self._order_lock:
-                if self._mad_orders is None:
-                    self._mad_orders = self._slice_full_mad_order()
-                orders = self._mad_orders
-        return orders
-
-    def _stripped(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The plan's NaN-stripped (codes, values) over all ranges."""
-        codes, values = self._shards.all_codes, self._values
-        valid = ~np.isnan(values)
-        if valid.all():
-            return codes, values
-        return codes[valid], values[valid]
-
-    def _slice_full_order(self) -> List[np.ndarray]:
-        scodes, svalues = self._stripped()
-        full = self._order_cache(lambda: np.lexsort((svalues, scodes)))
-        return self._slice_by_range(full, scodes)
-
-    def _slice_full_mad_order(self) -> List[np.ndarray]:
-        """Resolve the full deviation order and slice it per range.
-
-        The deviations |x - group median| are computed once globally from a
-        helper aggregator seeded with the (cached) full main order -- no
-        extra lexsort.  They are bit-identical to what each part computes
-        locally, because every group lies wholly inside one range, so the
-        sliced order is exactly the order a part's own deviation lexsort
-        would produce.
-        """
-        scodes, svalues = self._stripped()
-        full_main = self._order_cache(lambda: np.lexsort((svalues, scodes)))
-        helper = GroupedAggregator(
-            scodes, svalues, self._shards.n_groups, sort_order=full_main
-        )
-        deviations = helper.mad_deviations()
-        full = self._mad_order_cache(lambda: np.lexsort((deviations, scodes)))
-        return self._slice_by_range(full, scodes)
-
-    def _slice_by_range(self, full: np.ndarray, scodes: np.ndarray) -> List[np.ndarray]:
-        counts = np.bincount(scodes, minlength=self._shards.n_groups)
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        orders: List[np.ndarray] = []
-        for lo, hi in self._shards.ranges:
-            chunk = full[bounds[lo]:bounds[hi]]
-            # The chunk holds exactly this range's stripped-row positions;
-            # sorting it recovers them in ascending order (cheaper than
-            # rescanning scodes per range), and mapping the chunk through
-            # them yields range-local stripped indices while preserving the
-            # stable tie-break order.
-            in_range = np.sort(chunk)
-            orders.append(np.searchsorted(in_range, chunk))
-        return orders
-
-    def compute(self, name: str, param=None) -> np.ndarray:
-        results = self._scheduler.map_shards(
-            [(lambda part=part: part.compute(name, param)) for part in self._parts]
-        )
-        if len(results) == 1:
-            return results[0]
-        return np.concatenate(results)
 
 
 class ShardScheduler:
@@ -362,39 +91,16 @@ class ShardScheduler:
     degenerates to the serial path.
     """
 
-    def __init__(self, engine: "QueryEngine", num_workers: int, shard_strategy: str):
+    def __init__(self, engine: "QueryEngine", num_workers: int):
         self.engine = engine
         self.num_workers = int(num_workers)
-        self.shard_strategy = shard_strategy
         self._pool: Optional[ThreadPoolExecutor] = None
         self._worker_backends: Dict[int, ExecutionBackend] = {}
         self._lock = threading.Lock()
-        #: ``auto`` strategy state: set (thread-locally, on the coordinator
-        #: thread driving the plan) while a single heavy plan runs in
-        #: group-range mode, so :meth:`group_range_active` answers True for
-        #: exactly that plan's kernels and nothing else.
-        self._auto_local = threading.local()
 
-    # ------------------------------------------------------------------
-    # Activation predicates
-    # ------------------------------------------------------------------
     def plan_parallel_active(self, n_plans: int) -> bool:
         """Whether a batch of *n_plans* fused plans is scheduled on the pool."""
-        return (
-            self.shard_strategy in ("plan", "auto")
-            and self.num_workers > 1
-            and n_plans > 1
-        )
-
-    def group_range_active(self, n_groups: int) -> bool:
-        """Whether one plan's *n_groups* groups are split into code ranges."""
-        if self.num_workers <= 1 or n_groups <= 1:
-            return False
-        if self.shard_strategy == "group":
-            return True
-        return self.shard_strategy == "auto" and getattr(
-            self._auto_local, "group", False
-        )
+        return self.num_workers > 1 and n_plans > 1
 
     # ------------------------------------------------------------------
     # Worker resources
@@ -454,16 +160,6 @@ class ShardScheduler:
         for backend in workers:
             backend.refresh(old_rows)
 
-    def close(self) -> None:
-        """Release every scheduler-owned OS resource (pool, worker backends).
-
-        For the thread scheduler this is :meth:`clear`; the process scheduler
-        (:class:`repro.query.procpool.ProcessShardScheduler`) overrides it to
-        also shut its process pool down and unlink the shared-memory
-        segments.  Idempotent, and safe after the engine's table has died.
-        """
-        self.clear()
-
     # ------------------------------------------------------------------
     # Plan-level scheduling
     # ------------------------------------------------------------------
@@ -484,7 +180,7 @@ class ShardScheduler:
             results = []
             for plan in plans:
                 start = time.perf_counter()
-                results.append(self._run_single_plan(plan))
+                results.append(engine.backend.run_plan(plan))
                 stats.add_split(
                     "backend_seconds", engine.backend_name, time.perf_counter() - start
                 )
@@ -510,30 +206,6 @@ class ShardScheduler:
                 for offset, table in enumerate(tables):
                     results[i][lo + offset] = table
         return results  # type: ignore[return-value]
-
-    def _run_single_plan(self, plan: QueryPlan) -> List["Table"]:
-        """Run one plan serially -- or, under ``auto``, group-range sharded.
-
-        The ``auto`` strategy prefetches the plan's context (on this, the
-        coordinator thread, like the plan-parallel path does) so the chooser
-        sees the *filtered* size, then flips the thread-local group-range
-        flag for heavy plans only.  The flag is scoped to this call: the
-        backend's kernels consult :meth:`group_range_active` on this same
-        thread while the plan runs, and nothing else ever observes it.
-        """
-        engine = self.engine
-        if self.shard_strategy != "auto" or self.num_workers <= 1:
-            return engine.backend.run_plan(plan)
-        context = engine.backend.plan_context(plan)
-        choice = resolve_auto_strategy(1, self._plan_cost(plan, context))
-        if choice == "group":
-            self._auto_local.group = True
-        try:
-            if context is None:
-                return engine.backend.run_plan(plan)
-            return engine.backend.run_plan_with_context(plan, context)
-        finally:
-            self._auto_local.group = False
 
     def _split_units(
         self, plans: Sequence[QueryPlan], contexts: Sequence[object]
@@ -623,30 +295,3 @@ class ShardScheduler:
         engine.stats.add_split("shard_seconds", f"w{slot}", elapsed)
         engine.stats.bump(plan_shards=len(results))
         return results
-
-    # ------------------------------------------------------------------
-    # Group-range fan-out
-    # ------------------------------------------------------------------
-    def map_shards(self, thunks: Sequence[Callable[[], np.ndarray]]) -> List[np.ndarray]:
-        """Run one callable per group-range shard on the pool, in order."""
-        if len(thunks) <= 1:
-            return [thunk() for thunk in thunks]
-        stats = self.engine.stats
-        executor = self._executor()
-        start = time.perf_counter()
-        futures = [
-            executor.submit(self._run_shard, i, thunk) for i, thunk in enumerate(thunks)
-        ]
-        results = [future.result() for future in futures]
-        stats.bump(
-            seconds_sharding=time.perf_counter() - start, group_shards=len(thunks)
-        )
-        return results
-
-    def _run_shard(self, i: int, thunk: Callable[[], np.ndarray]) -> np.ndarray:
-        start = time.perf_counter()
-        result = thunk()
-        self.engine.stats.add_split(
-            "shard_seconds", f"g{i}", time.perf_counter() - start
-        )
-        return result

@@ -169,8 +169,6 @@ class TestFeatAugFacade:
     def test_invalid_engine_workers_rejected(self, fast_config):
         with pytest.raises(ValueError, match="num_workers"):
             fast_config.with_overrides(engine_workers=0)
-        with pytest.raises(ValueError, match="shard strategy"):
-            fast_config.with_overrides(engine_shard_strategy="rows")
 
     def test_timings_accumulate(self, facade, tiny_student):
         bundle = tiny_student

@@ -1,7 +1,5 @@
-"""The execution-backend API: registry, config plumbing, deprecation shims,
-and the engine's state-reset contract."""
-
-import warnings
+"""The execution-backend API: registry, config plumbing and the engine's
+state-reset contract."""
 
 import numpy as np
 import pytest
@@ -203,15 +201,14 @@ class TestBackendValidationEagerness:
 
 class TestWorkerUtilisation:
     """The derived utilisation is computed per-delta and clamped: lifetime
-    ``shard_seconds`` mixes plan-level (w*) and group-range (g*) keys across
-    all batches, and timer skew could otherwise drift the ratio past 1.0 on
-    long-lived engines."""
+    ``shard_seconds`` accumulate across all batches, and timer skew could
+    otherwise drift the ratio past 1.0 on long-lived engines."""
 
     def test_lifetime_ratio_clamps_at_one(self):
         stats = EngineStats(backend="numpy", workers=2)
         stats.bump(seconds_sharding=1.0)
         stats.add_split("shard_seconds", "w0", 1.5)
-        stats.add_split("shard_seconds", "g0", 1.0)  # mixed keys accumulate
+        stats.add_split("shard_seconds", "w1", 1.0)
         assert stats.worker_utilisation == 1.0
         assert stats.as_dict()["worker_utilisation"] == 1.0
 
@@ -244,7 +241,7 @@ class TestWorkerUtilisation:
 
 
 class TestWorkerConfig:
-    """EngineConfig(num_workers, shard_strategy) + $REPRO_ENGINE_WORKERS."""
+    """EngineConfig(num_workers) + $REPRO_ENGINE_WORKERS."""
 
     def test_default_worker_count_is_one(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
@@ -286,27 +283,13 @@ class TestWorkerConfig:
         monkeypatch.setenv(WORKERS_ENV_VAR, "  4  ")
         assert default_worker_count() == 4
 
-    def test_unknown_shard_strategy_rejected(self):
-        with pytest.raises(ValueError, match="Unknown shard strategy"):
-            EngineConfig(shard_strategy="rows").validate()
-
-    def test_engine_for_is_keyed_by_workers_and_strategy(self, monkeypatch):
+    def test_engine_for_is_keyed_by_workers(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         table = make_relevant(0)
         serial = engine_for(table)
         sharded = engine_for(table, EngineConfig(num_workers=2))
-        grouped = engine_for(table, EngineConfig(num_workers=2, shard_strategy="group"))
         assert serial is not sharded
-        assert sharded is not grouped
         assert engine_for(table, EngineConfig(num_workers=2)) is sharded
-
-    def test_kernels_alias_still_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            QueryEngine(make_relevant(0), kernels="python")
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "kernels=" in str(deprecations[0].message)
 
 
 class TestEngineForConfig:
@@ -328,54 +311,11 @@ class TestEngineForConfig:
         )
 
 
-class TestDeprecationShims:
-    """`kernels=` and `engine_for(..., kernels=)` map onto EngineConfig."""
-
-    @pytest.mark.parametrize("kernels,backend", [("vectorized", "numpy"), ("python", "python")])
-    def test_query_engine_kernels_alias(self, kernels, backend):
-        table = make_relevant(0)
-        with pytest.warns(DeprecationWarning, match="kernels="):
-            legacy = QueryEngine(table, kernels=kernels)
-        assert legacy.backend_name == backend
-        assert legacy.config == EngineConfig(backend=backend)
-        # Identical behaviour to the explicit config spelling.
-        modern = QueryEngine(table, config=EngineConfig(backend=backend))
-        query = query_with("a")
-        assert legacy.execute(query).column("feature") == modern.execute(query).column("feature")
-
-    def test_engine_for_kernels_alias(self):
-        table = make_relevant(0)
-        with pytest.warns(DeprecationWarning, match="kernels="):
-            legacy = engine_for(table, kernels="python")
-        assert legacy is engine_for(table, EngineConfig(backend="python"))
-
-    def test_unknown_kernel_mode_rejected(self):
-        with pytest.raises(ValueError, match="Unknown kernel mode"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                QueryEngine(make_relevant(0), kernels="duckdb")
-
-    def test_kernels_and_config_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            QueryEngine(make_relevant(0), kernels="python", config=EngineConfig())
-
-    def test_config_spelling_emits_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            QueryEngine(make_relevant(0), config=EngineConfig(backend="numpy"))
-            engine_for(make_relevant(1))
-
-
 class TestStateResetContract:
     """clear_caches keeps counters; stats.reset keeps identity; reset = both."""
 
     def warmed_engine(self, backend: str) -> QueryEngine:
-        # Thread executor pinned: this class inspects coordinator-side state
-        # (worker backends, materialised connections) that the process
-        # executor intentionally keeps in its worker processes.
-        engine = QueryEngine(
-            make_relevant(0), config=EngineConfig(backend=backend, executor="thread")
-        )
+        engine = QueryEngine(make_relevant(0), config=EngineConfig(backend=backend))
         engine.execute_batch(
             [
                 query_with("a"),
@@ -426,9 +366,7 @@ class TestStateResetContract:
         engine = self.warmed_engine(backend)
         cached = engine.cached_bytes
         engine.stats.reset()
-        fresh = QueryEngine(
-            make_relevant(1), config=EngineConfig(backend=backend, executor="thread")
-        )
+        fresh = QueryEngine(make_relevant(1), config=EngineConfig(backend=backend))
         # Counters and identity replay a fresh engine's; the byte gauges
         # survive the reset -- they describe the still-warm caches, which a
         # counter reset does not touch (engine.reset() clears caches first).

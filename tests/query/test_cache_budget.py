@@ -59,12 +59,11 @@ def query_with(value: str, agg_func: str = "SUM") -> PredicateAwareQuery:
 
 
 def budgeted_engine(table: Table, budget: int, **overrides) -> QueryEngine:
-    # Serial + thread pinned: eviction *determinism* pins depend on a
+    # Serial pinned: eviction *determinism* pins depend on a
     # deterministic traffic order, which worker pools do not guarantee
     # (the budget ceiling itself holds under concurrency -- see
     # test_engine_concurrency.TestMemoryBudgetConcurrency).
     overrides.setdefault("backend", "numpy")
-    overrides.setdefault("executor", "thread")
     overrides.setdefault("num_workers", 1)
     return QueryEngine(
         table, config=EngineConfig(memory_budget_bytes=budget, **overrides)
@@ -208,7 +207,7 @@ class TestEngineBudgetIntegration:
 
     def test_unbudgeted_engine_has_no_budget_but_reports_gauges(self):
         engine = QueryEngine(
-            make_relevant(1), config=EngineConfig(backend="numpy", executor="thread")
+            make_relevant(1), config=EngineConfig(backend="numpy")
         )
         assert engine.budget is None
         self.run_traffic(engine)
@@ -247,7 +246,7 @@ class TestEngineBudgetIntegration:
         """A budget small enough to thrash every cache never changes results."""
         table = make_relevant(2)
         expected = QueryEngine(
-            table, config=EngineConfig(backend="numpy", executor="thread")
+            table, config=EngineConfig(backend="numpy")
         ).execute_batch([query_with(v, "MEDIAN") for v in "abc"])
         engine = budgeted_engine(table, budget=64)  # everything evicts
         got = engine.execute_batch([query_with(v, "MEDIAN") for v in "abc"])
@@ -268,7 +267,7 @@ class TestDeltaSinceTolerance:
 
     def traffic(self) -> QueryEngine:
         engine = QueryEngine(
-            make_relevant(3), config=EngineConfig(backend="numpy", executor="thread")
+            make_relevant(3), config=EngineConfig(backend="numpy")
         )
         engine.execute(query_with("a", "MEDIAN"))
         engine.execute(query_with("a", "MEDIAN"))
@@ -311,7 +310,7 @@ class TestDeltaSinceTolerance:
         delta = engine.stats.delta_since({"bytes_cached": 10**9})
         assert delta["bytes_cached"] == engine.stats.bytes_cached
         assert delta["cache_bytes"] == engine.stats.cache_bytes
-        assert delta["executor"] == "thread"
+        assert delta["workers"] == 1
 
 
 class TestCloseAndRegistry:
@@ -319,7 +318,7 @@ class TestCloseAndRegistry:
 
     def test_close_is_idempotent_and_engine_stays_usable(self):
         engine = QueryEngine(
-            make_relevant(4), config=EngineConfig(backend="numpy", executor="thread")
+            make_relevant(4), config=EngineConfig(backend="numpy")
         )
         first = engine.execute(query_with("a"))
         engine.close()
@@ -330,7 +329,7 @@ class TestCloseAndRegistry:
 
     def test_close_releases_the_sqlite_connection(self):
         engine = QueryEngine(
-            make_relevant(4), config=EngineConfig(backend="sqlite", executor="thread")
+            make_relevant(4), config=EngineConfig(backend="sqlite")
         )
         engine.execute(query_with("a"))
         assert engine.backend._conn is not None
@@ -340,7 +339,7 @@ class TestCloseAndRegistry:
     def test_registry_finalizer_closes_engines_when_table_dies(self):
         table = make_relevant(5)
         engine = engine_for(
-            table, config=EngineConfig(backend="sqlite", executor="thread")
+            table, config=EngineConfig(backend="sqlite")
         )
         engine.execute(query_with("a"))
         assert engine.backend._conn is not None
@@ -354,7 +353,7 @@ class TestCloseAndRegistry:
         registry hands back the same engine object but synced -- a lookup
         must never return an engine whose caches still cover the old rows."""
         table = make_relevant(6)
-        config = EngineConfig(backend="numpy", executor="thread")
+        config = EngineConfig(backend="numpy")
         engine = engine_for(table, config=config)
         stale = engine.execute(query_with("a", "COUNT"))
         assert engine._synced_version == 0
@@ -377,11 +376,11 @@ class TestCloseAndRegistry:
         would defeat the weakref finalizer."""
         table = make_relevant(7)
         engine = engine_for(
-            table, config=EngineConfig(backend="sqlite", executor="thread")
+            table, config=EngineConfig(backend="sqlite")
         )
         engine.execute(query_with("a"))
         table.append_rows({"key": [2.0], "cat": ["b"], "val": [0.5]})
-        engine_for(table, config=EngineConfig(backend="sqlite", executor="thread"))
+        engine_for(table, config=EngineConfig(backend="sqlite"))
         engine.execute(query_with("a"))
         del table
         gc.collect()

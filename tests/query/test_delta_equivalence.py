@@ -4,8 +4,8 @@ The bar of the delta-aware engine (:mod:`repro.query.delta`): after any
 sequence of ``Table.append_rows`` calls, a warm engine -- whatever it
 upgraded in place and whatever it evicted -- must return exactly what a
 fresh engine over the fully rebuilt table returns.  The in-process backends
-(numpy / python) are held to **bit-for-bit** identity at every worker count
-and under both shard strategies and both executors; the storage-owning
+(numpy / python) are held to **bit-for-bit** identity at every worker
+count; the storage-owning
 sqlite backend (which ``INSERT``\\ s the appended slice into its
 materialised database) keeps its usual ``1e-9`` value bar.
 
@@ -13,13 +13,17 @@ Covered append shapes: empty appends (version bump, zero-row delta), new
 categorical labels, NaN / missing rows, rows creating brand-new groups, and
 repeated appends between query batches.  The hypothesis property generates
 the base/delta split; the fixed matrix replays one adversarial append on
-every backend x strategy x executor x worker-count combination.
+every backend x worker-count combination, in incremental mode under every
+cache profile (default caches, one-entry caches with the sort-order cache
+off, and a byte budget that evicts on every insert -- a refresh must upgrade
+whatever survived eviction and nothing else).
 
 Also pinned here: the refresh counters (``EngineStats.REFRESH_FIELDS``)
 book deterministically -- extensions and merges in incremental mode, pure
 ``staleness_evictions`` in flush mode -- and follow the PR 7 gauge-style
 carry contract through ``reset()`` / ``delta_since`` without being gauges
-(``set_gauges`` rejects them).
+(``set_gauges`` rejects them) -- and a refresh fails loudly: an unexpected
+error raised while upgrading propagates instead of becoming an eviction.
 """
 
 import numpy as np
@@ -27,6 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dataframe.column import Column, DType
+from repro.dataframe.predicates import Equals
 from repro.dataframe.table import Table
 from repro.query.backends import backend_names
 from repro.query.delta import INCREMENTAL_ENV_VAR, default_incremental
@@ -37,6 +42,13 @@ BACKENDS = tuple(backend_names())
 #: In-process backends: append-then-query must be bit-identical to rebuild.
 EXACT_BACKENDS = ("numpy", "python")
 VALUE_TOLERANCE = 1e-9
+WORKER_COUNTS = (1, 2, 4)
+#: Cache configurations the warm engine runs under before the append.
+CACHE_PROFILES = {
+    "default": {},
+    "tight": {"mask_cache_size": 1, "result_cache_size": 1, "sort_cache_size": 0},
+    "budget": {"memory_budget_bytes": 1},
+}
 
 #: Aggregates spanning every upgrade class: additive continuation (COUNT,
 #: SUM), sort-order consumers (MEDIAN, MAD), evict-and-recompute moments
@@ -130,9 +142,7 @@ def assert_equivalent(results, references, tolerance: float, tag):
 
 
 def rebuilt_results(rows, backend: str, queries):
-    engine = QueryEngine(
-        build_table(rows), config=EngineConfig(backend=backend, executor="thread")
-    )
+    engine = QueryEngine(build_table(rows), config=EngineConfig(backend=backend))
     try:
         return engine.execute_batch(queries)
     finally:
@@ -166,7 +176,7 @@ def fixed_delta_rows(n: int = 30, seed: int = 7):
     ]
 
 
-def run_append_scenario(backend, workers, strategy, executor, incremental):
+def run_append_scenario(backend, workers, incremental, cache="default"):
     """Warm an engine, append (adversarial delta + an empty append), requery."""
     base = fixed_base_rows()
     delta = fixed_delta_rows()
@@ -175,9 +185,8 @@ def run_append_scenario(backend, workers, strategy, executor, incremental):
     config = EngineConfig(
         backend=backend,
         num_workers=workers,
-        shard_strategy=strategy,
-        executor=executor,
         incremental=incremental,
+        **CACHE_PROFILES[cache],
     )
     engine = QueryEngine(table, config=config)
     try:
@@ -189,7 +198,7 @@ def run_append_scenario(backend, workers, strategy, executor, incremental):
     finally:
         engine.close()
     tolerance = 0.0 if backend in EXACT_BACKENDS else VALUE_TOLERANCE
-    tag = (backend, workers, strategy, executor, incremental)
+    tag = (backend, workers, incremental, cache)
     assert_equivalent(
         results, rebuilt_results(base + delta, backend, queries), tolerance, tag
     )
@@ -227,18 +236,19 @@ class TestDefaultIncremental:
         )
 
 
-class TestAppendEquivalenceThread:
-    """Every backend x strategy x worker count, thread executor."""
+class TestAppendEquivalence:
+    """Every backend x worker count (x cache profile in incremental mode)."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("strategy", ("plan", "group", "auto"))
-    @pytest.mark.parametrize("workers", (1, 2, 4))
-    def test_incremental_append_equals_rebuild(self, backend, strategy, workers):
-        run_append_scenario(backend, workers, strategy, "thread", True)
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("cache", CACHE_PROFILES)
+    def test_incremental_append_equals_rebuild(self, backend, workers, cache):
+        run_append_scenario(backend, workers, True, cache)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_flush_append_equals_rebuild(self, backend):
-        run_append_scenario(backend, 1, "plan", "thread", False)
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_flush_append_equals_rebuild(self, backend, workers):
+        run_append_scenario(backend, workers, False)
 
     def test_repeated_appends_between_batches(self):
         base = fixed_base_rows(120, seed=3)
@@ -246,7 +256,7 @@ class TestAppendEquivalenceThread:
         table = build_table(base)
         engine = QueryEngine(
             table,
-            config=EngineConfig(backend="numpy", executor="thread", incremental=True),
+            config=EngineConfig(backend="numpy", incremental=True),
         )
         rows = list(base)
         try:
@@ -266,20 +276,45 @@ class TestAppendEquivalenceThread:
             engine.close()
 
 
-class TestAppendEquivalenceProcess:
-    """Process executor (trimmed: the pool spin-up dominates runtime; the
-    executor seam is identical across backends, and the sqlite worker path
-    is exercised by the thread matrix plus test_sharding_equivalence)."""
+class TestRefreshFailsLoudly:
+    """An error the refresh does not expect is a bug: it must surface from
+    the refresh, not turn into a silent cache eviction."""
 
-    @pytest.mark.parametrize("strategy", ("plan", "group"))
-    @pytest.mark.parametrize("workers", (2, 4))
-    def test_incremental_append_equals_rebuild(self, strategy, workers):
-        run_append_scenario("numpy", workers, strategy, "process", True)
+    def test_mask_error_during_incremental_refresh_propagates(self, monkeypatch):
+        base = fixed_base_rows(120, seed=9)
+        delta = fixed_delta_rows(10, seed=11)
+        queries = query_battery()
+        table = build_table(base)
+        engine = QueryEngine(
+            table, config=EngineConfig(backend="numpy", incremental=True)
+        )
+        try:
+            engine.execute_batch(queries)  # caches an Equals mask on "cat"
+
+            def broken_mask(self, table):
+                raise RuntimeError("mask failed")
+
+            table.append_rows(build_table(delta))
+            with monkeypatch.context() as patch:
+                patch.setattr(Equals, "mask", broken_mask)
+                with pytest.raises(RuntimeError, match="mask failed"):
+                    engine.sync_with_table()
+            # The failed refresh left no half-upgraded entry behind: the
+            # next batch rebuilds from the table and matches a fresh engine.
+            assert engine.mask_cache_len == 0
+            assert_equivalent(
+                engine.execute_batch(queries),
+                rebuilt_results(base + delta, "numpy", queries),
+                0.0,
+                "after failed refresh",
+            )
+        finally:
+            engine.close()
 
 
 class TestRefreshCounters:
     def test_incremental_counters_book_extensions(self):
-        stats = run_append_scenario("numpy", 1, "plan", "thread", True)
+        stats = run_append_scenario("numpy", 1, True)
         assert stats["appended_rows"] == len(fixed_delta_rows())
         assert stats["masks_extended"] > 0
         assert stats["indexes_extended"] > 0
@@ -288,7 +323,7 @@ class TestRefreshCounters:
         assert stats["staleness_evictions"] > 0  # the non-additive results
 
     def test_flush_counters_book_pure_evictions(self):
-        stats = run_append_scenario("numpy", 1, "plan", "thread", False)
+        stats = run_append_scenario("numpy", 1, False)
         assert stats["appended_rows"] == len(fixed_delta_rows())
         assert stats["masks_extended"] == 0
         assert stats["indexes_extended"] == 0
@@ -300,7 +335,7 @@ class TestRefreshCounters:
         table = build_table(fixed_base_rows(60, seed=5))
         engine = QueryEngine(
             table,
-            config=EngineConfig(backend="numpy", executor="thread", incremental=True),
+            config=EngineConfig(backend="numpy", incremental=True),
         )
         queries = query_battery()
         try:
@@ -322,7 +357,7 @@ class TestRefreshCounters:
         table = build_table(fixed_base_rows(60, seed=6))
         engine = QueryEngine(
             table,
-            config=EngineConfig(backend="numpy", executor="thread", incremental=True),
+            config=EngineConfig(backend="numpy", incremental=True),
         )
         queries = query_battery()
         try:
@@ -340,7 +375,7 @@ class TestRefreshFieldsStatsContract:
     """Satellite: REFRESH_FIELDS follow the PR 7 gauge carry contract."""
 
     def make_stats(self) -> EngineStats:
-        stats = EngineStats(backend="numpy", workers=1, executor="thread")
+        stats = EngineStats(backend="numpy", workers=1)
         stats.bump(
             queries=4,
             appended_rows=30,
@@ -407,7 +442,7 @@ class TestAppendProperty:
         table = build_table(base)
         engine = QueryEngine(
             table,
-            config=EngineConfig(backend="numpy", executor="thread", incremental=True),
+            config=EngineConfig(backend="numpy", incremental=True),
         )
         rows = list(base)
         try:

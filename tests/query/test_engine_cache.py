@@ -22,15 +22,7 @@ from repro.query.query import PredicateAwareQuery
 
 
 def numpy_engine(table: Table, **config_overrides) -> QueryEngine:
-    """An engine pinned to the in-process numpy backend (mask-cache tests).
-
-    The thread executor is pinned too: under ``executor="process"`` the
-    plan-strategy workers own masking and sorting, so coordinator-side mask /
-    sort counters stay at zero by design and these pins would not hold (the
-    CI executor matrix slot replays this file with
-    ``$REPRO_ENGINE_EXECUTOR=process``).
-    """
-    config_overrides.setdefault("executor", "thread")
+    """An engine pinned to the in-process numpy backend (mask-cache tests)."""
     return QueryEngine(table, config=EngineConfig(backend="numpy", **config_overrides))
 
 
@@ -284,8 +276,8 @@ class TestSortOrderCache:
 
     def test_counters_identical_serial_vs_sharded(self):
         """Sort-cache traffic obeys the shard-determinism contract: the
-        spec-split units of a heavy fused plan and the group-range shards
-        consult the engine cache exactly once per (plan, value column)."""
+        spec-split units of a heavy fused plan consult the engine cache
+        exactly once per (plan, value column)."""
         table = make_relevant(0)
         batch = [
             query_with(value, func)
@@ -293,22 +285,16 @@ class TestSortOrderCache:
             for func in ("MEDIAN", "MAD", "MODE", "ENTROPY", "MIN", "MAX", "SUM")
         ]
         expected = None
-        for workers, strategy in ((1, "plan"), (4, "plan"), (4, "group")):
+        for workers in (1, 2, 4):
             engine = QueryEngine(
-                table,
-                config=EngineConfig(
-                    backend="numpy",
-                    num_workers=workers,
-                    shard_strategy=strategy,
-                    executor="thread",
-                ),
+                table, config=EngineConfig(backend="numpy", num_workers=workers)
             )
             engine.execute_batch(batch)
             counts = (engine.stats.sort_misses, engine.stats.sort_hits)
             if expected is None:
                 expected = counts
             else:
-                assert counts == expected, (workers, strategy)
+                assert counts == expected, workers
         # One shared main order plus one MAD deviation order per fused plan.
         assert expected == (4, 0)
 

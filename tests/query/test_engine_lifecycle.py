@@ -9,19 +9,17 @@ The three PR 9 engine satellites, pinned:
   tables never serialise on it), but the slot is double-checked before
   insertion: every caller gets the **same** registered engine and the
   race's loser ``close()``s its candidate immediately, so no backend
-  resource -- sqlite connection, worker pool, shm segment -- leaks.
+  resource -- sqlite connection, worker pool -- leaks.
 * **Empty batches are free** -- ``execute_batch([])`` / ``execute_plans([])``
   return ``[]`` without touching the backend, syncing the table or bumping
   any counter (``batches`` counts rounds that carried queries), on every
-  backend / executor / strategy combination.  A closed engine stays closed.
+  backend, serial or sharded.  A closed engine stays closed.
 * **Close / lazy re-open** -- ``close()`` releases everything; the next
   execution transparently re-opens the engine with results identical to a
-  never-closed one, across executors -- including the process executor's
-  shared-memory re-publication -- and lifetime counters survive the cycle.
+  never-closed one, and lifetime counters survive the cycle, on every
+  backend.
 """
 
-import glob
-import os
 import threading
 
 import numpy as np
@@ -33,7 +31,6 @@ from repro.dataframe.table import Table
 from repro.query.backends import backend_names
 from repro.query.engine import EngineConfig, QueryEngine, engine_for
 from repro.query.query import PredicateAwareQuery
-from repro.query.sharding import EXECUTORS, SHARD_STRATEGIES
 
 BACKENDS = tuple(backend_names())
 
@@ -102,7 +99,7 @@ class TestEngineForRace:
 
         monkeypatch.setattr(engine_module, "QueryEngine", TrackedEngine)
         table = make_relevant(0)
-        config = EngineConfig(backend="numpy", executor="thread")
+        config = EngineConfig(backend="numpy")
         results = [None] * n_threads
         errors = []
         start_barrier = threading.Barrier(n_threads)
@@ -149,7 +146,7 @@ class TestEngineForRace:
 
         monkeypatch.setattr(engine_module, "QueryEngine", TrackedEngine)
         table = make_relevant(1)
-        config = EngineConfig(backend="sqlite", executor="thread")
+        config = EngineConfig(backend="sqlite")
         results = [None, None]
         errors = []
 
@@ -182,7 +179,7 @@ class TestEngineForRace:
 
         monkeypatch.setattr(engine_module, "QueryEngine", CountingEngine)
         table = make_relevant(2)
-        config = EngineConfig(backend="numpy", executor="thread")
+        config = EngineConfig(backend="numpy")
         first = engine_for(table, config=config)
         second = engine_for(table, config=config)
         assert first is second
@@ -201,21 +198,22 @@ class TestEmptyBatch:
         assert engine.execute_plans_deduped([]) == ([], 0)
         assert engine.stats.as_dict() == before  # no counter drift at all
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    @pytest.mark.parametrize("shard_strategy", SHARD_STRATEGIES)
-    def test_empty_batch_is_free_sharded(self, backend, executor, shard_strategy):
+    @pytest.mark.parametrize("workers", (2, 3, 4))
+    @pytest.mark.parametrize(
+        "entry,expected",
+        [
+            ("execute_batch", []),
+            ("execute_plans", []),
+            ("execute_plans_deduped", ([], 0)),
+        ],
+    )
+    def test_empty_batch_is_free_sharded(self, backend, workers, entry, expected):
         engine = QueryEngine(
-            make_relevant(3),
-            config=EngineConfig(
-                backend=backend,
-                num_workers=2,
-                shard_strategy=shard_strategy,
-                executor=executor,
-            ),
+            make_relevant(3), config=EngineConfig(backend=backend, num_workers=workers)
         )
         try:
             before = engine.stats.as_dict()
-            assert engine.execute_batch([]) == []
+            assert getattr(engine, entry)([]) == expected
             assert engine.stats.as_dict() == before
         finally:
             engine.close()
@@ -245,34 +243,33 @@ class TestEmptyBatch:
         assert engine._synced_version == table.version
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestClosedEngineReopen:
-    def test_batch_on_closed_engine_reopens_transparently(self, executor):
+    def test_batch_on_closed_engine_reopens_transparently(self, backend):
         table = make_relevant(4)
         queries = multi_plan_batch()  # multi-plan: sharding really dispatches
         expected = QueryEngine(
-            table, config=EngineConfig(backend="numpy", num_workers=1)
+            table, config=EngineConfig(backend=backend, num_workers=1)
         ).execute_batch(queries)
         engine = QueryEngine(
             table,
-            config=EngineConfig(backend="numpy", num_workers=2, executor=executor),
+            config=EngineConfig(backend=backend, num_workers=2),
         )
         try:
             assert_tables_equal(engine.execute_batch(queries), expected)
             engine.close()
             assert engine.closed
             # The documented lazy re-creation path: the next batch re-opens
-            # the engine -- worker pools and (process executor) the
-            # shared-memory image are re-published on demand.
+            # the engine, re-creating its worker pool on demand.
             assert_tables_equal(engine.execute_batch(queries), expected)
             assert not engine.closed
         finally:
             engine.close()
 
-    def test_counters_survive_a_close_reopen_cycle(self, executor):
+    def test_counters_survive_a_close_reopen_cycle(self, backend):
         engine = QueryEngine(
             make_relevant(4),
-            config=EngineConfig(backend="numpy", num_workers=2, executor=executor),
+            config=EngineConfig(backend=backend, num_workers=2),
         )
         try:
             engine.execute_batch(small_batch())
@@ -288,10 +285,10 @@ class TestClosedEngineReopen:
         finally:
             engine.close()
 
-    def test_single_query_reopens_too(self, executor):
+    def test_single_query_reopens_too(self, backend):
         engine = QueryEngine(
             make_relevant(4),
-            config=EngineConfig(backend="numpy", num_workers=2, executor=executor),
+            config=EngineConfig(backend=backend, num_workers=2),
         )
         try:
             query = small_batch()[0]
@@ -304,34 +301,3 @@ class TestClosedEngineReopen:
             assert not engine.closed
         finally:
             engine.close()
-
-
-@pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="POSIX shared memory not mounted"
-)
-class TestProcessExecutorShmRepublication:
-    def shm_segments(self):
-        return set(glob.glob(f"/dev/shm/repro_shm_{os.getpid()}_*"))
-
-    def test_close_unlinks_and_reopen_republishes(self):
-        before = self.shm_segments()
-        table = make_relevant(5)
-        queries = multi_plan_batch()
-        expected = QueryEngine(
-            table, config=EngineConfig(backend="numpy", num_workers=1)
-        ).execute_batch(queries)
-        engine = QueryEngine(
-            table,
-            config=EngineConfig(backend="numpy", num_workers=2, executor="process"),
-        )
-        try:
-            assert_tables_equal(engine.execute_batch(queries), expected)
-            assert self.shm_segments() - before  # image published
-            engine.close()
-            assert self.shm_segments() == before  # ...and unlinked on close
-            # Re-open: a fresh image is published and results are identical.
-            assert_tables_equal(engine.execute_batch(queries), expected)
-            assert self.shm_segments() - before
-        finally:
-            engine.close()
-        assert self.shm_segments() == before  # nothing leaked

@@ -1,31 +1,23 @@
-"""Shard-equivalence suite: serial vs sharded execution on every backend.
+"""Shard-equivalence suite: serial vs plan-sharded execution on every backend.
 
 The quality benchmarks depend on one canonical numeric trajectory, so sharded
-execution must never perturb a result: for every registered backend, every
-shard count and both shard strategies, ``execute_batch`` must return tables
-element-wise identical to the same engine running serially
-(``num_workers=1``).  The in-process backends (numpy / python) are held to
-**bit-for-bit** identity -- group-range sharding preserves the
-accumulation-order contract because groups never straddle a range boundary
-and boolean-mask row selection keeps the original row order within every
-group.  The sqlite backend (whose per-worker instances re-materialise their
-own database) is held to the storage-owning value bar of ``1e-9``, exactly
-like its serial-vs-naive bar.
+execution must never perturb a result: for every registered backend and
+every worker count, ``execute_batch`` must return tables element-wise
+identical to the same engine running serially (``num_workers=1``).  The
+in-process backends (numpy / python) are held to **bit-for-bit** identity:
+workers aggregate over contexts the coordinator prepared serially, so every
+kernel sees exactly the rows, in exactly the order, serial execution sees.
+The sqlite backend (whose per-worker instances re-materialise their own
+database) is held to the storage-owning value bar of ``1e-9``, exactly like
+its serial-vs-naive bar.
 
 Edge cases pinned explicitly: empty filter results (empty groups),
-single-group tables, and group counts smaller than the worker count (shards
-must degrade, never produce empty ranges or duplicate groups).
-
-The same equivalence bars hold for the **process executor**
-(``EngineConfig(executor="process")``, :mod:`repro.query.procpool`):
-workers aggregate over shared-memory views of the exact same float64 /
-object column arrays, so numpy / python stay bit-identical and sqlite keeps
-its 1e-9 bar.  The process suite additionally pins deterministic
-shared-memory cleanup: after ``QueryEngine.close()`` no segment of the
-engine's store remains in ``/dev/shm``.  The hypothesis property suite and
-the stats pins stay on the thread executor (helpers pin
-``executor="thread"`` so the CI executor matrix slot cannot flip them):
-process plan-sharding books mask / sort counters worker-side by design.
+single-group tables, group counts smaller than the worker count and a
+NaN / None-bearing table with categorical aggregation attributes.  The
+equivalence bars hold under every cache profile (default caches, caches
+squeezed to one entry with the sort-order cache off, and a byte budget that
+evicts on every insert), so cache churn under a worker pool never changes a
+result.
 """
 
 import numpy as np
@@ -34,22 +26,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dataframe.aggregates import AGGREGATE_FUNCTIONS
 from repro.dataframe.column import Column, DType
-from repro.dataframe.grouped_kernels import GroupedAggregator
 from repro.dataframe.table import Table
 from repro.query.backends import backend_names
 from repro.query.engine import EngineConfig, QueryEngine
 from repro.query.query import PredicateAwareQuery, WindowConstraint
-from repro.query.sharding import (
-    AUTO_HEAVY_PLAN_COST,
-    GroupRangeShards,
-    SHARD_STRATEGY_ENV_VAR,
-    default_shard_strategy,
-    resolve_auto_strategy,
-    split_ranges,
-)
+from repro.query.sharding import split_ranges
 
-#: Plain aggregates plus spelled parameterized family members: group-range
-#: sharding must stay bit-identical for the new sort-based kernels too.
+#: Plain aggregates plus spelled parameterized family members: sharding must
+#: stay bit-identical for the parameterized sort-based kernels too.
 AGG_FUNCS = list(AGGREGATE_FUNCTIONS) + [
     "QUANTILE:0.25",
     "QUANTILE:0.5",
@@ -58,35 +42,31 @@ AGG_FUNCS = list(AGGREGATE_FUNCTIONS) + [
 BACKENDS = tuple(backend_names())
 #: In-process backends: serial and sharded results must be bit-identical.
 EXACT_BACKENDS = ("numpy", "python")
-SHARD_COUNTS = (1, 2, 3, 7)
-STRATEGIES = ("plan", "group", "auto")
+SHARD_COUNTS = (1, 2, 3, 4, 7)
 VALUE_TOLERANCE = 1e-9
+#: Cache configurations the sharded engine runs under: the defaults, every
+#: entry-bounded cache squeezed to one entry with the sort-order cache off
+#: (plans re-mask and re-sort), and a byte budget small enough to evict on
+#: every insert.
+CACHE_PROFILES = {
+    "default": {},
+    "tight": {"mask_cache_size": 1, "result_cache_size": 1, "sort_cache_size": 0},
+    "budget": {"memory_budget_bytes": 1},
+}
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 
 
-#: Worker counts exercised by the process-executor suite (kept small: every
-#: multi-worker case spins up a real process pool).
-PROCESS_WORKER_COUNTS = (1, 2, 4)
-
-
 def serial_engine(table: Table, backend: str) -> QueryEngine:
-    return QueryEngine(
-        table, config=EngineConfig(backend=backend, num_workers=1, executor="thread")
-    )
+    return QueryEngine(table, config=EngineConfig(backend=backend, num_workers=1))
 
 
 def sharded_engine(
-    table: Table, backend: str, workers: int, strategy: str, executor: str = "thread"
+    table: Table, backend: str, workers: int, cache: str = "default"
 ) -> QueryEngine:
     return QueryEngine(
         table,
-        config=EngineConfig(
-            backend=backend,
-            num_workers=workers,
-            shard_strategy=strategy,
-            executor=executor,
-        ),
+        config=EngineConfig(backend=backend, num_workers=workers, **CACHE_PROFILES[cache]),
     )
 
 
@@ -159,7 +139,7 @@ def random_queries(draw):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("cache", CACHE_PROFILES)
 class TestShardEquivalenceProperty:
     @given(
         table=random_tables(),
@@ -167,17 +147,18 @@ class TestShardEquivalenceProperty:
         workers=st.sampled_from(SHARD_COUNTS),
     )
     @settings(max_examples=15, deadline=None)
-    def test_sharded_batch_matches_serial(self, backend, strategy, table, queries, workers):
+    def test_sharded_batch_matches_serial(self, backend, cache, table, queries, workers):
         expected = serial_engine(table, backend).execute_batch(queries)
-        sharded = sharded_engine(table, backend, workers, strategy)
+        sharded = sharded_engine(table, backend, workers, cache)
         assert_batches_match(backend, sharded.execute_batch(queries), expected)
-        # A second pass is served from the result cache and must match too.
+        # A second pass is served from whatever the caches kept and must
+        # match too.
         assert_batches_match(backend, sharded.execute_batch(queries), expected)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("workers", SHARD_COUNTS)
+@pytest.mark.parametrize("cache", CACHE_PROFILES)
 class TestShardEquivalenceEdgeCases:
     def batch(self):
         queries = []
@@ -191,13 +172,13 @@ class TestShardEquivalenceEdgeCases:
                 )
         return queries
 
-    def run_both(self, table, backend, workers, strategy):
+    def run_both(self, table, backend, workers, cache):
         queries = self.batch()
         expected = serial_engine(table, backend).execute_batch(queries)
-        actual = sharded_engine(table, backend, workers, strategy).execute_batch(queries)
+        actual = sharded_engine(table, backend, workers, cache).execute_batch(queries)
         assert_batches_match(backend, actual, expected)
 
-    def test_empty_filter_results(self, backend, strategy, workers):
+    def test_empty_filter_results(self, backend, workers, cache):
         rng = np.random.default_rng(0)
         table = Table(
             [
@@ -206,9 +187,9 @@ class TestShardEquivalenceEdgeCases:
                 Column("val", rng.normal(size=30), dtype=DType.NUMERIC),
             ]
         )
-        self.run_both(table, backend, workers, strategy)
+        self.run_both(table, backend, workers, cache)
 
-    def test_single_group_table(self, backend, strategy, workers):
+    def test_single_group_table(self, backend, workers, cache):
         table = Table(
             [
                 Column("key", [1.0] * 12, dtype=DType.NUMERIC),
@@ -216,9 +197,9 @@ class TestShardEquivalenceEdgeCases:
                 Column("val", [float(i) for i in range(12)], dtype=DType.NUMERIC),
             ]
         )
-        self.run_both(table, backend, workers, strategy)
+        self.run_both(table, backend, workers, cache)
 
-    def test_fewer_groups_than_workers(self, backend, strategy, workers):
+    def test_fewer_groups_than_workers(self, backend, workers, cache):
         table = Table(
             [
                 Column("key", [1.0, 2.0, 1.0, 2.0, 1.0], dtype=DType.NUMERIC),
@@ -226,12 +207,12 @@ class TestShardEquivalenceEdgeCases:
                 Column("val", [0.5, -1.5, 2.5, float("nan"), 3.5], dtype=DType.NUMERIC),
             ]
         )
-        self.run_both(table, backend, workers, strategy)
+        self.run_both(table, backend, workers, cache)
 
 
-def process_table(seed: int = 3) -> Table:
-    """NaN / None-bearing table for the process suite (numeric + categorical
-    columns cover both shared-memory transports)."""
+def none_bearing_table(seed: int = 3) -> Table:
+    """NaN / None-bearing table: NaN values, a None categorical level and
+    categorical aggregation attributes in one batch."""
     rng = np.random.default_rng(seed)
     n = 120
     return Table(
@@ -251,7 +232,7 @@ def process_table(seed: int = 3) -> Table:
     )
 
 
-def process_batch():
+def none_bearing_batch():
     queries = []
     for predicates in ({}, {"cat": "x"}, {"cat": "missing"}):
         for func in ("SUM", "COUNT", "MEDIAN", "MODE", "ENTROPY", "KURTOSIS", "MAD"):
@@ -261,7 +242,6 @@ def process_batch():
                     {k: DType.CATEGORICAL for k in predicates},
                 )
             )
-    # Categorical aggregation attribute: exercises the code/label transport.
     queries.append(
         PredicateAwareQuery("MODE", "cat", ("key",), {"cat": "x"}, {"cat": DType.CATEGORICAL})
     )
@@ -270,77 +250,21 @@ def process_batch():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("workers", PROCESS_WORKER_COUNTS)
-class TestProcessExecutorEquivalence:
-    """Process-pool execution vs serial: the thread suite's bars, plus
-    deterministic shared-memory cleanup on ``close()``."""
-
-    def test_matches_serial_and_releases_shm(self, backend, strategy, workers):
-        import os
-
-        table = process_table()
-        queries = process_batch()
+@pytest.mark.parametrize("workers", (1, 2, 4))
+class TestNoneBearingTableEquivalence:
+    def test_matches_serial_and_reuses_results(self, backend, workers):
+        table = none_bearing_table()
+        queries = none_bearing_batch()
         expected = serial_engine(table, backend).execute_batch(queries)
-        engine = sharded_engine(table, backend, workers, strategy, executor="process")
-        assert_batches_match(backend, engine.execute_batch(queries), expected)
-        # A second pass is served from the coordinator's result cache.
-        assert_batches_match(backend, engine.execute_batch(queries), expected)
-        assert engine.stats.result_hits == len(queries)
-        store = getattr(engine.sharder, "store", None)
-        names = list(store.segment_names) if store is not None else []
-        if workers > 1 and strategy == "plan":
-            # Plan sharding with >1 worker genuinely placed the table in
-            # shared memory (group sharding may fall back serially when the
-            # backend exposes no plan context, e.g. sqlite).
-            assert names
-        engine.close()
-        engine.close()  # idempotent
-        for name in names:
-            assert not os.path.exists("/dev/shm/" + name), name
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
-class TestProcessExecutorStats:
-    """Process-mode stats are deterministic: two identical runs on fresh
-    engines book identical integer counters (result-cache accounting is
-    coordinator-side, so queries / batches / result_* also match thread
-    mode; mask / sort counters are worker-side under plan sharding and are
-    simply deterministic)."""
-
-    def test_counters_deterministic_across_runs(self, strategy):
-        snapshots = []
-        for _ in range(2):
-            engine = sharded_engine(
-                process_table(), "numpy", 4, strategy, executor="process"
-            )
-            engine.execute_batch(process_batch())
-            stats = engine.stats.as_dict()
+        engine = sharded_engine(table, backend, workers)
+        try:
+            assert_batches_match(backend, engine.execute_batch(queries), expected)
+            # A second pass is served from the coordinator's result cache.
+            assert_batches_match(backend, engine.execute_batch(queries), expected)
+            assert engine.stats.result_hits == len(queries)
+        finally:
             engine.close()
-            snapshots.append(
-                {
-                    k: v
-                    for k, v in stats.items()
-                    if isinstance(v, int) and not isinstance(v, bool)
-                }
-            )
-        assert snapshots[0] == snapshots[1]
-        assert snapshots[0]["queries"] == len(process_batch())
-
-    def test_result_accounting_matches_thread_mode(self, strategy):
-        thread_engine = sharded_engine(process_table(), "numpy", 4, strategy)
-        thread_engine.execute_batch(process_batch())
-        proc_engine = sharded_engine(
-            process_table(), "numpy", 4, strategy, executor="process"
-        )
-        proc_engine.execute_batch(process_batch())
-        names = ("queries", "batches", "batched_queries", "result_hits", "result_misses")
-        got = {name: getattr(proc_engine.stats, name) for name in names}
-        want = {name: getattr(thread_engine.stats, name) for name in names}
-        proc_engine.close()
-        assert got == want
-        assert proc_engine.stats.executor == "process"
-        assert thread_engine.stats.executor == "thread"
+            engine.close()  # idempotent
 
 
 class TestSplitRanges:
@@ -363,134 +287,6 @@ class TestSplitRanges:
         assert split_ranges(0, 4) == [(0, 0)]
 
 
-class TestGroupRangeShardsBitIdentity:
-    """The group-range sharder vs the unsharded kernels, directly."""
-
-    @given(
-        n_groups=st.integers(min_value=1, max_value=12),
-        shards=st.integers(min_value=1, max_value=9),
-        data=st.data(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_all_kernels_concatenate_bit_identically(self, n_groups, shards, data):
-        n = data.draw(st.integers(min_value=0, max_value=60))
-        codes = np.asarray(
-            data.draw(st.lists(st.integers(min_value=0, max_value=n_groups - 1), min_size=n, max_size=n)),
-            dtype=np.int64,
-        )
-        values = np.asarray(
-            data.draw(
-                st.lists(
-                    st.one_of(st.just(float("nan")), finite_floats), min_size=n, max_size=n
-                )
-            ),
-            dtype=np.float64,
-        )
-        reference = GroupedAggregator(codes, values, n_groups)
-        ranges = GroupRangeShards(codes, n_groups, shards)
-        parts = [
-            GroupedAggregator(part_codes, values[rows], hi - lo)
-            for part_codes, rows, (lo, hi) in zip(ranges.codes, ranges.rows, ranges.ranges)
-        ]
-        for func in AGG_FUNCS:
-            want = reference.compute(func)
-            got = np.concatenate([part.compute(func) for part in parts])
-            assert got.shape == want.shape
-            assert np.array_equal(got, want, equal_nan=True), func
-
-
-class TestAutoStrategyChooser:
-    """``auto`` resolves deterministically from (plan count, plan cost)."""
-
-    def test_chooser_is_unit_pinned(self):
-        # Wide fused batches always go plan-level, however heavy.
-        assert resolve_auto_strategy(3, 0.0) == "plan"
-        assert resolve_auto_strategy(2, AUTO_HEAVY_PLAN_COST * 10) == "plan"
-        # A single plan goes group-range exactly at the cost threshold.
-        assert resolve_auto_strategy(1, AUTO_HEAVY_PLAN_COST) == "group"
-        assert resolve_auto_strategy(1, AUTO_HEAVY_PLAN_COST * 2) == "group"
-        assert resolve_auto_strategy(1, AUTO_HEAVY_PLAN_COST - 1.0) == "plan"
-        assert resolve_auto_strategy(1, 0.0) == "plan"
-
-    def test_default_strategy_reads_the_environment(self, monkeypatch):
-        monkeypatch.delenv(SHARD_STRATEGY_ENV_VAR, raising=False)
-        assert default_shard_strategy() == "plan"
-        monkeypatch.setenv(SHARD_STRATEGY_ENV_VAR, "   ")
-        assert default_shard_strategy() == "plan"
-        for name in ("plan", "group", "auto"):
-            monkeypatch.setenv(SHARD_STRATEGY_ENV_VAR, name)
-            assert default_shard_strategy() == name
-        monkeypatch.setenv(SHARD_STRATEGY_ENV_VAR, "rows")
-        with pytest.raises(ValueError, match="unknown shard strategy"):
-            default_shard_strategy()
-
-    def test_engine_config_resolves_the_environment_default(self, monkeypatch):
-        monkeypatch.setenv(SHARD_STRATEGY_ENV_VAR, "auto")
-        assert EngineConfig().shard_strategy_name == "auto"
-        # An explicit value always wins over the environment.
-        assert EngineConfig(shard_strategy="group").shard_strategy_name == "group"
-        with pytest.raises(ValueError):
-            EngineConfig(shard_strategy="rows")
-
-
-def auto_table(n: int, seed: int = 7) -> Table:
-    rng = np.random.default_rng(seed)
-    return Table(
-        [
-            Column("key", rng.integers(0, 9, size=n).astype(np.float64), dtype=DType.NUMERIC),
-            Column("cat", [str(c) for c in rng.choice(list("xyz"), size=n)], dtype=DType.CATEGORICAL),
-            Column("val", rng.normal(size=n), dtype=DType.NUMERIC),
-        ]
-    )
-
-
-@pytest.mark.parametrize("executor", ("thread", "process"))
-class TestAutoStrategyEngine:
-    """Engine-level pinning of the ``auto`` choice, on both executors:
-    wide batches book plan shards, a single heavy fused plan books group
-    shards, a light single plan stays fully serial -- and every path stays
-    bit-identical to serial execution."""
-
-    def run_auto(self, table, queries, executor):
-        expected = serial_engine(table, "numpy").execute_batch(queries)
-        engine = sharded_engine(table, "numpy", 3, "auto", executor=executor)
-        try:
-            assert_batches_match("numpy", engine.execute_batch(queries), expected)
-            return engine.stats
-        finally:
-            engine.close()
-
-    def test_wide_batch_goes_plan_level(self, executor):
-        queries = [
-            PredicateAwareQuery(
-                "SUM", "val", ("key",), {"cat": value}, {"cat": DType.CATEGORICAL}
-            )
-            for value in "xyz"
-        ]
-        stats = self.run_auto(auto_table(60), queries, executor)
-        assert stats.plan_shards > 0
-        assert stats.group_shards == 0
-
-    def test_single_heavy_plan_goes_group_range(self, executor):
-        # All queries fuse into ONE plan (same predicate/keys); its cost
-        # (rows x aggregates) crosses AUTO_HEAVY_PLAN_COST, so auto flips
-        # that single plan -- parameterized kernels included -- to
-        # group-range sharding.
-        n = int(AUTO_HEAVY_PLAN_COST) // len(AGG_FUNCS) + 50
-        queries = [
-            PredicateAwareQuery(func, "val", ("key",)) for func in AGG_FUNCS
-        ]
-        stats = self.run_auto(auto_table(n), queries, executor)
-        assert stats.group_shards > 0
-        assert stats.plan_shards == 0
-
-    def test_single_light_plan_stays_serial(self, executor):
-        queries = [PredicateAwareQuery("SUM", "val", ("key",))]
-        stats = self.run_auto(auto_table(50), queries, executor)
-        assert stats.plan_shards == 0
-        assert stats.group_shards == 0
-
-
 class TestShardStats:
     def table(self):
         rng = np.random.default_rng(1)
@@ -510,7 +306,7 @@ class TestShardStats:
         ]
 
     def test_plan_sharding_books_observability_counters(self):
-        engine = sharded_engine(self.table(), "numpy", 3, "plan")
+        engine = sharded_engine(self.table(), "numpy", 3)
         engine.execute_batch(self.batch())
         stats = engine.stats
         assert stats.workers == 3
@@ -518,20 +314,10 @@ class TestShardStats:
         # Three fused plans, all dispatched; heavy plans may split into
         # aggregate-spec units, so the unit count can exceed the plan count.
         assert stats.plan_shards >= 3
-        assert stats.group_shards == 0
         assert stats.seconds_sharding > 0.0
         assert stats.shard_seconds and all(k.startswith("w") for k in stats.shard_seconds)
         assert 0.0 < stats.worker_utilisation <= 1.0
         assert stats.as_dict()["worker_utilisation"] == stats.worker_utilisation
-
-    def test_group_sharding_books_observability_counters(self):
-        engine = sharded_engine(self.table(), "numpy", 3, "group")
-        engine.execute_batch(self.batch())
-        stats = engine.stats
-        assert stats.sharded_batches == 0
-        assert stats.plan_shards == 0
-        assert stats.group_shards > 0
-        assert stats.shard_seconds and all(k.startswith("g") for k in stats.shard_seconds)
 
     def test_stats_counters_identical_serial_vs_sharded(self):
         """The determinism contract: int counters match at any worker count."""
@@ -543,8 +329,8 @@ class TestShardStats:
             "group_index_builds", "group_index_reuses",
         )
         baselines = None
-        for workers in (1, 4):
-            engine = sharded_engine(table, "numpy", workers, "plan")
+        for workers in (1, 2, 4):
+            engine = sharded_engine(table, "numpy", workers)
             engine.execute_batch(self.batch())
             engine.execute_batch(self.batch())  # second pass: result-cache hits
             counts = {name: getattr(engine.stats, name) for name in counter_names}
@@ -553,8 +339,52 @@ class TestShardStats:
             else:
                 assert counts == baselines
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", (2, 3, 4))
+    def test_counters_deterministic_across_runs(self, backend, workers):
+        """Two identical runs on fresh sharded engines book identical
+        integer counters."""
+        snapshots = []
+        for _ in range(2):
+            engine = sharded_engine(none_bearing_table(), backend, workers)
+            try:
+                engine.execute_batch(none_bearing_batch())
+                stats = engine.stats.as_dict()
+            finally:
+                engine.close()
+            snapshots.append(
+                {
+                    k: v
+                    for k, v in stats.items()
+                    if isinstance(v, int) and not isinstance(v, bool)
+                }
+            )
+        assert snapshots[0] == snapshots[1]
+        assert snapshots[0]["queries"] == len(none_bearing_batch())
+        assert snapshots[0]["workers"] == workers
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", (2, 3, 4))
+    def test_result_accounting_matches_serial(self, backend, workers):
+        """Result-cache accounting is coordinator-side: a sharded engine
+        books the same query / batch / result counters as a serial one."""
+        names = ("queries", "batches", "batched_queries", "result_hits", "result_misses")
+        counts = []
+        for engine in (
+            serial_engine(none_bearing_table(), backend),
+            sharded_engine(none_bearing_table(), backend, workers),
+        ):
+            try:
+                engine.execute_batch(none_bearing_batch())
+                engine.execute_batch(none_bearing_batch())
+                counts.append({name: getattr(engine.stats, name) for name in names})
+            finally:
+                engine.close()
+        assert counts[0] == counts[1]
+        assert counts[1]["result_hits"] == len(none_bearing_batch())
+
     def test_delta_since_carries_workers_and_utilisation(self):
-        engine = sharded_engine(self.table(), "numpy", 2, "plan")
+        engine = sharded_engine(self.table(), "numpy", 2)
         baseline = engine.stats.as_dict()
         engine.execute_batch(self.batch())
         delta = engine.stats.delta_since(baseline)
@@ -563,7 +393,7 @@ class TestShardStats:
         assert 0.0 <= delta["worker_utilisation"] <= 1.0
 
     def test_reset_preserves_workers_identity(self):
-        engine = sharded_engine(self.table(), "numpy", 2, "plan")
+        engine = sharded_engine(self.table(), "numpy", 2)
         engine.execute_batch(self.batch())
         engine.stats.reset()
         assert engine.stats.workers == 2
