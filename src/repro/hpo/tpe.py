@@ -19,6 +19,12 @@ split and the per-dimension densities are computed at most once per batch,
 and every slot replays exactly the RNG consumption of a sequential
 ``suggest()`` call (density fitting draws nothing from the generator), so a
 batch of size one is bit-identical to the sequential trajectory.
+
+Within a slot, all ``n_candidates`` candidates are drawn first (candidate by
+candidate, each dimension in ``space.names`` order) and then scored together
+with one vectorized ``pdf`` call per density and dimension.  Scoring draws
+nothing from the generator, so no draw is reordered: the random stream is the
+one a loop that scores each candidate right after drawing it would consume.
 """
 
 from __future__ import annotations
@@ -111,30 +117,40 @@ class TPEOptimizer(Optimizer):
         return batch
 
     def _propose(self, good_density, bad_density) -> Dict[str, object]:
-        """Draw ``n_candidates`` points from ``l`` and keep the best-scoring one."""
-        best_params = None
-        best_score = -np.inf
-        for _ in range(self.n_candidates):
-            candidate = {
-                name: good_density[name].sample(self._rng) for name in self.space.names
-            }
-            score = self._surrogate_score(candidate, good_density, bad_density)
-            if score > best_score:
-                best_score = score
-                best_params = candidate
-        if best_params is None:  # pragma: no cover - defensive
-            return self.space.sample(self._rng)
-        return best_params
+        """Draw ``n_candidates`` points from ``l``, then keep the best-scoring one.
 
-    def _surrogate_score(self, candidate, good_density, bad_density) -> float:
-        """``sum(log l(x) - log g(x))`` with pdfs floored away from zero."""
-        score = 0.0
+        All candidates are drawn before any is scored (see the module
+        docstring), so the draws happen in candidate-then-dimension order.
+        """
+        names = self.space.names
+        samplers = [good_density[name].sample for name in names]
+        rows = [[sample(self._rng) for sample in samplers] for _ in range(self.n_candidates)]
+        columns = {name: [row[j] for row in rows] for j, name in enumerate(names)}
+        scores = self._surrogate_score(columns, good_density, bad_density)
+        scores = np.broadcast_to(scores, (self.n_candidates,)).tolist()
+        best, best_score = None, -np.inf
+        for i, score in enumerate(scores):
+            if score > best_score:  # the first strict maximum wins; NaN never does
+                best, best_score = i, score
+        if best is None:
+            return self.space.sample(self._rng)
+        return dict(zip(names, rows[best]))
+
+    def _surrogate_score(self, columns, good_density, bad_density):
+        """``sum(log l(x) - log g(x))`` for every candidate at once.
+
+        *columns* maps each dimension name to the candidates' values.  The
+        pdfs are floored away from zero, and the per-dimension terms are added
+        in ``space.names`` order, so each candidate's score is the same float
+        sum as scoring it on its own.
+        """
+        scores = 0.0
         for name in self.space.names:
-            value = candidate[name]
-            good_pdf = max(float(good_density[name].pdf(value)), _PDF_FLOOR)
-            bad_pdf = max(float(bad_density[name].pdf(value)), _PDF_FLOOR)
-            score += np.log(good_pdf) - np.log(bad_pdf)
-        return score
+            values = columns[name]
+            good_pdf = np.maximum(good_density[name].pdf(values), _PDF_FLOOR)
+            bad_pdf = np.maximum(bad_density[name].pdf(values), _PDF_FLOOR)
+            scores = scores + (np.log(good_pdf) - np.log(bad_pdf))
+        return scores
 
     # ------------------------------------------------------------------
     # Internals
@@ -174,8 +190,8 @@ class _NumericDensityAdapter:
         self._kde = GaussianKDE(dimension.low, dimension.high, observations)
         self._integer = isinstance(dimension, IntegerDimension)
 
-    def pdf(self, value) -> float:
-        return self._kde.pdf(value)
+    def pdf(self, values) -> np.ndarray:
+        return self._kde.pdf(values)
 
     def sample(self, rng: np.random.Generator):
         value = self._kde.sample(rng)

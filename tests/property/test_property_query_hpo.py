@@ -67,7 +67,7 @@ class TestDensityProperties:
     @settings(max_examples=80, deadline=None)
     def test_kde_pdf_positive(self, observations, value):
         kde = GaussianKDE(0.0, 1.0, observations)
-        assert kde.pdf(value) > 0
+        assert kde.pdf([value])[0] > 0
 
     @given(
         observations=st.lists(st.sampled_from(["a", "b", "c"]), min_size=0, max_size=30),
@@ -75,7 +75,7 @@ class TestDensityProperties:
     @settings(max_examples=80, deadline=None)
     def test_categorical_density_normalised(self, observations):
         density = CategoricalDensity(["a", "b", "c"], observations)
-        np.testing.assert_allclose(sum(density.pdf(c) for c in ["a", "b", "c"]), 1.0, rtol=1e-9)
+        np.testing.assert_allclose(sum(density.pdf([c])[0] for c in ["a", "b", "c"]), 1.0, rtol=1e-9)
 
 
 class TestSearchSpaceProperties:
