@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.dataframe.column import Column
+from repro.dataframe.column import Column, renumber_codes_compact
 
 AggregateParam = Union[float, int]
 
@@ -348,21 +348,19 @@ def column_to_aggregable(column: Column, rows=None) -> np.ndarray:
 
     Numeric-like columns are used as-is.  Categorical columns are converted
     to stable integer codes so COUNT / COUNT_DISTINCT / ENTROPY / MODE remain
-    meaningful.  When *rows* is given (an ascending array of row positions),
-    codes are assigned by first appearance over those rows only -- exactly
-    what this function would produce on the filtered table -- scattered into
-    a full-length array (other positions stay NaN).
+    meaningful: each label's code is its rank of first appearance.  When
+    *rows* is given (an ascending array of row positions), codes are
+    assigned by first appearance over those rows only -- exactly what this
+    function would produce on the filtered table -- scattered into a
+    full-length array (other positions stay NaN).
     """
     if column.is_numeric_like:
         return column.values
-    codes = np.full(len(column), np.nan, dtype=np.float64)
-    mapping: Dict[object, int] = {}
-    values = column.values
-    for i in range(len(column)) if rows is None else rows:
-        v = values[i]
-        if v is None:
-            continue
-        if v not in mapping:
-            mapping[v] = len(mapping)
-        codes[i] = mapping[v]
-    return codes
+    codes, dictionary = column.coding
+    rows = np.arange(len(column)) if rows is None else np.asarray(rows, dtype=np.int64)
+    picked = codes[rows]
+    present = picked >= 0
+    _, renumbered, _ = renumber_codes_compact(picked[present], len(dictionary))
+    out = np.full(len(column), np.nan, dtype=np.float64)
+    out[rows[present]] = renumbered
+    return out

@@ -7,8 +7,16 @@ when building predicates:
 * ``numeric``   -- float64 values, ``NaN`` marks a missing value.
 * ``datetime``  -- float64 epoch seconds, ``NaN`` marks a missing value.
 * ``boolean``   -- float64 0.0/1.0 values, ``NaN`` marks a missing value.
-* ``categorical`` -- object values (typically strings), ``None`` marks a
-  missing value.
+* ``categorical`` -- dictionary encoded: ``int64`` codes into an immutable
+  label :class:`Dictionary` (labels typically strings), code ``-1`` marks a
+  missing value (``None``).
+
+A categorical column built from raw values codes them lazily, on first use,
+with :func:`encode` -- the one categorical -> integer coding in the package.
+Columns derived from a coded column (``take``, ``filter``, appends, joins,
+group keys) share its dictionary and never re-code; ``Column.values`` of
+such a column is materialised from the dictionary on demand.  The layout is
+Arrow's dictionary-encoded layout.
 
 Datetime values are accepted as ``datetime.datetime``/``datetime.date``
 objects, ISO strings (``YYYY-MM-DD`` or ``YYYY-MM-DD HH:MM:SS``) or raw epoch
@@ -19,8 +27,10 @@ to plain float comparisons.
 from __future__ import annotations
 
 import datetime as _dt
+import threading
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,13 +147,194 @@ def infer_dtype(values: Sequence) -> DType:
     return DType.CATEGORICAL
 
 
+class Dictionary:
+    """The immutable label dictionary of dictionary-encoded categorical columns.
+
+    ``labels[code]`` is the label of ``code``, in first-appearance order of
+    the values the dictionary was coded from; ``lookup`` maps each hashable
+    label back to its code (and ``None`` to ``-1``, the missing code).
+    Labels that compare equal and hash alike (``1``, ``1.0``, ``True``)
+    share one code, and the first-appearing one is the label that code
+    reports.
+
+    Extending a dictionary (:meth:`encode`) returns a new one whose labels
+    start with this one's, so codes under the old dictionary stay valid
+    under the new one.  ``chain`` records that ancestry -- one token per
+    dictionary along its extension path -- so :meth:`shares_codes_with`
+    answers "are these codes interchangeable?" in O(1), also when one
+    dictionary was extended along two different branches.
+    """
+
+    __slots__ = ("labels", "lookup", "chain", "_label_array")
+
+    def __init__(self, labels: tuple, lookup: dict, chain: tuple):
+        self.labels = labels
+        self.lookup = lookup
+        self.chain = chain
+        self._label_array: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return f"Dictionary(n={len(self)})"
+
+    def code_of(self, value) -> int:
+        """The code of *value*, ``-1`` when it is missing or not a label."""
+        try:
+            return self.lookup.get(value, -1)
+        except TypeError:  # unhashable value: see encode()
+            return _scan(self.labels, value)
+
+    def encode(self, values) -> Tuple[np.ndarray, "Dictionary"]:
+        """Code *values* under this dictionary, extending it with unseen labels.
+
+        Returns ``(codes, dictionary)``: ``int64`` codes (``-1`` for
+        ``None``) and this dictionary itself when every value was already a
+        label, else an extension holding the new labels after the old ones
+        in first-appearance order.  This is the single coding function.  Its
+        one fallback is for unhashable labels (lists, dicts): they are coded
+        by a linear equality scan over the labels instead of the hash
+        lookup, and stay out of ``lookup``.
+        """
+        if len(self.lookup) != len(self.labels) + 1:  # holds unhashable labels
+            return self._encode_scanning(values)
+        lookup = dict(self.lookup)
+        known = len(lookup)
+        setdefault = lookup.setdefault
+        try:
+            # len(lookup) - 1 is the next free code: lookup also holds None.
+            coded = [setdefault(v, len(lookup) - 1) for v in values]
+        except TypeError:
+            return self._encode_scanning(values)
+        codes = np.asarray(coded, dtype=np.int64)
+        if len(lookup) == known:
+            return codes, self
+        labels = self.labels + tuple(islice(lookup, known, None))
+        return codes, Dictionary(labels, lookup, self.chain + (object(),))
+
+    def _encode_scanning(self, values) -> Tuple[np.ndarray, "Dictionary"]:
+        labels = list(self.labels)
+        lookup = dict(self.lookup)
+        codes = np.empty(len(values), dtype=np.int64)
+        for i, v in enumerate(values):
+            try:
+                code = lookup.get(v)
+            except TypeError:
+                code = _scan(labels, v)
+                code = None if code < 0 else code
+            if code is None:
+                code = len(labels)
+                labels.append(v)
+                try:
+                    lookup[v] = code
+                except TypeError:
+                    pass
+            codes[i] = code
+        if len(labels) == len(self.labels):
+            return codes, self
+        return codes, Dictionary(tuple(labels), lookup, self.chain + (object(),))
+
+    def shares_codes_with(self, other: "Dictionary") -> bool:
+        """True when one dictionary extends the other (or they are the same),
+        so codes under either mean the same labels under the longer one."""
+        short, long_ = (self, other) if len(self.chain) <= len(other.chain) else (other, self)
+        return long_.chain[len(short.chain) - 1] is short.chain[-1]
+
+    def recode(self, codes: np.ndarray, source: "Dictionary") -> Tuple[np.ndarray, "Dictionary"]:
+        """Re-express *codes* under *source* in this dictionary's code space.
+
+        Returns ``(codes, dictionary)`` where *dictionary* holds every label
+        of both: the longer of the two when they share codes (no work),
+        otherwise this dictionary extended with *source*'s unseen labels --
+        one lookup per *source* label, never one per row.
+        """
+        if self.shares_codes_with(source):
+            return codes, max(self, source, key=len)
+        mapping, extended = self.encode(source.labels)
+        return np.append(mapping, -1)[codes], extended
+
+    def translate(self, codes: np.ndarray, source: "Dictionary") -> np.ndarray:
+        """*codes* under *source* as codes of this dictionary, without
+        extending it: labels it lacks map to ``len(self)``, ``-1`` stays."""
+        if self.shares_codes_with(source):
+            return np.where(codes < len(self), codes, len(self))
+        mapping = np.asarray([self.code_of(label) for label in source.labels], dtype=np.int64)
+        mapping[mapping < 0] = len(self)
+        return np.append(mapping, -1)[codes]
+
+    def label_array(self) -> np.ndarray:
+        """Object array of the labels plus a trailing ``None``, so that
+        ``label_array()[codes]`` decodes codes with ``-1`` to ``None``."""
+        array = self._label_array
+        if array is None:
+            array = np.fromiter(self.labels + (None,), dtype=object, count=len(self) + 1)
+            self._label_array = array
+        return array
+
+
+def _scan(labels, value) -> int:
+    """The code of an unhashable *value* by equality scan (``-1`` = absent)."""
+    for code, label in enumerate(labels):
+        if label == value:
+            return code
+    return -1
+
+
+def encode(values) -> Tuple[np.ndarray, Dictionary]:
+    """Dictionary-encode raw categorical values: ``(codes, dictionary)``.
+
+    A fresh dictionary is started, with labels in first-appearance order and
+    ``None`` coded as ``-1``; see :meth:`Dictionary.encode`.
+    """
+    return Dictionary((), {None: -1}, (object(),)).encode(values)
+
+
+def renumber_codes_compact(
+    codes: np.ndarray, n_codes: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re-number non-negative integer codes by first appearance.
+
+    Returns ``(ordered_values, group_codes, first_positions)``: the distinct
+    input codes in first-appearance order, the re-numbered group id per
+    position, and each group's first position.  *n_codes* bounds the code
+    space (every code is below it; ``codes.max() + 1`` when omitted).  The
+    first position of every code comes from one reversed scatter into an
+    array of that size -- the earliest position wins every collision --
+    so no sort of the rows is needed.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    n = codes.shape[0]
+    if n_codes is None:
+        n_codes = int(codes.max()) + 1 if n else 0
+    first = np.full(n_codes, n, dtype=np.int64)
+    first[codes[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
+    present = np.flatnonzero(first < n)
+    ordered = present[np.argsort(first[present], kind="stable")]
+    remap = np.empty(n_codes, dtype=np.int64)
+    remap[ordered] = np.arange(ordered.size, dtype=np.int64)
+    return ordered, remap[codes], first[ordered]
+
+
+#: Serialises lazy coding so every reader of a column sees one coding.
+_CODING_LOCK = threading.Lock()
+
+
 class Column:
-    """A named, typed, immutable-by-convention column of values."""
+    """A named, typed, immutable-by-convention column of values.
+
+    Numeric-like columns hold a float64 array.  Categorical columns hold raw
+    values, codes plus a :class:`Dictionary`, or both: see the module
+    docstring.
+    """
 
     def __init__(self, name: str, values, dtype: DType | str | None = None):
         if not isinstance(name, str) or not name:
             raise ValueError("Column name must be a non-empty string")
         self.name = name
+        #: ``(codes, dictionary)`` of a categorical column, published in one
+        #: assignment once coded (``None`` = not coded yet).
+        self._coding: Optional[Tuple[np.ndarray, Dictionary]] = None
         if dtype is None:
             if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
                 dtype = DType.NUMERIC
@@ -156,25 +347,101 @@ class Column:
         if isinstance(values, np.ndarray) and dtype in (DType.NUMERIC, DType.DATETIME, DType.BOOLEAN):
             if values.dtype != np.float64:
                 values = values.astype(np.float64)
-            self.values = values
+            self._values = values
         elif isinstance(values, np.ndarray) and dtype is DType.CATEGORICAL and values.dtype == object:
-            self.values = values
+            self._values = values
         else:
             materialised = list(values)
             if dtype is DType.NUMERIC:
-                self.values = _coerce_numeric(materialised)
+                self._values = _coerce_numeric(materialised)
             elif dtype is DType.DATETIME:
-                self.values = _coerce_datetime(materialised)
+                self._values = _coerce_datetime(materialised)
             elif dtype is DType.BOOLEAN:
-                self.values = _coerce_boolean(materialised)
+                self._values = _coerce_boolean(materialised)
             else:
-                self.values = _coerce_categorical(materialised)
+                self._values = _coerce_categorical(materialised)
+
+    @classmethod
+    def from_codes(cls, name: str, codes: np.ndarray, dictionary: Dictionary) -> "Column":
+        """A categorical column over *codes* (``-1`` = missing) into *dictionary*."""
+        column = cls.__new__(cls)
+        column.name = name
+        column.dtype = DType.CATEGORICAL
+        column._values = None
+        column._coding = (codes, dictionary)
+        return column
+
+    # ------------------------------------------------------------------
+    # Storage
+    # ------------------------------------------------------------------
+    @property
+    def values(self) -> np.ndarray:
+        """The values as a numpy array (``object`` for categoricals, decoded
+        from the dictionary on first access when the column holds codes)."""
+        values = self._values
+        if values is None:
+            codes, dictionary = self._coding
+            values = dictionary.label_array()[codes]
+            self._values = values
+        return values
+
+    @property
+    def coding(self) -> Tuple[np.ndarray, Dictionary]:
+        """``(codes, dictionary)`` of a categorical column, coded on first use.
+
+        The pair is published with one assignment under a lock, so
+        concurrent first readers all get the same coding.
+        """
+        coding = self._coding
+        if coding is None:
+            if self.is_numeric_like:
+                raise TypeError(f"{self.dtype.value} column {self.name!r} has no coding")
+            with _CODING_LOCK:
+                coding = self._coding
+                if coding is None:
+                    coding = encode(self._values)
+                    self._coding = coding
+        return coding
+
+    @property
+    def codes(self) -> np.ndarray:
+        return self.coding[0]
+
+    @property
+    def dictionary(self) -> Dictionary:
+        return self.coding[1]
+
+    def key_codes(self) -> Tuple[np.ndarray, int]:
+        """Non-negative ``int64`` grouping / join codes plus the code-space size.
+
+        Equal keys share a code and every missing value (NaN / ``None``)
+        takes the last code.  Numeric-like codes index the sorted distinct
+        values; categorical codes are the dictionary codes.
+        """
+        if self.is_numeric_like:
+            values = self.values
+            uniques = np.unique(values[~np.isnan(values)])
+            # NaN sorts after every number, so it lands on the last code.
+            return np.searchsorted(uniques, values).astype(np.int64), uniques.size + 1
+        codes, dictionary = self.coding
+        return np.where(codes < 0, len(dictionary), codes), len(dictionary) + 1
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes charged for the column's payload: the float64 array, or 8
+        per row for a categorical (its codes, or the object pointers it
+        replaces) whether or not the column is coded or decoded yet."""
+        if self.is_numeric_like:
+            return int(self._values.nbytes)
+        return 8 * len(self)
 
     # ------------------------------------------------------------------
     # Basic container protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return int(self.values.shape[0])
+        if self._values is not None:
+            return int(self._values.shape[0])
+        return int(self._coding[0].shape[0])
 
     def __getitem__(self, item):
         return self.values[item]
@@ -210,24 +477,20 @@ class Column:
         """Boolean mask of missing entries."""
         if self.is_numeric_like:
             return np.isnan(self.values)
-        return np.asarray([v is None for v in self.values], dtype=bool)
+        return self.codes < 0
 
     def null_count(self) -> int:
         return int(self.is_missing().sum())
 
     def unique(self) -> list:
         """Distinct non-missing values (order of first appearance)."""
-        seen = []
-        seen_set = set()
-        missing = self.is_missing()
-        for v, is_na in zip(self.values, missing):
-            if is_na:
-                continue
-            key = float(v) if self.is_numeric_like else v
-            if key not in seen_set:
-                seen_set.add(key)
-                seen.append(key)
-        return seen
+        if self.is_numeric_like:
+            values = self.values[~np.isnan(self.values)]
+            _, first = np.unique(values, return_index=True)
+            return [float(v) for v in values[np.sort(first)]]
+        codes, dictionary = self.coding
+        ordered, _, _ = renumber_codes_compact(codes[codes >= 0], len(dictionary))
+        return [dictionary.labels[code] for code in ordered.tolist()]
 
     def min(self):
         if not self.is_numeric_like:
@@ -247,18 +510,47 @@ class Column:
     def take(self, indices) -> "Column":
         """Return a new column with rows re-ordered / repeated by *indices*."""
         indices = np.asarray(indices)
-        return Column(self.name, self.values[indices], dtype=self.dtype)
+        if self.is_numeric_like:
+            return Column(self.name, self.values[indices], dtype=self.dtype)
+        codes, dictionary = self.coding
+        return Column.from_codes(self.name, codes[indices], dictionary)
 
     def filter(self, mask) -> "Column":
         """Return a new column keeping only rows where *mask* is True."""
-        mask = np.asarray(mask, dtype=bool)
-        return Column(self.name, self.values[mask], dtype=self.dtype)
+        return self.take(np.asarray(mask, dtype=bool))
+
+    def slice(self, start: int, stop: Optional[int] = None) -> "Column":
+        """Rows ``[start:stop]`` as a zero-copy view."""
+        if self.is_numeric_like or self._coding is None:
+            return Column(self.name, self.values[start:stop], dtype=self.dtype)
+        codes, dictionary = self._coding
+        return Column.from_codes(self.name, codes[start:stop], dictionary)
+
+    def concat(self, other: "Column") -> "Column":
+        """This column's rows followed by *other*'s (same dtype).
+
+        A coded categorical extends its dictionary with *other*'s unseen
+        labels, so its own codes never change; an uncoded one stays uncoded.
+        """
+        if self.is_numeric_like or self._coding is None:
+            values = np.concatenate([self.values, other.values])
+            return Column(self.name, values, dtype=self.dtype)
+        codes, dictionary = self._coding
+        other_codes, merged = dictionary.recode(*other.coding)
+        return Column.from_codes(self.name, np.concatenate([codes, other_codes]), merged)
 
     def rename(self, name: str) -> "Column":
-        return Column(name, self.values, dtype=self.dtype)
+        if self._coding is None:
+            return Column(name, self._values, dtype=self.dtype)
+        renamed = Column.from_codes(name, *self._coding)
+        renamed._values = self._values
+        return renamed
 
     def copy(self) -> "Column":
-        return Column(self.name, self.values.copy(), dtype=self.dtype)
+        if self.is_numeric_like or self._coding is None:
+            return Column(self.name, self.values.copy(), dtype=self.dtype)
+        codes, dictionary = self._coding
+        return Column.from_codes(self.name, codes.copy(), dictionary)
 
     def to_list(self) -> list:
         """Return values as plain Python objects (datetimes stay as epoch floats)."""

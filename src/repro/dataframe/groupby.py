@@ -18,7 +18,7 @@ from repro.dataframe.aggregates import (
     parse_aggregate_name,
     resolve_aggregate,
 )
-from repro.dataframe.column import Column, DType
+from repro.dataframe.column import Column, DType, renumber_codes_compact
 from repro.dataframe.table import Table
 
 
@@ -27,123 +27,71 @@ def factorize_column(column: Column) -> Tuple[np.ndarray, List]:
 
     Returns ``(codes, labels)`` where ``codes`` holds one ``int64`` code per
     row and ``labels[code]`` is the normalised key value: ``float`` for
-    numeric-like columns, the raw value for categoricals, and ``None`` for
-    missing entries (NaN / None), matching the key normalisation of the
-    row-at-a-time grouping this replaces.
+    numeric-like columns (sorted), the dictionary label for categoricals,
+    and ``None`` for missing entries (NaN / None).  A categorical column
+    shares its dictionary with the columns it was derived from, so
+    ``labels`` may hold labels no row of this column uses.
     """
+    codes, n_codes = column.key_codes()
     if column.is_numeric_like:
         values = column.values
-        missing = np.isnan(values)
-        uniques = np.unique(values[~missing])
-        codes = np.searchsorted(uniques, values).astype(np.int64)
-        labels: List = [float(v) for v in uniques]
-        if missing.any():
-            codes[missing] = uniques.size
-            labels.append(None)
-        return codes, labels
-    values = column.values
-    missing = np.asarray([v is None for v in values], dtype=bool)
-    try:
-        uniques, inverse = np.unique(values[~missing], return_inverse=True)
-    except TypeError:
-        # Values of mixed, mutually unorderable types: dictionary coding.
-        mapping: Dict[object, int] = {}
-        codes = np.empty(len(values), dtype=np.int64)
-        labels = []
-        for i, v in enumerate(values):
-            key = None if v is None else v
-            if key not in mapping:
-                mapping[key] = len(labels)
-                labels.append(key)
-            codes[i] = mapping[key]
-        return codes, labels
-    codes = np.empty(len(values), dtype=np.int64)
-    codes[~missing] = inverse
-    labels = list(uniques)
-    if missing.any():
-        codes[missing] = uniques.size
+        labels: List = [float(v) for v in np.unique(values[~np.isnan(values)])]
+    else:
+        labels = list(column.dictionary.labels)
+    if np.any(codes == n_codes - 1):
         labels.append(None)
     return codes, labels
 
 
-def renumber_codes_compact(
-    codes: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Re-number an integer array by first appearance, without materialising
-    per-group position lists.
-
-    Returns ``(ordered_values, group_codes, first_positions)``: the distinct
-    input values in first-appearance order, the re-numbered group id per
-    position, and each group's first position.  This is all the vectorized
-    grouped-aggregation kernels need; :func:`renumber_codes_by_first_appearance`
-    adds the per-group position lists the per-group Python path consumes.
-    """
-    n = codes.shape[0]
-    uniques, inverse = np.unique(codes, return_inverse=True)
-    n_groups = uniques.size
-    first = np.full(n_groups, n, dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(n, dtype=np.int64))
-    order = np.argsort(first, kind="stable")
-    remap = np.empty(n_groups, dtype=np.int64)
-    remap[order] = np.arange(n_groups, dtype=np.int64)
-    return uniques[order], remap[inverse], first[order]
-
-
 def group_positions_from_codes(group_codes: np.ndarray, n_groups: int) -> List[np.ndarray]:
     """Ascending positions of every group id in ``[0, n_groups)``."""
+    if n_groups == 0:
+        return []
     counts = np.bincount(group_codes, minlength=n_groups)
     positions = np.argsort(group_codes, kind="stable")
     return np.split(positions, np.cumsum(counts)[:-1])
 
 
-def renumber_codes_by_first_appearance(
-    codes: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray], np.ndarray]:
-    """Group an integer array, numbering groups by first appearance.
+def group_codes(table: Table, keys: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized multi-column grouping: ``(group_codes, first_rows)``.
 
-    Returns ``(ordered_values, group_codes, group_positions, first_positions)``:
-    the distinct input values in first-appearance order, the re-numbered group
-    id per position, the ascending positions of every group, and each group's
-    first position.  ``np.unique`` orders groups by value; re-numbering them by
-    first appearance is what makes vectorized grouping element-wise identical
-    to the historical row-at-a-time dictionary implementation.
+    One group id per row, assigned in order of first appearance (so the
+    grouping is element-wise identical to the historical row-at-a-time
+    dictionary implementation), and the first row of every group.
     """
-    ordered_values, group_codes, first = renumber_codes_compact(codes)
-    group_positions = group_positions_from_codes(group_codes, ordered_values.size)
-    return ordered_values, group_codes, group_positions, first
+    if not keys:
+        raise ValueError("group_indices needs at least one key column")
+    per_key = [table.column(k).key_codes() for k in keys]
+    combined, n_codes = per_key[0]
+    for codes, n in per_key[1:]:
+        # Compact after every merge so the combined ids stay < num_rows and
+        # the multiply below can never overflow int64.
+        _, combined = np.unique(combined * np.int64(n) + codes, return_inverse=True)
+        n_codes = None
+    _, codes, first_rows = renumber_codes_compact(combined, n_codes)
+    return codes, first_rows
+
+
+def key_labels(column: Column) -> list:
+    """Normalised key labels of *column*'s rows: floats or the dictionary
+    label, ``None`` for missing entries."""
+    if column.is_numeric_like:
+        return [None if np.isnan(v) else float(v) for v in column.values]
+    return list(column.values)
 
 
 def factorize_key_codes(
     table: Table, keys: Sequence[str]
 ) -> Tuple[np.ndarray, List[tuple], List[np.ndarray]]:
-    """Vectorized multi-column grouping.
+    """Vectorized multi-column grouping with labels and row lists.
 
     Returns ``(group_codes, group_keys, group_rows)``: one group code per row,
-    the normalised key tuple of every group and the ascending row positions of
-    every group.  Group ids are assigned in order of first appearance, so the
-    grouping is element-wise identical to the historical row-at-a-time
-    dictionary implementation.
+    the normalised key tuple of every group (its first row's labels) and the
+    ascending row positions of every group.
     """
-    if not keys:
-        raise ValueError("group_indices needs at least one key column")
-    n = table.num_rows
-    if n == 0:
-        return np.empty(0, dtype=np.int64), [], []
-    per_key = [factorize_column(table.column(k)) for k in keys]
-
-    combined = per_key[0][0]
-    for codes, labels in per_key[1:]:
-        # Compact after every merge so the combined ids stay < num_rows and
-        # the multiply below can never overflow int64.
-        combined = combined * np.int64(max(len(labels), 1)) + codes
-        _, combined = np.unique(combined, return_inverse=True)
-
-    _, group_codes, group_rows, representatives = renumber_codes_by_first_appearance(combined)
-    group_keys = [
-        tuple(labels[codes[row]] for codes, labels in per_key)
-        for row in representatives
-    ]
-    return group_codes, group_keys, group_rows
+    codes, first_rows = group_codes(table, keys)
+    group_keys = list(zip(*(key_labels(table.column(k).take(first_rows)) for k in keys)))
+    return codes, group_keys, group_positions_from_codes(codes, first_rows.size)
 
 
 def group_indices(table: Table, keys: Sequence[str]) -> Dict[tuple, np.ndarray]:
@@ -170,27 +118,13 @@ def group_by_aggregate(
         raise KeyError(f"Unknown aggregation function {agg_func!r}")
     func = resolve_aggregate(func_name, param)
 
-    groups = group_indices(table, keys)
+    codes, first_rows = group_codes(table, keys)
     agg_values = column_to_aggregable(table.column(agg_attr))
-
-    key_columns = [table.column(k) for k in keys]
-    group_keys = list(groups.keys())
-    feature = np.empty(len(group_keys), dtype=np.float64)
-    for row, key in enumerate(group_keys):
-        idx = groups[key]
-        feature[row] = func(agg_values[idx])
-
-    out_columns: List[Column] = []
-    for pos, key_name in enumerate(keys):
-        source = key_columns[pos]
-        values = [key[pos] for key in group_keys]
-        if source.is_numeric_like:
-            data = np.asarray(
-                [np.nan if v is None else v for v in values], dtype=np.float64
-            )
-            out_columns.append(Column(key_name, data, dtype=source.dtype))
-        else:
-            out_columns.append(Column(key_name, values, dtype=DType.CATEGORICAL))
+    feature = np.asarray(
+        [func(agg_values[rows]) for rows in group_positions_from_codes(codes, first_rows.size)],
+        dtype=np.float64,
+    )
+    out_columns = [table.column(k).take(first_rows) for k in keys]
     out_columns.append(Column(output_name, feature, dtype=DType.NUMERIC))
     return Table(out_columns)
 

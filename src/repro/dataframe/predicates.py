@@ -63,10 +63,13 @@ class Equals(Predicate):
         col = table.column(self.column)
         if col.is_numeric_like:
             return col.values == float(self.value)
-        # SQL semantics: NULL never satisfies an equality predicate.
-        return np.asarray(
-            [v is not None and v == self.value for v in col.values], dtype=bool
-        )
+        # SQL semantics: NULL never satisfies an equality predicate, and
+        # code_of(None) is -1, the missing code, which matches nothing here.
+        codes, dictionary = col.coding
+        code = dictionary.code_of(self.value)
+        if code < 0:
+            return np.zeros(codes.shape[0], dtype=bool)
+        return codes == code
 
     def to_sql(self) -> str:
         return f"{self.column} = {_sql_literal(self.value)}"
@@ -84,17 +87,11 @@ class IsIn(Predicate):
         if col.is_numeric_like:
             allowed = np.asarray([float(v) for v in self.values], dtype=np.float64)
             return np.isin(col.values, allowed)
-        # Vectorized membership for object-dtype columns: one elementwise
-        # equality pass per allowed value (the allowed set is small).  SQL
-        # semantics: NULL never satisfies IN, and ``None == value`` is False
-        # elementwise, so no explicit null check is needed.
-        values = col.values
-        mask = np.zeros(len(values), dtype=bool)
-        for v in self.values:
-            if v is None:
-                continue
-            mask |= values == v
-        return mask
+        # SQL semantics: NULL never satisfies IN (None and unseen members
+        # have no code).
+        codes, dictionary = col.coding
+        allowed = [dictionary.code_of(v) for v in self.values]
+        return np.isin(codes, [code for code in allowed if code >= 0])
 
     def to_sql(self) -> str:
         rendered = ", ".join(_sql_literal(v) for v in self.values)

@@ -169,15 +169,26 @@ class Table:
         return self.take(indices)
 
     def sort_by(self, name: str, ascending: bool = True) -> "Table":
-        """Sort rows by a numeric-like column."""
+        """Sort rows by one column: a stable sort with missing values last.
+
+        Numeric-like columns sort by value.  Categorical columns sort by the
+        string form of their labels, ranked once per dictionary label; labels
+        with the same string form tie.  Tied rows keep their order in both
+        directions, and missing values (NaN / ``None``) come last in both.
+        """
         col = self.column(name)
-        if not col.is_numeric_like:
-            order = np.argsort(np.asarray([str(v) for v in col.values]))
+        if col.is_numeric_like:
+            keys = col.values if ascending else -col.values
         else:
-            order = np.argsort(col.values, kind="stable")
-        if not ascending:
-            order = order[::-1]
-        return self.take(order)
+            codes, dictionary = col.coding
+            label_keys = np.asarray([str(label) for label in dictionary.labels], dtype=str)
+            _, ranks = np.unique(label_keys, return_inverse=True)
+            if not ascending:
+                ranks = ranks.max(initial=0) - ranks
+            # Appended rank len(dictionary) -- past every label rank -- is
+            # what the missing code -1 picks.
+            keys = np.append(ranks, len(dictionary))[codes]
+        return self.take(np.argsort(keys, kind="stable"))
 
     def row(self, index: int) -> Dict[str, object]:
         """Return a single row as a dictionary."""
@@ -199,12 +210,14 @@ class Table:
         so this is only a safety net).  Rows without a match get missing
         values in the joined columns.
 
-        Key matching is vectorized: both sides are factorized into one shared
+        Key matching is vectorized: both sides are coded into one shared
         integer code space per key column (missing values -- NaN or ``None``
         -- share a code, so NaN keys join to NaN keys exactly like the
         historical per-row dictionary probe), multi-column keys are combined
         arithmetically, and a first-occurrence index array over the right
-        codes replaces the per-row hash lookups.
+        codes replaces the per-row hash lookups.  Categorical keys use their
+        dictionary codes; when the sides do not share a dictionary, only the
+        smaller dictionary's labels are looked up in the larger one.
         """
         if isinstance(on, str):
             on = [on]
@@ -221,8 +234,7 @@ class Table:
                 continue
             col = other.column(name)
             out_name = name if name not in existing else name + suffix
-            gathered = _gather_with_missing(col, match)
-            new_columns.append(Column(out_name, gathered, dtype=col.dtype))
+            new_columns.append(_gather_with_missing(col, match).rename(out_name))
             existing.add(out_name)
         return Table(new_columns)
 
@@ -232,17 +244,11 @@ class Table:
             return Table([c.copy() for c in other._columns.values()])
         if self.column_names != other.column_names:
             raise ValueError("concat_rows requires identical column names and order")
-        cols = []
         for name in self.column_names:
             a, b = self.column(name), other.column(name)
             if a.dtype != b.dtype:
                 raise ValueError(f"Column {name!r} dtype mismatch: {a.dtype} vs {b.dtype}")
-            if a.is_numeric_like:
-                values = np.concatenate([a.values, b.values])
-            else:
-                values = np.concatenate([a.values, b.values])
-            cols.append(Column(name, values, dtype=a.dtype))
-        return Table(cols)
+        return Table([self.column(name).concat(other.column(name)) for name in self.column_names])
 
     def copy(self) -> "Table":
         return Table([c.copy() for c in self._columns.values()])
@@ -267,8 +273,9 @@ class Table:
         order is irrelevant, names and dtypes must match), a mapping of
         ``{column name: values}``, or a sequence of row dictionaries.  Values
         are coerced under the existing schema, so column dtypes are always
-        preserved: categorical columns keep object storage (new labels simply
-        appear after the existing ones in first-appearance order), numeric
+        preserved: a coded categorical column publishes an extended copy of
+        its dictionary (new labels appear after the existing ones in
+        first-appearance order, existing codes never change), numeric
         columns keep float64 storage with missing values as NaN.
 
         Existing :class:`Column` objects are never mutated -- each column is
@@ -290,12 +297,7 @@ class Table:
             if a.dtype != b.dtype:
                 raise ValueError(f"Column {name!r} dtype mismatch: {a.dtype} vs {b.dtype}")
         replaced = {
-            name: Column(
-                name,
-                np.concatenate([self.column(name).values, incoming.column(name).values]),
-                dtype=self.column(name).dtype,
-            )
-            for name in self.column_names
+            name: self.column(name).concat(incoming.column(name)) for name in self.column_names
         }
         self._columns = replaced
         self._version += 1
@@ -318,95 +320,69 @@ class Table:
         return Table.from_dict(data, dtypes=self.schema())
 
 
-def _normalise_key(value, column: Column):
-    """Normalise a join key value so float/int representations hash alike."""
-    if column.is_numeric_like:
-        v = float(value)
-        if np.isnan(v):
-            return None
-        return v
-    return value
-
-
 def _join_key_codes(left: Column, right: Column) -> tuple:
-    """Factorize one join-key column jointly across both tables.
+    """Code one join-key column of each table into one shared code space.
 
-    Returns ``(left_codes, right_codes, n_labels)``: ``int64`` codes into one
-    shared label space.  All missing values (NaN / ``None``) share a single
-    code, mirroring :func:`_normalise_key` (NaN keys join to NaN keys).
+    Returns ``(left_codes, right_codes, n_labels)``: non-negative ``int64``
+    codes below ``n_labels``.  All missing values (NaN / ``None``) share the
+    last code (NaN keys join to NaN keys).  Two numeric-like keys share the
+    sorted distinct values; otherwise a numeric-like side is read as
+    categorical float labels and both sides use dictionary codes, with the
+    smaller dictionary's labels looked up in the larger one (equal labels of
+    different types, like ``1`` and ``1.0``, match).  Labels the larger
+    dictionary lacks can match nothing on its side, so they share one code.
     """
-    n_left = len(left)
     if left.is_numeric_like and right.is_numeric_like:
-        values = np.concatenate([left.values, right.values])
-        missing = np.isnan(values)
-        uniques = np.unique(values[~missing])
-        codes = np.searchsorted(uniques, values).astype(np.int64)
-        codes[missing] = uniques.size
-        return codes[:n_left], codes[n_left:], uniques.size + 1
-
-    def as_objects(column: Column) -> np.ndarray:
-        if not column.is_numeric_like:
-            return column.values
-        out = np.empty(len(column), dtype=object)
-        for i, v in enumerate(column.values):
-            out[i] = None if np.isnan(v) else float(v)
-        return out
-
-    values = np.concatenate([as_objects(left), as_objects(right)])
-    missing = np.asarray([v is None for v in values], dtype=bool)
-    codes = np.empty(values.shape[0], dtype=np.int64)
-    try:
-        uniques, inverse = np.unique(values[~missing], return_inverse=True)
-        codes[~missing] = inverse
-        codes[missing] = uniques.size
-        n_labels = uniques.size + 1
-    except TypeError:
-        # Values of mixed, mutually unorderable types: dictionary coding.
-        mapping: Dict[object, int] = {}
-        for i, v in enumerate(values):
-            key = None if missing[i] else v
-            if key not in mapping:
-                mapping[key] = len(mapping)
-            codes[i] = mapping[key]
-        n_labels = len(mapping)
-    return codes[:n_left], codes[n_left:], n_labels
+        codes, n_labels = left.concat(right).key_codes()
+        return codes[: len(left)], codes[len(left) :], n_labels
+    if left.is_numeric_like:
+        left = left.astype(DType.CATEGORICAL)
+    if right.is_numeric_like:
+        right = right.astype(DType.CATEGORICAL)
+    (l_codes, l_dict), (r_codes, r_dict) = left.coding, right.coding
+    if len(l_dict) <= len(r_dict):
+        l_codes, n_labels = r_dict.translate(l_codes, l_dict), len(r_dict)
+    else:
+        r_codes, n_labels = l_dict.translate(r_codes, r_dict), len(l_dict)
+    # Codes below n_labels are labels, n_labels is "not a label of the larger
+    # side" and n_labels + 1 is missing.
+    return (
+        np.where(l_codes < 0, n_labels + 1, l_codes),
+        np.where(r_codes < 0, n_labels + 1, r_codes),
+        n_labels + 2,
+    )
 
 
 def _join_match(left: "Table", right: "Table", on: Sequence[str]) -> np.ndarray:
     """Per-left-row position of the first matching right row (-1 = no match)."""
     n_left = left.num_rows
     per_key = [_join_key_codes(left.column(k), right.column(k)) for k in on]
-    left_codes, right_codes, _ = per_key[0]
+    left_codes, right_codes, n_codes = per_key[0]
     for codes_l, codes_r, n_labels in per_key[1:]:
         # Compact after every merge so the combined ids stay bounded by the
         # total row count and the multiply below can never overflow int64.
-        left_codes = left_codes * np.int64(max(n_labels, 1)) + codes_l
-        right_codes = right_codes * np.int64(max(n_labels, 1)) + codes_r
+        left_codes = left_codes * np.int64(n_labels) + codes_l
+        right_codes = right_codes * np.int64(n_labels) + codes_r
         both = np.concatenate([left_codes, right_codes])
         _, inverse = np.unique(both, return_inverse=True)
         left_codes = inverse[:n_left]
         right_codes = inverse[n_left:]
-    n_codes = int(max(left_codes.max(initial=-1), right_codes.max(initial=-1))) + 1
+        n_codes = both.shape[0]
     first = np.full(n_codes, -1, dtype=np.int64)
-    if right_codes.size:
-        # Reversed assignment: the earliest right row wins every collision,
-        # giving the same first-match-wins semantics as the dict probe.
-        first[right_codes[::-1]] = np.arange(
-            right_codes.shape[0] - 1, -1, -1, dtype=np.int64
-        )
-    if left_codes.size == 0:
-        return np.empty(0, dtype=np.int64)
+    # Reversed assignment: the earliest right row wins every collision,
+    # giving the same first-match-wins semantics as the dict probe.
+    first[right_codes[::-1]] = np.arange(right_codes.shape[0] - 1, -1, -1, dtype=np.int64)
     return first[left_codes]
 
 
-def _gather_with_missing(column: Column, match: np.ndarray):
-    """Gather ``column[match]`` treating ``match == -1`` as a missing value."""
+def _gather_with_missing(column: Column, match: np.ndarray) -> Column:
+    """``column[match]`` with ``match == -1`` gathering a missing value."""
     valid = match >= 0
     if column.is_numeric_like:
         out = np.full(match.shape[0], np.nan, dtype=np.float64)
         out[valid] = column.values[match[valid]]
-        return out
-    out = np.empty(match.shape[0], dtype=object)
-    out[:] = None
-    out[valid] = column.values[match[valid]]
-    return out
+        return Column(column.name, out, dtype=column.dtype)
+    codes, dictionary = column.coding
+    out = np.full(match.shape[0], -1, dtype=np.int64)
+    out[valid] = codes[match[valid]]
+    return Column.from_codes(column.name, out, dictionary)

@@ -209,7 +209,7 @@ class GroupIndexBackend(ExecutionBackend):
 
     def refresh(self, old_rows: int) -> None:
         """No-op: every piece of derived state these backends aggregate over
-        (masks, group indexes, sort orders, aggregable arrays) lives on the
+        (masks, group indexes, sort orders) lives on the
         engine, and the delta-refresh layer upgrades it there."""
 
     def run_plan_with_context(self, plan: QueryPlan, context: dict) -> List[Table]:

@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dataframe.aggregates import resolve_aggregate
-from repro.dataframe.column import Column, DType
+from repro.dataframe.column import Column, Dictionary, DType
 from repro.dataframe.table import Table
 from repro.query.backends.base import ExecutionBackend, register_backend
 from repro.query.plan import PredicateAtom, QueryPlan
@@ -71,36 +71,9 @@ _NATIVE_SQL = {
 }
 
 
-def _factorize(values) -> Tuple[List[Optional[int]], List[object], Dict[object, int]]:
-    """First-appearance integer coding of categorical values (``None`` -> NULL).
-
-    Unhashable values fall back to a linear equality scan so any categorical
-    column the numpy path accepts can be materialised.
-    """
-    codes: List[Optional[int]] = []
-    labels: List[object] = []
-    lookup: Dict[object, int] = {}
-    for v in values:
-        if v is None:
-            codes.append(None)
-            continue
-        code: Optional[int] = None
-        try:
-            code = lookup.get(v)
-        except TypeError:
-            for c, label in enumerate(labels):
-                if label == v:
-                    code = c
-                    break
-        if code is None:
-            code = len(labels)
-            labels.append(v)
-            try:
-                lookup[v] = code
-            except TypeError:
-                pass
-        codes.append(code)
-    return codes, labels, lookup
+def _sql_codes(codes: np.ndarray) -> List[Optional[int]]:
+    """Dictionary codes as SQL values (the missing code ``-1`` -> NULL)."""
+    return [None if code < 0 else code for code in codes.tolist()]
 
 
 @register_backend("sqlite")
@@ -124,8 +97,8 @@ class SqliteBackend(ExecutionBackend):
         #: that did not create it.
         self._conn_pid: Optional[int] = None
         self._colmap: Dict[str, str] = {}
-        self._labels: Dict[str, List[object]] = {}
-        self._lookups: Dict[str, Dict[object, int]] = {}
+        #: Per categorical column: the dictionary its stored codes index.
+        self._dictionaries: Dict[str, Dictionary] = {}
         self._collected: List[list] = []
         #: The SQL statements executed by the most recent :meth:`run_plan`.
         self.last_sql: List[str] = []
@@ -141,13 +114,13 @@ class SqliteBackend(ExecutionBackend):
         """``INSERT`` the appended slice ``[old_rows:]`` into the database.
 
         Rowids keep ascending, so ``ORDER BY MIN(rowid)`` group order stays
-        first-appearance over the extended table, and the categorical label
-        dictionaries are extended with the same first-appearance coding a
-        full re-materialisation would produce -- existing codes never
-        change, so equality predicates keep resolving to the same stored
-        codes.  Fork-safety: a connection inherited from another process is
-        dropped, never written to (the PID guard); with no materialisation
-        yet there is nothing to extend.
+        first-appearance over the extended table, and the appended
+        categorical codes are expressed in the stored dictionaries (which
+        the table's extended dictionaries normally extend already) --
+        existing codes never change, so equality predicates keep resolving
+        to the same stored codes.  Fork-safety: a connection inherited from
+        another process is dropped, never written to (the PID guard); with
+        no materialisation yet there is nothing to extend.
         """
         with self._run_lock:
             if self._conn is None:
@@ -163,44 +136,19 @@ class SqliteBackend(ExecutionBackend):
             arrays: List[list] = []
             for name in table.column_names:
                 column = table.column(name)
-                values = column.values[old_rows:]
                 if column.is_numeric_like:
+                    values = column.values[old_rows:]
                     arrays.append([None if np.isnan(v) else float(v) for v in values])
                 else:
-                    arrays.append(self._extend_codes(name, values))
+                    codes, dictionary = column.coding
+                    codes, self._dictionaries[name] = self._dictionaries[name].recode(
+                        codes[old_rows:], dictionary
+                    )
+                    arrays.append(_sql_codes(codes))
             placeholders = ", ".join("?" for _ in arrays)
             self._conn.executemany(
                 f"INSERT INTO t VALUES ({placeholders})", zip(*arrays)
             )
-
-    def _extend_codes(self, name: str, values) -> List[Optional[int]]:
-        """First-appearance codes for appended categorical values, extending
-        the column's existing label dictionary in place (mirrors
-        :func:`_factorize`, including its unhashable-value fallback)."""
-        labels = self._labels[name]
-        lookup = self._lookups[name]
-        codes: List[Optional[int]] = []
-        for v in values:
-            if v is None:
-                codes.append(None)
-                continue
-            code: Optional[int] = None
-            try:
-                code = lookup.get(v)
-            except TypeError:
-                for c, label in enumerate(labels):
-                    if label == v:
-                        code = c
-                        break
-            if code is None:
-                code = len(labels)
-                labels.append(v)
-                try:
-                    lookup[v] = code
-                except TypeError:
-                    pass
-            codes.append(code)
-        return codes
 
     # ------------------------------------------------------------------
     # Materialisation
@@ -233,11 +181,9 @@ class SqliteBackend(ExecutionBackend):
                     [None if np.isnan(v) else float(v) for v in column.values]
                 )
             else:
-                codes, labels, lookup = _factorize(column.values)
+                codes, self._dictionaries[name] = column.coding
                 column_specs.append(f"{alias} INTEGER")
-                self._labels[name] = labels
-                self._lookups[name] = lookup
-                arrays.append(codes)
+                arrays.append(_sql_codes(codes))
         conn.execute(f"CREATE TABLE t ({', '.join(column_specs)})")
         if arrays and len(arrays[0]):
             placeholders = ", ".join("?" for _ in arrays)
@@ -273,17 +219,8 @@ class SqliteBackend(ExecutionBackend):
 
     def _eq_code(self, attr: str, value) -> Optional[int]:
         """The stored code of *value* in a categorical column (``None`` = unseen)."""
-        lookup = self._lookups[attr]
-        try:
-            code = lookup.get(value)
-        except TypeError:
-            code = None
-        if code is not None:
-            return code
-        for c, label in enumerate(self._labels[attr]):
-            if label == value:
-                return c
-        return None
+        code = self._dictionaries[attr].code_of(value)
+        return None if code < 0 else code
 
     def _where_clause(self, atoms: Sequence[PredicateAtom]) -> Tuple[str, List[object]]:
         clauses: List[str] = []
@@ -458,8 +395,6 @@ class SqliteBackend(ExecutionBackend):
                 )
                 columns.append(Column(name, array, dtype=source.dtype))
             else:
-                labels = self._labels[name]
-                array = np.empty(len(raw), dtype=object)
-                array[:] = [None if v is None else labels[int(v)] for v in raw]
-                columns.append(Column(name, array, dtype=DType.CATEGORICAL))
+                codes = np.asarray([-1 if v is None else v for v in raw], dtype=np.int64)
+                columns.append(Column.from_codes(name, codes, self._dictionaries[name]))
         return columns

@@ -27,6 +27,8 @@ enforced by ``tests/query/test_delta_equivalence.py``):
   (:meth:`~repro.query.engine.GroupIndex.extend`).  First-appearance group
   numbering is prefix-stable, so existing codes are exactly what a full
   rebuild would assign and downstream kernels stay bit-identical.
+  Categorical columns need no refresh of their own: ``append_rows``
+  extends each column's label dictionary, so existing codes never change.
 * **Sort orders** (the ``(predicate signature, keys, attr)`` lexsort cache)
   are upgraded by sorting the appended rows' stripped run locally and
   merging it into the cached order with exact ``searchsorted`` insertion --
@@ -140,12 +142,7 @@ def _atom_predicate(signature, table: Table) -> Optional[Predicate]:
 
 def _delta_view(table: Table, old_rows: int) -> Table:
     """A zero-copy Table over the appended slice ``[old_rows:]``."""
-    return Table(
-        [
-            Column(name, table.column(name).values[old_rows:], dtype=table.column(name).dtype)
-            for name in table.column_names
-        ]
-    )
+    return Table([table.column(name).slice(old_rows) for name in table.column_names])
 
 
 def refresh_engine(engine: "QueryEngine", table: Table) -> None:
@@ -217,26 +214,16 @@ def _upgrade_in_place(engine: "QueryEngine", table: Table, old_rows: int) -> Non
     # (2) Group indexes: factorize the delta, remap into the code space.
     # ------------------------------------------------------------------
     with engine._index_lock:
-        for keys, index in list(engine._indexes.items()):
-            if index.extend(table, old_rows):
-                indexes_extended += 1
-            else:  # unhashable delta key labels: rebuild lazily instead
-                del engine._indexes[keys]
-                evictions += 1
+        for index in engine._indexes.values():
+            index.extend(table, old_rows)
+            indexes_extended += 1
 
     # ------------------------------------------------------------------
-    # (3) Aggregable arrays: numeric columns re-point at the concatenated
-    # storage; categorical full-table codings are rebuilt lazily (their
-    # first-appearance coding is prefix-stable, but the label mapping is
-    # not stored, so extension would cost the same as recomputation).
+    # (3) Categorical codings: nothing to do.  append_rows extended each
+    # column's label dictionary (the label mapping is stored with the
+    # codes), so existing codes -- and the first-appearance aggregable
+    # codes derived from them -- are unchanged.
     # ------------------------------------------------------------------
-    with engine._agg_lock:
-        for attr in list(engine._agg_arrays):
-            column = table.column(attr) if attr in table else None
-            if column is not None and column.is_numeric_like:
-                engine._agg_arrays[attr] = column.values
-            else:
-                del engine._agg_arrays[attr]
 
     # Shared reconstruction memos for steps (4) and (5). --------------------
     atom_masks: Dict[tuple, Optional[np.ndarray]] = {}
@@ -316,7 +303,9 @@ def _upgrade_in_place(engine: "QueryEngine", table: Table, old_rows: int) -> Non
                 row_idx = np.flatnonzero(mask)
                 old_count = int(np.searchsorted(row_idx, old_rows, side="left"))
                 if row_idx.size:
-                    group_ids, codes, _ = renumber_codes_compact(index.codes[row_idx])
+                    group_ids, codes, _ = renumber_codes_compact(
+                        index.codes[row_idx], index.n_groups
+                    )
                 else:
                     group_ids = codes = np.empty(0, dtype=np.int64)
                 n_old = int(codes[:old_count].max()) + 1 if old_count else 0
@@ -496,8 +485,7 @@ def _upgraded_result(
         d_values = column.values[d_rows]
         d_valid = ~np.isnan(d_values)
     else:  # COUNT over a categorical attribute counts non-missing values
-        raw = column.values[d_rows]
-        d_valid = np.asarray([v is not None for v in raw], dtype=bool)
+        d_valid = column.codes[d_rows] >= 0
         d_values = None
     add_codes = d_codes[d_valid]
 
@@ -545,8 +533,6 @@ def _upgraded_result(
         head = result.column(tail.name)
         if head.dtype != tail.dtype:
             return None
-        columns.append(
-            Column(tail.name, np.concatenate([head.values, tail.values]), dtype=head.dtype)
-        )
+        columns.append(head.concat(tail))
     columns.append(Column(feature_name, feature, dtype=DType.NUMERIC))
     return Table(columns)

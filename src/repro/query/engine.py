@@ -22,8 +22,7 @@ re-scan every WHERE predicate) wastes almost all of that work, so a
    cache** keyed by ``(predicate signature, keys, attr)`` (the lexsort that
    dominates the order-statistics kernels runs once per filter/grouping/
    value-column triple and is reused across plans and batches of one
-   template), a per-attribute aggregable-array cache (used by the in-process
-   backends) and an LRU result cache keyed by plan signature (TPE frequently
+   template) and an LRU result cache keyed by plan signature (TPE frequently
    re-samples identical queries), plus cache / timing statistics
    (:class:`EngineStats`, including the backend name, worker count,
    per-backend wall-clock split and per-shard busy time) consumed by the
@@ -53,7 +52,7 @@ both bars for every registered backend.
 State-reset contract (pinned by ``tests/query/test_backends.py``):
 
 * :meth:`QueryEngine.clear_caches` drops every piece of derived state --
-  masks, results, group indexes, aggregable arrays and backend-private
+  masks, results, group indexes and backend-private
   materialisations -- but leaves all statistics counters untouched (they are
   lifetime counters).
 * :meth:`EngineStats.reset` zeroes every counter and timer but preserves the
@@ -77,7 +76,7 @@ import numpy as np
 from repro.dataframe.aggregates import column_to_aggregable
 from repro.dataframe.column import Column, DType
 from repro.dataframe.groupby import (
-    factorize_key_codes,
+    group_codes,
     group_positions_from_codes,
     renumber_codes_compact,
 )
@@ -557,16 +556,15 @@ def _value_nbytes(value) -> int:
 
     Masks are bool arrays (1 byte/row), sort orders int64 arrays (8
     bytes/filtered row) -- both fall out of ``ndarray.nbytes``.  Result
-    tables cost the sum of their columns' array payloads.  Anything else
-    (test fixtures, third-party values) is charged 0: the entry-count bound
-    still applies.
+    tables cost the sum of their columns' ``Column.nbytes``: 8 bytes per
+    row for a float64 or a categorical column, whether or not the
+    categorical's values were ever decoded.  Anything else (test fixtures,
+    third-party values) is charged 0: the entry-count bound still applies.
     """
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     if isinstance(value, Table):
-        return int(
-            sum(value.column(name).values.nbytes for name in value.column_names)
-        )
+        return sum(value.column(name).nbytes for name in value.column_names)
     return 0
 
 
@@ -743,104 +741,72 @@ class GroupIndex:
 
     def __init__(self, table: Table, keys: Sequence[str]):
         self.keys = tuple(keys)
-        codes, group_keys, group_rows = factorize_key_codes(table, self.keys)
+        codes, first_rows = group_codes(table, self.keys)
         #: int64 group id per row of the table, in first-appearance order.
         self.codes = codes
-        #: Ascending row positions of every group.
-        self.group_rows = group_rows
-        self.group_keys = group_keys
-        self.n_groups = len(group_rows)
-        # Per key column: the label of every group, pre-materialised in the
-        # representation the output table needs.
-        self._key_arrays: List[Tuple[str, DType, bool, np.ndarray]] = []
-        for position, name in enumerate(self.keys):
-            source = table.column(name)
-            labels = [key[position] for key in group_keys]
-            if source.is_numeric_like:
-                array = np.asarray(
-                    [np.nan if v is None else v for v in labels], dtype=np.float64
-                )
-            else:
-                array = np.empty(self.n_groups, dtype=object)
-                array[:] = labels
-            self._key_arrays.append((name, source.dtype, source.is_numeric_like, array))
+        self.n_groups = int(first_rows.size)
+        # One row per group: each key column taken at the group's first row
+        # (categorical keys share the table column's dictionary).
+        self._key_columns = [table.column(name).take(first_rows) for name in self.keys]
+        self._group_rows: Optional[List[np.ndarray]] = None
+
+    @property
+    def group_rows(self) -> List[np.ndarray]:
+        """Ascending row positions of every group (built on first use)."""
+        group_rows = self._group_rows
+        if group_rows is None:
+            group_rows = group_positions_from_codes(self.codes, self.n_groups)
+            self._group_rows = group_rows
+        return group_rows
 
     def key_columns(self, group_ids: Optional[np.ndarray] = None) -> List[Column]:
         """Output key columns for the given groups (all groups when ``None``)."""
-        columns = []
-        for name, dtype, _numeric, array in self._key_arrays:
-            data = array if group_ids is None else array[group_ids]
-            columns.append(Column(name, data, dtype=dtype))
-        return columns
+        if group_ids is None:
+            return list(self._key_columns)
+        return [column.take(group_ids) for column in self._key_columns]
 
-    def extend(self, table: Table, old_rows: int) -> bool:
+    def extend(self, table: Table, old_rows: int) -> None:
         """Extend the index in place with *table*'s rows ``[old_rows:]``.
 
-        The appended rows are factorized on their own and remapped into the
+        The appended rows are grouped on their own and remapped into the
         existing code space: groups already known keep their codes, brand-new
         groups get fresh codes in first-appearance order -- exactly the ids a
         full rebuild over the extended table would assign, because
         first-appearance numbering is prefix-stable.  Codes are extended,
         never reshuffled, so cached compact renumberings and sort orders
-        derived from the old codes stay valid prefixes.  Returns ``False``
-        when the delta's key labels are unhashable (the caller drops the
-        index and rebuilds lazily instead).
+        derived from the old codes stay valid prefixes.  Groups are matched
+        on their key codes (dictionary codes, or float values with NaN as
+        ``None``), so any label -- hashable or not -- extends.
         """
-        n_new = table.num_rows - old_rows
-        if n_new <= 0:
-            return True
-        delta = Table(
-            [
-                Column(
-                    name,
-                    table.column(name).values[old_rows:],
-                    dtype=table.column(name).dtype,
-                )
-                for name in self.keys
-            ]
-        )
-        d_codes, d_group_keys, d_group_rows = factorize_key_codes(delta, self.keys)
-        try:
-            key_to_code = {key: i for i, key in enumerate(self.group_keys)}
-            mapping = np.empty(len(d_group_keys), dtype=np.int64)
-            next_code = self.n_groups
-            new_keys: List[tuple] = []
-            for local, key in enumerate(d_group_keys):
-                code = key_to_code.get(key)
-                if code is None:
-                    code = next_code
-                    next_code += 1
-                    key_to_code[key] = code
-                    new_keys.append(key)
-                mapping[local] = code
-        except TypeError:
-            return False
-        group_rows = list(self.group_rows)
-        group_rows.extend([None] * (next_code - self.n_groups))  # type: ignore[list-item]
-        for local, rows in enumerate(d_group_rows):
-            code = int(mapping[local])
-            shifted = rows + old_rows
-            if code < self.n_groups:
-                group_rows[code] = np.concatenate([group_rows[code], shifted])
-            else:
-                group_rows[code] = shifted
+        if table.num_rows <= old_rows:
+            return
+        delta = Table([table.column(name).slice(old_rows) for name in self.keys])
+        d_codes, d_first = group_codes(delta, self.keys)
+        combined = [
+            known.concat(delta.column(known.name).take(d_first)) for known in self._key_columns
+        ]
+        key_tuples = list(zip(*(_key_identity(column) for column in combined)))
+        key_to_code = dict(zip(key_tuples[: self.n_groups], range(self.n_groups)))
+        mapping = np.empty(d_first.size, dtype=np.int64)
+        keep = list(range(self.n_groups))
+        for local, key in enumerate(key_tuples[self.n_groups :]):
+            code = key_to_code.get(key)
+            if code is None:
+                code = key_to_code[key] = len(keep)
+                keep.append(self.n_groups + local)
+            mapping[local] = code
         self.codes = np.concatenate([self.codes, mapping[d_codes]])
-        self.group_rows = group_rows
-        self.group_keys = list(self.group_keys) + new_keys
-        self.n_groups = next_code
-        key_arrays: List[Tuple[str, DType, bool, np.ndarray]] = []
-        for position, (name, dtype, numeric, array) in enumerate(self._key_arrays):
-            labels = [key[position] for key in new_keys]
-            if numeric:
-                ext = np.asarray(
-                    [np.nan if v is None else v for v in labels], dtype=np.float64
-                )
-            else:
-                ext = np.empty(len(labels), dtype=object)
-                ext[:] = labels
-            key_arrays.append((name, dtype, numeric, np.concatenate([array, ext])))
-        self._key_arrays = key_arrays
-        return True
+        self._key_columns = [column.take(keep) for column in combined]
+        self.n_groups = len(keep)
+        self._group_rows = None
+
+
+def _key_identity(column: Column) -> list:
+    """Hashable per-row key identity: dictionary codes, or floats with NaN
+    as ``None`` (so NaN keys match each other)."""
+    if column.is_numeric_like:
+        return [None if v != v else v for v in column.values.tolist()]
+    return column.codes.tolist()
 
 
 def _resolve_config(
@@ -927,8 +893,6 @@ class QueryEngine:
             if self.config.sort_cache_size > 0
             else None
         )
-        self._agg_arrays: Dict[str, np.ndarray] = {}
-        self._agg_lock = threading.Lock()
         self.backend: ExecutionBackend = make_backend(self.backend_name)
         self.backend.bind(table, engine=self)
         #: Worker pool + per-worker backend instances (repro.query.sharding).
@@ -1020,30 +984,16 @@ class QueryEngine:
             )
         return index
 
-    def _full_agg_values(self, attr: str) -> np.ndarray:
-        values = self._agg_arrays.get(attr)
-        if values is not None:
-            return values
-        with self._agg_lock:
-            values = self._agg_arrays.get(attr)
-            if values is None:
-                values = column_to_aggregable(self.table.column(attr))
-                self._agg_arrays[attr] = values
-        return values
-
     def agg_values(self, attr: str, row_idx: Optional[np.ndarray]) -> np.ndarray:
         """Aggregable values aligned to the full table for a filtered run.
 
         Categorical attributes are coded by first appearance *within the
         filter* (exactly what ``column_to_aggregable`` sees on the filtered
         table in the naive path), so code-valued aggregates like MODE stay
-        element-wise identical.  Numeric-like attributes are mask-independent
-        and served from the per-attribute cache.
+        element-wise identical.  Numeric-like attributes are the column's
+        own storage.
         """
-        column = self.table.column(attr)
-        if column.is_numeric_like or row_idx is None:
-            return self._full_agg_values(attr)
-        return column_to_aggregable(column, rows=row_idx)
+        return column_to_aggregable(self.table.column(attr), rows=row_idx)
 
     def sort_order(self, key: Optional[tuple], compute) -> np.ndarray:
         """The cached (code, value) lexsort order under *key*.
@@ -1120,7 +1070,7 @@ class QueryEngine:
             self.stats.bump(seconds_grouping=time.perf_counter() - start)
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, 0, row_idx
-        group_ids, codes, _ = renumber_codes_compact(index.codes[row_idx])
+        group_ids, codes, _ = renumber_codes_compact(index.codes[row_idx], index.n_groups)
         self.stats.bump(seconds_grouping=time.perf_counter() - start)
         return group_ids, codes, group_ids.size, row_idx
 
@@ -1346,7 +1296,7 @@ class QueryEngine:
 
     def clear_caches(self) -> None:
         """Drop all derived state: masks, results, sort orders, indexes,
-        aggregable arrays, the backend's private materialisations, and the
+        the backend's private materialisations, and the
         shard scheduler's worker backends / pool.  Statistics counters are
         lifetime counters and are deliberately left untouched (the byte
         *gauges* drop to zero with the caches they describe); use
@@ -1356,7 +1306,6 @@ class QueryEngine:
         if self._sort_orders is not None:
             self._sort_orders.clear()
         self._indexes.clear()
-        self._agg_arrays.clear()
         self.backend.clear()
         self.sharder.clear()
         # A cache-less engine is trivially in sync: everything rebuilds from

@@ -24,7 +24,8 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataframe.table import Table, _join_key_codes
+from repro.dataframe.groupby import factorize_column, renumber_codes_compact
+from repro.dataframe.table import Table
 
 
 @dataclass(frozen=True)
@@ -210,20 +211,14 @@ class RelationalSchema:
 
         Keeps the first row per key value (many-to-one targets should already
         be unique per key; this is a safety net for dirty inputs), vectorized
-        through the same joint factorization as ``Table.left_join``: key
-        codes share one label space where NaN / ``None`` take a single code,
-        and a reversed index assignment marks each code's first occurrence.
-        Collapsing all missing-key rows onto the first is join-invariant --
-        ``left_join`` is first-match-wins over that same shared code, so no
-        later missing-key row could ever be matched anyway.
+        over the key codes ``Table.left_join`` matches on, where NaN / ``None``
+        take a single code.  Collapsing all missing-key rows onto the first
+        is join-invariant -- ``left_join`` is first-match-wins over that same
+        shared code, so no later missing-key row could ever be matched anyway.
         """
-        key_column = parent_table.column(relationship.parent_key)
-        no_rows = np.zeros(parent_table.num_rows, dtype=bool)
-        codes, _, n_labels = _join_key_codes(key_column, key_column.filter(no_rows))
-        first = np.full(n_labels, -1, dtype=np.int64)
-        first[codes[::-1]] = np.arange(codes.shape[0] - 1, -1, -1, dtype=np.int64)
-        keep = first[codes] == np.arange(codes.shape[0], dtype=np.int64)
-        deduplicated = parent_table.filter(keep)
+        codes, _ = factorize_column(parent_table.column(relationship.parent_key))
+        _, _, first_rows = renumber_codes_compact(codes)
+        deduplicated = parent_table.take(np.sort(first_rows))
         if not prefix:
             return deduplicated
         alias = alias or relationship.parent

@@ -122,12 +122,10 @@ class QueryPool:
         """
         values = list(self._categorical_seen[attr])
         if len(values) > MAX_CATEGORICAL_VALUES:
-            counts: Dict[object, int] = {}
-            for v in column.values:
-                if v is None:
-                    continue
-                counts[v] = counts.get(v, 0) + 1
-            values = sorted(counts, key=lambda v: -counts[v])[:MAX_CATEGORICAL_VALUES]
+            codes, dictionary = column.coding
+            counts = np.bincount(codes[codes >= 0], minlength=len(dictionary))
+            values = sorted(values, key=lambda v: -counts[dictionary.code_of(v)])
+            values = values[:MAX_CATEGORICAL_VALUES]
         return values
 
     @staticmethod
@@ -173,11 +171,7 @@ class QueryPool:
             if column.dtype is DType.CATEGORICAL:
                 seen = self._categorical_seen[attr]
                 seen_set = set(seen)
-                for v in column.values[old_rows:]:
-                    if v is None or v in seen_set:
-                        continue
-                    seen_set.add(v)
-                    seen.append(v)
+                seen.extend(v for v in column.slice(old_rows).unique() if v not in seen_set)
                 domain = self._capped_domain(attr, column)
                 if domain != self._categorical_domains[attr]:
                     self._categorical_domains[attr] = domain

@@ -136,6 +136,53 @@ class TestRowOps:
         assert list(ordered.column("id").values) == ["a", "b", "c", "d"]
 
 
+class TestSortByCategorical:
+    """``sort_by`` on a categorical column: stable, missing values last."""
+
+    @staticmethod
+    def tied(labels):
+        return Table(
+            [
+                Column("k", labels, dtype=DType.CATEGORICAL),
+                Column("row", np.arange(len(labels), dtype=np.float64), dtype=DType.NUMERIC),
+            ]
+        )
+
+    def test_ties_keep_their_row_order(self):
+        ordered = self.tied(["b", "a"] * 40).sort_by("k")
+        assert ordered.column("k").to_list() == ["a"] * 40 + ["b"] * 40
+        rows = ordered.column("row").values
+        assert list(rows) == list(range(1, 80, 2)) + list(range(0, 80, 2))
+
+    def test_none_sorts_last_not_as_the_string_none(self):
+        ordered = self.tied(["None", None, "A", "None", None, "Z"]).sort_by("k")
+        assert ordered.column("k").to_list() == ["A", "None", "None", "Z", None, None]
+        assert list(ordered.column("row").values) == [2.0, 0.0, 3.0, 5.0, 1.0, 4.0]
+
+    def test_descending_is_stable_with_missing_last(self):
+        ordered = self.tied(["a", None, "b", "a", "b", None]).sort_by("k", ascending=False)
+        assert ordered.column("k").to_list() == ["b", "b", "a", "a", None, None]
+        assert list(ordered.column("row").values) == [2.0, 4.0, 0.0, 3.0, 1.0, 5.0]
+
+    def test_labels_with_equal_string_forms_tie(self):
+        ordered = self.tied([1, "1", 0, "0", 1]).sort_by("k")
+        assert list(ordered.column("row").values) == [2.0, 3.0, 0.0, 1.0, 4.0]
+
+    def test_sort_of_a_derived_column_uses_its_rows_only(self):
+        table = self.tied(["c", "b", "a", "d"]).take(np.array([3, 1]))
+        assert table.sort_by("k").column("k").to_list() == ["b", "d"]
+
+    def test_numeric_descending_is_stable_with_nan_last(self):
+        table = Table(
+            [
+                Column("x", [1.0, None, 2.0, 1.0], dtype=DType.NUMERIC),
+                Column("row", [0.0, 1.0, 2.0, 3.0], dtype=DType.NUMERIC),
+            ]
+        )
+        ordered = table.sort_by("x", ascending=False)
+        assert list(ordered.column("row").values) == [2.0, 0.0, 3.0, 1.0]
+
+
 class TestJoin:
     def test_left_join_basic(self, table):
         right = Table.from_dict({"id": ["a", "c"], "feature": [100.0, 300.0]})

@@ -88,6 +88,40 @@ class TestValueNbytes:
         assert _value_nbytes("whatever") == 0
         assert _value_nbytes(None) == 0
 
+    def test_categorical_costs_eight_bytes_per_row_in_every_representation(self):
+        """Raw, coded, coded-only and decoded categoricals cost the same."""
+        raw = Column("k", ["a", "b", None, "a", "c"], dtype=DType.CATEGORICAL)
+        assert _value_nbytes(Table([raw])) == 5 * 8
+        raw.coding  # coding adds the codes, not to the charge
+        assert _value_nbytes(Table([raw])) == 5 * 8
+        derived = raw.take(np.array([0, 1, 2, 3, 4]))
+        assert derived._values is None  # codes only
+        assert _value_nbytes(Table([derived])) == 5 * 8
+        derived.values  # decoding does not move the charge either
+        assert _value_nbytes(Table([derived])) == 5 * 8
+
+    def test_result_bytes_do_not_depend_on_decoding(self):
+        """Cached result tables hold coded key columns; reading their values
+        (as a caller comparing results would) must not change the gauge."""
+        table = Table(
+            [
+                Column("key", [f"s{i % 7}" for i in range(60)], dtype=DType.CATEGORICAL),
+                Column("cat", [str(v) for v in "abc" * 20], dtype=DType.CATEGORICAL),
+                Column("val", np.arange(60, dtype=np.float64), dtype=DType.NUMERIC),
+            ]
+        )
+        engine = QueryEngine(table, config=EngineConfig(memory_budget_bytes=1 << 20))
+        query = PredicateAwareQuery(
+            "SUM", "val", ("key",), {"cat": "a"}, {"cat": DType.CATEGORICAL}
+        )
+        result = engine.execute(query)
+        before = engine.cached_bytes
+        assert result.column("key").values.tolist()  # decode the key column
+        engine._refresh_byte_gauges()
+        assert engine.cached_bytes == before
+        # One 7-row result: key and feature columns at 8 B a row each.
+        assert engine.stats.cache_bytes["results"] == 7 * 8 * 2
+
 
 class TestLRUCacheSentinel:
     """Satellite: falsy / None cached values are hits, not misses."""
@@ -310,7 +344,7 @@ class TestDeltaSinceTolerance:
         delta = engine.stats.delta_since({"bytes_cached": 10**9})
         assert delta["bytes_cached"] == engine.stats.bytes_cached
         assert delta["cache_bytes"] == engine.stats.cache_bytes
-        assert delta["workers"] == 1
+        assert delta["workers"] == engine.num_workers
 
 
 class TestCloseAndRegistry:
