@@ -15,10 +15,10 @@ ways to serve the next batch:
 
 Acceptance: results bit-identical to the cold rebuild (asserted always,
 any host), incremental >= 3x faster than the rebuild on hosts with >= 4
-cores (slower hosts report their measured number and skip the bar, like
-the sharding benchmarks).  The flush policy (``incremental=False``) is
-timed alongside for the report: it shows what the staleness flush alone
-costs when every cache re-warms from scratch.
+cores (slower hosts report their measured number and skip the bar).  The
+flush policy (``incremental=False``) is timed alongside for the report: it
+shows what the staleness flush alone costs when every cache re-warms from
+scratch.
 """
 
 from __future__ import annotations

@@ -19,10 +19,6 @@ stats are printed for the Fig. 5 optimisation story.
 sqlite backend to compare the execution backends head to head (equivalence
 within 1e-9 asserted; timings reported, no speed bar -- sqlite pays
 materialisation and generated-SQL costs by design).
-``test_sharded_vs_serial_batch`` replays the batch with 4 plan-shard workers:
-bit-identical results asserted always; the >= 1.8x speed bar applies on hosts with >= 4 cores (thread
-parallelism cannot beat 1x on fewer -- the run reports its numbers and
-skips the bar there).
 """
 
 from __future__ import annotations
@@ -30,8 +26,6 @@ from __future__ import annotations
 import os
 import time
 from typing import Dict, List
-
-import pytest
 
 import numpy as np
 
@@ -269,75 +263,6 @@ def test_sqlite_vs_numpy_backend():
     write_result("bench_engine", text, append=True)
 
 
-def test_sharded_vs_serial_batch():
-    """Sharded parallel execute_batch vs serial, 4 workers, same 50 queries.
-
-    The batch fuses into 5 plans; the plan-level scheduler assigns them
-    longest-first across 4 worker backends, so the acceptance bar is a
-    >= 1.8x wall-clock speedup at 4 workers -- asserted on hosts with at
-    least 4 cores (thread parallelism is physically capped at ~1x below
-    that; the run still executes, asserts bit-identical results at every
-    worker count, reports its numbers, and skips only the speed bar).
-    """
-    relevant = make_student(n_sessions=400, events_per_session=150, seed=0).relevant
-    queries = make_queries()
-
-    def run_best_of(config: EngineConfig, repeats: int = 3):
-        """Best-of-N wall clock with a cold engine per repetition.
-
-        Shared CI runners jitter; the minimum over a few cold runs is the
-        stable estimate of each variant's cost (warm caches would make
-        later repetitions near-free, hence a fresh engine every time).
-        """
-        best, results, engine = float("inf"), None, None
-        for _ in range(repeats):
-            engine = QueryEngine(relevant, config=config)
-            start = time.perf_counter()
-            results = engine.execute_batch(queries)
-            best = min(best, time.perf_counter() - start)
-        return best, results, engine
-
-    serial_seconds, serial_results, _ = run_best_of(EngineConfig(num_workers=1))
-    plan_seconds, plan_results, plan_engine = run_best_of(EngineConfig(num_workers=4))
-
-    # Sharded execution must be bit-for-bit identical to serial execution.
-    for serial_table, plan_table in zip(serial_results, plan_results):
-        assert_feature_tables_match(serial_table, plan_table)
-
-    # The parallel paths genuinely ran (not silently degraded to serial).
-    # 5 fused plans dispatched; heavy ones split into aggregate-spec units.
-    assert plan_engine.stats.sharded_batches >= 1
-    assert plan_engine.stats.plan_shards >= 5
-
-    plan_speedup = serial_seconds / plan_seconds
-    rows = [
-        ["serial (1 worker)", round(serial_seconds, 4), 1.0],
-        ["plan-sharded (4 workers)", round(plan_seconds, 4), round(plan_speedup, 2)],
-    ]
-    stats = plan_engine.stats
-    text = "Sharded execution micro-benchmark (50-query batch, 4 workers)\n"
-    text += render_table(["variant", "seconds", "speedup vs serial"], rows)
-    text += (
-        f"\nplan shards: {stats.plan_shards}, worker utilisation: "
-        f"{stats.worker_utilisation:.2f}, shard seconds: "
-        + ", ".join(f"{k}={v:.4f}s" for k, v in sorted(stats.shard_seconds.items()))
-        + f"\ncpu cores: {os.cpu_count()}"
-    )
-    print(text)
-    write_result("bench_engine", text, append=True)
-
-    cores = os.cpu_count() or 1
-    if cores < 4:
-        pytest.skip(
-            f"sharded speed bar needs >= 4 cores, host has {cores}; "
-            f"measured plan={plan_speedup:.2f}x (results verified bit-identical)"
-        )
-    assert plan_speedup >= 1.8, (
-        f"expected >= 1.8x from plan-level sharding at 4 workers, "
-        f"got {plan_speedup:.2f}x"
-    )
-
-
 #: The order-statistics-heavy template: 8 sort-based aggregates (everything
 #: that touches the shared lexsort order, KURTOSIS included) plus two
 #: accumulation aggregates, crossed with the 5 template predicates = 50
@@ -374,12 +299,8 @@ def test_fused_sort_reuse_vs_per_aggregate():
     every order-statistics kernel of the fused plans and, for the second
     batch, reused across batches.  Acceptance bar: >= 1.5x on the
     order-statistics aggregation phase (``seconds_sorting +
-    seconds_aggregating``), serial and plan-sharded; results bit-identical
-    and sort-cache counters identical at every worker count.  The sharded
-    bar is asserted on hosts with >= 4 cores: below that, 4 worker threads
-    timeslice one core and every concurrently-running kernel's wall-clock
-    span stretches by its neighbours' runtime, inflating the booked phase
-    (the serial bar, the counters and bit-identity are asserted everywhere).
+    seconds_aggregating``); results bit-identical and the sort-cache
+    counters pinned.
     """
     relevant = make_student(n_sessions=400, events_per_session=150, seed=0).relevant
     batch1 = make_order_statistics_queries(ORDER_FUNCS_BATCH1)
@@ -401,32 +322,22 @@ def test_fused_sort_reuse_vs_per_aggregate():
     per_agg_seconds = time.perf_counter() - start
     assert per_agg_engine.stats.sort_misses == n_sort_queries + n_mad_queries
 
-    def run_fused(config: EngineConfig):
-        engine = QueryEngine(relevant, config=config)
-        start = time.perf_counter()
-        results = engine.execute_batch(batch1) + engine.execute_batch(batch2)
-        return engine, results, time.perf_counter() - start
+    fused_engine = QueryEngine(relevant, config=EngineConfig())
+    start = time.perf_counter()
+    fused_results = fused_engine.execute_batch(batch1) + fused_engine.execute_batch(batch2)
+    fused_seconds = time.perf_counter() - start
 
-    fused_engine, fused_results, fused_seconds = run_fused(EngineConfig())
-    sharded_engine, sharded_results, sharded_seconds = run_fused(
-        EngineConfig(num_workers=4)
-    )
-
-    for per_agg, fused, sharded in zip(per_agg_results, fused_results, sharded_results):
+    for per_agg, fused in zip(per_agg_results, fused_results):
         assert_feature_tables_match(per_agg, fused)
-        assert_feature_tables_match(per_agg, sharded)
 
     # One main sort per fused plan; the second batch's main orders are pure
     # sort-cache hits while its MAD queries miss once each on their (cached)
-    # deviation orders -- and the spec-split shard units book the identical
-    # totals.
-    for engine in (fused_engine, sharded_engine):
-        assert engine.stats.sort_misses == len(PREDICATES) + n_mad_queries
-        assert engine.stats.sort_hits == len(PREDICATES)
+    # deviation orders.
+    assert fused_engine.stats.sort_misses == len(PREDICATES) + n_mad_queries
+    assert fused_engine.stats.sort_hits == len(PREDICATES)
 
     per_agg_phase = phase(per_agg_engine)
     fused_phase = phase(fused_engine)
-    sharded_phase = phase(sharded_engine)
     rows = [
         [
             "per-aggregate (no sort reuse)",
@@ -443,14 +354,6 @@ def test_fused_sort_reuse_vs_per_aggregate():
             fused_engine.stats.sort_misses,
             fused_engine.stats.sort_hits,
             round(per_agg_phase / fused_phase, 2),
-        ],
-        [
-            "fused + sort cache (4 plan workers)",
-            round(sharded_seconds, 4),
-            round(sharded_phase, 4),
-            sharded_engine.stats.sort_misses,
-            sharded_engine.stats.sort_hits,
-            round(per_agg_phase / sharded_phase, 2),
         ],
     ]
     text = "Fused-pass micro-benchmark (order-statistics-heavy 50-query template)\n"
@@ -469,18 +372,6 @@ def test_fused_sort_reuse_vs_per_aggregate():
     assert per_agg_phase / fused_phase >= 1.5, (
         f"expected >= 1.5x on the order-statistics aggregation phase from the "
         f"fused pass + sort-order cache, got {per_agg_phase / fused_phase:.2f}x"
-    )
-    cores = os.cpu_count() or 1
-    if cores < 4:
-        pytest.skip(
-            f"sharded phase bar needs >= 4 cores, host has {cores}; measured "
-            f"serial {per_agg_phase / fused_phase:.2f}x, sharded "
-            f"{per_agg_phase / sharded_phase:.2f}x (results verified "
-            f"bit-identical, sort counters identical at every worker count)"
-        )
-    assert per_agg_phase / sharded_phase >= 1.5, (
-        f"expected the sharded fused pass to hold the >= 1.5x phase bar too, "
-        f"got {per_agg_phase / sharded_phase:.2f}x"
     )
 
 
@@ -513,11 +404,8 @@ def test_fused_quantile_family_sort_reuse_vs_per_aggregate():
     no matter how many parameter points it evaluates, while the
     per-aggregate baseline (``EngineConfig(sort_cache_size=0)``, one plan
     per query) pays one per query: 45.  Acceptance bar: >= 1.5x on the
-    sort + aggregation phase, serial and plan-sharded; results
-    bit-identical and sort-cache counters identical at every worker count.
-    The sharded bar is asserted on hosts with >= 4 cores (below that,
-    worker threads timeslice one core and inflate the booked phase; the
-    serial bar, the counters and bit-identity are asserted everywhere).
+    sort + aggregation phase; results bit-identical and the sort-cache
+    counters pinned.
     """
     relevant = make_student(n_sessions=400, events_per_session=150, seed=0).relevant
     batch1 = make_order_statistics_queries(QUANTILE_FUNCS_BATCH1)
@@ -534,31 +422,21 @@ def test_fused_quantile_family_sort_reuse_vs_per_aggregate():
     per_agg_seconds = time.perf_counter() - start
     assert per_agg_engine.stats.sort_misses == n_queries
 
-    def run_fused(config: EngineConfig):
-        engine = QueryEngine(relevant, config=config)
-        start = time.perf_counter()
-        results = engine.execute_batch(batch1) + engine.execute_batch(batch2)
-        return engine, results, time.perf_counter() - start
+    fused_engine = QueryEngine(relevant, config=EngineConfig())
+    start = time.perf_counter()
+    fused_results = fused_engine.execute_batch(batch1) + fused_engine.execute_batch(batch2)
+    fused_seconds = time.perf_counter() - start
 
-    fused_engine, fused_results, fused_seconds = run_fused(EngineConfig())
-    sharded_engine, sharded_results, sharded_seconds = run_fused(
-        EngineConfig(num_workers=4)
-    )
-
-    for per_agg, fused, sharded in zip(per_agg_results, fused_results, sharded_results):
+    for per_agg, fused in zip(per_agg_results, fused_results):
         assert_feature_tables_match(per_agg, fused)
-        assert_feature_tables_match(per_agg, sharded)
 
     # One main sort per fused plan in batch 1; batch 2's orders are pure
-    # sort-cache hits (neither family needs a secondary order) -- and the
-    # spec-split shard units book the identical totals.
-    for engine in (fused_engine, sharded_engine):
-        assert engine.stats.sort_misses == len(PREDICATES)
-        assert engine.stats.sort_hits == len(PREDICATES)
+    # sort-cache hits (neither family needs a secondary order).
+    assert fused_engine.stats.sort_misses == len(PREDICATES)
+    assert fused_engine.stats.sort_hits == len(PREDICATES)
 
     per_agg_phase = phase(per_agg_engine)
     fused_phase = phase(fused_engine)
-    sharded_phase = phase(sharded_engine)
     rows = [
         [
             "per-aggregate (no sort reuse)",
@@ -575,14 +453,6 @@ def test_fused_quantile_family_sort_reuse_vs_per_aggregate():
             fused_engine.stats.sort_misses,
             fused_engine.stats.sort_hits,
             round(per_agg_phase / fused_phase, 2),
-        ],
-        [
-            "fused + sort cache (4 plan workers)",
-            round(sharded_seconds, 4),
-            round(sharded_phase, 4),
-            sharded_engine.stats.sort_misses,
-            sharded_engine.stats.sort_hits,
-            round(per_agg_phase / sharded_phase, 2),
         ],
     ]
     text = "Quantile-family micro-benchmark (parameterized 45-query template)\n"
@@ -601,18 +471,6 @@ def test_fused_quantile_family_sort_reuse_vs_per_aggregate():
     assert per_agg_phase / fused_phase >= 1.5, (
         f"expected >= 1.5x on the quantile-family aggregation phase from the "
         f"fused pass + sort-order cache, got {per_agg_phase / fused_phase:.2f}x"
-    )
-    cores = os.cpu_count() or 1
-    if cores < 4:
-        pytest.skip(
-            f"sharded phase bar needs >= 4 cores, host has {cores}; measured "
-            f"serial {per_agg_phase / fused_phase:.2f}x, sharded "
-            f"{per_agg_phase / sharded_phase:.2f}x (results verified "
-            f"bit-identical, sort counters identical at every worker count)"
-        )
-    assert per_agg_phase / sharded_phase >= 1.5, (
-        f"expected the sharded quantile-family pass to hold the >= 1.5x phase "
-        f"bar too, got {per_agg_phase / sharded_phase:.2f}x"
     )
 
 

@@ -131,17 +131,12 @@ def _identify_with_batch(bundle, batch_size, template_proxy_iterations):
     ``search_strategy="random"`` keeps the candidate sequence bit-identical
     at every batch size (random search consumes its RNG one draw per
     suggestion regardless of batching), so both variants do exactly the same
-    logical work and the comparison isolates the batching itself.  The
-    4-worker engine is where batching pays beyond fused scans and dedup: a
-    batch of 8 suggestions hands the plan-level shard scheduler several
-    plans per engine call, while batch-1 calls carry one plan and execute
-    serially no matter how many workers the engine has.
+    logical work and the comparison isolates the batching itself.
     """
     config = bench_config(
         search_batch_size=batch_size,
         template_proxy_iterations=template_proxy_iterations,
         search_strategy="random",
-        engine_workers=4,
     )
     engine = engine_for(bundle.relevant, config=config.engine_config())
     engine.reset()
@@ -190,17 +185,16 @@ def test_fig5_batched_template_search(benchmark):
         return [
             label, round(seconds, 4),
             stats["batches"], round(stats["batched_queries"] / batches, 2),
-            stats["plan_shards"],
             stats["mask_hits"], stats["result_hits"], stats["sort_hits"],
         ]
 
     text = (
         "Figure 5 (addendum) -- batched template search vs sequential\n"
         "(student @ scale 1.0, 16 proxy iterations per template, random search\n"
-        "= identical candidates at both batch sizes, 4-worker plan-sharded engine)\n\n"
+        "= identical candidates at both batch sizes, serial engine)\n\n"
         + render_table(
             ["variant", "identify_seconds", "engine_batches", "queries/batch",
-             "plan_shards", "mask_hits", "result_hits", "sort_hits"],
+             "mask_hits", "result_hits", "sort_hits"],
             [
                 row("sequential (batch 1)", seq_seconds, seq_stats),
                 row("batched (batch 8)", bat_seconds, bat_stats),

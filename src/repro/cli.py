@@ -51,13 +51,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         help="query-engine execution backend (default: $REPRO_ENGINE_BACKEND or numpy)",
     )
     parser.add_argument(
-        "--engine-workers",
-        type=int,
-        default=None,
-        help="query-engine worker threads for sharded parallel execution "
-        "(default: $REPRO_ENGINE_WORKERS or 1 = serial)",
-    )
-    parser.add_argument(
         "--engine-incremental",
         action="store_true",
         default=None,
@@ -86,7 +79,6 @@ def _config_from_args(args: argparse.Namespace) -> FeatAugConfig:
         proxy=args.proxy,
         search_batch_size=args.search_batch_size,
         engine_backend=args.engine_backend,
-        engine_workers=args.engine_workers,
         engine_memory_budget=args.memory_budget,
         engine_incremental=args.engine_incremental,
         seed=args.seed,

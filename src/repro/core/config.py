@@ -80,10 +80,6 @@ class FeatAugConfig:
     #: :func:`repro.query.register_backend`); ``None`` uses the process
     #: default (``$REPRO_ENGINE_BACKEND`` or "numpy").
     engine_backend: str | None = None
-    #: worker threads of the shared query engine (sharded parallel
-    #: execution); ``None`` uses the process default
-    #: (``$REPRO_ENGINE_WORKERS`` or 1 = serial).
-    engine_workers: int | None = None
     #: global size-aware budget (bytes) shared by the engine's mask / result
     #: / sort-order caches; ``None`` = unbounded (entry-count limits only).
     engine_memory_budget: int | None = None
@@ -123,11 +119,11 @@ class FeatAugConfig:
             raise ValueError(f"Unknown search strategy {self.search_strategy!r}")
         if self.search_batch_size < 1:
             raise ValueError("search_batch_size must be >= 1")
-        # Delegate to the engine-config validation so the backend / worker
+        # Delegate to the engine-config validation so the backend / cache
         # checks (and their error messages) have exactly one
         # implementation.  Always run it: even with every engine field left
         # ``None``, the resolved defaults read $REPRO_ENGINE_BACKEND /
-        # $REPRO_ENGINE_WORKERS, and a garbage environment value should fail
+        # $REPRO_ENGINE_INCREMENTAL, and a garbage environment value should fail
         # here -- where the run is configured -- rather than at the first
         # query's engine lookup deep inside the search.
         self.engine_config().validate()
@@ -145,7 +141,6 @@ class FeatAugConfig:
 
         return EngineConfig(
             backend=self.engine_backend,
-            num_workers=self.engine_workers,
             memory_budget_bytes=self.engine_memory_budget,
             incremental=self.engine_incremental,
         )

@@ -155,8 +155,7 @@ class FeatAug:
         # One shared execution engine for the whole run: template search, SQL
         # generation and final materialisation all hit the same group index
         # and predicate-mask cache.  ``config.engine_backend`` selects the
-        # execution backend, ``config.engine_workers`` the parallel
-        # execution (None = process defaults).
+        # execution backend (None = the process default).
         engine = engine_for(relevant_table, config=self.config.engine_config())
         # Engines are shared per table across runs; report this run's traffic
         # only, not the engine's lifetime counters.

@@ -77,9 +77,15 @@ def agg_count_distinct(values: np.ndarray) -> float:
 
 
 def _sum_squared_deviations(v: np.ndarray) -> float:
-    """Two-pass sum of squared deviations from the (sequential) mean."""
-    dev = v - _seq_sum(v) / v.size
-    return _seq_sum(dev * dev)
+    """Two-pass sum of squared deviations from the (sequential) mean.
+
+    Values near the float64 limits overflow to inf / NaN here by IEEE
+    semantics (the vectorized kernels do the same), so the warnings are
+    silenced rather than emitted.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = v - _seq_sum(v) / v.size
+        return _seq_sum(dev * dev)
 
 
 def agg_var(values: np.ndarray) -> float:
@@ -131,13 +137,14 @@ def agg_kurtosis(values: np.ndarray) -> float:
     var = _sum_squared_deviations(v) / v.size
     if var == 0:
         return 0.0
-    dev = v - _seq_sum(v) / v.size
-    dev2 = dev * dev
-    m4 = _seq_sum(dev2 * dev2) / v.size
     # IEEE semantics via numpy scalars: var**2 can underflow to 0 for
-    # subnormal-range values, and the result must then be NaN/inf (exactly
-    # what the vectorized kernel computes), not a ZeroDivisionError.
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # subnormal-range values (or the powers overflow near the float64
+    # limits), and the result must then be NaN/inf (exactly what the
+    # vectorized kernel computes), not a ZeroDivisionError or a warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dev = v - _seq_sum(v) / v.size
+        dev2 = dev * dev
+        m4 = _seq_sum(dev2 * dev2) / v.size
         ratio = np.float64(m4) / (np.float64(var) * np.float64(var))
     return float(ratio - 3.0)
 
@@ -165,13 +172,17 @@ def agg_mad(values: np.ndarray) -> float:
     v = _clean(values)
     if not v.size:
         return float("nan")
-    med = np.median(v)
-    return float(np.median(np.abs(v - med)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        med = np.median(v)
+        return float(np.median(np.abs(v - med)))
 
 
 def agg_median(values: np.ndarray) -> float:
     v = _clean(values)
-    return float(np.median(v)) if v.size else float("nan")
+    if not v.size:
+        return float("nan")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.median(v))
 
 
 def agg_quantile(values: np.ndarray, q: float) -> float:
@@ -191,7 +202,8 @@ def agg_quantile(values: np.ndarray, q: float) -> float:
     frac = pos - lo
     if frac == 0.0:
         return float(v[lo])
-    return float(v[lo] + (v[lo + 1] - v[lo]) * frac)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(v[lo] + (v[lo + 1] - v[lo]) * frac)
 
 
 def agg_top_k_share(values: np.ndarray, k: int) -> float:

@@ -239,7 +239,9 @@ class GroupedAggregator:
     def mad_deviations(self) -> np.ndarray:
         """``|x - group median|`` per NaN-stripped row (MAD's value array)."""
         if self._mad_dev is None:
-            self._mad_dev = np.abs(self._values - self._group_medians()[self._codes])
+            medians = self._group_medians()
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._mad_dev = np.abs(self._values - medians[self._codes])
         return self._mad_dev
 
     def mad_sort_order(self) -> np.ndarray:
@@ -256,8 +258,7 @@ class GroupedAggregator:
             # The deviation values are needed regardless of where the order
             # comes from (only the lexsort itself is cacheable), and
             # computing them first resolves the main order too -- so the
-            # compute thunk below never re-enters an order-cache hook while
-            # the hook's lock is held.
+            # compute thunk below never re-enters an order-cache hook.
             self.mad_deviations()
             if self.mad_order_cache is not None:
                 order = self.mad_order_cache(self._compute_mad_order)
@@ -300,16 +301,24 @@ class GroupedAggregator:
         return self._means
 
     def _deviations(self) -> np.ndarray:
-        """Per-row deviation from the row's group mean (two-pass, like np.var)."""
+        """Per-row deviation from the row's group mean (two-pass, like np.var).
+
+        Overflow near the float64 limits yields inf / NaN by IEEE semantics,
+        exactly like the scalar reference, so it is not warned about here or
+        in the squared-deviation, kurtosis and median arithmetic below.
+        """
         if self._dev is None:
-            self._dev = self._values - self._group_means()[self._codes]
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._dev = self._values - self._group_means()[self._codes]
         return self._dev
 
     def _sum_squared_deviations(self) -> np.ndarray:
         if self._ssd is None:
             dev = self._deviations()
+            with np.errstate(over="ignore", invalid="ignore"):
+                squared = dev * dev
             self._ssd = np.bincount(
-                self._codes, weights=dev * dev, minlength=self.n_groups
+                self._codes, weights=squared, minlength=self.n_groups
             )
         return self._ssd
 
@@ -342,7 +351,8 @@ class GroupedAggregator:
             even = (c % 2) == 0
             if even.any():
                 lo, hi = med[even], svals[(s + c // 2)[even]]
-                med[even] = (lo + hi) / 2.0
+                with np.errstate(over="ignore", invalid="ignore"):
+                    med[even] = (lo + hi) / 2.0
             result[ne] = med
         return result
 
@@ -458,9 +468,9 @@ class GroupedAggregator:
             return result
         constant = self.max() == self.min()  # NaN for empty groups -> False
         dev = self._deviations()
-        dev2 = dev * dev
-        m4 = np.bincount(self._codes, weights=dev2 * dev2, minlength=self.n_groups)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            dev2 = dev * dev
+            m4 = np.bincount(self._codes, weights=dev2 * dev2, minlength=self.n_groups)
             m4 = m4 / self._counts
             # Mirror agg_kurtosis exactly: m4 / var**2 - 3.
             var = self._sum_squared_deviations() / self._counts
@@ -523,7 +533,8 @@ class GroupedAggregator:
         # Clamped gather: rows with frac == 0 never read v_hi, but np.where
         # evaluates both branches, so the index must stay in the segment.
         v_hi = svals[s + np.minimum(lo + 1, c - 1)]
-        result[ne] = np.where(frac == 0.0, v_lo, v_lo + (v_hi - v_lo) * frac)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result[ne] = np.where(frac == 0.0, v_lo, v_lo + (v_hi - v_lo) * frac)
         return result
 
     def top_k_share(self, k: int) -> np.ndarray:

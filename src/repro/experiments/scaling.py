@@ -124,7 +124,7 @@ def _run_feataug_timing(bundle: DatasetBundle, model_name: str, config: FeatAugC
     # reuse the same relevant-table object across points, and warm mask /
     # result caches would make later points look artificially fast.  The
     # registry is keyed per EngineConfig, so the reset must target the engine
-    # the run's configured backend / worker count will actually use.
+    # the run's configured backend will actually use.
     from repro.query.engine import engine_for
 
     engine_for(bundle.relevant, config=config.engine_config()).reset()

@@ -119,12 +119,22 @@ class SimpleImputer:
         X = np.asarray(X, dtype=np.float64)
         if self.strategy == "constant":
             self.statistics_ = np.full(X.shape[1], self.fill_value, dtype=np.float64)
-        elif self.strategy == "median":
-            with np.errstate(all="ignore"):
-                self.statistics_ = np.nanmedian(X, axis=0)
         else:
-            with np.errstate(all="ignore"):
-                self.statistics_ = np.nanmean(X, axis=0)
+            # A column without a single value (or a table without rows) falls
+            # back to ``fill_value``.  Such columns are zero-filled before the
+            # reduction: np.nanmean / np.nanmedian warn on an all-NaN slice
+            # through ``warnings.warn``, which ``np.errstate`` cannot silence.
+            empty = np.isnan(X).all(axis=0)
+            statistics = np.full(X.shape[1], np.nan)
+            if not empty.all():
+                if empty.any():
+                    X = X.copy()
+                    X[:, empty] = 0.0
+                reduce = np.nanmedian if self.strategy == "median" else np.nanmean
+                with np.errstate(all="ignore"):
+                    statistics = reduce(X, axis=0)
+                statistics[empty] = np.nan
+            self.statistics_ = statistics
         self.statistics_ = np.nan_to_num(self.statistics_, nan=self.fill_value)
         return self
 

@@ -13,16 +13,13 @@ Implements the paper's core abstractions (Section III):
   table: factorized group index, LRU predicate-mask / result caches and a
   batched API with cache statistics (:class:`EngineStats`).  Construction is
   configured by :class:`EngineConfig` (execution backend, cache sizes,
-  worker count).
+  memory budget, incremental refresh).  Execution is serial: each fused
+  plan runs on the engine's one backend instance.
 * :class:`ExecutionBackend` / :func:`register_backend` -- the pluggable
   execution layer plans are delegated to: ``"numpy"`` (vectorized grouped
   kernels, the default), ``"python"`` (per-group reference loop) and
   ``"sqlite"`` (generated SQL over an in-memory database) ship built in;
   third-party backends register under their own name.
-* :class:`ShardScheduler` (:mod:`repro.query.sharding`) -- the parallel
-  execution layer: ``EngineConfig(num_workers=N)`` partitions a batch's
-  fused plans across a thread pool of per-worker backend instances,
-  bit-identical to serial execution.
 * :class:`QueryService` (:mod:`repro.query.service`) -- the admission layer
   over one warm engine: concurrent callers' submissions queue behind a
   bounded admission queue (deterministic :class:`ServiceOverloadedError`
@@ -56,7 +53,6 @@ from repro.query.engine import (
     engine_for,
     resolve_engine,
 )
-from repro.query.sharding import ShardScheduler, default_worker_count, split_ranges
 from repro.query.service import (
     DeadlineExpiredError,
     QueryService,
@@ -97,9 +93,6 @@ __all__ = [
     "default_backend_name",
     "engine_for",
     "resolve_engine",
-    "ShardScheduler",
-    "default_worker_count",
-    "split_ranges",
     "QueryService",
     "ServiceConfig",
     "ServiceError",

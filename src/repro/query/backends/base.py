@@ -29,7 +29,7 @@ Contract (enforced by the backend-parameterized equivalence suite in
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
@@ -43,18 +43,13 @@ class ExecutionBackend:
     """Executes logical query plans against one bound table.
 
     Lifecycle: the engine instantiates the backend via :func:`make_backend`,
-    calls :meth:`bind` once, then :meth:`run_plan` per fused plan (the shard
-    scheduler is the only caller; with ``num_workers > 1`` it may instead
-    call :meth:`plan_context` on the coordinator and
-    :meth:`run_plan_with_context` on a worker instance).  Subclasses override
-    **either** :meth:`run_plan` (simplest; storage-owning backends) **or**
-    the :meth:`plan_context` / :meth:`run_plan_with_context` pair (backends
-    that aggregate over engine-shared state and want deterministic stats
-    under sharding).  Stats hooks: backends book per-aggregate timings
-    through ``self.stats.record_kernel(func, seconds, backend=self.name)``
-    and report empty filter results via ``engine.empty_result`` (which
-    counts them); the shard scheduler books total wall-clock around
-    :meth:`run_plan` / worker chunks into ``EngineStats.backend_seconds``.
+    calls :meth:`bind` once, then :meth:`run_plan` per fused plan, serially
+    (the engine is the only caller).  Subclasses implement :meth:`run_plan`.
+    Stats hooks: backends book per-aggregate timings through
+    ``self.stats.record_kernel(func, seconds, backend=self.name)`` and
+    report empty filter results via ``engine.empty_result`` (which counts
+    them); the engine books total wall-clock around :meth:`run_plan` into
+    ``EngineStats.backend_seconds``.
     """
 
     #: Registry name; set by the :func:`register_backend` decorator.
@@ -105,52 +100,8 @@ class ExecutionBackend:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, plans: Sequence[QueryPlan]) -> List[Table]:
-        """Execute *plans*, returning one table per (plan, aggregate) pair.
-
-        Tables come back plan-major, aggregate-minor: all aggregates of
-        ``plans[0]`` first, in spec order, then ``plans[1]``, ...
-        Convenience wrapper over :meth:`run_plan` (the engine's shard
-        scheduler calls :meth:`run_plan` directly) -- overriding it does not
-        change how the engine executes plans.
-        """
-        tables: List[Table] = []
-        for plan in plans:
-            tables.extend(self.run_plan(plan))
-        return tables
-
     def run_plan(self, plan: QueryPlan) -> List[Table]:
         """Execute one (possibly fused) plan: one table per aggregate spec."""
-        return self.run_plan_with_context(plan, self.plan_context(plan))
-
-    def plan_context(self, plan: QueryPlan):
-        """Shared-state setup for one plan (engine masks, grouping, stats).
-
-        The plan-level shard scheduler calls this **serially on the
-        coordinator thread** before dispatching plans to workers, so every
-        mutation of engine-shared state -- predicate-mask cache, group
-        indexes and their statistics counters -- happens in deterministic
-        fused order regardless of the worker count.  ``None`` (the default)
-        means the backend has no engine-shared setup (backends that own
-        their storage); the scheduler then calls :meth:`run_plan` on the
-        worker instead.
-
-        Ownership: a heavy fused plan may be split into aggregate-spec
-        units that run on **several workers sharing this one context**, so
-        any state a backend memoises into it must be idempotent and written
-        as a single assignment of a fully-built value (racing writers then
-        merely duplicate work, never corrupt each other).
-        """
-        return None
-
-    def run_plan_with_context(self, plan: QueryPlan, context) -> List[Table]:
-        """Execute one fused plan given its prepared *context*.
-
-        This is the worker-safe half of :meth:`run_plan`: it must not touch
-        mutable engine-shared state beyond thread-safe statistics hooks,
-        because the shard scheduler may run it on a pool thread while other
-        plans of the same batch execute concurrently.
-        """
         raise NotImplementedError
 
     def clear(self) -> None:
@@ -180,42 +131,24 @@ class GroupIndexBackend(ExecutionBackend):
     never drift apart -- their bit-identity contract depends on sharing it.
     """
 
-    def plan_context(self, plan: QueryPlan) -> dict:
-        """Resolve the plan's grouping against the engine's shared state.
-
-        Runs on the coordinator thread (see the base-class contract), so the
-        mask / index caches and their counters book in fused-plan order.
-        Workers may memoise derived per-plan state (``group_rows``) into
-        the returned dict, but spec-split units of one plan can share it
-        across workers: memoised values must be idempotent and stored with
-        one atomic assignment (``group_rows`` is -- a racing duplicate
-        computes the same list and either write is valid).
-        """
-        engine = self.engine
-        index = engine.group_index(plan.keys)
-        mask = engine.plan_mask(plan)
-        group_ids, codes, n_groups, row_idx = engine.filtered_groups(index, mask)
-        return {
-            "index": index,
-            "group_ids": group_ids,
-            "codes": codes,
-            "n_groups": n_groups,
-            "row_idx": row_idx,
-            # Per-attr sort-order cache keys of the *full* fused plan, so
-            # spec-split units handed a sub-plan still share the canonical
-            # (predicate, keys, attr) identity.
-            "sort_keys": {attr: plan.sort_key(attr) for attr in plan.specs_by_attr()},
-        }
-
     def refresh(self, old_rows: int) -> None:
         """No-op: every piece of derived state these backends aggregate over
         (masks, group indexes, sort orders) lives on the
         engine, and the delta-refresh layer upgrades it there."""
 
-    def run_plan_with_context(self, plan: QueryPlan, context: dict) -> List[Table]:
+    def run_plan(self, plan: QueryPlan) -> List[Table]:
         engine = self.engine
-        index = context["index"]
-        group_ids, n_groups = context["group_ids"], context["n_groups"]
+        index = engine.group_index(plan.keys)
+        mask = engine.plan_mask(plan)
+        group_ids, codes, n_groups, row_idx = engine.filtered_groups(index, mask)
+        # The plan's filtered grouping, shared by every attribute's
+        # preparation (the python backend memoises ``group_rows`` into it).
+        context = {
+            "index": index,
+            "codes": codes,
+            "n_groups": n_groups,
+            "row_idx": row_idx,
+        }
         key_columns: Optional[List[Column]] = None
         results: List[Optional[Table]] = [None] * len(plan.aggregates)
         for attr, positioned in plan.specs_by_attr().items():
@@ -232,7 +165,7 @@ class GroupIndexBackend(ExecutionBackend):
             # work alone in both in-process backends and never double-count
             # what group_rows books to seconds_grouping (or what the sort
             # cache books to seconds_sorting).
-            prepared = self.prepare_attr(attr, context)
+            prepared = self.prepare_attr(plan, attr, context)
             for position, spec in positioned:
                 self.before_aggregate(spec, prepared)
                 start = time.perf_counter()
@@ -250,7 +183,7 @@ class GroupIndexBackend(ExecutionBackend):
                 )
         return results  # type: ignore[return-value]
 
-    def prepare_attr(self, attr: str, context: dict):
+    def prepare_attr(self, plan: QueryPlan, attr: str, context: dict):
         """Untimed per-attribute setup; *context* carries the plan's filtered
         grouping (``index``, ``codes``, ``n_groups``, ``row_idx``) and is
         shared across the plan's aggregates for cross-attribute memoisation."""

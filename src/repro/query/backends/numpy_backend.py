@@ -17,15 +17,10 @@ single :class:`GroupedAggregator` whose intermediates -- above all the
 (code, value) lexsort order the order-statistics family shares -- are built
 once.  The order itself is resolved through the engine's LRU **sort-order
 cache** (:meth:`QueryEngine.sort_order`, keyed by ``QueryPlan.sort_key``),
-so queries of one template reuse it *across* plans and batches; the plan
-context carries the resolved orders so the scheduler's aggregate-spec-split
-units of one heavy plan consult the engine cache exactly once per value
-column regardless of the worker count.
+so queries of one template reuse it *across* plans and batches.
 """
 
 from __future__ import annotations
-
-import threading
 
 from repro.dataframe.grouped_kernels import SORT_BASED_KERNELS, GroupedAggregator
 from repro.query.backends.base import GroupIndexBackend, register_backend
@@ -36,63 +31,23 @@ from repro.query.plan import QueryPlan
 class NumpyBackend(GroupIndexBackend):
     """Vectorized grouped-aggregation kernels over the engine's group index."""
 
-    def plan_context(self, plan: QueryPlan) -> dict:
-        context = super().plan_context(plan)
-        # The plan's resolved sort orders, memoised under one lock *per value
-        # column* so the spec-split units sharing this context consult the
-        # engine's sort-order cache exactly once per column (deterministic
-        # sort_hits / sort_misses at any worker count) while lexsorts for
-        # distinct columns still run concurrently.  MAD's deviation orders
-        # get their own memo slot and engine key -- (sort key, "MEDIAN") --
-        # but share the per-column lock (both orders belong to one column's
-        # prepared state and are never resolved concurrently with profit).
-        context["sort_orders"] = {}
-        context["mad_orders"] = {}
-        context["mad_sort_keys"] = {
-            attr: plan.mad_sort_key(attr) for attr in context["sort_keys"]
-        }
-        context["sort_locks"] = {attr: threading.Lock() for attr in context["sort_keys"]}
-        return context
-
-    def prepare_attr(self, attr: str, context: dict):
+    def prepare_attr(self, plan: QueryPlan, attr: str, context: dict):
         row_idx = context["row_idx"]
         values = self.engine.agg_values(attr, row_idx)
         if row_idx is not None:
             values = values[row_idx]
         aggregator = GroupedAggregator(context["codes"], values, context["n_groups"])
-        aggregator.order_cache = self._order_cache(
-            attr, context, "sort_orders", "sort_keys"
-        )
-        aggregator.mad_order_cache = self._order_cache(
-            attr, context, "mad_orders", "mad_sort_keys"
+        # The aggregator resolves each order at most once; these hooks route
+        # that one resolution through the engine's shared sort-order cache
+        # (reuse across plans and batches).  MAD's deviation order has its
+        # own key, (sort key, "MEDIAN").
+        engine = self.engine
+        sort_key, mad_sort_key = plan.sort_key(attr), plan.mad_sort_key(attr)
+        aggregator.order_cache = lambda compute: engine.sort_order(sort_key, compute)
+        aggregator.mad_order_cache = lambda compute: engine.sort_order(
+            mad_sort_key, compute
         )
         return aggregator
-
-    def _order_cache(self, attr: str, context: dict, memo_slot: str, key_slot: str):
-        """A memoising accessor onto the engine's shared sort-order cache.
-
-        Returns ``order_cache(compute) -> order``: the plan-context memo
-        (*memo_slot*) is checked first (idempotent across the plan's
-        scheduling units), then the engine cache under the plan's *key_slot*
-        key (reuse across plans and batches), and only then does *compute*
-        -- the aggregator's own lexsort thunk -- run, timed into
-        ``seconds_sorting`` by the engine.  The same accessor serves the
-        main (value, code) order and MAD's deviation order; only the memo
-        slot and cache key differ.
-        """
-        engine = self.engine
-        sort_key = context[key_slot].get(attr)
-        orders, lock = context[memo_slot], context["sort_locks"][attr]
-
-        def order_cache(compute):
-            with lock:
-                order = orders.get(attr)
-                if order is None:
-                    order = engine.sort_order(sort_key, compute)
-                    orders[attr] = order
-                return order
-
-        return order_cache
 
     def before_aggregate(self, spec, prepared) -> None:
         # Resolve the shared order outside the kernel timer, so

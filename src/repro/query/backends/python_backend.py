@@ -24,7 +24,7 @@ from repro.query.backends.base import GroupIndexBackend, register_backend
 class PythonBackend(GroupIndexBackend):
     """Per-group Python aggregation loop over the engine's group index."""
 
-    def prepare_attr(self, attr: str, context: dict) -> List[np.ndarray]:
+    def prepare_attr(self, plan, attr: str, context: dict) -> List[np.ndarray]:
         # The per-group row positions are plan-level (attribute-independent);
         # memoise them in the shared context across this plan's aggregates.
         group_rows = context.get("group_rows")

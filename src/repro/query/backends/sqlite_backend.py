@@ -35,13 +35,9 @@ names and constants are safe.  Native SQL float accumulation may differ from
 the reference by rounding order, hence the documented value-equality bar of
 ``1e-9`` for storage-owning backends (in-process backends stay bit-identical).
 
-Sharding: the backend has no ``plan_context`` (SQLite owns filtering and
-grouping), so under plan-level sharding each worker slot gets its **own**
-backend instance -- its own connection and in-memory materialisation of the
-same bound table -- and runs whole plans via :meth:`run_plan`.  Identical
-inserts produce identical databases, so sharded results are deterministic.
-Group-range sharding does not apply (there are no in-process group codes to
-split) and degrades to serial execution.
+One backend instance owns one connection, and ``_run_lock`` runs its plans
+one at a time: concurrent ``execute_batch`` callers on one engine serialise
+on it.
 """
 
 from __future__ import annotations
@@ -84,9 +80,7 @@ class SqliteBackend(ExecutionBackend):
         # One instance == one connection == one plan at a time: ``_run_lock``
         # serialises plan execution so the shared connection, the collecting
         # aggregate's ``_collected`` buffer and ``last_sql`` never interleave
-        # when user threads hit the same engine concurrently.  The shard
-        # scheduler sidesteps the lock entirely by giving every worker slot
-        # its own backend instance (its own materialised database).
+        # when user threads hit the same engine concurrently.
         self._run_lock = threading.Lock()
         self._reset_state()
 
@@ -163,9 +157,9 @@ class SqliteBackend(ExecutionBackend):
             # re-materialise in this process.
             self._reset_state()
         table = self.table
-        # check_same_thread=False: the pool may run this instance's plans on
-        # different threads (across batches via worker-slot reuse, and even
-        # concurrently when user threads race whole batches); _run_lock is
+        # check_same_thread=False: different caller threads may run this
+        # instance's plans (even concurrently when user threads race whole
+        # batches, or when the service dispatcher runs them); _run_lock is
         # what guarantees single-threaded use of the connection at any
         # instant -- do not narrow it without replacing that guarantee.
         conn = sqlite3.connect(":memory:", check_same_thread=False)
@@ -280,7 +274,7 @@ class SqliteBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_plan_with_context(self, plan: QueryPlan, context=None) -> List[Table]:
+    def run_plan(self, plan: QueryPlan) -> List[Table]:
         with self._run_lock:
             return self._run_plan_locked(plan)
 

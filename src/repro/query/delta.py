@@ -52,7 +52,7 @@ enforced by ``tests/query/test_delta_equivalence.py``):
 Storage-owning backends participate through ``ExecutionBackend.refresh``:
 sqlite ``INSERT``\\ s the appended slice into its materialised table
 (extending the first-appearance label dictionaries so rowids and codes
-continue), once per worker backend.
+continue).
 
 Failures are loud: the upgrade checks the conditions under which an entry
 cannot be upgraded and evicts only those.  Any other error raised while
@@ -348,10 +348,9 @@ def _upgrade_in_place(engine: "QueryEngine", table: Table, old_rows: int) -> Non
             results_upgraded += 1
 
     # ------------------------------------------------------------------
-    # (6) Storage-owning state: backend materialisations and worker pools.
+    # (6) Storage-owning state: the backend's materialisation.
     # ------------------------------------------------------------------
     engine.backend.refresh(old_rows)
-    engine.sharder.refresh(old_rows)
 
     engine.stats.bump(
         masks_extended=masks_extended,

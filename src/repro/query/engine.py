@@ -24,20 +24,17 @@ re-scan every WHERE predicate) wastes almost all of that work, so a
    value-column triple and is reused across plans and batches of one
    template) and an LRU result cache keyed by plan signature (TPE frequently
    re-samples identical queries), plus cache / timing statistics
-   (:class:`EngineStats`, including the backend name, worker count,
-   per-backend wall-clock split and per-shard busy time) consumed by the
-   Figure 5 benchmarks.
-4. **Sharded parallel execution** -- with ``EngineConfig(num_workers > 1)``
-   the engine's :class:`~repro.query.sharding.ShardScheduler` partitions a
-   batch's fused plans across a thread pool of per-worker backend
-   instances; results and statistics counters are identical at every
-   worker count (see :mod:`repro.query.sharding` for the determinism
-   contract).  All shared state -- the LRU caches, the group-index map
-   and every statistics mutation -- is lock-protected, so concurrent
-   ``execute_batch`` callers are safe too, and
+   (:class:`EngineStats`, including the backend name and the per-backend
+   wall-clock split) consumed by the Figure 5 benchmarks.
    ``EngineConfig(memory_budget_bytes=...)`` bounds the summed bytes of
    the mask / result / sort-order caches with size-aware cross-cache
    eviction (:class:`CacheBudget`).
+
+Execution is serial: every fused plan runs on the engine's one backend
+instance, on the calling thread.  All shared state -- the LRU caches, the
+group-index map and every statistics mutation -- is still lock-protected,
+because concurrent ``execute_batch`` callers (and the
+:class:`~repro.query.service.QueryService` dispatcher) share one engine.
 
 The engine is an optimisation layer only: for the in-process backends its
 results are element-wise **bit-for-bit identical** to the naive
@@ -86,7 +83,6 @@ from repro.query.backends import ExecutionBackend, backend_names, make_backend
 from repro.query.delta import default_incremental, refresh_engine
 from repro.query.plan import QueryPlan, atoms_from_query
 from repro.query.query import PredicateAwareQuery
-from repro.query.sharding import ShardScheduler, default_worker_count
 
 #: Default bound on the number of cached predicate masks per engine.
 DEFAULT_MASK_CACHE_SIZE = 256
@@ -129,11 +125,7 @@ class EngineConfig:
 
     ``backend`` of ``None`` resolves to :func:`default_backend_name` at use
     time, so a config built before ``$REPRO_ENGINE_BACKEND`` changes still
-    follows the environment; ``num_workers`` of ``None`` likewise resolves to
-    :func:`repro.query.sharding.default_worker_count`
-    (``$REPRO_ENGINE_WORKERS`` or 1).  A multi-worker engine partitions a
-    batch's fused plans across a thread pool (see
-    :mod:`repro.query.sharding`).  ``memory_budget_bytes`` imposes one
+    follows the environment.  ``memory_budget_bytes`` imposes one
     global size-aware budget across the mask / result / sort-order caches
     (``None`` = unbounded bytes; the per-cache entry-count bounds always
     apply).
@@ -142,7 +134,6 @@ class EngineConfig:
     backend: Optional[str] = None
     mask_cache_size: int = DEFAULT_MASK_CACHE_SIZE
     result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE
-    num_workers: Optional[int] = None
     #: Bound on the engine's shared sort-order cache; ``0`` disables it (the
     #: order-statistics kernels then re-sort per plan, the pre-cache
     #: behaviour -- the benchmark baseline uses this).
@@ -179,13 +170,6 @@ class EngineConfig:
         return self.backend or default_backend_name()
 
     @property
-    def worker_count(self) -> int:
-        """The resolved worker count (explicit value, else the process default)."""
-        if self.num_workers is None:
-            return default_worker_count()
-        return int(self.num_workers)
-
-    @property
     def incremental_enabled(self) -> bool:
         """The resolved incremental-refresh flag (explicit, else the env default)."""
         if self.incremental is not None:
@@ -194,8 +178,8 @@ class EngineConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on an unknown backend, non-positive
-        caches or a non-positive worker count (explicit or from the
-        environment)."""
+        caches, a non-positive memory budget or a malformed environment
+        override."""
         if self.backend_name not in backend_names():
             raise ValueError(
                 f"Unknown execution backend {self.backend_name!r}; "
@@ -205,10 +189,6 @@ class EngineConfig:
             raise ValueError("Cache sizes must be >= 1")
         if self.sort_cache_size < 0:
             raise ValueError("sort_cache_size must be >= 0 (0 disables the cache)")
-        if self.worker_count < 1:  # also raises on a malformed env override
-            raise ValueError(
-                f"num_workers must be >= 1, got {self.num_workers!r}"
-            )
         if self.memory_budget_bytes is not None and self.memory_budget_bytes < 1:
             raise ValueError(
                 f"memory_budget_bytes must be >= 1 (or None for unbounded), "
@@ -219,12 +199,11 @@ class EngineConfig:
         self.incremental_enabled
 
     def cache_key(self) -> tuple:
-        """Identity used to share engines per table (backend/workers resolved)."""
+        """Identity used to share engines per table (backend resolved)."""
         return (
             self.backend_name,
             self.mask_cache_size,
             self.result_cache_size,
-            self.worker_count,
             self.sort_cache_size,
             self.memory_budget_bytes,
             self.incremental_enabled,
@@ -237,8 +216,8 @@ class EngineStats:
 
     Thread safety: every mutation goes through :meth:`bump` /
     :meth:`add_split` / :meth:`record_kernel`, which serialise on one
-    re-entrant lock, so counters can never tear when the shard scheduler's
-    workers (or concurrent ``execute_batch`` callers) book concurrently.
+    re-entrant lock, so counters can never tear when concurrent
+    ``execute_batch`` callers book concurrently.
     Fields prefixed with an underscore are implementation details and are
     excluded from :meth:`as_dict` / :meth:`reset`.
     """
@@ -246,8 +225,6 @@ class EngineStats:
     #: Name of the engine's execution backend (identity, not a counter:
     #: preserved across :meth:`reset`).
     backend: str = ""
-    #: The engine's resolved worker count (identity, like ``backend``).
-    workers: int = 0
     queries: int = 0
     batches: int = 0
     batched_queries: int = 0
@@ -279,21 +256,10 @@ class EngineStats:
     #: Aggregation seconds split per kernel (canonical aggregate name ->
     #: cumulative wall-clock), maintained by every backend.
     kernel_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Total wall-clock spent inside ``ExecutionBackend.run_plan`` (or the
-    #: shard workers' plan chunks) per backend name (the per-backend timing
-    #: split; includes masking / grouping time the backend booked to the
-    #: finer-grained counters above).
+    #: Total wall-clock spent inside ``ExecutionBackend.run_plan`` per
+    #: backend name (the per-backend timing split; includes masking /
+    #: grouping time the backend booked to the finer-grained counters above).
     backend_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Number of ``execute_plans`` batches that ran on the worker pool.
-    sharded_batches: int = 0
-    #: Plan-level scheduling units executed by shard workers.  A heavy
-    #: fused plan may split into several aggregate-spec units, so this can
-    #: exceed the number of fused plans dispatched.
-    plan_shards: int = 0
-    #: Coordinator wall-clock spent inside parallel shard sections.
-    seconds_sharding: float = 0.0
-    #: Busy wall-clock per worker slot, keyed ``"w<slot>"``.
-    shard_seconds: Dict[str, float] = field(default_factory=dict)
     #: Entries evicted by the global memory budget's size-aware cross-cache
     #: eviction (:class:`CacheBudget`); per-cache entry-count evictions keep
     #: booking under ``mask_evictions``.
@@ -358,7 +324,7 @@ class EngineStats:
     )
 
     #: Identity fields: carried through :meth:`reset` and :meth:`delta_since`.
-    IDENTITY_FIELDS = ("backend", "workers")
+    IDENTITY_FIELDS = ("backend",)
 
     #: Gauge fields: current values, not lifetime counters -- carried
     #: through :meth:`delta_since` unsubtracted and zeroed when the caches
@@ -397,25 +363,6 @@ class EngineStats:
         total = self.result_hits + self.result_misses
         return self.result_hits / total if total else 0.0
 
-    @property
-    def worker_utilisation(self) -> float:
-        """Shard busy-time as a fraction of pool capacity (0 when serial).
-
-        Capacity is ``workers * seconds_sharding`` -- what the pool could
-        have worked during the parallel sections; 1.0 means every worker was
-        busy the whole time (perfectly balanced shards).  The ratio is
-        clamped to 1.0: per-batch timer skew between the coordinator's
-        section clock and the workers' busy clocks can nudge the summed
-        lifetime ratio past true capacity on long-lived engines.  Per-run
-        reports should prefer the windowed value :meth:`delta_since`
-        computes from snapshot deltas.  Takes the stats lock: the summed
-        dict may be growing under a live poller's feet.
-        """
-        with self._lock:
-            capacity = self.workers * self.seconds_sharding
-            busy = sum(self.shard_seconds.values())
-        return min(1.0, busy / capacity) if capacity > 0.0 else 0.0
-
     def bump(self, **deltas) -> None:
         """Atomically add *deltas* to scalar counters / timers."""
         with self._lock:
@@ -433,11 +380,9 @@ class EngineStats:
             out = {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
             out["kernel_seconds"] = dict(self.kernel_seconds)
             out["backend_seconds"] = dict(self.backend_seconds)
-            out["shard_seconds"] = dict(self.shard_seconds)
             out["cache_bytes"] = dict(self.cache_bytes)
             out["mask_hit_rate"] = self.mask_hit_rate
             out["result_hit_rate"] = self.result_hit_rate
-            out["worker_utilisation"] = self.worker_utilisation
         return out
 
     def set_gauges(self, **values) -> None:
@@ -473,7 +418,7 @@ class EngineStats:
                 self.python_aggregations += 1
 
     def reset(self) -> None:
-        """Zero every counter and timer; identity fields (backend, workers),
+        """Zero every counter and timer; the identity field (backend),
         the byte gauges and the delta-refresh fields survive --
         gauges describe the caches' *current* contents and the refresh
         fields the table generation the engine is synced to, neither of
@@ -496,14 +441,13 @@ class EngineStats:
 
         Engines are shared per table, so per-run reports must subtract the
         traffic of earlier runs; derived rates are recomputed from the deltas,
-        identity fields (the backend name, the worker count) are carried
-        through unchanged, and gauges (``bytes_cached``, ``cache_bytes``)
-        and the delta-refresh fields (``REFRESH_FIELDS``) pass through as
-        current values -- a byte gauge difference is
-        meaningless, and refresh activity describes the table generation,
-        not the measurement window.  Tolerant of incomplete baselines: a key
+        the identity field (the backend name) is carried through unchanged,
+        and gauges (``bytes_cached``, ``cache_bytes``) and the delta-refresh
+        fields (``REFRESH_FIELDS``) pass through as current values -- a byte
+        gauge difference is meaningless, and refresh activity describes the
+        table generation, not the measurement window.  Tolerant of incomplete baselines: a key
         absent from *baseline* (a snapshot captured before a feature --
-        sharding, the memory budget -- first engaged, or from an older
+        the memory budget, the service -- first engaged, or from an older
         engine) is treated as zero rather than raising, and a baseline
         value of the wrong shape is ignored.
         """
@@ -511,7 +455,7 @@ class EngineStats:
         baseline = baseline or {}
         delta: Dict[str, float] = {}
         for name, value in current.items():
-            if name.endswith("_rate") or name == "worker_utilisation":
+            if name.endswith("_rate"):
                 continue
             if (
                 isinstance(value, str)
@@ -534,14 +478,6 @@ class EngineStats:
         delta["mask_hit_rate"] = delta["mask_hits"] / masks if masks else 0.0
         results = delta["result_hits"] + delta["result_misses"]
         delta["result_hit_rate"] = delta["result_hits"] / results if results else 0.0
-        capacity = delta["workers"] * delta["seconds_sharding"]
-        # Per-delta utilisation, clamped like the lifetime property: the
-        # busy/capacity ratio of *this window's* sharding traffic only.
-        delta["worker_utilisation"] = (
-            min(1.0, sum(delta["shard_seconds"].values()) / capacity)
-            if capacity > 0.0
-            else 0.0
-        )
         return delta
 
 
@@ -621,7 +557,7 @@ class _LRUCache:
 
     Thread-safe: recency bookkeeping (``move_to_end`` during ``get``) makes
     even reads mutating, so every operation serialises on one lock --
-    concurrent ``execute_batch`` callers and shard workers can never corrupt
+    concurrent ``execute_batch`` callers can never corrupt
     the order book or evict past the bound.  Cached values (masks, result
     tables) are immutable by contract, so returning them outside the lock is
     safe.  Presence tests use the ``_MISS`` sentinel, so a legitimately
@@ -831,7 +767,8 @@ def _resolve_config(
 class QueryEngine:
     """Cached, batched execution of query plans on one table.
 
-    ``config`` selects the execution backend, cache sizes and worker count.
+    ``config`` selects the execution backend, cache sizes, memory budget
+    and incremental refresh.
     """
 
     def __init__(
@@ -844,7 +781,6 @@ class QueryEngine:
     ):
         self.config = _resolve_config(config, mask_cache_size, result_cache_size)
         self.backend_name = self.config.backend_name
-        self.num_workers = self.config.worker_count
         self.memory_budget_bytes = self.config.memory_budget_bytes
         # Directly-constructed engines own a strong reference to their table.
         # Registry engines (``engine_for``) hold only a weak one: the registry
@@ -858,7 +794,7 @@ class QueryEngine:
         self._sync_lock = threading.RLock()
         self._synced_version = table.version
         self._synced_rows = table.num_rows
-        self.stats = EngineStats(backend=self.backend_name, workers=self.num_workers)
+        self.stats = EngineStats(backend=self.backend_name)
         self._indexes: Dict[Tuple[str, ...], GroupIndex] = {}
         self._index_lock = threading.Lock()
         #: Global byte budget shared across the three LRU caches (None =
@@ -895,8 +831,6 @@ class QueryEngine:
         )
         self.backend: ExecutionBackend = make_backend(self.backend_name)
         self.backend.bind(table, engine=self)
-        #: Worker pool + per-worker backend instances (repro.query.sharding).
-        self.sharder = ShardScheduler(self, self.num_workers)
         self._closed = False
         self._refresh_byte_gauges()
 
@@ -964,7 +898,7 @@ class QueryEngine:
 
         Build-once semantics hold under concurrency: losers of the build race
         wait on the lock and reuse the winner's index, so the build counter
-        stays exact at any worker count.
+        stays exact with concurrent callers.
         """
         keys = tuple(keys)
         index = self._indexes.get(keys)
@@ -1141,11 +1075,6 @@ class QueryEngine:
     def execute_plans(self, plans: Sequence[QueryPlan]) -> List[Table]:
         """Batched execution of single-aggregate plans (input order preserved).
 
-        With ``num_workers > 1`` the batch's pending fused plans run in
-        parallel on the engine's worker pool (see
-        :class:`~repro.query.sharding.ShardScheduler`); results are assembled
-        by input position, so the output is identical at any worker count.
-
         An empty batch returns ``[]`` immediately: no backend touch, no
         table sync, and no counter traffic (``batches`` counts rounds that
         actually carried queries) -- on every backend.
@@ -1228,17 +1157,20 @@ class QueryEngine:
         return [tables[slot] for slot in slots], len(plans) - len(unique)
 
     def _run_fused(self, plans: List[QueryPlan], batched: bool) -> List[List[Table]]:
-        """Run fused plans on the backend(s); book stats and the result cache.
+        """Run fused plans on the backend; book stats and the result cache.
 
         Each fused plan pays its mask / grouping once and yields one table
-        per aggregate spec.  Execution is delegated to the shard scheduler
-        (serial on the engine's own backend, or plan-parallel across worker
-        backends); booking happens here on the coordinator thread, in fused
-        order, so counters and cache contents do not depend on the worker
-        count.  Results are written to the result cache but never read from
-        it (callers check the cache first).
+        per aggregate spec.  Plans run one after another on the engine's
+        backend, in fused order.  Results are written to the result cache
+        but never read from it (callers check the cache first).
         """
-        table_lists = self.sharder.run_fused_plans(plans)
+        table_lists = []
+        for plan in plans:
+            start = time.perf_counter()
+            table_lists.append(self.backend.run_plan(plan))
+            self.stats.add_split(
+                "backend_seconds", self.backend_name, time.perf_counter() - start
+            )
         cached_any = False
         for plan, tables in zip(plans, table_lists):
             for position, table in enumerate(tables):
@@ -1295,9 +1227,8 @@ class QueryEngine:
         return len(self._sort_orders) if self._sort_orders is not None else 0
 
     def clear_caches(self) -> None:
-        """Drop all derived state: masks, results, sort orders, indexes,
-        the backend's private materialisations, and the
-        shard scheduler's worker backends / pool.  Statistics counters are
+        """Drop all derived state: masks, results, sort orders, indexes and
+        the backend's private materialisations.  Statistics counters are
         lifetime counters and are deliberately left untouched (the byte
         *gauges* drop to zero with the caches they describe); use
         :meth:`reset` for a fully cold engine."""
@@ -1307,7 +1238,6 @@ class QueryEngine:
             self._sort_orders.clear()
         self._indexes.clear()
         self.backend.clear()
-        self.sharder.clear()
         # A cache-less engine is trivially in sync: everything rebuilds from
         # the table's current generation on the next query.
         table = self._table_strong if self._table_strong is not None else self._table_ref()
@@ -1332,11 +1262,10 @@ class QueryEngine:
         """Release every backend / OS resource the engine owns.
 
         Drops all caches and backend materialisations (sqlite connections
-        included) and shuts the shard scheduler's thread pool down.
-        Idempotent, callable from ``engine_for``'s table finalizer (it never
+        included).  Idempotent, callable from ``engine_for``'s table finalizer (it never
         touches ``self.table``), and the engine remains usable afterwards:
         the next execution transparently re-opens it, re-creating backend
-        materialisations and worker pools lazily.  Statistics counters
+        materialisations lazily.  Statistics counters
         survive a close/re-open cycle unchanged -- they are lifetime
         counters, exactly as across :meth:`clear_caches`.
         """
@@ -1374,8 +1303,8 @@ def _close_registry_engines(per_table: Dict[tuple, "QueryEngine"]) -> None:
 
     Runs when the table is garbage-collected (the WeakKeyDictionary entry is
     going away anyway); explicit ``close()`` guarantees sqlite connections
-    and worker pools are released deterministically
-    instead of waiting on the engines' own collection.
+    are released deterministically instead of waiting on the engines' own
+    collection.
     """
     for engine in list(per_table.values()):
         try:
@@ -1403,12 +1332,12 @@ def engine_for(table: Table, config: Optional[EngineConfig] = None) -> QueryEngi
         engine = per_table.get(key)
     if engine is None:
         # Construct outside the registry lock: engine construction can be
-        # expensive (backend bind, scheduler setup) and must not serialise
+        # expensive (backend bind) and must not serialise
         # unrelated tables' lookups behind one global lock.  The slot is
         # double-checked under the lock before insertion, so concurrent
         # first access yields exactly one registered engine; every loser
         # closes its candidate immediately so no backend resource (sqlite
-        # connection, worker pool) can leak from the race.
+        # connection) can leak from the race.
         candidate = QueryEngine(table, weak_table=True, config=config)
         with _REGISTRY_LOCK:
             engine = per_table.get(key)

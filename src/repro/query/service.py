@@ -1,13 +1,14 @@
 """Admission-controlled query service: cross-request coalescing into fused batches.
 
 The engine layers below this module execute *one caller's* batch fast: fused
-plans, sharded workers, process pools, byte budgets, delta refresh.  Under
-service traffic -- many concurrent callers hammering one relevant table --
-each caller issuing its own ``execute_batch`` still forfeits cross-request
-reuse: two callers asking for the same template's features pay the masks,
-lexsort orders and (for identical queries) the aggregates twice, and nothing
-bounds how much work the engine accepts at once.  :class:`QueryService` is
-the admission layer that turns the engine into a shared service:
+plans, shared mask / group-index / sort-order caches, byte budgets, delta
+refresh.  Under service traffic -- many concurrent callers hammering one
+relevant table -- each caller issuing its own ``execute_batch`` still
+forfeits cross-request reuse: two callers asking for the same template's
+features pay the masks, lexsort orders and (for identical queries) the
+aggregates twice, and nothing bounds how much work the engine accepts at
+once.  :class:`QueryService` is the admission layer that turns the engine
+into a shared service:
 
 * **Bounded admission queue** -- :meth:`QueryService.submit` lowers a
   caller's queries to plans and enqueues them with a future.  The queue is
@@ -38,8 +39,8 @@ the admission layer that turns the engine into a shared service:
 Determinism contract: the dispatcher is one thread and the engine rounds are
 ordinary ``execute_plans`` calls, so results are **bit-identical** to each
 caller running its queries serially on the same engine, at any concurrency
-level, on every backend and worker count (1e-9 for
-sqlite, matching the engine's own bar) -- pinned by
+level, on every backend (1e-9 for sqlite, matching the engine's own bar) --
+pinned by
 ``tests/query/test_service.py`` and the acceptance hammer test.
 
 Observability: the service books ``service_admitted`` / ``service_rejected``

@@ -138,38 +138,6 @@ class TestFeatAugFacade:
         with pytest.raises(ValueError):
             fast_config.with_overrides(engine_backend="duckdb")
 
-    def test_engine_workers_config_is_threaded_and_exact(self, tiny_student, fast_config):
-        """FeatAugConfig.engine_workers reaches the engine, and a sharded run
-        selects exactly the features the serial run selects (the search
-        trajectory is bit-identical under sharding)."""
-        bundle = tiny_student
-
-        def run(config):
-            feataug = FeatAug(
-                label=bundle.label_col, keys=bundle.keys, task=bundle.task,
-                model="LR", config=config,
-            )
-            return feataug.augment(
-                bundle.train, bundle.relevant,
-                predicate_attrs=["event_type"], agg_attrs=bundle.agg_attrs,
-                n_features=2,
-            )
-
-        serial = run(fast_config.with_overrides(engine_workers=1))
-        sharded = run(fast_config.with_overrides(engine_workers=2))
-        assert sharded.engine_stats["workers"] == 2
-        assert [g.query.signature() for g in sharded.queries] == [
-            g.query.signature() for g in serial.queries
-        ]
-        for name in serial.feature_names:
-            a = serial.augmented_table.column(name).values
-            b = sharded.augmented_table.column(name).values
-            assert np.array_equal(a, b, equal_nan=True)
-
-    def test_invalid_engine_workers_rejected(self, fast_config):
-        with pytest.raises(ValueError, match="num_workers"):
-            fast_config.with_overrides(engine_workers=0)
-
     def test_timings_accumulate(self, facade, tiny_student):
         bundle = tiny_student
         result = facade.augment(

@@ -1,5 +1,7 @@
 """Unit tests for preprocessing: encoders, scaler, imputer, vectoriser, splits."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,24 @@ class TestSimpleImputer:
         X = np.asarray([[np.nan], [np.nan]])
         out = SimpleImputer(strategy="mean", fill_value=0.0).fit_transform(X)
         assert np.all(out == 0.0)
+
+    @pytest.mark.parametrize("strategy", ["mean", "median"])
+    def test_all_nan_column_fits_without_warnings(self, strategy):
+        X = np.asarray([[1.0, np.nan, 2.0], [np.nan, np.nan, 5.0], [4.0, np.nan, np.nan]])
+        reduce = np.nanmedian if strategy == "median" else np.nanmean
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            imputer = SimpleImputer(strategy=strategy, fill_value=-1.0).fit(X)
+        # Columns with a value keep the nan-reduction's statistic exactly.
+        assert imputer.statistics_[0] == reduce(X[:, 0])
+        assert imputer.statistics_[2] == reduce(X[:, 2])
+        assert imputer.statistics_[1] == -1.0
+
+    def test_table_without_rows_fits_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            imputer = SimpleImputer(fill_value=7.0).fit(np.empty((0, 2)))
+        assert np.array_equal(imputer.statistics_, [7.0, 7.0])
 
 
 class TestTableVectorizer:

@@ -1,6 +1,8 @@
 """The execution-backend API: registry, config plumbing and the engine's
 state-reset contract."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from repro.query.engine import (
     default_backend_name,
     engine_for,
 )
-from repro.query.sharding import WORKERS_ENV_VAR, default_worker_count
 from repro.query.executor import execute_query_naive
 from repro.query.query import PredicateAwareQuery
 
@@ -145,8 +146,7 @@ class TestEngineConfig:
 
 class TestBackendValidationEagerness:
     """Unknown backend names fail at config resolution, naming the registered
-    backends -- not at the first query deep inside the registry lookup
-    (mirrors the $REPRO_ENGINE_WORKERS parsing tests below)."""
+    backends -- not at the first query deep inside the registry lookup."""
 
     def test_explicit_unknown_backend_fails_at_config_construction(self):
         with pytest.raises(ValueError, match=r"Unknown execution backend 'duckdb'.*numpy"):
@@ -199,99 +199,6 @@ class TestBackendValidationEagerness:
             FeatAugConfig(engine_backend="garbage").validate()
 
 
-class TestWorkerUtilisation:
-    """The derived utilisation is computed per-delta and clamped: lifetime
-    ``shard_seconds`` accumulate across all batches, and timer skew could
-    otherwise drift the ratio past 1.0 on long-lived engines."""
-
-    def test_lifetime_ratio_clamps_at_one(self):
-        stats = EngineStats(backend="numpy", workers=2)
-        stats.bump(seconds_sharding=1.0)
-        stats.add_split("shard_seconds", "w0", 1.5)
-        stats.add_split("shard_seconds", "w1", 1.0)
-        assert stats.worker_utilisation == 1.0
-        assert stats.as_dict()["worker_utilisation"] == 1.0
-
-    def test_delta_reports_the_window_not_the_lifetime(self):
-        stats = EngineStats(backend="numpy", workers=2)
-        stats.bump(seconds_sharding=1.0)
-        stats.add_split("shard_seconds", "w0", 2.5)  # drifted earlier traffic
-        baseline = stats.as_dict()
-        stats.bump(seconds_sharding=2.0)
-        stats.add_split("shard_seconds", "w0", 1.0)
-        delta = stats.delta_since(baseline)
-        # 1.0 busy over 2 workers x 2.0s capacity -- the window alone.
-        assert delta["worker_utilisation"] == 0.25
-        # The lifetime ratio ((2.5 + 1.0) / (2 * 3.0)) blends the drifted
-        # early traffic into every later reading -- which is exactly why
-        # per-run reports go through delta_since.
-        assert stats.worker_utilisation == pytest.approx(3.5 / 6.0)
-
-    def test_delta_clamps_too(self):
-        stats = EngineStats(backend="numpy", workers=1)
-        baseline = stats.as_dict()
-        stats.bump(seconds_sharding=1.0)
-        stats.add_split("shard_seconds", "w0", 1.25)
-        assert stats.delta_since(baseline)["worker_utilisation"] == 1.0
-
-    def test_serial_engines_report_zero(self):
-        stats = EngineStats(backend="numpy", workers=1)
-        assert stats.worker_utilisation == 0.0
-        assert stats.delta_since(stats.as_dict())["worker_utilisation"] == 0.0
-
-
-class TestWorkerConfig:
-    """EngineConfig(num_workers) + $REPRO_ENGINE_WORKERS."""
-
-    def test_default_worker_count_is_one(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert default_worker_count() == 1
-        assert EngineConfig().worker_count == 1
-        assert QueryEngine(make_relevant(0)).num_workers == 1
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        assert default_worker_count() == 3
-        engine = QueryEngine(make_relevant(0))
-        assert engine.num_workers == 3
-        assert engine.stats.workers == 3
-
-    def test_explicit_workers_beat_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        engine = QueryEngine(make_relevant(0), config=EngineConfig(num_workers=2))
-        assert engine.num_workers == 2
-
-    @pytest.mark.parametrize("workers", [0, -1, -7])
-    def test_zero_and_negative_workers_rejected(self, workers):
-        with pytest.raises(ValueError, match="num_workers must be >= 1"):
-            EngineConfig(num_workers=workers).validate()
-        with pytest.raises(ValueError, match="num_workers must be >= 1"):
-            QueryEngine(make_relevant(0), config=EngineConfig(num_workers=workers))
-
-    @pytest.mark.parametrize("raw", ["four", "2.5", "", " 0 ", "-3"])
-    def test_env_var_parsing_rejects_garbage(self, monkeypatch, raw):
-        monkeypatch.setenv(WORKERS_ENV_VAR, raw)
-        if not raw.strip():
-            assert default_worker_count() == 1  # unset/blank means serial
-        else:
-            with pytest.raises(ValueError, match="REPRO_ENGINE_WORKERS"):
-                default_worker_count()
-            with pytest.raises(ValueError, match="REPRO_ENGINE_WORKERS"):
-                EngineConfig().validate()
-
-    def test_whitespace_env_value_parses(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "  4  ")
-        assert default_worker_count() == 4
-
-    def test_engine_for_is_keyed_by_workers(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        table = make_relevant(0)
-        serial = engine_for(table)
-        sharded = engine_for(table, EngineConfig(num_workers=2))
-        assert serial is not sharded
-        assert engine_for(table, EngineConfig(num_workers=2)) is sharded
-
-
 class TestEngineForConfig:
     def test_shared_per_table_and_config(self):
         table = make_relevant(0)
@@ -304,11 +211,51 @@ class TestEngineForConfig:
         assert other is not default
         assert engine_for(table, EngineConfig(backend=other_name)) is other
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("mask_cache_size", 7),
+            ("result_cache_size", 7),
+            ("sort_cache_size", 0),
+            ("memory_budget_bytes", 1 << 20),
+            ("incremental", True),
+        ],
+    )
+    def test_every_cache_key_field_selects_its_own_engine(self, field, value):
+        table = make_relevant(0)
+        base = EngineConfig(backend="numpy", incremental=False)
+        changed = replace(base, **{field: value})
+        assert changed.cache_key() != base.cache_key()
+        shared = engine_for(table, base)
+        other = engine_for(table, changed)
+        assert other is not shared
+        assert engine_for(table, changed) is other
+
     def test_registry_engines_never_cross_tables(self):
         a, b = make_relevant(0), make_relevant(1)
         assert engine_for(a, EngineConfig(backend="sqlite")) is not engine_for(
             b, EngineConfig(backend="sqlite")
         )
+
+
+class TestEngineConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"mask_cache_size": 0}, "Cache sizes must be >= 1"),
+            ({"result_cache_size": 0}, "Cache sizes must be >= 1"),
+            ({"sort_cache_size": -1}, "sort_cache_size must be >= 0"),
+            ({"memory_budget_bytes": 0}, "memory_budget_bytes must be >= 1"),
+        ],
+    )
+    def test_out_of_range_settings_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            EngineConfig(**kwargs).validate()
+        with pytest.raises(ValueError, match=message):
+            QueryEngine(make_relevant(0), config=EngineConfig(**kwargs))
+
+    def test_disabled_sort_cache_is_valid(self):
+        EngineConfig(sort_cache_size=0).validate()
 
 
 class TestStateResetContract:
@@ -350,15 +297,10 @@ class TestStateResetContract:
 
     def test_clear_caches_resets_backend_materialisation(self):
         engine = self.warmed_engine("sqlite")
-        # With num_workers > 1 the batch may have run on per-worker backend
-        # instances instead of the engine's own; all of them are derived
-        # state and must be dropped by clear_caches.
-        backends = [engine.backend] + engine.sharder.worker_backends
-        assert any(backend._conn is not None for backend in backends)
+        assert engine.backend._conn is not None
         engine.clear_caches()
         assert engine.backend._conn is None  # re-materialised on next plan
-        assert engine.sharder.worker_backends == []  # workers dropped outright
-        engine.execute(query_with("a"))  # single plan: runs on the engine's backend
+        engine.execute(query_with("a"))
         assert engine.backend._conn is not None
 
     @pytest.mark.parametrize("backend", ["numpy", "sqlite"])

@@ -59,12 +59,7 @@ def query_with(value: str, agg_func: str = "SUM") -> PredicateAwareQuery:
 
 
 def budgeted_engine(table: Table, budget: int, **overrides) -> QueryEngine:
-    # Serial pinned: eviction *determinism* pins depend on a
-    # deterministic traffic order, which worker pools do not guarantee
-    # (the budget ceiling itself holds under concurrency -- see
-    # test_engine_concurrency.TestMemoryBudgetConcurrency).
     overrides.setdefault("backend", "numpy")
-    overrides.setdefault("num_workers", 1)
     return QueryEngine(
         table, config=EngineConfig(memory_budget_bytes=budget, **overrides)
     )
@@ -344,7 +339,6 @@ class TestDeltaSinceTolerance:
         delta = engine.stats.delta_since({"bytes_cached": 10**9})
         assert delta["bytes_cached"] == engine.stats.bytes_cached
         assert delta["cache_bytes"] == engine.stats.cache_bytes
-        assert delta["workers"] == engine.num_workers
 
 
 class TestCloseAndRegistry:

@@ -4,8 +4,7 @@ The bar of the delta-aware engine (:mod:`repro.query.delta`): after any
 sequence of ``Table.append_rows`` calls, a warm engine -- whatever it
 upgraded in place and whatever it evicted -- must return exactly what a
 fresh engine over the fully rebuilt table returns.  The in-process backends
-(numpy / python) are held to **bit-for-bit** identity at every worker
-count; the storage-owning
+(numpy / python) are held to **bit-for-bit** identity; the storage-owning
 sqlite backend (which ``INSERT``\\ s the appended slice into its
 materialised database) keeps its usual ``1e-9`` value bar.
 
@@ -13,10 +12,12 @@ Covered append shapes: empty appends (version bump, zero-row delta), new
 categorical labels, NaN / missing rows, rows creating brand-new groups, and
 repeated appends between query batches.  The hypothesis property generates
 the base/delta split; the fixed matrix replays one adversarial append on
-every backend x worker-count combination, in incremental mode under every
-cache profile (default caches, one-entry caches with the sort-order cache
-off, and a byte budget that evicts on every insert -- a refresh must upgrade
-whatever survived eviction and nothing else).
+every backend, in incremental and flush mode under every cache profile
+(default caches, one-entry caches with the sort-order cache off, and a byte
+budget that evicts on every insert -- a refresh must upgrade whatever
+survived eviction and nothing else), with the delta landing in one, two or
+four ``append_rows`` calls before the next query (one refresh spans every
+version bump).
 
 Also pinned here: the refresh counters (``EngineStats.REFRESH_FIELDS``)
 book deterministically -- extensions and merges in incremental mode, pure
@@ -42,7 +43,9 @@ BACKENDS = tuple(backend_names())
 #: In-process backends: append-then-query must be bit-identical to rebuild.
 EXACT_BACKENDS = ("numpy", "python")
 VALUE_TOLERANCE = 1e-9
-WORKER_COUNTS = (1, 2, 4)
+#: The adversarial delta lands in this many consecutive ``append_rows``
+#: calls before the next query: one refresh must cover every slice.
+APPEND_SPLITS = (1, 2, 4)
 #: Cache configurations the warm engine runs under before the append.
 CACHE_PROFILES = {
     "default": {},
@@ -176,29 +179,30 @@ def fixed_delta_rows(n: int = 30, seed: int = 7):
     ]
 
 
-def run_append_scenario(backend, workers, incremental, cache="default"):
-    """Warm an engine, append (adversarial delta + an empty append), requery."""
+def run_append_scenario(backend, incremental, cache="default", splits=1):
+    """Warm an engine, append (adversarial delta in ``splits`` slices + an
+    empty append), requery."""
     base = fixed_base_rows()
     delta = fixed_delta_rows()
     table = build_table(base)
     queries = query_battery()
     config = EngineConfig(
         backend=backend,
-        num_workers=workers,
         incremental=incremental,
         **CACHE_PROFILES[cache],
     )
     engine = QueryEngine(table, config=config)
     try:
         engine.execute_batch(queries)  # warm every cache layer
-        table.append_rows(build_table(delta))
+        for part in np.array_split(np.arange(len(delta)), splits):
+            table.append_rows(build_table([delta[i] for i in part]))
         table.append_rows({"user": [], "cat": [], "x": []})
         results = engine.execute_batch(queries)
         stats = engine.stats.as_dict()
     finally:
         engine.close()
     tolerance = 0.0 if backend in EXACT_BACKENDS else VALUE_TOLERANCE
-    tag = (backend, workers, incremental, cache)
+    tag = (backend, incremental, cache, splits)
     assert_equivalent(
         results, rebuilt_results(base + delta, backend, queries), tolerance, tag
     )
@@ -237,18 +241,20 @@ class TestDefaultIncremental:
 
 
 class TestAppendEquivalence:
-    """Every backend x worker count (x cache profile in incremental mode)."""
+    """Every backend x cache profile x append split, in incremental and
+    flush mode."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("cache", CACHE_PROFILES)
-    def test_incremental_append_equals_rebuild(self, backend, workers, cache):
-        run_append_scenario(backend, workers, True, cache)
+    @pytest.mark.parametrize("splits", APPEND_SPLITS)
+    def test_incremental_append_equals_rebuild(self, backend, cache, splits):
+        run_append_scenario(backend, True, cache, splits)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_flush_append_equals_rebuild(self, backend, workers):
-        run_append_scenario(backend, workers, False)
+    @pytest.mark.parametrize("cache", CACHE_PROFILES)
+    @pytest.mark.parametrize("splits", APPEND_SPLITS)
+    def test_flush_append_equals_rebuild(self, backend, cache, splits):
+        run_append_scenario(backend, False, cache, splits)
 
     def test_repeated_appends_between_batches(self):
         base = fixed_base_rows(120, seed=3)
@@ -314,7 +320,7 @@ class TestRefreshFailsLoudly:
 
 class TestRefreshCounters:
     def test_incremental_counters_book_extensions(self):
-        stats = run_append_scenario("numpy", 1, True)
+        stats = run_append_scenario("numpy", True)
         assert stats["appended_rows"] == len(fixed_delta_rows())
         assert stats["masks_extended"] > 0
         assert stats["indexes_extended"] > 0
@@ -323,7 +329,7 @@ class TestRefreshCounters:
         assert stats["staleness_evictions"] > 0  # the non-additive results
 
     def test_flush_counters_book_pure_evictions(self):
-        stats = run_append_scenario("numpy", 1, False)
+        stats = run_append_scenario("numpy", False)
         assert stats["appended_rows"] == len(fixed_delta_rows())
         assert stats["masks_extended"] == 0
         assert stats["indexes_extended"] == 0
@@ -375,7 +381,7 @@ class TestRefreshFieldsStatsContract:
     """Satellite: REFRESH_FIELDS follow the PR 7 gauge carry contract."""
 
     def make_stats(self) -> EngineStats:
-        stats = EngineStats(backend="numpy", workers=1)
+        stats = EngineStats(backend="numpy")
         stats.bump(
             queries=4,
             appended_rows=30,

@@ -1,7 +1,7 @@
 """Thread-safety of the engine's shared state under concurrent traffic.
 
-The shard scheduler runs plans on pool threads, and nothing stops callers
-from hitting one shared engine from several threads of their own, so the
+Nothing stops callers from hitting one shared engine from several threads
+of their own (the query service's dispatcher is one more), so the
 LRU predicate-mask / result caches, the group-index map and every
 ``EngineStats`` counter must behave under concurrency:
 
@@ -31,7 +31,6 @@ from repro.query.engine import EngineConfig, EngineStats, QueryEngine, _LRUCache
 from repro.query.query import PredicateAwareQuery
 
 BACKENDS = tuple(backend_names())
-EXACT_BACKENDS = ("numpy", "python")
 N_THREADS = 4
 N_ROUNDS = 3
 
@@ -104,7 +103,7 @@ class TestStatsAtomicity:
 
         def hammer(i):
             for _ in range(per_thread):
-                stats.add_split("shard_seconds", f"w{i % 2}", 1.0)
+                stats.add_split("backend_seconds", f"b{i % 2}", 1.0)
                 stats.record_kernel("SUM", 1.0, backend="numpy")
 
         workers = [threading.Thread(target=hammer, args=(i,)) for i in range(threads)]
@@ -112,7 +111,7 @@ class TestStatsAtomicity:
             t.start()
         for t in workers:
             t.join()
-        assert sum(stats.shard_seconds.values()) == float(per_thread * threads)
+        assert sum(stats.backend_seconds.values()) == float(per_thread * threads)
         assert stats.kernel_seconds["SUM"] == float(per_thread * threads)
         assert stats.vectorized_aggregations == per_thread * threads
 
@@ -159,7 +158,7 @@ class TestLRUCacheConcurrency:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestConcurrentExecuteBatch:
-    def stress(self, engine: QueryEngine, expected, exact: bool):
+    def stress(self, engine: QueryEngine, expected, exact: bool, threads: int = N_THREADS):
         queries = make_batch()
         errors = []
 
@@ -170,22 +169,22 @@ class TestConcurrentExecuteBatch:
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=caller) for _ in range(N_THREADS)]
-        for t in threads:
+        workers = [threading.Thread(target=caller) for _ in range(threads)]
+        for t in workers:
             t.start()
-        for t in threads:
+        for t in workers:
             t.join()
         assert not errors, errors[0]
 
     def expected_for(self, table: Table, backend: str):
         return QueryEngine(
-            table, config=EngineConfig(backend=backend, num_workers=1)
+            table, config=EngineConfig(backend=backend)
         ).execute_batch(make_batch())
 
     def test_concurrent_batches_are_deterministic(self, backend):
         table = make_relevant(0)
         expected = self.expected_for(table, backend)
-        engine = QueryEngine(table, config=EngineConfig(backend=backend, num_workers=1))
+        engine = QueryEngine(table, config=EngineConfig(backend=backend))
         self.stress(engine, expected, exact=True)  # same engine: bit-identical
         # Accounting invariant: every query of every batch was either a
         # result-cache hit or booked exactly one miss -- torn counters would
@@ -196,21 +195,26 @@ class TestConcurrentExecuteBatch:
         assert stats.queries == stats.result_misses
         assert stats.batches == N_THREADS * N_ROUNDS
 
-    @pytest.mark.parametrize("workers", (2, 3, 4))
-    def test_concurrent_batches_with_plan_sharding(self, backend, workers):
+    @pytest.mark.parametrize("threads", (2, 3, 8))
+    def test_concurrent_batches_under_one_entry_caches(self, backend, threads):
+        """Every entry-bounded cache at one entry and the sort-order cache
+        off: each batch evicts what the other callers just cached, and
+        results and result accounting still hold at any caller count."""
         table = make_relevant(1)
         expected = self.expected_for(table, backend)
         engine = QueryEngine(
-            table, config=EngineConfig(backend=backend, num_workers=workers)
+            table,
+            config=EngineConfig(
+                backend=backend, mask_cache_size=1, result_cache_size=1, sort_cache_size=0
+            ),
         )
         try:
-            self.stress(engine, expected, exact=backend in EXACT_BACKENDS)
-            # Result accounting is coordinator-side, so the exactness
-            # invariant holds with the worker pool too.
+            self.stress(engine, expected, exact=True, threads=threads)
             stats = engine.stats
-            total = N_THREADS * N_ROUNDS * len(make_batch())
+            total = threads * N_ROUNDS * len(make_batch())
             assert stats.result_hits + stats.result_misses == total
             assert stats.queries == stats.result_misses
+            assert stats.batches == threads * N_ROUNDS
         finally:
             engine.close()
 
@@ -221,7 +225,7 @@ class TestConcurrentExecuteBatch:
         table = make_relevant(3)
         engine = QueryEngine(
             table,
-            config=EngineConfig(backend=backend, num_workers=1, mask_cache_size=2),
+            config=EngineConfig(backend=backend, mask_cache_size=2),
         )
         expected = self.expected_for(table, backend)
         self.stress(engine, expected, exact=True)
@@ -240,7 +244,6 @@ class TestMemoryBudgetConcurrency:
             make_relevant(4, n=2000),
             config=EngineConfig(
                 backend="numpy",
-                num_workers=1,
                 memory_budget_bytes=self.BUDGET,
             ),
         )

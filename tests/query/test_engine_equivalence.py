@@ -17,6 +17,11 @@ Two equivalence bars:
 * backends that own their storage and re-accumulate floats in their own
   order (``sqlite``) are held to value equality within ``1e-9`` on feature
   values, with key columns, dtypes, group order and NaN placement exact.
+
+Both bars also hold under squeezed cache profiles (every entry-bounded cache
+at one entry with the sort-order cache off, and a byte budget that evicts on
+every insert) and on a NaN / None-bearing table, so cache churn never
+changes a result.
 """
 
 import numpy as np
@@ -49,11 +54,23 @@ BACKENDS = tuple(backend_names())
 EXACT_BACKENDS = ("numpy", "python")
 VALUE_TOLERANCE = 1e-9
 
+#: Cache configurations engines are checked under: the defaults, every
+#: entry-bounded cache squeezed to one entry with the sort-order cache off
+#: (plans re-mask and re-sort), and a byte budget small enough to evict on
+#: every insert.
+CACHE_PROFILES = {
+    "default": {},
+    "tight": {"mask_cache_size": 1, "result_cache_size": 1, "sort_cache_size": 0},
+    "budget": {"memory_budget_bytes": 1},
+}
+
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 
 
-def engine_with(table: Table, backend: str) -> QueryEngine:
-    return QueryEngine(table, config=EngineConfig(backend=backend))
+def engine_with(table: Table, backend: str, cache: str = "default") -> QueryEngine:
+    return QueryEngine(
+        table, config=EngineConfig(backend=backend, **CACHE_PROFILES[cache])
+    )
 
 
 def assert_tables_match(actual: Table, expected: Table, exact: bool = True) -> None:
@@ -161,6 +178,192 @@ class TestExecuteEquivalence:
         assert len(results) == len(queries)
         for query, result in zip(queries, results):
             assert_backend_matches_naive(backend, result, execute_query_naive(query, table))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("cache", CACHE_PROFILES)
+class TestCacheProfileEquivalence:
+    @given(table=random_tables(), queries=st.lists(random_queries(), min_size=1, max_size=6))
+    @settings(max_examples=15, deadline=None)
+    def test_batch_matches_naive(self, backend, cache, table, queries):
+        engine = engine_with(table, backend, cache)
+        expected = [execute_query_naive(query, table) for query in queries]
+        # The second pass is served from whatever the caches kept.
+        for _ in range(2):
+            results = engine.execute_batch(queries)
+            assert len(results) == len(queries)
+            for result, want in zip(results, expected):
+                assert_backend_matches_naive(backend, result, want)
+
+
+#: Group counts of the edge-case tables: one group, a handful, and a prime
+#: count that leaves the row pattern uneven.
+GROUP_COUNTS = (1, 2, 3, 4, 7)
+#: Row counts of the single-group table, down to one row (zero-variance
+#: and one-sample order statistics).
+SINGLE_GROUP_ROWS = (1, 2, 3, 5, 12)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("cache", CACHE_PROFILES)
+class TestCacheProfileEdgeCases:
+    def run_batch(self, table, backend, cache):
+        queries = []
+        for predicates in ({}, {"cat": "x"}, {"cat": "missing"}):
+            for func in ("SUM", "COUNT", "MEDIAN", "MODE", "ENTROPY", "KURTOSIS"):
+                queries.append(
+                    PredicateAwareQuery(
+                        func, "val", ("key",), dict(predicates),
+                        {k: DType.CATEGORICAL for k in predicates},
+                    )
+                )
+        results = engine_with(table, backend, cache).execute_batch(queries)
+        for query, result in zip(queries, results):
+            assert_backend_matches_naive(backend, result, execute_query_naive(query, table))
+
+    @pytest.mark.parametrize("n_groups", GROUP_COUNTS)
+    def test_empty_filter_results(self, backend, cache, n_groups):
+        rng = np.random.default_rng(0)
+        keys = rng.permutation(np.arange(30) % n_groups).astype(np.float64)
+        table = Table(
+            [
+                Column("key", keys, dtype=DType.NUMERIC),
+                Column("cat", ["y"] * 30, dtype=DType.CATEGORICAL),  # "x" never matches
+                Column("val", rng.normal(size=30), dtype=DType.NUMERIC),
+            ]
+        )
+        self.run_batch(table, backend, cache)
+
+    @pytest.mark.parametrize("n_rows", SINGLE_GROUP_ROWS)
+    def test_single_group_table(self, backend, cache, n_rows):
+        table = Table(
+            [
+                Column("key", [1.0] * n_rows, dtype=DType.NUMERIC),
+                Column("cat", [("x", "y")[i % 2] for i in range(n_rows)], dtype=DType.CATEGORICAL),
+                Column("val", [float(i) for i in range(n_rows)], dtype=DType.NUMERIC),
+            ]
+        )
+        self.run_batch(table, backend, cache)
+
+    @pytest.mark.parametrize("n_groups", GROUP_COUNTS)
+    def test_few_group_table(self, backend, cache, n_groups):
+        """A handful of rows per group, one NaN value and one group whose
+        rows all miss the ``cat = 'x'`` filter when there is more than one."""
+        n = 2 * n_groups + 1
+        keys = [float(i % n_groups + 1) for i in range(n)]
+        cats = ["y" if k == 2.0 else "x" for k in keys]
+        vals = [0.5 * i - 1.5 for i in range(n)]
+        vals[n // 2] = float("nan")
+        table = Table(
+            [
+                Column("key", keys, dtype=DType.NUMERIC),
+                Column("cat", cats, dtype=DType.CATEGORICAL),
+                Column("val", vals, dtype=DType.NUMERIC),
+            ]
+        )
+        self.run_batch(table, backend, cache)
+
+
+def none_bearing_table(seed: int = 3) -> Table:
+    """NaN / None-bearing table: NaN values, a None categorical level and
+    categorical aggregation attributes in one batch."""
+    rng = np.random.default_rng(seed)
+    n = 120
+    return Table(
+        [
+            Column("key", rng.integers(0, 11, size=n).astype(np.float64), dtype=DType.NUMERIC),
+            Column(
+                "cat",
+                [["x", "y", "z", None][i] for i in rng.integers(0, 4, size=n)],
+                dtype=DType.CATEGORICAL,
+            ),
+            Column(
+                "val",
+                np.where(rng.random(n) < 0.15, np.nan, rng.normal(size=n)),
+                dtype=DType.NUMERIC,
+            ),
+        ]
+    )
+
+
+def none_bearing_batch():
+    queries = []
+    for predicates in ({}, {"cat": "x"}, {"cat": "missing"}):
+        for func in ("SUM", "COUNT", "MEDIAN", "MODE", "ENTROPY", "KURTOSIS", "MAD"):
+            queries.append(
+                PredicateAwareQuery(
+                    func, "val", ("key",), dict(predicates),
+                    {k: DType.CATEGORICAL for k in predicates},
+                )
+            )
+    queries.append(
+        PredicateAwareQuery("MODE", "cat", ("key",), {"cat": "x"}, {"cat": DType.CATEGORICAL})
+    )
+    queries.append(PredicateAwareQuery("COUNT_DISTINCT", "cat", ("key",), {}, {}))
+    return queries
+
+
+#: Integer counters a query batch books on the coordinator, independent of
+#: how each plan's kernels ran.
+RESULT_COUNTERS = ("queries", "batches", "batched_queries", "result_hits", "result_misses")
+
+
+def int_counters(stats: dict) -> dict:
+    return {k: v for k, v in stats.items() if isinstance(v, int) and not isinstance(v, bool)}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("cache", CACHE_PROFILES)
+class TestNoneBearingTable:
+    def test_matches_naive_and_accounts_every_query(self, backend, cache):
+        table = none_bearing_table()
+        queries = none_bearing_batch()
+        expected = [execute_query_naive(query, table) for query in queries]
+        engine = engine_with(table, backend, cache)
+        try:
+            for _ in range(2):
+                for result, want in zip(engine.execute_batch(queries), expected):
+                    assert_backend_matches_naive(backend, result, want)
+            # Every query of both passes was a result-cache hit or booked
+            # exactly one miss; with default caches the second pass is
+            # served entirely from the result cache.
+            stats = engine.stats
+            assert stats.result_hits + stats.result_misses == 2 * len(queries)
+            assert stats.queries == stats.result_misses
+            if cache == "default":
+                assert stats.result_hits == len(queries)
+        finally:
+            engine.close()
+            engine.close()  # idempotent
+
+    def test_counters_deterministic_across_runs(self, backend, cache):
+        """Two identical runs on fresh engines book identical integer
+        counters."""
+        snapshots = []
+        for _ in range(2):
+            engine = engine_with(none_bearing_table(), backend, cache)
+            try:
+                engine.execute_batch(none_bearing_batch())
+                snapshots.append(int_counters(engine.stats.as_dict()))
+            finally:
+                engine.close()
+        assert snapshots[0] == snapshots[1]
+        assert snapshots[0]["queries"] == len(none_bearing_batch())
+
+    def test_result_accounting_independent_of_cache_sizes(self, backend, cache):
+        """Squeezed caches change what is reused, never how a first pass is
+        booked: a cold batch books the same query / batch / result counters
+        under every cache profile."""
+        counts = []
+        for profile in ("default", cache):
+            engine = engine_with(none_bearing_table(), backend, profile)
+            try:
+                engine.execute_batch(none_bearing_batch())
+                counts.append({name: getattr(engine.stats, name) for name in RESULT_COUNTERS})
+            finally:
+                engine.close()
+        assert counts[0] == counts[1]
+        assert counts[1]["result_misses"] == len(none_bearing_batch())
 
 
 class TestCompatibilityWrapper:

@@ -9,11 +9,12 @@ The three PR 9 engine satellites, pinned:
   tables never serialise on it), but the slot is double-checked before
   insertion: every caller gets the **same** registered engine and the
   race's loser ``close()``s its candidate immediately, so no backend
-  resource -- sqlite connection, worker pool -- leaks.
+  resource -- a sqlite connection -- leaks.
 * **Empty batches are free** -- ``execute_batch([])`` / ``execute_plans([])``
   return ``[]`` without touching the backend, syncing the table or bumping
   any counter (``batches`` counts rounds that carried queries), on every
-  backend, serial or sharded.  A closed engine stays closed.
+  backend, whether the engine is fresh, warm or behind its table.  A closed
+  engine stays closed.
 * **Close / lazy re-open** -- ``close()`` releases everything; the next
   execution transparently re-opens the engine with results identical to a
   never-closed one, and lifetime counters survive the cycle, on every
@@ -60,8 +61,7 @@ def small_batch():
 
 
 def multi_plan_batch():
-    """Six queries over three fused plans -- enough distinct predicates that
-    plan-level sharding genuinely dispatches to the worker pool."""
+    """Six queries over three fused plans (three distinct predicates)."""
     return [
         PredicateAwareQuery(
             func, "val", ("key",), {"cat": value}, {"cat": DType.CATEGORICAL}
@@ -190,7 +190,7 @@ class TestEngineForRace:
 class TestEmptyBatch:
     def test_empty_batch_is_free_serial(self, backend):
         engine = QueryEngine(
-            make_relevant(3), config=EngineConfig(backend=backend, num_workers=1)
+            make_relevant(3), config=EngineConfig(backend=backend)
         )
         before = engine.stats.as_dict()
         assert engine.execute_batch([]) == []
@@ -198,7 +198,7 @@ class TestEmptyBatch:
         assert engine.execute_plans_deduped([]) == ([], 0)
         assert engine.stats.as_dict() == before  # no counter drift at all
 
-    @pytest.mark.parametrize("workers", (2, 3, 4))
+    @pytest.mark.parametrize("state", ("fresh", "warm", "stale"))
     @pytest.mark.parametrize(
         "entry,expected",
         [
@@ -207,14 +207,21 @@ class TestEmptyBatch:
             ("execute_plans_deduped", ([], 0)),
         ],
     )
-    def test_empty_batch_is_free_sharded(self, backend, workers, entry, expected):
-        engine = QueryEngine(
-            make_relevant(3), config=EngineConfig(backend=backend, num_workers=workers)
-        )
+    def test_empty_batch_is_free_in_every_state(self, backend, state, entry, expected):
+        """Each empty entry point is free on a fresh engine, on a warm one
+        and on one whose table has grown since its last sync."""
+        table = make_relevant(3)
+        engine = QueryEngine(table, config=EngineConfig(backend=backend))
         try:
+            if state != "fresh":
+                engine.execute_batch(multi_plan_batch())
+            if state == "stale":
+                table.append_rows({"key": [1.0], "cat": ["a"], "val": [0.25]})
+            synced = engine._synced_version
             before = engine.stats.as_dict()
             assert getattr(engine, entry)([]) == expected
             assert engine.stats.as_dict() == before
+            assert engine._synced_version == synced
         finally:
             engine.close()
 
@@ -222,7 +229,7 @@ class TestEmptyBatch:
         """No backend touch also means no lazy re-open: a closed engine
         handed an empty batch stays closed (and pays nothing)."""
         engine = QueryEngine(
-            make_relevant(3), config=EngineConfig(backend=backend, num_workers=1)
+            make_relevant(3), config=EngineConfig(backend=backend)
         )
         engine.execute_batch(small_batch())
         engine.close()
@@ -233,7 +240,7 @@ class TestEmptyBatch:
         """The empty path returns before ``sync_with_table``: version drift
         is observed by the next real execution, not by a no-op."""
         table = make_relevant(3)
-        engine = QueryEngine(table, config=EngineConfig(backend=backend, num_workers=1))
+        engine = QueryEngine(table, config=EngineConfig(backend=backend))
         engine.execute_batch(small_batch())
         synced = engine._synced_version
         table.append_rows({"key": [1.0], "cat": ["a"], "val": [0.25]})
@@ -247,20 +254,20 @@ class TestEmptyBatch:
 class TestClosedEngineReopen:
     def test_batch_on_closed_engine_reopens_transparently(self, backend):
         table = make_relevant(4)
-        queries = multi_plan_batch()  # multi-plan: sharding really dispatches
+        queries = multi_plan_batch()
         expected = QueryEngine(
-            table, config=EngineConfig(backend=backend, num_workers=1)
+            table, config=EngineConfig(backend=backend)
         ).execute_batch(queries)
         engine = QueryEngine(
             table,
-            config=EngineConfig(backend=backend, num_workers=2),
+            config=EngineConfig(backend=backend),
         )
         try:
             assert_tables_equal(engine.execute_batch(queries), expected)
             engine.close()
             assert engine.closed
             # The documented lazy re-creation path: the next batch re-opens
-            # the engine, re-creating its worker pool on demand.
+            # the engine, re-creating its backend materialisation on demand.
             assert_tables_equal(engine.execute_batch(queries), expected)
             assert not engine.closed
         finally:
@@ -269,7 +276,7 @@ class TestClosedEngineReopen:
     def test_counters_survive_a_close_reopen_cycle(self, backend):
         engine = QueryEngine(
             make_relevant(4),
-            config=EngineConfig(backend=backend, num_workers=2),
+            config=EngineConfig(backend=backend),
         )
         try:
             engine.execute_batch(small_batch())
@@ -288,7 +295,7 @@ class TestClosedEngineReopen:
     def test_single_query_reopens_too(self, backend):
         engine = QueryEngine(
             make_relevant(4),
-            config=EngineConfig(backend=backend, num_workers=2),
+            config=EngineConfig(backend=backend),
         )
         try:
             query = small_batch()[0]

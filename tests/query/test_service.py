@@ -15,8 +15,8 @@ Covers the full service contract:
 * **Failure paths** -- deadline expiry mid-queue, engine errors fanned out
   to every waiting future (never a hang), cancelled futures skipped,
   draining and non-draining ``close()`` with requests in flight.
-* **Acceptance hammer** -- N threads through one service on every backend,
-  worker count and cache profile, bit-identical to serial (1e-9 for sqlite)
+* **Acceptance hammer** -- 2, 4 and 8 threads through one service on every
+  backend and cache profile, bit-identical to serial (1e-9 for sqlite)
   with counters proving cross-request fusion fired.
 
 Manual mode (``auto_start=False`` + ``run_pending_round``) makes the
@@ -54,7 +54,8 @@ from repro.query.service import (
 
 BACKENDS = tuple(backend_names())
 EXACT_BACKENDS = ("numpy", "python")
-HAMMER_WORKERS = (1, 2, 4)
+#: Numbers of concurrent callers hammering one service.
+HAMMER_CALLERS = (2, 4, 8)
 #: Engine cache configurations behind the hammered service: the defaults,
 #: and every entry-bounded cache squeezed to one entry with the sort-order
 #: cache off (fan-out must not depend on what the engine caches kept).
@@ -110,7 +111,6 @@ def assert_batch_equal(actual, expected, exact: bool):
 
 def make_engine(seed=0, **config_kwargs) -> QueryEngine:
     config_kwargs.setdefault("backend", "numpy")
-    config_kwargs.setdefault("num_workers", 1)
     return QueryEngine(make_relevant(seed), config=EngineConfig(**config_kwargs))
 
 
@@ -545,29 +545,25 @@ class TestServiceStats:
 # Acceptance: N concurrent callers, bit-identical to serial, fusion proven
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("workers", HAMMER_WORKERS)
 @pytest.mark.parametrize("cache", CACHE_PROFILES)
+@pytest.mark.parametrize("callers", HAMMER_CALLERS)
 class TestConcurrentCallersBitIdentity:
-    N_CALLERS = 4
-
-    def test_hammer_matches_serial(self, backend, workers, cache):
+    def test_hammer_matches_serial(self, backend, cache, callers):
         table = make_relevant(5)
         queries = make_batch()
         serial = QueryEngine(
-            table, config=EngineConfig(backend=backend, num_workers=1)
+            table, config=EngineConfig(backend=backend)
         ).execute_batch(queries)
         engine = QueryEngine(
             table,
-            config=EngineConfig(
-                backend=backend, num_workers=workers, **CACHE_PROFILES[cache]
-            ),
+            config=EngineConfig(backend=backend, **CACHE_PROFILES[cache]),
         )
         exact = backend in EXACT_BACKENDS
         try:
             baseline = engine.stats.as_dict()
             service = manual_service(engine, max_batch=256, coalesce_window_ms=0)
-            barrier = threading.Barrier(self.N_CALLERS)
-            futures = [None] * self.N_CALLERS
+            barrier = threading.Barrier(callers)
+            futures = [None] * callers
             errors = []
 
             def caller(slot):
@@ -579,7 +575,7 @@ class TestConcurrentCallersBitIdentity:
 
             threads = [
                 threading.Thread(target=caller, args=(slot,))
-                for slot in range(self.N_CALLERS)
+                for slot in range(callers)
             ]
             for thread in threads:
                 thread.start()
@@ -588,35 +584,33 @@ class TestConcurrentCallersBitIdentity:
             assert not errors, errors[0]
             # Every caller admitted before any round ran: the single drain
             # round is guaranteed to coalesce all of them.
-            assert service.queue_depth == self.N_CALLERS * len(queries)
+            assert service.queue_depth == callers * len(queries)
             service.close()  # draining close runs the fused round(s)
             for future in futures:
                 assert_batch_equal(future.result(timeout=30), serial, exact)
             delta = service_delta(engine.stats, baseline)
-            total = self.N_CALLERS * len(queries)
+            total = callers * len(queries)
             assert delta["service_admitted"] == total
             # Cross-request fusion fired: one shared round, every query
             # coalesced, all but one caller's plans served by fan-out.
             assert delta["service_rounds"] == 1
             assert delta["service_coalesced"] == total
-            assert delta["service_deduped"] == (self.N_CALLERS - 1) * len(queries)
+            assert delta["service_deduped"] == (callers - 1) * len(queries)
         finally:
             engine.close()
 
-    def test_live_dispatcher_hammer_matches_serial(self, backend, workers, cache):
+    def test_live_dispatcher_hammer_matches_serial(self, backend, cache, callers):
         """Same backends through the real dispatcher thread: callers block on
         ``execute`` concurrently; whatever rounds the window forms, results
         stay bit-identical and every admitted query is accounted for."""
         table = make_relevant(6)
         queries = make_batch()
         serial = QueryEngine(
-            table, config=EngineConfig(backend=backend, num_workers=1)
+            table, config=EngineConfig(backend=backend)
         ).execute_batch(queries)
         engine = QueryEngine(
             table,
-            config=EngineConfig(
-                backend=backend, num_workers=workers, **CACHE_PROFILES[cache]
-            ),
+            config=EngineConfig(backend=backend, **CACHE_PROFILES[cache]),
         )
         exact = backend in EXACT_BACKENDS
         try:
@@ -634,7 +628,7 @@ class TestConcurrentCallersBitIdentity:
                         errors.append(exc)
 
                 threads = [
-                    threading.Thread(target=caller) for _ in range(self.N_CALLERS)
+                    threading.Thread(target=caller) for _ in range(callers)
                 ]
                 for thread in threads:
                     thread.start()
@@ -642,7 +636,7 @@ class TestConcurrentCallersBitIdentity:
                     thread.join()
             assert not errors, errors[0]
             delta = service_delta(engine.stats, baseline)
-            assert delta["service_admitted"] == self.N_CALLERS * 2 * len(queries)
+            assert delta["service_admitted"] == callers * 2 * len(queries)
             assert delta["service_rounds"] >= 1
             assert delta["service_timeouts"] == 0
             assert delta["service_rejected"] == 0
