@@ -264,7 +264,7 @@ def test_sqlite_vs_numpy_backend():
 
 
 #: The order-statistics-heavy template: 8 sort-based aggregates (everything
-#: that touches the shared lexsort order, KURTOSIS included) plus two
+#: that touches the shared (code, value) order, KURTOSIS included) plus two
 #: accumulation aggregates, crossed with the 5 template predicates = 50
 #: queries.  Split into two batches so the second batch exercises sort-order
 #: reuse *across* batches of one template (its functions never ran before,
@@ -293,7 +293,10 @@ def test_fused_sort_reuse_vs_per_aggregate():
 
     The per-aggregate baseline executes every query as its own plan with the
     sort-order cache disabled (``EngineConfig(sort_cache_size=0)``): each of
-    the 40 sort-based queries pays its own ``np.lexsort``.  The fused path
+    the 40 sort-based queries builds its own order.  Both paths derive their
+    main orders from the engine's presorted ``hover_duration`` column (one
+    argsort each) and lexsort MAD's deviation orders, so the ratio measures
+    the reuse alone.  The fused path
     runs the same 50 queries through ``execute_batch`` with the cache on:
     one sort per (predicate, keys, value column) -- 5 in total -- shared by
     every order-statistics kernel of the fused plans and, for the second
@@ -376,7 +379,7 @@ def test_fused_sort_reuse_vs_per_aggregate():
 
 
 #: The parameterized-family template: a quantile sweep plus two top-k
-#: concentration levels, all riding the *same* shared lexsort order per
+#: concentration levels, all riding the *same* shared (code, value) order per
 #: (predicate, keys, value column) -- crossed with the 5 template predicates.
 #: Batch 2 widens the sweep so its main orders come purely from the
 #: sort-order cache (its (func, param) pairs never ran, so nothing comes
@@ -397,11 +400,11 @@ def test_fused_quantile_family_sort_reuse_vs_per_aggregate():
     """Fused execution + the shared sort-order cache vs the per-aggregate
     path, on a parameterized quantile-family 45-query template batch.
 
-    Every ``QUANTILE:q`` and ``TOP_K_SHARE:k`` kernel is sort-based and reads
-    the *same* main lexsort order (quantiles gather from the sorted segments,
-    top-k share from the equal-value runs), so a fused quantile sweep pays
-    one ``np.lexsort`` per (predicate, keys, value column) -- 5 in total --
-    no matter how many parameter points it evaluates, while the
+    Every ``QUANTILE:q`` and ``TOP_K_SHARE:k`` kernel is sort-based and
+    reads the *same* main (code, value) order (quantiles gather from the
+    sorted segments, top-k share from the equal-value runs), so a fused
+    quantile sweep builds one order per (predicate, keys, value column) --
+    5 in total -- no matter how many parameter points it evaluates, while the
     per-aggregate baseline (``EngineConfig(sort_cache_size=0)``, one plan
     per query) pays one per query: 45.  Acceptance bar: >= 1.5x on the
     sort + aggregation phase; results bit-identical and the sort-cache

@@ -30,7 +30,7 @@ import datetime as _dt
 import threading
 from enum import Enum
 from itertools import islice
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -165,13 +165,16 @@ class Dictionary:
     dictionary was extended along two different branches.
     """
 
-    __slots__ = ("labels", "lookup", "chain", "_label_array")
+    __slots__ = ("labels", "lookup", "chain", "_label_array", "_translations")
 
     def __init__(self, labels: tuple, lookup: dict, chain: tuple):
         self.labels = labels
         self.lookup = lookup
         self.chain = chain
         self._label_array: Optional[np.ndarray] = None
+        #: :meth:`translate` mappings from other dictionaries, keyed by the
+        #: source's last chain token.
+        self._translations: Dict[object, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -259,9 +262,22 @@ class Dictionary:
         extending it: labels it lacks map to ``len(self)``, ``-1`` stays."""
         if self.shares_codes_with(source):
             return np.where(codes < len(self), codes, len(self))
-        mapping = np.asarray([self.code_of(label) for label in source.labels], dtype=np.int64)
-        mapping[mapping < 0] = len(self)
-        return np.append(mapping, -1)[codes]
+        # One code_of per source label, memoised per (source, target) pair.
+        # The key is unique per source dictionary: every dictionary, and so
+        # every extension, gets a fresh last chain token.  The memo lives on
+        # this (immutable) target; a grown target is a new dictionary with
+        # a memo of its own.
+        key = source.chain[-1]
+        mapping = self._translations.get(key)
+        if mapping is None:
+            mapping = np.asarray(
+                [self.code_of(label) for label in source.labels] + [-1], dtype=np.int64
+            )
+            mapping[:-1][mapping[:-1] < 0] = len(self)
+            if len(self._translations) >= _TRANSLATION_MEMO_SIZE:
+                self._translations.clear()  # atomic, unlike a partial eviction
+            self._translations[key] = mapping
+        return mapping[codes]
 
     def label_array(self) -> np.ndarray:
         """Object array of the labels plus a trailing ``None``, so that
@@ -271,6 +287,10 @@ class Dictionary:
             array = np.fromiter(self.labels + (None,), dtype=object, count=len(self) + 1)
             self._label_array = array
         return array
+
+
+#: Translation mappings one dictionary keeps before it starts over.
+_TRANSLATION_MEMO_SIZE = 8
 
 
 def _scan(labels, value) -> int:

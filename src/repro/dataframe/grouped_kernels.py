@@ -7,8 +7,11 @@ functions of :mod:`repro.dataframe.aggregates` for **every group at once**:
 
 * ``np.bincount`` drives the accumulation family (COUNT, SUM, AVG, VAR,
   VAR_SAMPLE, STD, STD_SAMPLE, KURTOSIS),
-* one ``np.lexsort`` per value array drives the order-statistics family
-  (MIN, MAX, MEDIAN, MAD) via segment boundaries, and
+* one (code, value) order per value array -- ``np.lexsort((values,
+  codes))``, or the same order derived in O(n) from a presorted column
+  (:meth:`GroupedAggregator.derive_sort_order`) -- drives the
+  order-statistics family (MIN, MAX, MEDIAN, MAD) via segment boundaries,
+  and
 * equal-value *runs* inside the sorted segments drive the distribution
   family (COUNT_DISTINCT, ENTROPY, MODE).
 
@@ -19,10 +22,11 @@ handful of ``bincount`` passes -- this is what makes
 ``QueryEngine.execute_batch`` scale past the per-group Python loop.  The sort
 order itself is an **injectable** intermediate: callers may pass a
 precomputed ``sort_order`` to the constructor or hook an ``order_cache``
-callable onto the aggregator, so the lexsort that dominates the
+callable onto the aggregator, so the sort that dominates the
 order-statistics family (``SORT_BASED_KERNELS``) runs at most once per
 (filter, grouping, value column) -- the query engine caches these orders
-across whole query batches (see ``QueryEngine.sort_order``).
+across whole query batches (see ``QueryEngine.sort_order``) and derives
+them from one presorted permutation per column (``QueryEngine.presorted``).
 
 Semantics contract (matching :func:`repro.dataframe.aggregates.aggregate`
 element-wise):
@@ -105,10 +109,10 @@ class GroupedAggregator:
         Optional precomputed ``np.lexsort((values, codes))`` order over the
         **NaN-stripped** rows (see :meth:`sort_order`).  Passing an order
         computed for the same (codes, values) pair -- e.g. one cached by the
-        query engine across queries of a template -- skips the lexsort that
+        query engine across queries of a template -- skips the sort that
         otherwise dominates the order-statistics kernels, and is bit-neutral:
-        lexsort is deterministic, so the provided order is exactly the one
-        the aggregator would compute itself.
+        the order is unique (ties broken by row position), so the provided
+        order is exactly the one the aggregator would compute itself.
     """
 
     def __init__(
@@ -126,10 +130,13 @@ class GroupedAggregator:
             )
         self.n_groups = int(n_groups)
         valid = ~np.isnan(values)
+        #: Which input rows survive NaN stripping (``None`` = all of them).
+        self._valid: Optional[np.ndarray] = None
         if valid.all():
             self._codes, self._values = codes, values
         else:
             self._codes, self._values = codes[valid], values[valid]
+            self._valid = valid
         if sort_order is not None and len(sort_order) != len(self._values):
             raise ValueError(
                 f"sort_order must cover the {len(self._values)} NaN-stripped "
@@ -140,9 +147,9 @@ class GroupedAggregator:
         #: Optional external order source: a callable taking this
         #: aggregator's own compute thunk and returning the (possibly cached)
         #: order array.  The query engine hooks its LRU sort-order cache in
-        #: here so the lexsort runs at most once per (predicate, keys, value
-        #: column) across queries; left ``None``, the aggregator sorts
-        #: locally exactly as before.
+        #: here so the order is built at most once per (predicate, keys,
+        #: value column) across queries; left ``None``, the aggregator
+        #: lexsorts locally.
         self.order_cache: Optional[
             Callable[[Callable[[], np.ndarray]], np.ndarray]
         ] = None
@@ -151,6 +158,17 @@ class GroupedAggregator:
         #: per (sort key, MEDIAN) pair next to the main order in its LRU.
         self.mad_order_cache: Optional[
             Callable[[Callable[[], np.ndarray]], np.ndarray]
+        ] = None
+        #: Optional presorted source of the main order, ``(presorted,
+        #: num_rows, rows)``: a zero-argument callable returning the
+        #: permutation plus the other two arguments of
+        #: :meth:`derive_sort_order`.  When set, computing the order derives
+        #: it in O(n) instead of lexsorting.  (The engine sets this rather
+        #: than an ``order_cache`` closing over the aggregator: such a
+        #: reference cycle would hold every intermediate until the cyclic
+        #: garbage collector ran.)
+        self.presorted: Optional[
+            Tuple[Callable[[], np.ndarray], int, Optional[np.ndarray]]
         ] = None
         # Lazily shared intermediates.
         self._order: Optional[np.ndarray] = sort_order
@@ -203,7 +221,8 @@ class GroupedAggregator:
 
         Resolved at most once: a constructor-provided order wins, else the
         :attr:`order_cache` hook (the engine's shared cache) is consulted,
-        else the lexsort runs locally.  This is the single order every
+        else the order is computed locally: derived from :attr:`presorted`
+        when set, else lexsorted.  This is the single order every
         order-statistics kernel (and the distribution family's value runs)
         reads through :meth:`_sorted_segments`.
         """
@@ -224,13 +243,54 @@ class GroupedAggregator:
         return self._order
 
     def _compute_sort_order(self) -> np.ndarray:
+        if self.presorted is not None:
+            presorted, num_rows, rows = self.presorted
+            return self.derive_sort_order(presorted(), num_rows, rows)
         return np.lexsort((self._values, self._codes))
+
+    def derive_sort_order(
+        self, presorted: np.ndarray, num_rows: int, rows: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """:meth:`sort_order`'s order, derived in O(n) from a presorted column.
+
+        The aggregator's input values must be ``base[rows]`` for a float64
+        array ``base`` of length *num_rows* (``rows=None``: ``base`` itself),
+        with *rows* ascending.  *presorted* holds the positions of ``base``'s
+        non-NaN entries in stable ascending value order, i.e. the non-NaN
+        prefix of ``np.argsort(base, kind="stable")``.  The derivation keeps
+        the presorted positions of the stripped rows, maps them to
+        stripped-row positions, and stable-sorts those by group code.  Two
+        stable sorts applied least-significant key first give exactly the
+        ``np.lexsort((values, codes))`` order (LSD radix sort), ties broken
+        by row position.  Group codes are sorted as ``uint16`` when they fit,
+        which numpy radix-sorts in O(n).
+        """
+        if rows is None:
+            rows = None if self._valid is None else np.flatnonzero(self._valid)
+        elif self._valid is not None:
+            rows = rows[self._valid]
+        n = self._codes.shape[0]
+        if rows is None:  # every base row, none of them NaN
+            positions = presorted.astype(np.intp)
+        else:
+            kept = presorted
+            if n != presorted.shape[0]:
+                member = np.zeros(num_rows, dtype=bool)
+                member[rows] = True
+                kept = presorted[member[presorted]]
+            stripped = np.empty(num_rows, dtype=np.intp)
+            stripped[rows] = np.arange(n, dtype=np.intp)
+            positions = stripped[kept]
+        group = self._codes[positions]
+        if self.n_groups <= 1 << 16:
+            group = group.astype(np.uint16)
+        return positions[np.argsort(group, kind="stable")]
 
     def resolve_sort_order(self) -> None:
         """Force :meth:`sort_order` resolution now (timing-neutral warm-up).
 
         The engine's backends call this *outside* their per-kernel timer so
-        the lexsort (or the cache lookup replacing it) is accounted to the
+        the sort (or the cache lookup replacing it) is accounted to the
         sorting phase, not to whichever sort-based kernel happens to run
         first.
         """

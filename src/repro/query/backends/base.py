@@ -193,7 +193,7 @@ class GroupIndexBackend(ExecutionBackend):
         """Untimed per-spec hook, called right before the aggregation timer
         starts with the full :class:`~repro.query.plan.AggregateSpec`.  The
         numpy backend resolves the shared sort order here for sort-based
-        kernels, so the lexsort books once (into ``seconds_sorting``)
+        kernels, so building it books once (into ``seconds_sorting``)
         instead of hiding inside the first such kernel's ``kernel_seconds``
         entry -- while staying lazy enough that accumulation-only plans
         never sort at all."""

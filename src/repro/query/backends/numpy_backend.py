@@ -14,13 +14,19 @@ the plan scaffolding (shared with the python backend via
 :class:`~repro.query.backends.base.GroupIndexBackend`) iterates the plan's
 ``specs_by_attr`` grouping, so every spec of one attribute aggregates off a
 single :class:`GroupedAggregator` whose intermediates -- above all the
-(code, value) lexsort order the order-statistics family shares -- are built
-once.  The order itself is resolved through the engine's LRU **sort-order
-cache** (:meth:`QueryEngine.sort_order`, keyed by ``QueryPlan.sort_key``),
-so queries of one template reuse it *across* plans and batches.
+(code, value) order the order-statistics family shares -- are built once.
+The order itself is resolved through the engine's LRU **sort-order cache**
+(:meth:`QueryEngine.sort_order`, keyed by ``QueryPlan.sort_key``), so
+queries of one template reuse it *across* plans and batches.  On a miss,
+a numeric-like value column's order is derived in O(n) from the engine's
+per-attribute presorted permutation (:meth:`QueryEngine.presorted`) instead
+of a per-plan ``np.lexsort``.  Categorical value columns keep the lexsort,
+because their filter-local codes are not in dictionary order.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.dataframe.grouped_kernels import SORT_BASED_KERNELS, GroupedAggregator
 from repro.query.backends.base import GroupIndexBackend, register_backend
@@ -33,16 +39,21 @@ class NumpyBackend(GroupIndexBackend):
 
     def prepare_attr(self, plan: QueryPlan, attr: str, context: dict):
         row_idx = context["row_idx"]
-        values = self.engine.agg_values(attr, row_idx)
-        if row_idx is not None:
-            values = values[row_idx]
+        engine = self.engine
+        aligned = engine.agg_values(attr, row_idx)
+        values = aligned if row_idx is None else aligned[row_idx]
         aggregator = GroupedAggregator(context["codes"], values, context["n_groups"])
         # The aggregator resolves each order at most once; these hooks route
         # that one resolution through the engine's shared sort-order cache
-        # (reuse across plans and batches).  MAD's deviation order has its
-        # own key, (sort key, "MEDIAN").
-        engine = self.engine
+        # (reuse across plans and batches).  On a miss, a numeric-like
+        # column's order is derived from the column's presorted permutation;
+        # categorical columns lexsort.  MAD's deviation order has its own
+        # key, (sort key, "MEDIAN"), and always lexsorts.
         sort_key, mad_sort_key = plan.sort_key(attr), plan.mad_sort_key(attr)
+        if engine.table.column(attr).is_numeric_like:
+            aggregator.presorted = (
+                partial(engine.presorted, attr), aligned.shape[0], row_idx
+            )
         aggregator.order_cache = lambda compute: engine.sort_order(sort_key, compute)
         aggregator.mad_order_cache = lambda compute: engine.sort_order(
             mad_sort_key, compute
@@ -52,9 +63,10 @@ class NumpyBackend(GroupIndexBackend):
     def before_aggregate(self, spec, prepared) -> None:
         # Resolve the shared order outside the kernel timer, so
         # kernel_seconds / seconds_aggregating measure the kernel's own work
-        # and the lexsort books exactly once, into seconds_sorting.  MAD also
-        # resolves its second order (over |x - group median| deviations) so
-        # both of its sorts book to the sorting phase, not the kernel.
+        # and the order's construction books exactly once, into
+        # seconds_sorting.  MAD also resolves its second order (over
+        # |x - group median| deviations) so both of its sorts book to the
+        # sorting phase, not the kernel.
         if spec.func in SORT_BASED_KERNELS:
             prepared.resolve_sort_order()
         if spec.func == "MAD":

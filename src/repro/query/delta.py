@@ -29,14 +29,19 @@ enforced by ``tests/query/test_delta_equivalence.py``):
   rebuild would assign and downstream kernels stay bit-identical.
   Categorical columns need no refresh of their own: ``append_rows``
   extends each column's label dictionary, so existing codes never change.
-* **Sort orders** (the ``(predicate signature, keys, attr)`` lexsort cache)
-  are upgraded by sorting the appended rows' stripped run locally and
-  merging it into the cached order with exact ``searchsorted`` insertion --
-  ``np.lexsort((values, codes))`` is stable on row position and every
-  appended row's position is greater than every covered row's, so the merge
-  reproduces the full re-lexsort exactly.  MAD deviation orders (the
+* **Sort orders** (the ``(predicate signature, keys, attr)`` cache of
+  (code, value) orders) are upgraded by sorting the appended rows' stripped
+  run locally and merging it into the cached order with exact
+  ``searchsorted`` insertion -- every cached order equals
+  ``np.lexsort((values, codes))``, which is stable on row position, and
+  every appended row's position is greater than every covered row's, so the
+  merge reproduces the full re-sort exactly.  MAD deviation orders (the
   4-tuple ``... + ("MEDIAN",)`` keys) depend on group medians, which
   appends move, so they are evicted.
+* **Presorted permutations** (``QueryEngine.presorted``) are dropped, so
+  the first derivation after an append re-presorts the whole column; no
+  permutation of an older table is ever read.  An empty append keeps them,
+  like every other cached array.
 * **Results** of the bincount-accumulation family are updated additively:
   ``np.bincount`` / ``np.add.at`` accumulate strictly left-to-right in row
   order, so a cached COUNT / SUM is a prefix of the rebuilt accumulation
@@ -162,6 +167,8 @@ def refresh_engine(engine: "QueryEngine", table: Table) -> None:
     if appended < 0 or not engine.incremental:
         _flush(engine)
         return
+    with engine._presort_lock:
+        engine._presorted.clear()  # re-presorted on first use
     try:
         _upgrade_in_place(engine, table, old_rows)
     except BaseException:
@@ -323,7 +330,7 @@ def _upgrade_in_place(engine: "QueryEngine", table: Table, old_rows: int) -> Non
 
     # ------------------------------------------------------------------
     # (4) Sort orders: merge the appended rows' sorted run into the cached
-    # lexsort order.  MAD deviation orders (4-tuple keys) are evicted.
+    # (code, value) order.  MAD deviation orders (4-tuple keys) are evicted.
     # ------------------------------------------------------------------
     if engine._sort_orders is not None:
         for key, order in engine._sort_orders.snapshot():
@@ -408,7 +415,7 @@ def _merge_sorted_run(
     d_codes: np.ndarray,
     d_values: np.ndarray,
 ) -> np.ndarray:
-    """Merge the appended stripped rows into a cached ``lexsort`` order.
+    """Merge the appended stripped rows into a cached (code, value) order.
 
     *order* sorts the old stripped rows by ``(code, value)``, stable on row
     position.  The appended stripped rows occupy positions

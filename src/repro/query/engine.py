@@ -18,12 +18,15 @@ re-scan every WHERE predicate) wastes almost all of that work, so a
    over an in-memory database; third parties register more via
    ``@register_backend``).
 3. **Shared derived state** -- a factorized group index per key combination,
-   an LRU predicate-mask cache keyed by atom signature, an LRU **sort-order
-   cache** keyed by ``(predicate signature, keys, attr)`` (the lexsort that
-   dominates the order-statistics kernels runs once per filter/grouping/
-   value-column triple and is reused across plans and batches of one
-   template) and an LRU result cache keyed by plan signature (TPE frequently
-   re-samples identical queries), plus cache / timing statistics
+   an LRU predicate-mask cache keyed by atom signature, one **presorted
+   permutation** per numeric-like value column and table version (a stable
+   ``argsort`` from which each plan's (group, value) order is derived in
+   O(n), see :meth:`QueryEngine.presorted`), an LRU **sort-order cache**
+   keyed by ``(predicate signature, keys, attr)`` (each plan's order is
+   built once per filter/grouping/value-column triple and reused across
+   plans and batches of one template) and an LRU result cache keyed by plan
+   signature (TPE frequently re-samples identical queries), plus cache /
+   timing statistics
    (:class:`EngineStats`, including the backend name and the per-backend
    wall-clock split) consumed by the Figure 5 benchmarks.
    ``EngineConfig(memory_budget_bytes=...)`` bounds the summed bytes of
@@ -49,9 +52,9 @@ both bars for every registered backend.
 State-reset contract (pinned by ``tests/query/test_backends.py``):
 
 * :meth:`QueryEngine.clear_caches` drops every piece of derived state --
-  masks, results, group indexes and backend-private
-  materialisations -- but leaves all statistics counters untouched (they are
-  lifetime counters).
+  masks, results, sort orders, presorted permutations, group indexes and
+  backend-private materialisations -- but leaves all statistics counters
+  untouched (they are lifetime counters).
 * :meth:`EngineStats.reset` zeroes every counter and timer but preserves the
   engine's identity fields (the backend name).
 * :meth:`QueryEngine.reset` composes both: a cold engine whose subsequent
@@ -248,10 +251,12 @@ class EngineStats:
     seconds_indexing: float = 0.0
     seconds_grouping: float = 0.0
     seconds_aggregating: float = 0.0
-    #: Wall-clock spent computing (code, value) lexsort orders on sort-order
-    #: cache misses.  This time used to hide inside the first sort-based
-    #: kernel's ``kernel_seconds`` entry; it is now booked here, so the
-    #: per-kernel split measures the kernels' own work off the shared order.
+    #: Wall-clock spent building (code, value) orders on sort-order cache
+    #: misses: derivations from a presorted column, the lexsorts that
+    #: remain (categorical values, MAD's deviation order), and the presorts
+    #: themselves.  Booked here rather than in the first sort-based kernel's
+    #: ``kernel_seconds`` entry, so the per-kernel split measures the
+    #: kernels' own work off the shared order.
     seconds_sorting: float = 0.0
     #: Aggregation seconds split per kernel (canonical aggregate name ->
     #: cumulative wall-clock), maintained by every backend.
@@ -273,8 +278,8 @@ class EngineStats:
     #: Group indexes extended in place (appended rows factorized and
     #: remapped into the existing code space, never reshuffled).
     indexes_extended: int = 0
-    #: Cached lexsort orders upgraded by merging the appended rows' sorted
-    #: run into the existing order.
+    #: Cached (code, value) orders upgraded by merging the appended rows'
+    #: sorted run into the existing order.
     runs_merged: int = 0
     #: Cached result tables continued additively (the COUNT / SUM bincount
     #: accumulation family).
@@ -816,8 +821,8 @@ class QueryEngine:
             budget=self.budget,
             benefit_weight=4.0,
         )
-        # Shared lexsort orders keyed by (predicate signature, keys, attr) --
-        # QueryPlan.sort_key -- so queries of one template reuse the
+        # Shared (code, value) orders keyed by (predicate signature, keys,
+        # attr) -- QueryPlan.sort_key -- so queries of one template reuse the
         # order-statistics sort across plans and batches.  None = disabled.
         self._sort_orders: Optional[_LRUCache] = (
             _LRUCache(
@@ -829,6 +834,10 @@ class QueryEngine:
             if self.config.sort_cache_size > 0
             else None
         )
+        # Stable argsorts of numeric-like value columns, by attribute (see
+        # presorted()); dropped on every table refresh that adds rows.
+        self._presorted: Dict[str, np.ndarray] = {}
+        self._presort_lock = threading.Lock()
         self.backend: ExecutionBackend = make_backend(self.backend_name)
         self.backend.bind(table, engine=self)
         self._closed = False
@@ -929,18 +938,48 @@ class QueryEngine:
         """
         return column_to_aggregable(self.table.column(attr), rows=row_idx)
 
+    def presorted(self, attr: str) -> np.ndarray:
+        """Positions of *attr*'s non-NaN rows in stable ascending value order.
+
+        The non-NaN prefix of ``np.argsort(values, kind="stable")`` over the
+        numeric-like column *attr*, built once per attribute and table
+        generation: the refresh after a ``Table.append_rows`` that added rows
+        (:meth:`sync_with_table`) drops every permutation, and so does
+        :meth:`clear_caches`.  Stored as ``int32`` below ``2**31`` rows.  The
+        numpy backend derives each plan's (code, value) order from it in
+        O(n) (:meth:`GroupedAggregator.derive_sort_order`), SLIQ's presorted
+        attribute lists applied to the order-statistics kernels.  Their
+        bytes are reported by :attr:`presorted_bytes`.
+        """
+        with self._presort_lock:
+            permutation = self._presorted.get(attr)
+            if permutation is None:
+                column = self.table.column(attr)
+                if not column.is_numeric_like:
+                    raise TypeError(
+                        f"Only numeric-like columns are presorted, "
+                        f"{column.dtype.value} column {attr!r} is not"
+                    )
+                values = column.values
+                order = np.argsort(values, kind="stable")  # NaN sorts last
+                n_valid = values.shape[0] - int(np.count_nonzero(np.isnan(values)))
+                dtype = np.int32 if values.shape[0] < 2**31 else np.int64
+                permutation = order[:n_valid].astype(dtype)
+                self._presorted[attr] = permutation
+        return permutation
+
     def sort_order(self, key: Optional[tuple], compute) -> np.ndarray:
-        """The cached (code, value) lexsort order under *key*.
+        """The cached (code, value) order under *key*.
 
         *key* is :meth:`QueryPlan.sort_key`'s ``(predicate signature, keys,
         attr)`` triple (``None`` = uncacheable WHERE clause) and *compute* is
-        a zero-argument callable producing the order array for a miss --
-        typically :meth:`GroupedAggregator._compute_sort_order` over the
-        plan's NaN-stripped filtered rows.  Misses book their wall-clock
-        into ``seconds_sorting``; hits skip the lexsort entirely, which is
-        the point: TPE template batches re-sort the same (mask, group keys,
-        value column) triple once per query without this cache.  Cached
-        orders are immutable by the same contract as cached masks.
+        a zero-argument callable producing the order array for a miss: the
+        numpy backend derives it from :meth:`presorted` for numeric-like
+        columns and lexsorts otherwise (categorical values, MAD's deviation
+        order).  Misses book their wall-clock into ``seconds_sorting``; hits
+        skip the computation entirely, so queries of one template that share
+        a (mask, group keys, value column) triple build its order once.
+        Cached orders are immutable by the same contract as cached masks.
         """
         if self._sort_orders is not None and key is not None:
             cached = self._sort_orders.get(key, _MISS)
@@ -1206,6 +1245,14 @@ class QueryEngine:
         )
 
     @property
+    def presorted_bytes(self) -> int:
+        """Bytes held now by the :meth:`presorted` permutations.  They sit
+        outside the three LRU caches, so neither :attr:`cached_bytes` (the
+        ``bytes_cached`` gauge) nor the memory budget counts them."""
+        with self._presort_lock:
+            return int(sum(p.nbytes for p in self._presorted.values()))
+
+    @property
     def cached_bytes(self) -> int:
         """Current bytes held across the mask / result / sort-order caches."""
         return (
@@ -1227,15 +1274,17 @@ class QueryEngine:
         return len(self._sort_orders) if self._sort_orders is not None else 0
 
     def clear_caches(self) -> None:
-        """Drop all derived state: masks, results, sort orders, indexes and
-        the backend's private materialisations.  Statistics counters are
-        lifetime counters and are deliberately left untouched (the byte
-        *gauges* drop to zero with the caches they describe); use
-        :meth:`reset` for a fully cold engine."""
+        """Drop all derived state: masks, results, sort orders, presorted
+        permutations, indexes and the backend's private materialisations.
+        Statistics counters are lifetime counters and are deliberately left
+        untouched (the byte *gauges* drop to zero with the caches they
+        describe); use :meth:`reset` for a fully cold engine."""
         self._masks.clear()
         self._results.clear()
         if self._sort_orders is not None:
             self._sort_orders.clear()
+        with self._presort_lock:
+            self._presorted.clear()
         self._indexes.clear()
         self.backend.clear()
         # A cache-less engine is trivially in sync: everything rebuilds from

@@ -287,9 +287,8 @@ class QueryPlan:
     def sort_key(self, attr: str) -> Optional[tuple]:
         """Sort-order cache key of value column *attr*: ``(predicate
         signature, keys, attr)`` -- the triple that determines the
-        (filter, grouping, value column) lexsort order the order-statistics
-        kernels share.  ``None`` when the WHERE clause is uncacheable, like
-        the other signatures.
+        (code, value) order the order-statistics kernels share.  ``None``
+        when the WHERE clause is uncacheable, like the other signatures.
         """
         signature = self.predicate_signature()
         if signature is None:

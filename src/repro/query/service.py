@@ -5,7 +5,7 @@ plans, shared mask / group-index / sort-order caches, byte budgets, delta
 refresh.  Under service traffic -- many concurrent callers hammering one
 relevant table -- each caller issuing its own ``execute_batch`` still
 forfeits cross-request reuse: two callers asking for the same template's
-features pay the masks, lexsort orders and (for identical queries) the
+features pay the masks, sort orders and (for identical queries) the
 aggregates twice, and nothing bounds how much work the engine accepts at
 once.  :class:`QueryService` is the admission layer that turns the engine
 into a shared service:

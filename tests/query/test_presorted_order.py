@@ -1,0 +1,357 @@
+"""Presorted order statistics: a plan's (group, value) order derived from one
+per-attribute stable argsort must be exactly ``np.lexsort((values, codes))``.
+
+Two layers are pinned here:
+
+* the derivation itself (:meth:`GroupedAggregator.derive_sort_order`), by a
+  hypothesis property over NaN, +-inf, -0.0/0.0 and heavy ties, empty
+  filters, all-NaN columns, a single group and more than 65,536 groups (the
+  int64 fallback of the group-code sort);
+* the engine's presorted permutations (:meth:`QueryEngine.presorted`): one
+  per attribute and table generation, ``int32``, reported by
+  ``presorted_bytes`` outside ``bytes_cached``, and never reused across a
+  ``Table.append_rows`` that adds rows (flush or incremental refresh) or
+  ``clear_caches()``.
+
+The engine tests pin the numpy backend, the only one that presorts; the
+derivation property is backend-independent, so every CI slot runs it.
+"""
+
+import gc
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.dataframe.column import Column, DType
+from repro.dataframe.grouped_kernels import GroupedAggregator
+from repro.dataframe.table import Table
+from repro.query.engine import EngineConfig, QueryEngine
+from repro.query.executor import execute_query_naive
+from repro.query.query import PredicateAwareQuery
+
+#: Value pools: a handful of values so ties are heavy, plus every float the
+#: ordering has to get right (signed zeros compare equal and must keep row
+#: order; infinities sort at the ends; NaN is stripped).
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+VALUE = st.one_of(
+    st.sampled_from(SPECIAL + [1.0, -1.0, 2.5]),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+)
+#: Group counts around the uint16 radix-sort boundary included.
+N_GROUPS = st.sampled_from([1, 2, 3, 7, 40, 1 << 16, (1 << 16) + 1, 100_000])
+
+
+def presort(base: np.ndarray) -> np.ndarray:
+    order = np.argsort(base, kind="stable")
+    return order[: base.shape[0] - int(np.isnan(base).sum())].astype(np.int32)
+
+
+def stripped_lexsort(values: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    valid = ~np.isnan(values)
+    return np.lexsort((values[valid], codes[valid]))
+
+
+@st.composite
+def plans(draw):
+    """A base column, a row filter over it and group codes for the kept rows."""
+    n = draw(st.integers(0, 60))
+    base = np.array(draw(st.lists(VALUE, min_size=n, max_size=n)), dtype=np.float64)
+    if draw(st.booleans()):
+        base[:] = np.nan  # all-NaN column
+    n_groups = draw(N_GROUPS)
+    filtered = draw(st.booleans())
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    rows = np.flatnonzero(mask) if filtered else None
+    kept = n if rows is None else rows.shape[0]
+    codes = np.array(
+        draw(st.lists(st.integers(0, n_groups - 1), min_size=kept, max_size=kept)),
+        dtype=np.int64,
+    )
+    return base, rows, codes, n_groups
+
+
+class TestDerivation:
+    @settings(max_examples=300, deadline=None)
+    @given(plans())
+    def test_derived_order_equals_lexsort(self, plan):
+        base, rows, codes, n_groups = plan
+        values = base if rows is None else base[rows]
+        aggregator = GroupedAggregator(codes, values, n_groups)
+        derived = aggregator.derive_sort_order(presort(base), base.shape[0], rows)
+        expected = stripped_lexsort(values, codes)
+        assert derived.dtype == expected.dtype
+        assert np.array_equal(derived, expected)
+
+    @pytest.mark.parametrize("share", [0.0, 0.3, 1.0])
+    def test_more_groups_than_uint16_holds(self, share):
+        """Codes above 65,535 must not wrap: the int64 fallback sorts them."""
+        rng = np.random.default_rng(7)
+        n = 5000
+        base = rng.integers(0, 50, size=n).astype(np.float64)
+        base[rng.random(n) < 0.05] = np.nan
+        rows = None if share == 1.0 else np.flatnonzero(rng.random(n) < share)
+        kept = n if rows is None else rows.shape[0]
+        n_groups = 70_000
+        codes = rng.integers(0, n_groups, size=kept)
+        codes[: min(kept, 3)] = [n_groups - 1, 1 << 16, 0][: min(kept, 3)]
+        values = base if rows is None else base[rows]
+        aggregator = GroupedAggregator(codes, values, n_groups)
+        derived = aggregator.derive_sort_order(presort(base), n, rows)
+        assert np.array_equal(derived, stripped_lexsort(values, codes))
+
+    def test_empty_filter_and_single_group(self):
+        base = np.array([3.0, np.nan, -0.0, 0.0, 3.0, -np.inf])
+        empty = np.empty(0, dtype=np.int64)
+        aggregator = GroupedAggregator(empty, base[empty], 1)
+        assert aggregator.derive_sort_order(presort(base), 6, empty).size == 0
+        aggregator = GroupedAggregator(np.zeros(6, dtype=np.int64), base, 1)
+        # One group: the stable value order over the stripped rows, with
+        # -0.0 (row 2) before 0.0 (row 3) because they tie.
+        assert aggregator.derive_sort_order(presort(base), 6).tolist() == [4, 1, 2, 0, 3]
+
+
+def make_table(n: int = 400, seed: int = 0) -> Table:
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-5, 6, size=n).astype(np.float64)
+    x[rng.random(n) < 0.1] = np.nan
+    x[:4] = [-0.0, 0.0, np.inf, -np.inf]
+    users = [f"u{i}" for i in rng.integers(0, 30, size=n)]
+    cats = [str(c) for c in rng.choice(list("abc"), size=n)]
+    return Table(
+        [
+            Column("user", users, dtype=DType.CATEGORICAL),
+            Column("cat", cats, dtype=DType.CATEGORICAL),
+            Column("x", x, dtype=DType.NUMERIC),
+        ]
+    )
+
+
+def median_query(cat=None, func: str = "MEDIAN") -> PredicateAwareQuery:
+    predicates = {} if cat is None else {"cat": cat}
+    dtypes = {} if cat is None else {"cat": DType.CATEGORICAL}
+    return PredicateAwareQuery(func, "x", ("user",), predicates, dtypes)
+
+
+def appended_rows(n: int, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-9, 9, size=n).astype(np.float64)
+    x[0] = -100.0  # a new minimum: the old permutation's order would be wrong
+    x[1] = np.nan
+    return {
+        "user": [f"u{i}" for i in rng.integers(0, 40, size=n)],
+        "cat": [str(c) for c in rng.choice(list("abcd"), size=n)],
+        "x": x,
+    }
+
+
+def expected_order(engine: QueryEngine, query: PredicateAwareQuery) -> np.ndarray:
+    """``np.lexsort`` over the plan's filtered, NaN-stripped rows."""
+    plan = engine.plan(query)
+    index = engine.group_index(plan.keys)
+    _, codes, _, row_idx = engine.filtered_groups(index, engine.plan_mask(plan))
+    values = engine.table.column("x").values
+    return stripped_lexsort(values if row_idx is None else values[row_idx], codes)
+
+
+class PresortSpy:
+    """Records every permutation the engine hands to a derivation."""
+
+    def __init__(self, engine: QueryEngine):
+        self.used = []
+        original = engine.presorted
+
+        def presorted(attr):
+            permutation = original(attr)
+            self.used.append((engine.table.version, permutation))
+            return permutation
+
+        engine.presorted = presorted
+
+
+def numpy_engine(table: Table, **overrides) -> QueryEngine:
+    return QueryEngine(table, config=EngineConfig(backend="numpy", **overrides))
+
+
+class TestEnginePresort:
+    def test_one_int32_permutation_per_attribute(self):
+        table = make_table()
+        engine = numpy_engine(table)
+        spy = PresortSpy(engine)
+        engine.execute_batch([median_query(), median_query("a"), median_query("b")])
+        assert engine.stats.sort_misses == 3
+        assert len(spy.used) == 3
+        assert all(p is spy.used[0][1] for _, p in spy.used)
+        permutation = spy.used[0][1]
+        assert permutation.dtype == np.int32
+        assert np.array_equal(permutation, presort(table.column("x").values))
+        for cat in (None, "a", "b"):
+            query = median_query(cat)
+            key = engine.plan(query).sort_key("x")
+            assert np.array_equal(engine._sort_orders.get(key), expected_order(engine, query))
+
+    def test_presorted_bytes_sit_outside_bytes_cached(self):
+        table = make_table()
+        engine = numpy_engine(table)
+        assert engine.presorted_bytes == 0
+        engine.execute(median_query("a"))
+        n_valid = int((~np.isnan(table.column("x").values)).sum())
+        assert engine.presorted_bytes == 4 * n_valid
+        cached = sum(engine.stats.cache_bytes.values())
+        assert cached == engine.cached_bytes == engine.stats.bytes_cached
+        assert set(engine.stats.cache_bytes) == {"masks", "results", "sort_orders"}
+        engine.clear_caches()
+        assert engine.presorted_bytes == 0
+
+    def test_categorical_columns_lexsort(self):
+        table = make_table()
+        engine = numpy_engine(table)
+        spy = PresortSpy(engine)
+        query = PredicateAwareQuery("MODE", "cat", ("user",), {}, {})
+        result = engine.execute(query)
+        assert engine.stats.sort_misses == 1
+        assert spy.used == []
+        assert engine.presorted_bytes == 0
+        with pytest.raises(TypeError, match="numeric-like"):
+            engine.presorted("cat")
+        naive = execute_query_naive(query, table)
+        assert np.array_equal(
+            result.column(result.column_names[-1]).values,
+            naive.column(naive.column_names[-1]).values,
+        )
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_appends_never_reuse_an_older_permutation(self, incremental):
+        table = make_table()
+        engine = numpy_engine(table, incremental=incremental)
+        spy = PresortSpy(engine)
+        queries = [median_query(), median_query("a")]
+        engine.execute_batch(queries)
+        old = spy.used[-1][1]
+        # A plan new to the engine misses the sort-order cache in both
+        # refresh modes, so its order is derived after every append.
+        unseen = [
+            median_query("c"),
+            median_query("b"),
+            PredicateAwareQuery("MEDIAN", "x", ("cat",), {}, {}),
+        ]
+        for step, fresh in enumerate(unseen):
+            table.append_rows(appended_rows(25, seed=step))
+            spy.used.clear()
+            results = engine.execute_batch(queries + [fresh])
+            assert spy.used, "a miss after the append must derive its order"
+            current = presort(table.column("x").values)
+            for version, permutation in spy.used:
+                assert version == table.version
+                assert permutation is not old
+                assert np.array_equal(permutation, current)
+            for query in queries + [fresh]:
+                key = engine.plan(query).sort_key("x")
+                order = engine._sort_orders.get(key)
+                assert order is not None
+                assert np.array_equal(order, expected_order(engine, query))
+            for query, result in zip(queries + [fresh], results):
+                naive = execute_query_naive(query, table)
+                assert np.array_equal(
+                    result.column(result.column_names[-1]).values,
+                    naive.column(naive.column_names[-1]).values,
+                    equal_nan=True,
+                )
+            old = spy.used[-1][1]
+            assert engine.presorted_bytes == current.nbytes
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_empty_append_keeps_the_permutation(self, incremental):
+        """An empty append moves the version over bit-identical columns, so
+        the permutation stays; a miss after it derives from the same one."""
+        table = make_table()
+        engine = numpy_engine(table, incremental=incremental)
+        spy = PresortSpy(engine)
+        engine.execute(median_query("a"))
+        old = spy.used[-1][1]
+        table.append_rows({"user": [], "cat": [], "x": np.empty(0)})
+        spy.used.clear()
+        result = engine.execute(median_query("b"))
+        [(_, permutation)] = spy.used
+        assert permutation is old
+        naive = execute_query_naive(median_query("b"), table)
+        assert np.array_equal(
+            result.column(result.column_names[-1]).values,
+            naive.column(naive.column_names[-1]).values,
+            equal_nan=True,
+        )
+
+    def test_clear_caches_drops_every_permutation(self):
+        table = make_table()
+        engine = numpy_engine(table)
+        spy = PresortSpy(engine)
+        engine.execute(median_query("a"))
+        old = spy.used[-1][1]
+        engine.clear_caches()
+        assert engine.presorted_bytes == 0
+        spy.used.clear()
+        engine.execute(median_query("a"))
+        [(_, permutation)] = spy.used
+        assert permutation is not old
+        assert np.array_equal(permutation, old)
+        assert engine.stats.sort_misses == 2
+
+    def test_plans_leave_no_reference_cycles(self):
+        """Each plan's aggregator must be freed by reference counting: a
+        cycle through its order hooks would keep every intermediate array
+        alive until the cyclic collector ran, which shows as peak RSS."""
+        engine = numpy_engine(make_table())
+        engine.execute(median_query("a"))
+        gc.collect()
+        gc.disable()
+        try:
+            for func in ("MEDIAN", "MAD", "MODE", "QUANTILE:0.5"):
+                for cat in (None, "a", "b", "c"):
+                    engine.execute(median_query(cat, func))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_concurrent_callers_share_one_permutation(self):
+        """More threads than cores derive orders at once from a cold engine,
+        with fast thread switching: one permutation is built and every
+        result equals the naive path."""
+        table = make_table(n=3000, seed=3)
+        engine = numpy_engine(table)
+        spy = PresortSpy(engine)
+        queries = [
+            median_query(cat, func)
+            for cat in (None, "a", "b", "c")
+            for func in ("MEDIAN", "MIN", "QUANTILE:0.75")
+        ]
+        n_threads = 6
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+
+        def run(slot: int) -> None:
+            barrier.wait(timeout=30)
+            results[slot] = engine.execute_batch(queries[slot:] + queries[:slot])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({id(permutation) for _, permutation in spy.used}) == 1
+        expected = {id(query): execute_query_naive(query, table) for query in queries}
+        for slot, tables in enumerate(results):
+            for query, result in zip(queries[slot:] + queries[:slot], tables):
+                naive = expected[id(query)]
+                assert np.array_equal(
+                    result.column(result.column_names[-1]).values,
+                    naive.column(naive.column_names[-1]).values,
+                    equal_nan=True,
+                )
