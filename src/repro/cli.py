@@ -50,23 +50,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="query-engine execution backend (default: $REPRO_ENGINE_BACKEND or numpy)",
     )
-    parser.add_argument(
-        "--engine-incremental",
-        action="store_true",
-        default=None,
-        help="delta-aware execution: on a relevant-table append the engine "
-        "extends its cached masks / group indexes / additive results over "
-        "the appended rows instead of flushing every cache "
-        "(default: $REPRO_ENGINE_INCREMENTAL or off)",
-    )
-    parser.add_argument(
-        "--memory-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="global size-aware budget shared by the engine's mask / result "
-        "/ sort-order caches (default: unbounded)",
-    )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
 
 
@@ -79,8 +62,6 @@ def _config_from_args(args: argparse.Namespace) -> FeatAugConfig:
         proxy=args.proxy,
         search_batch_size=args.search_batch_size,
         engine_backend=args.engine_backend,
-        engine_memory_budget=args.memory_budget,
-        engine_incremental=args.engine_incremental,
         seed=args.seed,
     )
 

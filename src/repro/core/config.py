@@ -80,15 +80,6 @@ class FeatAugConfig:
     #: :func:`repro.query.register_backend`); ``None`` uses the process
     #: default (``$REPRO_ENGINE_BACKEND`` or "numpy").
     engine_backend: str | None = None
-    #: global size-aware budget (bytes) shared by the engine's mask / result
-    #: / sort-order caches; ``None`` = unbounded (entry-count limits only).
-    engine_memory_budget: int | None = None
-    #: delta-aware execution (:mod:`repro.query.delta`): on a relevant-table
-    #: append the engine extends its cached masks / group indexes / additive
-    #: results over the appended slice instead of flushing every cache;
-    #: ``None`` uses the process default (``$REPRO_ENGINE_INCREMENTAL`` or
-    #: off, which flushes on append -- always correct, never stale).
-    engine_incremental: bool | None = None
 
     # ------------------------------------------------------------------
     # Proxy and evaluation
@@ -121,11 +112,11 @@ class FeatAugConfig:
             raise ValueError("search_batch_size must be >= 1")
         # Delegate to the engine-config validation so the backend / cache
         # checks (and their error messages) have exactly one
-        # implementation.  Always run it: even with every engine field left
-        # ``None``, the resolved defaults read $REPRO_ENGINE_BACKEND /
-        # $REPRO_ENGINE_INCREMENTAL, and a garbage environment value should fail
-        # here -- where the run is configured -- rather than at the first
-        # query's engine lookup deep inside the search.
+        # implementation.  Always run it: even with the backend left
+        # ``None``, the resolved default reads $REPRO_ENGINE_BACKEND, and a
+        # garbage environment value should fail here -- where the run is
+        # configured -- rather than at the first query's engine lookup deep
+        # inside the search.
         self.engine_config().validate()
 
     def engine_config(self):
@@ -139,11 +130,7 @@ class FeatAugConfig:
         """
         from repro.query.engine import EngineConfig
 
-        return EngineConfig(
-            backend=self.engine_backend,
-            memory_budget_bytes=self.engine_memory_budget,
-            incremental=self.engine_incremental,
-        )
+        return EngineConfig(backend=self.engine_backend)
 
     def with_overrides(self, **kwargs) -> "FeatAugConfig":
         """Copy of this config with specific fields replaced."""

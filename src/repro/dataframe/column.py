@@ -539,13 +539,6 @@ class Column:
         """Return a new column keeping only rows where *mask* is True."""
         return self.take(np.asarray(mask, dtype=bool))
 
-    def slice(self, start: int, stop: Optional[int] = None) -> "Column":
-        """Rows ``[start:stop]`` as a zero-copy view."""
-        if self.is_numeric_like or self._coding is None:
-            return Column(self.name, self.values[start:stop], dtype=self.dtype)
-        codes, dictionary = self._coding
-        return Column.from_codes(self.name, codes[start:stop], dictionary)
-
     def concat(self, other: "Column") -> "Column":
         """This column's rows followed by *other*'s (same dtype).
 

@@ -12,9 +12,10 @@ Implements the paper's core abstractions (Section III):
 * :class:`QueryEngine` -- the batched execution engine bound to one relevant
   table: factorized group index, LRU predicate-mask / result caches and a
   batched API with cache statistics (:class:`EngineStats`).  Construction is
-  configured by :class:`EngineConfig` (execution backend, cache sizes,
-  memory budget, incremental refresh).  Execution is serial: each fused
-  plan runs on the engine's one backend instance.
+  configured by :class:`EngineConfig` (execution backend and cache
+  sizes).  Execution is serial: each fused plan runs on the engine's one
+  backend instance; an append that adds rows to the table flushes the
+  caches.
 * :class:`ExecutionBackend` / :func:`register_backend` -- the pluggable
   execution layer plans are delegated to: ``"numpy"`` (vectorized grouped
   kernels, the default), ``"python"`` (per-group reference loop) and
@@ -45,7 +46,6 @@ from repro.query.backends import (
     register_backend,
 )
 from repro.query.engine import (
-    CacheBudget,
     EngineConfig,
     EngineStats,
     QueryEngine,
@@ -89,7 +89,6 @@ __all__ = [
     "QueryEngine",
     "EngineConfig",
     "EngineStats",
-    "CacheBudget",
     "default_backend_name",
     "engine_for",
     "resolve_engine",

@@ -107,18 +107,6 @@ class ExecutionBackend:
     def clear(self) -> None:
         """Drop all derived state (materialisations, private caches)."""
 
-    def refresh(self, old_rows: int) -> None:
-        """React to rows appended to the bound table past *old_rows*.
-
-        Called by the delta-refresh layer (:mod:`repro.query.delta`) after
-        ``Table.append_rows`` bumped the table version, before any new plan
-        runs.  The default drops all derived state (:meth:`clear`) -- always
-        correct, since backends re-materialise lazily.  Storage-owning
-        backends may override it to extend their materialisation with the
-        appended slice only (see the sqlite backend's ``INSERT`` path).
-        """
-        self.clear()
-
 
 class GroupIndexBackend(ExecutionBackend):
     """Shared scaffolding for in-process backends that aggregate over the
@@ -130,11 +118,6 @@ class GroupIndexBackend(ExecutionBackend):
     assembly and kernel timing) lives here so the numpy and python paths can
     never drift apart -- their bit-identity contract depends on sharing it.
     """
-
-    def refresh(self, old_rows: int) -> None:
-        """No-op: every piece of derived state these backends aggregate over
-        (masks, group indexes, sort orders) lives on the
-        engine, and the delta-refresh layer upgrades it there."""
 
     def run_plan(self, plan: QueryPlan) -> List[Table]:
         engine = self.engine

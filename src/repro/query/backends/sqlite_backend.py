@@ -104,46 +104,6 @@ class SqliteBackend(ExecutionBackend):
                 self._conn.close()
             self._reset_state()
 
-    def refresh(self, old_rows: int) -> None:
-        """``INSERT`` the appended slice ``[old_rows:]`` into the database.
-
-        Rowids keep ascending, so ``ORDER BY MIN(rowid)`` group order stays
-        first-appearance over the extended table, and the appended
-        categorical codes are expressed in the stored dictionaries (which
-        the table's extended dictionaries normally extend already) --
-        existing codes never change, so equality predicates keep resolving
-        to the same stored codes.  Fork-safety: a connection inherited from
-        another process is dropped, never written to (the PID guard); with
-        no materialisation yet there is nothing to extend.
-        """
-        with self._run_lock:
-            if self._conn is None:
-                return
-            if self._conn_pid != os.getpid():
-                # Inherited from the parent: drop the reference without
-                # closing it and re-materialise lazily in this process.
-                self._reset_state()
-                return
-            table = self.table
-            if table.num_rows <= old_rows:
-                return
-            arrays: List[list] = []
-            for name in table.column_names:
-                column = table.column(name)
-                if column.is_numeric_like:
-                    values = column.values[old_rows:]
-                    arrays.append([None if np.isnan(v) else float(v) for v in values])
-                else:
-                    codes, dictionary = column.coding
-                    codes, self._dictionaries[name] = self._dictionaries[name].recode(
-                        codes[old_rows:], dictionary
-                    )
-                    arrays.append(_sql_codes(codes))
-            placeholders = ", ".join("?" for _ in arrays)
-            self._conn.executemany(
-                f"INSERT INTO t VALUES ({placeholders})", zip(*arrays)
-            )
-
     # ------------------------------------------------------------------
     # Materialisation
     # ------------------------------------------------------------------

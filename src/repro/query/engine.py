@@ -28,10 +28,8 @@ re-scan every WHERE predicate) wastes almost all of that work, so a
    signature (TPE frequently re-samples identical queries), plus cache /
    timing statistics
    (:class:`EngineStats`, including the backend name and the per-backend
-   wall-clock split) consumed by the Figure 5 benchmarks.
-   ``EngineConfig(memory_budget_bytes=...)`` bounds the summed bytes of
-   the mask / result / sort-order caches with size-aware cross-cache
-   eviction (:class:`CacheBudget`).
+   wall-clock split) consumed by the Figure 5 benchmarks.  Each LRU is
+   bounded by its entry count; the bytes it holds are reported as gauges.
 
 Execution is serial: every fused plan runs on the engine's one backend
 instance, on the calling thread.  All shared state -- the LRU caches, the
@@ -83,7 +81,6 @@ from repro.dataframe.groupby import (
 from repro.dataframe.predicates import Predicate
 from repro.dataframe.table import Table
 from repro.query.backends import ExecutionBackend, backend_names, make_backend
-from repro.query.delta import default_incremental, refresh_engine
 from repro.query.plan import QueryPlan, atoms_from_query
 from repro.query.query import PredicateAwareQuery
 
@@ -128,10 +125,7 @@ class EngineConfig:
 
     ``backend`` of ``None`` resolves to :func:`default_backend_name` at use
     time, so a config built before ``$REPRO_ENGINE_BACKEND`` changes still
-    follows the environment.  ``memory_budget_bytes`` imposes one
-    global size-aware budget across the mask / result / sort-order caches
-    (``None`` = unbounded bytes; the per-cache entry-count bounds always
-    apply).
+    follows the environment.
     """
 
     backend: Optional[str] = None
@@ -141,17 +135,6 @@ class EngineConfig:
     #: order-statistics kernels then re-sort per plan, the pre-cache
     #: behaviour -- the benchmark baseline uses this).
     sort_cache_size: int = DEFAULT_SORT_CACHE_SIZE
-    #: Global byte budget shared by the mask / result / sort-order caches
-    #: (size-aware cross-cache eviction, see :class:`CacheBudget`); ``None``
-    #: disables byte-based eviction.
-    memory_budget_bytes: Optional[int] = None
-    #: Delta-aware refresh of cached state when the bound table's version
-    #: bumps (``Table.append_rows``): ``True`` upgrades masks / group
-    #: indexes / sort orders / additive results in place
-    #: (:mod:`repro.query.delta`), ``False`` flushes every cache on a bump.
-    #: ``None`` follows ``$REPRO_ENGINE_INCREMENTAL`` at use time (default
-    #: off).
-    incremental: Optional[bool] = None
 
     def __post_init__(self) -> None:
         # An explicitly-named backend is validated eagerly: a typo'd
@@ -172,17 +155,9 @@ class EngineConfig:
     def backend_name(self) -> str:
         return self.backend or default_backend_name()
 
-    @property
-    def incremental_enabled(self) -> bool:
-        """The resolved incremental-refresh flag (explicit, else the env default)."""
-        if self.incremental is not None:
-            return bool(self.incremental)
-        return default_incremental()
-
     def validate(self) -> None:
-        """Raise ``ValueError`` on an unknown backend, non-positive
-        caches, a non-positive memory budget or a malformed environment
-        override."""
+        """Raise ``ValueError`` on an unknown backend or non-positive
+        caches."""
         if self.backend_name not in backend_names():
             raise ValueError(
                 f"Unknown execution backend {self.backend_name!r}; "
@@ -192,14 +167,6 @@ class EngineConfig:
             raise ValueError("Cache sizes must be >= 1")
         if self.sort_cache_size < 0:
             raise ValueError("sort_cache_size must be >= 0 (0 disables the cache)")
-        if self.memory_budget_bytes is not None and self.memory_budget_bytes < 1:
-            raise ValueError(
-                f"memory_budget_bytes must be >= 1 (or None for unbounded), "
-                f"got {self.memory_budget_bytes!r}"
-            )
-        # A malformed $REPRO_ENGINE_INCREMENTAL raises here, like the other
-        # environment-resolved knobs.
-        self.incremental_enabled
 
     def cache_key(self) -> tuple:
         """Identity used to share engines per table (backend resolved)."""
@@ -208,8 +175,6 @@ class EngineConfig:
             self.mask_cache_size,
             self.result_cache_size,
             self.sort_cache_size,
-            self.memory_budget_bytes,
-            self.incremental_enabled,
         )
 
 
@@ -265,29 +230,9 @@ class EngineStats:
     #: backend name (the per-backend timing split; includes masking /
     #: grouping time the backend booked to the finer-grained counters above).
     backend_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Entries evicted by the global memory budget's size-aware cross-cache
-    #: eviction (:class:`CacheBudget`); per-cache entry-count evictions keep
-    #: booking under ``mask_evictions``.
-    budget_evictions: int = 0
-    #: Rows the delta-refresh layer (:mod:`repro.query.delta`) observed as
-    #: appended to the bound table.  This and the five fields below follow
-    #: the carry contract of ``REFRESH_FIELDS``.
-    appended_rows: int = 0
-    #: Cached predicate masks extended in place over an appended slice.
-    masks_extended: int = 0
-    #: Group indexes extended in place (appended rows factorized and
-    #: remapped into the existing code space, never reshuffled).
-    indexes_extended: int = 0
-    #: Cached (code, value) orders upgraded by merging the appended rows'
-    #: sorted run into the existing order.
-    runs_merged: int = 0
-    #: Cached result tables continued additively (the COUNT / SUM bincount
-    #: accumulation family).
-    results_upgraded: int = 0
-    #: Cache entries dropped because an append made them stale and no exact
-    #: in-place upgrade exists (order-statistics results, MAD deviation
-    #: orders, ...); with ``incremental`` off, every entry flushed by a
-    #: version bump books here.
+    #: Cache entries (masks, results, sort orders, group indexes) flushed
+    #: because a ``Table.append_rows`` that added rows made them stale (see
+    #: :meth:`QueryEngine.sync_with_table`).
     staleness_evictions: int = 0
     #: Queries admitted into a :class:`repro.query.service.QueryService`
     #: queue wrapping this engine.  This and the five counters below are
@@ -339,23 +284,6 @@ class EngineStats:
         "cache_bytes",
         "service_queue_depth",
         "service_batch_occupancy",
-    )
-
-    #: Delta-refresh bookkeeping fields.  Like the byte gauges they describe
-    #: the engine's *current* table generation rather than one measurement
-    #: window, so :meth:`reset` carries them and :meth:`delta_since` passes
-    #: them through as current values (never subtracted): a scaling
-    #: experiment's per-variant ``reset()`` must not make appends that
-    #: happened before the variant look like (or hide) refresh activity of
-    #: the window under measurement.  They are not gauges -- they only ever
-    #: grow, via :meth:`bump`, and :meth:`set_gauges` rejects them.
-    REFRESH_FIELDS = (
-        "appended_rows",
-        "masks_extended",
-        "indexes_extended",
-        "runs_merged",
-        "results_upgraded",
-        "staleness_evictions",
     )
 
     @property
@@ -423,16 +351,15 @@ class EngineStats:
                 self.python_aggregations += 1
 
     def reset(self) -> None:
-        """Zero every counter and timer; the identity field (backend),
-        the byte gauges and the delta-refresh fields survive --
-        gauges describe the caches' *current* contents and the refresh
-        fields the table generation the engine is synced to, neither of
-        which resetting counters changes (:meth:`QueryEngine.reset` clears
-        the caches first, so its gauges genuinely read zero afterwards)."""
+        """Zero every counter and timer; the identity field (backend) and
+        the gauges survive -- gauges describe the caches' *current*
+        contents, which resetting counters does not change
+        (:meth:`QueryEngine.reset` clears the caches first, so its gauges
+        genuinely read zero afterwards)."""
         with self._lock:
             carried = {
                 name: getattr(self, name)
-                for name in self.IDENTITY_FIELDS + self.GAUGE_FIELDS + self.REFRESH_FIELDS
+                for name in self.IDENTITY_FIELDS + self.GAUGE_FIELDS
             }
             for name, value in EngineStats().__dict__.items():
                 if name.startswith("_"):
@@ -447,14 +374,12 @@ class EngineStats:
         Engines are shared per table, so per-run reports must subtract the
         traffic of earlier runs; derived rates are recomputed from the deltas,
         the identity field (the backend name) is carried through unchanged,
-        and gauges (``bytes_cached``, ``cache_bytes``) and the delta-refresh
-        fields (``REFRESH_FIELDS``) pass through as current values -- a byte
-        gauge difference is meaningless, and refresh activity describes the
-        table generation, not the measurement window.  Tolerant of incomplete baselines: a key
-        absent from *baseline* (a snapshot captured before a feature --
-        the memory budget, the service -- first engaged, or from an older
-        engine) is treated as zero rather than raising, and a baseline
-        value of the wrong shape is ignored.
+        and gauges (``bytes_cached``, ``cache_bytes``) pass through as
+        current values -- a byte gauge difference is meaningless.  Tolerant
+        of incomplete baselines: a key absent from *baseline* (a snapshot
+        captured before a feature -- the service -- first engaged, or from
+        an older engine) is treated as zero rather than raising, and a
+        baseline value of the wrong shape is ignored.
         """
         current = self.as_dict()
         baseline = baseline or {}
@@ -466,7 +391,6 @@ class EngineStats:
                 isinstance(value, str)
                 or name in self.IDENTITY_FIELDS
                 or name in self.GAUGE_FIELDS
-                or name in self.REFRESH_FIELDS
             ):
                 delta[name] = value
             elif isinstance(value, dict):
@@ -493,68 +417,20 @@ _MISS = object()
 
 
 def _value_nbytes(value) -> int:
-    """Byte cost of one cached value under the global memory budget.
+    """Byte cost of one cached value, summed into the ``bytes_cached`` gauge.
 
     Masks are bool arrays (1 byte/row), sort orders int64 arrays (8
     bytes/filtered row) -- both fall out of ``ndarray.nbytes``.  Result
     tables cost the sum of their columns' ``Column.nbytes``: 8 bytes per
     row for a float64 or a categorical column, whether or not the
     categorical's values were ever decoded.  Anything else (test fixtures,
-    third-party values) is charged 0: the entry-count bound still applies.
+    third-party values) is charged 0.
     """
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     if isinstance(value, Table):
         return sum(value.column(name).nbytes for name in value.column_names)
     return 0
-
-
-class CacheBudget:
-    """One global size-aware byte budget shared by an engine's LRU caches.
-
-    Every registered :class:`_LRUCache` shares this budget's re-entrant lock
-    (so cross-cache eviction needs no lock ordering) and reports per-entry
-    byte costs; :meth:`enforce` runs after every insert and evicts LRU
-    entries from the **cheapest-benefit** non-empty cache until the summed
-    bytes fit the budget again.  Benefit ranks the caches by reuse value per
-    byte: sort orders (int64 per filtered row, cheapest to recompute per
-    byte) go first, then masks, then result tables -- big tables keep more
-    masks than orders.  Deterministic: the victim cache is the non-empty one
-    with the smallest ``(benefit_weight, name)`` and eviction is its LRU
-    head, so identical traffic always evicts identically.  Budget evictions
-    book ``EngineStats.budget_evictions``; the per-cache entry-count bounds
-    keep booking their own eviction counters.
-    """
-
-    def __init__(self, budget_bytes: int, stats: Optional["EngineStats"] = None):
-        self.budget_bytes = int(budget_bytes)
-        self.lock = threading.RLock()
-        self._caches: List["_LRUCache"] = []
-        self._stats = stats
-
-    def register(self, cache: "_LRUCache") -> None:
-        with self.lock:
-            self._caches.append(cache)
-
-    @property
-    def total_bytes(self) -> int:
-        with self.lock:
-            return sum(cache.bytes for cache in self._caches)
-
-    def enforce(self) -> int:
-        """Evict until the summed bytes fit; returns the eviction count."""
-        evicted = 0
-        with self.lock:
-            while sum(cache.bytes for cache in self._caches) > self.budget_bytes:
-                victims = [cache for cache in self._caches if len(cache._data)]
-                if not victims:
-                    break
-                victim = min(victims, key=lambda c: (c.benefit_weight, c.name))
-                victim._evict_lru()
-                evicted += 1
-        if evicted and self._stats is not None:
-            self._stats.bump(budget_evictions=evicted)
-        return evicted
 
 
 class _LRUCache:
@@ -568,29 +444,16 @@ class _LRUCache:
     safe.  Presence tests use the ``_MISS`` sentinel, so a legitimately
     cached falsy value (``None``, an empty array) is a hit, not a miss.
 
-    Every entry carries its :func:`_value_nbytes` cost and ``self.bytes``
-    tracks the exact total.  With a :class:`CacheBudget` attached the cache
-    shares the budget's lock and every insert triggers cross-cache
-    enforcement; ``benefit_weight`` ranks this cache's entries for the
-    budget's cheapest-benefit-first eviction order.
+    The cache is bounded by its entry count only.  Every entry carries its
+    :func:`_value_nbytes` cost and ``self.bytes`` tracks the exact total,
+    which the engine reports as a gauge.
     """
 
-    def __init__(
-        self,
-        maxsize: int,
-        name: str = "cache",
-        budget: Optional[CacheBudget] = None,
-        benefit_weight: float = 1.0,
-    ):
+    def __init__(self, maxsize: int):
         self.maxsize = int(maxsize)
-        self.name = name
-        self.benefit_weight = float(benefit_weight)
         self.bytes = 0
-        self._budget = budget
-        self._lock = budget.lock if budget is not None else threading.Lock()
+        self._lock = threading.Lock()
         self._data: "OrderedDict[object, Tuple[object, int]]" = OrderedDict()
-        if budget is not None:
-            budget.register(self)
 
     def __len__(self) -> int:
         with self._lock:
@@ -609,67 +472,21 @@ class _LRUCache:
             return entry[0]
 
     def put(self, key, value) -> int:
-        """Insert and return the number of entry-count evictions (0 or 1).
-
-        Budget-driven evictions are enforced here too (under the same lock)
-        but are booked by the budget itself, not in the return value.
-        """
+        """Insert and return the number of entry-count evictions (0 or 1)."""
         cost = _value_nbytes(value)
         with self._lock:
             old = self._data.get(key, _MISS)
+            self._data[key] = (value, cost)
             if old is not _MISS:
-                self._data[key] = (value, cost)
                 self._data.move_to_end(key)
                 self.bytes += cost - old[1]
-                evicted = 0
-            else:
-                self._data[key] = (value, cost)
-                self.bytes += cost
-                evicted = 0
-                if len(self._data) > self.maxsize:
-                    self._evict_lru()
-                    evicted = 1
-            if self._budget is not None:
-                self._budget.enforce()
-            return evicted
-
-    def _evict_lru(self) -> None:
-        """Drop the LRU head; caller holds the lock."""
-        _key, (_value, nbytes) = self._data.popitem(last=False)
-        self.bytes -= nbytes
-
-    def snapshot(self) -> List[Tuple[object, object]]:
-        """``(key, value)`` pairs in LRU-to-MRU order, without touching
-        recency (unlike ``get``).  The delta-refresh layer iterates this to
-        upgrade or evict entries deterministically."""
-        with self._lock:
-            return [(key, entry[0]) for key, entry in self._data.items()]
-
-    def replace(self, key, value) -> None:
-        """Upgrade an existing entry in place, preserving its recency slot.
-
-        A no-op when the key is absent (it may have been evicted between a
-        :meth:`snapshot` and the upgrade).  Byte accounting is adjusted and
-        an attached budget re-enforced, exactly like :meth:`put`.
-        """
-        with self._lock:
-            old = self._data.get(key, _MISS)
-            if old is _MISS:
-                return
-            cost = _value_nbytes(value)
-            self._data[key] = (value, cost)
-            self.bytes += cost - old[1]
-            if self._budget is not None:
-                self._budget.enforce()
-
-    def discard(self, key) -> bool:
-        """Drop one entry (no eviction counters); ``True`` when present."""
-        with self._lock:
-            entry = self._data.pop(key, _MISS)
-            if entry is _MISS:
-                return False
-            self.bytes -= entry[1]
-            return True
+                return 0
+            self.bytes += cost
+            if len(self._data) <= self.maxsize:
+                return 0
+            _key, (_value, nbytes) = self._data.popitem(last=False)
+            self.bytes -= nbytes
+            return 1
 
     def clear(self) -> None:
         with self._lock:
@@ -706,49 +523,6 @@ class GroupIndex:
             return list(self._key_columns)
         return [column.take(group_ids) for column in self._key_columns]
 
-    def extend(self, table: Table, old_rows: int) -> None:
-        """Extend the index in place with *table*'s rows ``[old_rows:]``.
-
-        The appended rows are grouped on their own and remapped into the
-        existing code space: groups already known keep their codes, brand-new
-        groups get fresh codes in first-appearance order -- exactly the ids a
-        full rebuild over the extended table would assign, because
-        first-appearance numbering is prefix-stable.  Codes are extended,
-        never reshuffled, so cached compact renumberings and sort orders
-        derived from the old codes stay valid prefixes.  Groups are matched
-        on their key codes (dictionary codes, or float values with NaN as
-        ``None``), so any label -- hashable or not -- extends.
-        """
-        if table.num_rows <= old_rows:
-            return
-        delta = Table([table.column(name).slice(old_rows) for name in self.keys])
-        d_codes, d_first = group_codes(delta, self.keys)
-        combined = [
-            known.concat(delta.column(known.name).take(d_first)) for known in self._key_columns
-        ]
-        key_tuples = list(zip(*(_key_identity(column) for column in combined)))
-        key_to_code = dict(zip(key_tuples[: self.n_groups], range(self.n_groups)))
-        mapping = np.empty(d_first.size, dtype=np.int64)
-        keep = list(range(self.n_groups))
-        for local, key in enumerate(key_tuples[self.n_groups :]):
-            code = key_to_code.get(key)
-            if code is None:
-                code = key_to_code[key] = len(keep)
-                keep.append(self.n_groups + local)
-            mapping[local] = code
-        self.codes = np.concatenate([self.codes, mapping[d_codes]])
-        self._key_columns = [column.take(keep) for column in combined]
-        self.n_groups = len(keep)
-        self._group_rows = None
-
-
-def _key_identity(column: Column) -> list:
-    """Hashable per-row key identity: dictionary codes, or floats with NaN
-    as ``None`` (so NaN keys match each other)."""
-    if column.is_numeric_like:
-        return [None if v != v else v for v in column.values.tolist()]
-    return column.codes.tolist()
-
 
 def _resolve_config(
     config: Optional[EngineConfig],
@@ -772,8 +546,7 @@ def _resolve_config(
 class QueryEngine:
     """Cached, batched execution of query plans on one table.
 
-    ``config`` selects the execution backend, cache sizes, memory budget
-    and incremental refresh.
+    ``config`` selects the execution backend and the cache sizes.
     """
 
     def __init__(
@@ -786,56 +559,31 @@ class QueryEngine:
     ):
         self.config = _resolve_config(config, mask_cache_size, result_cache_size)
         self.backend_name = self.config.backend_name
-        self.memory_budget_bytes = self.config.memory_budget_bytes
         # Directly-constructed engines own a strong reference to their table.
         # Registry engines (``engine_for``) hold only a weak one: the registry
         # maps table -> engine, and a strong back-reference from the engine
         # would keep every table ever touched alive for the process lifetime.
         self._table_strong = None if weak_table else table
         self._table_ref = weakref.ref(table)
-        #: Delta-refresh bookkeeping: the table generation the caches cover
-        #: (see :meth:`sync_with_table` and :mod:`repro.query.delta`).
-        self.incremental = self.config.incremental_enabled
+        #: The table generation the caches cover (see :meth:`sync_with_table`).
         self._sync_lock = threading.RLock()
         self._synced_version = table.version
         self._synced_rows = table.num_rows
         self.stats = EngineStats(backend=self.backend_name)
         self._indexes: Dict[Tuple[str, ...], GroupIndex] = {}
         self._index_lock = threading.Lock()
-        #: Global byte budget shared across the three LRU caches (None =
-        #: entry-count bounds only).
-        self.budget: Optional[CacheBudget] = (
-            CacheBudget(self.memory_budget_bytes, self.stats)
-            if self.memory_budget_bytes is not None
-            else None
-        )
-        self._masks = _LRUCache(
-            self.config.mask_cache_size,
-            name="masks",
-            budget=self.budget,
-            benefit_weight=2.0,
-        )
-        self._results = _LRUCache(
-            self.config.result_cache_size,
-            name="results",
-            budget=self.budget,
-            benefit_weight=4.0,
-        )
+        self._masks = _LRUCache(self.config.mask_cache_size)
+        self._results = _LRUCache(self.config.result_cache_size)
         # Shared (code, value) orders keyed by (predicate signature, keys,
         # attr) -- QueryPlan.sort_key -- so queries of one template reuse the
         # order-statistics sort across plans and batches.  None = disabled.
         self._sort_orders: Optional[_LRUCache] = (
-            _LRUCache(
-                self.config.sort_cache_size,
-                name="sort_orders",
-                budget=self.budget,
-                benefit_weight=1.0,
-            )
+            _LRUCache(self.config.sort_cache_size)
             if self.config.sort_cache_size > 0
             else None
         )
         # Stable argsorts of numeric-like value columns, by attribute (see
-        # presorted()); dropped on every table refresh that adds rows.
+        # presorted()); dropped with every other cache.
         self._presorted: Dict[str, np.ndarray] = {}
         self._presort_lock = threading.Lock()
         self.backend: ExecutionBackend = make_backend(self.backend_name)
@@ -858,16 +606,17 @@ class QueryEngine:
         """Bring cached state up to date with the bound table's version.
 
         Cheap when nothing changed (one integer comparison).  After a
-        ``table.append_rows`` the refresh layer (:mod:`repro.query.delta`)
-        either upgrades cached state in place (``incremental=True``) or
-        flushes it (the default); either way, queries issued after an
-        append see exactly what a rebuilt-from-scratch engine would
-        produce.  Every execution entry point calls this, so explicit calls
-        are only needed before touching derived state directly
-        (``group_index``, ``plan_mask``, ...).  Appends must be quiesced
-        with respect to in-flight queries: the sync lock serialises
-        refreshes against each other, not against a batch that already
-        passed this check.
+        ``table.append_rows`` that added rows every cached mask, result,
+        sort order and group index is counted into
+        ``EngineStats.staleness_evictions`` and dropped with
+        :meth:`clear_caches`, so queries issued after an append see exactly
+        what a rebuilt-from-scratch engine would produce.  An empty append
+        bumps the version over bit-identical columns and keeps the caches.
+        Every execution entry point calls this, so explicit calls are only
+        needed before touching derived state directly (``group_index``,
+        ``plan_mask``, ...).  Appends must be quiesced with respect to
+        in-flight queries: the sync lock serialises flushes against each
+        other, not against a batch that already passed this check.
         """
         table = self.table
         if table.version == self._synced_version:
@@ -875,7 +624,12 @@ class QueryEngine:
         with self._sync_lock:
             if table.version == self._synced_version:
                 return
-            refresh_engine(self, table)
+            if table.num_rows != self._synced_rows:
+                with self._index_lock:
+                    stale = len(self._indexes)
+                stale += len(self._masks) + len(self._results) + self.sort_cache_len
+                self.stats.bump(staleness_evictions=stale)
+                self.clear_caches()
             self._synced_version = table.version
             self._synced_rows = table.num_rows
 
@@ -943,9 +697,9 @@ class QueryEngine:
 
         The non-NaN prefix of ``np.argsort(values, kind="stable")`` over the
         numeric-like column *attr*, built once per attribute and table
-        generation: the refresh after a ``Table.append_rows`` that added rows
-        (:meth:`sync_with_table`) drops every permutation, and so does
-        :meth:`clear_caches`.  Stored as ``int32`` below ``2**31`` rows.  The
+        generation: :meth:`clear_caches` drops every permutation, and so
+        does the flush after a ``Table.append_rows`` that added rows
+        (:meth:`sync_with_table`).  Stored as ``int32`` below ``2**31`` rows.  The
         numpy backend derives each plan's (code, value) order from it in
         O(n) (:meth:`GroupedAggregator.derive_sort_order`), SLIQ's presorted
         attribute lists applied to the order-statistics kernels.  Their
@@ -1247,8 +1001,8 @@ class QueryEngine:
     @property
     def presorted_bytes(self) -> int:
         """Bytes held now by the :meth:`presorted` permutations.  They sit
-        outside the three LRU caches, so neither :attr:`cached_bytes` (the
-        ``bytes_cached`` gauge) nor the memory budget counts them."""
+        outside the three LRU caches, so :attr:`cached_bytes` (the
+        ``bytes_cached`` gauge) does not count them."""
         with self._presort_lock:
             return int(sum(p.nbytes for p in self._presorted.values()))
 

@@ -313,9 +313,7 @@ class QueryPlan:
 
         Plain aggregates keep the historical 5-tuple; parameterized ones
         append ``spec.param`` as a sixth element, so a ``QUANTILE:0.25`` and
-        a ``QUANTILE:0.75`` result can never collide (and the delta path's
-        additive-upgrade check, which only recognises 5-tuples, evicts
-        parameterized results via ``staleness_evictions`` by construction).
+        a ``QUANTILE:0.75`` result can never collide.
         """
         signature = self.predicate_signature()
         if signature is None:

@@ -62,14 +62,6 @@ class QueryPool:
         self._categorical_domains: Dict[str, List] = {}
         self._numeric_domains: Dict[str, Tuple[float, float]] = {}
         self._predicate_dtypes: Dict[str, DType] = {}
-        #: Every distinct categorical value ever seen, in first-appearance
-        #: order over the whole table -- the uncapped superset the capped
-        #: domain is derived from (so appends extend, never reshuffle, it).
-        self._categorical_seen: Dict[str, List] = {}
-        #: Raw (possibly NaN / degenerate) numeric bounds before the
-        #: sampling adjustments, so appends can tighten them monotonically.
-        self._raw_numeric_bounds: Dict[str, Tuple[float, float]] = {}
-        self._inspected_rows = relevant_table.num_rows
         self._collect_domains(relevant_table)
         self.space = self._build_space()
 
@@ -94,12 +86,11 @@ class QueryPool:
             column = table.column(attr)
             self._predicate_dtypes[attr] = column.dtype
             if column.dtype is DType.CATEGORICAL:
-                self._categorical_seen[attr] = column.unique()
-                self._categorical_domains[attr] = self._capped_domain(attr, column)
+                self._categorical_domains[attr] = self._capped_domain(column)
             else:
-                low, high = column.min(), column.max()
-                self._raw_numeric_bounds[attr] = (low, high)
-                self._numeric_domains[attr] = self._adjusted_bounds(low, high)
+                self._numeric_domains[attr] = self._adjusted_bounds(
+                    column.min(), column.max()
+                )
         for attr in self.template.in_list_attrs:
             if self._predicate_dtypes[attr] is not DType.CATEGORICAL:
                 raise ValueError(
@@ -112,15 +103,15 @@ class QueryPool:
                     f"window_attrs entry {attr!r} must be numeric or datetime"
                 )
 
-    def _capped_domain(self, attr: str, column) -> List:
+    @staticmethod
+    def _capped_domain(column) -> List:
         """The search-space domain for one categorical attribute.
 
         Under the cap it is the full first-appearance value list; over the
-        cap the whole column is recounted and the most frequent values win
-        (stable sort: frequency ties keep first-appearance order), exactly
-        as a freshly constructed pool would decide.
+        cap the most frequent values win (stable sort: frequency ties keep
+        first-appearance order).
         """
-        values = list(self._categorical_seen[attr])
+        values = column.unique()
         if len(values) > MAX_CATEGORICAL_VALUES:
             codes, dictionary = column.coding
             counts = np.bincount(codes[codes >= 0], minlength=len(dictionary))
@@ -136,63 +127,6 @@ class QueryPool:
         if low == high:
             high = low + 1.0
         return (float(low), float(high))
-
-    def refresh(self, table: Table) -> bool:
-        """Extend the pool's domains over rows appended to the table.
-
-        Only the appended slice is inspected for new categorical values and
-        numeric bounds; the capped-domain / bound-adjustment rules are then
-        re-applied, so after any sequence of appends the domains -- and the
-        rebuilt search space -- are exactly what constructing a fresh pool
-        over the extended table would produce (including the
-        ``MAX_CATEGORICAL_VALUES`` frequency cut, which recounts the full
-        column only once the uncapped value list exceeds the cap).
-
-        Returns ``True`` when any domain changed and the search space was
-        rebuilt; encodings of previously decoded queries stay valid either
-        way, because categorical domains only ever extend.
-        """
-        old_rows = self._inspected_rows
-        if table.num_rows < old_rows:
-            raise ValueError(
-                "QueryPool.refresh expects an append-only table: saw "
-                f"{table.num_rows} rows after inspecting {old_rows}"
-            )
-        if table.num_rows == old_rows:
-            return False
-        changed = False
-        for attr in self._constrained_attrs():
-            column = table.column(attr)
-            if column.dtype is not self._predicate_dtypes[attr]:
-                raise ValueError(
-                    f"Predicate attribute {attr!r} changed dtype across an "
-                    f"append: {self._predicate_dtypes[attr]} vs {column.dtype}"
-                )
-            if column.dtype is DType.CATEGORICAL:
-                seen = self._categorical_seen[attr]
-                seen_set = set(seen)
-                seen.extend(v for v in column.slice(old_rows).unique() if v not in seen_set)
-                domain = self._capped_domain(attr, column)
-                if domain != self._categorical_domains[attr]:
-                    self._categorical_domains[attr] = domain
-                    changed = True
-            else:
-                values = column.values[old_rows:]
-                finite = values[~np.isnan(values)]
-                low, high = self._raw_numeric_bounds[attr]
-                if finite.size:
-                    d_low, d_high = float(finite.min()), float(finite.max())
-                    low = d_low if np.isnan(low) else min(low, d_low)
-                    high = d_high if np.isnan(high) else max(high, d_high)
-                    self._raw_numeric_bounds[attr] = (low, high)
-                adjusted = self._adjusted_bounds(low, high)
-                if adjusted != self._numeric_domains[attr]:
-                    self._numeric_domains[attr] = adjusted
-                    changed = True
-        self._inspected_rows = table.num_rows
-        if changed:
-            self.space = self._build_space()
-        return changed
 
     def _build_space(self) -> SearchSpace:
         dimensions = [

@@ -1,9 +1,8 @@
 """Admission-controlled query service: cross-request coalescing into fused batches.
 
 The engine layers below this module execute *one caller's* batch fast: fused
-plans, shared mask / group-index / sort-order caches, byte budgets, delta
-refresh.  Under service traffic -- many concurrent callers hammering one
-relevant table -- each caller issuing its own ``execute_batch`` still
+plans, shared mask / group-index / sort-order caches.  Under service
+traffic -- many concurrent callers hammering one relevant table -- each caller issuing its own ``execute_batch`` still
 forfeits cross-request reuse: two callers asking for the same template's
 features pay the masks, sort orders and (for identical queries) the
 aggregates twice, and nothing bounds how much work the engine accepts at

@@ -45,7 +45,6 @@ class TestCoding:
         derived = [
             column.take([3, 0]),
             column.filter([True, False, True, False]),
-            column.slice(1),
             column.rename("other"),
             column.copy(),
             table.sort_by("k").column("k"),
@@ -53,7 +52,6 @@ class TestCoding:
         for other in derived:
             assert other.dictionary is column.dictionary
         assert column.take([3, 0]).to_list() == ["c", "a"]
-        assert column.slice(1).to_list() == ["b", None, "c"]
         assert column.take([3, 0])._values is None  # decoded only on demand
 
     def test_unique_is_first_appearance_of_the_columns_own_rows(self):

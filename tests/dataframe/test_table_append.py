@@ -1,8 +1,9 @@
-"""The versioned append path of :class:`Table` (delta-aware engine, PR 8).
+"""The versioned append path of :class:`Table`.
 
 ``append_rows`` is the only sanctioned way to grow a relevant table in
-place.  The pins here are the foundation the delta-refresh layer of
-:mod:`repro.query.delta` rests on:
+place.  The pins here are what a :class:`~repro.query.engine.QueryEngine`
+bound to the table relies on to flush its caches after an append
+(``QueryEngine.sync_with_table``):
 
 * every append bumps ``table.version`` (even an empty one -- the engine's
   cheap staleness probe must never miss a mutation),
@@ -74,8 +75,8 @@ class TestAppendSemantics:
 
     def test_new_categorical_labels_extend_first_appearance_coding(self, table):
         """New labels appear strictly after the old ones in unique()'s
-        first-appearance order -- the prefix-stability the incremental
-        group-index extension relies on."""
+        first-appearance order: appends extend a column's dictionary, so
+        existing codes never change."""
         before = table.column("user").unique()
         table.append_rows({"user": ["zz", "a", "yy"], "x": [1.0, 2.0, 3.0]})
         assert table.column("user").unique() == before + ["zz", "yy"]

@@ -214,16 +214,19 @@ class TestEngineForConfig:
     @pytest.mark.parametrize(
         "field,value",
         [
+            ("backend", "python"),
+            ("backend", "sqlite"),
             ("mask_cache_size", 7),
+            ("mask_cache_size", 1),
             ("result_cache_size", 7),
+            ("result_cache_size", 1),
             ("sort_cache_size", 0),
-            ("memory_budget_bytes", 1 << 20),
-            ("incremental", True),
+            ("sort_cache_size", 1),
         ],
     )
     def test_every_cache_key_field_selects_its_own_engine(self, field, value):
         table = make_relevant(0)
-        base = EngineConfig(backend="numpy", incremental=False)
+        base = EngineConfig(backend="numpy")
         changed = replace(base, **{field: value})
         assert changed.cache_key() != base.cache_key()
         shared = engine_for(table, base)
@@ -243,9 +246,13 @@ class TestEngineConfigValidation:
         "kwargs,message",
         [
             ({"mask_cache_size": 0}, "Cache sizes must be >= 1"),
+            ({"mask_cache_size": -4}, "Cache sizes must be >= 1"),
             ({"result_cache_size": 0}, "Cache sizes must be >= 1"),
+            ({"result_cache_size": -1}, "Cache sizes must be >= 1"),
+            ({"mask_cache_size": 0, "result_cache_size": 0}, "Cache sizes must be >= 1"),
             ({"sort_cache_size": -1}, "sort_cache_size must be >= 0"),
-            ({"memory_budget_bytes": 0}, "memory_budget_bytes must be >= 1"),
+            ({"sort_cache_size": -7}, "sort_cache_size must be >= 0"),
+            ({"backend": "no-such-backend"}, "Unknown execution backend"),
         ],
     )
     def test_out_of_range_settings_rejected(self, kwargs, message):

@@ -1,14 +1,11 @@
-"""The global size-aware cache budget and its satellite regressions.
+"""Byte accounting of the engine's LRU caches, and cache-layer regressions.
 
-``EngineConfig(memory_budget_bytes=N)`` attaches one :class:`CacheBudget` to
-the engine's mask / result / sort-order LRUs: every entry carries its
-:func:`_value_nbytes` cost, the summed bytes are a hard ceiling, and when an
-insert overflows it the budget evicts LRU entries from the
-cheapest-benefit-per-byte cache first (sort orders, then masks, then result
-tables) -- deterministically, so identical traffic always evicts
-identically.
+The mask / result / sort-order LRUs are bounded by entry count only.  Every
+entry carries its :func:`_value_nbytes` cost, each cache keeps the exact
+total, and the engine publishes the totals as the ``bytes_cached`` /
+``cache_bytes`` gauges.
 
-Satellite regressions pinned here:
+Regressions pinned here:
 
 * ``_LRUCache`` distinguishes a cached falsy value (``None``, an empty
   array, ``0``) from a miss via an internal sentinel.
@@ -26,8 +23,8 @@ import pytest
 
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
+from repro.query.backends import backend_names
 from repro.query.engine import (
-    CacheBudget,
     EngineConfig,
     QueryEngine,
     _LRUCache,
@@ -35,6 +32,8 @@ from repro.query.engine import (
     engine_for,
 )
 from repro.query.query import PredicateAwareQuery
+
+BACKENDS = tuple(backend_names())
 
 
 def make_relevant(seed: int, n: int = 400) -> Table:
@@ -55,13 +54,6 @@ def make_relevant(seed: int, n: int = 400) -> Table:
 def query_with(value: str, agg_func: str = "SUM") -> PredicateAwareQuery:
     return PredicateAwareQuery(
         agg_func, "val", ("key",), {"cat": value}, {"cat": DType.CATEGORICAL}
-    )
-
-
-def budgeted_engine(table: Table, budget: int, **overrides) -> QueryEngine:
-    overrides.setdefault("backend", "numpy")
-    return QueryEngine(
-        table, config=EngineConfig(memory_budget_bytes=budget, **overrides)
     )
 
 
@@ -105,7 +97,7 @@ class TestValueNbytes:
                 Column("val", np.arange(60, dtype=np.float64), dtype=DType.NUMERIC),
             ]
         )
-        engine = QueryEngine(table, config=EngineConfig(memory_budget_bytes=1 << 20))
+        engine = QueryEngine(table, config=EngineConfig(backend="numpy"))
         query = PredicateAwareQuery(
             "SUM", "val", ("key",), {"cat": "a"}, {"cat": DType.CATEGORICAL}
         )
@@ -153,68 +145,39 @@ class TestLRUCacheSentinel:
         assert (engine.stats.result_hits, engine.stats.result_misses) == (1, 1)
 
     def test_engine_all_false_masks_hit_the_mask_cache(self):
-        engine = budgeted_engine(make_relevant(0), budget=1 << 30)
+        engine = QueryEngine(make_relevant(0), config=EngineConfig(backend="numpy"))
         engine.execute(query_with("never-matches", "SUM"))
         engine.execute(query_with("never-matches", "AVG"))  # shares the atom
         assert (engine.stats.mask_misses, engine.stats.mask_hits) == (1, 1)
 
 
-class TestCacheBudgetMechanics:
-    def make_trio(self, budget_bytes: int):
-        budget = CacheBudget(budget_bytes)
-        # Construction self-registers each cache with the budget.
-        sort = _LRUCache(16, name="sort_orders", budget=budget, benefit_weight=1.0)
-        mask = _LRUCache(16, name="masks", budget=budget, benefit_weight=2.0)
-        result = _LRUCache(16, name="results", budget=budget, benefit_weight=4.0)
-        return budget, sort, mask, result
+class TestLRUCacheBytes:
+    def test_entry_count_bound_evicts_the_lru_head(self):
+        cache = _LRUCache(maxsize=2)
+        assert cache.put("a", np.zeros(10, dtype=np.int64)) == 0
+        assert cache.put("b", np.zeros(5, dtype=np.int64)) == 0
+        assert cache.put("c", np.zeros(1, dtype=np.int64)) == 1
+        assert "a" not in cache and len(cache) == 2
+        assert cache.bytes == 6 * 8
 
-    def test_cheapest_benefit_cache_evicts_first(self):
-        budget, sort, mask, result = self.make_trio(1000)
-        result.put("r", np.zeros(50, dtype=np.int64))  # 400 B
-        mask.put("m", np.zeros(400, dtype=np.bool_))  # 400 B
-        sort.put("s", np.zeros(50, dtype=np.int64))  # 400 B -> 1200 B total
-        # Overflow resolved from the cheapest-benefit cache: sort orders.
-        assert len(sort) == 0
-        assert len(mask) == 1 and len(result) == 1
-        assert budget.total_bytes == 800
-
-    def test_eviction_escalates_once_cheaper_caches_are_empty(self):
-        budget, sort, mask, result = self.make_trio(500)
-        result.put("r", np.zeros(50, dtype=np.int64))  # 400 B
-        mask.put("m", np.zeros(400, dtype=np.bool_))  # 400 B: sort empty -> masks
-        assert len(mask) == 0 and len(result) == 1
-
-    def test_oversized_insert_evicts_itself(self):
-        budget, sort, mask, result = self.make_trio(100)
-        sort.put("huge", np.zeros(1000, dtype=np.int64))
-        assert len(sort) == 0 and sort.bytes == 0
-        assert budget.total_bytes == 0
-
-    def test_budget_is_a_hard_ceiling_under_churn(self):
-        budget, sort, mask, result = self.make_trio(4096)
+    def test_byte_accounting_stays_exact_under_churn(self):
+        cache = _LRUCache(maxsize=16)
         rng = np.random.default_rng(0)
-        caches = (sort, mask, result)
         for i in range(300):
-            cache = caches[i % 3]
-            cache.put(("k", i), np.zeros(int(rng.integers(1, 120)), dtype=np.int64))
-            assert budget.total_bytes <= 4096
-        # Byte accounting stayed exact through mixed entry-count and
-        # budget-driven evictions.
-        for cache in caches:
-            assert cache.bytes == sum(nb for _, nb in cache._data.values())
+            cache.put(("k", i % 40), np.zeros(int(rng.integers(1, 120)), dtype=np.int64))
+            assert len(cache) <= 16
+        assert cache.bytes == sum(nb for _, nb in cache._data.values())
 
     def test_update_in_place_adjusts_bytes(self):
-        budget, sort, _mask, _result = self.make_trio(10_000)
-        sort.put("k", np.zeros(100, dtype=np.int64))
-        assert sort.bytes == 800
-        sort.put("k", np.zeros(10, dtype=np.int64))
-        assert sort.bytes == 80 and len(sort) == 1
-        assert budget.total_bytes == 80
+        cache = _LRUCache(maxsize=4)
+        cache.put("k", np.zeros(100, dtype=np.int64))
+        assert cache.bytes == 800
+        assert cache.put("k", np.zeros(10, dtype=np.int64)) == 0
+        assert cache.bytes == 80 and len(cache) == 1
 
 
-class TestEngineBudgetIntegration:
-    BUDGET = 8 * 1024
-
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestEngineByteGauges:
     def run_traffic(self, engine: QueryEngine) -> None:
         batch = [
             query_with(value, func)
@@ -223,72 +186,55 @@ class TestEngineBudgetIntegration:
         ]
         engine.execute_batch(batch)
 
-    def test_budget_holds_and_gauges_track_contents(self):
-        engine = budgeted_engine(make_relevant(1), budget=self.BUDGET)
+    def test_gauges_track_cache_contents(self, backend):
+        engine = QueryEngine(make_relevant(1), config=EngineConfig(backend=backend))
         self.run_traffic(engine)
-        assert engine.cached_bytes <= self.BUDGET
-        assert engine.budget.total_bytes == engine.cached_bytes
-        assert engine.stats.budget_evictions > 0
         stats = engine.stats.as_dict()
-        assert stats["bytes_cached"] == engine.cached_bytes
+        assert stats["bytes_cached"] == engine.cached_bytes > 0
         assert set(stats["cache_bytes"]) == {"masks", "results", "sort_orders"}
         assert sum(stats["cache_bytes"].values()) == float(stats["bytes_cached"])
 
-    def test_unbudgeted_engine_has_no_budget_but_reports_gauges(self):
-        engine = QueryEngine(
-            make_relevant(1), config=EngineConfig(backend="numpy")
-        )
-        assert engine.budget is None
+    def test_clear_caches_resets_gauges_keeps_counters(self, backend):
+        engine = QueryEngine(make_relevant(1), config=EngineConfig(backend=backend))
         self.run_traffic(engine)
-        assert engine.stats.budget_evictions == 0
-        assert engine.stats.bytes_cached == engine.cached_bytes > 0
-
-    def test_clear_caches_resets_gauges_keeps_counters(self):
-        engine = budgeted_engine(make_relevant(1), budget=self.BUDGET)
-        self.run_traffic(engine)
-        evictions = engine.stats.budget_evictions
         queries = engine.stats.queries
         engine.clear_caches()
         assert engine.cached_bytes == 0
         assert engine.stats.bytes_cached == 0
         assert all(v == 0.0 for v in engine.stats.cache_bytes.values())
-        assert engine.stats.budget_evictions == evictions
         assert engine.stats.queries == queries
 
-    def test_deterministic_eviction_identical_traffic(self):
-        snapshots = []
-        for _ in range(2):
-            engine = budgeted_engine(make_relevant(1), budget=self.BUDGET)
-            self.run_traffic(engine)
-            snapshots.append(
-                (
-                    engine.stats.budget_evictions,
-                    engine.cached_bytes,
-                    engine.mask_cache_len,
-                    engine.result_cache_len,
-                    engine.sort_cache_len,
-                )
-            )
-        assert snapshots[0] == snapshots[1]
-
-    def test_results_stay_correct_under_heavy_eviction(self):
-        """A budget small enough to thrash every cache never changes results."""
+    def test_append_flush_zeroes_the_gauges(self, backend):
+        """The flush after an append that adds rows drops every cache, so
+        the byte gauges fall to zero with it; requerying refills them."""
         table = make_relevant(2)
-        expected = QueryEngine(
-            table, config=EngineConfig(backend="numpy")
-        ).execute_batch([query_with(v, "MEDIAN") for v in "abc"])
-        engine = budgeted_engine(table, budget=64)  # everything evicts
-        got = engine.execute_batch([query_with(v, "MEDIAN") for v in "abc"])
-        for a, b in zip(got, expected):
-            for name in b.column_names:
-                assert a.column(name) == b.column(name)
-        assert engine.cached_bytes <= 64
+        engine = QueryEngine(table, config=EngineConfig(backend=backend))
+        try:
+            self.run_traffic(engine)
+            assert engine.cached_bytes > 0
+            table.append_rows(make_relevant(3, n=20))
+            engine.sync_with_table()
+            assert engine.cached_bytes == 0
+            assert engine.stats.bytes_cached == 0
+            assert engine.stats.staleness_evictions > 0
+            self.run_traffic(engine)
+            assert engine.stats.bytes_cached == engine.cached_bytes > 0
+        finally:
+            engine.close()
 
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            EngineConfig(memory_budget_bytes=0).validate()
-        EngineConfig(memory_budget_bytes=1).validate()
-        EngineConfig(memory_budget_bytes=None).validate()
+    def test_empty_append_keeps_the_gauges(self, backend):
+        table = make_relevant(2)
+        engine = QueryEngine(table, config=EngineConfig(backend=backend))
+        try:
+            self.run_traffic(engine)
+            held = engine.cached_bytes
+            assert held > 0
+            table.append_rows({"key": [], "cat": [], "val": []})
+            engine.sync_with_table()
+            assert engine.cached_bytes == held
+            assert engine.stats.staleness_evictions == 0
+        finally:
+            engine.close()
 
 
 class TestDeltaSinceTolerance:

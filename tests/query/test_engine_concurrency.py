@@ -232,70 +232,68 @@ class TestConcurrentExecuteBatch:
         assert engine.mask_cache_len <= 2
 
 
-class TestMemoryBudgetConcurrency:
-    """The global byte budget holds under concurrent traffic: no interleaving
-    of hits, puts and cross-cache evictions ever leaves the caches over
-    budget or the byte accounting out of sync with the cache contents."""
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("threads", (2, 3, 8))
+class TestByteGaugesUnderConcurrency:
+    """Each cache's byte total stays exact under concurrent traffic: no
+    interleaving of hits, puts and entry-count evictions leaves ``bytes``
+    out of step with the entries the cache holds, or a cache over its
+    entry bound."""
 
-    BUDGET = 8 * 1024
-
-    def make_engine(self):
-        return QueryEngine(
-            make_relevant(4, n=2000),
+    def test_byte_totals_match_the_surviving_entries(self, backend, threads):
+        table = make_relevant(4, n=400)
+        expected = QueryEngine(
+            table, config=EngineConfig(backend=backend)
+        ).execute_batch(make_batch())
+        engine = QueryEngine(
+            table,
             config=EngineConfig(
-                backend="numpy",
-                memory_budget_bytes=self.BUDGET,
+                backend=backend, mask_cache_size=2, result_cache_size=3, sort_cache_size=2
             ),
         )
-
-    def budget_batch(self):
-        return [
-            PredicateAwareQuery(
-                func, "val", ("key",), {"cat": value}, {"cat": DType.CATEGORICAL}
-            )
-            for value in "abcd"
-            for func in ("SUM", "MEDIAN", "MAD")
-        ]
-
-    def test_budget_never_exceeded_under_concurrent_traffic(self):
-        engine = self.make_engine()
-        queries = self.budget_batch()
+        queries = make_batch()
         errors = []
 
         def caller():
             try:
                 for _ in range(N_ROUNDS):
-                    engine.execute_batch(queries)
-                    # Sampled mid-flight from every caller: the budget is a
-                    # hard ceiling, not an eventually-consistent target.
-                    assert engine.budget.total_bytes <= self.BUDGET
-                    assert engine.cached_bytes <= self.BUDGET
+                    assert_batch_equal(engine.execute_batch(queries), expected, exact=True)
+                    assert engine.mask_cache_len <= 2
+                    assert engine.result_cache_len <= 3
+                    assert engine.sort_cache_len <= 2
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=caller) for _ in range(N_THREADS)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors, errors[0]
-        # The workload genuinely overflows the budget (sort orders alone are
-        # ~4 KiB per predicate value), so evictions must have happened.
-        assert engine.stats.budget_evictions > 0
-        # Byte accounting stayed exact: the incremental `.bytes` totals match
-        # a from-scratch recomputation over the surviving entries.
-        with engine.budget.lock:
-            for cache in engine.budget._caches:
-                recomputed = sum(nbytes for _, nbytes in cache._data.values())
-                assert cache.bytes == recomputed
-        assert engine.cached_bytes == engine.budget.total_bytes
+        workers = [threading.Thread(target=caller) for _ in range(threads)]
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join()
+            assert not errors, errors[0]
+            caches = (engine._masks, engine._results, engine._sort_orders)
+            for cache in caches:
+                assert cache.bytes == sum(nbytes for _, nbytes in cache._data.values())
+            assert engine.cached_bytes == sum(cache.bytes for cache in caches)
+        finally:
+            engine.close()
 
-    def test_clear_caches_zeroes_gauges_keeps_eviction_counter(self):
-        engine = self.make_engine()
-        engine.execute_batch(self.budget_batch())
-        evictions = engine.stats.budget_evictions
-        assert evictions > 0
-        engine.clear_caches()
-        assert engine.cached_bytes == 0
-        assert engine.stats.bytes_cached == 0
-        assert engine.stats.budget_evictions == evictions  # lifetime counter
+
+@pytest.mark.parametrize("maxsize", (1, 4, 16))
+def test_lru_byte_total_is_exact_after_concurrent_puts(maxsize):
+    """Concurrent puts of values of different sizes, including in-place
+    updates of a live key, keep ``bytes`` equal to the held entries' costs."""
+    cache = _LRUCache(maxsize=maxsize)
+
+    def hammer(tid):
+        rng = np.random.default_rng(tid)
+        for i in range(400):
+            size = int(rng.integers(1, 64))
+            cache.put((tid % 3, i % 10), np.zeros(size, dtype=np.int64))
+            assert len(cache) <= maxsize
+
+    with ThreadPoolExecutor(max_workers=6) as pool:
+        for future in [pool.submit(hammer, t) for t in range(6)]:
+            future.result()
+    assert len(cache) <= maxsize
+    assert cache.bytes == sum(nbytes for _, nbytes in cache._data.values())

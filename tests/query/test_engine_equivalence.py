@@ -18,9 +18,9 @@ Two equivalence bars:
   order (``sqlite``) are held to value equality within ``1e-9`` on feature
   values, with key columns, dtypes, group order and NaN placement exact.
 
-Both bars also hold under squeezed cache profiles (every entry-bounded cache
-at one entry with the sort-order cache off, and a byte budget that evicts on
-every insert) and on a NaN / None-bearing table, so cache churn never
+Both bars also hold under squeezed cache profiles (every cache at one entry
+with the sort-order cache off, and caches of two or three entries that evict
+by LRU recency) and on a NaN / None-bearing table, so cache churn never
 changes a result.
 """
 
@@ -55,13 +55,13 @@ EXACT_BACKENDS = ("numpy", "python")
 VALUE_TOLERANCE = 1e-9
 
 #: Cache configurations engines are checked under: the defaults, every
-#: entry-bounded cache squeezed to one entry with the sort-order cache off
-#: (plans re-mask and re-sort), and a byte budget small enough to evict on
-#: every insert.
+#: cache squeezed to one entry with the sort-order cache off (plans re-mask
+#: and re-sort), and caches of a few entries each, where eviction is partial
+#: and LRU recency decides which masks, results and sort orders survive.
 CACHE_PROFILES = {
     "default": {},
     "tight": {"mask_cache_size": 1, "result_cache_size": 1, "sort_cache_size": 0},
-    "budget": {"memory_budget_bytes": 1},
+    "small": {"mask_cache_size": 2, "result_cache_size": 3, "sort_cache_size": 2},
 }
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)

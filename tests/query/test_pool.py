@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dataframe.column import DType
+from repro.dataframe.table import Table
 from repro.hpo.space import CategoricalDimension, RealDimension
 from repro.query.pool import QueryPool
 from repro.query.template import QueryTemplate
@@ -269,81 +270,98 @@ class TestRichTemplateDecodeEncode:
                 assert shapes == reference
 
 
-class TestRefresh:
-    """PR 8 satellite: ``QueryPool.refresh`` extends the domains over
-    appended rows, deterministically equal to constructing a fresh pool
-    over the extended table."""
+def appended_row(**overrides):
+    row = {
+        "cname": "erin",
+        "pname": "soap",
+        "pprice": 10.0,
+        "department": "household",
+        "timestamp": "2023-07-10",
+    }
+    row.update(overrides)
+    return row
 
-    def append(self, logs_table, **overrides):
-        row = {
-            "cname": "erin",
-            "pname": "soap",
-            "pprice": 10.0,
-            "department": "household",
-            "timestamp": "2023-07-10",
-        }
-        row.update(overrides)
-        logs_table.append_rows([row])
 
-    def test_noop_when_no_rows_appended(self, pool, logs_table):
-        space = pool.space
-        assert pool.refresh(logs_table) is False
-        assert pool.space is space
+#: Rows appended to ``logs_table`` before a pool is built over it: known
+#: values only, a new department label, timestamps outside the old bounds on
+#: both sides, and a mix of all three.
+APPENDED_ROWS = {
+    "known-values": [appended_row(), appended_row(cname="alice", pname="tv")],
+    "new-label": [appended_row(department="garden"), appended_row(department="toys")],
+    "new-bounds": [
+        appended_row(timestamp="2024-01-01"),
+        appended_row(timestamp="2021-01-01"),
+    ],
+    "mixed": [
+        appended_row(department="garden", timestamp="2024-02-02"),
+        appended_row(department="household", timestamp="2021-01-01"),
+        appended_row(pname="lamp", pprice=float("nan")),
+        appended_row(department="toys", timestamp="2020-06-15"),
+    ],
+}
 
-    def test_append_without_domain_change_keeps_space(self, pool, logs_table):
-        space = pool.space
-        self.append(logs_table)  # known department, in-range timestamp
-        assert pool.refresh(logs_table) is False
-        assert pool.space is space
 
-    def test_new_categorical_value_extends_domain(self, pool, logs_table):
-        self.append(logs_table, department="garden")
-        assert pool.refresh(logs_table) is True
-        choices = pool.space["pred::department"].choices
-        assert choices[-1] == "garden"  # appended after the old values
-        assert choices[:-1] == [None, "electronics", "household", "media"]
+def rebuilt(table: Table) -> Table:
+    """The same rows as *table*, built in one shot from decoded values (fresh
+    dictionaries in first-appearance order, no append history)."""
+    return Table.from_dict(
+        {name: table.column(name).to_list() for name in table.column_names},
+        dtypes=table.schema(),
+    )
 
-    def test_new_numeric_bounds_extend_domain(self, pool, logs_table):
-        old_low = pool.space["pred_low::timestamp"].low
-        self.append(logs_table, timestamp="2024-01-01")
-        assert pool.refresh(logs_table) is True
-        dim = pool.space["pred_low::timestamp"]
-        assert dim.low == old_low
-        assert dim.high == logs_table.column("timestamp").max()
 
-    def test_refresh_equals_fresh_pool(self, template, logs_table):
-        pool = QueryPool(template, logs_table, relation_name="User_Logs")
-        self.append(logs_table, department="garden", timestamp="2024-02-02")
-        self.append(logs_table, department="household", timestamp="2021-01-01")
-        pool.refresh(logs_table)
-        fresh = QueryPool(template, logs_table, relation_name="User_Logs")
+class TestPoolOverAppendedTable:
+    """A pool built over a table grown by ``Table.append_rows`` equals one
+    built over the same rows in one shot, however the rows arrived.  Pools
+    are snapshots: one built before an append keeps its space."""
+
+    @pytest.mark.parametrize("rows", APPENDED_ROWS)
+    @pytest.mark.parametrize("splits", (1, 2, 4))
+    def test_pool_equals_pool_over_one_shot_table(self, template, logs_table, rows, splits):
+        appended = APPENDED_ROWS[rows]
+        for part in np.array_split(np.arange(len(appended)), splits):
+            logs_table.append_rows([appended[i] for i in part])
+        grown = QueryPool(template, logs_table, relation_name="User_Logs")
+        fresh = QueryPool(template, rebuilt(logs_table), relation_name="User_Logs")
         for attr in template.predicate_attrs:
-            assert pool.domain_of(attr) == fresh.domain_of(attr)
-        assert pool.space.names == fresh.space.names
+            assert grown.domain_of(attr) == fresh.domain_of(attr)
+        assert grown.space.names == fresh.space.names
+        low, high = grown.domain_of("timestamp")
+        assert low == logs_table.column("timestamp").min()
+        assert high == logs_table.column("timestamp").max()
+        labels = [r["department"] for r in appended]
+        assert set(labels) <= set(grown.domain_of("department"))
 
-    def test_refresh_respects_categorical_cap(self, logs_table):
+    @pytest.mark.parametrize("rows", APPENDED_ROWS)
+    def test_pool_built_before_an_append_keeps_its_space(self, template, logs_table, rows):
+        pool = QueryPool(template, logs_table, relation_name="User_Logs")
+        space = pool.space
+        domains = {attr: pool.domain_of(attr) for attr in template.predicate_attrs}
+        logs_table.append_rows(APPENDED_ROWS[rows])
+        assert pool.space is space
+        for attr, domain in domains.items():
+            assert pool.domain_of(attr) == domain
+
+    @pytest.mark.parametrize("splits", (1, 2, 4))
+    def test_categorical_cap_over_appended_labels(self, logs_table, splits):
+        """Appended labels compete for the capped domain by frequency, with
+        counts read through the column's extended dictionary."""
         from repro.query.pool import MAX_CATEGORICAL_VALUES
 
         wide = QueryTemplate(["SUM"], ["pprice"], ["pname"], ["cname"])
-        pool = QueryPool(wide, logs_table)
+        # Each new product appears twice, except every third, which appears
+        # four times and so must outrank the pairs and the old products (at
+        # most three rows each).
+        appended = []
         for i in range(2 * MAX_CATEGORICAL_VALUES):
-            # each new product appears twice so frequency ordering is stable
-            self.append(logs_table, pname=f"p{i}")
-            self.append(logs_table, pname=f"p{i}")
-        pool.refresh(logs_table)
-        fresh = QueryPool(wide, logs_table)
-        assert len(pool.domain_of("pname")) == MAX_CATEGORICAL_VALUES
-        assert pool.domain_of("pname") == fresh.domain_of("pname")
-
-    def test_incremental_refreshes_equal_one_shot_refresh(self, template, logs_table):
-        stepwise = QueryPool(template, logs_table, relation_name="User_Logs")
-        for dept, ts in [("garden", "2024-03-01"), ("toys", "2020-06-15")]:
-            self.append(logs_table, department=dept, timestamp=ts)
-            stepwise.refresh(logs_table)
-        fresh = QueryPool(template, logs_table, relation_name="User_Logs")
-        for attr in template.predicate_attrs:
-            assert stepwise.domain_of(attr) == fresh.domain_of(attr)
-
-    def test_shrunk_table_rejected(self, pool, logs_table):
-        with pytest.raises(ValueError, match="append-only"):
-            pool.refresh(logs_table.select(logs_table.column_names).head(3))
+            appended += [appended_row(pname=f"p{i}")] * (4 if i % 3 == 0 else 2)
+        for part in np.array_split(np.arange(len(appended)), splits):
+            logs_table.append_rows([appended[i] for i in part])
+        grown = QueryPool(wide, logs_table)
+        fresh = QueryPool(wide, rebuilt(logs_table))
+        domain = grown.domain_of("pname")
+        assert len(domain) == MAX_CATEGORICAL_VALUES
+        assert domain == fresh.domain_of("pname")
+        assert domain[: 2 * MAX_CATEGORICAL_VALUES // 3] == [
+            f"p{i}" for i in range(0, 2 * MAX_CATEGORICAL_VALUES, 3)
+        ]

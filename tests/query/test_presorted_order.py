@@ -10,8 +10,7 @@ Two layers are pinned here:
 * the engine's presorted permutations (:meth:`QueryEngine.presorted`): one
   per attribute and table generation, ``int32``, reported by
   ``presorted_bytes`` outside ``bytes_cached``, and never reused across a
-  ``Table.append_rows`` that adds rows (flush or incremental refresh) or
-  ``clear_caches()``.
+  ``Table.append_rows`` that adds rows (the flush) or ``clear_caches()``.
 
 The engine tests pin the numpy backend, the only one that presorts; the
 derivation property is backend-independent, so every CI slot runs it.
@@ -222,23 +221,33 @@ class TestEnginePresort:
             naive.column(naive.column_names[-1]).values,
         )
 
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_appends_never_reuse_an_older_permutation(self, incremental):
+    @pytest.mark.parametrize("splits", (1, 2, 4))
+    def test_appends_never_reuse_an_older_permutation(self, splits):
+        """Each step's rows land in ``splits`` ``append_rows`` calls; the one
+        flush before the next query covers every version bump."""
         table = make_table()
-        engine = numpy_engine(table, incremental=incremental)
+        engine = numpy_engine(table)
         spy = PresortSpy(engine)
         queries = [median_query(), median_query("a")]
         engine.execute_batch(queries)
         old = spy.used[-1][1]
-        # A plan new to the engine misses the sort-order cache in both
-        # refresh modes, so its order is derived after every append.
+        # A plan new to the engine misses the sort-order cache, so its order
+        # is derived after every append.
         unseen = [
             median_query("c"),
             median_query("b"),
             PredicateAwareQuery("MEDIAN", "x", ("cat",), {}, {}),
         ]
         for step, fresh in enumerate(unseen):
-            table.append_rows(appended_rows(25, seed=step))
+            delta = appended_rows(25, seed=step)
+            for part in np.array_split(np.arange(25), splits):
+                table.append_rows(
+                    {
+                        "user": [delta["user"][i] for i in part],
+                        "cat": [delta["cat"][i] for i in part],
+                        "x": delta["x"][part],
+                    }
+                )
             spy.used.clear()
             results = engine.execute_batch(queries + [fresh])
             assert spy.used, "a miss after the append must derive its order"
@@ -262,16 +271,18 @@ class TestEnginePresort:
             old = spy.used[-1][1]
             assert engine.presorted_bytes == current.nbytes
 
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_empty_append_keeps_the_permutation(self, incremental):
+    @pytest.mark.parametrize("empty_appends", (1, 2, 4))
+    def test_empty_append_keeps_the_permutation(self, empty_appends):
         """An empty append moves the version over bit-identical columns, so
-        the permutation stays; a miss after it derives from the same one."""
+        the permutation stays, however many of them land before the next
+        query; a miss after them derives from the same one."""
         table = make_table()
-        engine = numpy_engine(table, incremental=incremental)
+        engine = numpy_engine(table)
         spy = PresortSpy(engine)
         engine.execute(median_query("a"))
         old = spy.used[-1][1]
-        table.append_rows({"user": [], "cat": [], "x": np.empty(0)})
+        for _ in range(empty_appends):
+            table.append_rows({"user": [], "cat": [], "x": np.empty(0)})
         spy.used.clear()
         result = engine.execute(median_query("b"))
         [(_, permutation)] = spy.used

@@ -57,11 +57,13 @@ EXACT_BACKENDS = ("numpy", "python")
 #: Numbers of concurrent callers hammering one service.
 HAMMER_CALLERS = (2, 4, 8)
 #: Engine cache configurations behind the hammered service: the defaults,
-#: and every entry-bounded cache squeezed to one entry with the sort-order
-#: cache off (fan-out must not depend on what the engine caches kept).
+#: every entry-bounded cache squeezed to one entry with the sort-order cache
+#: off, and caches of a few entries that evict by LRU recency (fan-out must
+#: not depend on what the engine caches kept).
 CACHE_PROFILES = {
     "default": {},
     "tight": {"mask_cache_size": 1, "result_cache_size": 1, "sort_cache_size": 0},
+    "small": {"mask_cache_size": 2, "result_cache_size": 3, "sort_cache_size": 2},
 }
 
 
