@@ -1,28 +1,24 @@
 """Random forests (bagged CART trees with feature subsampling).
 
-RF is one of the paper's four downstream models (Table III / VI) and its
-feature importances power the GBDT/LR-style selector baselines when a
-tree-based importance is requested.
+RF is one of the paper's four downstream models (Table III / VI); its
+feature importances also score features for the tree-based selectors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.ml._splitter import check_params
 from repro.ml.base import BaseEstimator
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 
 class _BaseForest(BaseEstimator):
-    def __init__(
-        self,
-        n_estimators: int = 20,
-        max_depth: int = 6,
-        min_samples_leaf: int = 1,
-        max_features: float | str | None = "sqrt",
-        max_thresholds: int = 16,
-        random_state: int | None = 0,
-    ):
+    """Subclasses name the ``_tree_class`` they bag."""
+
+    def __init__(self, n_estimators: int = 20, max_depth: int = 6, min_samples_leaf: int = 1,
+                 max_features: float | str | None = "sqrt", max_thresholds: int = 16,
+                 random_state: int | None = 0):
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
@@ -30,21 +26,21 @@ class _BaseForest(BaseEstimator):
         self.max_thresholds = max_thresholds
         self.random_state = random_state
 
-    def _make_tree(self, seed: int):
-        raise NotImplementedError
-
     def fit(self, X, y) -> "_BaseForest":
         X, y = self._validate_xy(X, y)
+        check_params(X, n_estimators=self.n_estimators)
         rng = np.random.default_rng(self.random_state)
-        n = X.shape[0]
         self.estimators_ = []
-        importances = np.zeros(X.shape[1], dtype=np.float64)
-        for i in range(self.n_estimators):
-            indices = rng.choice(n, size=n, replace=True)
-            tree = self._make_tree(seed=int(rng.integers(0, 2**31 - 1)))
+        for _ in range(self.n_estimators):
+            indices = rng.choice(X.shape[0], size=X.shape[0], replace=True)
+            tree = self._tree_class(
+                max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf,
+                max_features=self.max_features, max_thresholds=self.max_thresholds,
+                random_state=int(rng.integers(0, 2**31 - 1)),
+            )
             tree.fit(X[indices], y[indices])
             self.estimators_.append(tree)
-            importances += tree.feature_importances_
+        importances = sum(tree.feature_importances_ for tree in self.estimators_)
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances
         return self
@@ -54,15 +50,7 @@ class RandomForestClassifier(_BaseForest):
     """Bootstrap-aggregated decision tree classifier."""
 
     _estimator_type = "classifier"
-
-    def _make_tree(self, seed: int) -> DecisionTreeClassifier:
-        return DecisionTreeClassifier(
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            max_thresholds=self.max_thresholds,
-            random_state=seed,
-        )
+    _tree_class = DecisionTreeClassifier
 
     def fit(self, X, y) -> "RandomForestClassifier":
         y_arr = np.asarray(y, dtype=np.float64).ravel()
@@ -74,36 +62,20 @@ class RandomForestClassifier(_BaseForest):
         X = np.asarray(X, dtype=np.float64)
         proba = np.zeros((X.shape[0], self.classes_.shape[0]), dtype=np.float64)
         for tree in self.estimators_:
-            tree_proba = tree.predict_proba(X)
             # Align the tree's classes (a bootstrap sample may miss a class).
-            for j, c in enumerate(tree.classes_):
-                target = np.where(self.classes_ == c)[0][0]
-                proba[:, target] += tree_proba[:, j]
+            proba[:, np.searchsorted(self.classes_, tree.classes_)] += tree.predict_proba(X)
         proba /= len(self.estimators_)
         return proba
 
     def predict(self, X) -> np.ndarray:
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
+        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
 
 class RandomForestRegressor(_BaseForest):
     """Bootstrap-aggregated decision tree regressor."""
 
     _estimator_type = "regressor"
-
-    def _make_tree(self, seed: int) -> DecisionTreeRegressor:
-        return DecisionTreeRegressor(
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            max_thresholds=self.max_thresholds,
-            random_state=seed,
-        )
+    _tree_class = DecisionTreeRegressor
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        preds = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.estimators_:
-            preds += tree.predict(X)
-        return preds / len(self.estimators_)
+        return sum(tree.predict(X) for tree in self.estimators_) / len(self.estimators_)

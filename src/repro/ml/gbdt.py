@@ -8,116 +8,18 @@ Binary classification uses the logistic loss; regression uses squared error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
+from repro.ml._splitter import Newton, check_params, grow
 from repro.ml.base import BaseEstimator
 
 
-@dataclass
-class _BoostNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["_BoostNode"] = None
-    right: Optional["_BoostNode"] = None
-    weight: float = 0.0
-    is_leaf: bool = True
-
-
-class _BoostTree:
-    """A single regression tree fitted to gradient/hessian statistics."""
-
-    def __init__(self, max_depth: int, min_child_weight: float, reg_lambda: float, gamma: float, max_thresholds: int):
-        self.max_depth = max_depth
-        self.min_child_weight = min_child_weight
-        self.reg_lambda = reg_lambda
-        self.gamma = gamma
-        self.max_thresholds = max_thresholds
-        self.gain_by_feature: dict = {}
-
-    def fit(self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> "_BoostTree":
-        self._root = self._grow(X, grad, hess, depth=0)
-        return self
-
-    def _leaf_weight(self, grad: np.ndarray, hess: np.ndarray) -> float:
-        return float(-grad.sum() / (hess.sum() + self.reg_lambda))
-
-    def _grow(self, X, grad, hess, depth) -> _BoostNode:
-        node = _BoostNode(weight=self._leaf_weight(grad, hess))
-        if depth >= self.max_depth or X.shape[0] < 2:
-            return node
-        best = self._best_split(X, grad, hess)
-        if best is None:
-            return node
-        feature, threshold, gain, mask = best
-        node.is_leaf = False
-        node.feature = feature
-        node.threshold = threshold
-        self.gain_by_feature[feature] = self.gain_by_feature.get(feature, 0.0) + gain
-        node.left = self._grow(X[mask], grad[mask], hess[mask], depth + 1)
-        node.right = self._grow(X[~mask], grad[~mask], hess[~mask], depth + 1)
-        return node
-
-    def _best_split(self, X, grad, hess):
-        G, H = grad.sum(), hess.sum()
-        parent_score = G * G / (H + self.reg_lambda)
-        best_gain = self.gamma
-        best = None
-        for feature in range(X.shape[1]):
-            column = X[:, feature]
-            distinct = np.unique(column)
-            if distinct.size < 2:
-                continue
-            if distinct.size - 1 > self.max_thresholds:
-                thresholds = np.unique(
-                    np.quantile(column, np.linspace(0, 1, self.max_thresholds + 2)[1:-1])
-                )
-            else:
-                thresholds = (distinct[:-1] + distinct[1:]) / 2.0
-            for threshold in thresholds:
-                mask = column <= threshold
-                h_left = hess[mask].sum()
-                h_right = H - h_left
-                if h_left < self.min_child_weight or h_right < self.min_child_weight:
-                    continue
-                g_left = grad[mask].sum()
-                g_right = G - g_left
-                gain = 0.5 * (
-                    g_left**2 / (h_left + self.reg_lambda)
-                    + g_right**2 / (h_right + self.reg_lambda)
-                    - parent_score
-                )
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (feature, float(threshold), float(gain), mask)
-        return best
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.float64)
-        for i in range(X.shape[0]):
-            node = self._root
-            x = X[i]
-            while not node.is_leaf:
-                node = node.left if x[node.feature] <= node.threshold else node.right
-            out[i] = node.weight
-        return out
-
-
 class _BaseGradientBoosting(BaseEstimator):
-    def __init__(
-        self,
-        n_estimators: int = 30,
-        learning_rate: float = 0.3,
-        max_depth: int = 3,
-        min_child_weight: float = 1.0,
-        reg_lambda: float = 1.0,
-        gamma: float = 0.0,
-        subsample: float = 1.0,
-        max_thresholds: int = 16,
-        random_state: int | None = 0,
-    ):
+    """Subclasses define ``_base_score(y)`` and ``_gradients(y, pred) -> (grad, hess)``."""
+
+    def __init__(self, n_estimators: int = 30, learning_rate: float = 0.3, max_depth: int = 3,
+                 min_child_weight: float = 1.0, reg_lambda: float = 1.0, gamma: float = 0.0,
+                 subsample: float = 1.0, max_thresholds: int = 16, random_state: int | None = 0):
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -128,14 +30,9 @@ class _BaseGradientBoosting(BaseEstimator):
         self.max_thresholds = max_thresholds
         self.random_state = random_state
 
-    def _gradients(self, y: np.ndarray, pred: np.ndarray):
-        raise NotImplementedError
-
-    def _base_score(self, y: np.ndarray) -> float:
-        raise NotImplementedError
-
     def fit(self, X, y) -> "_BaseGradientBoosting":
         X, y = self._validate_xy(X, y)
+        check_params(X, n_estimators=self.n_estimators, subsample=self.subsample)
         rng = np.random.default_rng(self.random_state)
         self.base_score_ = self._base_score(y)
         pred = np.full(X.shape[0], self.base_score_, dtype=np.float64)
@@ -143,24 +40,17 @@ class _BaseGradientBoosting(BaseEstimator):
         gain_totals = np.zeros(X.shape[1], dtype=np.float64)
         for _ in range(self.n_estimators):
             grad, hess = self._gradients(y, pred)
+            idx = np.arange(X.shape[0])
             if self.subsample < 1.0:
                 n_sub = max(2, int(self.subsample * X.shape[0]))
                 idx = rng.choice(X.shape[0], size=n_sub, replace=False)
-            else:
-                idx = np.arange(X.shape[0])
-            tree = _BoostTree(
-                max_depth=self.max_depth,
-                min_child_weight=self.min_child_weight,
-                reg_lambda=self.reg_lambda,
-                gamma=self.gamma,
-                max_thresholds=self.max_thresholds,
-            )
-            tree.fit(X[idx], grad[idx], hess[idx])
-            update = tree.predict(X)
-            pred += self.learning_rate * update
+            criterion = Newton(grad[idx], hess[idx], self.reg_lambda, self.gamma,
+                               self.min_child_weight)
+            tree = grow(X[idx], criterion, max_depth=self.max_depth, min_samples_split=2,
+                        max_thresholds=self.max_thresholds)
+            pred += self.learning_rate * tree.predict(X)[:, 0]
             self.trees_.append(tree)
-            for feature, gain in tree.gain_by_feature.items():
-                gain_totals[feature] += gain
+            gain_totals += tree.importances
         total = gain_totals.sum()
         self.feature_importances_ = gain_totals / total if total > 0 else gain_totals
         return self
@@ -169,7 +59,7 @@ class _BaseGradientBoosting(BaseEstimator):
         X = np.asarray(X, dtype=np.float64)
         pred = np.full(X.shape[0], self.base_score_, dtype=np.float64)
         for tree in self.trees_:
-            pred += self.learning_rate * tree.predict(X)
+            pred += self.learning_rate * tree.predict(X)[:, 0]
         return pred
 
 
@@ -184,27 +74,21 @@ class GradientBoostingClassifier(_BaseGradientBoosting):
 
     def _gradients(self, y: np.ndarray, pred: np.ndarray):
         p = 1.0 / (1.0 + np.exp(-pred))
-        grad = p - y
-        hess = np.maximum(p * (1 - p), 1e-6)
-        return grad, hess
+        return p - y, np.maximum(p * (1 - p), 1e-6)
 
     def fit(self, X, y) -> "GradientBoostingClassifier":
         y_arr = np.asarray(y, dtype=np.float64).ravel()
         self.classes_ = np.unique(y_arr)
         if self.classes_.shape[0] > 2:
             raise ValueError("GradientBoostingClassifier supports binary labels only")
-        y_binary = (y_arr == self.classes_[-1]).astype(np.float64)
-        self._positive_class = self.classes_[-1]
-        self._negative_class = self.classes_[0]
-        return super().fit(X, y_binary)
+        return super().fit(X, (y_arr == self.classes_[-1]).astype(np.float64))
 
     def predict_proba(self, X) -> np.ndarray:
         p = 1.0 / (1.0 + np.exp(-self._raw_predict(X)))
         return np.column_stack([1 - p, p])
 
     def predict(self, X) -> np.ndarray:
-        p = self.predict_proba(X)[:, 1]
-        return np.where(p >= 0.5, self._positive_class, self._negative_class)
+        return np.where(self.predict_proba(X)[:, 1] >= 0.5, self.classes_[-1], self.classes_[0])
 
 
 class GradientBoostingRegressor(_BaseGradientBoosting):
@@ -216,9 +100,7 @@ class GradientBoostingRegressor(_BaseGradientBoosting):
         return float(y.mean())
 
     def _gradients(self, y: np.ndarray, pred: np.ndarray):
-        grad = pred - y
-        hess = np.ones_like(y)
-        return grad, hess
+        return pred - y, np.ones_like(y)
 
     def predict(self, X) -> np.ndarray:
         return self._raw_predict(X)

@@ -1,53 +1,23 @@
-"""CART decision trees (classifier and regressor).
+"""CART decision trees (classifier and regressor), the random forest's trees.
 
-These back the random forest and serve as the weak learner inside the
-gradient boosting model.  Splits are found by scanning a bounded number of
-quantile thresholds per feature, which keeps training fast at the dataset
-sizes used in the reproduction while preserving the usual CART behaviour.
+Splits scan at most ``max_thresholds`` quantile thresholds per feature; see
+:mod:`repro.ml._splitter`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
-
 import numpy as np
 
+from repro.ml._splitter import Gini, Variance, grow, resolve_max_features
 from repro.ml.base import BaseEstimator
 
 
-@dataclass
-class _Node:
-    """A tree node: either a leaf (value set) or an internal split."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["_Node"] = None
-    right: Optional["_Node"] = None
-    value: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    is_leaf: bool = True
-
-
-def _candidate_thresholds(values: np.ndarray, max_thresholds: int) -> np.ndarray:
-    distinct = np.unique(values)
-    if distinct.size < 2:
-        return np.empty(0)
-    if distinct.size - 1 <= max_thresholds:
-        return (distinct[:-1] + distinct[1:]) / 2.0
-    quantiles = np.linspace(0, 1, max_thresholds + 2)[1:-1]
-    return np.unique(np.quantile(values, quantiles))
-
-
 class _BaseTree(BaseEstimator):
-    def __init__(
-        self,
-        max_depth: int = 6,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
-        max_features: float | str | None = None,
-        max_thresholds: int = 16,
-        random_state: int | None = None,
-    ):
+    """Subclasses define ``_criterion(y)``, the split criterion of a fit."""
+
+    def __init__(self, max_depth: int = 6, min_samples_split: int = 2, min_samples_leaf: int = 1,
+                 max_features: float | str | None = None, max_thresholds: int = 16,
+                 random_state: int | None = None):
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -55,90 +25,19 @@ class _BaseTree(BaseEstimator):
         self.max_thresholds = max_thresholds
         self.random_state = random_state
 
-    # Subclasses define how to aggregate labels into leaf values and how to
-    # score the impurity of a label subset.
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _impurity(self, y: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def _resolve_max_features(self, n_features: int) -> int:
-        if self.max_features is None:
-            return n_features
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(n_features)))
-        if isinstance(self.max_features, float):
-            return max(1, int(self.max_features * n_features))
-        return min(int(self.max_features), n_features)
-
     def fit(self, X, y) -> "_BaseTree":
         X, y = self._validate_xy(X, y)
-        self._rng = np.random.default_rng(self.random_state)
-        self.n_features_ = X.shape[1]
-        self.feature_importances_ = np.zeros(self.n_features_, dtype=np.float64)
-        self._root = self._grow(X, y, depth=0)
-        total = self.feature_importances_.sum()
-        if total > 0:
-            self.feature_importances_ = self.feature_importances_ / total
+        self.n_features_ = n = X.shape[1]
+        k = resolve_max_features(self.max_features, n)
+        rng = np.random.default_rng(self.random_state)
+        self.tree_ = grow(
+            X, self._criterion(y), max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split, max_thresholds=self.max_thresholds,
+            draw_features=(lambda: rng.choice(n, size=k, replace=False)) if k < n else None,
+        )
+        total = self.tree_.importances.sum()
+        self.feature_importances_ = self.tree_.importances / (total if total > 0 else 1.0)
         return self
-
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        node = _Node(value=self._leaf_value(y))
-        if (
-            depth >= self.max_depth
-            or y.shape[0] < self.min_samples_split
-            or np.unique(y).size == 1
-        ):
-            return node
-        best = self._best_split(X, y)
-        if best is None:
-            return node
-        feature, threshold, gain, left_mask = best
-        node.is_leaf = False
-        node.feature = feature
-        node.threshold = threshold
-        self.feature_importances_[feature] += gain * y.shape[0]
-        node.left = self._grow(X[left_mask], y[left_mask], depth + 1)
-        node.right = self._grow(X[~left_mask], y[~left_mask], depth + 1)
-        return node
-
-    def _best_split(self, X: np.ndarray, y: np.ndarray):
-        n_samples, n_features = X.shape
-        parent_impurity = self._impurity(y)
-        if parent_impurity == 0:
-            return None
-        k = self._resolve_max_features(n_features)
-        features = self._rng.choice(n_features, size=k, replace=False) if k < n_features else np.arange(n_features)
-        best_gain = 1e-12
-        best = None
-        for feature in features:
-            column = X[:, feature]
-            thresholds = _candidate_thresholds(column, self.max_thresholds)
-            for threshold in thresholds:
-                left_mask = column <= threshold
-                n_left = int(left_mask.sum())
-                n_right = n_samples - n_left
-                if n_left < self.min_samples_leaf or n_right < self.min_samples_leaf:
-                    continue
-                gain = parent_impurity - (
-                    n_left * self._impurity(y[left_mask])
-                    + n_right * self._impurity(y[~left_mask])
-                ) / n_samples
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (int(feature), float(threshold), float(gain), left_mask)
-        return best
-
-    def _predict_value(self, x: np.ndarray) -> np.ndarray:
-        node = self._root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.value
-
-    def _predict_values(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return np.vstack([self._predict_value(X[i]) for i in range(X.shape[0])])
 
 
 class DecisionTreeClassifier(_BaseTree):
@@ -149,29 +48,16 @@ class DecisionTreeClassifier(_BaseTree):
     def fit(self, X, y) -> "DecisionTreeClassifier":
         y_arr = np.asarray(y, dtype=np.float64).ravel()
         self.classes_ = np.unique(y_arr)
-        self._class_index = {c: i for i, c in enumerate(self.classes_)}
         return super().fit(X, y_arr)
 
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        counts = np.zeros(self.classes_.shape[0], dtype=np.float64)
-        for label in y:
-            counts[self._class_index[label]] += 1
-        total = counts.sum()
-        return counts / total if total > 0 else counts
-
-    def _impurity(self, y: np.ndarray) -> float:
-        if y.shape[0] == 0:
-            return 0.0
-        _, counts = np.unique(y, return_counts=True)
-        p = counts / counts.sum()
-        return float(1.0 - (p**2).sum())
+    def _criterion(self, y: np.ndarray) -> Gini:
+        return Gini(np.searchsorted(self.classes_, y), len(self.classes_), self.min_samples_leaf)
 
     def predict_proba(self, X) -> np.ndarray:
-        return self._predict_values(X)
+        return self.tree_.predict(X)
 
     def predict(self, X) -> np.ndarray:
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
+        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
 
 class DecisionTreeRegressor(_BaseTree):
@@ -179,13 +65,8 @@ class DecisionTreeRegressor(_BaseTree):
 
     _estimator_type = "regressor"
 
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray([y.mean() if y.shape[0] else 0.0])
-
-    def _impurity(self, y: np.ndarray) -> float:
-        if y.shape[0] == 0:
-            return 0.0
-        return float(y.var())
+    def _criterion(self, y: np.ndarray) -> Variance:
+        return Variance(y, self.min_samples_leaf)
 
     def predict(self, X) -> np.ndarray:
-        return self._predict_values(X).ravel()
+        return self.tree_.predict(X).ravel()

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ml._splitter import candidate_thresholds, gini_from_counts, left_statistics
+
 
 def gini_impurity(labels: np.ndarray) -> float:
     """Gini impurity of a label array: ``1 - sum_c p_c^2``."""
@@ -16,8 +18,7 @@ def gini_impurity(labels: np.ndarray) -> float:
     if labels.size == 0:
         return 0.0
     _, counts = np.unique(labels, return_counts=True)
-    p = counts / counts.sum()
-    return float(1.0 - (p**2).sum())
+    return float(gini_from_counts(counts))
 
 
 def gini_importance(feature, label, max_thresholds: int = 32) -> float:
@@ -34,26 +35,19 @@ def gini_importance(feature, label, max_thresholds: int = 32) -> float:
     finite = ~np.isnan(x)
     if finite.sum() < 2 or parent == 0:
         return 0.0
-    xf, yf = x[finite], y[finite]
-    distinct = np.unique(xf)
-    if distinct.size < 2:
-        return 0.0
-    if distinct.size > max_thresholds:
-        thresholds = np.quantile(xf, np.linspace(0, 1, max_thresholds + 2)[1:-1])
-        thresholds = np.unique(thresholds)
-    else:
-        thresholds = (distinct[:-1] + distinct[1:]) / 2.0
-    best = 0.0
-    n = y.shape[0]
-    for t in thresholds:
-        left = xf <= t
-        right = ~left
-        if not left.any() or not right.any():
-            continue
-        weighted = (
-            left.sum() * gini_impurity(yf[left]) + right.sum() * gini_impurity(yf[right])
-        ) / n
-        missing_part = (n - xf.shape[0]) * gini_impurity(y[~finite]) / n if (~finite).any() else 0.0
-        decrease = parent - weighted - missing_part
-        best = max(best, decrease)
-    return float(best)
+    order = np.argsort(x[finite], kind="stable")
+    values = x[finite][order][None]
+    quantiles = np.linspace(0, 1, max_thresholds + 2)[1:-1]
+    # Quantiles one distinct value earlier than the trees' rule; -inf next to +inf gives NaN.
+    with np.errstate(invalid="ignore", over="ignore"):
+        thresholds = candidate_thresholds(values, quantiles, max_thresholds - 1)
+    classes, codes = np.unique(y, return_inverse=True)
+    onehot = np.eye(classes.shape[0])[codes[finite]]
+    counts = onehot.sum(axis=0)
+    n_left, left = left_statistics(values, onehot[order][None], thresholds, counts)
+    n, n_right = y.shape[0], values.shape[1] - n_left
+    weighted = (n_left * gini_from_counts(left) + n_right * gini_from_counts(counts - left)) / n
+    missing_part = (n - values.shape[1]) * gini_impurity(y[~finite]) / n if (~finite).any() else 0.0
+    decrease = parent - weighted - missing_part
+    valid = (n_left > 0) & (n_right > 0) & ~np.isnan(thresholds)
+    return float(max(0.0, decrease[valid].max())) if valid.any() else 0.0
