@@ -293,10 +293,10 @@ def test_fused_sort_reuse_vs_per_aggregate():
 
     The per-aggregate baseline executes every query as its own plan with the
     sort-order cache disabled (``EngineConfig(sort_cache_size=0)``): each of
-    the 40 sort-based queries builds its own order.  Both paths derive their
-    main orders from the engine's presorted ``hover_duration`` column (one
-    argsort each) and lexsort MAD's deviation orders, so the ratio measures
-    the reuse alone.  The fused path
+    the 40 sort-based queries builds its own order.  Both paths build their
+    main orders from the engine's ``hover_duration`` value ranks (one
+    packed-key argsort each) and sort MAD's deviation orders alike, so the
+    ratio measures the reuse alone.  The fused path
     runs the same 50 queries through ``execute_batch`` with the cache on:
     one sort per (predicate, keys, value column) -- 5 in total -- shared by
     every order-statistics kernel of the fused plans and, for the second

@@ -321,7 +321,8 @@ def renumber_codes_compact(
     space (every code is below it; ``codes.max() + 1`` when omitted).  The
     first position of every code comes from one reversed scatter into an
     array of that size -- the earliest position wins every collision --
-    so no sort of the rows is needed.
+    so no sort of the rows is needed: sorting the (unique) first positions
+    gives the first-appearance order.
     """
     codes = np.asarray(codes, dtype=np.int64)
     n = codes.shape[0]
@@ -329,11 +330,11 @@ def renumber_codes_compact(
         n_codes = int(codes.max()) + 1 if n else 0
     first = np.full(n_codes, n, dtype=np.int64)
     first[codes[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
-    present = np.flatnonzero(first < n)
-    ordered = present[np.argsort(first[present], kind="stable")]
+    firsts = np.sort(first[first < n])
+    ordered = codes[firsts]
     remap = np.empty(n_codes, dtype=np.int64)
     remap[ordered] = np.arange(ordered.size, dtype=np.int64)
-    return ordered, remap[codes], first[ordered]
+    return ordered, remap[codes], firsts
 
 
 #: Serialises lazy coding so every reader of a column sees one coding.

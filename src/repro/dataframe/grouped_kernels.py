@@ -8,10 +8,10 @@ functions of :mod:`repro.dataframe.aggregates` for **every group at once**:
 * ``np.bincount`` drives the accumulation family (COUNT, SUM, AVG, VAR,
   VAR_SAMPLE, STD, STD_SAMPLE, KURTOSIS),
 * one (code, value) order per value array -- ``np.lexsort((values,
-  codes))``, or the same order derived in O(n) from a presorted column
-  (:meth:`GroupedAggregator.derive_sort_order`) -- drives the
-  order-statistics family (MIN, MAX, MEDIAN, MAD) via segment boundaries,
-  and
+  codes))``, or the same order from one sort of packed ``(code, value
+  rank)`` integer keys (:meth:`GroupedAggregator.derive_sort_order`) --
+  drives the order-statistics family (MIN, MAX, MEDIAN, MAD) via segment
+  boundaries, and
 * equal-value *runs* inside the sorted segments drive the distribution
   family (COUNT_DISTINCT, ENTROPY, MODE).
 
@@ -25,8 +25,8 @@ precomputed ``sort_order`` to the constructor or hook an ``order_cache``
 callable onto the aggregator, so the sort that dominates the
 order-statistics family (``SORT_BASED_KERNELS``) runs at most once per
 (filter, grouping, value column) -- the query engine caches these orders
-across whole query batches (see ``QueryEngine.sort_order``) and derives
-them from one presorted permutation per column (``QueryEngine.presorted``).
+across whole query batches (see ``QueryEngine.sort_order``) and builds
+them from one value rank per column (``QueryEngine.value_rank``).
 
 Semantics contract (matching :func:`repro.dataframe.aggregates.aggregate`
 element-wise):
@@ -154,21 +154,21 @@ class GroupedAggregator:
             Callable[[Callable[[], np.ndarray]], np.ndarray]
         ] = None
         #: Same protocol as :attr:`order_cache`, but for MAD's second order:
-        #: the lexsort over |x - group median| deviations.  The engine keys it
-        #: per (sort key, MEDIAN) pair next to the main order in its LRU.
+        #: the (code, |x - group median|) order.  The engine keys it per
+        #: (sort key, MEDIAN) pair next to the main order in its LRU.
         self.mad_order_cache: Optional[
             Callable[[Callable[[], np.ndarray]], np.ndarray]
         ] = None
-        #: Optional presorted source of the main order, ``(presorted,
-        #: num_rows, rows)``: a zero-argument callable returning the
-        #: permutation plus the other two arguments of
-        #: :meth:`derive_sort_order`.  When set, computing the order derives
-        #: it in O(n) instead of lexsorting.  (The engine sets this rather
-        #: than an ``order_cache`` closing over the aggregator: such a
-        #: reference cycle would hold every intermediate until the cyclic
-        #: garbage collector ran.)
-        self.presorted: Optional[
-            Tuple[Callable[[], np.ndarray], int, Optional[np.ndarray]]
+        #: Optional rank source of the main order, ``(value_rank, rows)``: a
+        #: zero-argument callable returning the column's value ranks plus
+        #: the plan rows, the two arguments of :meth:`derive_sort_order`.
+        #: When set, computing the order sorts packed integer keys instead
+        #: of lexsorting.  (The engine sets this rather than an
+        #: ``order_cache`` closing over the aggregator: such a reference
+        #: cycle would hold every intermediate until the cyclic garbage
+        #: collector ran.)
+        self.value_rank: Optional[
+            Tuple[Callable[[], np.ndarray], Optional[np.ndarray]]
         ] = None
         # Lazily shared intermediates.
         self._order: Optional[np.ndarray] = sort_order
@@ -221,7 +221,7 @@ class GroupedAggregator:
 
         Resolved at most once: a constructor-provided order wins, else the
         :attr:`order_cache` hook (the engine's shared cache) is consulted,
-        else the order is computed locally: derived from :attr:`presorted`
+        else the order is computed locally: derived from :attr:`value_rank`
         when set, else lexsorted.  This is the single order every
         order-statistics kernel (and the distribution family's value runs)
         reads through :meth:`_sorted_segments`.
@@ -243,48 +243,32 @@ class GroupedAggregator:
         return self._order
 
     def _compute_sort_order(self) -> np.ndarray:
-        if self.presorted is not None:
-            presorted, num_rows, rows = self.presorted
-            return self.derive_sort_order(presorted(), num_rows, rows)
+        if self.value_rank is not None:
+            value_rank, rows = self.value_rank
+            return self.derive_sort_order(value_rank(), rows)
         return np.lexsort((self._values, self._codes))
 
     def derive_sort_order(
-        self, presorted: np.ndarray, num_rows: int, rows: Optional[np.ndarray] = None
+        self, value_rank: np.ndarray, rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """:meth:`sort_order`'s order, derived in O(n) from a presorted column.
+        """:meth:`sort_order`'s order, from one sort of packed integer keys.
 
         The aggregator's input values must be ``base[rows]`` for a float64
-        array ``base`` of length *num_rows* (``rows=None``: ``base`` itself),
-        with *rows* ascending.  *presorted* holds the positions of ``base``'s
-        non-NaN entries in stable ascending value order, i.e. the non-NaN
-        prefix of ``np.argsort(base, kind="stable")``.  The derivation keeps
-        the presorted positions of the stripped rows, maps them to
-        stripped-row positions, and stable-sorts those by group code.  Two
-        stable sorts applied least-significant key first give exactly the
-        ``np.lexsort((values, codes))`` order (LSD radix sort), ties broken
-        by row position.  Group codes are sorted as ``uint16`` when they fit,
-        which numpy radix-sorts in O(n).
+        array ``base`` (``rows=None``: ``base`` itself), with *rows*
+        ascending.  *value_rank* holds each row's rank in ``base``'s stable
+        ascending value order, i.e. the inverse of ``np.argsort(base,
+        kind="stable")``.  Each NaN-stripped row gets the key ``code *
+        len(base) + rank``.  The keys are unique and order rows by group,
+        then value, then row position, so their argsort is exactly the
+        ``np.lexsort((values, codes))`` order, ties included.  Only the
+        plan's own rows are read.
         """
-        if rows is None:
-            rows = None if self._valid is None else np.flatnonzero(self._valid)
-        elif self._valid is not None:
-            rows = rows[self._valid]
-        n = self._codes.shape[0]
-        if rows is None:  # every base row, none of them NaN
-            positions = presorted.astype(np.intp)
-        else:
-            kept = presorted
-            if n != presorted.shape[0]:
-                member = np.zeros(num_rows, dtype=bool)
-                member[rows] = True
-                kept = presorted[member[presorted]]
-            stripped = np.empty(num_rows, dtype=np.intp)
-            stripped[rows] = np.arange(n, dtype=np.intp)
-            positions = stripped[kept]
-        group = self._codes[positions]
-        if self.n_groups <= 1 << 16:
-            group = group.astype(np.uint16)
-        return positions[np.argsort(group, kind="stable")]
+        rank = value_rank if rows is None else value_rank[rows]
+        if self._valid is not None:
+            rank = rank[self._valid]
+        key = self._codes * value_rank.shape[0]
+        key += rank
+        return np.argsort(key)
 
     def resolve_sort_order(self) -> None:
         """Force :meth:`sort_order` resolution now (timing-neutral warm-up).
@@ -305,18 +289,21 @@ class GroupedAggregator:
         return self._mad_dev
 
     def mad_sort_order(self) -> np.ndarray:
-        """The ``np.lexsort((mad_deviations, codes))`` order over the rows.
+        """An order of the rows by (code, ``mad_deviations``).
 
         MAD is a second grouped median, so it needs a second order -- over
-        the deviations instead of the values.  Like :meth:`sort_order` it is
-        resolved at most once, consulting :attr:`mad_order_cache` first so
-        repeated queries of a template stop paying the deviation lexsort.
-        The deviations are a deterministic function of (codes, values), so a
-        cached order is exactly the one a local sort would produce.
+        the deviations instead of the values.  Equal deviations within a
+        group may come in any row order: MAD reads only the deviation
+        values at the median positions, which every such order shares.
+        Like :meth:`sort_order` it is resolved at most once, consulting
+        :attr:`mad_order_cache` first so repeated queries of a template stop
+        paying the deviation sort.  The deviations are a deterministic
+        function of (codes, values), so a cached order is exactly the one a
+        local sort would produce.
         """
         if self._mad_order is None:
             # The deviation values are needed regardless of where the order
-            # comes from (only the lexsort itself is cacheable), and
+            # comes from (only the sort itself is cacheable), and
             # computing them first resolves the main order too -- so the
             # compute thunk below never re-enters an order-cache hook.
             self.mad_deviations()
@@ -333,7 +320,14 @@ class GroupedAggregator:
         return self._mad_order
 
     def _compute_mad_order(self) -> np.ndarray:
-        return np.lexsort((self.mad_deviations(), self._codes))
+        # Sort the deviations, then stable-sort that order by group code
+        # (LSD radix sort).  Deviations are never -0.0 and NaN sorts last in
+        # both passes, so the sorted deviation values equal the lexsort's.
+        order = np.argsort(self.mad_deviations())
+        group = self._codes[order]
+        if self.n_groups <= 1 << 16:
+            group = group.astype(np.uint16)
+        return order[np.argsort(group, kind="stable")]
 
     def resolve_mad_order(self) -> None:
         """Force :meth:`mad_sort_order` resolution (timing-neutral warm-up).

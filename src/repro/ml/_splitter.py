@@ -129,7 +129,7 @@ class Gini:
 class Newton:
     """Boosting: gradient and hessian sums; a leaf's value is ``-G / (H + reg_lambda)``."""
 
-    per_row = False
+    per_row, exact_hess = False, False
 
     def __init__(self, grad, hess, reg_lambda: float, gamma: float, min_child_weight: float):
         self.stats, self.lam = np.column_stack([grad, hess]), reg_lambda
@@ -145,14 +145,18 @@ class Newton:
         stats, _, score, g, h = parent[:5]
         g_left, h_left, lam = left[..., 0], left[..., 1], self.lam
         term_left, term_right = g_left**2 / (h_left + lam), (g - g_left) ** 2 / (h - h_left + lam)
-        valid = (h_left >= self.min_weight) & (h - h_left >= self.min_weight)
         # Worst-case rounding of an n-term sum moves a valid split's gain by at most
         # `bound` (|G_side| <= sum |g|, H_side + lam >= min_child_weight + lam); the
         # prefix and the row-order sum each err, and 4 * bound leaves a factor 2 spare.
         g_abs, low = np.abs(stats[:, 0]).sum(), self.min_weight + lam
         err_g, err_h = len(stats) * _EPS * g_abs, len(stats) * _EPS * h
         bound = ((g_abs + err_g) * 2 * err_g + g_abs**2 / low * err_h) / low if low > 0 else np.inf
-        return 0.5 * (term_left + term_right - score), valid, 4 * bound
+        # A child weight within rounding of min_child_weight may pass in row order and
+        # fail as a prefix, or the reverse: infinite slack sends it to `exact_gain`.
+        window = 0.0 if self.exact_hess else 4 * err_h
+        light = np.minimum(h_left, h - h_left) - self.min_weight
+        slack = np.where(light >= window, 4 * bound, np.inf)
+        return 0.5 * (term_left + term_right - score), light >= -window, slack
 
     def exact_gain(self, parent, go_left, gain):
         stats, _, score, g, h = parent
@@ -164,9 +168,10 @@ class Newton:
 
 class Variance(Newton):
     """Regression: the variance decrease, ``2 / n`` times the Newton gain of the
-    node's targets centred on their mean, with unit hessians and no ``reg_lambda``."""
+    node's targets centred on their mean, with unit hessians and no ``reg_lambda``.
+    Unit hessians sum exactly, so row counts decide ``min_samples_leaf`` exactly."""
 
-    floor, per_row, lam = 1e-12, True, 0.0
+    floor, per_row, exact_hess, lam = 1e-12, True, True, 0.0
 
     def __init__(self, y, min_samples_leaf: int):
         self.y, self.min_weight = y, min_samples_leaf

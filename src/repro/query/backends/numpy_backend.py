@@ -18,10 +18,13 @@ single :class:`GroupedAggregator` whose intermediates -- above all the
 The order itself is resolved through the engine's LRU **sort-order cache**
 (:meth:`QueryEngine.sort_order`, keyed by ``QueryPlan.sort_key``), so
 queries of one template reuse it *across* plans and batches.  On a miss,
-a numeric-like value column's order is derived in O(n) from the engine's
-per-attribute presorted permutation (:meth:`QueryEngine.presorted`) instead
-of a per-plan ``np.lexsort``.  Categorical value columns keep the lexsort,
-because their filter-local codes are not in dictionary order.
+a numeric-like value column's order is one ``np.argsort`` of the plan rows'
+packed ``code * num_rows + rank`` keys, the ranks coming from the engine's
+per-attribute value rank (:meth:`QueryEngine.value_rank`), instead of a
+per-plan ``np.lexsort``.  MAD's deviation order is an ``np.argsort`` of the
+deviations followed by a stable pass over group codes.  Categorical value
+columns keep the lexsort, because their filter-local codes are not in
+dictionary order.
 """
 
 from __future__ import annotations
@@ -46,14 +49,12 @@ class NumpyBackend(GroupIndexBackend):
         # The aggregator resolves each order at most once; these hooks route
         # that one resolution through the engine's shared sort-order cache
         # (reuse across plans and batches).  On a miss, a numeric-like
-        # column's order is derived from the column's presorted permutation;
+        # column's order sorts packed keys over the column's value ranks;
         # categorical columns lexsort.  MAD's deviation order has its own
-        # key, (sort key, "MEDIAN"), and always lexsorts.
+        # key, (sort key, "MEDIAN").
         sort_key, mad_sort_key = plan.sort_key(attr), plan.mad_sort_key(attr)
         if engine.table.column(attr).is_numeric_like:
-            aggregator.presorted = (
-                partial(engine.presorted, attr), aligned.shape[0], row_idx
-            )
+            aggregator.value_rank = (partial(engine.value_rank, attr), row_idx)
         aggregator.order_cache = lambda compute: engine.sort_order(sort_key, compute)
         aggregator.mad_order_cache = lambda compute: engine.sort_order(
             mad_sort_key, compute

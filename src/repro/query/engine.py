@@ -18,10 +18,11 @@ re-scan every WHERE predicate) wastes almost all of that work, so a
    over an in-memory database; third parties register more via
    ``@register_backend``).
 3. **Shared derived state** -- a factorized group index per key combination,
-   an LRU predicate-mask cache keyed by atom signature, one **presorted
-   permutation** per numeric-like value column and table version (a stable
-   ``argsort`` from which each plan's (group, value) order is derived in
-   O(n), see :meth:`QueryEngine.presorted`), an LRU **sort-order cache**
+   an LRU predicate-mask cache keyed by atom signature, one **value rank**
+   per numeric-like value column and table version (each row's stable rank
+   in the column's value order; a plan's (group, value) order is one sort
+   of its rows' packed ``(group code, rank)`` keys, see
+   :meth:`QueryEngine.value_rank`), an LRU **sort-order cache**
    keyed by ``(predicate signature, keys, attr)`` (each plan's order is
    built once per filter/grouping/value-column triple and reused across
    plans and batches of one template) and an LRU result cache keyed by plan
@@ -50,7 +51,7 @@ both bars for every registered backend.
 State-reset contract (pinned by ``tests/query/test_backends.py``):
 
 * :meth:`QueryEngine.clear_caches` drops every piece of derived state --
-  masks, results, sort orders, presorted permutations, group indexes and
+  masks, results, sort orders, value ranks, group indexes and
   backend-private materialisations -- but leaves all statistics counters
   untouched (they are lifetime counters).
 * :meth:`EngineStats.reset` zeroes every counter and timer but preserves the
@@ -217,11 +218,11 @@ class EngineStats:
     seconds_grouping: float = 0.0
     seconds_aggregating: float = 0.0
     #: Wall-clock spent building (code, value) orders on sort-order cache
-    #: misses: derivations from a presorted column, the lexsorts that
-    #: remain (categorical values, MAD's deviation order), and the presorts
-    #: themselves.  Booked here rather than in the first sort-based kernel's
-    #: ``kernel_seconds`` entry, so the per-kernel split measures the
-    #: kernels' own work off the shared order.
+    #: misses: packed-key sorts over a column's value ranks, MAD's deviation
+    #: sorts, the lexsorts that remain (categorical values), and the value
+    #: ranks themselves.  Booked here rather than in the first sort-based
+    #: kernel's ``kernel_seconds`` entry, so the per-kernel split measures
+    #: the kernels' own work off the shared order.
     seconds_sorting: float = 0.0
     #: Aggregation seconds split per kernel (canonical aggregate name ->
     #: cumulative wall-clock), maintained by every backend.
@@ -582,10 +583,10 @@ class QueryEngine:
             if self.config.sort_cache_size > 0
             else None
         )
-        # Stable argsorts of numeric-like value columns, by attribute (see
-        # presorted()); dropped with every other cache.
-        self._presorted: Dict[str, np.ndarray] = {}
-        self._presort_lock = threading.Lock()
+        # Value ranks of numeric-like value columns, by attribute (see
+        # value_rank()); dropped with every other cache.
+        self._value_ranks: Dict[str, np.ndarray] = {}
+        self._rank_lock = threading.Lock()
         self.backend: ExecutionBackend = make_backend(self.backend_name)
         self.backend.bind(table, engine=self)
         self._closed = False
@@ -692,35 +693,36 @@ class QueryEngine:
         """
         return column_to_aggregable(self.table.column(attr), rows=row_idx)
 
-    def presorted(self, attr: str) -> np.ndarray:
-        """Positions of *attr*'s non-NaN rows in stable ascending value order.
+    def value_rank(self, attr: str) -> np.ndarray:
+        """Each row's rank in *attr*'s stable ascending value order.
 
-        The non-NaN prefix of ``np.argsort(values, kind="stable")`` over the
-        numeric-like column *attr*, built once per attribute and table
-        generation: :meth:`clear_caches` drops every permutation, and so
-        does the flush after a ``Table.append_rows`` that added rows
-        (:meth:`sync_with_table`).  Stored as ``int32`` below ``2**31`` rows.  The
-        numpy backend derives each plan's (code, value) order from it in
-        O(n) (:meth:`GroupedAggregator.derive_sort_order`), SLIQ's presorted
-        attribute lists applied to the order-statistics kernels.  Their
-        bytes are reported by :attr:`presorted_bytes`.
+        The inverse of ``np.argsort(values, kind="stable")`` over the
+        numeric-like column *attr*: equal values rank by row position, NaN
+        rows rank last.  Built once per attribute and table generation:
+        :meth:`clear_caches` drops every rank array, and so does the flush
+        after a ``Table.append_rows`` that added rows
+        (:meth:`sync_with_table`).  Stored as ``int32`` below ``2**31``
+        rows.  The numpy backend sorts each plan's packed ``(code, rank)``
+        keys into its (code, value) order
+        (:meth:`GroupedAggregator.derive_sort_order`), reading only the
+        plan's own rows.  The bytes are reported by :attr:`presorted_bytes`.
         """
-        with self._presort_lock:
-            permutation = self._presorted.get(attr)
-            if permutation is None:
+        with self._rank_lock:
+            rank = self._value_ranks.get(attr)
+            if rank is None:
                 column = self.table.column(attr)
                 if not column.is_numeric_like:
                     raise TypeError(
-                        f"Only numeric-like columns are presorted, "
+                        f"Only numeric-like columns are ranked, "
                         f"{column.dtype.value} column {attr!r} is not"
                     )
-                values = column.values
-                order = np.argsort(values, kind="stable")  # NaN sorts last
-                n_valid = values.shape[0] - int(np.count_nonzero(np.isnan(values)))
-                dtype = np.int32 if values.shape[0] < 2**31 else np.int64
-                permutation = order[:n_valid].astype(dtype)
-                self._presorted[attr] = permutation
-        return permutation
+                n = column.values.shape[0]
+                dtype = np.int32 if n < 2**31 else np.int64
+                order = np.argsort(column.values, kind="stable")  # NaN last
+                rank = np.empty(n, dtype=dtype)
+                rank[order] = np.arange(n, dtype=dtype)
+                self._value_ranks[attr] = rank
+        return rank
 
     def sort_order(self, key: Optional[tuple], compute) -> np.ndarray:
         """The cached (code, value) order under *key*.
@@ -728,11 +730,12 @@ class QueryEngine:
         *key* is :meth:`QueryPlan.sort_key`'s ``(predicate signature, keys,
         attr)`` triple (``None`` = uncacheable WHERE clause) and *compute* is
         a zero-argument callable producing the order array for a miss: the
-        numpy backend derives it from :meth:`presorted` for numeric-like
-        columns and lexsorts otherwise (categorical values, MAD's deviation
-        order).  Misses book their wall-clock into ``seconds_sorting``; hits
-        skip the computation entirely, so queries of one template that share
-        a (mask, group keys, value column) triple build its order once.
+        numpy backend sorts packed keys over :meth:`value_rank` for
+        numeric-like columns, sorts MAD's deviations, and lexsorts
+        categorical values.  Misses book their wall-clock into
+        ``seconds_sorting``; hits skip the computation entirely, so queries
+        of one template that share a (mask, group keys, value column)
+        triple build its order once.
         Cached orders are immutable by the same contract as cached masks.
         """
         if self._sort_orders is not None and key is not None:
@@ -1000,11 +1003,11 @@ class QueryEngine:
 
     @property
     def presorted_bytes(self) -> int:
-        """Bytes held now by the :meth:`presorted` permutations.  They sit
+        """Bytes held now by the :meth:`value_rank` arrays.  They sit
         outside the three LRU caches, so :attr:`cached_bytes` (the
         ``bytes_cached`` gauge) does not count them."""
-        with self._presort_lock:
-            return int(sum(p.nbytes for p in self._presorted.values()))
+        with self._rank_lock:
+            return int(sum(r.nbytes for r in self._value_ranks.values()))
 
     @property
     def cached_bytes(self) -> int:
@@ -1028,8 +1031,8 @@ class QueryEngine:
         return len(self._sort_orders) if self._sort_orders is not None else 0
 
     def clear_caches(self) -> None:
-        """Drop all derived state: masks, results, sort orders, presorted
-        permutations, indexes and the backend's private materialisations.
+        """Drop all derived state: masks, results, sort orders, value
+        ranks, indexes and the backend's private materialisations.
         Statistics counters are lifetime counters and are deliberately left
         untouched (the byte *gauges* drop to zero with the caches they
         describe); use :meth:`reset` for a fully cold engine."""
@@ -1037,8 +1040,8 @@ class QueryEngine:
         self._results.clear()
         if self._sort_orders is not None:
             self._sort_orders.clear()
-        with self._presort_lock:
-            self._presorted.clear()
+        with self._rank_lock:
+            self._value_ranks.clear()
         self._indexes.clear()
         self.backend.clear()
         # A cache-less engine is trivially in sync: everything rebuilds from

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dataframe.aggregates import AGGREGATE_FUNCTIONS, aggregate
+from repro.dataframe.column import renumber_codes_compact
 from repro.dataframe.grouped_kernels import (
     GROUPED_KERNELS,
     PARAMETERIZED_KERNELS,
@@ -436,3 +437,124 @@ class TestParameterizedKernelSemantics:
         values = np.asarray([2.0, 7.0, 2.0, 7.0])
         got = grouped_aggregate("TOP_K_SHARE:1", codes, values, 1)[0]
         assert got == 0.5 == reference("TOP_K_SHARE:1", codes, values, 1)[0]
+
+
+def lexsorted_mad(codes: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
+    """MAD through ``np.lexsort`` of the deviations: the per-group median of
+    ``|x - group median|``, read off one (code, deviation) lexsort."""
+    valid = ~np.isnan(values)
+    codes, values = codes[valid], values[valid]
+    counts = np.bincount(codes, minlength=n_groups)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
+
+    def segment_medians(sorted_values):
+        result = np.full(n_groups, np.nan)
+        for g in np.flatnonzero(counts):
+            s, c = starts[g], counts[g]
+            lo = sorted_values[s + (c - 1) // 2]
+            if c % 2:
+                result[g] = lo
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    result[g] = (lo + sorted_values[s + c // 2]) / 2.0
+        return result
+
+    medians = segment_medians(values[np.lexsort((values, codes))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviations = np.abs(values - medians[codes])
+    return segment_medians(deviations[np.lexsort((deviations, codes))])
+
+
+#: Near the float64 limits ``|x - median|`` overflows to inf (and inf - inf
+#: is NaN); symmetric pairs around a median give tied deviations.
+MAX_FLOAT = np.finfo(np.float64).max
+EXTREME_FLOATS = st.sampled_from(
+    [MAX_FLOAT, -MAX_FLOAT, 1e308, -1e308, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 3.0]
+)
+
+
+@st.composite
+def tied_deviation_inputs(draw):
+    """(codes, values, n_groups) drawn from a small value pool, so values and
+    deviations repeat within groups, with NaN rows and group counts past
+    65,536 (the int64 path of the deviation order's group pass)."""
+    pool = draw(
+        st.lists(st.one_of(EXTREME_FLOATS, nasty_floats), min_size=1, max_size=5)
+    )
+    n = draw(st.integers(0, 60))
+    n_groups = draw(st.sampled_from([1, 2, 3, 5, 1 << 16, (1 << 16) + 1, 70_000]))
+    active = draw(st.integers(1, min(n_groups, 6)))
+    first = draw(st.integers(0, n_groups - active))
+    codes = np.asarray(
+        draw(st.lists(st.integers(first, first + active - 1), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    values = np.asarray(
+        draw(
+            st.lists(
+                st.one_of(st.just(float("nan")), st.sampled_from(pool)),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        dtype=np.float64,
+    )
+    return codes, values, n_groups
+
+
+class TestMADDeviationOrder:
+    """MAD's deviation order is an argsort of the deviations plus a stable
+    group pass, not a lexsort; its ties may come in another row order, but
+    MAD reads only the deviation values at the median positions."""
+
+    @given(data=tied_deviation_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_mad_bit_identical_to_lexsorted_deviations(self, data):
+        codes, values, n_groups = data
+        got = GroupedAggregator(codes, values, n_groups).compute("MAD")
+        want = lexsorted_mad(codes, values, n_groups)
+        assert_same_nan_placement(got, want, "MAD")
+        assert np.array_equal(got, want, equal_nan=True), f"{got} != {want}"
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_overflowing_deviations_sort_as_inf_and_nan(self):
+        # Group 0's median overflows to inf, so both deviations are inf;
+        # group 1's median is inf - inf = NaN; group 2's median is MAX_FLOAT,
+        # with one inf deviation and two tied zeros.
+        values = np.asarray(
+            [MAX_FLOAT, MAX_FLOAT, np.inf, -np.inf, -MAX_FLOAT, MAX_FLOAT, MAX_FLOAT]
+        )
+        codes = np.asarray([0, 0, 1, 1, 2, 2, 2], dtype=np.int64)
+        got = GroupedAggregator(codes, values, 3).compute("MAD")
+        want = lexsorted_mad(codes, values, 3)
+        assert np.isinf(got[0])
+        assert np.isnan(got[1])
+        assert got[2] == 0.0
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def first_appearance_renumbering(codes):
+    """Pure-Python :func:`renumber_codes_compact`: the distinct codes in
+    first-appearance order, each row's new id and each group's first row."""
+    ordered, first_rows, new_id = [], [], {}
+    for row, code in enumerate(codes):
+        if code not in new_id:
+            new_id[code] = len(ordered)
+            ordered.append(code)
+            first_rows.append(row)
+    return ordered, [new_id[code] for code in codes], first_rows
+
+
+class TestRenumberCodesCompact:
+    @given(st.lists(st.integers(0, 40), max_size=80), st.integers(0, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_first_appearance_reference(self, codes, slack):
+        ordered, renumbered, first_rows = first_appearance_renumbering(codes)
+        array = np.asarray(codes, dtype=np.int64)
+        bound = max(codes, default=-1) + 1
+        for n_codes in (None, bound + slack):
+            got = renumber_codes_compact(array, n_codes)
+            assert [a.dtype for a in got] == [np.int64] * 3
+            assert got[0].tolist() == ordered
+            assert got[1].tolist() == renumbered
+            assert got[2].tolist() == first_rows

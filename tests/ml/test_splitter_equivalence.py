@@ -11,7 +11,7 @@ datasets at the benchmark seeds.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _reference_trees as ref
 from repro.baselines.featuretools import FeaturetoolsGenerator
@@ -126,8 +126,23 @@ def float_criterion_problems(draw):
     return X, y, draw(st.integers(1, 4)), draw(st.integers(1, 6))
 
 
+# Boosting's second round: a child hessian sum at min_child_weight, 1.0, that the
+# prefix sum rounds below it and the row-order sum does not.
+_HESSIAN_AT_MIN_WEIGHT = (
+    np.column_stack([
+        [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0],
+        [0, 0, 0, 0, -1, -1, -np.inf, np.inf, -1, -np.inf, 0, 0,
+         0, 0, 0, 1, -1, -1, np.inf, -1, 0, -1, -np.inf, np.inf],
+    ]).astype(float),
+    np.repeat([-2.0, 0.1], 12),
+    2,
+    1,
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(float_criterion_problems())
+@example(_HESSIAN_AT_MIN_WEIGHT)
 def test_regressor_and_boosted_trees_keep_their_split_structure(problem):
     X, y, max_depth, max_thresholds = problem
     labels = (y > 0.05).astype(float)

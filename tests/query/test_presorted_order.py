@@ -1,19 +1,20 @@
-"""Presorted order statistics: a plan's (group, value) order derived from one
-per-attribute stable argsort must be exactly ``np.lexsort((values, codes))``.
+"""Packed-key order statistics: a plan's (group, value) order, one argsort of
+``code * num_rows + rank`` keys over a per-attribute value rank, must be
+exactly ``np.lexsort((values, codes))``.
 
 Two layers are pinned here:
 
-* the derivation itself (:meth:`GroupedAggregator.derive_sort_order`), by a
-  hypothesis property over NaN, +-inf, -0.0/0.0 and heavy ties, empty
-  filters, all-NaN columns, a single group and more than 65,536 groups (the
-  int64 fallback of the group-code sort);
-* the engine's presorted permutations (:meth:`QueryEngine.presorted`): one
-  per attribute and table generation, ``int32``, reported by
+* the derivation itself (:meth:`GroupedAggregator.derive_sort_order`), by
+  hypothesis properties over NaN, +-inf, -0.0/0.0, huge magnitudes and heavy
+  ties, arbitrary ascending row subsets, empty filters, all-NaN columns, a
+  single group and more than 65,536 groups;
+* the engine's value ranks (:meth:`QueryEngine.value_rank`): one per
+  attribute and table generation, ``int32``, reported by
   ``presorted_bytes`` outside ``bytes_cached``, and never reused across a
   ``Table.append_rows`` that adds rows (the flush) or ``clear_caches()``.
 
-The engine tests pin the numpy backend, the only one that presorts; the
-derivation property is backend-independent, so every CI slot runs it.
+The engine tests pin the numpy backend, the only one that ranks; the
+derivation properties are backend-independent, so every CI slot runs them.
 """
 
 import gc
@@ -33,19 +34,23 @@ from repro.query.query import PredicateAwareQuery
 
 #: Value pools: a handful of values so ties are heavy, plus every float the
 #: ordering has to get right (signed zeros compare equal and must keep row
-#: order; infinities sort at the ends; NaN is stripped).
-SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+#: order; infinities and the largest finite magnitudes sort at the ends; NaN
+#: is stripped).
+MAX = np.finfo(np.float64).max
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, MAX, -MAX, 1e300, -1e300]
 VALUE = st.one_of(
     st.sampled_from(SPECIAL + [1.0, -1.0, 2.5]),
     st.floats(allow_nan=True, allow_infinity=True, width=64),
 )
-#: Group counts around the uint16 radix-sort boundary included.
+#: Group counts up to and past 65,536 (the keys' code range).
 N_GROUPS = st.sampled_from([1, 2, 3, 7, 40, 1 << 16, (1 << 16) + 1, 100_000])
 
 
-def presort(base: np.ndarray) -> np.ndarray:
-    order = np.argsort(base, kind="stable")
-    return order[: base.shape[0] - int(np.isnan(base).sum())].astype(np.int32)
+def value_rank(base: np.ndarray) -> np.ndarray:
+    """Each row's rank in *base*'s stable value order (NaN ranks last)."""
+    rank = np.empty(base.shape[0], dtype=np.int32)
+    rank[np.argsort(base, kind="stable")] = np.arange(base.shape[0])
+    return rank
 
 
 def stripped_lexsort(values: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -72,6 +77,32 @@ def plans(draw):
     return base, rows, codes, n_groups
 
 
+@st.composite
+def subset_plans(draw):
+    """A base column with duplicates, an arbitrary ascending row subset of
+    it (any size, any spacing) and group codes for the subset's rows."""
+    pool = draw(st.lists(VALUE, min_size=1, max_size=6))
+    n = draw(st.integers(0, 80))
+    base = np.array(
+        draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+        dtype=np.float64,
+    )
+    picked = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    rows = np.array(sorted(picked), dtype=np.int64)
+    n_groups = draw(N_GROUPS)
+    codes = np.array(
+        draw(
+            st.lists(
+                st.integers(0, n_groups - 1),
+                min_size=rows.shape[0],
+                max_size=rows.shape[0],
+            )
+        ),
+        dtype=np.int64,
+    )
+    return base, rows, codes, n_groups
+
+
 class TestDerivation:
     @settings(max_examples=300, deadline=None)
     @given(plans())
@@ -79,14 +110,27 @@ class TestDerivation:
         base, rows, codes, n_groups = plan
         values = base if rows is None else base[rows]
         aggregator = GroupedAggregator(codes, values, n_groups)
-        derived = aggregator.derive_sort_order(presort(base), base.shape[0], rows)
+        derived = aggregator.derive_sort_order(value_rank(base), rows)
         expected = stripped_lexsort(values, codes)
         assert derived.dtype == expected.dtype
         assert np.array_equal(derived, expected)
 
+    @settings(max_examples=300, deadline=None)
+    @given(subset_plans())
+    def test_packed_key_order_equals_lexsort_on_row_subsets(self, plan):
+        """Element for element, over duplicates drawn from a small pool of
+        NaN, signed zeros, huge magnitudes and arbitrary floats."""
+        base, rows, codes, n_groups = plan
+        values = base[rows]
+        aggregator = GroupedAggregator(codes, values, n_groups)
+        derived = aggregator.derive_sort_order(value_rank(base), rows)
+        expected = stripped_lexsort(values, codes)
+        assert derived.dtype == expected.dtype
+        assert derived.tolist() == expected.tolist()
+
     @pytest.mark.parametrize("share", [0.0, 0.3, 1.0])
     def test_more_groups_than_uint16_holds(self, share):
-        """Codes above 65,535 must not wrap: the int64 fallback sorts them."""
+        """Codes above 65,535 must not wrap in the packed keys."""
         rng = np.random.default_rng(7)
         n = 5000
         base = rng.integers(0, 50, size=n).astype(np.float64)
@@ -98,18 +142,18 @@ class TestDerivation:
         codes[: min(kept, 3)] = [n_groups - 1, 1 << 16, 0][: min(kept, 3)]
         values = base if rows is None else base[rows]
         aggregator = GroupedAggregator(codes, values, n_groups)
-        derived = aggregator.derive_sort_order(presort(base), n, rows)
+        derived = aggregator.derive_sort_order(value_rank(base), rows)
         assert np.array_equal(derived, stripped_lexsort(values, codes))
 
     def test_empty_filter_and_single_group(self):
         base = np.array([3.0, np.nan, -0.0, 0.0, 3.0, -np.inf])
         empty = np.empty(0, dtype=np.int64)
         aggregator = GroupedAggregator(empty, base[empty], 1)
-        assert aggregator.derive_sort_order(presort(base), 6, empty).size == 0
+        assert aggregator.derive_sort_order(value_rank(base), empty).size == 0
         aggregator = GroupedAggregator(np.zeros(6, dtype=np.int64), base, 1)
         # One group: the stable value order over the stripped rows, with
         # -0.0 (row 2) before 0.0 (row 3) because they tie.
-        assert aggregator.derive_sort_order(presort(base), 6).tolist() == [4, 1, 2, 0, 3]
+        assert aggregator.derive_sort_order(value_rank(base)).tolist() == [4, 1, 2, 0, 3]
 
 
 def make_table(n: int = 400, seed: int = 0) -> Table:
@@ -137,7 +181,7 @@ def median_query(cat=None, func: str = "MEDIAN") -> PredicateAwareQuery:
 def appended_rows(n: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     x = rng.integers(-9, 9, size=n).astype(np.float64)
-    x[0] = -100.0  # a new minimum: the old permutation's order would be wrong
+    x[0] = -100.0  # a new minimum: the old ranks would be wrong
     x[1] = np.nan
     return {
         "user": [f"u{i}" for i in rng.integers(0, 40, size=n)],
@@ -155,37 +199,37 @@ def expected_order(engine: QueryEngine, query: PredicateAwareQuery) -> np.ndarra
     return stripped_lexsort(values if row_idx is None else values[row_idx], codes)
 
 
-class PresortSpy:
-    """Records every permutation the engine hands to a derivation."""
+class RankSpy:
+    """Records every value rank the engine hands to a derivation."""
 
     def __init__(self, engine: QueryEngine):
         self.used = []
-        original = engine.presorted
+        original = engine.value_rank
 
-        def presorted(attr):
-            permutation = original(attr)
-            self.used.append((engine.table.version, permutation))
-            return permutation
+        def value_rank(attr):
+            rank = original(attr)
+            self.used.append((engine.table.version, rank))
+            return rank
 
-        engine.presorted = presorted
+        engine.value_rank = value_rank
 
 
 def numpy_engine(table: Table, **overrides) -> QueryEngine:
     return QueryEngine(table, config=EngineConfig(backend="numpy", **overrides))
 
 
-class TestEnginePresort:
-    def test_one_int32_permutation_per_attribute(self):
+class TestEngineValueRank:
+    def test_one_int32_rank_per_attribute(self):
         table = make_table()
         engine = numpy_engine(table)
-        spy = PresortSpy(engine)
+        spy = RankSpy(engine)
         engine.execute_batch([median_query(), median_query("a"), median_query("b")])
         assert engine.stats.sort_misses == 3
         assert len(spy.used) == 3
         assert all(p is spy.used[0][1] for _, p in spy.used)
-        permutation = spy.used[0][1]
-        assert permutation.dtype == np.int32
-        assert np.array_equal(permutation, presort(table.column("x").values))
+        rank = spy.used[0][1]
+        assert rank.dtype == np.int32
+        assert np.array_equal(rank, value_rank(table.column("x").values))
         for cat in (None, "a", "b"):
             query = median_query(cat)
             key = engine.plan(query).sort_key("x")
@@ -196,8 +240,8 @@ class TestEnginePresort:
         engine = numpy_engine(table)
         assert engine.presorted_bytes == 0
         engine.execute(median_query("a"))
-        n_valid = int((~np.isnan(table.column("x").values)).sum())
-        assert engine.presorted_bytes == 4 * n_valid
+        # One int32 rank per row, NaN rows included.
+        assert engine.presorted_bytes == 4 * table.num_rows
         cached = sum(engine.stats.cache_bytes.values())
         assert cached == engine.cached_bytes == engine.stats.bytes_cached
         assert set(engine.stats.cache_bytes) == {"masks", "results", "sort_orders"}
@@ -207,14 +251,14 @@ class TestEnginePresort:
     def test_categorical_columns_lexsort(self):
         table = make_table()
         engine = numpy_engine(table)
-        spy = PresortSpy(engine)
+        spy = RankSpy(engine)
         query = PredicateAwareQuery("MODE", "cat", ("user",), {}, {})
         result = engine.execute(query)
         assert engine.stats.sort_misses == 1
         assert spy.used == []
         assert engine.presorted_bytes == 0
         with pytest.raises(TypeError, match="numeric-like"):
-            engine.presorted("cat")
+            engine.value_rank("cat")
         naive = execute_query_naive(query, table)
         assert np.array_equal(
             result.column(result.column_names[-1]).values,
@@ -222,12 +266,12 @@ class TestEnginePresort:
         )
 
     @pytest.mark.parametrize("splits", (1, 2, 4))
-    def test_appends_never_reuse_an_older_permutation(self, splits):
+    def test_appends_never_reuse_an_older_rank(self, splits):
         """Each step's rows land in ``splits`` ``append_rows`` calls; the one
         flush before the next query covers every version bump."""
         table = make_table()
         engine = numpy_engine(table)
-        spy = PresortSpy(engine)
+        spy = RankSpy(engine)
         queries = [median_query(), median_query("a")]
         engine.execute_batch(queries)
         old = spy.used[-1][1]
@@ -251,11 +295,11 @@ class TestEnginePresort:
             spy.used.clear()
             results = engine.execute_batch(queries + [fresh])
             assert spy.used, "a miss after the append must derive its order"
-            current = presort(table.column("x").values)
-            for version, permutation in spy.used:
+            current = value_rank(table.column("x").values)
+            for version, rank in spy.used:
                 assert version == table.version
-                assert permutation is not old
-                assert np.array_equal(permutation, current)
+                assert rank is not old
+                assert np.array_equal(rank, current)
             for query in queries + [fresh]:
                 key = engine.plan(query).sort_key("x")
                 order = engine._sort_orders.get(key)
@@ -272,21 +316,21 @@ class TestEnginePresort:
             assert engine.presorted_bytes == current.nbytes
 
     @pytest.mark.parametrize("empty_appends", (1, 2, 4))
-    def test_empty_append_keeps_the_permutation(self, empty_appends):
+    def test_empty_append_keeps_the_rank(self, empty_appends):
         """An empty append moves the version over bit-identical columns, so
-        the permutation stays, however many of them land before the next
+        the ranks stay, however many of them land before the next
         query; a miss after them derives from the same one."""
         table = make_table()
         engine = numpy_engine(table)
-        spy = PresortSpy(engine)
+        spy = RankSpy(engine)
         engine.execute(median_query("a"))
         old = spy.used[-1][1]
         for _ in range(empty_appends):
             table.append_rows({"user": [], "cat": [], "x": np.empty(0)})
         spy.used.clear()
         result = engine.execute(median_query("b"))
-        [(_, permutation)] = spy.used
-        assert permutation is old
+        [(_, rank)] = spy.used
+        assert rank is old
         naive = execute_query_naive(median_query("b"), table)
         assert np.array_equal(
             result.column(result.column_names[-1]).values,
@@ -294,19 +338,19 @@ class TestEnginePresort:
             equal_nan=True,
         )
 
-    def test_clear_caches_drops_every_permutation(self):
+    def test_clear_caches_drops_every_rank(self):
         table = make_table()
         engine = numpy_engine(table)
-        spy = PresortSpy(engine)
+        spy = RankSpy(engine)
         engine.execute(median_query("a"))
         old = spy.used[-1][1]
         engine.clear_caches()
         assert engine.presorted_bytes == 0
         spy.used.clear()
         engine.execute(median_query("a"))
-        [(_, permutation)] = spy.used
-        assert permutation is not old
-        assert np.array_equal(permutation, old)
+        [(_, rank)] = spy.used
+        assert rank is not old
+        assert np.array_equal(rank, old)
         assert engine.stats.sort_misses == 2
 
     def test_plans_leave_no_reference_cycles(self):
@@ -325,13 +369,13 @@ class TestEnginePresort:
         finally:
             gc.enable()
 
-    def test_concurrent_callers_share_one_permutation(self):
+    def test_concurrent_callers_share_one_rank(self):
         """More threads than cores derive orders at once from a cold engine,
-        with fast thread switching: one permutation is built and every
+        with fast thread switching: one rank is built and every
         result equals the naive path."""
         table = make_table(n=3000, seed=3)
         engine = numpy_engine(table)
-        spy = PresortSpy(engine)
+        spy = RankSpy(engine)
         queries = [
             median_query(cat, func)
             for cat in (None, "a", "b", "c")
@@ -356,7 +400,7 @@ class TestEnginePresort:
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert len({id(permutation) for _, permutation in spy.used}) == 1
+        assert len({id(rank) for _, rank in spy.used}) == 1
         expected = {id(query): execute_query_naive(query, table) for query in queries}
         for slot, tables in enumerate(results):
             for query, result in zip(queries[slot:] + queries[:slot], tables):
