@@ -11,14 +11,8 @@ paper's aggregation functions) against one relevant table.  Three variants:
 * ``engine``  -- :meth:`QueryEngine.execute_batch` (shared group index,
   predicate-mask cache, vectorized grouped-aggregation kernels).
 
-The acceptance bars are engine >= 3x over the naive per-query path, and the
-vectorized kernels >= 2x over the per-group Python loop on the aggregation
-phase (``test_vectorized_kernels_vs_python_loop``); the engine's cache/timing
-stats are printed for the Fig. 5 optimisation story.
-``test_sqlite_vs_numpy_backend`` replays the same batch on the storage-owning
-sqlite backend to compare the execution backends head to head (equivalence
-within 1e-9 asserted; timings reported, no speed bar -- sqlite pays
-materialisation and generated-SQL costs by design).
+The acceptance bar is engine >= 3x over the naive per-query path; the
+engine's cache/timing stats are printed for the Fig. 5 optimisation story.
 """
 
 from __future__ import annotations
@@ -151,116 +145,6 @@ def test_engine_batch_speedup():
         f"expected >= 3x over the naive per-query path, got "
         f"{naive_seconds / engine_seconds:.2f}x"
     )
-
-
-def test_vectorized_kernels_vs_python_loop():
-    """The grouped kernels vs the per-group Python loop, same 50-query batch.
-
-    Both engines share every other optimisation (mask cache, group index,
-    batched plans), so ``stats.seconds_aggregating`` isolates the aggregation
-    phase.  Acceptance bar: vectorized >= 2x on that phase.
-    """
-    relevant = make_student(n_sessions=400, events_per_session=150, seed=0).relevant
-    queries = make_queries()
-
-    python_engine = QueryEngine(relevant, config=EngineConfig(backend="python"))
-    start = time.perf_counter()
-    python_results = python_engine.execute_batch(queries)
-    python_seconds = time.perf_counter() - start
-    python_agg = python_engine.stats.seconds_aggregating
-
-    vectorized_engine = QueryEngine(relevant, config=EngineConfig(backend="numpy"))
-    start = time.perf_counter()
-    vectorized_results = vectorized_engine.execute_batch(queries)
-    vectorized_seconds = time.perf_counter() - start
-    vectorized_agg = vectorized_engine.stats.seconds_aggregating
-
-    # Same batch, same plans: results agree bit-for-bit.
-    for python_table, vectorized_table in zip(python_results, vectorized_results):
-        assert_feature_tables_match(python_table, vectorized_table)
-
-    rows = [
-        [
-            "python per-group loop",
-            round(python_seconds, 4),
-            round(python_agg, 4),
-            round(python_agg / vectorized_agg, 2),
-        ],
-        [
-            "vectorized kernels",
-            round(vectorized_seconds, 4),
-            round(vectorized_agg, 4),
-            1.0,
-        ],
-    ]
-    text = "Grouped-kernel micro-benchmark (50-query batch, aggregation phase)\n"
-    text += render_table(
-        ["kernels", "batch seconds", "aggregation seconds", "agg speedup vs vectorized"], rows
-    )
-    split = vectorized_engine.stats.kernel_seconds
-    text += "\nvectorized kernel split: " + ", ".join(
-        f"{name}={split[name]:.4f}s" for name in sorted(split)
-    )
-    print(text)
-    write_result("bench_engine", text, append=True)
-
-    assert python_agg / vectorized_agg >= 2.0, (
-        f"expected the vectorized kernels to be >= 2x faster on the "
-        f"aggregation phase, got {python_agg / vectorized_agg:.2f}x"
-    )
-
-
-def test_sqlite_vs_numpy_backend():
-    """The sqlite backend vs the numpy backend on the 50-query template batch.
-
-    Same engine-level batching and result caching on both sides; only the
-    execution backend differs.  The point of the comparison is the backend
-    seam, not a speed bar: sqlite materialises the table into an in-memory
-    database and runs generated SQL, which is expected to be slower than the
-    vectorized kernels -- the assertion is value equivalence within 1e-9.
-    """
-    relevant = make_student(n_sessions=400, events_per_session=150, seed=0).relevant
-    queries = make_queries()
-
-    numpy_engine = QueryEngine(relevant, config=EngineConfig(backend="numpy"))
-    start = time.perf_counter()
-    numpy_results = numpy_engine.execute_batch(queries)
-    numpy_seconds = time.perf_counter() - start
-
-    sqlite_engine = QueryEngine(relevant, config=EngineConfig(backend="sqlite"))
-    start = time.perf_counter()
-    sqlite_results = sqlite_engine.execute_batch(queries)
-    sqlite_seconds = time.perf_counter() - start
-
-    worst = 0.0
-    for numpy_table, sqlite_table in zip(numpy_results, sqlite_results):
-        assert numpy_table.column_names == sqlite_table.column_names
-        for name in numpy_table.column_names:
-            left, right = numpy_table.column(name), sqlite_table.column(name)
-            if not left.is_numeric_like:
-                assert left == right
-                continue
-            a, b = left.values, right.values
-            assert a.shape == b.shape
-            assert np.array_equal(np.isnan(a), np.isnan(b))
-            assert np.allclose(a, b, rtol=0.0, atol=1e-9, equal_nan=True)
-            finite = ~np.isnan(a)
-            if finite.any():
-                worst = max(worst, float(np.max(np.abs(a[finite] - b[finite]))))
-
-    rows = [
-        ["numpy (vectorized kernels)", round(numpy_seconds, 4), 1.0],
-        ["sqlite (generated SQL)", round(sqlite_seconds, 4),
-         round(sqlite_seconds / numpy_seconds, 2)],
-    ]
-    text = "Backend comparison (50-query batch, numpy vs sqlite)\n"
-    text += render_table(["backend", "seconds", "slowdown vs numpy"], rows)
-    text += f"\nmax |numpy - sqlite| over finite feature values: {worst:.3g}"
-    text += "\nsqlite backend_seconds: " + ", ".join(
-        f"{k}={v:.4f}s" for k, v in sqlite_engine.stats.backend_seconds.items()
-    )
-    print(text)
-    write_result("bench_engine", text, append=True)
 
 
 #: The order-statistics-heavy template: 8 sort-based aggregates (everything

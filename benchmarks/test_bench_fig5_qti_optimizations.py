@@ -138,7 +138,7 @@ def _identify_with_batch(bundle, batch_size, template_proxy_iterations):
         template_proxy_iterations=template_proxy_iterations,
         search_strategy="random",
     )
-    engine = engine_for(bundle.relevant, config=config.engine_config())
+    engine = engine_for(bundle.relevant)
     engine.reset()
     train, valid, _ = train_valid_test_split(bundle.train, (0.6, 0.2, 0.2), seed=0)
     evaluator = ModelEvaluator(

@@ -36,7 +36,7 @@ from _bench_utils import write_result
 from repro.dataframe.column import DType
 from repro.datasets.student import make_student
 from repro.experiments.reporting import render_table
-from repro.query.engine import EngineConfig, QueryEngine
+from repro.query.engine import QueryEngine
 from repro.query.query import PredicateAwareQuery
 from repro.query.service import QueryService, ServiceConfig
 from test_bench_engine import AGG_FUNCS, assert_feature_tables_match, make_queries
@@ -79,7 +79,7 @@ def timed_serial(batches):
     results = None
     for _ in range(TIMING_REPEATS):
         engines = [
-            QueryEngine(relevant, config=EngineConfig(backend="numpy"))
+            QueryEngine(relevant)
             for _ in range(N_CALLERS)
         ]
         start = time.perf_counter()
@@ -97,7 +97,7 @@ def timed_service(batches):
     results = None
     stats = None
     for _ in range(TIMING_REPEATS):
-        engine = QueryEngine(relevant, config=EngineConfig(backend="numpy"))
+        engine = QueryEngine(relevant)
         baseline = engine.stats.as_dict()
         # Manual dispatch keeps the round formation deterministic: all four
         # callers admit first, then one draining close runs the fused

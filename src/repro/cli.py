@@ -28,7 +28,6 @@ from repro.datasets import DATASET_NAMES, load_dataset
 from repro.experiments.reporting import render_table
 from repro.experiments.runner import METHOD_NAMES, run_method
 from repro.ml.model_zoo import MODEL_NAMES
-from repro.query.backends import backend_names
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -44,12 +43,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         help="candidates proposed and evaluated per search round; >1 batches "
         "them through one fused engine pass with proposal deduplication",
     )
-    parser.add_argument(
-        "--engine-backend",
-        choices=list(backend_names()),
-        default=None,
-        help="query-engine execution backend (default: $REPRO_ENGINE_BACKEND or numpy)",
-    )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
 
 
@@ -61,7 +54,6 @@ def _config_from_args(args: argparse.Namespace) -> FeatAugConfig:
         search_iterations=args.search_iterations,
         proxy=args.proxy,
         search_batch_size=args.search_batch_size,
-        engine_backend=args.engine_backend,
         seed=args.seed,
     )
 

@@ -73,15 +73,6 @@ class FeatAugConfig:
     template_real_iterations: int = 6
 
     # ------------------------------------------------------------------
-    # Query execution
-    # ------------------------------------------------------------------
-    #: execution backend of the shared query engine ("numpy", "python",
-    #: "sqlite", or any name registered via
-    #: :func:`repro.query.register_backend`); ``None`` uses the process
-    #: default (``$REPRO_ENGINE_BACKEND`` or "numpy").
-    engine_backend: str | None = None
-
-    # ------------------------------------------------------------------
     # Proxy and evaluation
     # ------------------------------------------------------------------
     #: low-cost proxy: "mi", "spearman" or "lr" (Table VIII).
@@ -110,27 +101,6 @@ class FeatAugConfig:
             raise ValueError(f"Unknown search strategy {self.search_strategy!r}")
         if self.search_batch_size < 1:
             raise ValueError("search_batch_size must be >= 1")
-        # Delegate to the engine-config validation so the backend / cache
-        # checks (and their error messages) have exactly one
-        # implementation.  Always run it: even with the backend left
-        # ``None``, the resolved default reads $REPRO_ENGINE_BACKEND, and a
-        # garbage environment value should fail here -- where the run is
-        # configured -- rather than at the first query's engine lookup deep
-        # inside the search.
-        self.engine_config().validate()
-
-    def engine_config(self):
-        """The :class:`repro.query.engine.EngineConfig` the run's shared
-        query engine is built with.
-
-        Every component that resolves the run's engine (the FeatAug facade,
-        the scaling sweeps' cold-engine resets) must go through this, or a
-        partially-mirrored config would target a different engine in the
-        per-(table, config) registry.
-        """
-        from repro.query.engine import EngineConfig
-
-        return EngineConfig(backend=self.engine_backend)
 
     def with_overrides(self, **kwargs) -> "FeatAugConfig":
         """Copy of this config with specific fields replaced."""

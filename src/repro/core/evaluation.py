@@ -127,12 +127,11 @@ class ModelEvaluator:
     ):
         """Batched variant: one engine pass, then per-query train/valid joins.
 
-        Queries execute through the engine's configured execution backend
-        (the vectorized grouped kernels by default; see
-        :mod:`repro.query.backends`), and the feature joins go through the
-        vectorized ``Table.left_join`` key matching (factorized codes +
-        first-occurrence index map), so neither phase loops over rows in
-        Python.
+        Queries execute through the engine's vectorized grouped kernels
+        (see :mod:`repro.dataframe.grouped_kernels`), and the feature joins
+        go through the vectorized ``Table.left_join`` key matching
+        (factorized codes + first-occurrence index map), so neither phase
+        loops over rows in Python.
         """
         resolved = self._resolve_engine(relevant_table, engine)
         feature_tables = resolved.execute_batch(list(queries))

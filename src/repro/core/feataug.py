@@ -49,9 +49,8 @@ class FeatAugResult:
     qti_seconds: float = 0.0
     warmup_seconds: float = 0.0
     generate_seconds: float = 0.0
-    #: Cache/timing counters of the shared query engine at the end of the run,
-    #: including the execution backend's name (``engine_stats["backend"]``)
-    #: and the per-backend wall-clock split (``"backend_seconds"``).
+    #: Cache/timing counters of the shared query engine at the end of the run
+    #: (this run's traffic only, see :meth:`EngineStats.delta_since`).
     engine_stats: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -154,9 +153,8 @@ class FeatAug:
         proxy = make_proxy(self.config.proxy)
         # One shared execution engine for the whole run: template search, SQL
         # generation and final materialisation all hit the same group index
-        # and predicate-mask cache.  ``config.engine_backend`` selects the
-        # execution backend (None = the process default).
-        engine = engine_for(relevant_table, config=self.config.engine_config())
+        # and predicate-mask cache.
+        engine = engine_for(relevant_table)
         # Engines are shared per table across runs; report this run's traffic
         # only, not the engine's lifetime counters.
         stats_baseline = engine.stats.as_dict()

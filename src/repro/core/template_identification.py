@@ -50,8 +50,7 @@ class IdentificationReport:
     n_predicted_templates: int = 0
     evaluated: List[TemplateScore] = field(default_factory=list)
     #: Snapshot of the shared query engine's cache/timing counters at the end
-    #: of the run (mask hit rate, group-index reuse, execution backend name
-    #: under ``"backend"``, ...) for Fig. 5.
+    #: of the run (mask hit rate, group-index reuse, ...) for Fig. 5.
     engine_stats: Dict[str, float] = field(default_factory=dict)
 
 

@@ -273,7 +273,7 @@ class GroupedAggregator:
     def resolve_sort_order(self) -> None:
         """Force :meth:`sort_order` resolution now (timing-neutral warm-up).
 
-        The engine's backends call this *outside* their per-kernel timer so
+        The engine calls this *outside* its per-kernel timer so
         the sort (or the cache lookup replacing it) is accounted to the
         sorting phase, not to whichever sort-based kernel happens to run
         first.

@@ -123,11 +123,10 @@ def _run_feataug_timing(bundle: DatasetBundle, model_name: str, config: FeatAugC
     # Timing points must start from a cold query engine: scaling sweeps can
     # reuse the same relevant-table object across points, and warm mask /
     # result caches would make later points look artificially fast.  The
-    # registry is keyed per EngineConfig, so the reset must target the engine
-    # the run's configured backend will actually use.
+    # reset targets the default-config engine, the one the run resolves.
     from repro.query.engine import engine_for
 
-    engine_for(bundle.relevant, config=config.engine_config()).reset()
+    engine_for(bundle.relevant).reset()
     feataug = FeatAug(
         label=bundle.label_col,
         keys=bundle.keys,

@@ -12,15 +12,9 @@ Implements the paper's core abstractions (Section III):
 * :class:`QueryEngine` -- the batched execution engine bound to one relevant
   table: factorized group index, LRU predicate-mask / result caches and a
   batched API with cache statistics (:class:`EngineStats`).  Construction is
-  configured by :class:`EngineConfig` (execution backend and cache
-  sizes).  Execution is serial: each fused plan runs on the engine's one
-  backend instance; an append that adds rows to the table flushes the
-  caches.
-* :class:`ExecutionBackend` / :func:`register_backend` -- the pluggable
-  execution layer plans are delegated to: ``"numpy"`` (vectorized grouped
-  kernels, the default), ``"python"`` (per-group reference loop) and
-  ``"sqlite"`` (generated SQL over an in-memory database) ship built in;
-  third-party backends register under their own name.
+  configured by :class:`EngineConfig` (cache sizes).  Execution is serial:
+  each fused plan runs the vectorized grouped kernels on the calling
+  thread; an append that adds rows to the table flushes the caches.
 * :class:`QueryService` (:mod:`repro.query.service`) -- the admission layer
   over one warm engine: concurrent callers' submissions queue behind a
   bounded admission queue (deterministic :class:`ServiceOverloadedError`
@@ -32,24 +26,17 @@ Implements the paper's core abstractions (Section III):
 * :func:`execute_query` / :func:`augment_training_table` -- the relational
   plumbing (filter -> group-by aggregate -> left join onto the training
   table); :func:`execute_query_naive` is the uncached reference
-  implementation the equivalence suite checks every backend against.
+  implementation the equivalence suite checks the engine against.
 """
 
 from repro.query.template import QueryTemplate, enumerate_attribute_combinations
 from repro.query.query import PredicateAwareQuery
 from repro.query.pool import QueryPool
 from repro.query.plan import AggregateSpec, PredicateAtom, QueryPlan
-from repro.query.backends import (
-    ExecutionBackend,
-    backend_names,
-    make_backend,
-    register_backend,
-)
 from repro.query.engine import (
     EngineConfig,
     EngineStats,
     QueryEngine,
-    default_backend_name,
     engine_for,
     resolve_engine,
 )
@@ -82,14 +69,9 @@ __all__ = [
     "QueryPlan",
     "PredicateAtom",
     "AggregateSpec",
-    "ExecutionBackend",
-    "register_backend",
-    "make_backend",
-    "backend_names",
     "QueryEngine",
     "EngineConfig",
     "EngineStats",
-    "default_backend_name",
     "engine_for",
     "resolve_engine",
     "QueryService",

@@ -1,4 +1,4 @@
-"""Batched query-execution engine: plan IR, caches, and pluggable backends.
+"""Batched query-execution engine: plan IR, caches and the grouped kernels.
 
 The Query Template Identification and SQL generation searches execute hundreds
 to thousands of candidate queries against the *same* relevant table with the
@@ -11,12 +11,11 @@ re-scan every WHERE predicate) wastes almost all of that work, so a
    :class:`~repro.query.plan.QueryPlan` (predicate atoms, group-by keys,
    aggregate specs).  Everything past that point -- result caching, batching,
    execution -- consumes only plans.
-2. **Execution backends** -- the actual filter / group / aggregate work is
-   delegated to the :class:`~repro.query.backends.ExecutionBackend` selected
-   by :class:`EngineConfig` (``"numpy"`` vectorized grouped kernels by
-   default, ``"python"`` per-group reference loop, ``"sqlite"`` generated SQL
-   over an in-memory database; third parties register more via
-   ``@register_backend``).
+2. **Plan execution** -- :meth:`QueryEngine._run_plan` runs one fused plan:
+   group index -> predicate mask -> filtered groups -> one
+   :class:`~repro.dataframe.grouped_kernels.GroupedAggregator` per value
+   column, whose vectorized kernels evaluate every aggregate of the plan for
+   all groups at once.
 3. **Shared derived state** -- a factorized group index per key combination,
    an LRU predicate-mask cache keyed by atom signature, one **value rank**
    per numeric-like value column and table version (each row's stable rank
@@ -27,62 +26,54 @@ re-scan every WHERE predicate) wastes almost all of that work, so a
    built once per filter/grouping/value-column triple and reused across
    plans and batches of one template) and an LRU result cache keyed by plan
    signature (TPE frequently re-samples identical queries), plus cache /
-   timing statistics
-   (:class:`EngineStats`, including the backend name and the per-backend
-   wall-clock split) consumed by the Figure 5 benchmarks.  Each LRU is
-   bounded by its entry count; the bytes it holds are reported as gauges.
+   timing statistics (:class:`EngineStats`) consumed by the Figure 5
+   benchmarks.  Each LRU is bounded by its entry count; the bytes it holds
+   are reported as gauges.
 
-Execution is serial: every fused plan runs on the engine's one backend
-instance, on the calling thread.  All shared state -- the LRU caches, the
-group-index map and every statistics mutation -- is still lock-protected,
-because concurrent ``execute_batch`` callers (and the
-:class:`~repro.query.service.QueryService` dispatcher) share one engine.
+Execution is serial: every fused plan runs on the calling thread.  All
+shared state -- the LRU caches, the group-index map and every statistics
+mutation -- is still lock-protected, because concurrent ``execute_batch``
+callers (and the :class:`~repro.query.service.QueryService` dispatcher)
+share one engine.
 
-The engine is an optimisation layer only: for the in-process backends its
-results are element-wise **bit-for-bit identical** to the naive
-filter -> group-by path (:func:`repro.query.executor.execute_query_naive`),
-because the Python reference aggregates and ``np.bincount`` share one strict
-left-to-right accumulation order (the accumulation-order contract in
-:mod:`repro.dataframe.aggregates`).  Backends that own their storage (sqlite)
-are held to value equality within ``1e-9``.  The backend-parameterized
-equivalence suite in ``tests/query/test_engine_equivalence.py`` enforces
-both bars for every registered backend.
+The engine is an optimisation layer only: its results are element-wise
+**bit-for-bit identical** to the naive filter -> group-by path
+(:func:`repro.query.executor.execute_query_naive`), because the Python
+reference aggregates and ``np.bincount`` share one strict left-to-right
+accumulation order (the accumulation-order contract in
+:mod:`repro.dataframe.aggregates`).  The equivalence suite in
+``tests/query/test_engine_equivalence.py`` enforces it.
 
-State-reset contract (pinned by ``tests/query/test_backends.py``):
+State-reset contract (pinned by ``tests/query/test_engine_config.py``):
 
 * :meth:`QueryEngine.clear_caches` drops every piece of derived state --
-  masks, results, sort orders, value ranks, group indexes and
-  backend-private materialisations -- but leaves all statistics counters
-  untouched (they are lifetime counters).
-* :meth:`EngineStats.reset` zeroes every counter and timer but preserves the
-  engine's identity fields (the backend name).
+  masks, results, sort orders, value ranks and group indexes -- but leaves
+  all statistics counters untouched (they are lifetime counters).
+* :meth:`EngineStats.reset` zeroes every counter and timer; the gauges
+  survive (they describe the caches' current contents).
 * :meth:`QueryEngine.reset` composes both: a cold engine whose subsequent
   traffic is indistinguishable from a freshly constructed one.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dataframe.aggregates import column_to_aggregable
 from repro.dataframe.column import Column, DType
-from repro.dataframe.groupby import (
-    group_codes,
-    group_positions_from_codes,
-    renumber_codes_compact,
-)
+from repro.dataframe.groupby import group_codes, renumber_codes_compact
+from repro.dataframe.grouped_kernels import SORT_BASED_KERNELS, GroupedAggregator
 from repro.dataframe.predicates import Predicate
 from repro.dataframe.table import Table
-from repro.query.backends import ExecutionBackend, backend_names, make_backend
-from repro.query.plan import QueryPlan, atoms_from_query
+from repro.query.plan import QueryPlan
 from repro.query.query import PredicateAwareQuery
 
 #: Default bound on the number of cached predicate masks per engine.
@@ -96,40 +87,10 @@ DEFAULT_RESULT_CACHE_SIZE = 128
 #: deliberately tighter than the mask cache's.
 DEFAULT_SORT_CACHE_SIZE = 64
 
-#: Environment variable overriding the default backend name (used by the CI
-#: backend matrix to replay the query suites per backend).
-BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
-
-
-def default_backend_name() -> str:
-    """The process-wide default backend: ``$REPRO_ENGINE_BACKEND`` or numpy.
-
-    Raises ``ValueError`` when the environment names an unregistered
-    backend -- eagerly, so a typo surfaces where the config is resolved
-    (engine construction, ``FeatAugConfig.validate``) instead of deep inside
-    the registry lookup at the first query.
-    """
-    raw = os.environ.get(BACKEND_ENV_VAR, "").strip()
-    if not raw:
-        return "numpy"
-    if raw not in backend_names():
-        raise ValueError(
-            f"${BACKEND_ENV_VAR} names an unknown execution backend {raw!r}; "
-            f"registered backends: {backend_names()}"
-        )
-    return raw
-
-
 @dataclass(frozen=True)
 class EngineConfig:
-    """Construction-time knobs of a :class:`QueryEngine`.
+    """Construction-time knobs of a :class:`QueryEngine`: the cache bounds."""
 
-    ``backend`` of ``None`` resolves to :func:`default_backend_name` at use
-    time, so a config built before ``$REPRO_ENGINE_BACKEND`` changes still
-    follows the environment.
-    """
-
-    backend: Optional[str] = None
     mask_cache_size: int = DEFAULT_MASK_CACHE_SIZE
     result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE
     #: Bound on the engine's shared sort-order cache; ``0`` disables it (the
@@ -137,46 +98,16 @@ class EngineConfig:
     #: behaviour -- the benchmark baseline uses this).
     sort_cache_size: int = DEFAULT_SORT_CACHE_SIZE
 
-    def __post_init__(self) -> None:
-        # An explicitly-named backend is validated eagerly: a typo'd
-        # EngineConfig(backend=...) / --engine-backend / FeatAugConfig value
-        # should fail where it is written, not at the first query.
-        # ``backend=None`` stays lazy by design (the environment default is
-        # resolved -- and validated -- at use time).
-        if self.backend is not None:
-            name = self.backend.strip()
-            object.__setattr__(self, "backend", name or None)
-            if name and name not in backend_names():
-                raise ValueError(
-                    f"Unknown execution backend {name!r}; "
-                    f"registered backends: {backend_names()}"
-                )
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend or default_backend_name()
-
     def validate(self) -> None:
-        """Raise ``ValueError`` on an unknown backend or non-positive
-        caches."""
-        if self.backend_name not in backend_names():
-            raise ValueError(
-                f"Unknown execution backend {self.backend_name!r}; "
-                f"registered backends: {backend_names()}"
-            )
+        """Raise ``ValueError`` on out-of-range cache bounds."""
         if self.mask_cache_size < 1 or self.result_cache_size < 1:
             raise ValueError("Cache sizes must be >= 1")
         if self.sort_cache_size < 0:
             raise ValueError("sort_cache_size must be >= 0 (0 disables the cache)")
 
     def cache_key(self) -> tuple:
-        """Identity used to share engines per table (backend resolved)."""
-        return (
-            self.backend_name,
-            self.mask_cache_size,
-            self.result_cache_size,
-            self.sort_cache_size,
-        )
+        """Identity used to share engines per table."""
+        return (self.mask_cache_size, self.result_cache_size, self.sort_cache_size)
 
 
 @dataclass
@@ -184,16 +115,13 @@ class EngineStats:
     """Counters and wall-clock totals exposed for the Fig. 5 benchmarks.
 
     Thread safety: every mutation goes through :meth:`bump` /
-    :meth:`add_split` / :meth:`record_kernel`, which serialise on one
+    :meth:`set_gauges` / :meth:`record_kernel`, which serialise on one
     re-entrant lock, so counters can never tear when concurrent
     ``execute_batch`` callers book concurrently.
     Fields prefixed with an underscore are implementation details and are
     excluded from :meth:`as_dict` / :meth:`reset`.
     """
 
-    #: Name of the engine's execution backend (identity, not a counter:
-    #: preserved across :meth:`reset`).
-    backend: str = ""
     queries: int = 0
     batches: int = 0
     batched_queries: int = 0
@@ -211,8 +139,6 @@ class EngineStats:
     sort_misses: int = 0
     group_index_builds: int = 0
     group_index_reuses: int = 0
-    vectorized_aggregations: int = 0
-    python_aggregations: int = 0
     seconds_masking: float = 0.0
     seconds_indexing: float = 0.0
     seconds_grouping: float = 0.0
@@ -225,12 +151,8 @@ class EngineStats:
     #: the kernels' own work off the shared order.
     seconds_sorting: float = 0.0
     #: Aggregation seconds split per kernel (canonical aggregate name ->
-    #: cumulative wall-clock), maintained by every backend.
+    #: cumulative wall-clock).
     kernel_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Total wall-clock spent inside ``ExecutionBackend.run_plan`` per
-    #: backend name (the per-backend timing split; includes masking /
-    #: grouping time the backend booked to the finer-grained counters above).
-    backend_seconds: Dict[str, float] = field(default_factory=dict)
     #: Cache entries (masks, results, sort orders, group indexes) flushed
     #: because a ``Table.append_rows`` that added rows made them stale (see
     #: :meth:`QueryEngine.sync_with_table`).
@@ -274,9 +196,6 @@ class EngineStats:
         default_factory=threading.RLock, repr=False, compare=False
     )
 
-    #: Identity fields: carried through :meth:`reset` and :meth:`delta_since`.
-    IDENTITY_FIELDS = ("backend",)
-
     #: Gauge fields: current values, not lifetime counters -- carried
     #: through :meth:`delta_since` unsubtracted and zeroed when the caches
     #: (or service queues) they describe are cleared / drained.
@@ -303,17 +222,10 @@ class EngineStats:
             for name, amount in deltas.items():
                 setattr(self, name, getattr(self, name) + amount)
 
-    def add_split(self, split_name: str, key: str, seconds: float) -> None:
-        """Atomically accumulate into one of the ``Dict[str, float]`` splits."""
-        with self._lock:
-            split = getattr(self, split_name)
-            split[key] = split.get(key, 0.0) + seconds
-
     def as_dict(self) -> Dict[str, float]:
         with self._lock:
             out = {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
             out["kernel_seconds"] = dict(self.kernel_seconds)
-            out["backend_seconds"] = dict(self.backend_seconds)
             out["cache_bytes"] = dict(self.cache_bytes)
             out["mask_hit_rate"] = self.mask_hit_rate
             out["result_hit_rate"] = self.result_hit_rate
@@ -327,41 +239,20 @@ class EngineStats:
                     raise ValueError(f"{name!r} is not a gauge field")
                 setattr(self, name, value)
 
-    def record_kernel(
-        self, name: str, seconds: float, backend: str, aggregation_only: bool = True
-    ) -> None:
-        """Account one aggregation evaluation to the per-kernel timing split.
-
-        ``aggregation_only=True`` (the in-process backends, which time the
-        aggregation step in isolation) also books the time into
-        ``seconds_aggregating``, keeping the aggregation-phase comparison
-        between the numpy and python kernels apples-to-apples.  Backends
-        whose per-aggregate timing fuses filtering and grouping into one
-        statement (sqlite) pass ``False``: their time lands only in
-        ``kernel_seconds`` (per-statement split) and, via the engine, in
-        ``backend_seconds``.  The legacy vectorized / python aggregation
-        counters track the two in-process backends.
-        """
+    def record_kernel(self, name: str, seconds: float) -> None:
+        """Book one aggregation into ``seconds_aggregating`` and the
+        per-kernel timing split."""
         with self._lock:
-            if aggregation_only:
-                self.seconds_aggregating += seconds
+            self.seconds_aggregating += seconds
             self.kernel_seconds[name] = self.kernel_seconds.get(name, 0.0) + seconds
-            if backend == "numpy":
-                self.vectorized_aggregations += 1
-            elif backend == "python":
-                self.python_aggregations += 1
 
     def reset(self) -> None:
-        """Zero every counter and timer; the identity field (backend) and
-        the gauges survive -- gauges describe the caches' *current*
-        contents, which resetting counters does not change
-        (:meth:`QueryEngine.reset` clears the caches first, so its gauges
-        genuinely read zero afterwards)."""
+        """Zero every counter and timer; the gauges survive -- they
+        describe the caches' *current* contents, which resetting counters
+        does not change (:meth:`QueryEngine.reset` clears the caches first,
+        so its gauges genuinely read zero afterwards)."""
         with self._lock:
-            carried = {
-                name: getattr(self, name)
-                for name in self.IDENTITY_FIELDS + self.GAUGE_FIELDS
-            }
+            carried = {name: getattr(self, name) for name in self.GAUGE_FIELDS}
             for name, value in EngineStats().__dict__.items():
                 if name.startswith("_"):
                     continue
@@ -374,7 +265,6 @@ class EngineStats:
 
         Engines are shared per table, so per-run reports must subtract the
         traffic of earlier runs; derived rates are recomputed from the deltas,
-        the identity field (the backend name) is carried through unchanged,
         and gauges (``bytes_cached``, ``cache_bytes``) pass through as
         current values -- a byte gauge difference is meaningless.  Tolerant
         of incomplete baselines: a key absent from *baseline* (a snapshot
@@ -388,11 +278,7 @@ class EngineStats:
         for name, value in current.items():
             if name.endswith("_rate"):
                 continue
-            if (
-                isinstance(value, str)
-                or name in self.IDENTITY_FIELDS
-                or name in self.GAUGE_FIELDS
-            ):
+            if name in self.GAUGE_FIELDS:
                 delta[name] = value
             elif isinstance(value, dict):
                 base = baseline.get(name)
@@ -507,16 +393,6 @@ class GroupIndex:
         # One row per group: each key column taken at the group's first row
         # (categorical keys share the table column's dictionary).
         self._key_columns = [table.column(name).take(first_rows) for name in self.keys]
-        self._group_rows: Optional[List[np.ndarray]] = None
-
-    @property
-    def group_rows(self) -> List[np.ndarray]:
-        """Ascending row positions of every group (built on first use)."""
-        group_rows = self._group_rows
-        if group_rows is None:
-            group_rows = group_positions_from_codes(self.codes, self.n_groups)
-            self._group_rows = group_rows
-        return group_rows
 
     def key_columns(self, group_ids: Optional[np.ndarray] = None) -> List[Column]:
         """Output key columns for the given groups (all groups when ``None``)."""
@@ -525,41 +401,20 @@ class GroupIndex:
         return [column.take(group_ids) for column in self._key_columns]
 
 
-def _resolve_config(
-    config: Optional[EngineConfig],
-    mask_cache_size: Optional[int],
-    result_cache_size: Optional[int],
-) -> EngineConfig:
-    """Fold the cache-size keywords into one validated :class:`EngineConfig`."""
-    if config is None:
-        config = EngineConfig()
-    overrides = {}
-    if mask_cache_size is not None:
-        overrides["mask_cache_size"] = int(mask_cache_size)
-    if result_cache_size is not None:
-        overrides["result_cache_size"] = int(result_cache_size)
-    if overrides:
-        config = replace(config, **overrides)
-    config.validate()
-    return config
-
-
 class QueryEngine:
     """Cached, batched execution of query plans on one table.
 
-    ``config`` selects the execution backend and the cache sizes.
+    ``config`` sets the cache sizes.
     """
 
     def __init__(
         self,
         table: Table,
-        mask_cache_size: Optional[int] = None,
-        result_cache_size: Optional[int] = None,
-        weak_table: bool = False,
         config: Optional[EngineConfig] = None,
+        weak_table: bool = False,
     ):
-        self.config = _resolve_config(config, mask_cache_size, result_cache_size)
-        self.backend_name = self.config.backend_name
+        self.config = config if config is not None else EngineConfig()
+        self.config.validate()
         # Directly-constructed engines own a strong reference to their table.
         # Registry engines (``engine_for``) hold only a weak one: the registry
         # maps table -> engine, and a strong back-reference from the engine
@@ -570,7 +425,7 @@ class QueryEngine:
         self._sync_lock = threading.RLock()
         self._synced_version = table.version
         self._synced_rows = table.num_rows
-        self.stats = EngineStats(backend=self.backend_name)
+        self.stats = EngineStats()
         self._indexes: Dict[Tuple[str, ...], GroupIndex] = {}
         self._index_lock = threading.Lock()
         self._masks = _LRUCache(self.config.mask_cache_size)
@@ -587,9 +442,6 @@ class QueryEngine:
         # value_rank()); dropped with every other cache.
         self._value_ranks: Dict[str, np.ndarray] = {}
         self._rank_lock = threading.Lock()
-        self.backend: ExecutionBackend = make_backend(self.backend_name)
-        self.backend.bind(table, engine=self)
-        self._closed = False
         self._refresh_byte_gauges()
 
     @property
@@ -638,24 +490,11 @@ class QueryEngine:
     # Plan building
     # ------------------------------------------------------------------
     def plan(self, query: PredicateAwareQuery) -> QueryPlan:
-        """Lower *query* into the logical plan IR the backends consume."""
+        """Lower *query* into the logical plan IR the engine executes."""
         return QueryPlan.from_query(query)
 
-    @staticmethod
-    def predicate_atoms(query: PredicateAwareQuery) -> List[Tuple[Optional[tuple], Predicate]]:
-        """The query's WHERE atoms as ``(signature, predicate)`` pairs.
-
-        Compatibility wrapper over :func:`repro.query.plan.atoms_from_query`;
-        the signature is ``None`` when an atom's constants are unhashable.
-        """
-        return [(atom.signature(), atom.to_predicate()) for atom in atoms_from_query(query)]
-
-    def predicate_signature(self, query: PredicateAwareQuery) -> Optional[tuple]:
-        """Hashable identity of the query's WHERE clause (``None`` = uncacheable)."""
-        return QueryPlan(atoms=atoms_from_query(query)).predicate_signature()
-
     # ------------------------------------------------------------------
-    # Shared derived state (services used by the in-process backends)
+    # Shared derived state
     # ------------------------------------------------------------------
     def group_index(self, keys: Sequence[str]) -> GroupIndex:
         """The (cached) factorized group index for one key combination.
@@ -682,17 +521,6 @@ class QueryEngine:
             )
         return index
 
-    def agg_values(self, attr: str, row_idx: Optional[np.ndarray]) -> np.ndarray:
-        """Aggregable values aligned to the full table for a filtered run.
-
-        Categorical attributes are coded by first appearance *within the
-        filter* (exactly what ``column_to_aggregable`` sees on the filtered
-        table in the naive path), so code-valued aggregates like MODE stay
-        element-wise identical.  Numeric-like attributes are the column's
-        own storage.
-        """
-        return column_to_aggregable(self.table.column(attr), rows=row_idx)
-
     def value_rank(self, attr: str) -> np.ndarray:
         """Each row's rank in *attr*'s stable ascending value order.
 
@@ -702,7 +530,7 @@ class QueryEngine:
         :meth:`clear_caches` drops every rank array, and so does the flush
         after a ``Table.append_rows`` that added rows
         (:meth:`sync_with_table`).  Stored as ``int32`` below ``2**31``
-        rows.  The numpy backend sorts each plan's packed ``(code, rank)``
+        rows.  :meth:`_run_plan` sorts each plan's packed ``(code, rank)``
         keys into its (code, value) order
         (:meth:`GroupedAggregator.derive_sort_order`), reading only the
         plan's own rows.  The bytes are reported by :attr:`presorted_bytes`.
@@ -729,10 +557,10 @@ class QueryEngine:
 
         *key* is :meth:`QueryPlan.sort_key`'s ``(predicate signature, keys,
         attr)`` triple (``None`` = uncacheable WHERE clause) and *compute* is
-        a zero-argument callable producing the order array for a miss: the
-        numpy backend sorts packed keys over :meth:`value_rank` for
-        numeric-like columns, sorts MAD's deviations, and lexsorts
-        categorical values.  Misses book their wall-clock into
+        a zero-argument callable producing the order array for a miss: a
+        sort of packed keys over :meth:`value_rank` for numeric-like
+        columns, a sort of MAD's deviations, or a lexsort of categorical
+        values.  Misses book their wall-clock into
         ``seconds_sorting``; hits skip the computation entirely, so queries
         of one template that share a (mask, group keys, value column)
         triple build its order once.
@@ -779,10 +607,6 @@ class QueryEngine:
             mask = atom_mask if mask is None else mask & atom_mask
         return mask
 
-    def query_mask(self, query: PredicateAwareQuery) -> Optional[np.ndarray]:
-        """Compatibility wrapper: :meth:`plan_mask` of the lowered WHERE clause."""
-        return self.plan_mask(QueryPlan(atoms=atoms_from_query(query)))
-
     def filtered_groups(self, index: GroupIndex, mask: Optional[np.ndarray]):
         """Groups surviving *mask*: ``(group_ids, codes, n_groups, row_idx)``.
 
@@ -803,23 +627,6 @@ class QueryEngine:
         group_ids, codes, _ = renumber_codes_compact(index.codes[row_idx], index.n_groups)
         self.stats.bump(seconds_grouping=time.perf_counter() - start)
         return group_ids, codes, group_ids.size, row_idx
-
-    def group_rows(self, index: GroupIndex, codes: np.ndarray, n_groups: int,
-                   row_idx: Optional[np.ndarray]) -> List[np.ndarray]:
-        """Ascending full-table row positions per group (python backend path).
-
-        Materialising one position array per group is what the vectorized
-        kernels avoid; it is only computed on demand for the python backend.
-        """
-        if row_idx is None:
-            return index.group_rows
-        start = time.perf_counter()
-        group_rows = [
-            row_idx[positions]
-            for positions in group_positions_from_codes(codes, n_groups)
-        ]
-        self.stats.bump(seconds_grouping=time.perf_counter() - start)
-        return group_rows
 
     def empty_result(self, keys: Sequence[str], feature_name: str) -> Table:
         """The empty feature table, constructed directly (no full-table scan)."""
@@ -842,13 +649,12 @@ class QueryEngine:
         return self.execute_plan(self.plan(query))
 
     def execute_plan(self, plan: QueryPlan) -> Table:
-        """Run one single-aggregate plan through the result cache + backend."""
+        """Run one single-aggregate plan through the result cache."""
         if len(plan.aggregates) != 1:
             raise ValueError(
                 "execute_plan expects a single-aggregate plan; "
                 "use execute_plans for a batch"
             )
-        self._closed = False  # any execution transparently re-opens (see close())
         self.sync_with_table()
         key = plan.result_key(0)
         if key is not None:
@@ -871,14 +677,13 @@ class QueryEngine:
     def execute_plans(self, plans: Sequence[QueryPlan]) -> List[Table]:
         """Batched execution of single-aggregate plans (input order preserved).
 
-        An empty batch returns ``[]`` immediately: no backend touch, no
-        table sync, and no counter traffic (``batches`` counts rounds that
-        actually carried queries) -- on every backend.
+        An empty batch returns ``[]`` immediately: no table sync and no
+        counter traffic (``batches`` counts rounds that actually carried
+        queries).
         """
         plans = list(plans)
         if not plans:
             return []
-        self._closed = False  # any execution transparently re-opens (see close())
         self.sync_with_table()
         results: List[Optional[Table]] = [None] * len(plans)
         fused: "OrderedDict[tuple, List[int]]" = OrderedDict()
@@ -953,20 +758,14 @@ class QueryEngine:
         return [tables[slot] for slot in slots], len(plans) - len(unique)
 
     def _run_fused(self, plans: List[QueryPlan], batched: bool) -> List[List[Table]]:
-        """Run fused plans on the backend; book stats and the result cache.
+        """Run fused plans; book stats and the result cache.
 
         Each fused plan pays its mask / grouping once and yields one table
-        per aggregate spec.  Plans run one after another on the engine's
-        backend, in fused order.  Results are written to the result cache
-        but never read from it (callers check the cache first).
+        per aggregate spec.  Plans run one after another, in fused order.
+        Results are written to the result cache but never read from it
+        (callers check the cache first).
         """
-        table_lists = []
-        for plan in plans:
-            start = time.perf_counter()
-            table_lists.append(self.backend.run_plan(plan))
-            self.stats.add_split(
-                "backend_seconds", self.backend_name, time.perf_counter() - start
-            )
+        table_lists = [self._run_plan(plan) for plan in plans]
         cached_any = False
         for plan, tables in zip(plans, table_lists):
             for position, table in enumerate(tables):
@@ -979,6 +778,65 @@ class QueryEngine:
         if cached_any:
             self._refresh_byte_gauges()
         return table_lists
+
+    def _run_plan(self, plan: QueryPlan) -> List[Table]:
+        """Execute one (possibly fused) plan: one table per aggregate spec.
+
+        The plan's filtered grouping is built once; then every spec of one
+        value column aggregates off a single :class:`GroupedAggregator`,
+        whose intermediates -- above all the (code, value) order the
+        order-statistics family shares -- are built once.  That order comes
+        from the shared :meth:`sort_order` cache (keyed by
+        ``QueryPlan.sort_key``, so queries of one template reuse it across
+        plans and batches); on a miss, a numeric-like column's order is one
+        argsort of the plan rows' packed ``code * num_rows + rank`` keys
+        over :meth:`value_rank`, and a categorical column's a lexsort (its
+        filter-local codes are not in dictionary order).  MAD's deviation
+        order has its own key, ``QueryPlan.mad_sort_key``.
+        """
+        index = self.group_index(plan.keys)
+        mask = self.plan_mask(plan)
+        group_ids, codes, n_groups, row_idx = self.filtered_groups(index, mask)
+        key_columns: Optional[List[Column]] = None
+        results: List[Optional[Table]] = [None] * len(plan.aggregates)
+        for attr, positioned in plan.specs_by_attr().items():
+            column = self.table.column(attr)  # KeyError for unknown attributes
+            if n_groups == 0:
+                for position, spec in positioned:
+                    results[position] = self.empty_result(plan.keys, spec.feature_name)
+                continue
+            # Aligned to the full table.  Categorical values are coded by
+            # first appearance *within the filter* (what the naive path's
+            # column_to_aggregable sees on the filtered table), so
+            # code-valued aggregates like MODE stay element-wise identical.
+            aligned = column_to_aggregable(column, rows=row_idx)
+            values = aligned if row_idx is None else aligned[row_idx]
+            aggregator = GroupedAggregator(codes, values, n_groups)
+            if column.is_numeric_like:
+                aggregator.value_rank = (partial(self.value_rank, attr), row_idx)
+            sort_key, mad_sort_key = plan.sort_key(attr), plan.mad_sort_key(attr)
+            aggregator.order_cache = partial(self.sort_order, sort_key)
+            aggregator.mad_order_cache = partial(self.sort_order, mad_sort_key)
+            for position, spec in positioned:
+                # Resolve the shared orders outside the kernel timer, so
+                # their construction books once, into seconds_sorting, and
+                # kernel_seconds measures the kernel's own work.
+                # Accumulation-only plans never sort at all.
+                if spec.func in SORT_BASED_KERNELS:
+                    aggregator.resolve_sort_order()
+                if spec.func == "MAD":
+                    aggregator.resolve_mad_order()
+                start = time.perf_counter()
+                feature = aggregator.compute(spec.func, spec.param)
+                # One kernel bucket per family (QUANTILE, not QUANTILE:0.25).
+                self.stats.record_kernel(spec.func, time.perf_counter() - start)
+                if key_columns is None:
+                    key_columns = index.key_columns(group_ids)
+                results[position] = Table(
+                    list(key_columns)
+                    + [Column(spec.feature_name, feature, dtype=DType.NUMERIC)]
+                )
+        return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Cache management
@@ -1032,8 +890,7 @@ class QueryEngine:
 
     def clear_caches(self) -> None:
         """Drop all derived state: masks, results, sort orders, value
-        ranks, indexes and the backend's private materialisations.
-        Statistics counters are lifetime counters and are deliberately left
+        ranks and group indexes.  Statistics counters are lifetime counters and are deliberately left
         untouched (the byte *gauges* drop to zero with the caches they
         describe); use :meth:`reset` for a fully cold engine."""
         self._masks.clear()
@@ -1043,7 +900,6 @@ class QueryEngine:
         with self._rank_lock:
             self._value_ranks.clear()
         self._indexes.clear()
-        self.backend.clear()
         # A cache-less engine is trivially in sync: everything rebuilds from
         # the table's current generation on the next query.
         table = self._table_strong if self._table_strong is not None else self._table_ref()
@@ -1053,34 +909,9 @@ class QueryEngine:
                 self._synced_rows = table.num_rows
         self._refresh_byte_gauges()
 
-    @property
-    def closed(self) -> bool:
-        """``True`` between :meth:`close` and the next execution.
-
-        A closed engine holds no backend / OS resources; the first
-        ``execute`` / ``execute_batch`` / ``execute_plans`` call after a
-        close transparently re-opens it (the documented lazy re-creation
-        path, pinned by ``tests/query/test_engine_lifecycle.py``).
-        """
-        return self._closed
-
-    def close(self) -> None:
-        """Release every backend / OS resource the engine owns.
-
-        Drops all caches and backend materialisations (sqlite connections
-        included).  Idempotent, callable from ``engine_for``'s table finalizer (it never
-        touches ``self.table``), and the engine remains usable afterwards:
-        the next execution transparently re-opens it, re-creating backend
-        materialisations lazily.  Statistics counters
-        survive a close/re-open cycle unchanged -- they are lifetime
-        counters, exactly as across :meth:`clear_caches`.
-        """
-        self.clear_caches()
-        self._closed = True
-
     def reset(self) -> None:
         """Return the engine to a cold state: drop all caches, zero the stats
-        (the backend name survives, see :meth:`EngineStats.reset`).
+        (see :meth:`EngineStats.reset`).
 
         Timing comparisons between pipeline variants sharing one table must
         call this between variants, or later variants replay earlier traffic
@@ -1104,22 +935,6 @@ _ENGINE_REGISTRY: "weakref.WeakKeyDictionary[Table, Dict[tuple, QueryEngine]]" =
 _REGISTRY_LOCK = threading.Lock()
 
 
-def _close_registry_engines(per_table: Dict[tuple, "QueryEngine"]) -> None:
-    """Finalizer for one table's registry slot: release engine resources.
-
-    Runs when the table is garbage-collected (the WeakKeyDictionary entry is
-    going away anyway); explicit ``close()`` guarantees sqlite connections
-    are released deterministically instead of waiting on the engines' own
-    collection.
-    """
-    for engine in list(per_table.values()):
-        try:
-            engine.close()
-        except Exception:  # pragma: no cover - finalizers must never raise
-            pass
-    per_table.clear()
-
-
 def engine_for(table: Table, config: Optional[EngineConfig] = None) -> QueryEngine:
     """The process-wide shared :class:`QueryEngine` bound to *table*.
 
@@ -1127,31 +942,20 @@ def engine_for(table: Table, config: Optional[EngineConfig] = None) -> QueryEngi
     engine per :class:`EngineConfig`, and all call sites touching the same
     relevant table with the same config share one.
     """
-    config = _resolve_config(config, None, None)
+    config = config if config is not None else EngineConfig()
     key = config.cache_key()
     with _REGISTRY_LOCK:
-        per_table = _ENGINE_REGISTRY.get(table)
-        if per_table is None:
-            per_table = {}
-            _ENGINE_REGISTRY[table] = per_table
-            weakref.finalize(table, _close_registry_engines, per_table)
+        per_table = _ENGINE_REGISTRY.setdefault(table, {})
         engine = per_table.get(key)
     if engine is None:
-        # Construct outside the registry lock: engine construction can be
-        # expensive (backend bind) and must not serialise
-        # unrelated tables' lookups behind one global lock.  The slot is
+        # Construct outside the registry lock, so unrelated tables' lookups
+        # never serialise behind one construction.  The slot is
         # double-checked under the lock before insertion, so concurrent
-        # first access yields exactly one registered engine; every loser
-        # closes its candidate immediately so no backend resource (sqlite
-        # connection) can leak from the race.
-        candidate = QueryEngine(table, weak_table=True, config=config)
+        # first access yields exactly one registered engine; a losing
+        # candidate is simply dropped.
+        candidate = QueryEngine(table, config=config, weak_table=True)
         with _REGISTRY_LOCK:
-            engine = per_table.get(key)
-            if engine is None:
-                engine = candidate
-                per_table[key] = engine
-        if engine is not candidate:
-            candidate.close()
+            engine = per_table.setdefault(key, candidate)
     # A version bump must never serve state keyed to the old generation:
     # refresh outside the registry lock (refreshes of different tables'
     # engines need not serialise on it).

@@ -21,13 +21,11 @@ def execute_query(
     This is a thin compatibility wrapper over the shared
     :class:`~repro.query.engine.QueryEngine` bound to *relevant_table*: the
     query is lowered to a :class:`~repro.query.plan.QueryPlan` and executed
-    by the engine's configured :class:`~repro.query.backends.ExecutionBackend`
-    (the vectorized grouped kernels by default), with the group index,
-    predicate masks and recent results cached across calls.  For the
-    in-process backends the output is element-wise bit-for-bit identical to
-    :func:`execute_query_naive` (see the accumulation-order contract in
-    :mod:`repro.dataframe.grouped_kernels`); storage-owning backends such as
-    sqlite are value-equal within 1e-9.
+    by the engine's vectorized grouped kernels, with the group index,
+    predicate masks and recent results cached across calls.  The output is
+    element-wise bit-for-bit identical to :func:`execute_query_naive` (see
+    the accumulation-order contract in
+    :mod:`repro.dataframe.grouped_kernels`).
     """
     return resolve_engine(relevant_table, engine).execute(query)
 

@@ -260,8 +260,8 @@ def flatten_to_engine(
     shared :class:`~repro.query.engine.QueryEngine`; binding it right after
     flattening lets every downstream component (template identification, SQL
     generation, evaluation) reuse one group index and mask cache.  *config*
-    (an :class:`~repro.query.engine.EngineConfig`) selects the execution
-    backend and cache sizes; ``None`` uses the process default.
+    (an :class:`~repro.query.engine.EngineConfig`) sets the cache sizes;
+    ``None`` uses the defaults.
     """
     from repro.query.engine import engine_for
 

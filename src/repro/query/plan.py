@@ -1,13 +1,12 @@
-"""The logical query-plan IR consumed by execution backends.
+"""The logical query-plan IR the query engine executes.
 
-A :class:`QueryPlan` is the frozen, backend-independent description of one
+A :class:`QueryPlan` is the frozen description of one
 grouped-aggregation query (or of several queries fused into one plan): a
 conjunction of WHERE :class:`PredicateAtom`\\ s, the group-by key columns and
 one :class:`AggregateSpec` per output feature.  ``QueryEngine.plan(query)``
 lowers a :class:`~repro.query.query.PredicateAwareQuery` into a plan, and
-everything downstream of that point -- result caching, batching and the
-:class:`~repro.query.backends.ExecutionBackend` implementations -- consumes
-only plans, never queries.
+everything downstream of that point -- result caching, batching and plan
+execution -- consumes only plans, never queries.
 
 The plan's canonical signatures subsume the ad-hoc tuples the engine used to
 build inline:
@@ -132,7 +131,7 @@ class PredicateAtom:
         return Range(self.attr, low=self.low, high=self.high, dtype=self.dtype)
 
     def to_sql(self) -> str:
-        """SQL text of the atom (display / logging / SQL-generating backends)."""
+        """SQL text of the atom (display / logging)."""
         return self.to_predicate().to_sql()
 
 
@@ -216,7 +215,7 @@ class QueryPlan:
 
     Plans built by :meth:`from_query` carry exactly one aggregate;
     ``execute_batch`` fuses plans sharing a :meth:`group_key` into one
-    multi-aggregate plan via :meth:`with_aggregates` so backends pay the
+    multi-aggregate plan via :meth:`with_aggregates` so execution pays the
     filter and grouping once per plan.
     """
 
@@ -249,7 +248,7 @@ class QueryPlan:
         """Aggregate specs grouped per value column, keeping spec positions.
 
         Returns ``{attr: [(position, spec), ...]}`` in first-appearance
-        attribute order.  Backends iterate this to run **one shared
+        attribute order.  The engine iterates this to run **one shared
         aggregation pass per value column** of a fused plan: every spec of
         one attribute reuses the same prepared aggregator (and, for the
         order-statistics family, the same sort order), while result tables

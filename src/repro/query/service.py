@@ -38,9 +38,7 @@ into a shared service:
 Determinism contract: the dispatcher is one thread and the engine rounds are
 ordinary ``execute_plans`` calls, so results are **bit-identical** to each
 caller running its queries serially on the same engine, at any concurrency
-level, on every backend (1e-9 for sqlite, matching the engine's own bar) --
-pinned by
-``tests/query/test_service.py`` and the acceptance hammer test.
+level -- pinned by ``tests/query/test_service.py`` and the acceptance hammer test.
 
 Observability: the service books ``service_admitted`` / ``service_rejected``
 / ``service_timeouts`` / ``service_rounds`` / ``service_coalesced`` /
@@ -49,12 +47,11 @@ Observability: the service books ``service_admitted`` / ``service_rejected``
 :class:`~repro.query.engine.EngineStats`, flowing through ``delta_since`` /
 ``reset`` under the documented counter-vs-gauge contract.
 
-Configuration mirrors the ``$REPRO_ENGINE_*`` conventions:
-``ServiceConfig(None)`` fields resolve against ``$REPRO_SERVICE_WINDOW_MS``,
-``$REPRO_SERVICE_MAX_BATCH``, ``$REPRO_SERVICE_QUEUE_DEPTH`` and
-``$REPRO_SERVICE_TIMEOUT_MS`` at use time, with malformed values failing
-eagerly at config resolution (``ServiceConfig.validate``), exactly like the
-engine's environment knobs.
+Configuration: ``ServiceConfig(None)`` fields resolve against
+``$REPRO_SERVICE_WINDOW_MS``, ``$REPRO_SERVICE_MAX_BATCH``,
+``$REPRO_SERVICE_QUEUE_DEPTH`` and ``$REPRO_SERVICE_TIMEOUT_MS`` at use
+time, with malformed values failing eagerly at config resolution
+(``ServiceConfig.validate``).
 """
 
 from __future__ import annotations
@@ -72,7 +69,7 @@ from repro.query.engine import QueryEngine
 from repro.query.plan import QueryPlan
 from repro.query.query import PredicateAwareQuery
 
-#: Environment variables mirroring the ``$REPRO_ENGINE_*`` conventions.
+#: Environment variables the ``ServiceConfig(None)`` fields resolve against.
 WINDOW_ENV_VAR = "REPRO_SERVICE_WINDOW_MS"
 MAX_BATCH_ENV_VAR = "REPRO_SERVICE_MAX_BATCH"
 QUEUE_ENV_VAR = "REPRO_SERVICE_QUEUE_DEPTH"

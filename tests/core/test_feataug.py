@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.config import FeatAugConfig
 from repro.core.feataug import FeatAug
 
 
@@ -106,37 +105,43 @@ class TestFeatAugFacade:
         }
         assert set(result.templates[0].template.agg_attrs) == numeric
 
-    def test_engine_stats_expose_backend(self, facade, tiny_student):
+    def test_engine_stats_report_this_runs_traffic(self, facade, tiny_student):
         bundle = tiny_student
         result = facade.augment(
             bundle.train, bundle.relevant,
             predicate_attrs=["event_type"], agg_attrs=bundle.agg_attrs, n_features=2,
         )
-        from repro.query.engine import default_backend_name
+        from repro.query.engine import EngineStats
 
-        assert result.engine_stats["backend"] == default_backend_name()
+        assert set(result.engine_stats) == set(EngineStats().as_dict())
         # The engine is shared per table, so earlier runs may have warmed the
         # result cache: count executed and cache-served queries together.
         assert result.engine_stats["queries"] + result.engine_stats["result_hits"] > 0
-        assert default_backend_name() in result.engine_stats["backend_seconds"]
+        assert result.engine_stats["kernel_seconds"]
 
-    def test_engine_backend_config_selects_the_backend(self, tiny_student, fast_config):
-        """FeatAugConfig.engine_backend is threaded through to the engine."""
+    def test_run_uses_the_shared_engine_of_the_relevant_table(self, tiny_student, fast_config):
+        """The run's traffic lands on ``engine_for(relevant)``, the engine
+        every other component touching the table shares."""
+        from repro.query.engine import engine_for
+
         bundle = tiny_student
+        engine = engine_for(bundle.relevant)
+        before = engine.stats.queries + engine.stats.result_hits
         feataug = FeatAug(
             label=bundle.label_col, keys=bundle.keys, task=bundle.task, model="LR",
-            config=fast_config.with_overrides(engine_backend="python"),
+            config=fast_config,
         )
         result = feataug.augment(
             bundle.train, bundle.relevant,
             predicate_attrs=["event_type"], agg_attrs=bundle.agg_attrs, n_features=1,
         )
-        assert result.engine_stats["backend"] == "python"
-        assert result.engine_stats["backend_seconds"].get("python", 0.0) > 0.0
+        served = result.engine_stats["queries"] + result.engine_stats["result_hits"]
+        assert served > 0
+        assert engine.stats.queries + engine.stats.result_hits == before + served
 
-    def test_unknown_engine_backend_rejected(self, fast_config):
-        with pytest.raises(ValueError):
-            fast_config.with_overrides(engine_backend="duckdb")
+    def test_engine_backend_is_not_a_config_field(self, fast_config):
+        with pytest.raises(TypeError):
+            fast_config.with_overrides(engine_backend="numpy")
 
     def test_timings_accumulate(self, facade, tiny_student):
         bundle = tiny_student

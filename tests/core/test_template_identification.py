@@ -89,18 +89,17 @@ class TestBeamSearch:
         assert identifier.report.n_evaluated_templates >= 2
         assert identifier.report.seconds > 0
 
-    def test_report_engine_stats_expose_backend(self, qti_setup, qti_config):
-        from repro.query.backends import backend_names
+    def test_report_engine_stats_carry_every_counter(self, qti_setup, qti_config):
+        from repro.query.engine import EngineStats
 
         identifier = make_identifier(qti_setup, qti_config)
         identifier.identify(["category", "noise_attr"], n_templates=2)
         stats = identifier.report.engine_stats
-        assert stats["backend"] == identifier.engine.backend_name
-        assert stats["backend"] in backend_names()
+        assert set(stats) == set(EngineStats().as_dict())
         # The engine is shared per table: earlier tests may have warmed the
         # result cache, so count executed and cache-served queries together.
         assert stats["queries"] + stats["result_hits"] > 0
-        assert stats["backend_seconds"].get(stats["backend"], 0.0) >= 0.0
+        assert all(seconds >= 0.0 for seconds in stats["kernel_seconds"].values())
 
     def test_beam_explores_fewer_templates_than_brute_force(self, qti_setup, qti_config):
         """The cost reduction claimed in Section VI.B/VI.C."""

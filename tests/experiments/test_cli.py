@@ -25,21 +25,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--dataset", "imagenet"])
 
-    def test_engine_backend_threads_into_config(self):
+    def test_config_flags_thread_into_config(self):
         from repro.cli import _config_from_args
 
         args = build_parser().parse_args(
-            ["run", "--dataset", "student", "--engine-backend", "sqlite"]
+            ["run", "--dataset", "student", "--search-batch-size", "4", "--seed", "7"]
         )
-        assert _config_from_args(args).engine_backend == "sqlite"
-        # Default: follow the process default (env var / numpy).
-        args = build_parser().parse_args(["run", "--dataset", "student"])
-        assert _config_from_args(args).engine_backend is None
+        config = _config_from_args(args)
+        assert config.search_batch_size == 4
+        assert config.seed == 7
 
-    def test_unknown_engine_backend_rejected(self):
+    def test_engine_backend_flag_rejected(self):
+        """The engine has one execution path; there is no backend to pick."""
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["run", "--dataset", "student", "--engine-backend", "duckdb"]
+                ["run", "--dataset", "student", "--engine-backend", "numpy"]
             )
 
 

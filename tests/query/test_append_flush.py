@@ -5,16 +5,15 @@ exactly what a fresh engine over the fully rebuilt table returns.  The
 engine gets there by flushing: the first query after an append that added
 rows counts every cached mask, result, sort order and group index into
 ``EngineStats.staleness_evictions`` and drops them
-(``QueryEngine.sync_with_table``).  The in-process backends (numpy / python)
-are held to **bit-for-bit** identity; the storage-owning sqlite backend,
-which re-materialises its database after the flush, keeps its usual
-``1e-9`` value bar.
+(``QueryEngine.sync_with_table``).  Results are held to **bit-for-bit**
+identity, through every engine entry point (``execute_batch``, one
+``execute`` per query, and ``execute_plans_deduped``; see ``_engine_paths``).
 
 Covered append shapes: empty appends (version bump, zero-row delta), new
 categorical labels, NaN / missing rows, rows creating brand-new groups, and
 repeated appends between query batches.  The hypothesis property generates
-the base/delta split; the fixed matrix replays one adversarial append on
-every backend under every cache profile (default caches, one-entry caches
+the base/delta split; the fixed matrix replays one adversarial append
+through every entry point under every cache profile (default caches, one-entry caches
 with the sort-order cache off, and caches of a few entries that evict by LRU
 recency), with the delta landing in one, two
 or four ``append_rows`` calls before the next query (one flush spans every
@@ -31,23 +30,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
-from repro.query.backends import backend_names
 from repro.query.engine import EngineConfig, QueryEngine
 from repro.query.query import PredicateAwareQuery, WindowConstraint
 
-BACKENDS = tuple(backend_names())
-#: In-process backends: append-then-query must be bit-identical to rebuild.
-EXACT_BACKENDS = ("numpy", "python")
-VALUE_TOLERANCE = 1e-9
+from _engine_paths import CACHE_PROFILES, ENTRY_POINTS, run_entry
+
 #: The adversarial delta lands in this many consecutive ``append_rows``
 #: calls before the next query: one flush must cover every slice.
 APPEND_SPLITS = (1, 2, 4)
-#: Cache configurations the warm engine runs under before the append.
-CACHE_PROFILES = {
-    "default": {},
-    "tight": {"mask_cache_size": 1, "result_cache_size": 1, "sort_cache_size": 0},
-    "small": {"mask_cache_size": 2, "result_cache_size": 3, "sort_cache_size": 2},
-}
 
 #: Aggregates spanning every kernel family: accumulations (COUNT, SUM),
 #: sort-order consumers (MEDIAN, MAD), moments (AVG, VAR), order statistics
@@ -115,35 +105,26 @@ def query_battery():
     return queries
 
 
-def assert_tables_equal(result: Table, reference: Table, tolerance: float, tag):
+def assert_tables_equal(result: Table, reference: Table, tag):
     assert result.column_names == reference.column_names, tag
     for name in result.column_names:
         got = result.column(name).values
         want = reference.column(name).values
         if result.column(name).is_numeric_like:
             assert got.shape == want.shape, (tag, name)
-            if tolerance == 0.0:
-                assert np.array_equal(got, want, equal_nan=True), (tag, name, got, want)
-            else:
-                both_nan = np.isnan(got) & np.isnan(want)
-                close = np.abs(got - want) <= tolerance
-                assert bool(np.all(both_nan | close)), (tag, name, got, want)
+            assert np.array_equal(got, want, equal_nan=True), (tag, name, got, want)
         else:
             assert list(got) == list(want), (tag, name, got, want)
 
 
-def assert_equivalent(results, references, tolerance: float, tag):
+def assert_equivalent(results, references, tag):
     assert len(results) == len(references), tag
     for i, (result, reference) in enumerate(zip(results, references)):
-        assert_tables_equal(result, reference, tolerance, (tag, i))
+        assert_tables_equal(result, reference, (tag, i))
 
 
-def rebuilt_results(rows, backend: str, queries):
-    engine = QueryEngine(build_table(rows), config=EngineConfig(backend=backend))
-    try:
-        return engine.execute_batch(queries)
-    finally:
-        engine.close()
+def rebuilt_results(rows, queries):
+    return QueryEngine(build_table(rows)).execute_batch(queries)
 
 
 def fixed_base_rows(n: int = 240, seed: int = 0):
@@ -183,7 +164,7 @@ def cached_entries(engine: QueryEngine) -> int:
     )
 
 
-def run_append_scenario(backend, cache="default", splits=1):
+def run_append_scenario(entry, cache="default", splits=1):
     """Warm an engine, append (adversarial delta in ``splits`` slices + an
     empty append), requery.  Returns the stats after the requery and the
     number of cache entries the engine held before the append."""
@@ -191,129 +172,106 @@ def run_append_scenario(backend, cache="default", splits=1):
     delta = fixed_delta_rows()
     table = build_table(base)
     queries = query_battery()
-    config = EngineConfig(backend=backend, **CACHE_PROFILES[cache])
-    engine = QueryEngine(table, config=config)
-    try:
-        engine.execute_batch(queries)  # warm every cache layer
-        held = cached_entries(engine)
-        for part in np.array_split(np.arange(len(delta)), splits):
-            table.append_rows(build_table([delta[i] for i in part]))
-        table.append_rows({"user": [], "cat": [], "x": []})
-        results = engine.execute_batch(queries)
-        stats = engine.stats.as_dict()
-    finally:
-        engine.close()
-    tolerance = 0.0 if backend in EXACT_BACKENDS else VALUE_TOLERANCE
-    tag = (backend, cache, splits)
-    assert_equivalent(
-        results, rebuilt_results(base + delta, backend, queries), tolerance, tag
-    )
+    engine = QueryEngine(table, config=EngineConfig(**CACHE_PROFILES[cache]))
+    run_entry(engine, queries, entry)  # warm every cache layer
+    held = cached_entries(engine)
+    for part in np.array_split(np.arange(len(delta)), splits):
+        table.append_rows(build_table([delta[i] for i in part]))
+    table.append_rows({"user": [], "cat": [], "x": []})
+    results = run_entry(engine, queries, entry)
+    stats = engine.stats.as_dict()
+    tag = (entry, cache, splits)
+    assert_equivalent(results, rebuilt_results(base + delta, queries), tag)
     return stats, held
 
 
 class TestAppendEquivalence:
-    """Every backend x cache profile x append split."""
+    """Every entry point x cache profile x append split."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("cache", CACHE_PROFILES)
     @pytest.mark.parametrize("splits", APPEND_SPLITS)
-    def test_flush_append_equals_rebuild(self, backend, cache, splits):
-        run_append_scenario(backend, cache, splits)
+    def test_flush_append_equals_rebuild(self, entry, cache, splits):
+        run_append_scenario(entry, cache, splits)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_repeated_appends_between_batches(self, backend):
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_repeated_appends_between_batches(self, entry):
         base = fixed_base_rows(120, seed=3)
         queries = query_battery()
         table = build_table(base)
-        engine = QueryEngine(table, config=EngineConfig(backend=backend))
+        engine = QueryEngine(table)
         rows = list(base)
-        tolerance = 0.0 if backend in EXACT_BACKENDS else VALUE_TOLERANCE
-        try:
-            engine.execute_batch(queries)
-            for step in range(3):
-                delta = fixed_delta_rows(10, seed=20 + step)
-                table.append_rows(build_table(delta))
-                rows += delta
-                results = engine.execute_batch(queries)
-                assert_equivalent(
-                    results,
-                    rebuilt_results(rows, backend, queries),
-                    tolerance,
-                    ("repeated", backend, step),
-                )
-        finally:
-            engine.close()
+        run_entry(engine, queries, entry)
+        for step in range(3):
+            delta = fixed_delta_rows(10, seed=20 + step)
+            table.append_rows(build_table(delta))
+            rows += delta
+            results = run_entry(engine, queries, entry)
+            assert_equivalent(
+                results, rebuilt_results(rows, queries), ("repeated", entry, step)
+            )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 class TestFlushCounters:
     @pytest.mark.parametrize("splits", APPEND_SPLITS)
-    def test_flush_books_every_held_entry_once(self, backend, splits):
+    def test_flush_books_every_held_entry_once(self, entry, splits):
         """One sync covers every version bump since the last query, and it
         books exactly the entries the engine held."""
-        stats, held = run_append_scenario(backend, splits=splits)
+        stats, held = run_append_scenario(entry, splits=splits)
         assert held > 0
         assert stats["staleness_evictions"] == held
 
-    def test_empty_append_keeps_every_cache(self, backend):
+    def test_empty_append_keeps_every_cache(self, entry):
         table = build_table(fixed_base_rows(60, seed=5))
-        engine = QueryEngine(table, config=EngineConfig(backend=backend))
+        engine = QueryEngine(table)
         queries = query_battery()
-        try:
-            warm = engine.execute_batch(queries)
-            table.append_rows({"user": [], "cat": [], "x": []})
-            again = engine.execute_batch(queries)
-            assert_equivalent(again, warm, 0.0, "empty-append")
-            stats = engine.stats
-            assert stats.staleness_evictions == 0
-            # The version probe resynced without touching any cache: the
-            # second batch was answered entirely from the result cache.
-            assert stats.result_hits >= len(queries)
-        finally:
-            engine.close()
+        warm = run_entry(engine, queries, entry)
+        table.append_rows({"user": [], "cat": [], "x": []})
+        again = run_entry(engine, queries, entry)
+        assert_equivalent(again, warm, "empty-append")
+        stats = engine.stats
+        assert stats.staleness_evictions == 0
+        # The version probe resynced without touching any cache: the
+        # second batch was answered entirely from the result cache.
+        assert stats.result_hits >= len(queries)
 
-    def test_sync_happens_once_per_version_bump(self, backend):
+    def test_sync_happens_once_per_version_bump(self, entry):
         table = build_table(fixed_base_rows(60, seed=6))
-        engine = QueryEngine(table, config=EngineConfig(backend=backend))
+        engine = QueryEngine(table)
         queries = query_battery()
-        try:
-            engine.execute_batch(queries)
-            table.append_rows(build_table(fixed_delta_rows(8, seed=9)))
-            engine.execute_batch(queries)
-            booked = engine.stats.staleness_evictions
-            assert booked > 0
-            engine.execute_batch(queries)  # no new version: no flush
-            assert engine.stats.staleness_evictions == booked
-        finally:
-            engine.close()
+        run_entry(engine, queries, entry)
+        table.append_rows(build_table(fixed_delta_rows(8, seed=9)))
+        run_entry(engine, queries, entry)
+        booked = engine.stats.staleness_evictions
+        assert booked > 0
+        run_entry(engine, queries, entry)  # no new version: no flush
+        assert engine.stats.staleness_evictions == booked
 
-    def test_staleness_evictions_is_an_ordinary_counter(self, backend):
+    def test_staleness_evictions_is_an_ordinary_counter(self, entry):
         """``reset()`` zeroes it and ``delta_since`` subtracts it, like any
         other lifetime counter."""
         table = build_table(fixed_base_rows(60, seed=4))
-        engine = QueryEngine(table, config=EngineConfig(backend=backend))
+        engine = QueryEngine(table)
         queries = query_battery()
-        try:
-            engine.execute_batch(queries)
-            table.append_rows(build_table(fixed_delta_rows(8, seed=5)))
-            engine.execute_batch(queries)
-            first = engine.stats.staleness_evictions
-            assert first > 0
-            baseline = engine.stats.as_dict()
-            table.append_rows(build_table(fixed_delta_rows(8, seed=6)))
-            engine.execute_batch(queries)
-            second = engine.stats.staleness_evictions - first
-            assert second > 0
-            delta = engine.stats.delta_since(baseline)
-            assert delta["staleness_evictions"] == second
-            engine.stats.reset()
-            assert engine.stats.staleness_evictions == 0
-        finally:
-            engine.close()
+        run_entry(engine, queries, entry)
+        table.append_rows(build_table(fixed_delta_rows(8, seed=5)))
+        run_entry(engine, queries, entry)
+        first = engine.stats.staleness_evictions
+        assert first > 0
+        baseline = engine.stats.as_dict()
+        table.append_rows(build_table(fixed_delta_rows(8, seed=6)))
+        run_entry(engine, queries, entry)
+        second = engine.stats.staleness_evictions - first
+        assert second > 0
+        delta = engine.stats.delta_since(baseline)
+        assert delta["staleness_evictions"] == second
+        engine.stats.reset()
+        assert engine.stats.staleness_evictions == 0
 
 
 # ----------------------------------------------------------------------
-# Hypothesis property: arbitrary base/delta splits, every backend.
+# Hypothesis property: arbitrary base/delta splits, every entry point.
 # ----------------------------------------------------------------------
 row_strategy = st.tuples(
     st.sampled_from(USERS + NEW_USERS),
@@ -325,7 +283,7 @@ row_strategy = st.tuples(
 )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 class TestAppendProperty:
     @given(
         base=st.lists(row_strategy, min_size=1, max_size=40),
@@ -336,23 +294,14 @@ class TestAppendProperty:
         ),
     )
     @settings(max_examples=30, deadline=None)
-    def test_append_then_query_equals_rebuild(self, backend, base, deltas):
+    def test_append_then_query_equals_rebuild(self, entry, base, deltas):
         queries = query_battery()
         table = build_table(base)
-        engine = QueryEngine(table, config=EngineConfig(backend=backend))
+        engine = QueryEngine(table)
         rows = list(base)
-        try:
-            engine.execute_batch(queries)
-            for delta in deltas:
-                table.append_rows(build_table(delta))
-                rows += delta
-            results = engine.execute_batch(queries)
-        finally:
-            engine.close()
-        tolerance = 0.0 if backend in EXACT_BACKENDS else VALUE_TOLERANCE
-        assert_equivalent(
-            results,
-            rebuilt_results(rows, backend, queries),
-            tolerance,
-            ("property", backend),
-        )
+        run_entry(engine, queries, entry)
+        for delta in deltas:
+            table.append_rows(build_table(delta))
+            rows += delta
+        results = run_entry(engine, queries, entry)
+        assert_equivalent(results, rebuilt_results(rows, queries), ("property", entry))

@@ -11,19 +11,19 @@ Regressions pinned here:
   array, ``0``) from a miss via an internal sentinel.
 * ``EngineStats.delta_since`` tolerates baselines missing counter keys (or
   carrying malformed values) instead of raising.
-* ``QueryEngine.close()`` is idempotent, releases backend resources (the
-  sqlite connection), and runs automatically for registry engines when
-  their table is garbage-collected.
+* ``QueryEngine.clear_caches()`` is idempotent and leaves the engine
+  usable; the ``engine_for`` registry holds its table weakly, so a
+  registry engine is released once its table is garbage-collected.
 """
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
-from repro.query.backends import backend_names
 from repro.query.engine import (
     EngineConfig,
     QueryEngine,
@@ -33,7 +33,7 @@ from repro.query.engine import (
 )
 from repro.query.query import PredicateAwareQuery
 
-BACKENDS = tuple(backend_names())
+from _engine_paths import ENTRY_POINTS, run_entry
 
 
 def make_relevant(seed: int, n: int = 400) -> Table:
@@ -97,7 +97,7 @@ class TestValueNbytes:
                 Column("val", np.arange(60, dtype=np.float64), dtype=DType.NUMERIC),
             ]
         )
-        engine = QueryEngine(table, config=EngineConfig(backend="numpy"))
+        engine = QueryEngine(table)
         query = PredicateAwareQuery(
             "SUM", "val", ("key",), {"cat": "a"}, {"cat": DType.CATEGORICAL}
         )
@@ -145,7 +145,7 @@ class TestLRUCacheSentinel:
         assert (engine.stats.result_hits, engine.stats.result_misses) == (1, 1)
 
     def test_engine_all_false_masks_hit_the_mask_cache(self):
-        engine = QueryEngine(make_relevant(0), config=EngineConfig(backend="numpy"))
+        engine = QueryEngine(make_relevant(0))
         engine.execute(query_with("never-matches", "SUM"))
         engine.execute(query_with("never-matches", "AVG"))  # shares the atom
         assert (engine.stats.mask_misses, engine.stats.mask_hits) == (1, 1)
@@ -176,26 +176,30 @@ class TestLRUCacheBytes:
         assert cache.bytes == 80 and len(cache) == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 class TestEngineByteGauges:
+    @pytest.fixture(autouse=True)
+    def _entry(self, entry):
+        self.entry = entry
+
     def run_traffic(self, engine: QueryEngine) -> None:
         batch = [
             query_with(value, func)
             for value in "abcdef"
             for func in ("SUM", "MEDIAN", "MAD")
         ]
-        engine.execute_batch(batch)
+        run_entry(engine, batch, self.entry)
 
-    def test_gauges_track_cache_contents(self, backend):
-        engine = QueryEngine(make_relevant(1), config=EngineConfig(backend=backend))
+    def test_gauges_track_cache_contents(self):
+        engine = QueryEngine(make_relevant(1))
         self.run_traffic(engine)
         stats = engine.stats.as_dict()
         assert stats["bytes_cached"] == engine.cached_bytes > 0
         assert set(stats["cache_bytes"]) == {"masks", "results", "sort_orders"}
         assert sum(stats["cache_bytes"].values()) == float(stats["bytes_cached"])
 
-    def test_clear_caches_resets_gauges_keeps_counters(self, backend):
-        engine = QueryEngine(make_relevant(1), config=EngineConfig(backend=backend))
+    def test_clear_caches_resets_gauges_keeps_counters(self):
+        engine = QueryEngine(make_relevant(1))
         self.run_traffic(engine)
         queries = engine.stats.queries
         engine.clear_caches()
@@ -204,46 +208,38 @@ class TestEngineByteGauges:
         assert all(v == 0.0 for v in engine.stats.cache_bytes.values())
         assert engine.stats.queries == queries
 
-    def test_append_flush_zeroes_the_gauges(self, backend):
+    def test_append_flush_zeroes_the_gauges(self):
         """The flush after an append that adds rows drops every cache, so
         the byte gauges fall to zero with it; requerying refills them."""
         table = make_relevant(2)
-        engine = QueryEngine(table, config=EngineConfig(backend=backend))
-        try:
-            self.run_traffic(engine)
-            assert engine.cached_bytes > 0
-            table.append_rows(make_relevant(3, n=20))
-            engine.sync_with_table()
-            assert engine.cached_bytes == 0
-            assert engine.stats.bytes_cached == 0
-            assert engine.stats.staleness_evictions > 0
-            self.run_traffic(engine)
-            assert engine.stats.bytes_cached == engine.cached_bytes > 0
-        finally:
-            engine.close()
+        engine = QueryEngine(table)
+        self.run_traffic(engine)
+        assert engine.cached_bytes > 0
+        table.append_rows(make_relevant(3, n=20))
+        engine.sync_with_table()
+        assert engine.cached_bytes == 0
+        assert engine.stats.bytes_cached == 0
+        assert engine.stats.staleness_evictions > 0
+        self.run_traffic(engine)
+        assert engine.stats.bytes_cached == engine.cached_bytes > 0
 
-    def test_empty_append_keeps_the_gauges(self, backend):
+    def test_empty_append_keeps_the_gauges(self):
         table = make_relevant(2)
-        engine = QueryEngine(table, config=EngineConfig(backend=backend))
-        try:
-            self.run_traffic(engine)
-            held = engine.cached_bytes
-            assert held > 0
-            table.append_rows({"key": [], "cat": [], "val": []})
-            engine.sync_with_table()
-            assert engine.cached_bytes == held
-            assert engine.stats.staleness_evictions == 0
-        finally:
-            engine.close()
+        engine = QueryEngine(table)
+        self.run_traffic(engine)
+        held = engine.cached_bytes
+        assert held > 0
+        table.append_rows({"key": [], "cat": [], "val": []})
+        engine.sync_with_table()
+        assert engine.cached_bytes == held
+        assert engine.stats.staleness_evictions == 0
 
 
 class TestDeltaSinceTolerance:
     """Satellite: ``delta_since`` must not raise on incomplete baselines."""
 
     def traffic(self) -> QueryEngine:
-        engine = QueryEngine(
-            make_relevant(3), config=EngineConfig(backend="numpy")
-        )
+        engine = QueryEngine(make_relevant(3))
         engine.execute(query_with("a", "MEDIAN"))
         engine.execute(query_with("a", "MEDIAN"))
         return engine
@@ -287,47 +283,38 @@ class TestDeltaSinceTolerance:
         assert delta["cache_bytes"] == engine.stats.cache_bytes
 
 
-class TestCloseAndRegistry:
-    """Satellite: ``close()`` releases backend resources, idempotently."""
+class TestClearAndRegistry:
+    """``clear_caches()`` is idempotent; registry engines die with their
+    table."""
 
-    def test_close_is_idempotent_and_engine_stays_usable(self):
-        engine = QueryEngine(
-            make_relevant(4), config=EngineConfig(backend="numpy")
-        )
+    def test_clear_caches_is_idempotent_and_engine_stays_usable(self):
+        engine = QueryEngine(make_relevant(4))
         first = engine.execute(query_with("a"))
-        engine.close()
-        engine.close()
-        # Resources are re-created lazily: the engine still answers queries.
+        engine.clear_caches()
+        engine.clear_caches()
+        # Derived state is rebuilt on demand: the engine still answers.
         again = engine.execute(query_with("a"))
         assert again.column("feature") == first.column("feature")
+        assert engine.stats.group_index_builds == 2
 
-    def test_close_releases_the_sqlite_connection(self):
-        engine = QueryEngine(
-            make_relevant(4), config=EngineConfig(backend="sqlite")
-        )
-        engine.execute(query_with("a"))
-        assert engine.backend._conn is not None
-        engine.close()
-        assert engine.backend._conn is None
-
-    def test_registry_finalizer_closes_engines_when_table_dies(self):
+    def test_registry_engine_lives_as_long_as_its_table(self):
         table = make_relevant(5)
-        engine = engine_for(
-            table, config=EngineConfig(backend="sqlite")
-        )
+        engine = engine_for(table)
         engine.execute(query_with("a"))
-        assert engine.backend._conn is not None
+        ref = weakref.ref(engine)
+        del engine
+        gc.collect()
+        assert ref() is engine_for(table)  # the registry holds it
         del table
         gc.collect()
-        assert engine._closed
-        assert engine.backend._conn is None
+        assert ref() is None  # released with the table
 
     def test_registry_never_serves_state_keyed_to_an_old_table_version(self):
         """PR 8 satellite: after ``append_rows`` bumps ``table.version``, the
         registry hands back the same engine object but synced -- a lookup
         must never return an engine whose caches still cover the old rows."""
         table = make_relevant(6)
-        config = EngineConfig(backend="numpy")
+        config = EngineConfig()
         engine = engine_for(table, config=config)
         stale = engine.execute(query_with("a", "COUNT"))
         assert engine._synced_version == 0
@@ -345,18 +332,16 @@ class TestCloseAndRegistry:
         assert fresh.column("feature") == rebuilt.column("feature")
         assert fresh.column("feature") != stale.column("feature")
 
-    def test_registry_finalizer_still_fires_after_appends(self):
+    def test_registry_releases_the_engine_after_appends(self):
         """The version-sync path must not resurrect a strong table ref that
-        would defeat the weakref finalizer."""
+        would keep the registry entry alive."""
         table = make_relevant(7)
-        engine = engine_for(
-            table, config=EngineConfig(backend="sqlite")
-        )
+        engine = engine_for(table)
         engine.execute(query_with("a"))
         table.append_rows({"key": [2.0], "cat": ["b"], "val": [0.5]})
-        engine_for(table, config=EngineConfig(backend="sqlite"))
+        assert engine_for(table) is engine
         engine.execute(query_with("a"))
-        del table
+        ref = weakref.ref(engine)
+        del engine, table
         gc.collect()
-        assert engine._closed
-        assert engine.backend._conn is None
+        assert ref() is None

@@ -1,12 +1,5 @@
 """Cache behaviour of the query engine: hit/miss counters, LRU bounds, and
 that engines are strictly bound to one table (no stale masks across tables).
-
-Mask-cache and group-index counters are a property of the in-process
-execution layer, so those tests pin ``backend="numpy"`` explicitly (the
-sqlite backend owns its own filtering and never touches them); result-cache,
-registry and table-binding semantics live in the engine itself and run on
-whatever backend the process default selects (the CI backend matrix replays
-this file per backend via ``$REPRO_ENGINE_BACKEND``).
 """
 
 import numpy as np
@@ -21,9 +14,9 @@ from repro.query.executor import execute_query, execute_query_naive
 from repro.query.query import PredicateAwareQuery
 
 
-def numpy_engine(table: Table, **config_overrides) -> QueryEngine:
-    """An engine pinned to the in-process numpy backend (mask-cache tests)."""
-    return QueryEngine(table, config=EngineConfig(backend="numpy", **config_overrides))
+def configured_engine(table: Table, **config_overrides) -> QueryEngine:
+    """An engine with *config_overrides* applied to the default config."""
+    return QueryEngine(table, config=EngineConfig(**config_overrides))
 
 
 def make_relevant(seed: int) -> Table:
@@ -50,7 +43,7 @@ def query_with(value: str, agg_func: str = "SUM") -> PredicateAwareQuery:
 
 class TestMaskCache:
     def test_shared_atom_hits(self):
-        engine = numpy_engine(make_relevant(0))
+        engine = configured_engine(make_relevant(0))
         engine.execute(query_with("a", "SUM"))
         assert (engine.stats.mask_misses, engine.stats.mask_hits) == (1, 0)
         engine.execute(query_with("a", "AVG"))
@@ -59,7 +52,7 @@ class TestMaskCache:
         assert (engine.stats.mask_misses, engine.stats.mask_hits) == (2, 1)
 
     def test_conjunction_reuses_atom_masks(self):
-        engine = numpy_engine(make_relevant(0))
+        engine = configured_engine(make_relevant(0))
         both = PredicateAwareQuery(
             "SUM",
             "val",
@@ -75,7 +68,7 @@ class TestMaskCache:
         assert engine.stats.mask_hits == 1
 
     def test_lru_eviction_bound(self):
-        engine = numpy_engine(make_relevant(0), mask_cache_size=4)
+        engine = configured_engine(make_relevant(0), mask_cache_size=4)
         for i in range(10):
             engine.execute(query_with(f"value-{i}"))
         assert engine.mask_cache_len <= 4
@@ -83,7 +76,7 @@ class TestMaskCache:
         assert engine.stats.mask_misses == 10
 
     def test_group_index_built_once_per_key_combination(self):
-        engine = numpy_engine(make_relevant(0))
+        engine = configured_engine(make_relevant(0))
         for value in "abc":
             engine.execute(query_with(value))
         assert engine.stats.group_index_builds == 1
@@ -100,7 +93,7 @@ class TestResultCache:
         assert engine.stats.result_misses == 1
 
     def test_result_cache_is_bounded(self):
-        engine = QueryEngine(make_relevant(0), result_cache_size=3)
+        engine = configured_engine(make_relevant(0), result_cache_size=3)
         for i in range(8):
             engine.execute(query_with(f"value-{i}"))
         assert engine.result_cache_len <= 3
@@ -112,12 +105,7 @@ class TestResultCache:
         assert engine.stats.result_hits == 1
         for query, result in zip([query_with("a", "SUM"), query_with("a", "AVG")], results):
             naive = execute_query_naive(query, engine.table)
-            # Tolerant comparison: the default backend may re-accumulate
-            # floats in its own order (see the equivalence suite's bars).
-            assert np.allclose(
-                result.column("feature").values, naive.column("feature").values,
-                rtol=0.0, atol=1e-9, equal_nan=True,
-            )
+            assert result.column("feature") == naive.column("feature")
 
     def test_result_key_distinguishes_predicate_dtypes(self):
         """Same constants, different predicate dtype => different queries.
@@ -141,13 +129,10 @@ class TestResultCache:
         result = engine.execute(in_query)
         assert engine.stats.result_hits == 0
         naive = execute_query_naive(in_query, engine.table)
-        assert np.allclose(
-            result.column("feature").values, naive.column("feature").values,
-            rtol=0.0, atol=1e-9, equal_nan=True,
-        )
+        assert result.column("feature") == naive.column("feature")
 
     def test_clear_caches(self):
-        engine = numpy_engine(make_relevant(0))
+        engine = configured_engine(make_relevant(0))
         engine.execute(query_with("a"))
         engine.clear_caches()
         assert engine.mask_cache_len == 0
@@ -157,12 +142,10 @@ class TestResultCache:
 
 
 class TestSortOrderCache:
-    """Semantics of the shared sort-order cache (numpy backend only: the
-    python backend's per-group loop and the sqlite backend's generated SQL
-    never touch the engine's lexsort orders)."""
+    """Semantics of the shared sort-order cache."""
 
     def test_one_miss_per_fused_plan_and_value_column(self):
-        engine = numpy_engine(make_relevant(0))
+        engine = configured_engine(make_relevant(0))
         # One fused plan (same predicate, keys): the order-statistics
         # kernels share a single lexsort -> exactly one miss, no hits.
         engine.execute_batch(
@@ -172,7 +155,7 @@ class TestSortOrderCache:
         assert engine.sort_cache_len == 1
 
     def test_hits_across_batches_of_one_template(self):
-        engine = numpy_engine(make_relevant(0))
+        engine = configured_engine(make_relevant(0))
         engine.execute_batch([query_with("a", "MEDIAN"), query_with("b", "MEDIAN")])
         assert (engine.stats.sort_misses, engine.stats.sort_hits) == (2, 0)
         # New functions, same (predicate, keys, value column) triples: the
@@ -183,7 +166,7 @@ class TestSortOrderCache:
         assert (engine.stats.sort_misses, engine.stats.sort_hits) == (3, 2)
 
     def test_mad_deviation_order_is_cached_per_sort_key(self):
-        engine = numpy_engine(make_relevant(0), result_cache_size=1)
+        engine = configured_engine(make_relevant(0), result_cache_size=1)
         # A cold MAD pays two sorts: the main (value, code) order plus the
         # deviation order, cached under sort_key + ("MEDIAN",).
         engine.execute(query_with("a", "MAD"))
@@ -200,7 +183,7 @@ class TestSortOrderCache:
         assert engine.stats.result_misses == 3
 
     def test_misses_across_different_masks_and_keys(self):
-        engine = numpy_engine(make_relevant(0))
+        engine = configured_engine(make_relevant(0))
         engine.execute(query_with("a", "MEDIAN"))
         engine.execute(query_with("b", "MEDIAN"))  # different predicate
         engine.execute(  # different group-by keys
@@ -212,26 +195,26 @@ class TestSortOrderCache:
         assert engine.sort_cache_len == 3
 
     def test_accumulation_only_plans_never_consult_the_cache(self):
-        engine = numpy_engine(make_relevant(0))
+        engine = configured_engine(make_relevant(0))
         engine.execute_batch([query_with("a", "SUM"), query_with("a", "AVG")])
         assert (engine.stats.sort_misses, engine.stats.sort_hits) == (0, 0)
         assert engine.sort_cache_len == 0
 
     def test_repeated_identical_queries_hit_the_result_cache_first(self):
-        engine = numpy_engine(make_relevant(0))
+        engine = configured_engine(make_relevant(0))
         engine.execute(query_with("a", "MEDIAN"))
         engine.execute(query_with("a", "MEDIAN"))  # result hit: no sort traffic
         assert (engine.stats.sort_misses, engine.stats.sort_hits) == (1, 0)
 
     def test_cache_is_bounded_lru(self):
-        engine = numpy_engine(make_relevant(0), sort_cache_size=2)
+        engine = configured_engine(make_relevant(0), sort_cache_size=2)
         for value in "abcd":
             engine.execute(query_with(value, "MEDIAN"))
         assert engine.sort_cache_len <= 2
         assert engine.stats.sort_misses == 4
 
     def test_disabled_cache_recomputes_per_plan(self):
-        engine = numpy_engine(make_relevant(0), sort_cache_size=0)
+        engine = configured_engine(make_relevant(0), sort_cache_size=0)
         engine.execute(query_with("a", "MEDIAN"))
         # MAD re-sorts the main order (nothing is cached) and additionally
         # pays its deviation sort: two misses for the one query.
@@ -242,7 +225,7 @@ class TestSortOrderCache:
         assert engine.stats.seconds_sorting > 0.0
 
     def test_clear_caches_drops_orders_but_keeps_counters(self):
-        engine = numpy_engine(make_relevant(0))
+        engine = configured_engine(make_relevant(0))
         engine.execute(query_with("a", "MEDIAN"))
         before = engine.stats.as_dict()
         assert before["bytes_cached"] > 0
@@ -262,7 +245,7 @@ class TestSortOrderCache:
         assert (engine.stats.sort_misses, engine.stats.sort_hits) == (3, 0)
 
     def test_reset_composes_clear_and_counter_reset(self):
-        engine = numpy_engine(make_relevant(0))
+        engine = configured_engine(make_relevant(0))
         engine.execute_batch([query_with("a", "MEDIAN"), query_with("a", "MAD")])
         engine.execute(query_with("a", "MODE"))
         assert engine.stats.sort_hits > 0
@@ -284,7 +267,7 @@ class TestSortOrderCache:
             for value in "ab"
             for func in ("MEDIAN", "MAD", "MODE", "ENTROPY", "MIN", "MAX", "SUM")
         ]
-        engine = QueryEngine(table, config=EngineConfig(backend="numpy"))
+        engine = QueryEngine(table)
         engine.execute_batch(batch)
         # One shared main order plus one MAD deviation order per fused plan.
         assert (engine.stats.sort_misses, engine.stats.sort_hits) == (4, 0)
@@ -317,7 +300,7 @@ class TestRegistryAndStats:
         assert engine.execute(query_with("a")).num_rows >= 0
 
     def test_stats_delta_since_reports_per_run_traffic(self):
-        engine = numpy_engine(make_relevant(0))
+        engine = configured_engine(make_relevant(0))
         engine.execute(query_with("a"))
         baseline = engine.stats.as_dict()
         engine.execute(query_with("a"))  # result-cache hit
@@ -372,8 +355,7 @@ class TestEngineTableBinding:
         )
         got = applied.column("feataug_0").values
         want = expected.column("feataug_0").values
-        # Tolerant comparison so the check holds on every default backend.
-        assert np.allclose(got, want, rtol=0.0, atol=1e-9, equal_nan=True)
+        assert np.array_equal(got, want, equal_nan=True)
         # Sanity: the held-out values genuinely differ from the training-time
         # table's, so a stale-mask bug could not slip through this assertion.
         stale = train.left_join(

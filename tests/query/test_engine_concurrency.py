@@ -5,17 +5,16 @@ of their own (the query service's dispatcher is one more), so the
 LRU predicate-mask / result caches, the group-index map and every
 ``EngineStats`` counter must behave under concurrency:
 
-* **no torn stats** -- counter updates are atomic (`EngineStats.bump` /
-  ``add_split`` / ``record_kernel`` serialise on one lock), so hammering
+* **no torn stats** -- counter updates are atomic (``EngineStats.bump`` /
+  ``set_gauges`` / ``record_kernel`` serialise on one lock), so hammering
   them from many threads loses no increments;
 * **no cross-thread cache corruption** -- the LRU caches keep their bound
   and their entries stay internally consistent while readers and writers
   interleave;
-* **deterministic results** -- every ``execute_batch`` call returns tables
-  element-wise identical to serial execution no matter how many threads
-  call concurrently, on every registered backend (the sqlite backend
-  serialises its shared connection internally), with exact accounting
-  invariants over the result-cache counters.
+* **deterministic results** -- every ``execute_batch`` / ``execute`` /
+  ``execute_plans_deduped`` call returns tables element-wise identical to
+  serial execution no matter how many threads call concurrently, with exact
+  accounting invariants over the result-cache counters.
 """
 
 import threading
@@ -26,11 +25,11 @@ import pytest
 
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
-from repro.query.backends import backend_names
 from repro.query.engine import EngineConfig, EngineStats, QueryEngine, _LRUCache
 from repro.query.query import PredicateAwareQuery
 
-BACKENDS = tuple(backend_names())
+from _engine_paths import ENTRY_POINTS, run_entry
+
 N_THREADS = 4
 N_ROUNDS = 3
 
@@ -65,18 +64,23 @@ def make_batch():
     return queries
 
 
-def assert_batch_equal(actual, expected, exact: bool):
+def assert_batch_equal(actual, expected):
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         assert got.column_names == want.column_names
         for name in want.column_names:
-            left, right = got.column(name), want.column(name)
-            if exact or not left.is_numeric_like:
-                assert left == right
-            else:
-                assert np.allclose(
-                    left.values, right.values, rtol=0.0, atol=1e-9, equal_nan=True
-                )
+            assert got.column(name) == want.column(name)
+
+
+def expected_for(table: Table):
+    """The batch on a fresh engine, run serially."""
+    return QueryEngine(table).execute_batch(make_batch())
+
+
+def batches_booked(entry: str, calls: int) -> int:
+    """``batches`` a run of *calls* entry-point calls books: one per call,
+    except one-query ``execute`` calls, which book none."""
+    return 0 if entry == "single" else calls
 
 
 class TestStatsAtomicity:
@@ -97,23 +101,22 @@ class TestStatsAtomicity:
         # 1.0-increments are exact in float64 far beyond this total.
         assert stats.seconds_masking == float(per_thread * threads)
 
-    def test_add_split_and_record_kernel_lose_no_updates(self):
+    def test_record_kernel_loses_no_updates(self):
         stats = EngineStats()
         per_thread, threads = 1000, 6
 
         def hammer(i):
             for _ in range(per_thread):
-                stats.add_split("backend_seconds", f"b{i % 2}", 1.0)
-                stats.record_kernel("SUM", 1.0, backend="numpy")
+                stats.record_kernel(("SUM", "MEDIAN")[i % 2], 1.0)
 
         workers = [threading.Thread(target=hammer, args=(i,)) for i in range(threads)]
         for t in workers:
             t.start()
         for t in workers:
             t.join()
-        assert sum(stats.backend_seconds.values()) == float(per_thread * threads)
-        assert stats.kernel_seconds["SUM"] == float(per_thread * threads)
-        assert stats.vectorized_aggregations == per_thread * threads
+        assert sum(stats.kernel_seconds.values()) == float(per_thread * threads)
+        assert stats.kernel_seconds["SUM"] == float(per_thread * threads // 2)
+        assert stats.seconds_aggregating == float(per_thread * threads)
 
     def test_as_dict_snapshot_is_consistent_under_writes(self):
         """Paired counters bumped atomically never tear in a snapshot."""
@@ -156,16 +159,16 @@ class TestLRUCacheConcurrency:
         assert len(cache) <= 16
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 class TestConcurrentExecuteBatch:
-    def stress(self, engine: QueryEngine, expected, exact: bool, threads: int = N_THREADS):
+    def stress(self, engine: QueryEngine, expected, entry: str, threads: int = N_THREADS):
         queries = make_batch()
         errors = []
 
         def caller():
             try:
                 for _ in range(N_ROUNDS):
-                    assert_batch_equal(engine.execute_batch(queries), expected, exact)
+                    assert_batch_equal(run_entry(engine, queries, entry), expected)
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -176,16 +179,11 @@ class TestConcurrentExecuteBatch:
             t.join()
         assert not errors, errors[0]
 
-    def expected_for(self, table: Table, backend: str):
-        return QueryEngine(
-            table, config=EngineConfig(backend=backend)
-        ).execute_batch(make_batch())
-
-    def test_concurrent_batches_are_deterministic(self, backend):
+    def test_concurrent_batches_are_deterministic(self, entry):
         table = make_relevant(0)
-        expected = self.expected_for(table, backend)
-        engine = QueryEngine(table, config=EngineConfig(backend=backend))
-        self.stress(engine, expected, exact=True)  # same engine: bit-identical
+        expected = expected_for(table)
+        engine = QueryEngine(table)
+        self.stress(engine, expected, entry)
         # Accounting invariant: every query of every batch was either a
         # result-cache hit or booked exactly one miss -- torn counters would
         # break this sum even when the interleaving varies run to run.
@@ -193,46 +191,35 @@ class TestConcurrentExecuteBatch:
         total = N_THREADS * N_ROUNDS * len(make_batch())
         assert stats.result_hits + stats.result_misses == total
         assert stats.queries == stats.result_misses
-        assert stats.batches == N_THREADS * N_ROUNDS
+        assert stats.batches == batches_booked(entry, N_THREADS * N_ROUNDS)
 
     @pytest.mark.parametrize("threads", (2, 3, 8))
-    def test_concurrent_batches_under_one_entry_caches(self, backend, threads):
+    def test_concurrent_batches_under_one_entry_caches(self, entry, threads):
         """Every entry-bounded cache at one entry and the sort-order cache
         off: each batch evicts what the other callers just cached, and
         results and result accounting still hold at any caller count."""
         table = make_relevant(1)
-        expected = self.expected_for(table, backend)
+        expected = expected_for(table)
         engine = QueryEngine(
             table,
-            config=EngineConfig(
-                backend=backend, mask_cache_size=1, result_cache_size=1, sort_cache_size=0
-            ),
+            config=EngineConfig(mask_cache_size=1, result_cache_size=1, sort_cache_size=0),
         )
-        try:
-            self.stress(engine, expected, exact=True, threads=threads)
-            stats = engine.stats
-            total = threads * N_ROUNDS * len(make_batch())
-            assert stats.result_hits + stats.result_misses == total
-            assert stats.queries == stats.result_misses
-            assert stats.batches == threads * N_ROUNDS
-        finally:
-            engine.close()
+        self.stress(engine, expected, entry, threads=threads)
+        stats = engine.stats
+        total = threads * N_ROUNDS * len(make_batch())
+        assert stats.result_hits + stats.result_misses == total
+        assert stats.queries == stats.result_misses
+        assert stats.batches == batches_booked(entry, threads * N_ROUNDS)
 
-    def test_mask_cache_stays_bounded_and_correct(self, backend):
+    def test_mask_cache_stays_bounded_and_correct(self, entry):
         """Eviction churn from many threads never corrupts mask reuse."""
-        if backend == "sqlite":
-            pytest.skip("sqlite owns its filtering; the engine mask cache is idle")
         table = make_relevant(3)
-        engine = QueryEngine(
-            table,
-            config=EngineConfig(backend=backend, mask_cache_size=2),
-        )
-        expected = self.expected_for(table, backend)
-        self.stress(engine, expected, exact=True)
+        engine = QueryEngine(table, config=EngineConfig(mask_cache_size=2))
+        self.stress(engine, expected_for(table), entry)
         assert engine.mask_cache_len <= 2
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 @pytest.mark.parametrize("threads", (2, 3, 8))
 class TestByteGaugesUnderConcurrency:
     """Each cache's byte total stays exact under concurrent traffic: no
@@ -240,16 +227,12 @@ class TestByteGaugesUnderConcurrency:
     out of step with the entries the cache holds, or a cache over its
     entry bound."""
 
-    def test_byte_totals_match_the_surviving_entries(self, backend, threads):
+    def test_byte_totals_match_the_surviving_entries(self, entry, threads):
         table = make_relevant(4, n=400)
-        expected = QueryEngine(
-            table, config=EngineConfig(backend=backend)
-        ).execute_batch(make_batch())
+        expected = expected_for(table)
         engine = QueryEngine(
             table,
-            config=EngineConfig(
-                backend=backend, mask_cache_size=2, result_cache_size=3, sort_cache_size=2
-            ),
+            config=EngineConfig(mask_cache_size=2, result_cache_size=3, sort_cache_size=2),
         )
         queries = make_batch()
         errors = []
@@ -257,7 +240,7 @@ class TestByteGaugesUnderConcurrency:
         def caller():
             try:
                 for _ in range(N_ROUNDS):
-                    assert_batch_equal(engine.execute_batch(queries), expected, exact=True)
+                    assert_batch_equal(run_entry(engine, queries, entry), expected)
                     assert engine.mask_cache_len <= 2
                     assert engine.result_cache_len <= 3
                     assert engine.sort_cache_len <= 2
@@ -265,18 +248,15 @@ class TestByteGaugesUnderConcurrency:
                 errors.append(exc)
 
         workers = [threading.Thread(target=caller) for _ in range(threads)]
-        try:
-            for t in workers:
-                t.start()
-            for t in workers:
-                t.join()
-            assert not errors, errors[0]
-            caches = (engine._masks, engine._results, engine._sort_orders)
-            for cache in caches:
-                assert cache.bytes == sum(nbytes for _, nbytes in cache._data.values())
-            assert engine.cached_bytes == sum(cache.bytes for cache in caches)
-        finally:
-            engine.close()
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join()
+        assert not errors, errors[0]
+        caches = (engine._masks, engine._results, engine._sort_orders)
+        for cache in caches:
+            assert cache.bytes == sum(nbytes for _, nbytes in cache._data.values())
+        assert engine.cached_bytes == sum(cache.bytes for cache in caches)
 
 
 @pytest.mark.parametrize("maxsize", (1, 4, 16))

@@ -1,26 +1,18 @@
-"""Executor-equivalence suite: every registered backend vs the naive path.
+"""Executor-equivalence suite: the engine vs the naive path.
 
 ``QueryEngine.execute`` / ``execute_batch`` must produce tables equivalent to
 ``execute_query_naive`` for every query the search can generate -- NaN keys,
 empty filter results, categorical aggregation attributes and all 15 aggregate
-functions -- on **every registered execution backend**.  The suite reads the
-backend registry, so a newly registered backend inherits the whole
-equivalence suite for free.
+functions -- in every engine state (cold, warmed by sibling queries, and
+right after the flush that follows an append; see ``_engine_paths``).
 
-Two equivalence bars:
-
-* the in-process backends (``numpy``, ``python``) must be element-wise
-  **bit-for-bit identical** (same columns, dtypes and values, NaN included):
-  both honour the accumulation-order contract of
-  :mod:`repro.dataframe.aggregates` (strict left-to-right sums, the order
-  ``np.bincount`` accumulates in), so no float tolerance is needed;
-* backends that own their storage and re-accumulate floats in their own
-  order (``sqlite``) are held to value equality within ``1e-9`` on feature
-  values, with key columns, dtypes, group order and NaN placement exact.
-
-Both bars also hold under squeezed cache profiles (every cache at one entry
-with the sort-order cache off, and caches of two or three entries that evict
-by LRU recency) and on a NaN / None-bearing table, so cache churn never
+The bar is element-wise **bit-for-bit identity** (same columns, dtypes and
+values, NaN included): the grouped kernels honour the accumulation-order
+contract of :mod:`repro.dataframe.aggregates` (strict left-to-right sums,
+the order ``np.bincount`` accumulates in), so no float tolerance is needed.
+It also holds under squeezed cache profiles (every cache at one entry with
+the sort-order cache off, and caches of two or three entries that evict by
+LRU recency) and on a NaN / None-bearing table, so cache churn never
 changes a result.
 """
 
@@ -31,13 +23,14 @@ from hypothesis import given, settings, strategies as st
 from repro.dataframe.aggregates import AGGREGATE_FUNCTIONS
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
-from repro.query.backends import backend_names
-from repro.query.engine import EngineConfig, QueryEngine, default_backend_name
+from repro.query.engine import EngineConfig, QueryEngine
 from repro.query.executor import execute_query, execute_query_naive
 from repro.query.query import PredicateAwareQuery, WindowConstraint
 
-#: All plain aggregate names plus spelled parameterized family members; every
-#: backend must agree on them exactly like on the historical fifteen.
+from _engine_paths import CACHE_PROFILES, ENGINE_STATES, engine_in_state, sibling_queries
+
+#: All plain aggregate names plus spelled parameterized family members; the
+#: engine must agree on them exactly like on the historical fifteen.
 AGG_FUNCS = list(AGGREGATE_FUNCTIONS) + [
     "QUANTILE:0.25",
     "QUANTILE:0.5",
@@ -45,57 +38,29 @@ AGG_FUNCS = list(AGGREGATE_FUNCTIONS) + [
 ]
 PREDICATE_DTYPES = {"cat": DType.CATEGORICAL, "num": DType.NUMERIC}
 
-#: Every registered backend runs the full suite.
-BACKENDS = tuple(backend_names())
-
-#: Backends whose results must match the reference bit-for-bit.  Everything
-#: else (storage-owning backends, third-party registrations) is held to
-#: value equality within this tolerance on the feature column.
-EXACT_BACKENDS = ("numpy", "python")
-VALUE_TOLERANCE = 1e-9
-
-#: Cache configurations engines are checked under: the defaults, every
-#: cache squeezed to one entry with the sort-order cache off (plans re-mask
-#: and re-sort), and caches of a few entries each, where eviction is partial
-#: and LRU recency decides which masks, results and sort orders survive.
-CACHE_PROFILES = {
-    "default": {},
-    "tight": {"mask_cache_size": 1, "result_cache_size": 1, "sort_cache_size": 0},
-    "small": {"mask_cache_size": 2, "result_cache_size": 3, "sort_cache_size": 2},
-}
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 
 
-def engine_with(table: Table, backend: str, cache: str = "default") -> QueryEngine:
-    return QueryEngine(
-        table, config=EngineConfig(backend=backend, **CACHE_PROFILES[cache])
+def engine_with(
+    table: Table, state: str, queries=(), cache: str = "default", warm_queries=None
+):
+    """An engine in *state* and its table, warmed by *queries*' siblings
+    (or by *warm_queries* when given)."""
+    if warm_queries is None:
+        warm_queries = sibling_queries(queries)
+    return engine_in_state(
+        table, state, warm_queries, config=EngineConfig(**CACHE_PROFILES[cache])
     )
 
 
-def assert_tables_match(actual: Table, expected: Table, exact: bool = True) -> None:
-    """Same column names/order, same dtypes; values exact or within 1e-9.
-
-    Group order and NaN placement are always exact -- only float magnitudes
-    may differ (by accumulation order) on non-exact backends.
-    """
+def assert_tables_match(actual: Table, expected: Table) -> None:
+    """Same column names/order, same dtypes, bit-identical values."""
     assert actual.column_names == expected.column_names
     for name in expected.column_names:
         left, right = actual.column(name), expected.column(name)
         assert left.dtype is right.dtype, f"{name}: {left.dtype} != {right.dtype}"
-        if exact or not left.is_numeric_like:
-            assert left == right, f"column {name!r} differs"
-        else:
-            a, b = left.values, right.values
-            assert a.shape == b.shape, f"column {name!r}: shape mismatch"
-            assert np.array_equal(np.isnan(a), np.isnan(b)), f"column {name!r}: NaN placement"
-            assert np.allclose(a, b, rtol=0.0, atol=VALUE_TOLERANCE, equal_nan=True), (
-                f"column {name!r} differs beyond {VALUE_TOLERANCE}"
-            )
-
-
-def assert_backend_matches_naive(backend: str, actual: Table, expected: Table) -> None:
-    assert_tables_match(actual, expected, exact=backend in EXACT_BACKENDS)
+        assert left == right, f"column {name!r} differs"
 
 
 @st.composite
@@ -130,8 +95,7 @@ def random_queries(draw):
     keys = draw(st.sampled_from([("k_num",), ("k_cat",), ("k_num", "k_cat")]))
     agg_func = draw(st.sampled_from(AGG_FUNCS))
     # Include a categorical aggregation attribute: its integer coding depends
-    # on the filter, which is exactly the subtle case every backend must
-    # honour (sqlite recodes collected groups by first appearance).
+    # on the filter (codes by first appearance within the filtered rows).
     agg_attr = draw(st.sampled_from(["val", "num", "cat"]))
     predicates = {}
     if draw(st.booleans()):
@@ -159,41 +123,41 @@ def random_queries(draw):
     return PredicateAwareQuery(agg_func, agg_attr, keys, predicates, dtypes)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("state", ENGINE_STATES)
 class TestExecuteEquivalence:
     @given(table=random_tables(), query=random_queries())
     @settings(max_examples=50, deadline=None)
-    def test_engine_matches_naive(self, backend, table, query):
-        engine = engine_with(table, backend)
+    def test_engine_matches_naive(self, state, table, query):
+        engine, table = engine_with(table, state, [query])
         expected = execute_query_naive(query, table)
-        assert_backend_matches_naive(backend, engine.execute(query), expected)
+        assert_tables_match(engine.execute(query), expected)
         # Second run is served from the result cache and must be identical too.
-        assert_backend_matches_naive(backend, engine.execute(query), expected)
+        assert_tables_match(engine.execute(query), expected)
 
     @given(table=random_tables(), queries=st.lists(random_queries(), min_size=1, max_size=6))
     @settings(max_examples=30, deadline=None)
-    def test_batch_matches_naive(self, backend, table, queries):
-        engine = engine_with(table, backend)
+    def test_batch_matches_naive(self, state, table, queries):
+        engine, table = engine_with(table, state, queries)
         results = engine.execute_batch(queries)
         assert len(results) == len(queries)
         for query, result in zip(queries, results):
-            assert_backend_matches_naive(backend, result, execute_query_naive(query, table))
+            assert_tables_match(result, execute_query_naive(query, table))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("state", ENGINE_STATES)
 @pytest.mark.parametrize("cache", CACHE_PROFILES)
 class TestCacheProfileEquivalence:
     @given(table=random_tables(), queries=st.lists(random_queries(), min_size=1, max_size=6))
     @settings(max_examples=15, deadline=None)
-    def test_batch_matches_naive(self, backend, cache, table, queries):
-        engine = engine_with(table, backend, cache)
+    def test_batch_matches_naive(self, state, cache, table, queries):
+        engine, table = engine_with(table, state, queries, cache)
         expected = [execute_query_naive(query, table) for query in queries]
         # The second pass is served from whatever the caches kept.
         for _ in range(2):
             results = engine.execute_batch(queries)
             assert len(results) == len(queries)
             for result, want in zip(results, expected):
-                assert_backend_matches_naive(backend, result, want)
+                assert_tables_match(result, want)
 
 
 #: Group counts of the edge-case tables: one group, a handful, and a prime
@@ -204,10 +168,10 @@ GROUP_COUNTS = (1, 2, 3, 4, 7)
 SINGLE_GROUP_ROWS = (1, 2, 3, 5, 12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("state", ENGINE_STATES)
 @pytest.mark.parametrize("cache", CACHE_PROFILES)
 class TestCacheProfileEdgeCases:
-    def run_batch(self, table, backend, cache):
+    def run_batch(self, table, state, cache):
         queries = []
         for predicates in ({}, {"cat": "x"}, {"cat": "missing"}):
             for func in ("SUM", "COUNT", "MEDIAN", "MODE", "ENTROPY", "KURTOSIS"):
@@ -217,12 +181,13 @@ class TestCacheProfileEdgeCases:
                         {k: DType.CATEGORICAL for k in predicates},
                     )
                 )
-        results = engine_with(table, backend, cache).execute_batch(queries)
+        engine, table = engine_with(table, state, queries, cache)
+        results = engine.execute_batch(queries)
         for query, result in zip(queries, results):
-            assert_backend_matches_naive(backend, result, execute_query_naive(query, table))
+            assert_tables_match(result, execute_query_naive(query, table))
 
     @pytest.mark.parametrize("n_groups", GROUP_COUNTS)
-    def test_empty_filter_results(self, backend, cache, n_groups):
+    def test_empty_filter_results(self, state, cache, n_groups):
         rng = np.random.default_rng(0)
         keys = rng.permutation(np.arange(30) % n_groups).astype(np.float64)
         table = Table(
@@ -232,10 +197,10 @@ class TestCacheProfileEdgeCases:
                 Column("val", rng.normal(size=30), dtype=DType.NUMERIC),
             ]
         )
-        self.run_batch(table, backend, cache)
+        self.run_batch(table, state, cache)
 
     @pytest.mark.parametrize("n_rows", SINGLE_GROUP_ROWS)
-    def test_single_group_table(self, backend, cache, n_rows):
+    def test_single_group_table(self, state, cache, n_rows):
         table = Table(
             [
                 Column("key", [1.0] * n_rows, dtype=DType.NUMERIC),
@@ -243,10 +208,10 @@ class TestCacheProfileEdgeCases:
                 Column("val", [float(i) for i in range(n_rows)], dtype=DType.NUMERIC),
             ]
         )
-        self.run_batch(table, backend, cache)
+        self.run_batch(table, state, cache)
 
     @pytest.mark.parametrize("n_groups", GROUP_COUNTS)
-    def test_few_group_table(self, backend, cache, n_groups):
+    def test_few_group_table(self, state, cache, n_groups):
         """A handful of rows per group, one NaN value and one group whose
         rows all miss the ``cat = 'x'`` filter when there is more than one."""
         n = 2 * n_groups + 1
@@ -261,7 +226,7 @@ class TestCacheProfileEdgeCases:
                 Column("val", vals, dtype=DType.NUMERIC),
             ]
         )
-        self.run_batch(table, backend, cache)
+        self.run_batch(table, state, cache)
 
 
 def none_bearing_table(seed: int = 3) -> Table:
@@ -312,92 +277,90 @@ def int_counters(stats: dict) -> dict:
     return {k: v for k, v in stats.items() if isinstance(v, int) and not isinstance(v, bool)}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+def int_delta(engine, baseline: dict) -> dict:
+    return int_counters(engine.stats.delta_since(baseline))
+
+
+@pytest.mark.parametrize("state", ENGINE_STATES)
 @pytest.mark.parametrize("cache", CACHE_PROFILES)
 class TestNoneBearingTable:
-    def test_matches_naive_and_accounts_every_query(self, backend, cache):
-        table = none_bearing_table()
+    def test_matches_naive_and_accounts_every_query(self, state, cache):
         queries = none_bearing_batch()
+        engine, table = engine_with(none_bearing_table(), state, queries, cache)
         expected = [execute_query_naive(query, table) for query in queries]
-        engine = engine_with(table, backend, cache)
-        try:
-            for _ in range(2):
-                for result, want in zip(engine.execute_batch(queries), expected):
-                    assert_backend_matches_naive(backend, result, want)
-            # Every query of both passes was a result-cache hit or booked
+        for batch_pass in range(2):
+            baseline = engine.stats.as_dict()
+            for result, want in zip(engine.execute_batch(queries), expected):
+                assert_tables_match(result, want)
+            # Every query of the pass was a result-cache hit or booked
             # exactly one miss; with default caches the second pass is
             # served entirely from the result cache.
-            stats = engine.stats
-            assert stats.result_hits + stats.result_misses == 2 * len(queries)
-            assert stats.queries == stats.result_misses
-            if cache == "default":
-                assert stats.result_hits == len(queries)
-        finally:
-            engine.close()
-            engine.close()  # idempotent
+            delta = int_delta(engine, baseline)
+            assert delta["result_hits"] + delta["result_misses"] == len(queries)
+            assert delta["queries"] == delta["result_misses"]
+            if cache == "default" and batch_pass == 1:
+                assert delta["result_hits"] == len(queries)
 
-    def test_counters_deterministic_across_runs(self, backend, cache):
-        """Two identical runs on fresh engines book identical integer
-        counters."""
+    def test_counters_deterministic_across_runs(self, state, cache):
+        """Two identical runs on fresh engines brought into the same state
+        book identical integer counters."""
         snapshots = []
         for _ in range(2):
-            engine = engine_with(none_bearing_table(), backend, cache)
-            try:
-                engine.execute_batch(none_bearing_batch())
-                snapshots.append(int_counters(engine.stats.as_dict()))
-            finally:
-                engine.close()
+            engine, _table = engine_with(
+                none_bearing_table(), state, none_bearing_batch(), cache
+            )
+            baseline = engine.stats.as_dict()
+            engine.execute_batch(none_bearing_batch())
+            snapshots.append(int_delta(engine, baseline))
         assert snapshots[0] == snapshots[1]
-        assert snapshots[0]["queries"] == len(none_bearing_batch())
+        served = snapshots[0]["queries"] + snapshots[0]["result_hits"]
+        assert served == len(none_bearing_batch())
 
-    def test_result_accounting_independent_of_cache_sizes(self, backend, cache):
+    def test_result_accounting_independent_of_cache_sizes(self, state, cache):
         """Squeezed caches change what is reused, never how a first pass is
-        booked: a cold batch books the same query / batch / result counters
-        under every cache profile."""
+        booked: a batch on a cold engine, or right after the flush that
+        follows an append, books the same query / batch / result counters
+        under every cache profile.  A warm engine serves what its caches
+        kept, so there only the per-query accounting is fixed."""
         counts = []
         for profile in ("default", cache):
-            engine = engine_with(none_bearing_table(), backend, profile)
-            try:
-                engine.execute_batch(none_bearing_batch())
-                counts.append({name: getattr(engine.stats, name) for name in RESULT_COUNTERS})
-            finally:
-                engine.close()
-        assert counts[0] == counts[1]
-        assert counts[1]["result_misses"] == len(none_bearing_batch())
+            engine, _table = engine_with(
+                none_bearing_table(), state, none_bearing_batch(), profile
+            )
+            baseline = engine.stats.as_dict()
+            engine.execute_batch(none_bearing_batch())
+            delta = int_delta(engine, baseline)
+            counts.append({name: delta[name] for name in RESULT_COUNTERS})
+        for count in counts:
+            assert count["result_hits"] + count["result_misses"] == len(none_bearing_batch())
+            assert count["queries"] == count["result_misses"]
+        if state != "warm":
+            assert counts[0] == counts[1]
+            assert counts[1]["result_misses"] == len(none_bearing_batch())
 
 
 class TestCompatibilityWrapper:
     @given(table=random_tables(), query=random_queries())
     @settings(max_examples=30, deadline=None)
     def test_compatibility_wrapper_matches_naive(self, table, query):
-        # execute_query goes through the shared engine on the process-default
-        # backend (possibly overridden by $REPRO_ENGINE_BACKEND).
-        assert_backend_matches_naive(
-            default_backend_name(),
-            execute_query(query, table),
-            execute_query_naive(query, table),
-        )
+        # execute_query goes through the table's shared registry engine.
+        assert_tables_match(execute_query(query, table), execute_query_naive(query, table))
 
 
-class TestBackendsAgree:
-    """All backends produce equivalent tables for the same batch."""
+class TestEngineStatesAgree:
+    """Every engine state produces identical tables for the same batch."""
 
     @given(table=random_tables(), queries=st.lists(random_queries(), min_size=1, max_size=6))
     @settings(max_examples=30, deadline=None)
-    def test_all_backends_agree_on_batches(self, table, queries):
-        engines = {backend: engine_with(table, backend) for backend in BACKENDS}
-        batches = {backend: engine.execute_batch(queries) for backend, engine in engines.items()}
-        reference = batches["numpy"]
-        for backend in BACKENDS:
-            exact = backend in EXACT_BACKENDS
-            for got, want in zip(batches[backend], reference):
-                assert_tables_match(got, want, exact=exact)
-        # The legacy kernel counters track exactly the two in-process paths.
-        assert engines["python"].stats.vectorized_aggregations == 0
-        assert engines["numpy"].stats.python_aggregations == 0
+    def test_all_states_agree_on_batches(self, table, queries):
+        reference = [execute_query_naive(query, table) for query in queries]
+        for state in ENGINE_STATES:
+            engine, _table = engine_with(table, state, queries)
+            for got, want in zip(engine.execute_batch(queries), reference):
+                assert_tables_match(got, want)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("state", ENGINE_STATES)
 class TestAllAggregateFunctions:
     @pytest.fixture
     def table(self, rng):
@@ -423,43 +386,104 @@ class TestAllAggregateFunctions:
         )
 
     @pytest.mark.parametrize("agg_func", AGG_FUNCS)
-    def test_numeric_attribute(self, backend, table, agg_func):
-        engine = engine_with(table, backend)
+    def test_numeric_attribute(self, state, table, agg_func):
         query = PredicateAwareQuery(
             agg_func, "val", ("key",), {"cat": "u"}, {"cat": DType.CATEGORICAL}
         )
-        assert_backend_matches_naive(
-            backend, engine.execute(query), execute_query_naive(query, table)
-        )
+        engine, table = engine_with(table, state, [query])
+        assert_tables_match(engine.execute(query), execute_query_naive(query, table))
 
     @pytest.mark.parametrize("agg_func", AGG_FUNCS)
-    def test_categorical_attribute_under_filter(self, backend, table, agg_func):
+    def test_categorical_attribute_under_filter(self, state, table, agg_func):
         """Filtered categorical coding (MODE returns codes!) must match."""
-        engine = engine_with(table, backend)
         query = PredicateAwareQuery(
             agg_func, "cat", ("key",), {"val": (-0.4, 2.0)}, {"val": DType.NUMERIC}
         )
-        assert_backend_matches_naive(
-            backend, engine.execute(query), execute_query_naive(query, table)
-        )
+        engine, table = engine_with(table, state, [query])
+        assert_tables_match(engine.execute(query), execute_query_naive(query, table))
 
     @pytest.mark.parametrize("agg_func", AGG_FUNCS)
-    def test_batch_of_all_functions_shares_one_plan(self, backend, table, agg_func):
-        engine = engine_with(table, backend)
+    def test_batch_of_all_functions_shares_one_plan(self, state, table, agg_func):
         queries = [
             PredicateAwareQuery(f, "val", ("key",), {"cat": "v"}, {"cat": DType.CATEGORICAL})
             for f in AGG_FUNCS
         ]
-        results = engine.execute_batch(queries)
         target = AGG_FUNCS.index(agg_func)
-        assert_backend_matches_naive(
-            backend, results[target], execute_query_naive(queries[target], table)
-        )
+        engine, table = engine_with(table, state, [queries[target]])
+        results = engine.execute_batch(queries)
+        assert_tables_match(results[target], execute_query_naive(queries[target], table))
 
 
+#: Value-column sequences of one fused plan: a single column, two
+#: interleaved columns, three columns with the categorical first, and one
+#: column repeated.  The plan groups its specs per column, so results must
+#: still come back in spec-position order.
+ATTR_MIXES = {
+    "one": ("val",),
+    "interleaved": ("val", "cat", "val", "cat"),
+    "three": ("cat", "val", "num", "val", "cat", "num"),
+    "repeated": ("num",) * 6,
+}
+#: One WHERE clause that keeps some rows and one that keeps none.
+FUSED_FILTERS = {"some": "u", "none": "missing"}
+
+
+def three_column_table(seed: int = 11) -> Table:
+    rng = np.random.default_rng(seed)
+    n = 90
+    return Table(
+        [
+            Column("key", rng.integers(0, 8, size=n).astype(np.float64), dtype=DType.NUMERIC),
+            Column(
+                "cat",
+                [[None, "u", "v", "w"][i] for i in rng.integers(0, 4, size=n)],
+                dtype=DType.CATEGORICAL,
+            ),
+            Column(
+                "val",
+                np.where(rng.random(n) < 0.1, np.nan, rng.normal(size=n)),
+                dtype=DType.NUMERIC,
+            ),
+            Column("num", rng.integers(0, 5, size=n).astype(np.float64), dtype=DType.NUMERIC),
+        ]
+    )
+
+
+@pytest.mark.parametrize("state", ENGINE_STATES)
+@pytest.mark.parametrize("mix", ATTR_MIXES)
+@pytest.mark.parametrize("where", FUSED_FILTERS)
+class TestFusedPlanShapes:
+    def test_fused_plan_matches_naive(self, state, mix, where):
+        queries = [
+            PredicateAwareQuery(
+                AGG_FUNCS[(7 * i) % len(AGG_FUNCS)], attr, ("key",),
+                {"cat": FUSED_FILTERS[where]}, {"cat": DType.CATEGORICAL},
+            )
+            for i, attr in enumerate(ATTR_MIXES[mix])
+        ]
+        engine, table = engine_with(three_column_table(), state, queries)
+        baseline = engine.stats.as_dict()
+        results = engine.execute_batch(queries)
+        for query, result in zip(queries, results):
+            assert_tables_match(result, execute_query_naive(query, table))
+        delta = engine.stats.delta_since(baseline)
+        # One WHERE clause and one key tuple: a single fused plan, so at
+        # most one atom mask is built and one group index looked up.
+        assert delta["mask_misses"] + delta["mask_hits"] <= 1
+        assert delta["group_index_builds"] + delta["group_index_reuses"] <= 1
+        assert delta["queries"] + delta["result_hits"] == len(queries)
+        if where == "none":
+            assert all(result.num_rows == 0 for result in results)
+            assert delta["empty_results"] == delta["queries"]
+
+
+#: A valid query over ``logs_table`` that warms engines for the error cases.
+LOGS_WARM_QUERY = PredicateAwareQuery("SUM", "pprice", ("cname",))
+
+
+@pytest.mark.parametrize("state", ENGINE_STATES)
 class TestEdgeCases:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_nan_keys_form_their_own_group(self, backend):
+    def test_nan_keys_form_their_own_group(self, state):
         table = Table(
             [
                 Column("key", [1.0, float("nan"), 1.0, float("nan")], dtype=DType.NUMERIC),
@@ -467,13 +491,13 @@ class TestEdgeCases:
             ]
         )
         query = PredicateAwareQuery("SUM", "val", ("key",))
-        result = engine_with(table, backend).execute(query)
-        assert_backend_matches_naive(backend, result, execute_query_naive(query, table))
+        engine, table = engine_with(table, state, [query])
+        result = engine.execute(query)
+        assert_tables_match(result, execute_query_naive(query, table))
         assert result.num_rows == 2
         assert np.isnan(result.column("key").values).sum() == 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_filter_result(self, backend, logs_table):
+    def test_empty_filter_result(self, state, logs_table):
         query = PredicateAwareQuery(
             "AVG",
             "pprice",
@@ -481,15 +505,15 @@ class TestEdgeCases:
             {"department": "does-not-exist"},
             {"department": DType.CATEGORICAL},
         )
-        engine = engine_with(logs_table, backend)
+        engine, table = engine_with(logs_table, state, [query])
+        empties = engine.stats.empty_results
         result = engine.execute(query)
-        assert_backend_matches_naive(backend, result, execute_query_naive(query, logs_table))
+        assert_tables_match(result, execute_query_naive(query, table))
         assert result.num_rows == 0
         assert result.column_names == ["cname", "feature"]
-        assert engine.stats.empty_results == 1
+        assert engine.stats.empty_results == empties + 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_table(self, backend):
+    def test_empty_table(self, state):
         table = Table(
             [
                 Column("key", [], dtype=DType.NUMERIC),
@@ -497,14 +521,10 @@ class TestEdgeCases:
             ]
         )
         query = PredicateAwareQuery("COUNT", "val", ("key",))
-        assert_backend_matches_naive(
-            backend,
-            engine_with(table, backend).execute(query),
-            execute_query_naive(query, table),
-        )
+        engine, table = engine_with(table, state, [query])
+        assert_tables_match(engine.execute(query), execute_query_naive(query, table))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_datetime_and_multi_key(self, backend, logs_table):
+    def test_datetime_and_multi_key(self, state, logs_table):
         from repro.dataframe.column import parse_datetime
 
         query = PredicateAwareQuery(
@@ -514,41 +534,36 @@ class TestEdgeCases:
             {"timestamp": (parse_datetime("2023-05-01"), None)},
             {"timestamp": DType.DATETIME},
         )
-        assert_backend_matches_naive(
-            backend,
-            engine_with(logs_table, backend).execute(query),
-            execute_query_naive(query, logs_table),
-        )
+        engine, table = engine_with(logs_table, state, [query])
+        assert_tables_match(engine.execute(query), execute_query_naive(query, table))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unknown_aggregate_raises(self, backend, logs_table):
+    def test_unknown_aggregate_raises(self, state, logs_table):
         query = PredicateAwareQuery("NOPE", "pprice", ("cname",))
+        engine, _table = engine_with(logs_table, state, warm_queries=[LOGS_WARM_QUERY])
         with pytest.raises(KeyError):
-            engine_with(logs_table, backend).execute(query)
+            engine.execute(query)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unknown_attribute_raises(self, backend, logs_table):
+    def test_unknown_attribute_raises(self, state, logs_table):
         query = PredicateAwareQuery("SUM", "missing", ("cname",))
+        engine, _table = engine_with(logs_table, state, warm_queries=[LOGS_WARM_QUERY])
         with pytest.raises(KeyError):
-            engine_with(logs_table, backend).execute(query)
+            engine.execute(query)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_range_predicate_on_categorical_raises(self, backend, logs_table):
+    def test_range_predicate_on_categorical_raises(self, state, logs_table):
         query = PredicateAwareQuery(
             "SUM", "pprice", ("cname",), {"department": (0.0, 1.0)}, {"department": DType.NUMERIC}
         )
+        engine, table = engine_with(logs_table, state, warm_queries=[LOGS_WARM_QUERY])
         with pytest.raises(TypeError):
-            engine_with(logs_table, backend).execute(query)
+            engine.execute(query)
         with pytest.raises(TypeError):
-            execute_query_naive(query, logs_table)
+            execute_query_naive(query, table)
 
-    def test_kernel_timing_lands_in_stats(self, logs_table):
-        engine = QueryEngine(logs_table)
-        engine.execute(PredicateAwareQuery("SUM", "pprice", ("cname",)))
-        assert set(engine.stats.kernel_seconds) == {"SUM"}
-        assert engine.stats.kernel_seconds["SUM"] >= 0.0
-        assert engine.stats.backend == engine.backend_name
-        assert list(engine.stats.backend_seconds) == [engine.backend_name]
-        delta = engine.stats.delta_since(engine.stats.as_dict())
-        assert delta["kernel_seconds"]["SUM"] == 0.0
-        assert delta["backend"] == engine.backend_name
+
+def test_kernel_timing_lands_in_stats(logs_table):
+    engine = QueryEngine(logs_table)
+    engine.execute(PredicateAwareQuery("SUM", "pprice", ("cname",)))
+    assert set(engine.stats.kernel_seconds) == {"SUM"}
+    assert engine.stats.kernel_seconds["SUM"] >= 0.0
+    delta = engine.stats.delta_since(engine.stats.as_dict())
+    assert delta["kernel_seconds"]["SUM"] == 0.0

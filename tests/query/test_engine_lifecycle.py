@@ -1,24 +1,23 @@
 """Engine lifecycle under concurrency: registry races, empty batches,
-close/re-open.
+cache clears.
 
-The three PR 9 engine satellites, pinned:
+Pinned here:
 
 * **`engine_for` first-access race** -- two threads looking up the same
   (table, config) slot concurrently may both construct a candidate engine
   (construction happens outside the global registry lock so unrelated
   tables never serialise on it), but the slot is double-checked before
-  insertion: every caller gets the **same** registered engine and the
-  race's loser ``close()``s its candidate immediately, so no backend
-  resource -- a sqlite connection -- leaks.
+  insertion: every caller gets the **same** registered engine, and the
+  losing candidate is dropped.
 * **Empty batches are free** -- ``execute_batch([])`` / ``execute_plans([])``
-  return ``[]`` without touching the backend, syncing the table or bumping
-  any counter (``batches`` counts rounds that carried queries), on every
-  backend, whether the engine is fresh, warm or behind its table.  A closed
-  engine stays closed.
-* **Close / lazy re-open** -- ``close()`` releases everything; the next
-  execution transparently re-opens the engine with results identical to a
-  never-closed one, and lifetime counters survive the cycle, on every
-  backend.
+  return ``[]`` without syncing the table or bumping any counter
+  (``batches`` counts rounds that carried queries), under every cache
+  profile, whether the engine is fresh, warm, behind its table or freshly
+  cleared.
+* **Clear / rebuild** -- after ``clear_caches()`` the next execution
+  rebuilds the derived state with results identical to a never-cleared
+  engine, and lifetime counters survive the clear, under every cache
+  profile.
 """
 
 import threading
@@ -29,11 +28,14 @@ import pytest
 import repro.query.engine as engine_module
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
-from repro.query.backends import backend_names
 from repro.query.engine import EngineConfig, QueryEngine, engine_for
 from repro.query.query import PredicateAwareQuery
 
-BACKENDS = tuple(backend_names())
+from _engine_paths import CACHE_PROFILES
+
+
+def make_engine(table: Table, cache: str) -> QueryEngine:
+    return QueryEngine(table, config=EngineConfig(**CACHE_PROFILES[cache]))
 
 
 def make_relevant(seed: int, n: int = 60) -> Table:
@@ -80,7 +82,7 @@ def assert_tables_equal(actual, expected):
 
 
 class TestEngineForRace:
-    def test_barrier_start_yields_one_engine_and_closes_the_loser(
+    def test_barrier_start_yields_one_engine_and_drops_the_loser(
         self, monkeypatch
     ):
         """Both threads are forced through construction concurrently (the
@@ -99,7 +101,7 @@ class TestEngineForRace:
 
         monkeypatch.setattr(engine_module, "QueryEngine", TrackedEngine)
         table = make_relevant(0)
-        config = EngineConfig(backend="numpy")
+        config = EngineConfig()
         results = [None] * n_threads
         errors = []
         start_barrier = threading.Barrier(n_threads)
@@ -124,35 +126,31 @@ class TestEngineForRace:
         # ...although the race really constructed two candidates...
         assert len(instances) == n_threads
         winner = results[0]
-        losers = [engine for engine in instances if engine is not winner]
-        assert len(losers) == n_threads - 1
-        # ...and the loser was closed so nothing it owns can leak.
-        assert all(loser.closed for loser in losers)
-        assert not winner.closed
+        assert sum(engine is winner for engine in instances) == 1
+        # ...and later lookups keep returning the winner.
+        assert engine_for(table, config=config) is winner
 
-    def test_losing_sqlite_candidate_releases_its_connection(self, monkeypatch):
-        """Same race with a storage-owning backend: the loser's close must
-        actually release the backend resource, not just mark a flag."""
+    def test_racing_configs_get_one_engine_each(self, monkeypatch):
+        """Concurrent first lookups of one table under two configs fill two
+        slots, one engine each, each bound to the table."""
         construction_barrier = threading.Barrier(2)
         instances = []
 
         class TrackedEngine(QueryEngine):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                # Materialise the connection so there is something to leak.
-                self.backend._ensure_materialized()
                 instances.append(self)
                 construction_barrier.wait(timeout=10)
 
         monkeypatch.setattr(engine_module, "QueryEngine", TrackedEngine)
         table = make_relevant(1)
-        config = EngineConfig(backend="sqlite")
+        configs = (EngineConfig(), EngineConfig(sort_cache_size=0))
         results = [None, None]
         errors = []
 
         def lookup(slot):
             try:
-                results[slot] = engine_for(table, config=config)
+                results[slot] = engine_for(table, config=configs[slot])
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -162,11 +160,12 @@ class TestEngineForRace:
         for thread in threads:
             thread.join()
         assert not errors, errors[0]
-        assert results[0] is results[1]
-        losers = [engine for engine in instances if engine is not results[0]]
-        assert len(losers) == 1
-        assert losers[0].backend._conn is None  # connection released
-        assert results[0].backend._conn is not None  # winner untouched
+        assert results[0] is not results[1]
+        assert len(instances) == 2
+        for engine, config in zip(results, configs):
+            assert engine.config == config
+            assert engine.table is table
+            assert engine_for(table, config=config) is engine
 
     def test_sequential_lookups_construct_exactly_once(self, monkeypatch):
         constructed = []
@@ -179,26 +178,23 @@ class TestEngineForRace:
 
         monkeypatch.setattr(engine_module, "QueryEngine", CountingEngine)
         table = make_relevant(2)
-        config = EngineConfig(backend="numpy")
-        first = engine_for(table, config=config)
-        second = engine_for(table, config=config)
+        first = engine_for(table)
+        second = engine_for(table)
         assert first is second
         assert len(constructed) == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("cache", CACHE_PROFILES)
 class TestEmptyBatch:
-    def test_empty_batch_is_free_serial(self, backend):
-        engine = QueryEngine(
-            make_relevant(3), config=EngineConfig(backend=backend)
-        )
+    def test_empty_batch_is_free_serial(self, cache):
+        engine = make_engine(make_relevant(3), cache)
         before = engine.stats.as_dict()
         assert engine.execute_batch([]) == []
         assert engine.execute_plans([]) == []
         assert engine.execute_plans_deduped([]) == ([], 0)
         assert engine.stats.as_dict() == before  # no counter drift at all
 
-    @pytest.mark.parametrize("state", ("fresh", "warm", "stale"))
+    @pytest.mark.parametrize("state", ("fresh", "warm", "stale", "cleared"))
     @pytest.mark.parametrize(
         "entry,expected",
         [
@@ -207,40 +203,40 @@ class TestEmptyBatch:
             ("execute_plans_deduped", ([], 0)),
         ],
     )
-    def test_empty_batch_is_free_in_every_state(self, backend, state, entry, expected):
-        """Each empty entry point is free on a fresh engine, on a warm one
-        and on one whose table has grown since its last sync."""
+    def test_empty_batch_is_free_in_every_state(self, cache, state, entry, expected):
+        """Each empty entry point is free on a fresh engine, on a warm one,
+        on one whose table has grown since its last sync and on one whose
+        caches were just cleared."""
         table = make_relevant(3)
-        engine = QueryEngine(table, config=EngineConfig(backend=backend))
-        try:
-            if state != "fresh":
-                engine.execute_batch(multi_plan_batch())
-            if state == "stale":
-                table.append_rows({"key": [1.0], "cat": ["a"], "val": [0.25]})
-            synced = engine._synced_version
-            before = engine.stats.as_dict()
-            assert getattr(engine, entry)([]) == expected
-            assert engine.stats.as_dict() == before
-            assert engine._synced_version == synced
-        finally:
-            engine.close()
+        engine = make_engine(table, cache)
+        if state != "fresh":
+            engine.execute_batch(multi_plan_batch())
+        if state == "stale":
+            table.append_rows({"key": [1.0], "cat": ["a"], "val": [0.25]})
+        if state == "cleared":
+            engine.clear_caches()
+        synced = engine._synced_version
+        before = engine.stats.as_dict()
+        assert getattr(engine, entry)([]) == expected
+        assert engine.stats.as_dict() == before
+        assert engine._synced_version == synced
 
-    def test_empty_batch_does_not_reopen_a_closed_engine(self, backend):
-        """No backend touch also means no lazy re-open: a closed engine
-        handed an empty batch stays closed (and pays nothing)."""
-        engine = QueryEngine(
-            make_relevant(3), config=EngineConfig(backend=backend)
-        )
+    def test_empty_batch_keeps_a_cleared_engine_cold(self, cache):
+        """An empty batch builds nothing: a cleared engine handed one still
+        holds no mask, result, sort order or group index."""
+        engine = make_engine(make_relevant(3), cache)
         engine.execute_batch(small_batch())
-        engine.close()
+        engine.clear_caches()
         assert engine.execute_batch([]) == []
-        assert engine.closed
+        assert engine.mask_cache_len == engine.result_cache_len == 0
+        assert engine.sort_cache_len == 0
+        assert not engine._indexes
 
-    def test_empty_batch_does_not_sync_a_stale_table(self, backend):
+    def test_empty_batch_does_not_sync_a_stale_table(self, cache):
         """The empty path returns before ``sync_with_table``: version drift
         is observed by the next real execution, not by a no-op."""
         table = make_relevant(3)
-        engine = QueryEngine(table, config=EngineConfig(backend=backend))
+        engine = make_engine(table, cache)
         engine.execute_batch(small_batch())
         synced = engine._synced_version
         table.append_rows({"key": [1.0], "cat": ["a"], "val": [0.25]})
@@ -250,61 +246,37 @@ class TestEmptyBatch:
         assert engine._synced_version == table.version
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestClosedEngineReopen:
-    def test_batch_on_closed_engine_reopens_transparently(self, backend):
+@pytest.mark.parametrize("cache", CACHE_PROFILES)
+class TestClearCachesRebuild:
+    def test_batch_after_clear_matches_a_fresh_engine(self, cache):
         table = make_relevant(4)
         queries = multi_plan_batch()
-        expected = QueryEngine(
-            table, config=EngineConfig(backend=backend)
-        ).execute_batch(queries)
-        engine = QueryEngine(
-            table,
-            config=EngineConfig(backend=backend),
-        )
-        try:
-            assert_tables_equal(engine.execute_batch(queries), expected)
-            engine.close()
-            assert engine.closed
-            # The documented lazy re-creation path: the next batch re-opens
-            # the engine, re-creating its backend materialisation on demand.
-            assert_tables_equal(engine.execute_batch(queries), expected)
-            assert not engine.closed
-        finally:
-            engine.close()
+        expected = QueryEngine(table).execute_batch(queries)
+        engine = make_engine(table, cache)
+        assert_tables_equal(engine.execute_batch(queries), expected)
+        engine.clear_caches()
+        # The derived state is rebuilt on demand by the next batch.
+        assert_tables_equal(engine.execute_batch(queries), expected)
 
-    def test_counters_survive_a_close_reopen_cycle(self, backend):
-        engine = QueryEngine(
-            make_relevant(4),
-            config=EngineConfig(backend=backend),
-        )
-        try:
-            engine.execute_batch(small_batch())
-            queries_before = engine.stats.queries
-            batches_before = engine.stats.batches
-            assert queries_before > 0
-            engine.close()
-            engine.execute_batch(small_batch())
-            # Lifetime counters accumulate across the cycle (the re-run
-            # re-executes: close dropped the result cache).
-            assert engine.stats.queries == 2 * queries_before
-            assert engine.stats.batches == batches_before + 1
-        finally:
-            engine.close()
+    def test_counters_survive_a_clear(self, cache):
+        engine = make_engine(make_relevant(4), cache)
+        engine.execute_batch(small_batch())
+        queries_before = engine.stats.queries
+        batches_before = engine.stats.batches
+        assert queries_before > 0
+        engine.clear_caches()
+        engine.execute_batch(small_batch())
+        # Lifetime counters accumulate across the clear (the re-run
+        # re-executes: the clear dropped the result cache).
+        assert engine.stats.queries == 2 * queries_before
+        assert engine.stats.batches == batches_before + 1
 
-    def test_single_query_reopens_too(self, backend):
-        engine = QueryEngine(
-            make_relevant(4),
-            config=EngineConfig(backend=backend),
-        )
-        try:
-            query = small_batch()[0]
-            first = engine.execute(query)
-            engine.close()
-            again = engine.execute(query)
-            assert again.column_names == first.column_names
-            for name in first.column_names:
-                assert again.column(name) == first.column(name)
-            assert not engine.closed
-        finally:
-            engine.close()
+    def test_single_query_after_clear(self, cache):
+        engine = make_engine(make_relevant(4), cache)
+        query = small_batch()[0]
+        first = engine.execute(query)
+        engine.clear_caches()
+        again = engine.execute(query)
+        assert again.column_names == first.column_names
+        for name in first.column_names:
+            assert again.column(name) == first.column(name)

@@ -12,9 +12,6 @@ Two layers are pinned here:
   attribute and table generation, ``int32``, reported by
   ``presorted_bytes`` outside ``bytes_cached``, and never reused across a
   ``Table.append_rows`` that adds rows (the flush) or ``clear_caches()``.
-
-The engine tests pin the numpy backend, the only one that ranks; the
-derivation properties are backend-independent, so every CI slot runs them.
 """
 
 import gc
@@ -215,7 +212,7 @@ class RankSpy:
 
 
 def numpy_engine(table: Table, **overrides) -> QueryEngine:
-    return QueryEngine(table, config=EngineConfig(backend="numpy", **overrides))
+    return QueryEngine(table, config=EngineConfig(**overrides))
 
 
 class TestEngineValueRank:

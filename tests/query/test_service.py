@@ -4,7 +4,7 @@ Covers the full service contract:
 
 * **Config resolution** -- ``ServiceConfig(None)`` fields fall back to the
   ``$REPRO_SERVICE_*`` environment (empty = default, garbage fails eagerly
-  at ``validate``), mirroring the ``$REPRO_ENGINE_*`` conventions.
+  at ``validate``).
 * **Admission** -- bounded queue with deterministic
   ``ServiceOverloadedError`` backpressure (nothing enqueued on reject),
   ``ServiceClosedError`` after close, empty submissions resolving
@@ -15,9 +15,10 @@ Covers the full service contract:
 * **Failure paths** -- deadline expiry mid-queue, engine errors fanned out
   to every waiting future (never a hang), cancelled futures skipped,
   draining and non-draining ``close()`` with requests in flight.
-* **Acceptance hammer** -- 2, 4 and 8 threads through one service on every
-  backend and cache profile, bit-identical to serial (1e-9 for sqlite)
-  with counters proving cross-request fusion fired.
+* **Acceptance hammer** -- 2, 4 and 8 threads through one service in every
+  engine state (cold, warm, right after an append; see ``_engine_paths``)
+  and cache profile, bit-identical to serial with counters proving
+  cross-request fusion fired.
 
 Manual mode (``auto_start=False`` + ``run_pending_round``) makes the
 round-formation tests deterministic: requests queue until the test says
@@ -32,7 +33,6 @@ import pytest
 
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
-from repro.query.backends import backend_names
 from repro.query.engine import EngineConfig, QueryEngine
 from repro.query.query import PredicateAwareQuery
 from repro.query.service import (
@@ -52,19 +52,10 @@ from repro.query.service import (
     default_window_ms,
 )
 
-BACKENDS = tuple(backend_names())
-EXACT_BACKENDS = ("numpy", "python")
+from _engine_paths import CACHE_PROFILES, ENGINE_STATES, engine_in_state, sibling_queries
+
 #: Numbers of concurrent callers hammering one service.
 HAMMER_CALLERS = (2, 4, 8)
-#: Engine cache configurations behind the hammered service: the defaults,
-#: every entry-bounded cache squeezed to one entry with the sort-order cache
-#: off, and caches of a few entries that evict by LRU recency (fan-out must
-#: not depend on what the engine caches kept).
-CACHE_PROFILES = {
-    "default": {},
-    "tight": {"mask_cache_size": 1, "result_cache_size": 1, "sort_cache_size": 0},
-    "small": {"mask_cache_size": 2, "result_cache_size": 3, "sort_cache_size": 2},
-}
 
 
 def make_relevant(seed: int, n: int = 80) -> Table:
@@ -97,22 +88,15 @@ def make_batch():
     return queries
 
 
-def assert_batch_equal(actual, expected, exact: bool):
+def assert_batch_equal(actual, expected):
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         assert got.column_names == want.column_names
         for name in want.column_names:
-            left, right = got.column(name), want.column(name)
-            if exact or not left.is_numeric_like:
-                assert left == right
-            else:
-                assert np.allclose(
-                    left.values, right.values, rtol=0.0, atol=1e-9, equal_nan=True
-                )
+            assert got.column(name) == want.column(name)
 
 
 def make_engine(seed=0, **config_kwargs) -> QueryEngine:
-    config_kwargs.setdefault("backend", "numpy")
     return QueryEngine(make_relevant(seed), config=EngineConfig(**config_kwargs))
 
 
@@ -280,8 +264,8 @@ class TestCoalescing:
         first = service.submit(queries)
         second = service.submit(queries)
         assert service.run_pending_round() == 2
-        assert_batch_equal(first.result(timeout=5), serial, exact=True)
-        assert_batch_equal(second.result(timeout=5), serial, exact=True)
+        assert_batch_equal(first.result(timeout=5), serial)
+        assert_batch_equal(second.result(timeout=5), serial)
         delta = service_delta(engine.stats, baseline)
         assert delta["service_rounds"] == 1
         assert delta["service_admitted"] == 16
@@ -386,7 +370,7 @@ class TestFailurePaths:
         engine = make_engine()
         service = manual_service(engine, max_batch=64)
 
-        boom = RuntimeError("backend exploded")
+        boom = RuntimeError("engine exploded")
 
         def explode(plans):
             raise boom
@@ -425,7 +409,7 @@ class TestFailurePaths:
         futures = [service.submit(queries) for _ in range(3)]
         service.close()  # drain=True runs the queued rounds inline
         for future in futures:
-            assert_batch_equal(future.result(timeout=5), serial, exact=True)
+            assert_batch_equal(future.result(timeout=5), serial)
         assert service.closed
         service.close()  # idempotent
 
@@ -457,7 +441,7 @@ class TestDispatcherThread:
             futures = [service.submit(queries) for _ in range(n_callers)]
             results = [future.result(timeout=30) for future in futures]
         for result in results:
-            assert_batch_equal(result, serial, exact=True)
+            assert_batch_equal(result, serial)
         delta = service_delta(engine.stats, baseline)
         # All four submissions landed inside one window: one fused round,
         # every query coalesced, three requests' worth deduped.
@@ -473,7 +457,7 @@ class TestDispatcherThread:
         with QueryService(
             engine, ServiceConfig(coalesce_window_ms=0, max_batch=64)
         ) as service:
-            assert_batch_equal(service.execute(queries), serial, exact=True)
+            assert_batch_equal(service.execute(queries), serial)
 
     def test_full_batch_dispatches_before_window_expires(self):
         engine = make_engine()
@@ -496,7 +480,7 @@ class TestDispatcherThread:
         )
         future = service.submit(queries[:3])
         service.close()  # wakes the window wait; the round still runs
-        assert_batch_equal(future.result(timeout=5), serial[:3], exact=True)
+        assert_batch_equal(future.result(timeout=5), serial[:3])
 
     def test_close_without_drain_rejects_queued_work(self):
         engine = make_engine()
@@ -546,101 +530,90 @@ class TestServiceStats:
 # ----------------------------------------------------------------------
 # Acceptance: N concurrent callers, bit-identical to serial, fusion proven
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+def served_engine(seed: int, state: str, cache: str):
+    """The hammered engine in *state*, and the serial reference: the batch
+    run by a fresh default engine over the same rows."""
+    queries = make_batch()
+    engine, table = engine_in_state(
+        make_relevant(seed), state, sibling_queries(queries),
+        config=EngineConfig(**CACHE_PROFILES[cache]),
+    )
+    return engine, QueryEngine(table).execute_batch(queries)
+
+
+@pytest.mark.parametrize("state", ENGINE_STATES)
 @pytest.mark.parametrize("cache", CACHE_PROFILES)
 @pytest.mark.parametrize("callers", HAMMER_CALLERS)
 class TestConcurrentCallersBitIdentity:
-    def test_hammer_matches_serial(self, backend, cache, callers):
-        table = make_relevant(5)
+    def test_hammer_matches_serial(self, state, cache, callers):
         queries = make_batch()
-        serial = QueryEngine(
-            table, config=EngineConfig(backend=backend)
-        ).execute_batch(queries)
-        engine = QueryEngine(
-            table,
-            config=EngineConfig(backend=backend, **CACHE_PROFILES[cache]),
-        )
-        exact = backend in EXACT_BACKENDS
-        try:
-            baseline = engine.stats.as_dict()
-            service = manual_service(engine, max_batch=256, coalesce_window_ms=0)
-            barrier = threading.Barrier(callers)
-            futures = [None] * callers
-            errors = []
+        engine, serial = served_engine(5, state, cache)
+        baseline = engine.stats.as_dict()
+        service = manual_service(engine, max_batch=256, coalesce_window_ms=0)
+        barrier = threading.Barrier(callers)
+        futures = [None] * callers
+        errors = []
 
-            def caller(slot):
+        def caller(slot):
+            try:
+                barrier.wait(timeout=10)
+                futures[slot] = service.submit(queries)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=caller, args=(slot,))
+            for slot in range(callers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, errors[0]
+        # Every caller admitted before any round ran: the single drain
+        # round is guaranteed to coalesce all of them.
+        assert service.queue_depth == callers * len(queries)
+        service.close()  # draining close runs the fused round(s)
+        for future in futures:
+            assert_batch_equal(future.result(timeout=30), serial)
+        delta = service_delta(engine.stats, baseline)
+        total = callers * len(queries)
+        assert delta["service_admitted"] == total
+        # Cross-request fusion fired: one shared round, every query
+        # coalesced, all but one caller's plans served by fan-out.
+        assert delta["service_rounds"] == 1
+        assert delta["service_coalesced"] == total
+        assert delta["service_deduped"] == (callers - 1) * len(queries)
+
+    def test_live_dispatcher_hammer_matches_serial(self, state, cache, callers):
+        """Same states through the real dispatcher thread: callers block on
+        ``execute`` concurrently; whatever rounds the window forms, results
+        stay bit-identical and every admitted query is accounted for."""
+        queries = make_batch()
+        engine, serial = served_engine(6, state, cache)
+        baseline = engine.stats.as_dict()
+        errors = []
+        with QueryService(
+            engine, ServiceConfig(coalesce_window_ms=20, max_batch=256)
+        ) as service:
+
+            def caller():
                 try:
-                    barrier.wait(timeout=10)
-                    futures[slot] = service.submit(queries)
+                    for _ in range(2):
+                        assert_batch_equal(service.execute(queries), serial)
                 except Exception as exc:  # noqa: BLE001 - surfaced below
                     errors.append(exc)
 
             threads = [
-                threading.Thread(target=caller, args=(slot,))
-                for slot in range(callers)
+                threading.Thread(target=caller) for _ in range(callers)
             ]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
-            assert not errors, errors[0]
-            # Every caller admitted before any round ran: the single drain
-            # round is guaranteed to coalesce all of them.
-            assert service.queue_depth == callers * len(queries)
-            service.close()  # draining close runs the fused round(s)
-            for future in futures:
-                assert_batch_equal(future.result(timeout=30), serial, exact)
-            delta = service_delta(engine.stats, baseline)
-            total = callers * len(queries)
-            assert delta["service_admitted"] == total
-            # Cross-request fusion fired: one shared round, every query
-            # coalesced, all but one caller's plans served by fan-out.
-            assert delta["service_rounds"] == 1
-            assert delta["service_coalesced"] == total
-            assert delta["service_deduped"] == (callers - 1) * len(queries)
-        finally:
-            engine.close()
-
-    def test_live_dispatcher_hammer_matches_serial(self, backend, cache, callers):
-        """Same backends through the real dispatcher thread: callers block on
-        ``execute`` concurrently; whatever rounds the window forms, results
-        stay bit-identical and every admitted query is accounted for."""
-        table = make_relevant(6)
-        queries = make_batch()
-        serial = QueryEngine(
-            table, config=EngineConfig(backend=backend)
-        ).execute_batch(queries)
-        engine = QueryEngine(
-            table,
-            config=EngineConfig(backend=backend, **CACHE_PROFILES[cache]),
-        )
-        exact = backend in EXACT_BACKENDS
-        try:
-            baseline = engine.stats.as_dict()
-            errors = []
-            with QueryService(
-                engine, ServiceConfig(coalesce_window_ms=20, max_batch=256)
-            ) as service:
-
-                def caller():
-                    try:
-                        for _ in range(2):
-                            assert_batch_equal(service.execute(queries), serial, exact)
-                    except Exception as exc:  # noqa: BLE001 - surfaced below
-                        errors.append(exc)
-
-                threads = [
-                    threading.Thread(target=caller) for _ in range(callers)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-            assert not errors, errors[0]
-            delta = service_delta(engine.stats, baseline)
-            assert delta["service_admitted"] == callers * 2 * len(queries)
-            assert delta["service_rounds"] >= 1
-            assert delta["service_timeouts"] == 0
-            assert delta["service_rejected"] == 0
-        finally:
-            engine.close()
+        assert not errors, errors[0]
+        delta = service_delta(engine.stats, baseline)
+        assert delta["service_admitted"] == callers * 2 * len(queries)
+        assert delta["service_rounds"] >= 1
+        assert delta["service_timeouts"] == 0
+        assert delta["service_rejected"] == 0
