@@ -124,6 +124,7 @@ class ModelEvaluator:
         queries: Sequence[PredicateAwareQuery],
         relevant_table: Table | None = None,
         engine: QueryEngine | None = None,
+        valid: bool = True,
     ):
         """Batched variant: one engine pass, then per-query train/valid joins.
 
@@ -131,22 +132,21 @@ class ModelEvaluator:
         (see :mod:`repro.dataframe.grouped_kernels`), and the feature joins
         go through the vectorized ``Table.left_join`` key matching
         (factorized codes + first-occurrence index map), so neither phase
-        loops over rows in Python.
+        loops over rows in Python.  With ``valid=False`` the joins onto the
+        validation split are skipped and ``None`` stands for its vectors: the
+        proxy search scores on the train split alone.
         """
         resolved = self._resolve_engine(relevant_table, engine)
         feature_tables = resolved.execute_batch(list(queries))
-        train_vecs: List[np.ndarray] = []
-        valid_vecs: List[np.ndarray] = []
+        splits = (self._train_table, self._valid_table) if valid else (self._train_table,)
+        vectors: List[List[np.ndarray]] = [[] for _ in splits]
         for query, feature_table in zip(queries, feature_tables):
-            train_aug = augment_training_table(
-                self._train_table, feature_table, query.keys, query.feature_name, "__candidate__"
-            )
-            valid_aug = augment_training_table(
-                self._valid_table, feature_table, query.keys, query.feature_name, "__candidate__"
-            )
-            train_vecs.append(train_aug.column("__candidate__").values)
-            valid_vecs.append(valid_aug.column("__candidate__").values)
-        return train_vecs, valid_vecs
+            for split, split_vectors in zip(splits, vectors):
+                joined = augment_training_table(
+                    split, feature_table, query.keys, query.feature_name, "__candidate__"
+                )
+                split_vectors.append(joined.column("__candidate__").values)
+        return vectors[0], (vectors[1] if valid else None)
 
     # ------------------------------------------------------------------
     # Scoring

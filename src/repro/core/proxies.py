@@ -13,7 +13,7 @@ import numpy as np
 from repro.ml.linear import LinearRegression, LogisticRegression
 from repro.ml.metrics import rmse, roc_auc_score
 from repro.stats.correlation import spearman_correlation
-from repro.stats.mutual_information import mutual_information
+from repro.stats.mutual_information import label_groups, mutual_information_given
 
 
 class Proxy:
@@ -26,15 +26,25 @@ class Proxy:
 
 
 class MutualInformationProxy(Proxy):
-    """Mutual information between the (binned) feature and the label."""
+    """Mutual information between the (binned) feature and the label.
+
+    A search scores every candidate against the same label array, so the
+    label is coded once and reused while the proxy is handed that same
+    array object (labels are not modified in place).
+    """
 
     name = "mi"
 
     def __init__(self, n_bins: int = 10):
         self.n_bins = n_bins
+        self._label = None
+        self._label_groups = None
 
     def score(self, feature: np.ndarray, label: np.ndarray, task: str) -> float:
-        return mutual_information(feature, label, n_bins=self.n_bins)
+        if label is not self._label:
+            self._label_groups = label_groups(label, self.n_bins)
+            self._label = label
+        return mutual_information_given(feature, self._label_groups, n_bins=self.n_bins)
 
 
 class SpearmanProxy(Proxy):

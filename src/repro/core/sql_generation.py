@@ -118,14 +118,16 @@ class SQLQueryGenerator:
         Unique unseen queries execute through one
         :meth:`ModelEvaluator.feature_vectors_for_queries` call -- i.e. a
         single ``QueryEngine.execute_batch`` -- so predicate masks, sort
-        orders and fused group scans are shared across the candidates.
+        orders and fused group scans are shared across the candidates.  Their
+        features are joined onto the train split only, the split the proxy
+        scores on.
         """
         queries = [self.pool.decode(params) for params in params_batch]
         signatures = [query.signature() for query in queries]
         pending = self._pending_indices(signatures, self._proxy_memo)
         if pending:
             train_vecs, _ = self.evaluator.feature_vectors_for_queries(
-                [queries[i] for i in pending], self.relevant_table, engine=self.engine
+                [queries[i] for i in pending], self.relevant_table, engine=self.engine, valid=False
             )
             for i, train_vec in zip(pending, train_vecs):
                 score = self.proxy.score(

@@ -25,16 +25,33 @@ candidate, each dimension in ``space.names`` order) and then scored together
 with one vectorized ``pdf`` call per density and dimension.  Scoring draws
 nothing from the generator, so no draw is reordered: the random stream is the
 one a loop that scores each candidate right after drawing it would consume.
+
+Each suggestion does only the work that changed since the last one:
+
+* each categorical dimension's choice -> index map is built once per
+  optimiser, and each trial's parameters are encoded once (a categorical
+  value as its choice index); densities are fitted from those encodings;
+* a group holding the same trials, in the same order, as one of the two
+  latest fits reuses its densities.  The good group keeps its trials until
+  an observation ranks into it, so its fit is often reused; the bad group
+  changes with nearly every observation;
+* categorical candidates are drawn and scored as choice indices: one
+  ``bisect_right`` into the inverse-CDF list per draw, one pdf-table gather
+  per density, no per-value dict lookup.  Only the winner is decoded.
+
+None of this changes a draw or a float: the densities equal a fit from the
+raw ``trial.params`` bit for bit (``tests/hpo/test_density_fits.py``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, List
 
 import numpy as np
 
-from repro.hpo.kde import CategoricalDensity, GaussianKDE
+from repro.hpo.kde import CategoricalDensity, GaussianKDE, choice_key, choice_index
 from repro.hpo.optimizer import Optimizer
 from repro.hpo.space import CategoricalDimension, IntegerDimension, RealDimension, SearchSpace
 from repro.hpo.trial import Trial
@@ -73,6 +90,18 @@ class TPEOptimizer(Optimizer):
         # behaviour and prevents the occasional premature lock-in of pure TPE.
         self.exploration_probability = exploration_probability
         self._rng = np.random.default_rng(seed)
+        # Each categorical dimension's choice -> index map, None for a
+        # numeric dimension (its values are their own encoding).
+        self._choice_indexes = [
+            choice_index(dim.choices) if isinstance(dim, CategoricalDimension) else None
+            for dim in space.dimensions
+        ]
+        # Encoded parameters of each fitted trial, by id; the trial is kept
+        # beside its row, so its id cannot be reused while the entry lives.
+        self._encoded: Dict[int, tuple] = {}
+        # The two latest fits, most recently used first: one good and one
+        # bad group, as (trials, densities).
+        self._recent_fits: List[tuple] = []
 
     # ------------------------------------------------------------------
     # Suggestion
@@ -121,11 +150,12 @@ class TPEOptimizer(Optimizer):
 
         All candidates are drawn before any is scored (see the module
         docstring), so the draws happen in candidate-then-dimension order.
+        Candidates are encoded: a categorical value is its choice index.
         """
-        names = self.space.names
-        samplers = [good_density[name].sample for name in names]
-        rows = [[sample(self._rng) for sample in samplers] for _ in range(self.n_candidates)]
-        columns = {name: [row[j] for row in rows] for j, name in enumerate(names)}
+        rng = self._rng
+        samplers = [good_density[name].sample for name in self.space.names]
+        rows = [[sample(rng) for sample in samplers] for _ in range(self.n_candidates)]
+        columns = dict(zip(self.space.names, map(list, zip(*rows))))
         scores = self._surrogate_score(columns, good_density, bad_density)
         scores = np.broadcast_to(scores, (self.n_candidates,)).tolist()
         best, best_score = None, -np.inf
@@ -133,23 +163,30 @@ class TPEOptimizer(Optimizer):
             if score > best_score:  # the first strict maximum wins; NaN never does
                 best, best_score = i, score
         if best is None:
-            return self.space.sample(self._rng)
-        return dict(zip(names, rows[best]))
+            return self.space.sample(rng)
+        return {
+            dim.name: value if index is None else dim.choices[value]
+            for dim, index, value in zip(self.space.dimensions, self._choice_indexes, rows[best])
+        }
 
     def _surrogate_score(self, columns, good_density, bad_density):
         """``sum(log l(x) - log g(x))`` for every candidate at once.
 
-        *columns* maps each dimension name to the candidates' values.  The
-        pdfs are floored away from zero, and the per-dimension terms are added
-        in ``space.names`` order, so each candidate's score is the same float
-        sum as scoring it on its own.
+        *columns* maps each dimension name to the candidates' values, in the
+        encoding the densities score.  The pdfs of every dimension are
+        floored away from zero and logged as one matrix, and the
+        per-dimension terms are added in ``space.names`` order, so each
+        candidate's score is the same float sum as scoring it on its own.
         """
-        scores = 0.0
+        pdfs = []
         for name in self.space.names:
             values = columns[name]
-            good_pdf = np.maximum(good_density[name].pdf(values), _PDF_FLOOR)
-            bad_pdf = np.maximum(bad_density[name].pdf(values), _PDF_FLOOR)
-            scores = scores + (np.log(good_pdf) - np.log(bad_pdf))
+            pdfs.append(good_density[name].pdf(values))
+            pdfs.append(bad_density[name].pdf(values))
+        logs = np.log(np.maximum(np.array(pdfs), _PDF_FLOOR))
+        scores = 0.0
+        for term in logs[0::2] - logs[1::2]:
+            scores = scores + term
         return scores
 
     # ------------------------------------------------------------------
@@ -169,17 +206,57 @@ class TPEOptimizer(Optimizer):
         return ordered[:n_good], ordered[n_good:]
 
     def _fit_densities(self, trials: List[Trial]):
-        """Fit one density per dimension from the given trial group."""
+        """One density per dimension for the given trial group.
+
+        A group holding the same trials, in the same order, as one of the two
+        latest fits reuses its densities: they depend on nothing else.  The
+        good group keeps its trials until an observation ranks into it.
+        """
+        trials = tuple(trials)
+        for i, (group, densities) in enumerate(self._recent_fits):
+            if len(group) == len(trials) and all(map(operator.is_, group, trials)):
+                self._recent_fits.insert(0, self._recent_fits.pop(i))
+                return densities
+        densities = self._fit_group(trials)
+        self._recent_fits = [(trials, densities)] + self._recent_fits[:1]
+        return densities
+
+    def _fit_group(self, trials) -> Dict[str, object]:
+        """Fit the densities from the trials' encoded parameters."""
+        rows = [self._encode(trial) for trial in trials]
+        columns = list(zip(*rows)) if rows else [()] * len(self.space)
         densities = {}
-        for dim in self.space.dimensions:
-            observations = [t.params.get(dim.name) for t in trials]
-            if isinstance(dim, CategoricalDimension):
-                densities[dim.name] = CategoricalDensity(dim.choices, observations)
+        for dim, index, column in zip(self.space.dimensions, self._choice_indexes, columns):
+            if index is not None:
+                densities[dim.name] = _ChoiceIndexDensity.from_indices(dim.choices, index, column)
             elif isinstance(dim, (RealDimension, IntegerDimension)):
-                densities[dim.name] = _NumericDensityAdapter(dim, observations)
+                densities[dim.name] = _NumericDensityAdapter(dim, column)
             else:  # pragma: no cover - defensive
                 raise TypeError(f"Unsupported dimension type {type(dim).__name__}")
         return densities
+
+    def _encode(self, trial: Trial) -> tuple:
+        """The trial's parameters in space order, each categorical value as
+        its choice index (``len(choices)`` when it is not a choice); encoded
+        once per trial."""
+        entry = self._encoded.get(id(trial))
+        if entry is None:
+            params = trial.params
+            row = tuple(
+                params.get(dim.name) if index is None
+                else index.get(choice_key(params.get(dim.name)), len(dim.choices))
+                for dim, index in zip(self.space.dimensions, self._choice_indexes)
+            )
+            entry = self._encoded[id(trial)] = (trial, row)
+        return entry[1]
+
+
+class _ChoiceIndexDensity(CategoricalDensity):
+    """A categorical density over choice indices: it samples an index and
+    scores indices by one pdf-table gather, with no per-value lookup."""
+
+    sample = CategoricalDensity.sample_index
+    pdf = CategoricalDensity.pdf_at
 
 
 class _NumericDensityAdapter:

@@ -130,10 +130,6 @@ class PredicateAtom:
             return Window(self.attr, self.low, self.high, dtype=self.dtype)
         return Range(self.attr, low=self.low, high=self.high, dtype=self.dtype)
 
-    def to_sql(self) -> str:
-        """SQL text of the atom (display / logging)."""
-        return self.to_predicate().to_sql()
-
 
 @dataclass(frozen=True)
 class AggregateSpec:
@@ -336,21 +332,3 @@ class QueryPlan:
     def build_predicate(self) -> Predicate:
         """The combined WHERE predicate (an empty conjunction selects all rows)."""
         return And([atom.to_predicate() for atom in self.atoms])
-
-    def to_sql(self, relation_name: str = "R") -> str:
-        """Render the plan as SQL text, one select list entry per aggregate."""
-        keys = ", ".join(self.keys)
-        select = ", ".join(
-            (
-                f"{spec.func}({spec.attr}) AS {spec.feature_name}"
-                if spec.param is None
-                else f"{spec.func}({spec.attr}, {spec.param}) AS {spec.feature_name}"
-            )
-            for spec in self.aggregates
-        )
-        where = self.build_predicate().to_sql()
-        sql = f"SELECT {keys}, {select}\nFROM {relation_name}\n"
-        if where != "TRUE":
-            sql += f"WHERE {where}\n"
-        sql += f"GROUP BY {keys}"
-        return sql

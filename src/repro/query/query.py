@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from repro.dataframe.aggregates import parse_aggregate_name
 from repro.dataframe.column import DType, format_datetime
 from repro.dataframe.predicates import And, Equals, IsIn, Predicate, Range, Window
 
@@ -111,11 +112,17 @@ class PredicateAwareQuery:
         return False
 
     def to_sql(self) -> str:
-        """Render the query as SQL text (for logs, examples and reports)."""
+        """Render the query as SQL text (for logs, examples and reports).
+
+        The aggregate is spelled canonically, with a parameterized family's
+        parameter as a second argument: ``QUANTILE(price, 0.25)``.
+        """
         keys = ", ".join(self.keys)
         where = self.build_predicate().to_sql()
+        func, param = parse_aggregate_name(self.agg_func)
+        args = self.agg_attr if param is None else f"{self.agg_attr}, {param}"
         sql = (
-            f"SELECT {keys}, {self.agg_func}({self.agg_attr}) AS {self.feature_name}\n"
+            f"SELECT {keys}, {func}({args}) AS {self.feature_name}\n"
             f"FROM {self.relation_name}\n"
         )
         if where != "TRUE":

@@ -60,6 +60,29 @@ class TestBinaryEvaluation:
         assert train_vec.shape[0] == evaluator.y_train.shape[0]
         assert valid_vec.shape[0] == evaluator.y_valid.shape[0]
 
+    def test_train_only_vectors_skip_the_validation_joins(self, binary_setup, monkeypatch):
+        evaluator, relevant = binary_setup
+        queries = [
+            PredicateAwareQuery(agg_func="SUM", agg_attr="amount", keys=("uid",)),
+            PredicateAwareQuery(agg_func="MAX", agg_attr="amount", keys=("uid",)),
+        ]
+        train_vecs, valid_vecs = evaluator.feature_vectors_for_queries(queries, relevant)
+        joins = []
+        original = Table.left_join
+
+        def counting_join(table, *args, **kwargs):
+            joins.append(table)
+            return original(table, *args, **kwargs)
+
+        monkeypatch.setattr(Table, "left_join", counting_join)
+        train_only, none = evaluator.feature_vectors_for_queries(queries, relevant, valid=False)
+        assert none is None
+        assert len(joins) == len(queries)
+        assert all(j.num_rows == evaluator.y_train.shape[0] for j in joins)
+        for ours, full in zip(train_only, train_vecs):
+            assert ours.tobytes() == full.tobytes()
+        assert len(valid_vecs) == len(queries)
+
     def test_evaluate_queries_multiple_features(self, binary_setup):
         evaluator, relevant = binary_setup
         queries = [

@@ -171,15 +171,6 @@ class TestFusionAndRendering:
         with pytest.raises(AttributeError):
             plan.keys = ("other",)
 
-    def test_to_sql_mirrors_the_query_rendering(self):
-        query = make_query()
-        plan = QueryPlan.from_query(query)
-        assert plan.to_sql() == query.to_sql().replace("avg(", "AVG(")
-
-    def test_atom_to_sql(self):
-        atom = PredicateAtom("eq", "dept", value="toys")
-        assert atom.to_sql() == "dept = 'toys'"
-
 
 class TestInAtoms:
     def test_membership_constraint_lowers_to_an_in_atom(self):
@@ -221,11 +212,6 @@ class TestInAtoms:
     def test_empty_membership_constraint_is_dropped(self):
         plan = QueryPlan.from_query(make_query(predicates={"dept": ()}))
         assert plan.atoms == ()
-
-    def test_in_atom_sql(self):
-        atom = PredicateAtom("in", "dept", value=("toys", "books"))
-        sql = atom.to_sql()
-        assert sql.startswith("dept IN (") and "'toys'" in sql and "'books'" in sql
 
 
 class TestWindowAtoms:
@@ -327,7 +313,3 @@ class TestParameterizedAggregates:
         q25 = QueryPlan.from_query(make_query(agg_func="QUANTILE:0.25"))
         q75 = QueryPlan.from_query(make_query(agg_func="QUANTILE:0.75"))
         assert q25.result_key() != q75.result_key()
-
-    def test_to_sql_renders_the_parameter(self):
-        plan = QueryPlan.from_query(make_query(agg_func="QUANTILE:0.25"))
-        assert "QUANTILE(price, 0.25)" in plan.to_sql()
