@@ -18,9 +18,22 @@ def _add_intercept(X: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax of the logits *z*, computed in place.
+
+    Two classes take the row max and sum column by column: the max is
+    order-free and a two-element add reduction is ``e0 + e1``, so the bits
+    are those of ``np.maximum.reduce`` / ``np.add.reduce``, which any other
+    class count keeps (from eight terms on, numpy does not add left to right).
+    """
+    if z.shape[1] == 2:
+        z -= np.maximum(z[:, 0], z[:, 1])[:, None]
+        np.exp(z, out=z)
+        z /= (z[:, 0] + z[:, 1])[:, None]
+    else:
+        z -= np.maximum.reduce(z, axis=1)[:, None]
+        np.exp(z, out=z)
+        z /= np.add.reduce(z, axis=1)[:, None]
+    return z
 
 
 def _standardise(X: np.ndarray):
@@ -48,22 +61,33 @@ class LogisticRegression(BaseEstimator):
 
     def fit(self, X, y) -> "LogisticRegression":
         X, y = self._validate_xy(X, y)
+        if np.isnan(X).any() or np.isnan(y).any():
+            raise ValueError("X or y contains NaN; impute missing values before fitting LogisticRegression")
         X, self._mean_, self._std_ = _standardise(X)
         X = _add_intercept(X)
-        self.classes_ = np.unique(y)
-        n_classes = self.classes_.shape[0]
-        class_index = {c: i for i, c in enumerate(self.classes_)}
-        Y = np.zeros((X.shape[0], n_classes), dtype=np.float64)
-        for i, label in enumerate(y):
-            Y[i, class_index[label]] = 1.0
+        self.classes_, codes = np.unique(y, return_inverse=True)
+        n, n_classes = X.shape[0], self.classes_.shape[0]
+        # Flat index of each row's true class: the one-hot row's only 1.0, and
+        # also the whole of that row's sum of P * Y.
+        true_class = np.arange(n) * n_classes + codes
+        Y = np.zeros((n, n_classes), dtype=np.float64)
+        Y.ravel()[true_class] = 1.0
         W = np.zeros((X.shape[1], n_classes), dtype=np.float64)
-        n = X.shape[0]
         prev_loss = np.inf
+        # Each step is ``grad = X.T @ (P - Y) / n + l2 * W; W -= lr * grad``
+        # with ``loss = -log(clip((P * Y).sum(1), 1e-12)).mean()``, in place:
+        # the same IEEE operations on the same operands, in the same order.
         for _ in range(self.n_iter):
             P = _softmax(X @ W)
-            grad = X.T @ (P - Y) / n + self.l2 * W
-            W -= self.learning_rate * grad
-            loss = -np.log(np.clip((P * Y).sum(axis=1), 1e-12, None)).mean()
+            true_p = P.take(true_class)
+            P -= Y
+            grad = X.T @ P
+            grad /= n
+            grad += self.l2 * W
+            grad *= self.learning_rate
+            W -= grad
+            np.maximum(true_p, 1e-12, out=true_p)
+            loss = -(np.add.reduce(np.log(true_p, out=true_p)) / n)
             if abs(prev_loss - loss) < self.tol:
                 break
             prev_loss = loss

@@ -23,18 +23,17 @@ def roc_auc_score(y_true, y_score) -> float:
     if n_pos == 0 or n_neg == 0:
         return 0.5
     order = np.argsort(y_score, kind="stable")
-    ranks = np.empty(y_score.shape[0], dtype=np.float64)
-    ranks[order] = np.arange(1, y_score.shape[0] + 1, dtype=np.float64)
     sorted_scores = y_score[order]
-    i = 0
-    n = y_score.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
+    # A run of equal scores, sorted positions i..j, shares the rank
+    # (i + j + 2) / 2.  NaN != NaN keeps each NaN a run of its own, and
+    # -0.0 == 0.0 ties the two zeros.
+    new_run = np.empty(sorted_scores.shape[0], dtype=bool)
+    new_run[0] = True
+    np.not_equal(sorted_scores[1:], sorted_scores[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], sorted_scores.shape[0]) - 1
+    ranks = np.empty(y_score.shape[0], dtype=np.float64)
+    ranks[order] = ((starts + ends + 2) / 2.0)[np.cumsum(new_run) - 1]
     rank_sum_pos = ranks[pos].sum()
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

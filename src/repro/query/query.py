@@ -115,14 +115,16 @@ class PredicateAwareQuery:
         """Render the query as SQL text (for logs, examples and reports).
 
         The aggregate is spelled canonically, with a parameterized family's
-        parameter as a second argument: ``QUANTILE(price, 0.25)``.
+        parameter as a second argument: ``QUANTILE(price, 0.25)``; a count of
+        distinct values is SQL's ``COUNT(DISTINCT price)``.
         """
         keys = ", ".join(self.keys)
         where = self.build_predicate().to_sql()
         func, param = parse_aggregate_name(self.agg_func)
         args = self.agg_attr if param is None else f"{self.agg_attr}, {param}"
+        call = f"COUNT(DISTINCT {args})" if func == "COUNT_DISTINCT" else f"{func}({args})"
         sql = (
-            f"SELECT {keys}, {func}({args}) AS {self.feature_name}\n"
+            f"SELECT {keys}, {call} AS {self.feature_name}\n"
             f"FROM {self.relation_name}\n"
         )
         if where != "TRUE":

@@ -63,6 +63,18 @@ class TestLogisticRegression:
         with pytest.raises(ValueError):
             LogisticRegression().fit(np.zeros((5, 2)), np.zeros(4))
 
+    def test_nan_in_x_raises(self):
+        X, y = make_binary(n=50)
+        X[7, 1] = np.nan
+        with pytest.raises(ValueError, match="contains NaN"):
+            LogisticRegression().fit(X, y)
+
+    def test_nan_label_raises(self):
+        X, y = make_binary(n=50)
+        y[3] = np.nan
+        with pytest.raises(ValueError, match="contains NaN"):
+            LogisticRegression().fit(X, y)
+
 
 class TestLinearRegression:
     def test_recovers_exact_coefficients(self):

@@ -65,7 +65,7 @@ class TestToSQL:
 
     def test_aggregate_name_is_canonical(self):
         assert "SELECT cname, AVG(pprice) AS feature" in make_query(agg_func="avg").to_sql()
-        assert "COUNT_DISTINCT(pprice)" in make_query(agg_func="count distinct").to_sql()
+        assert "COUNT(DISTINCT pprice) AS feature" in make_query(agg_func="count distinct").to_sql()
 
     def test_parameterized_aggregate_renders_its_parameter(self):
         assert "QUANTILE(pprice, 0.25) AS feature" in make_query(agg_func="QUANTILE:0.25").to_sql()
