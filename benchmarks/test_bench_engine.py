@@ -262,105 +262,6 @@ def test_fused_sort_reuse_vs_per_aggregate():
     )
 
 
-#: The parameterized-family template: a quantile sweep plus two top-k
-#: concentration levels, all riding the *same* shared (code, value) order per
-#: (predicate, keys, value column) -- crossed with the 5 template predicates.
-#: Batch 2 widens the sweep so its main orders come purely from the
-#: sort-order cache (its (func, param) pairs never ran, so nothing comes
-#: from the result cache -- only the orders are shared).
-QUANTILE_FUNCS_BATCH1 = [
-    "QUANTILE:0.1",
-    "QUANTILE:0.25",
-    "QUANTILE:0.5",
-    "QUANTILE:0.75",
-    "QUANTILE:0.9",
-    "TOP_K_SHARE:1",
-    "TOP_K_SHARE:3",
-]
-QUANTILE_FUNCS_BATCH2 = ["QUANTILE:0.99", "TOP_K_SHARE:5"]
-
-
-def test_fused_quantile_family_sort_reuse_vs_per_aggregate():
-    """Fused execution + the shared sort-order cache vs the per-aggregate
-    path, on a parameterized quantile-family 45-query template batch.
-
-    Every ``QUANTILE:q`` and ``TOP_K_SHARE:k`` kernel is sort-based and
-    reads the *same* main (code, value) order (quantiles gather from the
-    sorted segments, top-k share from the equal-value runs), so a fused
-    quantile sweep builds one order per (predicate, keys, value column) --
-    5 in total -- no matter how many parameter points it evaluates, while the
-    per-aggregate baseline (``EngineConfig(sort_cache_size=0)``, one plan
-    per query) pays one per query: 45.  Acceptance bar: >= 1.5x on the
-    sort + aggregation phase; results bit-identical and the sort-cache
-    counters pinned.
-    """
-    relevant = make_student(n_sessions=400, events_per_session=150, seed=0).relevant
-    batch1 = make_order_statistics_queries(QUANTILE_FUNCS_BATCH1)
-    batch2 = make_order_statistics_queries(QUANTILE_FUNCS_BATCH2)
-    n_queries = len(batch1) + len(batch2)
-
-    def phase(engine: QueryEngine) -> float:
-        return engine.stats.seconds_sorting + engine.stats.seconds_aggregating
-
-    # Per-aggregate path: one plan per query, every query re-sorts.
-    per_agg_engine = QueryEngine(relevant, config=EngineConfig(sort_cache_size=0))
-    start = time.perf_counter()
-    per_agg_results = [per_agg_engine.execute(q) for q in batch1 + batch2]
-    per_agg_seconds = time.perf_counter() - start
-    assert per_agg_engine.stats.sort_misses == n_queries
-
-    fused_engine = QueryEngine(relevant, config=EngineConfig())
-    start = time.perf_counter()
-    fused_results = fused_engine.execute_batch(batch1) + fused_engine.execute_batch(batch2)
-    fused_seconds = time.perf_counter() - start
-
-    for per_agg, fused in zip(per_agg_results, fused_results):
-        assert_feature_tables_match(per_agg, fused)
-
-    # One main sort per fused plan in batch 1; batch 2's orders are pure
-    # sort-cache hits (neither family needs a secondary order).
-    assert fused_engine.stats.sort_misses == len(PREDICATES)
-    assert fused_engine.stats.sort_hits == len(PREDICATES)
-
-    per_agg_phase = phase(per_agg_engine)
-    fused_phase = phase(fused_engine)
-    rows = [
-        [
-            "per-aggregate (no sort reuse)",
-            round(per_agg_seconds, 4),
-            round(per_agg_phase, 4),
-            per_agg_engine.stats.sort_misses,
-            per_agg_engine.stats.sort_hits,
-            1.0,
-        ],
-        [
-            "fused + sort cache (serial)",
-            round(fused_seconds, 4),
-            round(fused_phase, 4),
-            fused_engine.stats.sort_misses,
-            fused_engine.stats.sort_hits,
-            round(per_agg_phase / fused_phase, 2),
-        ],
-    ]
-    text = "Quantile-family micro-benchmark (parameterized 45-query template)\n"
-    text += render_table(
-        ["variant", "batch seconds", "sort+agg seconds", "sort misses", "sort hits", "phase speedup"],
-        rows,
-    )
-    text += (
-        f"\nper-aggregate sorting: {per_agg_engine.stats.seconds_sorting:.4f}s, "
-        f"fused sorting: {fused_engine.stats.seconds_sorting:.4f}s"
-        f"\ncpu cores: {os.cpu_count()}"
-    )
-    print(text)
-    write_result("bench_engine", text, append=True)
-
-    assert per_agg_phase / fused_phase >= 1.5, (
-        f"expected >= 1.5x on the quantile-family aggregation phase from the "
-        f"fused pass + sort-order cache, got {per_agg_phase / fused_phase:.2f}x"
-    )
-
-
 def test_engine_result_cache_repeated_queries():
     """Repeated identical queries (TPE re-samples) are near-free."""
     relevant = make_student(n_sessions=200, events_per_session=50, seed=1).relevant

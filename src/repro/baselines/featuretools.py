@@ -18,7 +18,7 @@ import numpy as np
 from repro.dataframe.aggregates import (
     CATEGORICAL_SAFE_AGGREGATES,
     DEFAULT_AGGREGATES,
-    parse_aggregate_name,
+    normalise_aggregate_name,
 )
 from repro.dataframe.table import Table
 from repro.query.augment import augment_training_table
@@ -58,10 +58,10 @@ class FeaturetoolsGenerator:
         for attr in agg_attrs:
             column = relevant_table.column(attr)
             for func in self.agg_funcs:
-                # Safety is a property of the aggregate family, so spelled
-                # parameterized names ("TOP_K_SHARE:3") resolve correctly.
-                family, _ = parse_aggregate_name(func)
-                if not column.is_numeric_like and family not in CATEGORICAL_SAFE_AGGREGATES:
+                if (
+                    not column.is_numeric_like
+                    and normalise_aggregate_name(func) not in CATEGORICAL_SAFE_AGGREGATES
+                ):
                     continue
                 queries.append(
                     PredicateAwareQuery(

@@ -107,18 +107,6 @@ class ModelEvaluator:
             return self._engine
         return resolve_engine(relevant, engine)
 
-    def feature_vectors_for_query(
-        self,
-        query: PredicateAwareQuery,
-        relevant_table: Table | None = None,
-        engine: QueryEngine | None = None,
-    ):
-        """Feature values for the query aligned to the train and valid rows."""
-        train_vecs, valid_vecs = self.feature_vectors_for_queries(
-            [query], relevant_table, engine=engine
-        )
-        return train_vecs[0], valid_vecs[0]
-
     def feature_vectors_for_queries(
         self,
         queries: Sequence[PredicateAwareQuery],
@@ -173,15 +161,6 @@ class ModelEvaluator:
         extra_train = np.column_stack(extra_train_cols) if extra_train_cols else None
         extra_valid = np.column_stack(extra_valid_cols) if extra_valid_cols else None
         return self.evaluate_matrix(extra_train, extra_valid)
-
-    def evaluate_query(
-        self,
-        query: PredicateAwareQuery,
-        relevant_table: Table | None = None,
-        engine: QueryEngine | None = None,
-    ) -> EvaluationResult:
-        """Evaluate the model with a single query's feature added."""
-        return self.evaluate_queries([query], relevant_table, engine=engine)
 
     def evaluate_baseline(self) -> EvaluationResult:
         """Evaluate the model on the base features alone (no augmentation)."""

@@ -15,7 +15,6 @@ from repro.dataframe.table import Table
 from repro.dataframe.predicates import (
     Predicate,
     Equals,
-    IsIn,
     Range,
     And,
     Or,
@@ -32,7 +31,6 @@ __all__ = [
     "Table",
     "Predicate",
     "Equals",
-    "IsIn",
     "Range",
     "And",
     "Or",

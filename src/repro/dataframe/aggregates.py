@@ -19,13 +19,11 @@ perturb a search trajectory by even an ulp.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict
 
 import numpy as np
 
 from repro.dataframe.column import Column, renumber_codes_compact
-
-AggregateParam = Union[float, int]
 
 
 def _clean(values: np.ndarray) -> np.ndarray:
@@ -185,42 +183,6 @@ def agg_median(values: np.ndarray) -> float:
         return float(np.median(v))
 
 
-def agg_quantile(values: np.ndarray, q: float) -> float:
-    """Linear-interpolation quantile at ``q`` over the sorted non-NaN values.
-
-    The interpolation formula is spelled out rather than delegated to
-    ``np.quantile`` so the vectorized grouped kernel can replay the exact
-    same elementwise IEEE operations per group and stay bit-identical:
-    ``pos = q * (n - 1); lo = trunc(pos); frac = pos - lo`` and the result
-    is ``sv[lo]`` when ``frac == 0`` else ``sv[lo] + (sv[lo+1] - sv[lo]) * frac``.
-    """
-    v = np.sort(_clean(values))
-    if not v.size:
-        return float("nan")
-    pos = q * (v.size - 1)
-    lo = int(pos)
-    frac = pos - lo
-    if frac == 0.0:
-        return float(v[lo])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(v[lo] + (v[lo + 1] - v[lo]) * frac)
-
-
-def agg_top_k_share(values: np.ndarray, k: int) -> float:
-    """Share of the group's non-NaN rows held by its ``k`` most frequent values.
-
-    Counts are exact integers, so the numerator is order-insensitive (no
-    accumulation-order concern) and count ties at the ``k`` boundary cannot
-    change the result.
-    """
-    v = _clean(values)
-    if not v.size:
-        return float("nan")
-    _, counts = np.unique(v, return_counts=True)
-    top = np.sort(counts)[::-1][: int(k)]
-    return float(int(top.sum()) / v.size)
-
-
 AGGREGATE_FUNCTIONS: Dict[str, Callable[[np.ndarray], float]] = {
     "SUM": agg_sum,
     "MIN": agg_min,
@@ -239,120 +201,31 @@ AGGREGATE_FUNCTIONS: Dict[str, Callable[[np.ndarray], float]] = {
     "MEDIAN": agg_median,
 }
 
-def _parse_quantile_param(raw: object) -> float:
-    q = float(raw)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"QUANTILE parameter must lie in [0, 1], got {raw!r}")
-    return q
-
-
-def _parse_top_k_param(raw: object) -> int:
-    k = int(float(raw))
-    if k < 1:
-        raise ValueError(f"TOP_K_SHARE parameter must be a positive integer, got {raw!r}")
-    return k
-
-
-#: Parameterized aggregate families: name -> (reference function taking
-#: ``(values, param)``, parameter parser/validator).  Spelled as
-#: ``"FAMILY:param"`` in query-level names, e.g. ``"QUANTILE:0.25"`` or
-#: ``"TOP_K_SHARE:3"``.
-PARAMETERIZED_AGGREGATES: Dict[
-    str, Tuple[Callable[[np.ndarray, AggregateParam], float], Callable[[object], AggregateParam]]
-] = {
-    "QUANTILE": (agg_quantile, _parse_quantile_param),
-    "TOP_K_SHARE": (agg_top_k_share, _parse_top_k_param),
-}
-
 #: Aggregations that are meaningful on categorical columns (after hashing the
 #: categories to integer codes): counting and diversity measures.
-#: ``TOP_K_SHARE`` qualifies because it only looks at value frequencies.
-CATEGORICAL_SAFE_AGGREGATES = {"COUNT", "COUNT_DISTINCT", "ENTROPY", "MODE", "TOP_K_SHARE"}
+CATEGORICAL_SAFE_AGGREGATES = {"COUNT", "COUNT_DISTINCT", "ENTROPY", "MODE"}
 
 #: Default aggregation set used when a template does not specify one --
 #: matches the function list in Table II of the paper.
 DEFAULT_AGGREGATES = list(AGGREGATE_FUNCTIONS.keys())
 
 
-def _basic_normalise(name: str) -> str:
-    return name.strip().upper().replace(" ", "_")
+def normalise_aggregate_name(name: str) -> str:
+    """Canonicalise an aggregation function name: ``"count distinct"`` ->
+    ``"COUNT_DISTINCT"``.
 
-
-def parse_aggregate_name(name: str) -> Tuple[str, Optional[AggregateParam]]:
-    """Split an aggregate name into ``(canonical function, parameter)``.
-
-    Plain names parse to ``(NAME, None)``.  Parameterized spellings such as
-    ``"quantile:0.25"`` parse to ``("QUANTILE", 0.25)`` with the parameter
-    validated by the family's parser.  Unknown families raise ``KeyError``;
-    invalid parameter values raise ``ValueError``.
+    Raises ``KeyError`` for a name outside the 15 functions of Table II.
     """
-    if ":" in name:
-        head, _, tail = name.partition(":")
-        func = _basic_normalise(head)
-        if func not in PARAMETERIZED_AGGREGATES:
-            raise KeyError(f"Unknown parameterized aggregation function {name!r}")
-        _, parser = PARAMETERIZED_AGGREGATES[func]
-        try:
-            param = parser(tail.strip())
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"Invalid parameter in aggregate name {name!r}: {exc}") from exc
-        return func, param
-    return _basic_normalise(name), None
-
-
-def canonical_aggregate_name(func: str, param: Optional[AggregateParam] = None) -> str:
-    """Render the canonical spelling of an aggregate: ``"SUM"``, ``"QUANTILE:0.25"``."""
-    func = _basic_normalise(func)
-    if param is None:
-        return func
-    if func not in PARAMETERIZED_AGGREGATES:
-        raise KeyError(f"Aggregation function {func!r} does not take a parameter")
-    _, parser = PARAMETERIZED_AGGREGATES[func]
-    value = parser(param)
-    rendered = repr(float(value)) if isinstance(value, float) else str(int(value))
-    return f"{func}:{rendered}"
-
-
-def resolve_aggregate(
-    func: str, param: Optional[AggregateParam] = None
-) -> Callable[[np.ndarray], float]:
-    """Return the per-group reference callable for ``func`` (+ ``param``).
-
-    ``func`` is a canonical base name (``"SUM"``, ``"QUANTILE"``).  Plain
-    aggregates reject a parameter; parameterized families require one.
-    """
-    func = _basic_normalise(func)
-    if func in PARAMETERIZED_AGGREGATES:
-        if param is None:
-            raise ValueError(f"Aggregation function {func!r} requires a parameter")
-        reference, parser = PARAMETERIZED_AGGREGATES[func]
-        value = parser(param)
-        return lambda values: reference(values, value)
-    if func not in AGGREGATE_FUNCTIONS:
-        raise KeyError(f"Unknown aggregation function {func!r}")
-    if param is not None:
-        raise ValueError(f"Aggregation function {func!r} does not take a parameter")
-    return AGGREGATE_FUNCTIONS[func]
+    canonical = name.strip().upper().replace(" ", "_")
+    if canonical not in AGGREGATE_FUNCTIONS:
+        raise KeyError(f"Unknown aggregation function {name!r}")
+    return canonical
 
 
 def aggregate(name: str, values: np.ndarray) -> float:
     """Apply the aggregation function *name* to a float array of group values."""
-    func, param = parse_aggregate_name(name)
-    if param is None and func not in AGGREGATE_FUNCTIONS:
-        raise KeyError(f"Unknown aggregation function {name!r}")
-    return resolve_aggregate(func, param)(np.asarray(values, dtype=np.float64))
-
-
-def normalise_aggregate_name(name: str) -> str:
-    """Canonicalise an aggregation function name.
-
-    ``"count distinct"`` -> ``"COUNT_DISTINCT"``; parameterized spellings are
-    re-rendered canonically, e.g. ``"quantile: .5"`` -> ``"QUANTILE:0.5"``.
-    """
-    if ":" in name:
-        func, param = parse_aggregate_name(name)
-        return canonical_aggregate_name(func, param)
-    return _basic_normalise(name)
+    func = AGGREGATE_FUNCTIONS[normalise_aggregate_name(name)]
+    return func(np.asarray(values, dtype=np.float64))
 
 
 def column_to_aggregable(column: Column, rows=None) -> np.ndarray:

@@ -15,8 +15,7 @@ import numpy as np
 from repro.dataframe.aggregates import (
     AGGREGATE_FUNCTIONS,
     column_to_aggregable,
-    parse_aggregate_name,
-    resolve_aggregate,
+    normalise_aggregate_name,
 )
 from repro.dataframe.column import Column, DType, renumber_codes_compact
 from repro.dataframe.table import Table
@@ -113,10 +112,7 @@ def group_by_aggregate(
     columns preserved with their original dtypes, plus a numeric feature
     column.
     """
-    func_name, param = parse_aggregate_name(agg_func)
-    if param is None and func_name not in AGGREGATE_FUNCTIONS:
-        raise KeyError(f"Unknown aggregation function {agg_func!r}")
-    func = resolve_aggregate(func_name, param)
+    func = AGGREGATE_FUNCTIONS[normalise_aggregate_name(agg_func)]
 
     codes, first_rows = group_codes(table, keys)
     agg_values = column_to_aggregable(table.column(agg_attr))

@@ -53,43 +53,21 @@ perturbing a search trajectory by even an ulp.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.dataframe.aggregates import (
-    AGGREGATE_FUNCTIONS,
-    PARAMETERIZED_AGGREGATES,
-    parse_aggregate_name,
-)
+from repro.dataframe.aggregates import AGGREGATE_FUNCTIONS, normalise_aggregate_name
 
-#: The 15 plain aggregate functions of Table II, every one with a vectorized
-#: kernel.  Parameterized families (``PARAMETERIZED_KERNELS``) are kept
-#: separate because their bare names are not computable without a parameter.
+#: The 15 aggregate functions of Table II, every one with a vectorized kernel.
 GROUPED_KERNELS = frozenset(AGGREGATE_FUNCTIONS)
-
-#: Parameterized aggregate families with vectorized kernels; computed via
-#: ``compute("QUANTILE", 0.25)`` or the spelled form ``compute("QUANTILE:0.25")``.
-PARAMETERIZED_KERNELS = frozenset(PARAMETERIZED_AGGREGATES)
 
 #: Kernels whose evaluation touches the shared (code, value) sort order.
 #: KURTOSIS is here because its zero-variance test reads MIN / MAX off the
-#: sorted segments; QUANTILE reads the sorted segments directly and
-#: TOP_K_SHARE reads the equal-value runs derived from them; the remaining
-#: accumulation kernels are pure ``bincount`` passes and never trigger a sort.
+#: sorted segments; the remaining accumulation kernels are pure ``bincount``
+#: passes and never trigger a sort.
 SORT_BASED_KERNELS = frozenset(
-    {
-        "MIN",
-        "MAX",
-        "MEDIAN",
-        "MAD",
-        "MODE",
-        "ENTROPY",
-        "COUNT_DISTINCT",
-        "KURTOSIS",
-        "QUANTILE",
-        "TOP_K_SHARE",
-    }
+    {"MIN", "MAX", "MEDIAN", "MAD", "MODE", "ENTROPY", "COUNT_DISTINCT", "KURTOSIS"}
 )
 
 
@@ -185,31 +163,9 @@ class GroupedAggregator:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def compute(self, name: str, param=None) -> np.ndarray:
-        """The per-group results of aggregate *name* (length ``n_groups``).
-
-        Parameterized families take their parameter either via *param*
-        (``compute("QUANTILE", 0.25)``) or spelled into the name
-        (``compute("QUANTILE:0.25")``) -- but not both.
-        """
-        key, parsed = parse_aggregate_name(name)
-        if parsed is not None:
-            if param is not None:
-                raise ValueError(
-                    f"Aggregate {name!r} spells its parameter; do not pass param too"
-                )
-            param = parsed
-        if key in PARAMETERIZED_AGGREGATES:
-            if param is None:
-                raise ValueError(f"Aggregation function {key!r} requires a parameter")
-            _, parser = PARAMETERIZED_AGGREGATES[key]
-            return self._PARAM_KERNELS[key](self, parser(param))
-        if param is not None:
-            raise ValueError(f"Aggregation function {key!r} does not take a parameter")
-        kernel = self._KERNELS.get(key)
-        if kernel is None:
-            raise KeyError(f"No grouped kernel for aggregation function {name!r}")
-        return kernel(self)
+    def compute(self, name: str) -> np.ndarray:
+        """The per-group results of aggregate *name* (length ``n_groups``)."""
+        return self._KERNELS[normalise_aggregate_name(name)](self)
 
     @property
     def counts(self) -> np.ndarray:
@@ -566,62 +522,6 @@ class GroupedAggregator:
         result[groups] = run_value[qualifies][first]
         return result
 
-    def quantile(self, q: float) -> np.ndarray:
-        """Linear-interpolation quantile at *q* per group.
-
-        Replays :func:`repro.dataframe.aggregates.agg_quantile`'s formula
-        elementwise over the shared sorted segments -- ``pos = q * (n - 1)``,
-        truncate, interpolate -- so the result is bit-identical to the
-        per-group reference for every q.
-        """
-        svals, starts = self._sorted_segments()
-        result = np.full(self.n_groups, np.nan)
-        ne = self._nonempty
-        if not ne.any():
-            return result
-        s, c = starts[ne], self._counts[ne]
-        pos = q * (c - 1)
-        lo = pos.astype(np.int64)
-        frac = pos - lo
-        v_lo = svals[s + lo]
-        # Clamped gather: rows with frac == 0 never read v_hi, but np.where
-        # evaluates both branches, so the index must stay in the segment.
-        v_hi = svals[s + np.minimum(lo + 1, c - 1)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            result[ne] = np.where(frac == 0.0, v_lo, v_lo + (v_hi - v_lo) * frac)
-        return result
-
-    def top_k_share(self, k: int) -> np.ndarray:
-        """Share of each group's non-NaN rows held by its *k* most frequent values.
-
-        Works over the equal-value runs: order runs by descending count
-        within each group, keep each group's first *k*, and total their
-        counts.  Counts are exact integers, so the per-group totals (and the
-        final division by the group size) match
-        :func:`repro.dataframe.aggregates.agg_top_k_share` bit for bit.
-        """
-        run_group, _, run_count = self._value_runs()
-        result = np.full(self.n_groups, np.nan)
-        if run_group.size == 0:
-            return result
-        order = np.lexsort((-run_count, run_group))
-        ordered_group = run_group[order]
-        ordered_count = run_count[order]
-        runs_per_group = np.bincount(run_group, minlength=self.n_groups)
-        group_start = np.zeros(self.n_groups, dtype=np.int64)
-        if self.n_groups > 1:
-            np.cumsum(runs_per_group[:-1], out=group_start[1:])
-        rank = np.arange(ordered_group.size, dtype=np.int64) - group_start[ordered_group]
-        selected = rank < int(k)
-        top = np.bincount(
-            ordered_group[selected],
-            weights=ordered_count[selected].astype(np.float64),
-            minlength=self.n_groups,
-        )
-        ne = self._nonempty
-        result[ne] = top[ne] / self._counts[ne]
-        return result
-
     #: name -> unbound kernel method, keyed by canonical aggregate name.
     _KERNELS = {
         "SUM": sum,
@@ -640,39 +540,3 @@ class GroupedAggregator:
         "MAD": mad,
         "MEDIAN": median,
     }
-
-    #: parameterized family -> unbound kernel method taking (self, param).
-    _PARAM_KERNELS = {
-        "QUANTILE": quantile,
-        "TOP_K_SHARE": top_k_share,
-    }
-
-
-def grouped_aggregate(
-    name: str,
-    codes: np.ndarray,
-    values: np.ndarray,
-    n_groups: int,
-    sort_order: Optional[np.ndarray] = None,
-    param=None,
-) -> np.ndarray:
-    """One-shot helper: aggregate *values* per group code with kernel *name*."""
-    return GroupedAggregator(codes, values, n_groups, sort_order=sort_order).compute(
-        name, param
-    )
-
-
-def grouped_aggregate_many(
-    names,
-    codes: np.ndarray,
-    values: np.ndarray,
-    n_groups: int,
-    sort_order: Optional[np.ndarray] = None,
-) -> Dict[str, np.ndarray]:
-    """Evaluate several aggregates over one grouping, sharing intermediates.
-
-    Parameterized aggregates are accepted via their spelled names
-    (``"QUANTILE:0.25"``).
-    """
-    aggregator = GroupedAggregator(codes, values, n_groups, sort_order=sort_order)
-    return {name: aggregator.compute(name) for name in names}

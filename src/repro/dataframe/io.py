@@ -13,7 +13,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.dataframe.column import Column, DType, format_datetime
+from repro.dataframe.column import Column, DType, format_datetime, parse_datetime
 from repro.dataframe.table import Table
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
@@ -26,16 +26,20 @@ def _try_parse_float(text: str):
         return None
 
 
-def _looks_like_datetime(text: str) -> bool:
-    if len(text) < 8 or text[4:5] != "-":
+def _is_datetime(text: str) -> bool:
+    """True when *text* parses as a date(time); ids like ``1234-5678`` do not."""
+    if len(text) < 8 or text[4:5] != "-" or not text[:4].isdigit():
         return False
-    head = text[:4]
-    return head.isdigit()
+    try:
+        parse_datetime(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _infer_column(name: str, raw: List[str]) -> Column:
     non_missing = [v for v in raw if v.strip().lower() not in _MISSING_TOKENS]
-    if non_missing and all(_looks_like_datetime(v.strip()) for v in non_missing):
+    if non_missing and all(_is_datetime(v.strip()) for v in non_missing):
         values = [None if v.strip().lower() in _MISSING_TOKENS else v.strip() for v in raw]
         return Column(name, values, dtype=DType.DATETIME)
     parsed = [_try_parse_float(v) for v in non_missing]

@@ -75,29 +75,6 @@ class Equals(Predicate):
         return f"{self.column} = {_sql_literal(self.value)}"
 
 
-class IsIn(Predicate):
-    """``column IN (v1, v2, ...)`` membership predicate."""
-
-    def __init__(self, column: str, values: Sequence):
-        self.column = column
-        self.values = list(values)
-
-    def mask(self, table: Table) -> np.ndarray:
-        col = table.column(self.column)
-        if col.is_numeric_like:
-            allowed = np.asarray([float(v) for v in self.values], dtype=np.float64)
-            return np.isin(col.values, allowed)
-        # SQL semantics: NULL never satisfies IN (None and unseen members
-        # have no code).
-        codes, dictionary = col.coding
-        allowed = [dictionary.code_of(v) for v in self.values]
-        return np.isin(codes, [code for code in allowed if code >= 0])
-
-    def to_sql(self) -> str:
-        rendered = ", ".join(_sql_literal(v) for v in self.values)
-        return f"{self.column} IN ({rendered})"
-
-
 class Range(Predicate):
     """``low <= column <= high`` range predicate (numeric / datetime).
 
@@ -137,41 +114,6 @@ class Range(Predicate):
         if self.high is not None:
             parts.append(f"{self.column} <= {render(self.high)}")
         return " AND ".join(parts)
-
-
-class Window(Predicate):
-    """``low <= column < high`` half-open interval (time windows over events).
-
-    Unlike :class:`Range` both bounds are required and the upper bound is
-    exclusive, so adjacent windows tile an event timeline without double
-    counting boundary timestamps.  Missing values never match.
-    """
-
-    def __init__(self, column: str, low, high, dtype: DType | str = DType.DATETIME):
-        if low is None or high is None:
-            raise ValueError("Window predicate needs both bounds")
-        self.column = column
-        self.low = low
-        self.high = high
-        self.dtype = DType(dtype)
-
-    def mask(self, table: Table) -> np.ndarray:
-        col = table.column(self.column)
-        if not col.is_numeric_like:
-            raise TypeError(f"Window predicate needs a numeric-like column, got {col.dtype.value}")
-        values = col.values
-        mask = ~np.isnan(values)
-        mask &= values >= float(self.low)
-        mask &= values < float(self.high)
-        return mask
-
-    def to_sql(self) -> str:
-        def render(bound):
-            if self.dtype is DType.DATETIME:
-                return f"'{format_datetime(float(bound))}'"
-            return _sql_literal(bound)
-
-        return f"{self.column} >= {render(self.low)} AND {self.column} < {render(self.high)}"
 
 
 class And(Predicate):

@@ -100,9 +100,6 @@ class Table:
             raise KeyError(f"No column named {name!r}; available: {self.column_names}")
         return self._columns[name]
 
-    def dtype_of(self, name: str) -> DType:
-        return self.column(name).dtype
-
     def schema(self) -> Dict[str, DType]:
         """Mapping of column name to dtype."""
         return {name: col.dtype for name, col in self._columns.items()}
@@ -193,11 +190,6 @@ class Table:
     def row(self, index: int) -> Dict[str, object]:
         """Return a single row as a dictionary."""
         return {name: col.values[index] for name, col in self._columns.items()}
-
-    def iter_rows(self):
-        """Iterate over rows as dictionaries (slow; for tests and IO only)."""
-        for i in range(self.num_rows):
-            yield self.row(i)
 
     # ------------------------------------------------------------------
     # Joins and concatenation

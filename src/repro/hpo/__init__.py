@@ -14,7 +14,6 @@ from repro.hpo.optimizer import Optimizer
 from repro.hpo.random_search import RandomSearchOptimizer
 from repro.hpo.kde import CategoricalDensity, GaussianKDE
 from repro.hpo.tpe import TPEOptimizer
-from repro.hpo.hyperband import HyperbandOptimizer, successive_halving
 
 __all__ = [
     "CategoricalDimension",
@@ -28,6 +27,4 @@ __all__ = [
     "CategoricalDensity",
     "GaussianKDE",
     "TPEOptimizer",
-    "HyperbandOptimizer",
-    "successive_halving",
 ]

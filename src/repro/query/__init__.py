@@ -2,9 +2,12 @@
 
 Implements the paper's core abstractions (Section III):
 
-* :class:`QueryTemplate` -- the quadruple ``T = (F, A, P, K)``.
+* :class:`QueryTemplate` -- the quadruple ``T = (F, A, P, K)``: the
+  aggregation functions (Table II's 15), aggregation attributes, WHERE
+  attributes and group-by keys.
 * :class:`PredicateAwareQuery` -- one concrete query drawn from a template's
-  pool, with its vector encoding (Section V.A).
+  pool: an equality predicate per categorical WHERE attribute and a closed
+  range per numeric / datetime one (Section V.A).
 * :class:`QueryPool` -- builds the HPO search space for a template against a
   concrete relevant table and converts points back into executable queries.
 * :class:`QueryPlan` -- the frozen logical plan IR (predicate atoms, group-by
@@ -54,12 +57,6 @@ from repro.query.service import (
 )
 from repro.query.executor import execute_query, execute_query_naive
 from repro.query.augment import augment_training_table, apply_queries
-from repro.query.multi_table import (
-    RelationalSchema,
-    Relationship,
-    flatten_relevant_tables,
-    flatten_to_engine,
-)
 
 __all__ = [
     "QueryTemplate",
@@ -88,8 +85,4 @@ __all__ = [
     "execute_query_naive",
     "augment_training_table",
     "apply_queries",
-    "RelationalSchema",
-    "Relationship",
-    "flatten_relevant_tables",
-    "flatten_to_engine",
 ]

@@ -827,8 +827,7 @@ class QueryEngine:
                 if spec.func == "MAD":
                     aggregator.resolve_mad_order()
                 start = time.perf_counter()
-                feature = aggregator.compute(spec.func, spec.param)
-                # One kernel bucket per family (QUANTILE, not QUANTILE:0.25).
+                feature = aggregator.compute(spec.func)
                 self.stats.record_kernel(spec.func, time.perf_counter() - start)
                 if key_columns is None:
                     key_columns = index.key_columns(group_ids)

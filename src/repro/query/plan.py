@@ -25,23 +25,14 @@ build inline:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dataframe.aggregates import (
-    AGGREGATE_FUNCTIONS,
-    PARAMETERIZED_AGGREGATES,
-    parse_aggregate_name,
-)
+from repro.dataframe.aggregates import normalise_aggregate_name
 from repro.dataframe.column import DType
-from repro.dataframe.predicates import And, Equals, IsIn, Predicate, Range, Window
-from repro.query.query import (
-    PredicateAwareQuery,
-    WindowConstraint,
-    canonical_members,
-    is_membership_constraint,
-)
+from repro.dataframe.predicates import And, Equals, Predicate, Range
+from repro.query.query import PredicateAwareQuery
 
 
 def _normalise_constant(value):
@@ -64,16 +55,12 @@ class PredicateAtom:
     ``kind`` is one of:
 
     * ``"eq"`` -- categorical equality, ``value`` holds the constant;
-    * ``"in"`` -- categorical membership, ``value`` holds the allowed values
-      (stored as a canonically-sorted duplicate-free tuple, so signature /
-      mask-cache identity is order- and duplicate-insensitive);
     * ``"range"`` -- closed numeric / datetime interval, ``low`` / ``high``
-      hold the bounds, either may be ``None`` for a one-sided range;
-    * ``"window"`` -- half-open ``[low, high)`` time interval over a datetime
-      event column, both bounds required.
+      hold the bounds, either may be ``None`` for a one-sided range.
 
-    Constants are normalised on construction (numpy scalars collapse to
-    Python scalars) so equal constants can never produce distinct cache keys.
+    Any other kind raises ``ValueError``.  Constants are normalised on
+    construction (numpy scalars collapse to Python scalars) so equal
+    constants can never produce distinct cache keys.
     """
 
     kind: str
@@ -84,34 +71,21 @@ class PredicateAtom:
     dtype: DType = DType.CATEGORICAL
 
     def __post_init__(self):
+        if self.kind not in ("eq", "range"):
+            raise ValueError(f"Unknown predicate atom kind {self.kind!r}")
         object.__setattr__(self, "value", _normalise_constant(self.value))
         object.__setattr__(self, "low", _normalise_constant(self.low))
         object.__setattr__(self, "high", _normalise_constant(self.high))
-        if self.kind == "in":
-            members = self.value if self.value is not None else ()
-            if not is_membership_constraint(members):
-                members = (members,)
-            object.__setattr__(
-                self,
-                "value",
-                canonical_members([_normalise_constant(m) for m in members]),
-            )
 
     def signature(self) -> Optional[tuple]:
         """Hashable identity of the atom (``None`` = uncacheable constants).
 
         The tuples are identical to the historical predicate-mask cache keys
         (``("eq", attr, value)`` / ``("range", attr, low, high)``), so masks
-        cached before a plan was ever built keep hitting; the new kinds
-        extend the scheme with ``("in", attr, members)`` and
-        ``("window", attr, low, high)``.
+        cached before a plan was ever built keep hitting.
         """
         if self.kind == "eq":
             sig: tuple = ("eq", self.attr, self.value)
-        elif self.kind == "in":
-            sig = ("in", self.attr, self.value)
-        elif self.kind == "window":
-            sig = ("window", self.attr, self.low, self.high)
         else:
             sig = ("range", self.attr, self.low, self.high)
         try:
@@ -124,10 +98,6 @@ class PredicateAtom:
         """The executable numpy predicate for this atom."""
         if self.kind == "eq":
             return Equals(self.attr, self.value)
-        if self.kind == "in":
-            return IsIn(self.attr, list(self.value))
-        if self.kind == "window":
-            return Window(self.attr, self.low, self.high, dtype=self.dtype)
         return Range(self.attr, low=self.low, high=self.high, dtype=self.dtype)
 
 
@@ -135,35 +105,21 @@ class PredicateAtom:
 class AggregateSpec:
     """One ``(aggregation function, aggregation attribute)`` output column.
 
-    ``func`` is always the canonical base name (``COUNT_DISTINCT``, not
-    ``"count distinct"``; ``QUANTILE``, not ``"QUANTILE:0.25"``); for the
-    parameterized families (``QUANTILE``, ``TOP_K_SHARE``) the parameter
-    lives in ``param`` (``None`` for plain aggregates).  Construction
-    through :func:`aggregate_spec` or :meth:`QueryPlan.from_query`
-    normalises and validates both.
+    ``func`` is always the canonical name (``COUNT_DISTINCT``, not
+    ``"count distinct"``); construction through :func:`aggregate_spec` or
+    :meth:`QueryPlan.from_query` normalises and validates it.
     """
 
     func: str
     attr: str
     feature_name: str = "feature"
-    param: Optional[Union[float, int]] = None
 
 
 def aggregate_spec(func: str, attr: str, feature_name: str = "feature") -> AggregateSpec:
-    """Build an :class:`AggregateSpec`, normalising and validating ``func``.
-
-    Accepts plain names (``"count distinct"``) and parameterized spellings
-    (``"QUANTILE:0.25"``, ``"TOP_K_SHARE:3"``); raises ``KeyError`` for
-    unknown functions and ``ValueError`` for a parameterized family without
-    (or with an invalid) parameter.
-    """
-    canonical, param = parse_aggregate_name(func)
-    if param is None:
-        if canonical in PARAMETERIZED_AGGREGATES:
-            raise ValueError(f"Aggregation function {func!r} requires a parameter")
-        if canonical not in AGGREGATE_FUNCTIONS:
-            raise KeyError(f"Unknown aggregation function {func!r}")
-    return AggregateSpec(canonical, attr, feature_name, param)
+    """Build an :class:`AggregateSpec`, normalising ``func`` (``"count
+    distinct"`` -> ``COUNT_DISTINCT``); raises ``KeyError`` for a function
+    outside Table II."""
+    return AggregateSpec(normalise_aggregate_name(func), attr, feature_name)
 
 
 def atoms_from_query(query: PredicateAwareQuery) -> Tuple[PredicateAtom, ...]:
@@ -179,24 +135,8 @@ def atoms_from_query(query: PredicateAwareQuery) -> Tuple[PredicateAtom, ...]:
         dtype = query.predicate_dtypes.get(attr, DType.CATEGORICAL)
         if constraint is None:
             continue
-        if isinstance(constraint, WindowConstraint):
-            # The marker type is unambiguous: honour it even when the
-            # attribute's dtype was never declared (the CATEGORICAL default
-            # is a fallback, not evidence) -- mirrors build_predicate.
-            if dtype is DType.CATEGORICAL:
-                dtype = DType.NUMERIC
-            atoms.append(
-                PredicateAtom(
-                    "window", attr, low=constraint.low, high=constraint.high, dtype=dtype
-                )
-            )
-        elif dtype is DType.CATEGORICAL:
-            if is_membership_constraint(constraint):
-                if not constraint:
-                    continue
-                atoms.append(PredicateAtom("in", attr, value=tuple(constraint), dtype=dtype))
-            else:
-                atoms.append(PredicateAtom("eq", attr, value=constraint, dtype=dtype))
+        if dtype is DType.CATEGORICAL:
+            atoms.append(PredicateAtom("eq", attr, value=constraint, dtype=dtype))
         else:
             low, high = constraint
             if low is None and high is None:
@@ -304,20 +244,12 @@ class QueryPlan:
         return key + ("MEDIAN",)
 
     def result_key(self, position: int = 0) -> Optional[tuple]:
-        """Result-cache key of the aggregate at *position* (``None`` = uncacheable).
-
-        Plain aggregates keep the historical 5-tuple; parameterized ones
-        append ``spec.param`` as a sixth element, so a ``QUANTILE:0.25`` and
-        a ``QUANTILE:0.75`` result can never collide.
-        """
+        """Result-cache key of the aggregate at *position* (``None`` = uncacheable)."""
         signature = self.predicate_signature()
         if signature is None:
             return None
         spec = self.aggregates[position]
-        key = (spec.func, spec.attr, self.keys, signature, spec.feature_name)
-        if spec.param is None:
-            return key
-        return key + (spec.param,)
+        return (spec.func, spec.attr, self.keys, signature, spec.feature_name)
 
     def signature(self) -> Optional[tuple]:
         """Canonical identity of the whole plan (predicate, keys, aggregates)."""

@@ -8,11 +8,15 @@ numeric and datetime attributes) and builds the corresponding
 * one categorical dimension for the aggregation function,
 * one categorical dimension for the aggregation attribute,
 * per categorical predicate attribute: one categorical dimension over the
-  attribute's values plus ``None`` ("no predicate"),
+  attribute's values plus ``None`` ("no predicate"), decoded to an equality
+  predicate,
 * per numeric/datetime predicate attribute: two optional real dimensions for
-  the lower and upper bound,
+  the lower and upper bound, decoded to a closed range,
 * one categorical dimension selecting the (non-empty) subset of the foreign
   key used for GROUP BY.
+
+These are all the dimensions there are, so the space has the paper's
+``2 + n + 2m + |K|`` vector layout.
 
 The pool also converts HPO parameter dictionaries back into executable
 :class:`~repro.query.query.PredicateAwareQuery` objects.
@@ -27,18 +31,12 @@ import numpy as np
 from repro.dataframe.column import DType
 from repro.dataframe.table import Table
 from repro.hpo.space import CategoricalDimension, RealDimension, SearchSpace
-from repro.query.query import PredicateAwareQuery, WindowConstraint
+from repro.query.query import PredicateAwareQuery
 from repro.query.template import QueryTemplate
 
 #: Maximum number of distinct values kept per categorical predicate attribute;
 #: rarer values are dropped from the search space to keep it tractable.
 MAX_CATEGORICAL_VALUES = 30
-
-#: Maximum IN-list size proposed for a template's ``in_list_attrs``: the
-#: search dimension offers the top-1, top-2, ... top-m prefixes of the
-#: attribute's domain (plus ``None``), so member sets grow by frequency
-#: rank instead of exploding combinatorially.
-MAX_IN_LIST_MEMBERS = 8
 
 
 def _non_empty_key_subsets(keys: Sequence[str]) -> List[Tuple[str, ...]]:
@@ -68,21 +66,8 @@ class QueryPool:
     # ------------------------------------------------------------------
     # Domain collection and space construction
     # ------------------------------------------------------------------
-    def _constrained_attrs(self) -> List[str]:
-        """Every attribute the pool may constrain, deduplicated in order:
-        plain predicate attributes, then IN-list, then window attributes."""
-        ordered: List[str] = []
-        for attr in (
-            list(self.template.predicate_attrs)
-            + list(self.template.in_list_attrs)
-            + list(self.template.window_attrs)
-        ):
-            if attr not in ordered:
-                ordered.append(attr)
-        return ordered
-
     def _collect_domains(self, table: Table) -> None:
-        for attr in self._constrained_attrs():
+        for attr in self.template.predicate_attrs:
             column = table.column(attr)
             self._predicate_dtypes[attr] = column.dtype
             if column.dtype is DType.CATEGORICAL:
@@ -90,17 +75,6 @@ class QueryPool:
             else:
                 self._numeric_domains[attr] = self._adjusted_bounds(
                     column.min(), column.max()
-                )
-        for attr in self.template.in_list_attrs:
-            if self._predicate_dtypes[attr] is not DType.CATEGORICAL:
-                raise ValueError(
-                    f"in_list_attrs entry {attr!r} must be categorical, "
-                    f"got {self._predicate_dtypes[attr]}"
-                )
-        for attr in self.template.window_attrs:
-            if self._predicate_dtypes[attr] is DType.CATEGORICAL:
-                raise ValueError(
-                    f"window_attrs entry {attr!r} must be numeric or datetime"
                 )
 
     @staticmethod
@@ -145,23 +119,6 @@ class QueryPool:
                 dimensions.append(
                     RealDimension(f"pred_high::{attr}", low, high, optional=True)
                 )
-        for attr in self.template.in_list_attrs:
-            domain = list(self._categorical_domains[attr])
-            prefixes = [
-                tuple(domain[:i])
-                for i in range(1, min(len(domain), MAX_IN_LIST_MEMBERS) + 1)
-            ]
-            dimensions.append(
-                CategoricalDimension(f"pred_in::{attr}", [None] + prefixes)
-            )
-        for attr in self.template.window_attrs:
-            low, high = self._numeric_domains[attr]
-            dimensions.append(
-                RealDimension(f"win_low::{attr}", low, high, optional=True)
-            )
-            dimensions.append(
-                RealDimension(f"win_high::{attr}", low, high, optional=True)
-            )
         dimensions.append(
             CategoricalDimension("group_keys", _non_empty_key_subsets(self.template.keys))
         )
@@ -186,21 +143,6 @@ class QueryPool:
                 if low is not None and high is not None and low > high:
                     low, high = high, low
                 predicates[attr] = (low, high)
-        for attr in self.template.in_list_attrs:
-            members = params.get(f"pred_in::{attr}")
-            if members:
-                predicates[attr] = tuple(members)
-            elif attr not in predicates:
-                predicates[attr] = None
-        for attr in self.template.window_attrs:
-            low = params.get(f"win_low::{attr}")
-            high = params.get(f"win_high::{attr}")
-            if low is not None and high is not None:
-                if low > high:
-                    low, high = high, low
-                predicates[attr] = WindowConstraint(float(low), float(high))
-            elif attr not in predicates:
-                predicates[attr] = None
         group_keys = params.get("group_keys") or tuple(self.template.keys)
         return PredicateAwareQuery(
             agg_func=params["agg_func"],
@@ -210,46 +152,6 @@ class QueryPool:
             predicate_dtypes=dict(self._predicate_dtypes),
             relation_name=self.relation_name,
         )
-
-    def encode(self, query: PredicateAwareQuery) -> Dict[str, object]:
-        """Convert a query back into an HPO parameter dictionary."""
-        params: Dict[str, object] = {
-            "agg_func": query.agg_func,
-            "agg_attr": query.agg_attr,
-            "group_keys": tuple(query.keys),
-        }
-        for attr in self.template.predicate_attrs:
-            constraint = query.predicates.get(attr)
-            if self._predicate_dtypes[attr] is DType.CATEGORICAL:
-                # Membership constraints live on the pred_in:: dimension.
-                params[f"pred::{attr}"] = (
-                    None
-                    if isinstance(constraint, (list, tuple, set, frozenset))
-                    else constraint
-                )
-            else:
-                # Window constraints live on the win_low::/win_high:: pair.
-                if isinstance(constraint, WindowConstraint) or constraint is None:
-                    constraint = (None, None)
-                low, high = constraint
-                params[f"pred_low::{attr}"] = low
-                params[f"pred_high::{attr}"] = high
-        for attr in self.template.in_list_attrs:
-            constraint = query.predicates.get(attr)
-            params[f"pred_in::{attr}"] = (
-                tuple(constraint)
-                if isinstance(constraint, (list, tuple, set, frozenset)) and constraint
-                else None
-            )
-        for attr in self.template.window_attrs:
-            constraint = query.predicates.get(attr)
-            if isinstance(constraint, WindowConstraint):
-                params[f"win_low::{attr}"] = constraint.low
-                params[f"win_high::{attr}"] = constraint.high
-            else:
-                params[f"win_low::{attr}"] = None
-                params[f"win_high::{attr}"] = None
-        return params
 
     def sample_random(self, seed: int | None = None, n: int = 1) -> List[PredicateAwareQuery]:
         """Draw *n* random queries from the pool."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
@@ -19,29 +19,20 @@ class QueryTemplate:
     Attributes
     ----------
     agg_funcs:
-        ``F`` -- the candidate aggregation functions.  Parameterized spelled
-        names (``"QUANTILE:0.25"``, ``"TOP_K_SHARE:3"``) are accepted and
-        kept in canonical spelling.
+        ``F`` -- the candidate aggregation functions, kept in canonical
+        spelling; a name outside Table II raises ``KeyError``.
     agg_attrs:
         ``A`` -- attributes of the relevant table that may be aggregated.
     predicate_attrs:
         ``P`` -- the fixed attribute combination forming the WHERE clause.
     keys:
         ``K`` -- the foreign-key attributes used for GROUP BY / joining.
-    in_list_attrs:
-        Categorical attributes the search may additionally constrain with
-        IN-list membership predicates (opt-in; default none).
-    window_attrs:
-        Numeric / datetime attributes the search may additionally constrain
-        with half-open ``[low, high)`` time windows (opt-in; default none).
     """
 
     agg_funcs: Tuple[str, ...]
     agg_attrs: Tuple[str, ...]
     predicate_attrs: Tuple[str, ...]
     keys: Tuple[str, ...]
-    in_list_attrs: Tuple[str, ...]
-    window_attrs: Tuple[str, ...]
 
     def __init__(
         self,
@@ -49,8 +40,6 @@ class QueryTemplate:
         agg_attrs: Sequence[str],
         predicate_attrs: Sequence[str],
         keys: Sequence[str],
-        in_list_attrs: Sequence[str] = (),
-        window_attrs: Sequence[str] = (),
     ):
         funcs = tuple(
             normalise_aggregate_name(f) for f in (agg_funcs if agg_funcs else DEFAULT_AGGREGATES)
@@ -59,8 +48,6 @@ class QueryTemplate:
         object.__setattr__(self, "agg_attrs", tuple(agg_attrs))
         object.__setattr__(self, "predicate_attrs", tuple(predicate_attrs))
         object.__setattr__(self, "keys", tuple(keys))
-        object.__setattr__(self, "in_list_attrs", tuple(in_list_attrs))
-        object.__setattr__(self, "window_attrs", tuple(window_attrs))
         if not self.agg_attrs:
             raise ValueError("A query template needs at least one aggregation attribute")
         if not self.keys:
@@ -68,14 +55,7 @@ class QueryTemplate:
 
     def validate_against(self, relevant_table: Table) -> None:
         """Raise ``KeyError`` if any referenced attribute is missing from the table."""
-        names = (
-            list(self.agg_attrs)
-            + list(self.predicate_attrs)
-            + list(self.keys)
-            + list(self.in_list_attrs)
-            + list(self.window_attrs)
-        )
-        for name in names:
+        for name in self.agg_attrs + self.predicate_attrs + self.keys:
             if name not in relevant_table:
                 raise KeyError(f"Template references missing column {name!r}")
 
@@ -92,17 +72,6 @@ class QueryTemplate:
             if name in members:
                 encoding[i] = 1.0
         return encoding
-
-    def with_predicate_attrs(self, predicate_attrs: Sequence[str]) -> "QueryTemplate":
-        """A copy of this template with a different WHERE-clause attribute set."""
-        return QueryTemplate(
-            self.agg_funcs,
-            self.agg_attrs,
-            predicate_attrs,
-            self.keys,
-            in_list_attrs=self.in_list_attrs,
-            window_attrs=self.window_attrs,
-        )
 
     def describe(self) -> str:
         """Human-readable one-line summary."""

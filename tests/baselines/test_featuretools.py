@@ -16,19 +16,17 @@ class TestCandidateQueries:
     def test_categorical_attrs_limited_to_safe_aggregates(self, logs_table):
         generator = FeaturetoolsGenerator(keys=["cname"])
         queries = generator.candidate_queries(logs_table, agg_attrs=["department"])
-        # The default (plain-family) function list keeps exactly its
-        # categorical-safe members; parameterized families like TOP_K_SHARE
-        # are safe too but only appear when spelled explicitly.
+        # The default function list keeps exactly its categorical-safe members.
         expected = [f for f in generator.agg_funcs if f in CATEGORICAL_SAFE_AGGREGATES]
         assert len(queries) == len(expected)
         assert all(q.agg_func in CATEGORICAL_SAFE_AGGREGATES for q in queries)
 
-    def test_spelled_top_k_share_allowed_on_categoricals(self, logs_table):
+    def test_safety_check_reads_the_canonical_name(self, logs_table):
         generator = FeaturetoolsGenerator(
-            keys=["cname"], agg_funcs=["SUM", "TOP_K_SHARE:2"]
+            keys=["cname"], agg_funcs=["SUM", "count distinct"]
         )
         queries = generator.candidate_queries(logs_table, agg_attrs=["department"])
-        assert [q.agg_func for q in queries] == ["TOP_K_SHARE:2"]
+        assert [q.agg_func for q in queries] == ["count distinct"]
 
     def test_no_predicates_generated(self, logs_table):
         generator = FeaturetoolsGenerator(keys=["cname"], agg_funcs=["SUM"])

@@ -50,13 +50,13 @@ class TestBinaryEvaluation:
         evaluator, relevant = binary_setup
         query = PredicateAwareQuery(agg_func="SUM", agg_attr="amount", keys=("uid",))
         baseline = evaluator.evaluate_baseline()
-        augmented = evaluator.evaluate_query(query, relevant)
+        augmented = evaluator.evaluate_queries([query], relevant)
         assert augmented.metric > baseline.metric + 0.05
 
     def test_feature_vectors_align_with_rows(self, binary_setup):
         evaluator, relevant = binary_setup
         query = PredicateAwareQuery(agg_func="COUNT", agg_attr="amount", keys=("uid",))
-        train_vec, valid_vec = evaluator.feature_vectors_for_query(query, relevant)
+        (train_vec,), (valid_vec,) = evaluator.feature_vectors_for_queries([query], relevant)
         assert train_vec.shape[0] == evaluator.y_train.shape[0]
         assert valid_vec.shape[0] == evaluator.y_valid.shape[0]
 
@@ -106,7 +106,7 @@ class TestBinaryEvaluation:
         evaluator.relevant_table = None
         query = PredicateAwareQuery(agg_func="SUM", agg_attr="amount", keys=("uid",))
         with pytest.raises(ValueError):
-            evaluator.feature_vectors_for_query(query)
+            evaluator.feature_vectors_for_queries([query])
 
     def test_unknown_task_rejected(self, binary_setup):
         evaluator, _ = binary_setup

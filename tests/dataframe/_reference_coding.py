@@ -140,16 +140,6 @@ def equals_mask(column: Column, value) -> np.ndarray:
     return np.asarray([v is not None and v == value for v in column.values], dtype=bool)
 
 
-def isin_mask(column: Column, members: Sequence) -> np.ndarray:
-    values = column.values
-    mask = np.zeros(len(values), dtype=bool)
-    for v in members:
-        if v is None:
-            continue
-        mask |= values == v
-    return mask
-
-
 def column_to_aggregable(column: Column, rows=None) -> np.ndarray:
     if column.is_numeric_like:
         return column.values
@@ -164,13 +154,3 @@ def column_to_aggregable(column: Column, rows=None) -> np.ndarray:
             mapping[v] = len(mapping)
         codes[i] = mapping[v]
     return codes
-
-
-def parent_keep_mask(parent_table: Table, parent_key: str) -> np.ndarray:
-    """The first-row-per-key mask of the multi-table parent deduplication."""
-    key_column = parent_table.column(parent_key)
-    no_rows = np.zeros(parent_table.num_rows, dtype=bool)
-    codes, _, n_labels = join_key_codes(key_column, key_column.filter(no_rows))
-    first = np.full(n_labels, -1, dtype=np.int64)
-    first[codes[::-1]] = np.arange(codes.shape[0] - 1, -1, -1, dtype=np.int64)
-    return first[codes] == np.arange(codes.shape[0], dtype=np.int64)

@@ -127,8 +127,11 @@ class TestEdgeCases:
         assert isinstance(result, float)
 
     def test_unknown_function_raises(self):
-        with pytest.raises(KeyError):
-            aggregate("FROBNICATE", VALUES)
+        for name in ("FROBNICATE", "QUANTILE:0.25", "TOP_K_SHARE:3"):
+            with pytest.raises(KeyError):
+                aggregate(name, VALUES)
+            with pytest.raises(KeyError):
+                normalise_aggregate_name(name)
 
 
 class TestHelpers:
@@ -137,10 +140,7 @@ class TestHelpers:
         assert normalise_aggregate_name(" avg ") == "AVG"
 
     def test_categorical_safe_set_subset_of_all(self):
-        from repro.dataframe.aggregates import PARAMETERIZED_AGGREGATES
-
-        families = set(AGGREGATE_FUNCTIONS) | set(PARAMETERIZED_AGGREGATES)
-        assert CATEGORICAL_SAFE_AGGREGATES <= families
+        assert CATEGORICAL_SAFE_AGGREGATES <= set(AGGREGATE_FUNCTIONS)
 
     def test_column_to_aggregable_numeric_passthrough(self):
         column = Column("x", [1.0, 2.0])

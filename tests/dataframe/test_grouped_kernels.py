@@ -20,29 +20,11 @@ from repro.dataframe.aggregates import AGGREGATE_FUNCTIONS, aggregate
 from repro.dataframe.column import renumber_codes_compact
 from repro.dataframe.grouped_kernels import (
     GROUPED_KERNELS,
-    PARAMETERIZED_KERNELS,
     SORT_BASED_KERNELS,
     GroupedAggregator,
-    grouped_aggregate,
-    grouped_aggregate_many,
 )
 
 nasty_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
-
-#: Spelled parameterized variants exercised alongside the 15 plain kernels:
-#: quantiles at exact-index and interpolating positions, top-k at boundary ks.
-PARAMETERIZED_NAMES = (
-    "QUANTILE:0.0",
-    "QUANTILE:0.25",
-    "QUANTILE:0.5",
-    "QUANTILE:0.75",
-    "QUANTILE:1.0",
-    "QUANTILE:0.3333333333333333",
-    "TOP_K_SHARE:1",
-    "TOP_K_SHARE:2",
-    "TOP_K_SHARE:5",
-)
-
 
 def reference(name: str, codes: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
     """The per-group Python path the kernels must reproduce."""
@@ -84,20 +66,7 @@ class TestKernelEquivalenceProperties:
     @settings(max_examples=60, deadline=None)
     def test_kernels_bit_identical_on_arbitrary_floats(self, name, data):
         codes, values, n_groups = data
-        got = grouped_aggregate(name, codes, values, n_groups)
-        want = reference(name, codes, values, n_groups)
-        assert_same_nan_placement(got, want, name)
-        finite = ~np.isnan(want)
-        assert np.array_equal(got[finite], want[finite]), f"{name}: {got} != {want}"
-
-    @pytest.mark.parametrize("name", PARAMETERIZED_NAMES)
-    @given(data=grouped_inputs(nasty_floats))
-    @settings(max_examples=40, deadline=None)
-    def test_parameterized_kernels_bit_identical_on_arbitrary_floats(self, name, data):
-        """QUANTILE / TOP_K_SHARE replay the scalar reference bit-for-bit,
-        NaN placement included, on arbitrary finite floats."""
-        codes, values, n_groups = data
-        got = grouped_aggregate(name, codes, values, n_groups)
+        got = GroupedAggregator(codes, values, n_groups).compute(name)
         want = reference(name, codes, values, n_groups)
         assert_same_nan_placement(got, want, name)
         finite = ~np.isnan(want)
@@ -108,9 +77,10 @@ class TestKernelEquivalenceProperties:
     def test_shared_intermediates_are_not_corrupted_across_kernels(self, data):
         """Evaluating all 15 kernels off one aggregator matches one-shot calls."""
         codes, values, n_groups = data
-        shared = grouped_aggregate_many(sorted(GROUPED_KERNELS), codes, values, n_groups)
+        aggregator = GroupedAggregator(codes, values, n_groups)
+        shared = {name: aggregator.compute(name) for name in sorted(GROUPED_KERNELS)}
         for name, got in shared.items():
-            lone = grouped_aggregate(name, codes, values, n_groups)
+            lone = GroupedAggregator(codes, values, n_groups).compute(name)
             assert_same_nan_placement(got, lone, name)
             finite = ~np.isnan(lone)
             assert np.array_equal(got[finite], lone[finite]), f"{name} order-dependent"
@@ -154,12 +124,12 @@ class TestNaNPlacementInSortDrivenKernels:
     (which cleans each group independently) is the oracle.
     """
 
-    @pytest.mark.parametrize("name", sorted(SORT_BASED_KERNELS - PARAMETERIZED_KERNELS) + list(PARAMETERIZED_NAMES))
+    @pytest.mark.parametrize("name", sorted(SORT_BASED_KERNELS))
     @given(data=nan_bearing_grouped_inputs())
     @settings(max_examples=40, deadline=None)
     def test_bit_identical_on_nan_bearing_groups(self, name, data):
         codes, values, n_groups = data
-        got = grouped_aggregate(name, codes, values, n_groups)
+        got = GroupedAggregator(codes, values, n_groups).compute(name)
         want = reference(name, codes, values, n_groups)
         assert_same_nan_placement(got, want, name)
         finite = ~np.isnan(want)
@@ -174,11 +144,8 @@ class TestNaNPlacementInSortDrivenKernels:
         codes, values, n_groups = data
         donor = GroupedAggregator(codes, values, n_groups)
         order = donor.sort_order()
-        names = sorted(SORT_BASED_KERNELS - PARAMETERIZED_KERNELS) + list(
-            PARAMETERIZED_NAMES
-        )
-        for name in names:
-            got = grouped_aggregate(name, codes, values, n_groups, sort_order=order)
+        for name in sorted(SORT_BASED_KERNELS):
+            got = GroupedAggregator(codes, values, n_groups, sort_order=order).compute(name)
             want = reference(name, codes, values, n_groups)
             assert_same_nan_placement(got, want, name)
             finite = ~np.isnan(want)
@@ -199,10 +166,7 @@ class TestNaNPlacementInSortDrivenKernels:
 
         aggregator = GroupedAggregator(codes, values, n_groups)
         aggregator.order_cache = cache
-        names = sorted(SORT_BASED_KERNELS - PARAMETERIZED_KERNELS) + list(
-            PARAMETERIZED_NAMES
-        )
-        for name in names:
+        for name in sorted(SORT_BASED_KERNELS):
             got = aggregator.compute(name)
             want = reference(name, codes, values, n_groups)
             assert_same_nan_placement(got, want, name)
@@ -243,7 +207,7 @@ class TestNaNPlacementInSortDrivenKernels:
         aggregator.mad_order_cache = lambda compute: pytest.fail(
             "non-MAD kernel resolved the MAD deviation order"
         )
-        for name in sorted(GROUPED_KERNELS - {"MAD"}) + list(PARAMETERIZED_NAMES):
+        for name in sorted(GROUPED_KERNELS - {"MAD"}):
             aggregator.compute(name)
 
     def test_sort_order_covers_stripped_rows_only(self):
@@ -277,7 +241,7 @@ class TestEdgeCaseSemantics:
         """Groups 0 (no rows) and 2 (all NaN) follow the empty-group contract."""
         codes = np.asarray([1, 1, 2, 2], dtype=np.int64)
         values = np.asarray([1.0, 3.0, np.nan, np.nan])
-        got = grouped_aggregate(name, codes, values, 3)
+        got = GroupedAggregator(codes, values, 3).compute(name)
         want = reference(name, codes, values, 3)
         assert_same_nan_placement(got, want, name)
         for g in (0, 2):
@@ -290,7 +254,7 @@ class TestEdgeCaseSemantics:
     def test_single_row_groups(self, name):
         codes = np.arange(5, dtype=np.int64)
         values = np.asarray([-2.5, 0.0, 0.25, 7.0, np.nan])
-        got = grouped_aggregate(name, codes, values, 5)
+        got = GroupedAggregator(codes, values, 5).compute(name)
         want = reference(name, codes, values, 5)
         assert_same_nan_placement(got, want, name)
         finite = ~np.isnan(want)
@@ -298,9 +262,9 @@ class TestEdgeCaseSemantics:
 
     @pytest.mark.parametrize("name", sorted(GROUPED_KERNELS))
     def test_totally_empty_input(self, name):
-        got = grouped_aggregate(
-            name, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), 4
-        )
+        got = GroupedAggregator(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), 4
+        ).compute(name)
         assert got.shape == (4,)
         if name.startswith("COUNT"):
             assert (got == 0.0).all()
@@ -316,24 +280,24 @@ class TestEdgeCaseSemantics:
         """
         codes = np.zeros(12, dtype=np.int64)
         values = np.full(12, 19.99)
-        assert grouped_aggregate("KURTOSIS", codes, values, 1)[0] == 0.0
+        assert GroupedAggregator(codes, values, 1).compute("KURTOSIS")[0] == 0.0
         assert aggregate("KURTOSIS", values) == 0.0
 
     def test_mode_tie_breaks_to_smallest_per_group(self):
         codes = np.asarray([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.int64)
         values = np.asarray([4.0, 4.0, 1.0, 1.0, -3.0, -3.0, -8.0, -8.0])
-        got = grouped_aggregate("MODE", codes, values, 2)
+        got = GroupedAggregator(codes, values, 2).compute("MODE")
         assert got[0] == 1.0  # ties 4.0 vs 1.0 -> smaller wins
         assert got[1] == -8.0  # ties -3.0 vs -8.0 -> smaller wins
 
     def test_entropy_of_singleton_group_is_zero(self):
-        got = grouped_aggregate("ENTROPY", np.zeros(3, dtype=np.int64), np.full(3, 7.0), 1)
+        got = GroupedAggregator(np.zeros(3, dtype=np.int64), np.full(3, 7.0), 1).compute("ENTROPY")
         assert got[0] == 0.0
 
     def test_median_even_group_matches_numpy(self):
         codes = np.zeros(4, dtype=np.int64)
         values = np.asarray([1.0, 9.0, 3.0, 5.0])
-        assert grouped_aggregate("MEDIAN", codes, values, 1)[0] == np.median(values)
+        assert GroupedAggregator(codes, values, 1).compute("MEDIAN")[0] == np.median(values)
 
     def test_counts_property_exposed(self):
         agg = GroupedAggregator(
@@ -343,8 +307,9 @@ class TestEdgeCaseSemantics:
 
     def test_unknown_kernel_raises(self):
         agg = GroupedAggregator(np.zeros(1, dtype=np.int64), np.ones(1), 1)
-        with pytest.raises(KeyError):
-            agg.compute("FROBNICATE")
+        for name in ("FROBNICATE", "QUANTILE:0.25", "TOP_K_SHARE"):
+            with pytest.raises(KeyError):
+                agg.compute(name)
 
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -353,90 +318,6 @@ class TestEdgeCaseSemantics:
     def test_all_fifteen_aggregates_have_kernels(self):
         assert GROUPED_KERNELS == set(AGGREGATE_FUNCTIONS)
         assert len(GROUPED_KERNELS) == 15
-
-    def test_parameterized_families_are_separate(self):
-        assert PARAMETERIZED_KERNELS == {"QUANTILE", "TOP_K_SHARE"}
-        assert not (PARAMETERIZED_KERNELS & GROUPED_KERNELS)
-        assert PARAMETERIZED_KERNELS <= SORT_BASED_KERNELS
-
-
-class TestParameterizedKernelSemantics:
-    @pytest.mark.parametrize("name", PARAMETERIZED_NAMES)
-    def test_empty_and_all_nan_groups_are_nan(self, name):
-        codes = np.asarray([1, 1, 2, 2], dtype=np.int64)
-        values = np.asarray([1.0, 3.0, np.nan, np.nan])
-        got = grouped_aggregate(name, codes, values, 3)
-        want = reference(name, codes, values, 3)
-        assert_same_nan_placement(got, want, name)
-        assert np.isnan(got[0]) and np.isnan(got[2])
-
-    def test_split_and_spelled_forms_agree(self):
-        codes = np.asarray([0, 0, 0, 1, 1], dtype=np.int64)
-        values = np.asarray([3.0, 1.0, 2.0, 5.0, 4.0])
-        aggregator = GroupedAggregator(codes, values, 2)
-        assert np.array_equal(
-            aggregator.compute("QUANTILE", 0.25), aggregator.compute("QUANTILE:0.25")
-        )
-        assert np.array_equal(
-            aggregator.compute("TOP_K_SHARE", 2), aggregator.compute("TOP_K_SHARE:2")
-        )
-
-    def test_spelled_name_plus_param_rejected(self):
-        aggregator = GroupedAggregator(np.zeros(1, dtype=np.int64), np.ones(1), 1)
-        with pytest.raises(ValueError, match="spells its parameter"):
-            aggregator.compute("QUANTILE:0.25", 0.5)
-
-    def test_bare_family_requires_a_parameter(self):
-        aggregator = GroupedAggregator(np.zeros(1, dtype=np.int64), np.ones(1), 1)
-        with pytest.raises(ValueError, match="requires a parameter"):
-            aggregator.compute("QUANTILE")
-
-    def test_plain_kernel_rejects_a_parameter(self):
-        aggregator = GroupedAggregator(np.zeros(1, dtype=np.int64), np.ones(1), 1)
-        with pytest.raises(ValueError, match="does not take a parameter"):
-            aggregator.compute("SUM", 2)
-
-    def test_invalid_parameters_rejected(self):
-        aggregator = GroupedAggregator(np.zeros(1, dtype=np.int64), np.ones(1), 1)
-        with pytest.raises(ValueError):
-            aggregator.compute("QUANTILE", 1.5)
-        with pytest.raises(ValueError):
-            aggregator.compute("TOP_K_SHARE", 0)
-
-    def test_quantile_matches_numpy_on_clean_groups(self):
-        codes = np.zeros(5, dtype=np.int64)
-        values = np.asarray([4.0, 2.0, 8.0, 6.0, 10.0])
-        for q in (0.0, 0.25, 0.37, 0.5, 0.75, 1.0):
-            got = grouped_aggregate(f"QUANTILE:{q!r}", codes, values, 1)[0]
-            assert got == pytest.approx(np.quantile(values, q), rel=1e-12)
-
-    def test_median_is_the_half_quantile(self):
-        codes = np.asarray([0, 0, 1, 1, 1], dtype=np.int64)
-        values = np.asarray([1.0, 9.0, 3.0, 5.0, 7.0])
-        assert np.array_equal(
-            grouped_aggregate("QUANTILE:0.5", codes, values, 2),
-            grouped_aggregate("MEDIAN", codes, values, 2),
-        )
-
-    def test_top_k_share_concentration(self):
-        # group 0: counts {4.0: 3, 1.0: 1} -> top-1 share 3/4
-        codes = np.asarray([0, 0, 0, 0], dtype=np.int64)
-        values = np.asarray([4.0, 4.0, 4.0, 1.0])
-        assert grouped_aggregate("TOP_K_SHARE:1", codes, values, 1)[0] == 0.75
-        assert grouped_aggregate("TOP_K_SHARE:2", codes, values, 1)[0] == 1.0
-
-    def test_top_k_larger_than_distinct_values_saturates(self):
-        codes = np.zeros(3, dtype=np.int64)
-        values = np.asarray([1.0, 2.0, 2.0])
-        assert grouped_aggregate("TOP_K_SHARE:5", codes, values, 1)[0] == 1.0
-
-    def test_top_k_share_tie_at_boundary_is_order_free(self):
-        # Two values tie with count 2 at the k=1 boundary: whichever run is
-        # selected contributes the same count, so the share is well-defined.
-        codes = np.asarray([0, 0, 0, 0], dtype=np.int64)
-        values = np.asarray([2.0, 7.0, 2.0, 7.0])
-        got = grouped_aggregate("TOP_K_SHARE:1", codes, values, 1)[0]
-        assert got == 0.5 == reference("TOP_K_SHARE:1", codes, values, 1)[0]
 
 
 def lexsorted_mad(codes: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:

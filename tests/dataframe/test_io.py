@@ -83,6 +83,15 @@ class TestInference:
         loaded = read_csv(path)
         assert loaded.column("t").dtype is DType.DATETIME
 
+    def test_dash_separated_ids_are_not_datetimes(self, tmp_path):
+        path = tmp_path / "n.csv"
+        path.write_text("id,t\n1234-5678,2023-01-01\n2023-13-45,\n9999-0001,2023-02-03\n")
+        loaded = read_csv(path)
+        assert loaded.column("id").dtype is DType.CATEGORICAL
+        assert loaded.column("id").to_list() == ["1234-5678", "2023-13-45", "9999-0001"]
+        assert loaded.column("t").dtype is DType.DATETIME
+        assert loaded.column("t").null_count() == 1
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

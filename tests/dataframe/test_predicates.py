@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dataframe.column import DType
-from repro.dataframe.predicates import AlwaysTrue, And, Equals, IsIn, Not, Or, Range
+from repro.dataframe.predicates import AlwaysTrue, And, Equals, Not, Or, Range
 from repro.dataframe.table import Table
 
 
@@ -34,19 +34,6 @@ class TestEquals:
 
     def test_sql_rendering(self):
         assert Equals("dept", "elec'tro").to_sql() == "dept = 'elec''tro'"
-
-
-class TestIsIn:
-    def test_categorical_membership(self, table):
-        mask = IsIn("dept", ["media", "household"]).mask(table)
-        assert list(mask) == [False, True, False, False, True]
-
-    def test_numeric_membership(self, table):
-        mask = IsIn("price", [5, 12]).mask(table)
-        assert mask.sum() == 2
-
-    def test_sql_rendering(self):
-        assert IsIn("dept", ["a", "b"]).to_sql() == "dept IN ('a', 'b')"
 
 
 class TestRange:

@@ -1,9 +1,8 @@
 """Dictionary-coded categorical paths against the object-array references.
 
-Every consumer of categorical codes -- grouping, joins, parent
-deduplication, equality / membership masks, filter-local aggregable codes
-and the first-appearance renumbering -- is compared with the function it
-replaced, kept in ``_reference_coding.py``.  Inputs mix ``None``, empty
+Every consumer of categorical codes -- grouping, joins, equality masks,
+filter-local aggregable codes and the first-appearance renumbering -- is
+compared with the function it replaced, kept in ``_reference_coding.py``.  Inputs mix ``None``, empty
 tables, unorderable label types (``str`` with ``int``), labels that compare
 equal across types (``1``, ``1.0``, ``True``), the string ``"None"``,
 unhashable labels, join sides that share a dictionary and sides that do not,
@@ -26,9 +25,8 @@ from hypothesis import given, settings, strategies as st
 from repro.dataframe.aggregates import column_to_aggregable
 from repro.dataframe.column import Column, DType, renumber_codes_compact
 from repro.dataframe.groupby import factorize_column
-from repro.dataframe.predicates import Equals, IsIn
+from repro.dataframe.predicates import Equals
 from repro.dataframe.table import Table, _join_match
-from repro.query.multi_table import RelationalSchema, Relationship
 
 import _reference_coding as ref
 
@@ -125,7 +123,7 @@ class TestRenumberCodesCompact:
 
 
 # ----------------------------------------------------------------------
-# Equals / IsIn masks
+# Equals masks
 # ----------------------------------------------------------------------
 class TestMasks:
     @given(st.lists(hashable_labels, max_size=40), hashable_labels, st.data())
@@ -143,19 +141,6 @@ class TestMasks:
         table = Table([column_of(labels)])
         expected = ref.equals_mask(table.column("k"), value)
         assert Equals("k", value).mask(table).tolist() == expected.tolist()
-
-    @given(
-        st.lists(hashable_labels, max_size=40),
-        st.lists(hashable_labels, max_size=4),
-        st.data(),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_isin_matches_reference(self, labels, members, data):
-        table = Table([column_of(labels)])
-        for view in (table, Table([derived(table.column("k"), data)])):
-            mask = IsIn("k", members).mask(view)
-            assert mask.dtype == np.bool_
-            assert mask.tolist() == ref.isin_mask(view.column("k"), members).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -318,31 +303,3 @@ class TestAppends:
         table.append_rows(keyed(["c"]))
         assert table.column("k")._coding is None
         assert table.column("k").values.tolist() == ["a", "b", "c"]
-
-
-# ----------------------------------------------------------------------
-# multi_table parent deduplication
-# ----------------------------------------------------------------------
-class TestParentDeduplication:
-    @given(st.lists(hashable_labels, max_size=30))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_reference(self, labels):
-        parent = keyed(labels, "attr")
-        relationship = Relationship("child", "fk", "parent", "k")
-        actual = RelationalSchema._prepare_parent(parent, relationship, prefix=False)
-        expected_rows = np.flatnonzero(ref.parent_keep_mask(parent, "k"))
-        assert actual.column("attr").values.tolist() == expected_rows.astype(float).tolist()
-
-    @given(st.lists(st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.0])), max_size=20))
-    @settings(max_examples=60, deadline=None)
-    def test_numeric_keys_match_reference(self, numbers):
-        parent = Table(
-            [
-                Column("k", numbers, dtype=DType.NUMERIC),
-                Column("attr", np.arange(len(numbers), dtype=np.float64), dtype=DType.NUMERIC),
-            ]
-        )
-        relationship = Relationship("child", "fk", "parent", "k")
-        actual = RelationalSchema._prepare_parent(parent, relationship, prefix=False)
-        expected_rows = np.flatnonzero(ref.parent_keep_mask(parent, "k"))
-        assert actual.column("attr").values.tolist() == expected_rows.astype(float).tolist()

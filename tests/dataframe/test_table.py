@@ -69,9 +69,6 @@ class TestAccessors:
         assert row["id"] == "b"
         assert row["x"] == 2.0
 
-    def test_iter_rows_count(self, table):
-        assert len(list(table.iter_rows())) == 4
-
 
 class TestColumnOps:
     def test_select_order(self, table):

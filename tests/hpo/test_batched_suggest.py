@@ -1,18 +1,14 @@
 """Determinism contract of the batched ask/tell protocol.
 
-Three guarantees back the batched search loop in ``core.sql_generation``:
+Two guarantees back the batched search loop in ``core.sql_generation``:
 
 * ``suggest_batch(1)`` driven sequentially is bit-identical to the classic
   ``suggest()``/``observe()`` loop for every optimiser;
-* any batch size is deterministic under a fixed seed;
-* Hyperband's ``batch_objective`` path reproduces the sequential rung
-  trajectory exactly for deterministic objectives.
+* any batch size is deterministic under a fixed seed.
 """
 
-import numpy as np
 import pytest
 
-from repro.hpo.hyperband import HyperbandOptimizer, successive_halving
 from repro.hpo.random_search import RandomSearchOptimizer
 from repro.hpo.space import (
     CategoricalDimension,
@@ -21,7 +17,6 @@ from repro.hpo.space import (
     SearchSpace,
 )
 from repro.hpo.tpe import TPEOptimizer
-from repro.hpo.trial import TrialHistory
 
 
 @pytest.fixture
@@ -122,70 +117,3 @@ class TestBatchDeterminism:
         batch = optimizer.suggest_batch(3)
         with pytest.raises(ValueError):
             optimizer.observe_batch(batch, [1.0, 2.0])
-
-
-class TestHyperbandBatchedRungs:
-    @staticmethod
-    def budgeted(params, budget):
-        noise = (1.0 - budget) * 2.0
-        return (params["x"] - 3) ** 2 + abs(params["n"] - 4) + noise
-
-    def test_batched_rungs_match_sequential(self, space):
-        def batch_objective(configs, budget):
-            return [self.budgeted(p, budget) for p in configs]
-
-        seq_history, batch_history = TrialHistory(), TrialHistory()
-        seq = successive_halving(
-            self.budgeted, space, n_configs=9, min_budget=0.1, eta=3, seed=0,
-            history=seq_history,
-        )
-        bat = successive_halving(
-            None, space, n_configs=9, min_budget=0.1, eta=3, seed=0,
-            history=batch_history, batch_objective=batch_objective,
-        )
-        assert bat.best_params == seq.best_params
-        assert bat.best_value == seq.best_value
-        assert bat.rounds == seq.rounds
-        assert [(t.params, t.value, t.metadata) for t in batch_history] == [
-            (t.params, t.value, t.metadata) for t in seq_history
-        ]
-
-    def test_hyperband_batched_matches_sequential(self, space):
-        def batch_objective(configs, budget):
-            return [self.budgeted(p, budget) for p in configs]
-
-        seq = HyperbandOptimizer(space, min_budget=0.2, eta=3, seed=0)
-        seq_best = seq.minimize(self.budgeted, n_configs=6)
-        bat = HyperbandOptimizer(space, min_budget=0.2, eta=3, seed=0)
-        bat_best = bat.minimize(None, n_configs=6, batch_objective=batch_objective)
-        assert (bat_best.params, bat_best.value) == (seq_best.params, seq_best.value)
-        assert [(t.params, t.value) for t in bat.history] == [
-            (t.params, t.value) for t in seq.history
-        ]
-
-    def test_batch_objective_length_mismatch_raises(self, space):
-        with pytest.raises(ValueError, match="values"):
-            successive_halving(
-                None, space, n_configs=4, seed=0,
-                batch_objective=lambda configs, budget: [0.0],
-            )
-
-    def test_non_finite_rung_values_never_promoted(self, space):
-        """A rung batch returning NaN for some configs ranks them last."""
-        def batch_objective(configs, budget):
-            values = []
-            for params in configs:
-                if params["c"] == "target":
-                    values.append(float("nan"))
-                else:
-                    values.append(self.budgeted(params, budget))
-            return values
-
-        history = TrialHistory()
-        result = successive_halving(
-            None, space, n_configs=9, min_budget=0.1, eta=3, seed=2,
-            history=history, batch_objective=batch_objective,
-        )
-        assert np.isfinite(result.best_value) or all(
-            not np.isfinite(t.value) for t in history
-        )

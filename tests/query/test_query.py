@@ -57,19 +57,9 @@ class TestToSQL:
         query = make_query(predicates={"department": "toys"})
         assert "WHERE department = 'toys'\n" in query.to_sql()
 
-    def test_membership_predicate(self):
-        query = make_query(predicates={"department": ("toys", "books")})
-        (where,) = [line for line in query.to_sql().splitlines() if line.startswith("WHERE")]
-        assert where.startswith("WHERE department IN (")
-        assert "'toys'" in where and "'books'" in where
-
     def test_aggregate_name_is_canonical(self):
         assert "SELECT cname, AVG(pprice) AS feature" in make_query(agg_func="avg").to_sql()
         assert "COUNT(DISTINCT pprice) AS feature" in make_query(agg_func="count distinct").to_sql()
-
-    def test_parameterized_aggregate_renders_its_parameter(self):
-        assert "QUANTILE(pprice, 0.25) AS feature" in make_query(agg_func="QUANTILE:0.25").to_sql()
-        assert "TOP_K_SHARE(pprice, 3) AS feature" in make_query(agg_func="top_k_share:3").to_sql()
 
 
 class TestPredicateConstruction:

@@ -52,12 +52,6 @@ class TestQueryTemplate:
         template = QueryTemplate(["SUM"], ["x"], ["A", "C", "E", "F"], ["k"])
         assert list(template.encode(list("ABCDEF"))) == [1, 0, 1, 0, 1, 1]
 
-    def test_with_predicate_attrs(self):
-        base = QueryTemplate(["SUM"], ["x"], ["a"], ["k"])
-        other = base.with_predicate_attrs(["b", "c"])
-        assert other.predicate_attrs == ("b", "c")
-        assert other.agg_attrs == base.agg_attrs
-
     def test_describe_mentions_parts(self):
         text = QueryTemplate(["SUM"], ["x"], ["a"], ["k"]).describe()
         assert "SUM" in text and "x" in text and "a" in text and "k" in text
