@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dataframe.column import DType
+from repro.dataframe.column import DType, parse_datetime
 from repro.dataframe.io import read_csv, write_csv
 from repro.dataframe.table import Table
 
@@ -91,6 +91,35 @@ class TestInference:
         assert loaded.column("id").to_list() == ["1234-5678", "2023-13-45", "9999-0001"]
         assert loaded.column("t").dtype is DType.DATETIME
         assert loaded.column("t").null_count() == 1
+
+    @pytest.mark.parametrize(
+        "cells, dtype",
+        [
+            (["2023-07-01", "2023-07-02 08:30:00", "NA"], DType.DATETIME),
+            (["2023-07-01T08:30:00", " 2023-07-02 "], DType.DATETIME),
+            (["2023-07-01", "1234-5678"], DType.CATEGORICAL),
+            (["2023-02-30"], DType.CATEGORICAL),
+            (["2023-07-01 25:00:00"], DType.CATEGORICAL),
+            (["2023-07-01x"], DType.CATEGORICAL),
+            (["2023", "2024", ""], DType.NUMERIC),
+            (["1", "2.5", "-3e2", "null"], DType.NUMERIC),
+            (["1", "a"], DType.CATEGORICAL),
+        ],
+    )
+    def test_a_column_is_datetime_only_when_every_value_parses(self, tmp_path, cells, dtype):
+        path = tmp_path / "n.csv"
+        path.write_text("c\n" + "\n".join(cells) + "\n")
+        column = read_csv(path).column("c")
+        assert column.dtype is dtype
+        # Every case lists its missing cells last.
+        present = [cell for cell in cells if cell.strip().lower() not in ("", "na", "null")]
+        assert len(column) - column.null_count() == len(present)
+        if dtype is DType.DATETIME:
+            assert column.values[: len(present)].tolist() == [parse_datetime(c) for c in present]
+        elif dtype is DType.NUMERIC:
+            assert column.values[: len(present)].tolist() == [float(c) for c in present]
+        else:
+            assert column.to_list() == cells
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dataframe.aggregates import AGGREGATE_FUNCTIONS, normalise_aggregate_name
 from repro.dataframe.column import DType
 from repro.dataframe.predicates import Equals, Range
 from repro.query.plan import (
@@ -69,6 +70,24 @@ class TestLowering:
         rendered = {atom.to_predicate().to_sql() for atom in atoms}
         assert rendered == {p.to_sql() for p in query.build_predicate().predicates}
         assert isinstance(atoms[0].to_predicate(), (Equals, Range))
+
+
+class TestAggregateSpellings:
+    """Each Table II function is named case-, padding- and underscore-
+    insensitively, and every entry point reads a spelling as the canonical
+    name: same template, same plan, same result-cache key, same SQL."""
+
+    @pytest.mark.parametrize("name", list(AGGREGATE_FUNCTIONS))
+    def test_spellings_lower_to_the_canonical_plan(self, name):
+        canonical = QueryPlan.from_query(make_query(agg_func=name))
+        for spelled in (name.lower(), name.lower().replace("_", " "), f"  {name.title()} "):
+            assert normalise_aggregate_name(spelled) == name
+            assert aggregate_spec(spelled, "price").func == name
+            assert QueryTemplate([spelled], ["price"], ["dept"], ["user"]).agg_funcs == (name,)
+            plan = QueryPlan.from_query(make_query(agg_func=spelled))
+            assert plan == canonical
+            assert plan.result_key() == canonical.result_key()
+            assert make_query(agg_func=spelled).to_sql() == make_query(agg_func=name).to_sql()
 
 
 class TestSignatures:
