@@ -101,10 +101,9 @@ def timed_service(batches):
         baseline = engine.stats.as_dict()
         # Manual dispatch keeps the round formation deterministic: all four
         # callers admit first, then one draining close runs the fused
-        # round(s) -- the timing never depends on window jitter.
+        # round(s) -- the timing never depends on thread scheduling.
         service = QueryService(
-            engine, ServiceConfig(max_batch=1024, coalesce_window_ms=0),
-            auto_start=False,
+            engine, ServiceConfig(max_batch=1024), auto_start=False
         )
         futures = [None] * N_CALLERS
         barrier = threading.Barrier(N_CALLERS)

@@ -7,11 +7,12 @@ functions of :mod:`repro.dataframe.aggregates` for **every group at once**:
 
 * ``np.bincount`` drives the accumulation family (COUNT, SUM, AVG, VAR,
   VAR_SAMPLE, STD, STD_SAMPLE, KURTOSIS),
-* one (code, value) order per value array -- ``np.lexsort((values,
-  codes))``, or the same order from one sort of packed ``(code, value
-  rank)`` integer keys (:meth:`GroupedAggregator.derive_sort_order`) --
-  drives the order-statistics family (MIN, MAX, MEDIAN, MAD) via segment
-  boundaries, and
+* the values sorted by (code, value) -- gathered through
+  ``np.lexsort((values, codes))``, or decoded from one in-place sort of
+  packed ``code << 32 | value rank`` integer keys
+  (:meth:`GroupedAggregator.derive_sorted_values`) -- drive the
+  order-statistics family (MIN, MAX, MEDIAN, MAD) via segment boundaries,
+  and
 * equal-value *runs* inside the sorted segments drive the distribution
   family (COUNT_DISTINCT, ENTROPY, MODE).
 
@@ -19,14 +20,14 @@ Intermediates (NaN-stripped values, group counts, sums, deviations, the
 sorted segments and the value runs) are computed lazily and shared across
 functions, so evaluating all 15 aggregates costs roughly one sort plus a
 handful of ``bincount`` passes -- this is what makes
-``QueryEngine.execute_batch`` scale past the per-group Python loop.  The sort
-order itself is an **injectable** intermediate: callers may pass a
-precomputed ``sort_order`` to the constructor or hook an ``order_cache``
-callable onto the aggregator, so the sort that dominates the
-order-statistics family (``SORT_BASED_KERNELS``) runs at most once per
-(filter, grouping, value column) -- the query engine caches these orders
-across whole query batches (see ``QueryEngine.sort_order``) and builds
-them from one value rank per column (``QueryEngine.value_rank``).
+``QueryEngine.execute_batch`` scale past the per-group Python loop.  The
+sorted values themselves are an **injectable** intermediate: callers may
+pass precomputed ``sorted_values`` to the constructor or hook a
+``sorted_cache`` callable onto the aggregator, so the sort that dominates
+the order-statistics family (``SORT_BASED_KERNELS``) runs at most once per
+(filter, grouping, value column) -- the query engine caches them across
+whole query batches (see ``QueryEngine.sort_order``) and builds them from
+one value rank per column (``QueryEngine.value_rank``).
 
 Semantics contract (matching :func:`repro.dataframe.aggregates.aggregate`
 element-wise):
@@ -62,13 +63,46 @@ from repro.dataframe.aggregates import AGGREGATE_FUNCTIONS, normalise_aggregate_
 #: The 15 aggregate functions of Table II, every one with a vectorized kernel.
 GROUPED_KERNELS = frozenset(AGGREGATE_FUNCTIONS)
 
-#: Kernels whose evaluation touches the shared (code, value) sort order.
+#: Kernels whose evaluation reads the values sorted by (code, value).
 #: KURTOSIS is here because its zero-variance test reads MIN / MAX off the
 #: sorted segments; the remaining accumulation kernels are pure ``bincount``
 #: passes and never trigger a sort.
 SORT_BASED_KERNELS = frozenset(
     {"MIN", "MAX", "MEDIAN", "MAD", "MODE", "ENTROPY", "COUNT_DISTINCT", "KURTOSIS"}
 )
+
+
+def _sort_packed(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The *low* halves (in ``[0, 2**32)``) of the keys ``high << 32 | low``
+    in sorted key order: one in-place SIMD ``np.sort``, no argsort."""
+    key = high << 32
+    key |= low
+    key.sort()
+    key &= (1 << 32) - 1
+    return key
+
+
+def rank_values(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rank, values[order])`` for ``order = np.argsort(values, kind="stable")``.
+
+    ``rank`` is the inverse of ``order``: each row's rank in the stable
+    ascending value order, where equal values (``-0.0`` and ``0.0``
+    included) rank by row position and NaN rows rank last; ``int32`` below
+    ``2**31`` rows.  Built without a stable sort: one
+    ``np.unique(return_inverse=True)`` over the non-NaN values (NaN would
+    push numpy's argsort off its vectorised path) gives each row a value
+    id, and :func:`_sort_packed` orders the ``value id << 32 | row`` keys.
+    """
+    n = values.shape[0]
+    if n > 1 << 32:
+        raise ValueError(f"cannot rank {n} rows in 32-bit sort keys")
+    nan = np.isnan(values)
+    rows = np.flatnonzero(~nan)
+    _, ids = np.unique(values[rows], return_inverse=True)
+    order = np.concatenate((_sort_packed(ids, rows), np.flatnonzero(nan)))
+    rank = np.empty(n, dtype=np.int32 if n < 2**31 else np.int64)
+    rank[order] = np.arange(n, dtype=rank.dtype)
+    return rank, values.take(order)
 
 
 class GroupedAggregator:
@@ -83,14 +117,13 @@ class GroupedAggregator:
         float64 aggregation values aligned to *codes*; NaN marks missing.
     n_groups:
         Number of output groups (the length of every result array).
-    sort_order:
-        Optional precomputed ``np.lexsort((values, codes))`` order over the
-        **NaN-stripped** rows (see :meth:`sort_order`).  Passing an order
-        computed for the same (codes, values) pair -- e.g. one cached by the
-        query engine across queries of a template -- skips the sort that
-        otherwise dominates the order-statistics kernels, and is bit-neutral:
-        the order is unique (ties broken by row position), so the provided
-        order is exactly the one the aggregator would compute itself.
+    sorted_values:
+        Optional precomputed **NaN-stripped** values sorted by (code, value)
+        (see :meth:`sorted_values`).  Passing the array computed for the
+        same (codes, values) pair -- e.g. one cached by the query engine
+        across queries of a template -- skips the sort that otherwise
+        dominates the order-statistics kernels, and is bit-neutral: it is
+        exactly the array the aggregator would compute itself.
     """
 
     def __init__(
@@ -98,7 +131,7 @@ class GroupedAggregator:
         codes: np.ndarray,
         values: np.ndarray,
         n_groups: int,
-        sort_order: Optional[np.ndarray] = None,
+        sorted_values: Optional[np.ndarray] = None,
     ):
         codes = np.asarray(codes, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
@@ -115,41 +148,40 @@ class GroupedAggregator:
         else:
             self._codes, self._values = codes[valid], values[valid]
             self._valid = valid
-        if sort_order is not None and len(sort_order) != len(self._values):
+        if sorted_values is not None and len(sorted_values) != len(self._values):
             raise ValueError(
-                f"sort_order must cover the {len(self._values)} NaN-stripped "
-                f"rows, got {len(sort_order)} entries"
+                f"sorted_values must cover the {len(self._values)} NaN-stripped "
+                f"rows, got {len(sorted_values)} entries"
             )
         self._counts = np.bincount(self._codes, minlength=self.n_groups)
         self._nonempty = self._counts > 0
-        #: Optional external order source: a callable taking this
-        #: aggregator's own compute thunk and returning the (possibly cached)
-        #: order array.  The query engine hooks its LRU sort-order cache in
-        #: here so the order is built at most once per (predicate, keys,
-        #: value column) across queries; left ``None``, the aggregator
-        #: lexsorts locally.
-        self.order_cache: Optional[
+        #: Optional external source of the sorted values: a callable taking
+        #: this aggregator's own compute thunk and returning the (possibly
+        #: cached) array.  The query engine hooks its LRU sort-order cache
+        #: in here so the sort runs at most once per (predicate, keys, value
+        #: column) across queries; left ``None``, the aggregator sorts
+        #: locally.
+        self.sorted_cache: Optional[
             Callable[[Callable[[], np.ndarray]], np.ndarray]
         ] = None
-        #: Same protocol as :attr:`order_cache`, but for MAD's second order:
-        #: the (code, |x - group median|) order.  The engine keys it per
-        #: (sort key, MEDIAN) pair next to the main order in its LRU.
+        #: The :attr:`sorted_cache` protocol for MAD's second sort, whose
+        #: result is an order: the (code, |x - group median|) order.  The
+        #: engine keys it per (sort key, MEDIAN) pair in the same LRU.
         self.mad_order_cache: Optional[
             Callable[[Callable[[], np.ndarray]], np.ndarray]
         ] = None
-        #: Optional rank source of the main order, ``(value_rank, rows)``: a
-        #: zero-argument callable returning the column's value ranks plus
-        #: the plan rows, the two arguments of :meth:`derive_sort_order`.
-        #: When set, computing the order sorts packed integer keys instead
-        #: of lexsorting.  (The engine sets this rather than an
-        #: ``order_cache`` closing over the aggregator: such a reference
+        #: Optional rank source, ``(value_rank, rows)``: a zero-argument
+        #: callable returning :func:`rank_values` of the column, plus the
+        #: plan rows -- the arguments of :meth:`derive_sorted_values`, used
+        #: instead of a lexsort.  (The engine sets this rather than a
+        #: ``sorted_cache`` closing over the aggregator: such a reference
         #: cycle would hold every intermediate until the cyclic garbage
         #: collector ran.)
         self.value_rank: Optional[
-            Tuple[Callable[[], np.ndarray], Optional[np.ndarray]]
+            Tuple[Callable[[], Tuple[np.ndarray, np.ndarray]], Optional[np.ndarray]]
         ] = None
         # Lazily shared intermediates.
-        self._order: Optional[np.ndarray] = sort_order
+        self._svals: Optional[np.ndarray] = sorted_values
         self._mad_dev: Optional[np.ndarray] = None
         self._mad_order: Optional[np.ndarray] = None
         self._sums: Optional[np.ndarray] = None
@@ -172,69 +204,61 @@ class GroupedAggregator:
         """Non-NaN value count per group (``int64``)."""
         return self._counts
 
-    def sort_order(self) -> np.ndarray:
-        """The ``np.lexsort((values, codes))`` order over the stripped rows.
+    def sorted_values(self) -> np.ndarray:
+        """The NaN-stripped values sorted by (code, value).
 
-        Resolved at most once: a constructor-provided order wins, else the
-        :attr:`order_cache` hook (the engine's shared cache) is consulted,
-        else the order is computed locally: derived from :attr:`value_rank`
-        when set, else lexsorted.  This is the single order every
-        order-statistics kernel (and the distribution family's value runs)
-        reads through :meth:`_sorted_segments`.
+        Equal to ``values[np.lexsort((values, codes))]`` over the stripped
+        rows, bit for bit.  Resolved at most once: constructor-provided
+        values win, else the :attr:`sorted_cache` hook (the engine's shared
+        cache) is consulted, else they are computed locally: decoded from
+        packed rank keys when :attr:`value_rank` is set, else gathered
+        through a lexsort.  Every order-statistics kernel (and the
+        distribution family's value runs) reads this one array through
+        :meth:`_sorted_segments`.
         """
-        if self._order is None:
-            if self.order_cache is not None:
-                order = self.order_cache(self._compute_sort_order)
-                if len(order) != len(self._values):
-                    # Same guard the constructor applies to a provided
-                    # order: a stale or colliding cached order must fail
-                    # loudly, not silently corrupt every order statistic.
+        if self._svals is None:
+            if self.sorted_cache is not None:
+                svals = self.sorted_cache(self._compute_sorted_values)
+                if len(svals) != len(self._values):
+                    # Same guard the constructor applies to provided values:
+                    # a stale or colliding cache entry must fail loudly, not
+                    # silently corrupt every order statistic.
                     raise ValueError(
-                        f"cached sort order covers {len(order)} rows, "
+                        f"cached sorted values cover {len(svals)} rows, "
                         f"expected {len(self._values)} NaN-stripped rows"
                     )
-                self._order = order
+                self._svals = svals
             else:
-                self._order = self._compute_sort_order()
-        return self._order
+                self._svals = self._compute_sorted_values()
+        return self._svals
 
-    def _compute_sort_order(self) -> np.ndarray:
+    def _compute_sorted_values(self) -> np.ndarray:
         if self.value_rank is not None:
-            value_rank, rows = self.value_rank
-            return self.derive_sort_order(value_rank(), rows)
-        return np.lexsort((self._values, self._codes))
+            ranked, rows = self.value_rank
+            return self.derive_sorted_values(*ranked(), rows)
+        return self._values[np.lexsort((self._values, self._codes))]
 
-    def derive_sort_order(
-        self, value_rank: np.ndarray, rows: Optional[np.ndarray] = None
+    def derive_sorted_values(
+        self,
+        value_rank: np.ndarray,
+        values_by_rank: np.ndarray,
+        rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """:meth:`sort_order`'s order, from one sort of packed integer keys.
+        """:meth:`sorted_values`, from one sort of packed integer keys.
 
         The aggregator's input values must be ``base[rows]`` for a float64
         array ``base`` (``rows=None``: ``base`` itself), with *rows*
-        ascending.  *value_rank* holds each row's rank in ``base``'s stable
-        ascending value order, i.e. the inverse of ``np.argsort(base,
-        kind="stable")``.  Each NaN-stripped row gets the key ``code *
-        len(base) + rank``.  The keys are unique and order rows by group,
-        then value, then row position, so their argsort is exactly the
-        ``np.lexsort((values, codes))`` order, ties included.  Only the
-        plan's own rows are read.
+        ascending, and ``(value_rank, values_by_rank)`` must be
+        :func:`rank_values` of ``base``.  Each NaN-stripped row gets the
+        key ``code << 32 | rank``; the keys are unique and sort by group,
+        then value, then row position, as ``np.lexsort((values, codes))``
+        orders the rows.  The sorted keys' ranks decode into the rows' own
+        values (``-0.0`` included).  Only the plan's own rows are read.
         """
         rank = value_rank if rows is None else value_rank[rows]
         if self._valid is not None:
             rank = rank[self._valid]
-        key = self._codes * value_rank.shape[0]
-        key += rank
-        return np.argsort(key)
-
-    def resolve_sort_order(self) -> None:
-        """Force :meth:`sort_order` resolution now (timing-neutral warm-up).
-
-        The engine calls this *outside* its per-kernel timer so
-        the sort (or the cache lookup replacing it) is accounted to the
-        sorting phase, not to whichever sort-based kernel happens to run
-        first.
-        """
-        self.sort_order()
+        return values_by_rank.take(_sort_packed(self._codes, rank))
 
     def mad_deviations(self) -> np.ndarray:
         """``|x - group median|`` per NaN-stripped row (MAD's value array)."""
@@ -251,7 +275,7 @@ class GroupedAggregator:
         the deviations instead of the values.  Equal deviations within a
         group may come in any row order: MAD reads only the deviation
         values at the median positions, which every such order shares.
-        Like :meth:`sort_order` it is resolved at most once, consulting
+        Like :meth:`sorted_values` it is resolved at most once, consulting
         :attr:`mad_order_cache` first so repeated queries of a template stop
         paying the deviation sort.  The deviations are a deterministic
         function of (codes, values), so a cached order is exactly the one a
@@ -260,8 +284,8 @@ class GroupedAggregator:
         if self._mad_order is None:
             # The deviation values are needed regardless of where the order
             # comes from (only the sort itself is cacheable), and
-            # computing them first resolves the main order too -- so the
-            # compute thunk below never re-enters an order-cache hook.
+            # computing them first resolves the sorted values too -- so the
+            # compute thunk below never re-enters a cache hook.
             self.mad_deviations()
             if self.mad_order_cache is not None:
                 order = self.mad_order_cache(self._compute_mad_order)
@@ -284,15 +308,6 @@ class GroupedAggregator:
         if self.n_groups <= 1 << 16:
             group = group.astype(np.uint16)
         return order[np.argsort(group, kind="stable")]
-
-    def resolve_mad_order(self) -> None:
-        """Force :meth:`mad_sort_order` resolution (timing-neutral warm-up).
-
-        Resolves the main order too (the deviations need the group medians),
-        so both sorts are booked to the engine's sorting phase before MAD's
-        kernel timer starts.
-        """
-        self.mad_sort_order()
 
     # ------------------------------------------------------------------
     # Shared intermediates
@@ -339,7 +354,7 @@ class GroupedAggregator:
         only index segments of non-empty groups.
         """
         if self._sorted is None:
-            self._sorted = (self._values[self.sort_order()], self._segment_starts())
+            self._sorted = (self.sorted_values(), self._segment_starts())
         return self._sorted
 
     def _segment_starts(self) -> np.ndarray:
@@ -369,7 +384,7 @@ class GroupedAggregator:
     def _group_medians(self) -> np.ndarray:
         if self._medians is None:
             # Reuse the shared sorted segments: MEDIAN must not pay a second
-            # lexsort when MIN/MAX/MODE/... already sorted the values.
+            # sort when MIN/MAX/MODE/... already sorted the values.
             self._medians = self._median_from_sorted(*self._sorted_segments())
         return self._medians
 

@@ -28,7 +28,7 @@ from repro.datasets.base import DatasetBundle
 from repro.ml.model_zoo import make_model
 from repro.ml.preprocessing import train_valid_test_split
 from repro.query.augment import augment_training_table
-from repro.query.executor import execute_query
+from repro.query.engine import engine_for
 from repro.query.query import PredicateAwareQuery
 
 #: Methods understood by :func:`run_method`.
@@ -75,13 +75,14 @@ def _materialise_query_features(
     tables: Sequence[Table],
     column_prefix: str = "q",
 ) -> List[np.ndarray]:
-    """Execute each query once and join its feature onto every given table.
+    """Execute the queries as one engine batch and join each feature onto
+    every given table.
 
     Returns one float matrix per input table with a column per query.
     """
     per_table_columns: List[List[np.ndarray]] = [[] for _ in tables]
-    for i, query in enumerate(queries):
-        feature_table = execute_query(query, relevant_table)
+    feature_tables = engine_for(relevant_table).execute_batch(queries)
+    for i, (query, feature_table) in enumerate(zip(queries, feature_tables)):
         for t, table in enumerate(tables):
             joined = augment_training_table(
                 table, feature_table, query.keys, query.feature_name, f"__{column_prefix}_{i}__"

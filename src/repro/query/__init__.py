@@ -21,8 +21,9 @@ Implements the paper's core abstractions (Section III):
 * :class:`QueryService` (:mod:`repro.query.service`) -- the admission layer
   over one warm engine: concurrent callers' submissions queue behind a
   bounded admission queue (deterministic :class:`ServiceOverloadedError`
-  backpressure), coalesce under a micro-batch window into one fused round
-  with cross-request plan dedup, and resolve per-caller futures with
+  backpressure); a dispatcher starts a round whenever the engine is free,
+  fusing every request queued meanwhile into one round with cross-request
+  plan dedup, and resolves per-caller futures with
   results bit-identical to serial execution; per-request deadlines and a
   draining ``close()`` round out the service contract
   (:class:`ServiceConfig`, ``$REPRO_SERVICE_*``).
@@ -53,7 +54,6 @@ from repro.query.service import (
     default_max_batch,
     default_queue_depth,
     default_timeout_ms,
-    default_window_ms,
 )
 from repro.query.executor import execute_query, execute_query_naive
 from repro.query.augment import augment_training_table, apply_queries
@@ -77,7 +77,6 @@ __all__ = [
     "ServiceClosedError",
     "ServiceOverloadedError",
     "DeadlineExpiredError",
-    "default_window_ms",
     "default_max_batch",
     "default_queue_depth",
     "default_timeout_ms",

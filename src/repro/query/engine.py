@@ -19,12 +19,13 @@ re-scan every WHERE predicate) wastes almost all of that work, so a
 3. **Shared derived state** -- a factorized group index per key combination,
    an LRU predicate-mask cache keyed by atom signature, one **value rank**
    per numeric-like value column and table version (each row's stable rank
-   in the column's value order; a plan's (group, value) order is one sort
-   of its rows' packed ``(group code, rank)`` keys, see
+   in the column's value order, plus the values in rank order; a plan's
+   values sorted by (group, value) come from one in-place sort of its
+   rows' packed ``group code << 32 | rank`` keys, see
    :meth:`QueryEngine.value_rank`), an LRU **sort-order cache**
-   keyed by ``(predicate signature, keys, attr)`` (each plan's order is
-   built once per filter/grouping/value-column triple and reused across
-   plans and batches of one template) and an LRU result cache keyed by plan
+   keyed by ``(predicate signature, keys, attr)`` (each plan's sorted
+   values are built once per filter/grouping/value-column triple and reused
+   across plans and batches of one template) and an LRU result cache keyed by plan
    signature (TPE frequently re-samples identical queries), plus cache /
    timing statistics (:class:`EngineStats`) consumed by the Figure 5
    benchmarks.  Each LRU is bounded by its entry count; the bytes it holds
@@ -70,7 +71,11 @@ import numpy as np
 from repro.dataframe.aggregates import column_to_aggregable
 from repro.dataframe.column import Column, DType
 from repro.dataframe.groupby import group_codes, renumber_codes_compact
-from repro.dataframe.grouped_kernels import SORT_BASED_KERNELS, GroupedAggregator
+from repro.dataframe.grouped_kernels import (
+    SORT_BASED_KERNELS,
+    GroupedAggregator,
+    rank_values,
+)
 from repro.dataframe.predicates import Predicate
 from repro.dataframe.table import Table
 from repro.query.plan import QueryPlan
@@ -82,9 +87,9 @@ DEFAULT_MASK_CACHE_SIZE = 256
 #: Default bound on the number of cached query results per engine.
 DEFAULT_RESULT_CACHE_SIZE = 128
 
-#: Default bound on the number of cached sort orders per engine.  Orders are
-#: int64 arrays of filtered-row length (8x a boolean mask), so the bound is
-#: deliberately tighter than the mask cache's.
+#: Default bound on the number of cached sort results per engine.  They are
+#: float64 sorted values or int64 orders of filtered-row length (8x a
+#: boolean mask), so the bound is deliberately tighter than the mask cache's.
 DEFAULT_SORT_CACHE_SIZE = 64
 
 @dataclass(frozen=True)
@@ -143,12 +148,12 @@ class EngineStats:
     seconds_indexing: float = 0.0
     seconds_grouping: float = 0.0
     seconds_aggregating: float = 0.0
-    #: Wall-clock spent building (code, value) orders on sort-order cache
-    #: misses: packed-key sorts over a column's value ranks, MAD's deviation
-    #: sorts, the lexsorts that remain (categorical values), and the value
-    #: ranks themselves.  Booked here rather than in the first sort-based
-    #: kernel's ``kernel_seconds`` entry, so the per-kernel split measures
-    #: the kernels' own work off the shared order.
+    #: Wall-clock spent sorting on sort-order cache misses: packed-key sorts
+    #: over a column's value ranks, MAD's deviation sorts, the lexsorts that
+    #: remain (categorical values), and the value ranks themselves.  Booked
+    #: here rather than in the first sort-based kernel's ``kernel_seconds``
+    #: entry, so the per-kernel split measures the kernels' own work off the
+    #: shared sorted values.
     seconds_sorting: float = 0.0
     #: Aggregation seconds split per kernel (canonical aggregate name ->
     #: cumulative wall-clock).
@@ -306,8 +311,8 @@ _MISS = object()
 def _value_nbytes(value) -> int:
     """Byte cost of one cached value, summed into the ``bytes_cached`` gauge.
 
-    Masks are bool arrays (1 byte/row), sort orders int64 arrays (8
-    bytes/filtered row) -- both fall out of ``ndarray.nbytes``.  Result
+    Masks are bool arrays (1 byte/row), sorted values and MAD orders 8-byte
+    arrays (8 bytes/filtered row) -- both fall out of ``ndarray.nbytes``.  Result
     tables cost the sum of their columns' ``Column.nbytes``: 8 bytes per
     row for a float64 or a categorical column, whether or not the
     categorical's values were ever decoded.  Anything else (test fixtures,
@@ -430,17 +435,18 @@ class QueryEngine:
         self._index_lock = threading.Lock()
         self._masks = _LRUCache(self.config.mask_cache_size)
         self._results = _LRUCache(self.config.result_cache_size)
-        # Shared (code, value) orders keyed by (predicate signature, keys,
-        # attr) -- QueryPlan.sort_key -- so queries of one template reuse the
-        # order-statistics sort across plans and batches.  None = disabled.
+        # Values sorted by (code, value), keyed by (predicate signature,
+        # keys, attr) -- QueryPlan.sort_key -- so queries of one template
+        # reuse the order-statistics sort across plans and batches; MAD's
+        # deviation orders sit beside them.  None = disabled.
         self._sort_orders: Optional[_LRUCache] = (
             _LRUCache(self.config.sort_cache_size)
             if self.config.sort_cache_size > 0
             else None
         )
-        # Value ranks of numeric-like value columns, by attribute (see
-        # value_rank()); dropped with every other cache.
-        self._value_ranks: Dict[str, np.ndarray] = {}
+        # (value rank, values in rank order) of numeric-like value columns,
+        # by attribute (see value_rank()); dropped with every other cache.
+        self._value_ranks: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._rank_lock = threading.Lock()
         self._refresh_byte_gauges()
 
@@ -521,50 +527,41 @@ class QueryEngine:
             )
         return index
 
-    def value_rank(self, attr: str) -> np.ndarray:
-        """Each row's rank in *attr*'s stable ascending value order.
+    def value_rank(self, attr: str) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`~repro.dataframe.grouped_kernels.rank_values` of the
+        numeric-like column *attr*: each row's stable value rank and the
+        values in rank order.
 
-        The inverse of ``np.argsort(values, kind="stable")`` over the
-        numeric-like column *attr*: equal values rank by row position, NaN
-        rows rank last.  Built once per attribute and table generation:
-        :meth:`clear_caches` drops every rank array, and so does the flush
-        after a ``Table.append_rows`` that added rows
-        (:meth:`sync_with_table`).  Stored as ``int32`` below ``2**31``
-        rows.  :meth:`_run_plan` sorts each plan's packed ``(code, rank)``
-        keys into its (code, value) order
-        (:meth:`GroupedAggregator.derive_sort_order`), reading only the
+        Built once per attribute and table generation: :meth:`clear_caches`
+        drops them, and so does the flush after a ``Table.append_rows`` that
+        added rows (:meth:`sync_with_table`).  :meth:`_run_plan` decodes
+        each plan's sorted values from them
+        (:meth:`GroupedAggregator.derive_sorted_values`), reading only the
         plan's own rows.  The bytes are reported by :attr:`presorted_bytes`.
         """
         with self._rank_lock:
-            rank = self._value_ranks.get(attr)
-            if rank is None:
+            ranked = self._value_ranks.get(attr)
+            if ranked is None:
                 column = self.table.column(attr)
                 if not column.is_numeric_like:
                     raise TypeError(
                         f"Only numeric-like columns are ranked, "
                         f"{column.dtype.value} column {attr!r} is not"
                     )
-                n = column.values.shape[0]
-                dtype = np.int32 if n < 2**31 else np.int64
-                order = np.argsort(column.values, kind="stable")  # NaN last
-                rank = np.empty(n, dtype=dtype)
-                rank[order] = np.arange(n, dtype=dtype)
-                self._value_ranks[attr] = rank
-        return rank
+                ranked = self._value_ranks[attr] = rank_values(column.values)
+        return ranked
 
     def sort_order(self, key: Optional[tuple], compute) -> np.ndarray:
-        """The cached (code, value) order under *key*.
+        """The cached sort result under *key*.
 
-        *key* is :meth:`QueryPlan.sort_key`'s ``(predicate signature, keys,
-        attr)`` triple (``None`` = uncacheable WHERE clause) and *compute* is
-        a zero-argument callable producing the order array for a miss: a
-        sort of packed keys over :meth:`value_rank` for numeric-like
-        columns, a sort of MAD's deviations, or a lexsort of categorical
-        values.  Misses book their wall-clock into
+        *key* is :meth:`QueryPlan.sort_key` (a plan's sorted values) or
+        :meth:`QueryPlan.mad_sort_key` (MAD's deviation order); ``None`` =
+        uncacheable WHERE clause.  *compute* is a zero-argument callable
+        producing the array for a miss.  Misses book their wall-clock into
         ``seconds_sorting``; hits skip the computation entirely, so queries
         of one template that share a (mask, group keys, value column)
-        triple build its order once.
-        Cached orders are immutable by the same contract as cached masks.
+        triple sort once.
+        Cached arrays are immutable by the same contract as cached masks.
         """
         if self._sort_orders is not None and key is not None:
             cached = self._sort_orders.get(key, _MISS)
@@ -784,15 +781,16 @@ class QueryEngine:
 
         The plan's filtered grouping is built once; then every spec of one
         value column aggregates off a single :class:`GroupedAggregator`,
-        whose intermediates -- above all the (code, value) order the
-        order-statistics family shares -- are built once.  That order comes
-        from the shared :meth:`sort_order` cache (keyed by
-        ``QueryPlan.sort_key``, so queries of one template reuse it across
-        plans and batches); on a miss, a numeric-like column's order is one
-        argsort of the plan rows' packed ``code * num_rows + rank`` keys
-        over :meth:`value_rank`, and a categorical column's a lexsort (its
-        filter-local codes are not in dictionary order).  MAD's deviation
-        order has its own key, ``QueryPlan.mad_sort_key``.
+        whose intermediates -- above all the values sorted by (code, value)
+        that the order-statistics family shares -- are built once.  Those
+        come from the shared :meth:`sort_order` cache (keyed by
+        ``QueryPlan.sort_key``, so queries of one template reuse them across
+        plans and batches); on a miss, a numeric-like column's are one
+        in-place sort of the plan rows' packed ``code << 32 | rank`` keys
+        decoded through :meth:`value_rank`, and a categorical column's a
+        lexsort gather (its filter-local codes are not in dictionary
+        order).  MAD's deviation order has its own key,
+        ``QueryPlan.mad_sort_key``.
         """
         index = self.group_index(plan.keys)
         mask = self.plan_mask(plan)
@@ -815,17 +813,17 @@ class QueryEngine:
             if column.is_numeric_like:
                 aggregator.value_rank = (partial(self.value_rank, attr), row_idx)
             sort_key, mad_sort_key = plan.sort_key(attr), plan.mad_sort_key(attr)
-            aggregator.order_cache = partial(self.sort_order, sort_key)
+            aggregator.sorted_cache = partial(self.sort_order, sort_key)
             aggregator.mad_order_cache = partial(self.sort_order, mad_sort_key)
             for position, spec in positioned:
-                # Resolve the shared orders outside the kernel timer, so
+                # Resolve the shared sorts outside the kernel timer, so
                 # their construction books once, into seconds_sorting, and
                 # kernel_seconds measures the kernel's own work.
                 # Accumulation-only plans never sort at all.
                 if spec.func in SORT_BASED_KERNELS:
-                    aggregator.resolve_sort_order()
+                    aggregator.sorted_values()
                 if spec.func == "MAD":
-                    aggregator.resolve_mad_order()
+                    aggregator.mad_sort_order()
                 start = time.perf_counter()
                 feature = aggregator.compute(spec.func)
                 self.stats.record_kernel(spec.func, time.perf_counter() - start)
@@ -860,11 +858,14 @@ class QueryEngine:
 
     @property
     def presorted_bytes(self) -> int:
-        """Bytes held now by the :meth:`value_rank` arrays.  They sit
-        outside the three LRU caches, so :attr:`cached_bytes` (the
-        ``bytes_cached`` gauge) does not count them."""
+        """Bytes held now by the :meth:`value_rank` arrays (ranks and
+        values in rank order).  They sit outside the three LRU caches, so
+        :attr:`cached_bytes` (the ``bytes_cached`` gauge) does not count
+        them."""
         with self._rank_lock:
-            return int(sum(r.nbytes for r in self._value_ranks.values()))
+            return int(
+                sum(a.nbytes for ranked in self._value_ranks.values() for a in ranked)
+            )
 
     @property
     def cached_bytes(self) -> int:

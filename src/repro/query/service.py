@@ -15,11 +15,14 @@ into a shared service:
   would overflow it is rejected **deterministically** with
   :class:`ServiceOverloadedError` -- backpressure is an error the caller
   sees, never a silent drop.
-* **Micro-batch coalescing** -- a single dispatcher thread collects queued
-  requests for up to ``coalesce_window_ms`` (or until ``max_batch`` queries
-  are waiting) and executes them as **one** fused engine round, so
-  concurrent callers share predicate masks, group indexes and sort orders
-  exactly as if one caller had batched their queries by hand.
+* **Natural batching** -- a single dispatcher thread starts a round as soon
+  as a request is queued and the previous round has finished, taking every
+  whole request queued in the meantime (up to ``max_batch`` queries) into
+  **one** fused engine round.  The batch size follows the load: an idle
+  service runs each request at once, and concurrent callers whose requests
+  queue while a round executes share predicate masks, group indexes and
+  sort orders in the next one, exactly as if one caller had batched their
+  queries by hand.  The dispatcher never waits on a timer.
 * **Cross-request dedup** -- identical plans from different requests (same
   :meth:`~repro.query.plan.QueryPlan.signature`) execute once per round via
   :meth:`QueryEngine.execute_plans_deduped`; duplicates receive the shared
@@ -48,14 +51,16 @@ Observability: the service books ``service_admitted`` / ``service_rejected``
 ``reset`` under the documented counter-vs-gauge contract.
 
 Configuration: ``ServiceConfig(None)`` fields resolve against
-``$REPRO_SERVICE_WINDOW_MS``, ``$REPRO_SERVICE_MAX_BATCH``,
-``$REPRO_SERVICE_QUEUE_DEPTH`` and ``$REPRO_SERVICE_TIMEOUT_MS`` at use
-time, with malformed values failing eagerly at config resolution
-(``ServiceConfig.validate``).
+``$REPRO_SERVICE_MAX_BATCH``, ``$REPRO_SERVICE_QUEUE_DEPTH`` and
+``$REPRO_SERVICE_TIMEOUT_MS`` at use time, with malformed values (a
+non-integer bound, a NaN or non-positive deadline) failing eagerly at config
+resolution (``ServiceConfig.validate``).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 import threading
 import time
@@ -70,15 +75,9 @@ from repro.query.plan import QueryPlan
 from repro.query.query import PredicateAwareQuery
 
 #: Environment variables the ``ServiceConfig(None)`` fields resolve against.
-WINDOW_ENV_VAR = "REPRO_SERVICE_WINDOW_MS"
 MAX_BATCH_ENV_VAR = "REPRO_SERVICE_MAX_BATCH"
 QUEUE_ENV_VAR = "REPRO_SERVICE_QUEUE_DEPTH"
 TIMEOUT_ENV_VAR = "REPRO_SERVICE_TIMEOUT_MS"
-
-#: Default micro-batch coalescing window.  Long enough that submissions from
-#: concurrently running callers land in one round, short enough to stay
-#: invisible next to a fused round's execution time.
-DEFAULT_WINDOW_MS = 2.0
 
 #: Default bound on the queries executed per fused round.
 DEFAULT_MAX_BATCH = 64
@@ -105,18 +104,28 @@ class DeadlineExpiredError(ServiceError):
     """The request's deadline passed while it waited in the queue."""
 
 
-def _env_float(name: str, minimum: float, allow_equal: bool) -> Optional[float]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
+def _timeout_ms(name: str, value) -> float:
+    """*value* as a deadline in milliseconds, else ``ValueError`` naming
+    *name*.  NaN is rejected: it passes ``<= 0`` but would never expire."""
     try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"${name} must be a number, got {raw!r}") from None
-    if value < minimum or (not allow_equal and value == minimum):
-        bound = ">=" if allow_equal else ">"
-        raise ValueError(f"${name} must be {bound} {minimum:g}, got {raw!r}")
-    return value
+        ms = float(value)
+    except (TypeError, ValueError):
+        ms = math.nan
+    if not ms > 0.0:
+        raise ValueError(f"{name} must be a number > 0, got {value!r}")
+    return ms
+
+
+def _count(name: str, value) -> int:
+    """*value* as an integer >= 1, else ``ValueError`` naming *name* (a
+    float such as 2.5 is rejected, not truncated)."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return count
 
 
 def _env_int(name: str) -> Optional[int]:
@@ -124,18 +133,9 @@ def _env_int(name: str) -> Optional[int]:
     if not raw:
         return None
     try:
-        value = int(raw)
+        return _count(f"${name}", int(raw))
     except ValueError:
         raise ValueError(f"${name} must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"${name} must be a positive integer, got {raw!r}")
-    return value
-
-
-def default_window_ms() -> float:
-    """``$REPRO_SERVICE_WINDOW_MS`` or 2.0 (0 disables the coalesce wait)."""
-    value = _env_float(WINDOW_ENV_VAR, 0.0, allow_equal=True)
-    return DEFAULT_WINDOW_MS if value is None else value
 
 
 def default_max_batch() -> int:
@@ -152,7 +152,8 @@ def default_queue_depth() -> int:
 
 def default_timeout_ms() -> Optional[float]:
     """``$REPRO_SERVICE_TIMEOUT_MS`` or ``None`` (no deadline)."""
-    return _env_float(TIMEOUT_ENV_VAR, 0.0, allow_equal=False)
+    raw = os.environ.get(TIMEOUT_ENV_VAR, "").strip()
+    return _timeout_ms(f"${TIMEOUT_ENV_VAR}", raw) if raw else None
 
 
 @dataclass(frozen=True)
@@ -166,11 +167,6 @@ class ServiceConfig:
     first request.
     """
 
-    #: Micro-batch window in milliseconds: how long the dispatcher waits,
-    #: after the first queued request, for more requests to coalesce with.
-    #: ``0`` dispatches immediately (coalescing then only merges requests
-    #: that queued while a previous round executed).
-    coalesce_window_ms: Optional[float] = None
     #: Bound on the queries executed per fused round.  Whole requests are
     #: never split: one request larger than the bound rides a round alone.
     max_batch: Optional[int] = None
@@ -183,40 +179,28 @@ class ServiceConfig:
     request_timeout_ms: Optional[float] = None
 
     @property
-    def window_ms(self) -> float:
-        return default_window_ms() if self.coalesce_window_ms is None else float(self.coalesce_window_ms)
-
-    @property
     def batch_limit(self) -> int:
-        return default_max_batch() if self.max_batch is None else int(self.max_batch)
+        if self.max_batch is None:
+            return default_max_batch()
+        return _count("max_batch", self.max_batch)
 
     @property
     def queue_limit(self) -> int:
-        return default_queue_depth() if self.max_queue is None else int(self.max_queue)
+        if self.max_queue is None:
+            return default_queue_depth()
+        return _count("max_queue", self.max_queue)
 
     @property
     def timeout_ms(self) -> Optional[float]:
         if self.request_timeout_ms is None:
             return default_timeout_ms()
-        return float(self.request_timeout_ms)
+        return _timeout_ms("request_timeout_ms", self.request_timeout_ms)
 
     def validate(self) -> None:
         """Raise ``ValueError`` on malformed knobs, explicit or from the
-        environment (the resolution properties re-parse ``$REPRO_SERVICE_*``)."""
-        if self.window_ms < 0:
-            raise ValueError(
-                f"coalesce_window_ms must be >= 0, got {self.coalesce_window_ms!r}"
-            )
-        if self.batch_limit < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch!r}")
-        if self.queue_limit < 1:
-            raise ValueError(f"max_queue must be >= 1, got {self.max_queue!r}")
-        timeout = self.timeout_ms
-        if timeout is not None and timeout <= 0:
-            raise ValueError(
-                f"request_timeout_ms must be > 0 (or None for no deadline), "
-                f"got {self.request_timeout_ms!r}"
-            )
+        environment (the resolution properties re-parse ``$REPRO_SERVICE_*``
+        and check every value they return)."""
+        _ = (self.batch_limit, self.queue_limit, self.timeout_ms)
 
 
 class _Request:
@@ -241,7 +225,7 @@ class QueryService:
     See the module docstring for the full contract.  Typical use::
 
         engine = engine_for(relevant_table, config)
-        with QueryService(engine, ServiceConfig(coalesce_window_ms=2)) as service:
+        with QueryService(engine, ServiceConfig(max_batch=64)) as service:
             future = service.submit(queries)          # from any thread
             tables = future.result()                  # list, input order
             # or blocking in one call:
@@ -262,7 +246,6 @@ class QueryService:
         self.engine = engine
         self.config = config or ServiceConfig()
         self.config.validate()
-        self._window_s = self.config.window_ms / 1000.0
         self._max_batch = self.config.batch_limit
         self._max_queue = self.config.queue_limit
         self._default_timeout_ms = self.config.timeout_ms
@@ -295,17 +278,18 @@ class QueryService:
         :class:`ServiceOverloadedError` when admitting the batch would
         overflow the queue (nothing is enqueued in either case).
         ``timeout_ms`` overrides the config's default deadline for this
-        request; it bounds queue wait, not execution.
+        request; it bounds queue wait, not execution, and must be a number
+        > 0 (``ValueError`` otherwise, NaN included, empty batches too).
         """
+        if timeout_ms is None:
+            timeout_ms = self._default_timeout_ms
+        else:
+            timeout_ms = _timeout_ms("timeout_ms", timeout_ms)
         plans = [self.engine.plan(query) for query in queries]
         future: "Future[List[object]]" = Future()
         if not plans:
             future.set_result([])
             return future
-        if timeout_ms is None:
-            timeout_ms = self._default_timeout_ms
-        if timeout_ms is not None and timeout_ms <= 0:
-            raise ValueError(f"timeout_ms must be > 0, got {timeout_ms!r}")
         deadline = (
             time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
         )
@@ -350,15 +334,8 @@ class QueryService:
                     self._not_empty.wait()
                 if not self._queue:  # closing and drained
                     return
-                if self._window_s > 0.0 and not self._closing:
-                    # Coalesce: wait for more requests until the window
-                    # elapses or a full round's worth of queries is waiting.
-                    end = time.monotonic() + self._window_s
-                    while self._depth < self._max_batch and not self._closing:
-                        remaining = end - time.monotonic()
-                        if remaining <= 0.0:
-                            break
-                        self._not_empty.wait(remaining)
+                # No hold time: whatever queued while the previous round ran
+                # forms this round, so the batch size follows the load.
                 batch = self._pop_round_locked()
             self._run_round(batch)
 
@@ -380,7 +357,7 @@ class QueryService:
         return batch
 
     def _run_round(self, requests: List[_Request]) -> None:
-        """Execute one micro-batch round; every future resolves, always."""
+        """Execute one fused round; every future resolves, always."""
         stats = self.engine.stats
         now = time.monotonic()
         live: List[_Request] = []

@@ -137,15 +137,17 @@ class TestNaNPlacementInSortDrivenKernels:
 
     @given(data=nan_bearing_grouped_inputs())
     @settings(max_examples=25, deadline=None)
-    def test_provided_sort_order_is_bit_neutral(self, data):
-        """A constructor-provided order (the engine's cached one) must
-        reproduce the locally-sorted results bit-for-bit on NaN-bearing
-        groups -- the order covers the NaN-stripped rows only."""
+    def test_provided_sorted_values_are_bit_neutral(self, data):
+        """Constructor-provided sorted values (the engine's cached ones)
+        must reproduce the locally-sorted results bit-for-bit on NaN-bearing
+        groups -- they cover the NaN-stripped rows only."""
         codes, values, n_groups = data
         donor = GroupedAggregator(codes, values, n_groups)
-        order = donor.sort_order()
+        svals = donor.sorted_values()
         for name in sorted(SORT_BASED_KERNELS):
-            got = GroupedAggregator(codes, values, n_groups, sort_order=order).compute(name)
+            got = GroupedAggregator(
+                codes, values, n_groups, sorted_values=svals
+            ).compute(name)
             want = reference(name, codes, values, n_groups)
             assert_same_nan_placement(got, want, name)
             finite = ~np.isnan(want)
@@ -153,26 +155,26 @@ class TestNaNPlacementInSortDrivenKernels:
 
     @given(data=nan_bearing_grouped_inputs())
     @settings(max_examples=25, deadline=None)
-    def test_order_cache_hook_is_bit_neutral(self, data):
-        """The ``order_cache`` hook path (how the engine injects cached
-        orders) is exercised exactly once and is bit-neutral."""
+    def test_sorted_cache_hook_is_bit_neutral(self, data):
+        """The ``sorted_cache`` hook path (how the engine injects cached
+        sorted values) is exercised exactly once and is bit-neutral."""
         codes, values, n_groups = data
         donor = GroupedAggregator(codes, values, n_groups)
         calls = []
 
         def cache(compute):
             calls.append(compute)
-            return donor.sort_order()
+            return donor.sorted_values()
 
         aggregator = GroupedAggregator(codes, values, n_groups)
-        aggregator.order_cache = cache
+        aggregator.sorted_cache = cache
         for name in sorted(SORT_BASED_KERNELS):
             got = aggregator.compute(name)
             want = reference(name, codes, values, n_groups)
             assert_same_nan_placement(got, want, name)
             finite = ~np.isnan(want)
             assert np.array_equal(got[finite], want[finite]), name
-        assert len(calls) == 1  # one shared order across every sort-based kernel
+        assert len(calls) == 1  # one shared sort across every sort-based kernel
 
     @given(data=nan_bearing_grouped_inputs())
     @settings(max_examples=25, deadline=None)
@@ -210,16 +212,24 @@ class TestNaNPlacementInSortDrivenKernels:
         for name in sorted(GROUPED_KERNELS - {"MAD"}):
             aggregator.compute(name)
 
-    def test_sort_order_covers_stripped_rows_only(self):
+    def test_sorted_values_cover_stripped_rows_only(self):
         codes = np.asarray([0, 0, 1, 1], dtype=np.int64)
         values = np.asarray([2.0, np.nan, 1.0, np.nan])
-        assert len(GroupedAggregator(codes, values, 2).sort_order()) == 2
+        assert GroupedAggregator(codes, values, 2).sorted_values().tolist() == [2.0, 1.0]
 
-    def test_misaligned_provided_order_rejected(self):
+    def test_misaligned_provided_sorted_values_rejected(self):
         codes = np.asarray([0, 0, 1], dtype=np.int64)
         values = np.asarray([2.0, np.nan, 1.0])
-        with pytest.raises(ValueError, match="sort_order"):
-            GroupedAggregator(codes, values, 2, sort_order=np.arange(3))
+        with pytest.raises(ValueError, match="sorted_values"):
+            GroupedAggregator(codes, values, 2, sorted_values=np.arange(3.0))
+
+    def test_misaligned_cached_sorted_values_rejected(self):
+        codes = np.asarray([0, 0, 1], dtype=np.int64)
+        values = np.asarray([2.0, np.nan, 1.0])
+        aggregator = GroupedAggregator(codes, values, 2)
+        aggregator.sorted_cache = lambda compute: np.arange(3.0)
+        with pytest.raises(ValueError, match="cached sorted values"):
+            aggregator.compute("MEDIAN")
 
     def test_accumulation_kernels_never_resolve_an_order(self):
         """SUM / AVG / VAR / STD stay pure bincount passes: the order cache
@@ -228,8 +238,8 @@ class TestNaNPlacementInSortDrivenKernels:
         codes = np.asarray([0, 1, 0, 1], dtype=np.int64)
         values = np.asarray([1.0, 2.0, np.nan, 4.0])
         aggregator = GroupedAggregator(codes, values, 2)
-        aggregator.order_cache = lambda compute: pytest.fail(
-            "accumulation kernel resolved a sort order"
+        aggregator.sorted_cache = lambda compute: pytest.fail(
+            "accumulation kernel resolved the sorted values"
         )
         for name in sorted(GROUPED_KERNELS - SORT_BASED_KERNELS):
             aggregator.compute(name)

@@ -1,17 +1,20 @@
-"""Packed-key order statistics: a plan's (group, value) order, one argsort of
-``code * num_rows + rank`` keys over a per-attribute value rank, must be
-exactly ``np.lexsort((values, codes))``.
+"""Packed-key order statistics: a plan's values sorted by (group, value),
+one in-place sort of ``code << 32 | rank`` keys over a per-attribute value
+rank decoded through the column's values in rank order, must be bit for bit
+``values[np.lexsort((values, codes))]``.
 
 Two layers are pinned here:
 
-* the derivation itself (:meth:`GroupedAggregator.derive_sort_order`), by
-  hypothesis properties over NaN, +-inf, -0.0/0.0, huge magnitudes and heavy
-  ties, arbitrary ascending row subsets, empty filters, all-NaN columns, a
-  single group and more than 65,536 groups;
-* the engine's value ranks (:meth:`QueryEngine.value_rank`): one per
-  attribute and table generation, ``int32``, reported by
-  ``presorted_bytes`` outside ``bytes_cached``, and never reused across a
-  ``Table.append_rows`` that adds rows (the flush) or ``clear_caches()``.
+* the derivation itself (:meth:`GroupedAggregator.derive_sorted_values`),
+  by hypothesis properties over NaN, +-inf, -0.0/0.0, huge magnitudes and
+  heavy ties, arbitrary ascending row subsets, empty filters, empty groups,
+  all-NaN columns, a single group and more than 65,536 groups;
+* the engine's value ranks (:meth:`QueryEngine.value_rank`): the inverse of
+  ``np.argsort(kind="stable")`` with the values in that order (a hypothesis
+  property over the same values), one per attribute and table generation,
+  ``int32``, reported by ``presorted_bytes`` outside ``bytes_cached``, and
+  never reused across a ``Table.append_rows`` that adds rows (the flush) or
+  ``clear_caches()``.
 """
 
 import gc
@@ -50,9 +53,22 @@ def value_rank(base: np.ndarray) -> np.ndarray:
     return rank
 
 
-def stripped_lexsort(values: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def ranked(base: np.ndarray):
+    """The reference ``(value rank, values in rank order)`` pair."""
+    return value_rank(base), base[np.argsort(base, kind="stable")]
+
+
+def stripped_sorted(values: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``values[np.lexsort((values, codes))]`` over the non-NaN rows."""
     valid = ~np.isnan(values)
-    return np.lexsort((values[valid], codes[valid]))
+    values, codes = values[valid], codes[valid]
+    return values[np.lexsort((values, codes))]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality: tells -0.0 from 0.0 and NaN payloads apart."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @st.composite
@@ -103,27 +119,33 @@ def subset_plans(draw):
 class TestDerivation:
     @settings(max_examples=300, deadline=None)
     @given(plans())
-    def test_derived_order_equals_lexsort(self, plan):
+    def test_derived_sorted_values_equal_lexsort_gather(self, plan):
         base, rows, codes, n_groups = plan
         values = base if rows is None else base[rows]
         aggregator = GroupedAggregator(codes, values, n_groups)
-        derived = aggregator.derive_sort_order(value_rank(base), rows)
-        expected = stripped_lexsort(values, codes)
-        assert derived.dtype == expected.dtype
-        assert np.array_equal(derived, expected)
+        derived = aggregator.derive_sorted_values(*ranked(base), rows)
+        assert derived.dtype == np.float64
+        assert same_bits(derived, stripped_sorted(values, codes))
 
     @settings(max_examples=300, deadline=None)
     @given(subset_plans())
-    def test_packed_key_order_equals_lexsort_on_row_subsets(self, plan):
-        """Element for element, over duplicates drawn from a small pool of
-        NaN, signed zeros, huge magnitudes and arbitrary floats."""
+    def test_packed_keys_equal_lexsort_gather_on_row_subsets(self, plan):
+        """Bit for bit, over duplicates drawn from a small pool of NaN,
+        signed zeros, huge magnitudes and arbitrary floats: tied -0.0 and
+        0.0 keep their row order, as ``np.lexsort`` keeps it."""
         base, rows, codes, n_groups = plan
         values = base[rows]
         aggregator = GroupedAggregator(codes, values, n_groups)
-        derived = aggregator.derive_sort_order(value_rank(base), rows)
-        expected = stripped_lexsort(values, codes)
-        assert derived.dtype == expected.dtype
-        assert derived.tolist() == expected.tolist()
+        derived = aggregator.derive_sorted_values(*ranked(base), rows)
+        assert same_bits(derived, stripped_sorted(values, codes))
+        # The kernels read nothing else: every order statistic matches the
+        # lexsort-driven path.
+        for name in ("MIN", "MAX", "MEDIAN", "MODE", "COUNT_DISTINCT"):
+            local = GroupedAggregator(codes, values, n_groups).compute(name)
+            assert same_bits(
+                GroupedAggregator(codes, values, n_groups, sorted_values=derived).compute(name),
+                local,
+            )
 
     @pytest.mark.parametrize("share", [0.0, 0.3, 1.0])
     def test_more_groups_than_uint16_holds(self, share):
@@ -139,18 +161,24 @@ class TestDerivation:
         codes[: min(kept, 3)] = [n_groups - 1, 1 << 16, 0][: min(kept, 3)]
         values = base if rows is None else base[rows]
         aggregator = GroupedAggregator(codes, values, n_groups)
-        derived = aggregator.derive_sort_order(value_rank(base), rows)
-        assert np.array_equal(derived, stripped_lexsort(values, codes))
+        derived = aggregator.derive_sorted_values(*ranked(base), rows)
+        assert same_bits(derived, stripped_sorted(values, codes))
 
     def test_empty_filter_and_single_group(self):
         base = np.array([3.0, np.nan, -0.0, 0.0, 3.0, -np.inf])
         empty = np.empty(0, dtype=np.int64)
         aggregator = GroupedAggregator(empty, base[empty], 1)
-        assert aggregator.derive_sort_order(value_rank(base), empty).size == 0
+        assert aggregator.derive_sorted_values(*ranked(base), empty).size == 0
         aggregator = GroupedAggregator(np.zeros(6, dtype=np.int64), base, 1)
         # One group: the stable value order over the stripped rows, with
         # -0.0 (row 2) before 0.0 (row 3) because they tie.
-        assert aggregator.derive_sort_order(value_rank(base)).tolist() == [4, 1, 2, 0, 3]
+        derived = aggregator.derive_sorted_values(*ranked(base))
+        assert same_bits(derived, [-np.inf, -0.0, 0.0, 3.0, 3.0])
+        # Swapped zeros keep their own row order.
+        swapped = base[[0, 1, 3, 2, 4, 5]]
+        aggregator = GroupedAggregator(np.zeros(6, dtype=np.int64), swapped, 1)
+        derived = aggregator.derive_sorted_values(*ranked(swapped))
+        assert same_bits(derived, [-np.inf, 0.0, -0.0, 3.0, 3.0])
 
 
 def make_table(n: int = 400, seed: int = 0) -> Table:
@@ -187,17 +215,27 @@ def appended_rows(n: int, seed: int) -> dict:
     }
 
 
-def expected_order(engine: QueryEngine, query: PredicateAwareQuery) -> np.ndarray:
-    """``np.lexsort`` over the plan's filtered, NaN-stripped rows."""
+def expected_sorted(engine: QueryEngine, query: PredicateAwareQuery) -> np.ndarray:
+    """The lexsort gather over the plan's filtered, NaN-stripped rows."""
     plan = engine.plan(query)
     index = engine.group_index(plan.keys)
     _, codes, _, row_idx = engine.filtered_groups(index, engine.plan_mask(plan))
     values = engine.table.column("x").values
-    return stripped_lexsort(values if row_idx is None else values[row_idx], codes)
+    return stripped_sorted(values if row_idx is None else values[row_idx], codes)
+
+
+def assert_ranked(pair, base: np.ndarray) -> None:
+    """*pair* is the reference ``(value rank, values in rank order)``."""
+    rank, by_rank = pair
+    want_rank, want_by_rank = ranked(base)
+    assert rank.dtype == np.int32
+    assert np.array_equal(rank, want_rank)
+    assert same_bits(by_rank, want_by_rank)
 
 
 class RankSpy:
-    """Records every value rank the engine hands to a derivation."""
+    """Records every ``(value rank, values in rank order)`` pair the engine
+    hands to a derivation."""
 
     def __init__(self, engine: QueryEngine):
         self.used = []
@@ -215,7 +253,20 @@ def numpy_engine(table: Table, **overrides) -> QueryEngine:
     return QueryEngine(table, config=EngineConfig(**overrides))
 
 
+#: Columns the engine ranks: heavy ties, signed zeros, infinities, NaN.
+RANK_COLUMNS = st.lists(VALUE, max_size=80)
+
+
 class TestEngineValueRank:
+    @settings(max_examples=200, deadline=None)
+    @given(RANK_COLUMNS)
+    def test_ranks_invert_the_stable_argsort(self, xs):
+        """The engine's ranks are the inverse of ``np.argsort(kind="stable")``
+        and its second array the values in that order, bit for bit."""
+        base = np.array(xs, dtype=np.float64)
+        table = Table([Column("x", base, dtype=DType.NUMERIC)])
+        assert_ranked(numpy_engine(table).value_rank("x"), base)
+
     def test_one_int32_rank_per_attribute(self):
         table = make_table()
         engine = numpy_engine(table)
@@ -224,21 +275,20 @@ class TestEngineValueRank:
         assert engine.stats.sort_misses == 3
         assert len(spy.used) == 3
         assert all(p is spy.used[0][1] for _, p in spy.used)
-        rank = spy.used[0][1]
-        assert rank.dtype == np.int32
-        assert np.array_equal(rank, value_rank(table.column("x").values))
+        assert_ranked(spy.used[0][1], table.column("x").values)
         for cat in (None, "a", "b"):
             query = median_query(cat)
             key = engine.plan(query).sort_key("x")
-            assert np.array_equal(engine._sort_orders.get(key), expected_order(engine, query))
+            assert same_bits(engine._sort_orders.get(key), expected_sorted(engine, query))
 
     def test_presorted_bytes_sit_outside_bytes_cached(self):
         table = make_table()
         engine = numpy_engine(table)
         assert engine.presorted_bytes == 0
         engine.execute(median_query("a"))
-        # One int32 rank per row, NaN rows included.
-        assert engine.presorted_bytes == 4 * table.num_rows
+        # One int32 rank and one float64 value in rank order per row, NaN
+        # rows included.
+        assert engine.presorted_bytes == 12 * table.num_rows
         cached = sum(engine.stats.cache_bytes.values())
         assert cached == engine.cached_bytes == engine.stats.bytes_cached
         assert set(engine.stats.cache_bytes) == {"masks", "results", "sort_orders"}
@@ -272,8 +322,8 @@ class TestEngineValueRank:
         queries = [median_query(), median_query("a")]
         engine.execute_batch(queries)
         old = spy.used[-1][1]
-        # A plan new to the engine misses the sort-order cache, so its order
-        # is derived after every append.
+        # A plan new to the engine misses the sort-order cache, so its
+        # sorted values are derived after every append.
         unseen = [
             median_query("c"),
             median_query("b"),
@@ -291,17 +341,17 @@ class TestEngineValueRank:
                 )
             spy.used.clear()
             results = engine.execute_batch(queries + [fresh])
-            assert spy.used, "a miss after the append must derive its order"
-            current = value_rank(table.column("x").values)
-            for version, rank in spy.used:
+            assert spy.used, "a miss after the append must derive its sorted values"
+            current = table.column("x").values
+            for version, pair in spy.used:
                 assert version == table.version
-                assert rank is not old
-                assert np.array_equal(rank, current)
+                assert pair is not old
+                assert_ranked(pair, current)
             for query in queries + [fresh]:
                 key = engine.plan(query).sort_key("x")
-                order = engine._sort_orders.get(key)
-                assert order is not None
-                assert np.array_equal(order, expected_order(engine, query))
+                svals = engine._sort_orders.get(key)
+                assert svals is not None
+                assert same_bits(svals, expected_sorted(engine, query))
             for query, result in zip(queries + [fresh], results):
                 naive = execute_query_naive(query, table)
                 assert np.array_equal(
@@ -310,7 +360,7 @@ class TestEngineValueRank:
                     equal_nan=True,
                 )
             old = spy.used[-1][1]
-            assert engine.presorted_bytes == current.nbytes
+            assert engine.presorted_bytes == 12 * table.num_rows
 
     @pytest.mark.parametrize("empty_appends", (1, 2, 4))
     def test_empty_append_keeps_the_rank(self, empty_appends):
@@ -345,9 +395,9 @@ class TestEngineValueRank:
         assert engine.presorted_bytes == 0
         spy.used.clear()
         engine.execute(median_query("a"))
-        [(_, rank)] = spy.used
-        assert rank is not old
-        assert np.array_equal(rank, old)
+        [(_, pair)] = spy.used
+        assert pair is not old
+        assert_ranked(pair, table.column("x").values)
         assert engine.stats.sort_misses == 2
 
     def test_plans_leave_no_reference_cycles(self):

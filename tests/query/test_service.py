@@ -22,7 +22,9 @@ Covers the full service contract:
 
 Manual mode (``auto_start=False`` + ``run_pending_round``) makes the
 round-formation tests deterministic: requests queue until the test says
-"dispatch", so window timing never decides what lands in a round.
+"dispatch".  The dispatcher-thread tests hold a round in the engine
+(:class:`BlockedRound`) instead, so what queues behind it is decided by the
+test, never by thread timing.
 """
 
 import threading
@@ -39,7 +41,6 @@ from repro.query.service import (
     MAX_BATCH_ENV_VAR,
     QUEUE_ENV_VAR,
     TIMEOUT_ENV_VAR,
-    WINDOW_ENV_VAR,
     DeadlineExpiredError,
     QueryService,
     ServiceClosedError,
@@ -49,7 +50,6 @@ from repro.query.service import (
     default_max_batch,
     default_queue_depth,
     default_timeout_ms,
-    default_window_ms,
 )
 
 from _engine_paths import CACHE_PROFILES, ENGINE_STATES, engine_in_state, sibling_queries
@@ -110,52 +110,78 @@ def service_delta(stats, baseline):
     }
 
 
+class BlockedRound:
+    """Holds the first engine round a service runs until :meth:`release`.
+
+    Requests submitted meanwhile queue behind the held round, so the test,
+    not thread timing, decides what the dispatcher's next round takes.
+    """
+
+    def __init__(self, engine: QueryEngine):
+        self.started = threading.Event()
+        self._release = threading.Event()
+        run = engine.execute_plans_deduped
+
+        def held(plans):
+            if not self.started.is_set():
+                self.started.set()
+                assert self._release.wait(timeout=30), "round never released"
+            return run(plans)
+
+        engine.execute_plans_deduped = held
+
+    def wait_started(self) -> None:
+        assert self.started.wait(timeout=30), "the dispatcher never ran a round"
+
+    def release(self) -> None:
+        self._release.set()
+
+
 # ----------------------------------------------------------------------
 # Config resolution
 # ----------------------------------------------------------------------
 class TestServiceConfig:
     def test_defaults(self, monkeypatch):
-        for var in (WINDOW_ENV_VAR, MAX_BATCH_ENV_VAR, QUEUE_ENV_VAR, TIMEOUT_ENV_VAR):
+        for var in (MAX_BATCH_ENV_VAR, QUEUE_ENV_VAR, TIMEOUT_ENV_VAR):
             monkeypatch.delenv(var, raising=False)
         config = ServiceConfig()
         config.validate()
-        assert config.window_ms == 2.0 == default_window_ms()
         assert config.batch_limit == 64 == default_max_batch()
         assert config.queue_limit == 1024 == default_queue_depth()
         assert config.timeout_ms is None and default_timeout_ms() is None
 
     def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(WINDOW_ENV_VAR, "7.5")
         monkeypatch.setenv(MAX_BATCH_ENV_VAR, "16")
         monkeypatch.setenv(QUEUE_ENV_VAR, "32")
-        monkeypatch.setenv(TIMEOUT_ENV_VAR, "250")
+        monkeypatch.setenv(TIMEOUT_ENV_VAR, "7.5")
         config = ServiceConfig()
         config.validate()
-        assert config.window_ms == 7.5
         assert config.batch_limit == 16
         assert config.queue_limit == 32
-        assert config.timeout_ms == 250.0
+        assert config.timeout_ms == 7.5
 
     def test_explicit_values_beat_environment(self, monkeypatch):
-        monkeypatch.setenv(WINDOW_ENV_VAR, "7.5")
+        monkeypatch.setenv(TIMEOUT_ENV_VAR, "7.5")
         monkeypatch.setenv(MAX_BATCH_ENV_VAR, "16")
-        config = ServiceConfig(coalesce_window_ms=0, max_batch=4)
-        assert config.window_ms == 0.0
+        config = ServiceConfig(request_timeout_ms=0.5, max_batch=4)
+        assert config.timeout_ms == 0.5
         assert config.batch_limit == 4
 
     def test_blank_environment_means_default(self, monkeypatch):
-        monkeypatch.setenv(WINDOW_ENV_VAR, "   ")
+        monkeypatch.setenv(MAX_BATCH_ENV_VAR, "   ")
         monkeypatch.setenv(TIMEOUT_ENV_VAR, "")
-        assert default_window_ms() == 2.0
+        assert default_max_batch() == 64
         assert default_timeout_ms() is None
 
     @pytest.mark.parametrize(
         "var, value",
         [
-            (WINDOW_ENV_VAR, "soon"),
-            (WINDOW_ENV_VAR, "-1"),
+            (TIMEOUT_ENV_VAR, "soon"),
+            (TIMEOUT_ENV_VAR, "-1"),
+            (TIMEOUT_ENV_VAR, "nan"),
             (MAX_BATCH_ENV_VAR, "many"),
             (MAX_BATCH_ENV_VAR, "0"),
+            (MAX_BATCH_ENV_VAR, "2.5"),
             (QUEUE_ENV_VAR, "-3"),
             (TIMEOUT_ENV_VAR, "0"),
             (TIMEOUT_ENV_VAR, "fast"),
@@ -171,16 +197,26 @@ class TestServiceConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"coalesce_window_ms": -1.0},
+            {"max_queue": -1},
             {"max_batch": 0},
+            {"max_batch": 2.5},
+            {"max_batch": "8"},
             {"max_queue": 0},
+            {"max_queue": 2.5},
             {"request_timeout_ms": 0.0},
             {"request_timeout_ms": -5.0},
+            {"request_timeout_ms": float("nan")},
         ],
     )
-    def test_explicit_garbage_raises(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_explicit_garbage_raises_naming_the_field(self, kwargs):
+        [field] = kwargs
+        with pytest.raises(ValueError, match=field):
             ServiceConfig(**kwargs).validate()
+
+    def test_integral_bounds_are_accepted(self):
+        config = ServiceConfig(max_batch=np.int64(8), max_queue=16)
+        config.validate()
+        assert config.batch_limit == 8 and config.queue_limit == 16
 
     def test_service_validates_config_at_construction(self):
         engine = make_engine()
@@ -233,11 +269,16 @@ class TestAdmission:
         with pytest.raises(ServiceClosedError):
             service.submit(make_batch())
 
-    def test_nonpositive_timeout_rejected_at_submit(self):
+    @pytest.mark.parametrize("timeout_ms", [0, -1.0, float("nan")])
+    def test_nonpositive_timeout_rejected_at_submit(self, timeout_ms):
+        """NaN passes ``<= 0`` but would never expire: rejected like 0."""
         engine = make_engine()
         service = manual_service(engine)
-        with pytest.raises(ValueError):
-            service.submit(make_batch(), timeout_ms=0)
+        with pytest.raises(ValueError, match="timeout_ms"):
+            service.submit(make_batch(), timeout_ms=timeout_ms)
+        with pytest.raises(ValueError, match="timeout_ms"):
+            service.submit([], timeout_ms=timeout_ms)
+        assert service.queue_depth == 0
         service.close()
 
     def test_queue_depth_gauge_tracks_admission_and_dispatch(self):
@@ -426,71 +467,119 @@ class TestFailurePaths:
 
 
 # ----------------------------------------------------------------------
-# Dispatcher thread: window coalescing, concurrent callers, close
+# Dispatcher thread: natural batching, max_batch, close
 # ----------------------------------------------------------------------
 class TestDispatcherThread:
-    def test_window_coalesces_concurrent_submissions(self):
+    def test_requests_queued_during_a_round_run_together_next(self):
+        """Natural batching: the dispatcher starts a round at once, and every
+        request that queues while it runs shares the next round."""
         engine = make_engine()
         queries = make_batch()
         serial = engine.execute_batch(queries)
         baseline = engine.stats.as_dict()
-        n_callers = 4
-        with QueryService(
-            engine, ServiceConfig(coalesce_window_ms=200, max_batch=64)
-        ) as service:
-            futures = [service.submit(queries) for _ in range(n_callers)]
-            results = [future.result(timeout=30) for future in futures]
+        held = BlockedRound(engine)
+        n_waiting = 3
+        with QueryService(engine, ServiceConfig(max_batch=64)) as service:
+            first = service.submit(queries)
+            held.wait_started()
+            waiting = [service.submit(queries) for _ in range(n_waiting)]
+            assert service.queue_depth == n_waiting * 8
+            held.release()
+            results = [f.result(timeout=30) for f in [first] + waiting]
         for result in results:
             assert_batch_equal(result, serial)
         delta = service_delta(engine.stats, baseline)
-        # All four submissions landed inside one window: one fused round,
-        # every query coalesced, three requests' worth deduped.
-        assert delta["service_rounds"] == 1
-        assert delta["service_admitted"] == n_callers * 8
-        assert delta["service_coalesced"] == n_callers * 8
-        assert delta["service_deduped"] == (n_callers - 1) * 8
+        # Round 1: the first request alone; round 2: the three that queued
+        # behind it, fused, with two requests' worth served by fan-out.
+        assert delta["service_rounds"] == 2
+        assert delta["service_admitted"] == (1 + n_waiting) * 8
+        assert delta["service_coalesced"] == n_waiting * 8
+        assert delta["service_deduped"] == (n_waiting - 1) * 8
 
-    def test_zero_window_still_correct(self):
+    def test_idle_service_runs_a_request_at_once(self):
         engine = make_engine()
         queries = make_batch()
         serial = engine.execute_batch(queries)
-        with QueryService(
-            engine, ServiceConfig(coalesce_window_ms=0, max_batch=64)
-        ) as service:
+        baseline = engine.stats.as_dict()
+        with QueryService(engine, ServiceConfig(max_batch=64)) as service:
             assert_batch_equal(service.execute(queries), serial)
+            assert_batch_equal(service.execute(queries[:3]), serial[:3])
+        delta = service_delta(engine.stats, baseline)
+        assert delta["service_rounds"] == 2
+        assert delta["service_coalesced"] == 0
 
-    def test_full_batch_dispatches_before_window_expires(self):
+    def test_rounds_behind_a_busy_engine_respect_max_batch(self):
+        """Requests queued behind a running round form the next rounds up to
+        ``max_batch`` queries each, whole requests only."""
         engine = make_engine()
         queries = make_batch()
-        # A window long enough that waiting it out would fail the result
-        # timeout: dispatch must be triggered by max_batch, not the clock.
-        with QueryService(
-            engine, ServiceConfig(coalesce_window_ms=60_000, max_batch=8)
-        ) as service:
-            future = service.submit(queries)
-            assert len(future.result(timeout=30)) == 8
-            service.close(drain=False)
+        serial = engine.execute_batch(queries)
+        baseline = engine.stats.as_dict()
+        held = BlockedRound(engine)
+        with QueryService(engine, ServiceConfig(max_batch=10)) as service:
+            first = service.submit(queries)
+            held.wait_started()
+            waiting = [
+                service.submit(queries),  # 8: a round of its own
+                service.submit(queries[:1]),  # 8 + 1 <= 10: rides along
+                service.submit(queries[:4]),  # 9 + 4 > 10: next round
+            ]
+            held.release()
+            assert_batch_equal(first.result(timeout=30), serial)
+            assert_batch_equal(waiting[0].result(timeout=30), serial)
+            assert_batch_equal(waiting[1].result(timeout=30), serial[:1])
+            assert_batch_equal(waiting[2].result(timeout=30), serial[:4])
+        delta = service_delta(engine.stats, baseline)
+        assert delta["service_rounds"] == 3
+        assert delta["service_coalesced"] == 9
 
     def test_close_with_dispatcher_drains_by_default(self):
         engine = make_engine()
         queries = make_batch()
         serial = engine.execute_batch(queries)
-        service = QueryService(
-            engine, ServiceConfig(coalesce_window_ms=60_000, max_batch=64)
-        )
-        future = service.submit(queries[:3])
-        service.close()  # wakes the window wait; the round still runs
-        assert_batch_equal(future.result(timeout=5), serial[:3])
+        held = BlockedRound(engine)
+        service = QueryService(engine, ServiceConfig(max_batch=64))
+        first = service.submit(queries)
+        held.wait_started()
+        queued = service.submit(queries[:3])
+        closer = threading.Thread(target=service.close)
+        closer.start()
+        # close() stops admission at once, then waits for the drain.
+        deadline = time.monotonic() + 30
+        while True:
+            try:
+                service.submit(queries[:1]).cancel()
+            except ServiceClosedError:
+                break
+            assert time.monotonic() < deadline, "close() never stopped admission"
+            time.sleep(0.001)
+        assert not queued.done()
+        held.release()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+        assert service.closed
+        assert_batch_equal(first.result(timeout=5), serial)
+        assert_batch_equal(queued.result(timeout=5), serial[:3])
 
     def test_close_without_drain_rejects_queued_work(self):
         engine = make_engine()
-        service = QueryService(
-            engine, ServiceConfig(coalesce_window_ms=60_000, max_batch=64)
-        )
-        future = service.submit(make_batch())
-        service.close(drain=False)
+        queries = make_batch()
+        serial = engine.execute_batch(queries)
+        held = BlockedRound(engine)
+        service = QueryService(engine, ServiceConfig(max_batch=64))
+        running = service.submit(queries)
+        held.wait_started()
+        queued = service.submit(queries)
+        closer = threading.Thread(target=service.close, kwargs={"drain": False})
+        closer.start()
+        # The queued request fails before the held round finishes...
         with pytest.raises(ServiceClosedError):
-            future.result(timeout=5)
+            queued.result(timeout=30)
+        held.release()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+        # ...while the round already executing still delivers its results.
+        assert_batch_equal(running.result(timeout=5), serial)
 
 
 # ----------------------------------------------------------------------
@@ -549,7 +638,7 @@ class TestConcurrentCallersBitIdentity:
         queries = make_batch()
         engine, serial = served_engine(5, state, cache)
         baseline = engine.stats.as_dict()
-        service = manual_service(engine, max_batch=256, coalesce_window_ms=0)
+        service = manual_service(engine, max_batch=256)
         barrier = threading.Barrier(callers)
         futures = [None] * callers
         errors = []
@@ -587,15 +676,13 @@ class TestConcurrentCallersBitIdentity:
 
     def test_live_dispatcher_hammer_matches_serial(self, state, cache, callers):
         """Same states through the real dispatcher thread: callers block on
-        ``execute`` concurrently; whatever rounds the window forms, results
+        ``execute`` concurrently; whatever rounds the load forms, results
         stay bit-identical and every admitted query is accounted for."""
         queries = make_batch()
         engine, serial = served_engine(6, state, cache)
         baseline = engine.stats.as_dict()
         errors = []
-        with QueryService(
-            engine, ServiceConfig(coalesce_window_ms=20, max_batch=256)
-        ) as service:
+        with QueryService(engine, ServiceConfig(max_batch=256)) as service:
 
             def caller():
                 try:
