@@ -15,6 +15,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.ml._splitter import sorted_quantiles
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 
 
@@ -66,7 +67,7 @@ class ARDA:
             model.fit(design, y)
             importances = model.feature_importances_
             real, fake = importances[: X.shape[1]], importances[X.shape[1] :]
-            threshold = np.quantile(fake, self.quantile) if fake.size else 0.0
+            threshold = sorted_quantiles(np.sort(fake), self.quantile) if fake.size else 0.0
             votes += (real > threshold).astype(np.float64)
             importance_sum += real
 

@@ -23,7 +23,6 @@ from repro.dataframe.table import Table
 from repro.ml.base import BaseEstimator, is_classifier
 from repro.ml.metrics import f1_score_macro, rmse, roc_auc_score
 from repro.ml.preprocessing import LabelEncoder, TableVectorizer
-from repro.query.augment import augment_training_table
 from repro.query.engine import QueryEngine, resolve_engine
 from repro.query.query import PredicateAwareQuery
 
@@ -114,15 +113,15 @@ class ModelEvaluator:
         engine: QueryEngine | None = None,
         valid: bool = True,
     ):
-        """Batched variant: one engine pass, then per-query train/valid joins.
+        """Batched variant: one engine pass, then per-query train/valid key gathers.
 
         Queries execute through the engine's vectorized grouped kernels
-        (see :mod:`repro.dataframe.grouped_kernels`), and the feature joins
-        go through the vectorized ``Table.left_join`` key matching
-        (factorized codes + first-occurrence index map), so neither phase
-        loops over rows in Python.  With ``valid=False`` the joins onto the
-        validation split are skipped and ``None`` stands for its vectors: the
-        proxy search scores on the train split alone.
+        (see :mod:`repro.dataframe.grouped_kernels`).  Each split then gathers
+        the feature column by ``Table.lookup``: the key matching of
+        ``Table.left_join`` (factorized codes + first-occurrence index map),
+        NaN where no group matches, without building a joined table.  With
+        ``valid=False`` the validation split is skipped and ``None`` stands
+        for its vectors: the proxy search scores on the train split alone.
         """
         resolved = self._resolve_engine(relevant_table, engine)
         feature_tables = resolved.execute_batch(list(queries))
@@ -130,10 +129,8 @@ class ModelEvaluator:
         vectors: List[List[np.ndarray]] = [[] for _ in splits]
         for query, feature_table in zip(queries, feature_tables):
             for split, split_vectors in zip(splits, vectors):
-                joined = augment_training_table(
-                    split, feature_table, query.keys, query.feature_name, "__candidate__"
-                )
-                split_vectors.append(joined.column("__candidate__").values)
+                feature = split.lookup(feature_table, query.keys, query.feature_name)
+                split_vectors.append(feature.values)
         return vectors[0], (vectors[1] if valid else None)
 
     # ------------------------------------------------------------------
@@ -141,12 +138,25 @@ class ModelEvaluator:
     # ------------------------------------------------------------------
     def evaluate_matrix(self, extra_train: np.ndarray | None, extra_valid: np.ndarray | None) -> EvaluationResult:
         """Train the model on base features plus the given extra columns."""
-        X_train = self._stack(self._X_train_base, extra_train)
-        X_valid = self._stack(self._X_valid_base, extra_valid)
-        X_train, X_valid = _impute_pair(X_train, X_valid)
-        model = self.model.clone()
-        model.fit(X_train, self.y_train)
-        return self._score(model, X_valid)
+        return self.evaluate_matrices([extra_train], [extra_valid])[0]
+
+    def evaluate_matrices(
+        self,
+        extra_trains: Sequence[np.ndarray | None],
+        extra_valids: Sequence[np.ndarray | None],
+    ) -> List[EvaluationResult]:
+        """:meth:`evaluate_matrix` of each pair of extra columns, the models
+        trained by one ``fit_batch`` call (logistic regression fits them in
+        lockstep)."""
+        pairs = [
+            _impute_pair(
+                self._stack(self._X_train_base, extra_train),
+                self._stack(self._X_valid_base, extra_valid),
+            )
+            for extra_train, extra_valid in zip(extra_trains, extra_valids)
+        ]
+        models = self.model.fit_batch([X_train for X_train, _ in pairs], self.y_train)
+        return [self._score(model, X_valid) for model, (_, X_valid) in zip(models, pairs)]
 
     def evaluate_queries(
         self,

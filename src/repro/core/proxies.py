@@ -36,6 +36,8 @@ class MutualInformationProxy(Proxy):
     name = "mi"
 
     def __init__(self, n_bins: int = 10):
+        if n_bins < 1:
+            raise ValueError(f"n_bins must be at least 1, got {n_bins!r}")
         self.n_bins = n_bins
         self._label = None
         self._label_groups = None

@@ -142,8 +142,9 @@ class SQLQueryGenerator:
         """Real validation losses for a whole suggestion batch.
 
         Feature materialisation for the batch's unique unseen queries is one
-        engine pass; the per-query model retrains stay sequential (they are
-        the irreducible cost the dedup memo protects).
+        engine pass, and their models train through one
+        :meth:`ModelEvaluator.evaluate_matrices` call: logistic regression
+        fits them in lockstep, other models one after another.
         """
         queries = [self.pool.decode(params) for params in params_batch]
         signatures = [query.signature() for query in queries]
@@ -152,8 +153,8 @@ class SQLQueryGenerator:
             train_vecs, valid_vecs = self.evaluator.feature_vectors_for_queries(
                 [queries[i] for i in pending], self.relevant_table, engine=self.engine
             )
-            for i, train_vec, valid_vec in zip(pending, train_vecs, valid_vecs):
-                result = self.evaluator.evaluate_matrix(train_vec, valid_vec)
+            results = self.evaluator.evaluate_matrices(train_vecs, valid_vecs)
+            for i, result in zip(pending, results):
                 self._loss_memo[signatures[i]] = result.loss
         self.report.n_model_evaluations += len(params_batch)
         self.report.n_model_dedup_hits += len(params_batch) - len(pending)

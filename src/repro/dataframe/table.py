@@ -52,15 +52,6 @@ class Table:
         columns = [Column(name, values, dtype=dtypes.get(name)) for name, values in data.items()]
         return cls(columns)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Mapping[str, object]], column_order: Sequence[str] | None = None) -> "Table":
-        """Build a table from a list of row dictionaries."""
-        if not rows:
-            return cls([])
-        names = list(column_order) if column_order is not None else list(rows[0].keys())
-        data = {name: [row.get(name) for row in rows] for name in names}
-        return cls.from_dict(data)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -111,26 +102,6 @@ class Table:
         """Project onto the given columns, in the given order."""
         return Table([self.column(name) for name in names])
 
-    def drop(self, names: Sequence[str] | str) -> "Table":
-        """Return a table without the given column(s)."""
-        if isinstance(names, str):
-            names = [names]
-        missing = [n for n in names if n not in self._columns]
-        if missing:
-            raise KeyError(f"Cannot drop missing columns: {missing}")
-        keep = [c for n, c in self._columns.items() if n not in set(names)]
-        return Table(keep)
-
-    def with_column(self, column: Column) -> "Table":
-        """Return a table with *column* appended (or replaced if it exists)."""
-        if self._columns and len(column) != self.num_rows:
-            raise ValueError(
-                f"Column {column.name!r} has {len(column)} rows, table has {self.num_rows}"
-            )
-        cols = [c for n, c in self._columns.items() if n != column.name]
-        cols.append(column)
-        return Table(cols)
-
     def rename(self, mapping: Mapping[str, str]) -> "Table":
         """Rename columns according to ``{old: new}``."""
         cols = []
@@ -164,32 +135,6 @@ class Table:
             n = min(n, self.num_rows)
         indices = rng.choice(self.num_rows, size=n, replace=replace)
         return self.take(indices)
-
-    def sort_by(self, name: str, ascending: bool = True) -> "Table":
-        """Sort rows by one column: a stable sort with missing values last.
-
-        Numeric-like columns sort by value.  Categorical columns sort by the
-        string form of their labels, ranked once per dictionary label; labels
-        with the same string form tie.  Tied rows keep their order in both
-        directions, and missing values (NaN / ``None``) come last in both.
-        """
-        col = self.column(name)
-        if col.is_numeric_like:
-            keys = col.values if ascending else -col.values
-        else:
-            codes, dictionary = col.coding
-            label_keys = np.asarray([str(label) for label in dictionary.labels], dtype=str)
-            _, ranks = np.unique(label_keys, return_inverse=True)
-            if not ascending:
-                ranks = ranks.max(initial=0) - ranks
-            # Appended rank len(dictionary) -- past every label rank -- is
-            # what the missing code -1 picks.
-            keys = np.append(ranks, len(dictionary))[codes]
-        return self.take(np.argsort(keys, kind="stable"))
-
-    def row(self, index: int) -> Dict[str, object]:
-        """Return a single row as a dictionary."""
-        return {name: col.values[index] for name, col in self._columns.items()}
 
     # ------------------------------------------------------------------
     # Joins and concatenation
@@ -229,6 +174,12 @@ class Table:
             new_columns.append(_gather_with_missing(col, match).rename(out_name))
             existing.add(out_name)
         return Table(new_columns)
+
+    def lookup(self, other: "Table", on: Sequence[str], name: str) -> Column:
+        """Column *name* of *other* matched onto this table's rows by the key
+        columns *on*: the column :meth:`left_join` would add, by the same
+        matching, without building the joined table."""
+        return _gather_with_missing(other.column(name), _join_match(self, other, on))
 
     def concat_rows(self, other: "Table") -> "Table":
         """Stack another table with the same schema below this one."""

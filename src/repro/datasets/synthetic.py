@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
+from repro.ml._splitter import sorted_quantiles
 
 #: Anchor date used by every generator (the paper's running example predicts
 #: behaviour in August 2023 from the preceding 12 months).
@@ -92,7 +93,7 @@ def binary_label_from_signal(
     if base_contribution is not None:
         score = score + 0.5 * standardise(base_contribution)
     score = score + rng.normal(0, noise, size=score.shape[0])
-    threshold = np.quantile(score, 1.0 - positive_rate)
+    threshold = sorted_quantiles(np.sort(score), 1.0 - positive_rate)
     return (score >= threshold).astype(np.float64)
 
 

@@ -59,15 +59,30 @@ def candidate_thresholds(sorted_values, quantiles, max_midpoints: int):
     thresholds[f, rank] = (sorted_values[f, i] + sorted_values[f, i + 1]) / 2.0
     many = n_gaps > max_midpoints
     if many.any():
-        # np.quantile's default ("linear") method, term for term, on sorted rows.
-        virtual = (sorted_values.shape[1] - 1) * quantiles
-        lower = virtual.astype(np.intp)
-        weight = virtual - lower
-        below, above = sorted_values[many][:, lower], sorted_values[many][:, lower + 1]
-        diff = above - below
-        quantiles = np.where(weight >= 0.5, above - diff * (1 - weight), below + diff * weight)
-        thresholds[many] = np.sort(quantiles, axis=1)
+        thresholds[many] = np.sort(sorted_quantiles(sorted_values[many], quantiles), axis=1)
     return thresholds
+
+
+def sorted_quantiles(sorted_values, quantiles):
+    """numpy's ``quantile(values, quantiles)`` along the last axis of rows
+    sorted ascending and free of NaN, term for term: the default ("linear") rule,
+    Hyndman & Fan (1996) method 7, with its bounds rule -- from virtual index
+    ``n - 1`` on, both neighbours are the last value and the weight is the
+    virtual index + 1.  Values next to an infinity meet ``inf - inf`` and give
+    NaN, as in numpy, without a warning.  Only a zero's sign may differ: it
+    follows the sort, where numpy's partition may order -0.0 and 0.0 apart."""
+    n = sorted_values.shape[-1]
+    virtual = (n - 1) * np.asarray(quantiles, dtype=np.float64)
+    lower = np.floor(virtual).astype(np.intp)
+    upper = lower + 1
+    top = virtual >= n - 1
+    if top.any():
+        lower, upper = np.where(top, -1, lower), np.where(top, -1, upper)
+    weight = virtual - lower
+    below, above = sorted_values[..., lower], sorted_values[..., upper]
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = above - below
+        return np.where(weight >= 0.5, above - diff * (1 - weight), below + diff * weight)[()]
 
 
 def left_statistics(sorted_values, sorted_stats, thresholds, total):

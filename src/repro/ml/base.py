@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+from typing import List, Sequence
 
 import numpy as np
 
@@ -25,6 +26,12 @@ class BaseEstimator:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def fit_batch(self, Xs: Sequence[np.ndarray], y: np.ndarray) -> List["BaseEstimator"]:
+        """One fitted clone per design matrix in *Xs*, all on the labels *y*:
+        ``[self.clone().fit(X, y) for X in Xs]``, which a model that can fit
+        several problems at once overrides with the same results."""
+        return [self.clone().fit(X, y) for X in Xs]
 
     def clone(self) -> "BaseEstimator":
         """Unfitted copy carrying the same hyperparameters."""

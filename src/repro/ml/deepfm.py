@@ -21,18 +21,19 @@ from typing import List
 
 import numpy as np
 
+from repro.ml._splitter import sorted_quantiles
 from repro.ml.base import BaseEstimator
 
 
 def _quantile_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
     """Per-column quantile bin edges (excluding -inf/+inf)."""
-    finite = values[~np.isnan(values)]
-    if finite.size == 0:
+    ordered = np.sort(values[~np.isnan(values)])
+    if ordered.size == 0:
         return np.asarray([0.0])
-    distinct = np.unique(finite)
+    distinct = np.unique(ordered)
     if distinct.size <= n_bins:
         return distinct
-    return np.unique(np.quantile(finite, np.linspace(0, 1, n_bins + 1)[1:-1]))
+    return np.unique(sorted_quantiles(ordered, np.linspace(0, 1, n_bins + 1)[1:-1]))
 
 
 class DeepFMClassifier(BaseEstimator):

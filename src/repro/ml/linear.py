@@ -18,21 +18,21 @@ def _add_intercept(X: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of the logits *z*, computed in place.
+    """Softmax over the last axis of the logits *z*, computed in place.
 
     Two classes take the row max and sum column by column: the max is
     order-free and a two-element add reduction is ``e0 + e1``, so the bits
     are those of ``np.maximum.reduce`` / ``np.add.reduce``, which any other
     class count keeps (from eight terms on, numpy does not add left to right).
     """
-    if z.shape[1] == 2:
-        z -= np.maximum(z[:, 0], z[:, 1])[:, None]
+    if z.shape[-1] == 2:
+        z -= np.maximum(z[..., 0], z[..., 1])[..., None]
         np.exp(z, out=z)
-        z /= (z[:, 0] + z[:, 1])[:, None]
+        z /= (z[..., 0] + z[..., 1])[..., None]
     else:
-        z -= np.maximum.reduce(z, axis=1)[:, None]
+        z -= np.maximum.reduce(z, axis=-1)[..., None]
         np.exp(z, out=z)
-        z /= np.add.reduce(z, axis=1)[:, None]
+        z /= np.add.reduce(z, axis=-1)[..., None]
     return z
 
 
@@ -60,40 +60,97 @@ class LogisticRegression(BaseEstimator):
         self.tol = tol
 
     def fit(self, X, y) -> "LogisticRegression":
+        X, y = self._design(X, y)
+        self.classes_, codes = np.unique(y, return_inverse=True)
+        self._set_coef(self._descend(X, codes, self.classes_.shape[0]))
+        return self
+
+    def fit_batch(self, Xs, y) -> list:
+        """Fit one clone per design matrix on the labels *y*, in lockstep.
+
+        The standardised matrices are stacked and descend together through
+        the loop :meth:`fit` runs: each model gets the coefficients a
+        separate ``clone().fit(X, y)`` would.  Fewer than two matrices, or
+        matrices of different shapes, are fitted one by one.
+        """
+        if len(Xs) < 2 or len({np.shape(X) for X in Xs}) > 1:
+            return super().fit_batch(Xs, y)
+        models = [self.clone() for _ in Xs]
+        designs = [model._design(X, y) for model, X in zip(models, Xs)]
+        classes, codes = np.unique(designs[0][1], return_inverse=True)
+        coefs = self._descend(np.stack([X for X, _ in designs]), codes, classes.shape[0])
+        for model, W in zip(models, coefs):
+            model.classes_ = classes
+            model._set_coef(W)
+        return models
+
+    def _design(self, X, y):
+        """Validated ``(X, y)`` with *X* standardised (setting ``_mean_`` and
+        ``_std_``) and an intercept column appended."""
         X, y = self._validate_xy(X, y)
         if np.isnan(X).any() or np.isnan(y).any():
             raise ValueError("X or y contains NaN; impute missing values before fitting LogisticRegression")
         X, self._mean_, self._std_ = _standardise(X)
-        X = _add_intercept(X)
-        self.classes_, codes = np.unique(y, return_inverse=True)
-        n, n_classes = X.shape[0], self.classes_.shape[0]
+        return _add_intercept(X), y
+
+    def _descend(self, X, codes, n_classes: int) -> np.ndarray:
+        """Gradient descent from zero coefficients on one design matrix
+        ``(n, d)``, or in lockstep on a stack ``(K, n, d)`` of them.
+
+        Each step is ``grad = X.T @ (P - Y) / n + l2 * W; W -= lr * grad``
+        with ``loss = -log(clip((P * Y).sum(1), 1e-12)).mean()``, in place:
+        the same IEEE operations on the same operands, in the same order.  A
+        stacked ``matmul`` gives each slice the bits of the 2-D call and the
+        other operations are elementwise or reduce each slice's own rows, so
+        a slice follows its 2-D descent exactly.  A stacked problem stops at
+        its own iteration: its coefficients leave the stack at that point and
+        the others continue on a compacted stack.
+        """
+        n = X.shape[-2]
         # Flat index of each row's true class: the one-hot row's only 1.0, and
-        # also the whole of that row's sum of P * Y.
+        # also the whole of that row's sum of P * Y.  A stack offsets slice k
+        # by k * n * n_classes, so the first K' rows serve any K' live slices.
         true_class = np.arange(n) * n_classes + codes
         Y = np.zeros((n, n_classes), dtype=np.float64)
         Y.ravel()[true_class] = 1.0
-        W = np.zeros((X.shape[1], n_classes), dtype=np.float64)
+        stack = X.shape[:-2]
+        if stack:
+            true_class = np.arange(stack[0])[:, None] * (n * n_classes) + true_class
+            stopped = np.empty(stack + (X.shape[-1], n_classes), dtype=np.float64)
+            live = np.arange(stack[0])
+        W = np.zeros(stack + (X.shape[-1], n_classes), dtype=np.float64)
+        XT = np.swapaxes(X, -1, -2)
         prev_loss = np.inf
-        # Each step is ``grad = X.T @ (P - Y) / n + l2 * W; W -= lr * grad``
-        # with ``loss = -log(clip((P * Y).sum(1), 1e-12)).mean()``, in place:
-        # the same IEEE operations on the same operands, in the same order.
         for _ in range(self.n_iter):
             P = _softmax(X @ W)
             true_p = P.take(true_class)
             P -= Y
-            grad = X.T @ P
+            grad = XT @ P
             grad /= n
             grad += self.l2 * W
             grad *= self.learning_rate
             W -= grad
             np.maximum(true_p, 1e-12, out=true_p)
-            loss = -(np.add.reduce(np.log(true_p, out=true_p)) / n)
-            if abs(prev_loss - loss) < self.tol:
-                break
+            loss = -(np.add.reduce(np.log(true_p, out=true_p), axis=-1) / n)
+            converged = abs(prev_loss - loss) < self.tol
+            if converged.any():
+                if not stack:
+                    break
+                stopped[live[converged]] = W[converged]
+                going = ~converged
+                live, X, W, loss = live[going], X[going], W[going], loss[going]
+                if not live.size:
+                    return stopped
+                true_class, XT = true_class[: live.size], np.swapaxes(X, -1, -2)
             prev_loss = loss
+        if not stack:
+            return W
+        stopped[live] = W
+        return stopped
+
+    def _set_coef(self, W: np.ndarray) -> None:
         self.coef_ = W
         self.feature_importances_ = np.abs(W[:-1, :]).sum(axis=1)
-        return self
 
     def _proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

@@ -8,7 +8,11 @@ gives, so every probability and every sum is the same float.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+from repro.ml._splitter import sorted_quantiles
 
 
 def discretize(values: np.ndarray, n_bins: int = 10) -> np.ndarray:
@@ -17,21 +21,41 @@ def discretize(values: np.ndarray, n_bins: int = 10) -> np.ndarray:
     Missing values (NaN) receive their own bin code (``n_bins``) so they still
     contribute to dependency estimates.  If the array has fewer distinct
     values than ``n_bins`` the distinct values are used directly: each value
-    gets the position of its value among the sorted distinct ones.
+    gets the position of its value among the sorted distinct ones.  Otherwise
+    a value's code is the number of the ``n_bins - 1`` inner quantiles
+    (numpy's default quantile rule) at or below it.
+
+    The values are sorted once: the distinct values are the starts of its
+    runs and the quantiles are read from it by
+    :func:`~repro.ml._splitter.sorted_quantiles`.
     """
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be at least 1, got {n_bins!r}")
     values = np.asarray(values, dtype=np.float64)
     codes = np.full(values.shape[0], n_bins, dtype=np.int64)
-    finite_mask = ~np.isnan(values)
-    finite = values[finite_mask]
+    present = ~np.isnan(values)
+    finite = values[present]
     if finite.size == 0:
         return codes
-    distinct = np.unique(finite)
+    ordered = np.sort(finite)
+    starts = np.empty(ordered.shape[0], dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    distinct = ordered[starts]
     if distinct.size <= n_bins:
-        codes[finite_mask] = np.searchsorted(distinct, finite)
+        codes[present] = np.searchsorted(distinct, finite)
         return codes
-    quantiles = np.quantile(finite, np.linspace(0, 1, n_bins + 1)[1:-1])
-    codes[finite_mask] = np.searchsorted(quantiles, finite, side="right")
+    quantiles = sorted_quantiles(ordered, _inner_levels(n_bins))
+    codes[present] = np.searchsorted(quantiles, finite, side="right")
     return codes
+
+
+@functools.lru_cache(maxsize=None)
+def _inner_levels(n_bins: int) -> np.ndarray:
+    """``np.linspace(0, 1, n_bins + 1)[1:-1]``, built once per bin count."""
+    levels = np.linspace(0, 1, n_bins + 1)[1:-1]
+    levels.flags.writeable = False
+    return levels
 
 
 def code_counts(codes: np.ndarray) -> np.ndarray:

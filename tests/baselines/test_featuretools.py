@@ -55,12 +55,13 @@ class TestGenerate:
 
     def test_constant_features_dropped(self, user_table, logs_table):
         # MIN of a constant column would be constant across users -> dropped.
-        constant_logs = logs_table.with_column(
-            logs_table.column("pprice").rename("const_col")
-        )
         from repro.dataframe.column import Column
+        from repro.dataframe.table import Table
 
-        constant_logs = constant_logs.with_column(Column("const_col", [1.0] * logs_table.num_rows))
+        constant_logs = Table(
+            [logs_table.column(name) for name in logs_table.column_names]
+            + [Column("const_col", [1.0] * logs_table.num_rows)]
+        )
         generator = FeaturetoolsGenerator(keys=["cname"], agg_funcs=["MIN"])
         augmented, features = generator.generate(user_table, constant_logs, agg_attrs=["const_col"])
         assert features == []

@@ -7,6 +7,10 @@ from repro.core.evaluation import ModelEvaluator
 from repro.dataframe.table import Table
 from repro.ml.linear import LinearRegression, LogisticRegression
 from repro.ml.preprocessing import train_valid_test_split
+from repro.dataframe.aggregates import DEFAULT_AGGREGATES
+from repro.dataframe.column import DType
+from repro.query.augment import augment_training_table
+from repro.query.engine import resolve_engine
 from repro.query.query import PredicateAwareQuery
 
 
@@ -68,13 +72,13 @@ class TestBinaryEvaluation:
         ]
         train_vecs, valid_vecs = evaluator.feature_vectors_for_queries(queries, relevant)
         joins = []
-        original = Table.left_join
+        original = Table.lookup
 
         def counting_join(table, *args, **kwargs):
             joins.append(table)
             return original(table, *args, **kwargs)
 
-        monkeypatch.setattr(Table, "left_join", counting_join)
+        monkeypatch.setattr(Table, "lookup", counting_join)
         train_only, none = evaluator.feature_vectors_for_queries(queries, relevant, valid=False)
         assert none is None
         assert len(joins) == len(queries)
@@ -82,6 +86,33 @@ class TestBinaryEvaluation:
         for ours, full in zip(train_only, train_vecs):
             assert ours.tobytes() == full.tobytes()
         assert len(valid_vecs) == len(queries)
+
+    @pytest.mark.parametrize("agg_func", DEFAULT_AGGREGATES)
+    def test_feature_vectors_are_the_left_joined_columns(self, binary_setup, agg_func):
+        evaluator, relevant = binary_setup
+        queries = [
+            PredicateAwareQuery(agg_func=agg_func, agg_attr="amount", keys=("uid",)),
+            PredicateAwareQuery(
+                agg_func=agg_func, agg_attr="amount", keys=("uid",),
+                predicates={"amount": (0.5, None)}, predicate_dtypes={"amount": DType.NUMERIC},
+            ),
+        ]
+        train_vecs, valid_vecs = evaluator.feature_vectors_for_queries(queries, relevant)
+        tables = resolve_engine(relevant).execute_batch(queries)
+        for query, table, train_vec, valid_vec in zip(queries, tables, train_vecs, valid_vecs):
+            for split, vector in ((evaluator._train_table, train_vec), (evaluator._valid_table, valid_vec)):
+                joined = augment_training_table(split, table, query.keys, query.feature_name, "f")
+                assert vector.tobytes() == joined.column("f").values.tobytes()
+
+    def test_evaluate_matrices_equal_evaluate_matrix(self, binary_setup):
+        evaluator, relevant = binary_setup
+        rng = np.random.default_rng(2)
+        n_train, n_valid = evaluator.y_train.shape[0], evaluator.y_valid.shape[0]
+        trains = [rng.normal(size=n_train) for _ in range(4)] + [np.full(n_train, np.nan)]
+        valids = [rng.normal(size=n_valid) for _ in range(4)] + [np.full(n_valid, np.nan)]
+        batch = evaluator.evaluate_matrices(trains, valids)
+        for result, train, valid in zip(batch, trains, valids):
+            assert result == evaluator.evaluate_matrix(train, valid)
 
     def test_evaluate_queries_multiple_features(self, binary_setup):
         evaluator, relevant = binary_setup

@@ -7,7 +7,10 @@ from repro.core.config import FeatAugConfig
 from repro.core.evaluation import ModelEvaluator
 from repro.core.sql_generation import SQLQueryGenerator
 from repro.dataframe.table import Table
+from repro.hpo.random_search import RandomSearchOptimizer
+from repro.ml.forest import RandomForestClassifier
 from repro.ml.linear import LogisticRegression
+from repro.ml.tree import DecisionTreeClassifier
 from repro.ml.preprocessing import train_valid_test_split
 from repro.query.template import QueryTemplate
 
@@ -209,6 +212,32 @@ class TestBatchedSearchLoop:
 
         explicit = fast_generation_config.with_overrides(search_batch_size=1)
         assert run(fast_generation_config) == run(explicit)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            LogisticRegression(n_iter=120),
+            DecisionTreeClassifier(max_depth=3),
+            RandomForestClassifier(n_estimators=4, max_depth=3, random_state=0),
+        ],
+        ids=["LR", "tree", "RF"],
+    )
+    def test_batched_losses_equal_separate_evaluations(self, planted_setup, model):
+        """One batched objective call gives each candidate the loss of its own
+        ``evaluate_matrix`` call, whichever model trains."""
+        template, relevant, planted = planted_setup
+        evaluator = ModelEvaluator(
+            planted._train_table, planted._valid_table, label="label", base_features=["base"],
+            model=model, task="binary", relevant_table=relevant,
+        )
+        generator = SQLQueryGenerator(template, relevant, evaluator, config=FeatAugConfig(seed=3))
+        params = RandomSearchOptimizer(generator.pool.space, seed=5).suggest_batch(12)
+        losses = generator._model_objective_batch(params)
+        queries = [generator.pool.decode(p) for p in params]
+        train_vecs, valid_vecs = evaluator.feature_vectors_for_queries(queries, relevant)
+        for loss, train_vec, valid_vec in zip(losses, train_vecs, valid_vecs):
+            assert loss == evaluator.evaluate_matrix(train_vec, valid_vec).loss
+        assert len(set(losses)) > 1
 
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ValueError):

@@ -47,7 +47,7 @@ class TestCoding:
             column.filter([True, False, True, False]),
             column.rename("other"),
             column.copy(),
-            table.sort_by("k").column("k"),
+            table.take([2, 0]).column("k"),
         ]
         for other in derived:
             assert other.dictionary is column.dictionary

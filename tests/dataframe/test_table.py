@@ -31,14 +31,6 @@ class TestConstruction:
         t = Table.from_dict({"a": [1, 2]}, dtypes={"a": DType.CATEGORICAL})
         assert t.column("a").dtype is DType.CATEGORICAL
 
-    def test_from_rows(self):
-        rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-        t = Table.from_rows(rows)
-        assert t.num_rows == 2
-
-    def test_from_rows_empty(self):
-        assert Table.from_rows([]).num_rows == 0
-
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             Table([Column("a", [1, 2]), Column("b", [1])])
@@ -64,36 +56,11 @@ class TestAccessors:
     def test_schema(self, table):
         assert table.schema()["id"] is DType.CATEGORICAL
 
-    def test_row(self, table):
-        row = table.row(1)
-        assert row["id"] == "b"
-        assert row["x"] == 2.0
-
 
 class TestColumnOps:
     def test_select_order(self, table):
         selected = table.select(["y", "id"])
         assert selected.column_names == ["y", "id"]
-
-    def test_drop(self, table):
-        assert table.drop("y").column_names == ["id", "x"]
-
-    def test_drop_missing_raises(self, table):
-        with pytest.raises(KeyError):
-            table.drop("nope")
-
-    def test_with_column_appends(self, table):
-        out = table.with_column(Column("z", [0, 0, 0, 0]))
-        assert "z" in out
-        assert "z" not in table  # original untouched
-
-    def test_with_column_replaces(self, table):
-        out = table.with_column(Column("x", [9, 9, 9, 9]))
-        assert out.column("x").values[0] == 9.0
-
-    def test_with_column_wrong_length(self, table):
-        with pytest.raises(ValueError):
-            table.with_column(Column("z", [1, 2]))
 
     def test_rename(self, table):
         renamed = table.rename({"x": "x2"})
@@ -123,61 +90,6 @@ class TestRowOps:
     def test_sample_with_replacement_can_exceed(self, table):
         sampled = table.sample(10, seed=0, replace=True)
         assert sampled.num_rows == 10
-
-    def test_sort_by_numeric_desc(self, table):
-        ordered = table.sort_by("x", ascending=False)
-        assert list(ordered.column("x").values) == [4.0, 3.0, 2.0, 1.0]
-
-    def test_sort_by_categorical(self, table):
-        ordered = table.sort_by("id", ascending=True)
-        assert list(ordered.column("id").values) == ["a", "b", "c", "d"]
-
-
-class TestSortByCategorical:
-    """``sort_by`` on a categorical column: stable, missing values last."""
-
-    @staticmethod
-    def tied(labels):
-        return Table(
-            [
-                Column("k", labels, dtype=DType.CATEGORICAL),
-                Column("row", np.arange(len(labels), dtype=np.float64), dtype=DType.NUMERIC),
-            ]
-        )
-
-    def test_ties_keep_their_row_order(self):
-        ordered = self.tied(["b", "a"] * 40).sort_by("k")
-        assert ordered.column("k").to_list() == ["a"] * 40 + ["b"] * 40
-        rows = ordered.column("row").values
-        assert list(rows) == list(range(1, 80, 2)) + list(range(0, 80, 2))
-
-    def test_none_sorts_last_not_as_the_string_none(self):
-        ordered = self.tied(["None", None, "A", "None", None, "Z"]).sort_by("k")
-        assert ordered.column("k").to_list() == ["A", "None", "None", "Z", None, None]
-        assert list(ordered.column("row").values) == [2.0, 0.0, 3.0, 5.0, 1.0, 4.0]
-
-    def test_descending_is_stable_with_missing_last(self):
-        ordered = self.tied(["a", None, "b", "a", "b", None]).sort_by("k", ascending=False)
-        assert ordered.column("k").to_list() == ["b", "b", "a", "a", None, None]
-        assert list(ordered.column("row").values) == [2.0, 4.0, 0.0, 3.0, 1.0, 5.0]
-
-    def test_labels_with_equal_string_forms_tie(self):
-        ordered = self.tied([1, "1", 0, "0", 1]).sort_by("k")
-        assert list(ordered.column("row").values) == [2.0, 3.0, 0.0, 1.0, 4.0]
-
-    def test_sort_of_a_derived_column_uses_its_rows_only(self):
-        table = self.tied(["c", "b", "a", "d"]).take(np.array([3, 1]))
-        assert table.sort_by("k").column("k").to_list() == ["b", "d"]
-
-    def test_numeric_descending_is_stable_with_nan_last(self):
-        table = Table(
-            [
-                Column("x", [1.0, None, 2.0, 1.0], dtype=DType.NUMERIC),
-                Column("row", [0.0, 1.0, 2.0, 3.0], dtype=DType.NUMERIC),
-            ]
-        )
-        ordered = table.sort_by("x", ascending=False)
-        assert list(ordered.column("row").values) == [2.0, 0.0, 3.0, 1.0]
 
 
 class TestJoin:
@@ -223,6 +135,41 @@ class TestJoin:
         assert joined.column("tag").values[0] is None
 
 
+class TestLookup:
+    """``lookup`` is the column ``left_join`` adds, by the same matching."""
+
+    def test_numeric_column_with_nan_for_no_match(self, table):
+        right = Table.from_dict({"id": ["c", "a"], "feature": [300.0, 100.0]})
+        column = table.lookup(right, ["id"], "feature")
+        assert column.name == "feature"
+        assert column.values.tobytes() == table.left_join(right, on="id").column("feature").values.tobytes()
+        assert np.isnan(column.values[1]) and column.values[2] == 300.0
+
+    def test_categorical_column_with_none_for_no_match(self, table):
+        right = Table.from_dict({"id": ["b"], "tag": ["vip"]})
+        assert table.lookup(right, ["id"], "tag").to_list() == [None, "vip", None, None]
+
+    def test_first_matching_row_wins(self, table):
+        right = Table.from_dict({"id": ["a", "a"], "feature": [1.0, 2.0]})
+        assert table.lookup(right, ["id"], "feature").values[0] == 1.0
+
+    def test_multi_column_keys(self):
+        left = Table.from_dict({"k1": ["a", "a", "b"], "k2": [1.0, 2.0, 1.0]})
+        right = Table.from_dict({"k2": [1.0, 2.0], "k1": ["b", "a"], "v": [10.0, 20.0]})
+        values = left.lookup(right, ["k1", "k2"], "v").values
+        assert np.isnan(values[0]) and values[1] == 20.0 and values[2] == 10.0
+
+    def test_column_sharing_a_left_name(self, table):
+        right = Table.from_dict({"id": ["d"], "x": [99.0]})
+        assert table.lookup(right, ["id"], "x").values[3] == 99.0
+
+    @pytest.mark.parametrize("on,name", [(["nope"], "feature"), (["id"], "nope")])
+    def test_missing_key_or_column_raises(self, table, on, name):
+        right = Table.from_dict({"id": ["a"], "feature": [1.0]})
+        with pytest.raises(KeyError):
+            table.lookup(right, on, name)
+
+
 class TestConcat:
     def test_concat_rows(self, table):
         combined = table.concat_rows(table)
@@ -230,7 +177,7 @@ class TestConcat:
 
     def test_concat_rows_schema_mismatch(self, table):
         with pytest.raises(ValueError):
-            table.concat_rows(table.drop("y"))
+            table.concat_rows(table.select(["id", "x"]))
 
     def test_concat_onto_empty(self, table):
         assert Table([]).concat_rows(table).num_rows == 4

@@ -247,3 +247,13 @@ class TestJoinEquivalenceProperty:
         assert_join_identical(
             left.left_join(right, on=on), reference_left_join(left, right, on)
         )
+
+    @given(data=join_tables())
+    @settings(max_examples=80, deadline=None)
+    def test_lookup_is_the_joined_column(self, data):
+        left, right, on = data
+        expected = reference_left_join(left, right, on)
+        for name, out_name in (("feat", "feat"), ("tag", "tag"), ("payload", "payload_right")):
+            column = left.lookup(right, on, name)
+            assert column.name == name and column.dtype is right.column(name).dtype
+            assert column == expected.column(out_name).rename(name)

@@ -7,6 +7,7 @@ from repro.ml.base import BaseEstimator, is_classifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.gbdt import GradientBoostingRegressor
 from repro.ml.linear import LinearRegression, LogisticRegression
+from repro.ml.model_zoo import make_model
 
 
 class TestCloning:
@@ -67,3 +68,43 @@ class TestClassifierFlag:
 
     def test_default_base_estimator_is_regressor(self):
         assert not is_classifier(BaseEstimator())
+
+
+_ZOO = [
+    ("LR", "binary"), ("LR", "multiclass"), ("LR", "regression"),
+    ("XGB", "binary"), ("XGB", "multiclass"), ("XGB", "regression"),
+    ("RF", "binary"), ("RF", "regression"), ("DeepFM", "binary"),
+]
+
+
+class TestFitBatch:
+    """``fit_batch`` returns what fitting a clone per matrix returns."""
+
+    @staticmethod
+    def problems(task, k=3):
+        rng = np.random.default_rng(5)
+        n = 60
+        y = {
+            "binary": rng.integers(0, 2, size=n),
+            "multiclass": rng.integers(0, 3, size=n),
+            "regression": rng.normal(size=n),
+        }[task].astype(float)
+        return [rng.normal(size=(n, 3)) for _ in range(k)], y
+
+    @pytest.mark.parametrize("name,task", _ZOO)
+    def test_same_predictions_as_separate_fits(self, name, task):
+        model = make_model(name, task)
+        Xs, y = self.problems(task)
+        batch = model.fit_batch(Xs, y)
+        assert len(batch) == len(Xs)
+        for fitted, X in zip(batch, Xs):
+            assert fitted is not model and type(fitted) is type(model)
+            alone = model.clone().fit(X, y)
+            assert fitted.predict(X).tobytes() == alone.predict(X).tobytes()
+            if is_classifier(model):
+                assert fitted.predict_proba(X).tobytes() == alone.predict_proba(X).tobytes()
+        assert not hasattr(model, "coef_") and not hasattr(model, "classes_")
+
+    def test_empty_batch(self):
+        assert LogisticRegression().fit_batch([], np.zeros(3)) == []
+        assert RandomForestClassifier().fit_batch([], np.zeros(3)) == []

@@ -31,6 +31,21 @@ class TestDiscretize:
         _, counts = np.unique(codes, return_counts=True)
         assert counts.min() > 100  # quantile bins ~200 each
 
+    @pytest.mark.parametrize("n_bins", [0, -1, -10])
+    @pytest.mark.parametrize("values", [[1.0, 2.0, np.nan], [], [np.nan]])
+    def test_bin_count_below_one_rejected(self, values, n_bins):
+        with pytest.raises(ValueError, match="n_bins"):
+            discretize(np.asarray(values), n_bins=n_bins)
+
+    def test_one_bin_codes_every_finite_value_zero(self):
+        codes = discretize(np.asarray([3.0, np.nan, -1.0, 7.0, np.inf]), n_bins=1)
+        assert codes.tolist() == [0, 1, 0, 0, 0]
+
+    def test_distinct_values_are_read_from_the_sorted_runs(self):
+        # -0.0 and 0.0 are one value; infinities are values, NaN is not.
+        values = np.asarray([np.inf, 0.0, -0.0, np.nan, -np.inf, 2.0, 0.0])
+        assert discretize(values, n_bins=4).tolist() == [3, 1, 1, 4, 0, 2, 1]
+
 
 class TestShannonEntropy:
     def test_empty_is_zero(self):

@@ -69,3 +69,27 @@ class TestMutualInformation:
         x = np.ones(100)
         y = np.asarray([0, 1] * 50)
         assert mutual_information(x, y) == 0.0
+
+
+class TestBinCount:
+    """A bin count below 1 is an error, not an MI of zero."""
+
+    FEATURE = np.asarray([1.0, 2.0, 3.0, 4.0, np.nan, 6.0])
+    LABEL = np.asarray([0, 0, 0, 1, 1, 1])
+
+    @pytest.mark.parametrize("n_bins", [0, -1])
+    def test_proxy_rejects_it_at_construction(self, n_bins):
+        from repro.core.proxies import MutualInformationProxy
+
+        with pytest.raises(ValueError, match="n_bins"):
+            MutualInformationProxy(n_bins=n_bins)
+
+    @pytest.mark.parametrize("n_bins", [0, -1])
+    def test_mutual_information_rejects_it(self, n_bins):
+        with pytest.raises(ValueError, match="n_bins"):
+            mutual_information(self.FEATURE, self.LABEL, n_bins=n_bins)
+
+    def test_default_bins_see_the_dependency(self):
+        from repro.core.proxies import MutualInformationProxy
+
+        assert MutualInformationProxy().score(self.FEATURE, self.LABEL, "binary") == pytest.approx(np.log(2))
