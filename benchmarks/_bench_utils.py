@@ -11,7 +11,11 @@ in ``benchmarks/results/``; refreshing those is a deliberate copy.
 
 from __future__ import annotations
 
+import gc
 from pathlib import Path
+from typing import Callable, Tuple
+
+import numpy as np
 
 from repro.core.config import FeatAugConfig
 from repro.query.engine import engine_for
@@ -53,6 +57,30 @@ def cold_engine(table) -> None:
     traffic straight out of the shared mask/result caches.
     """
     engine_for(table).reset()
+
+
+def alternating_ratio(
+    baseline: Callable[[], float], candidate: Callable[[], float], repeats: int = 15
+) -> Tuple[float, float, float]:
+    """Time two sides in turns and summarise ``baseline / candidate``.
+
+    Each side is a callable that builds its own fresh state (a new engine,
+    say), runs once and returns the seconds to compare.  The sides run
+    alternately, baseline first, *repeats* times each, with a
+    ``gc.collect()`` before every stretch so that garbage left by earlier
+    work is not collected inside a timed one.  Returns the median of the
+    per-pair ratios and its lower and upper quartiles, ``(median, q1, q3)``:
+    one short pass is too noisy to hold a speed bar, the median of several
+    is not.
+    """
+    ratios = []
+    for _ in range(repeats):
+        gc.collect()
+        baseline_seconds = baseline()
+        gc.collect()
+        ratios.append(baseline_seconds / candidate())
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+    return float(median), float(q1), float(q3)
 
 
 def write_result(name: str, text: str, append: bool = False) -> None:

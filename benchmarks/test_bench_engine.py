@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from _bench_utils import write_result
+from _bench_utils import alternating_ratio, write_result
 from repro.dataframe.column import DType
 from repro.dataframe.groupby import group_by_aggregate
 from repro.dataframe.table import Table
@@ -31,33 +31,27 @@ from repro.datasets.student import make_student
 from repro.experiments.reporting import render_table
 from repro.query.engine import EngineConfig, QueryEngine
 from repro.query.executor import execute_query_naive
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 AGG_FUNCS = ["SUM", "MIN", "MAX", "COUNT", "AVG", "COUNT_DISTINCT", "VAR", "STD", "MEDIAN", "MAD"]
-PREDICATES: List[Dict[str, object]] = [
-    {"event_type": "notebook_click"},
-    {"event_type": "map_hover"},
-    {"level": (5.0, 15.0)},
-    {"event_type": "notebook_click", "level": (None, 10.0)},
-    {},
+PREDICATES: List[Tuple[PredicateAtom, ...]] = [
+    (PredicateAtom("eq", "event_type", value="notebook_click"),),
+    (PredicateAtom("eq", "event_type", value="map_hover"),),
+    (PredicateAtom("range", "level", low=5.0, high=15.0, dtype=DType.NUMERIC),),
+    (
+        PredicateAtom("eq", "event_type", value="notebook_click"),
+        PredicateAtom("range", "level", high=10.0, dtype=DType.NUMERIC),
+    ),
+    (),
 ]
-PREDICATE_DTYPES = {"event_type": DType.CATEGORICAL, "level": DType.NUMERIC}
 
 
 def make_queries() -> List[PredicateAwareQuery]:
     """One template's 50-query batch: 5 predicates x 10 aggregate functions."""
     queries = []
-    for predicates in PREDICATES:
+    for atoms in PREDICATES:
         for func in AGG_FUNCS:
-            queries.append(
-                PredicateAwareQuery(
-                    func,
-                    "hover_duration",
-                    ("session_id",),
-                    dict(predicates),
-                    {attr: PREDICATE_DTYPES[attr] for attr in predicates},
-                )
-            )
+            queries.append(PredicateAwareQuery(func, "hover_duration", ("session_id",), atoms))
     return queries
 
 
@@ -159,14 +153,8 @@ ORDER_FUNCS_BATCH2 = ["MAD", "ENTROPY"]
 
 def make_order_statistics_queries(funcs) -> List[PredicateAwareQuery]:
     return [
-        PredicateAwareQuery(
-            func,
-            "hover_duration",
-            ("session_id",),
-            dict(predicates),
-            {attr: PREDICATE_DTYPES[attr] for attr in predicates},
-        )
-        for predicates in PREDICATES
+        PredicateAwareQuery(func, "hover_duration", ("session_id",), atoms)
+        for atoms in PREDICATES
         for func in funcs
     ]
 
@@ -202,63 +190,75 @@ def test_fused_sort_reuse_vs_per_aggregate():
     def phase(engine: QueryEngine) -> float:
         return engine.stats.seconds_sorting + engine.stats.seconds_aggregating
 
-    # Per-aggregate path: one plan per query, no sort-order reuse anywhere.
-    per_agg_engine = QueryEngine(relevant, config=EngineConfig(sort_cache_size=0))
-    start = time.perf_counter()
-    per_agg_results = [per_agg_engine.execute(q) for q in batch1 + batch2]
-    per_agg_seconds = time.perf_counter() - start
-    assert per_agg_engine.stats.sort_misses == n_sort_queries + n_mad_queries
+    runs = {"per-aggregate": [], "fused": []}
 
-    fused_engine = QueryEngine(relevant, config=EngineConfig())
-    start = time.perf_counter()
-    fused_results = fused_engine.execute_batch(batch1) + fused_engine.execute_batch(batch2)
-    fused_seconds = time.perf_counter() - start
+    def per_aggregate() -> float:
+        # One plan per query, no sort-order reuse anywhere.
+        engine = QueryEngine(relevant, config=EngineConfig(sort_cache_size=0))
+        start = time.perf_counter()
+        results = [engine.execute(q) for q in batch1 + batch2]
+        seconds = time.perf_counter() - start
+        runs["per-aggregate"].append((seconds, phase(engine), engine.stats, results))
+        assert engine.stats.sort_misses == n_sort_queries + n_mad_queries
+        return phase(engine)
 
-    for per_agg, fused in zip(per_agg_results, fused_results):
-        assert_feature_tables_match(per_agg, fused)
+    def fused() -> float:
+        engine = QueryEngine(relevant, config=EngineConfig())
+        start = time.perf_counter()
+        results = engine.execute_batch(batch1) + engine.execute_batch(batch2)
+        seconds = time.perf_counter() - start
+        runs["fused"].append((seconds, phase(engine), engine.stats, results))
+        # One main sort per fused plan; the second batch's main orders are
+        # pure sort-cache hits while its MAD queries miss once each on their
+        # (cached) deviation orders.
+        assert engine.stats.sort_misses == len(PREDICATES) + n_mad_queries
+        assert engine.stats.sort_hits == len(PREDICATES)
+        return phase(engine)
 
-    # One main sort per fused plan; the second batch's main orders are pure
-    # sort-cache hits while its MAD queries miss once each on their (cached)
-    # deviation orders.
-    assert fused_engine.stats.sort_misses == len(PREDICATES) + n_mad_queries
-    assert fused_engine.stats.sort_hits == len(PREDICATES)
+    speedup, q1, q3 = alternating_ratio(per_aggregate, fused)
 
-    per_agg_phase = phase(per_agg_engine)
-    fused_phase = phase(fused_engine)
+    for per_agg_run, fused_run in zip(runs["per-aggregate"], runs["fused"]):
+        for per_agg, fused_table in zip(per_agg_run[3], fused_run[3]):
+            assert_feature_tables_match(per_agg, fused_table)
+
+    def summary(variant: str, ratio: str) -> list:
+        seconds, phases, stats, _ = zip(*runs[variant])
+        return [
+            variant,
+            round(float(np.median(seconds)), 4),
+            round(float(np.median(phases)), 4),
+            stats[-1].sort_misses,
+            stats[-1].sort_hits,
+            ratio,
+        ]
+
     rows = [
-        [
-            "per-aggregate (no sort reuse)",
-            round(per_agg_seconds, 4),
-            round(per_agg_phase, 4),
-            per_agg_engine.stats.sort_misses,
-            per_agg_engine.stats.sort_hits,
-            1.0,
-        ],
-        [
-            "fused + sort cache (serial)",
-            round(fused_seconds, 4),
-            round(fused_phase, 4),
-            fused_engine.stats.sort_misses,
-            fused_engine.stats.sort_hits,
-            round(per_agg_phase / fused_phase, 2),
-        ],
+        summary("per-aggregate", "1.0"),
+        summary("fused", f"{speedup:.2f} ({q1:.2f}-{q3:.2f})"),
     ]
     text = "Fused-pass micro-benchmark (order-statistics-heavy 50-query template)\n"
     text += render_table(
-        ["variant", "batch seconds", "sort+agg seconds", "sort misses", "sort hits", "phase speedup"],
+        [
+            "variant",
+            "median batch seconds",
+            "median sort+agg seconds",
+            "sort misses",
+            "sort hits",
+            "phase speedup, median (quartiles)",
+        ],
         rows,
     )
     text += (
-        f"\nper-aggregate sorting: {per_agg_engine.stats.seconds_sorting:.4f}s, "
-        f"fused sorting: {fused_engine.stats.seconds_sorting:.4f}s"
+        f"\n{len(runs['fused'])} alternating runs a side, each on a fresh engine"
         f"\ncpu cores: {os.cpu_count()}"
     )
     print(text)
     write_result("bench_engine", text, append=True)
 
-    assert per_agg_phase / fused_phase >= 1.5, (
+    assert speedup >= 1.5, (
         f"expected >= 1.5x on the order-statistics aggregation phase from the "
-        f"fused pass + sort-order cache, got {per_agg_phase / fused_phase:.2f}x"
+        f"fused pass + sort-order cache, got a median of {speedup:.2f}x "
+        f"(quartiles {q1:.2f}-{q3:.2f})"
     )
 
 

@@ -37,7 +37,7 @@ from repro.dataframe.column import DType
 from repro.datasets.student import make_student
 from repro.experiments.reporting import render_table
 from repro.query.engine import QueryEngine
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 from repro.query.service import QueryService, ServiceConfig
 from test_bench_engine import AGG_FUNCS, assert_feature_tables_match, make_queries
 
@@ -63,8 +63,10 @@ def caller_batches() -> List[List[PredicateAwareQuery]]:
                 func,
                 "hover_duration",
                 ("session_id",),
-                {"level": (float(caller), float(caller) + 8.0)},
-                {"level": DType.NUMERIC},
+                (PredicateAtom(
+                    "range", "level", low=float(caller), high=float(caller) + 8.0,
+                    dtype=DType.NUMERIC,
+                ),),
             )
             for func in AGG_FUNCS
         ]

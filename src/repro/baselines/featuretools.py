@@ -68,8 +68,6 @@ class FeaturetoolsGenerator:
                         agg_func=func,
                         agg_attr=attr,
                         keys=self.keys,
-                        predicates={},
-                        predicate_dtypes={},
                     )
                 )
                 if self.max_features is not None and len(queries) >= self.max_features:

@@ -167,27 +167,3 @@ class QueryTemplateIdentifier:
 
         ordered = sorted(evaluated.values(), key=lambda record: -record.score)
         return ordered[:n_templates]
-
-    # ------------------------------------------------------------------
-    def brute_force(self, candidate_attrs: Sequence[str], n_templates: int | None = None, max_size: int | None = None) -> List[TemplateScore]:
-        """Exhaustively score every attribute subset (the baseline in VI.A).
-
-        Only feasible for small attribute sets; used by tests and the Figure 5
-        ablation at reduced scale.
-        """
-        from repro.query.template import enumerate_attribute_combinations
-
-        n_templates = n_templates or self.config.n_templates
-        start = time.perf_counter()
-        stats_baseline = self.engine.stats.as_dict()
-        records: List[TemplateScore] = []
-        for combo in enumerate_attribute_combinations(candidate_attrs, max_size=max_size):
-            template = self._make_template(combo)
-            score = self._score_template(template)
-            records.append(TemplateScore(template=template, score=score, layer=len(combo)))
-        self.report.seconds = time.perf_counter() - start
-        self.report.n_evaluated_templates = len(records)
-        self.report.evaluated.extend(records)
-        self.report.engine_stats = self.engine.stats.delta_since(stats_baseline)
-        records.sort(key=lambda record: -record.score)
-        return records[:n_templates]

@@ -17,8 +17,6 @@ from repro.dataframe.predicates import (
     Equals,
     Range,
     And,
-    Or,
-    Not,
     AlwaysTrue,
 )
 from repro.dataframe.aggregates import AGGREGATE_FUNCTIONS, aggregate
@@ -33,8 +31,6 @@ __all__ = [
     "Equals",
     "Range",
     "And",
-    "Or",
-    "Not",
     "AlwaysTrue",
     "AGGREGATE_FUNCTIONS",
     "aggregate",

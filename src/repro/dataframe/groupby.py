@@ -123,8 +123,3 @@ def group_by_aggregate(
     out_columns = [table.column(k).take(first_rows) for k in keys]
     out_columns.append(Column(output_name, feature, dtype=DType.NUMERIC))
     return Table(out_columns)
-
-
-def group_sizes(table: Table, keys: Sequence[str]) -> Dict[tuple, int]:
-    """Number of rows per key group (useful for dataset sanity checks)."""
-    return {k: int(v.size) for k, v in group_indices(table, keys).items()}

@@ -35,12 +35,6 @@ class Predicate:
     def __and__(self, other: "Predicate") -> "Predicate":
         return And([self, other])
 
-    def __or__(self, other: "Predicate") -> "Predicate":
-        return Or([self, other])
-
-    def __invert__(self) -> "Predicate":
-        return Not(self)
-
 
 class AlwaysTrue(Predicate):
     """The trivial predicate selecting every row (an empty WHERE clause)."""
@@ -132,39 +126,6 @@ class And(Predicate):
         if not self.predicates:
             return "TRUE"
         return " AND ".join(p.to_sql() for p in self.predicates)
-
-
-class Or(Predicate):
-    """Disjunction of predicates."""
-
-    def __init__(self, predicates: Sequence[Predicate]):
-        self.predicates = list(predicates)
-
-    def mask(self, table: Table) -> np.ndarray:
-        if not self.predicates:
-            return np.ones(table.num_rows, dtype=bool)
-        mask = np.zeros(table.num_rows, dtype=bool)
-        for p in self.predicates:
-            mask |= p.mask(table)
-        return mask
-
-    def to_sql(self) -> str:
-        if not self.predicates:
-            return "TRUE"
-        return " OR ".join(f"({p.to_sql()})" for p in self.predicates)
-
-
-class Not(Predicate):
-    """Negation of a predicate."""
-
-    def __init__(self, predicate: Predicate):
-        self.predicate = predicate
-
-    def mask(self, table: Table) -> np.ndarray:
-        return ~self.predicate.mask(table)
-
-    def to_sql(self) -> str:
-        return f"NOT ({self.predicate.to_sql()})"
 
 
 def _sql_literal(value) -> str:

@@ -1,8 +1,8 @@
-"""Optimiser interface: suggest / observe / minimize."""
+"""Optimiser interface: suggest / observe."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.hpo.space import SearchSpace
 from repro.hpo.trial import Trial, TrialHistory
@@ -25,10 +25,9 @@ class Optimizer:
 
     ``suggest_batch`` proposes *n* points without observing anything in
     between, so the whole batch is conditioned on the same history; a batch
-    of size one must reproduce ``suggest()`` exactly.  ``minimize`` drives
-    the loop for a fixed number of iterations and returns the best trial.
-    Objective values are always *minimised*; callers that maximise a score
-    (e.g. mutual information in the warm-up phase) negate it.
+    of size one must reproduce ``suggest()`` exactly.  Objective values are
+    always *minimised*; callers that maximise a score (e.g. mutual
+    information in the warm-up phase) negate it.
     """
 
     def __init__(self, space: SearchSpace, seed: int | None = None):
@@ -75,21 +74,6 @@ class Optimizer:
             )
         for i, (params, value) in enumerate(zip(params_batch, values)):
             self.observe(params, value, **(metadata[i] if metadata is not None else {}))
-
-    def minimize(
-        self,
-        objective: Callable[[Dict[str, object]], float],
-        n_iter: int,
-        batch_size: int = 1,
-    ) -> Trial:
-        """Run the ask/tell loop for *n_iter* evaluations; return the best trial."""
-        remaining = n_iter
-        while remaining > 0:
-            batch = self.suggest_batch(min(batch_size, remaining))
-            values = [objective(params) for params in batch]
-            self.observe_batch(batch, values)
-            remaining -= len(batch)
-        return self.history.best(minimize=True)
 
     def warm_start(self, trials) -> None:
         """Seed the optimiser's history with externally evaluated trials."""

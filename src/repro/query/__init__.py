@@ -33,10 +33,10 @@ Implements the paper's core abstractions (Section III):
   implementation the equivalence suite checks the engine against.
 """
 
-from repro.query.template import QueryTemplate, enumerate_attribute_combinations
-from repro.query.query import PredicateAwareQuery
+from repro.query.template import QueryTemplate
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 from repro.query.pool import QueryPool
-from repro.query.plan import AggregateSpec, PredicateAtom, QueryPlan
+from repro.query.plan import AggregateSpec, QueryPlan
 from repro.query.engine import (
     EngineConfig,
     EngineStats,
@@ -60,7 +60,6 @@ from repro.query.augment import augment_training_table, apply_queries
 
 __all__ = [
     "QueryTemplate",
-    "enumerate_attribute_combinations",
     "PredicateAwareQuery",
     "QueryPool",
     "QueryPlan",

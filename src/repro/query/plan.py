@@ -2,24 +2,22 @@
 
 A :class:`QueryPlan` is the frozen description of one
 grouped-aggregation query (or of several queries fused into one plan): a
-conjunction of WHERE :class:`PredicateAtom`\\ s, the group-by key columns and
-one :class:`AggregateSpec` per output feature.  ``QueryEngine.plan(query)``
-lowers a :class:`~repro.query.query.PredicateAwareQuery` into a plan, and
+conjunction of WHERE :class:`~repro.query.query.PredicateAtom`\\ s, the
+group-by key columns and one :class:`AggregateSpec` per output feature.
+``QueryEngine.plan(query)`` copies a
+:class:`~repro.query.query.PredicateAwareQuery`'s atoms into a plan, and
 everything downstream of that point -- result caching, batching and plan
-execution -- consumes only plans, never queries.
-
-The plan's canonical signatures subsume the ad-hoc tuples the engine used to
-build inline:
+execution -- consumes only plans, never queries.  The plan's signatures
+key those caches:
 
 * :meth:`QueryPlan.predicate_signature` -- hashable identity of the WHERE
   clause (``None`` when an atom's constants are unhashable, i.e. the plan is
-  uncacheable).  Atom signatures are bit-compatible with the historical
-  predicate-mask cache keys, so mask reuse behaves exactly as before.
+  uncacheable).
 * :meth:`QueryPlan.group_key` -- the ``(predicate signature, keys)`` identity
   ``execute_batch`` fuses plans by.
-* :meth:`QueryPlan.result_key` -- the per-aggregate result-cache key (the old
-  ``_result_key`` tuple), dtype-aware so an ``Equals`` and a ``Range`` over
-  the same constants can never collide.
+* :meth:`QueryPlan.result_key` -- the per-aggregate result-cache key,
+  dtype-aware so an ``Equals`` and a ``Range`` over the same constants can
+  never collide.
 """
 
 from __future__ import annotations
@@ -27,78 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.dataframe.aggregates import normalise_aggregate_name
-from repro.dataframe.column import DType
-from repro.dataframe.predicates import And, Equals, Predicate, Range
-from repro.query.query import PredicateAwareQuery
-
-
-def _normalise_constant(value):
-    """Collapse numpy scalars to their Python equivalents.
-
-    ``np.float64(3.0)`` and ``3.0`` (or ``np.str_("a")`` and ``"a"``) must
-    produce the **same** atom signature: signatures are sorted by ``repr``
-    and used as mask/result-cache keys, and numpy scalar reprs differ from
-    the Python ones even though the values compare equal.
-    """
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
-@dataclass(frozen=True)
-class PredicateAtom:
-    """One conjunct of a plan's WHERE clause.
-
-    ``kind`` is one of:
-
-    * ``"eq"`` -- categorical equality, ``value`` holds the constant;
-    * ``"range"`` -- closed numeric / datetime interval, ``low`` / ``high``
-      hold the bounds, either may be ``None`` for a one-sided range.
-
-    Any other kind raises ``ValueError``.  Constants are normalised on
-    construction (numpy scalars collapse to Python scalars) so equal
-    constants can never produce distinct cache keys.
-    """
-
-    kind: str
-    attr: str
-    value: object = None
-    low: Optional[float] = None
-    high: Optional[float] = None
-    dtype: DType = DType.CATEGORICAL
-
-    def __post_init__(self):
-        if self.kind not in ("eq", "range"):
-            raise ValueError(f"Unknown predicate atom kind {self.kind!r}")
-        object.__setattr__(self, "value", _normalise_constant(self.value))
-        object.__setattr__(self, "low", _normalise_constant(self.low))
-        object.__setattr__(self, "high", _normalise_constant(self.high))
-
-    def signature(self) -> Optional[tuple]:
-        """Hashable identity of the atom (``None`` = uncacheable constants).
-
-        The tuples are identical to the historical predicate-mask cache keys
-        (``("eq", attr, value)`` / ``("range", attr, low, high)``), so masks
-        cached before a plan was ever built keep hitting.
-        """
-        if self.kind == "eq":
-            sig: tuple = ("eq", self.attr, self.value)
-        else:
-            sig = ("range", self.attr, self.low, self.high)
-        try:
-            hash(sig)
-        except TypeError:
-            return None
-        return sig
-
-    def to_predicate(self) -> Predicate:
-        """The executable numpy predicate for this atom."""
-        if self.kind == "eq":
-            return Equals(self.attr, self.value)
-        return Range(self.attr, low=self.low, high=self.high, dtype=self.dtype)
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 
 @dataclass(frozen=True)
@@ -120,29 +48,6 @@ def aggregate_spec(func: str, attr: str, feature_name: str = "feature") -> Aggre
     distinct"`` -> ``COUNT_DISTINCT``); raises ``KeyError`` for a function
     outside Table II."""
     return AggregateSpec(normalise_aggregate_name(func), attr, feature_name)
-
-
-def atoms_from_query(query: PredicateAwareQuery) -> Tuple[PredicateAtom, ...]:
-    """Lower a query's WHERE constraints into predicate atoms.
-
-    Mirrors :meth:`PredicateAwareQuery.build_predicate`: ``None`` constraints
-    and both-``None`` ranges are dropped; atom order follows the query's
-    predicate insertion order (signatures are order-independent, but mask
-    composition order is preserved for stats stability).
-    """
-    atoms: List[PredicateAtom] = []
-    for attr, constraint in query.predicates.items():
-        dtype = query.predicate_dtypes.get(attr, DType.CATEGORICAL)
-        if constraint is None:
-            continue
-        if dtype is DType.CATEGORICAL:
-            atoms.append(PredicateAtom("eq", attr, value=constraint, dtype=dtype))
-        else:
-            low, high = constraint
-            if low is None and high is None:
-                continue
-            atoms.append(PredicateAtom("range", attr, low=low, high=high, dtype=dtype))
-    return tuple(atoms)
 
 
 @dataclass(frozen=True)
@@ -171,7 +76,7 @@ class QueryPlan:
         bound table).
         """
         return cls(
-            atoms=atoms_from_query(query),
+            atoms=query.atoms,
             keys=tuple(query.keys),
             aggregates=(aggregate_spec(query.agg_func, query.agg_attr, query.feature_name),),
         )
@@ -257,10 +162,3 @@ class QueryPlan:
         if signature is None:
             return None
         return (signature, self.keys, self.aggregates)
-
-    # ------------------------------------------------------------------
-    # Renderings
-    # ------------------------------------------------------------------
-    def build_predicate(self) -> Predicate:
-        """The combined WHERE predicate (an empty conjunction selects all rows)."""
-        return And([atom.to_predicate() for atom in self.atoms])

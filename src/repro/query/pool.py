@@ -19,7 +19,8 @@ These are all the dimensions there are, so the space has the paper's
 ``2 + n + 2m + |K|`` vector layout.
 
 The pool also converts HPO parameter dictionaries back into executable
-:class:`~repro.query.query.PredicateAwareQuery` objects.
+:class:`~repro.query.query.PredicateAwareQuery` objects; :meth:`QueryPool.decode`
+is where a query's typed WHERE atoms are built.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from repro.dataframe.column import DType
 from repro.dataframe.table import Table
 from repro.hpo.space import CategoricalDimension, RealDimension, SearchSpace
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 from repro.query.template import QueryTemplate
 
 #: Maximum number of distinct values kept per categorical predicate attribute;
@@ -59,7 +60,7 @@ class QueryPool:
         self.relation_name = relation_name
         self._categorical_domains: Dict[str, List] = {}
         self._numeric_domains: Dict[str, Tuple[float, float]] = {}
-        self._predicate_dtypes: Dict[str, DType] = {}
+        self._dtypes: Dict[str, DType] = {}
         self._collect_domains(relevant_table)
         self.space = self._build_space()
 
@@ -69,7 +70,7 @@ class QueryPool:
     def _collect_domains(self, table: Table) -> None:
         for attr in self.template.predicate_attrs:
             column = table.column(attr)
-            self._predicate_dtypes[attr] = column.dtype
+            self._dtypes[attr] = column.dtype
             if column.dtype is DType.CATEGORICAL:
                 self._categorical_domains[attr] = self._capped_domain(column)
             else:
@@ -108,7 +109,7 @@ class QueryPool:
             CategoricalDimension("agg_attr", list(self.template.agg_attrs)),
         ]
         for attr in self.template.predicate_attrs:
-            if self._predicate_dtypes[attr] is DType.CATEGORICAL:
+            if self._dtypes[attr] is DType.CATEGORICAL:
                 choices = [None] + list(self._categorical_domains[attr])
                 dimensions.append(CategoricalDimension(f"pred::{attr}", choices))
             else:
@@ -130,26 +131,33 @@ class QueryPool:
     def decode(self, params: Dict[str, object]) -> PredicateAwareQuery:
         """Convert an HPO parameter dictionary into an executable query.
 
-        Numeric bounds are swapped when sampled in the wrong order so every
-        decoded query is well-formed (``low <= high``).
+        A categorical attribute's value becomes an equality atom and a
+        numeric / datetime attribute's bounds a closed range, swapped when
+        sampled in the wrong order so that ``low <= high``.  An attribute
+        left at ``None`` (both bounds ``None``) gets no atom.
         """
-        predicates: Dict[str, object] = {}
+        atoms: List[PredicateAtom] = []
         for attr in self.template.predicate_attrs:
-            if self._predicate_dtypes[attr] is DType.CATEGORICAL:
-                predicates[attr] = params.get(f"pred::{attr}")
-            else:
-                low = params.get(f"pred_low::{attr}")
-                high = params.get(f"pred_high::{attr}")
-                if low is not None and high is not None and low > high:
-                    low, high = high, low
-                predicates[attr] = (low, high)
+            dtype = self._dtypes[attr]
+            if dtype is DType.CATEGORICAL:
+                value = params.get(f"pred::{attr}")
+                if value is not None:
+                    atoms.append(PredicateAtom("eq", attr, value=value))
+                continue
+            low = params.get(f"pred_low::{attr}")
+            high = params.get(f"pred_high::{attr}")
+            if low is None and high is None:
+                continue
+            if low is not None and high is not None and low > high:
+                low, high = high, low
+            atoms.append(PredicateAtom("range", attr, low=low, high=high, dtype=dtype))
         group_keys = params.get("group_keys") or tuple(self.template.keys)
         return PredicateAwareQuery(
             agg_func=params["agg_func"],
             agg_attr=params["agg_attr"],
             keys=tuple(group_keys),
-            predicates=predicates,
-            predicate_dtypes=dict(self._predicate_dtypes),
+            atoms=tuple(atoms),
+            predicate_attrs=self.template.predicate_attrs,
             relation_name=self.relation_name,
         )
 
@@ -165,7 +173,3 @@ class QueryPool:
         if attr in self._numeric_domains:
             return self._numeric_domains[attr]
         raise KeyError(f"{attr!r} is not a predicate attribute of this pool")
-
-    @property
-    def predicate_dtypes(self) -> Dict[str, DType]:
-        return dict(self._predicate_dtypes)

@@ -1,65 +1,96 @@
-"""A concrete predicate-aware SQL query and its SQL rendering."""
+"""A concrete predicate-aware SQL query: its WHERE atoms and its SQL rendering."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.dataframe.aggregates import normalise_aggregate_name
-from repro.dataframe.column import DType, format_datetime
+from repro.dataframe.column import DType
 from repro.dataframe.predicates import And, Equals, Predicate, Range
+
+
+@dataclass(frozen=True)
+class PredicateAtom:
+    """One conjunct of a WHERE clause (Definition 2).
+
+    ``kind`` is one of:
+
+    * ``"eq"`` -- categorical equality, ``value`` holds the constant;
+    * ``"range"`` -- closed numeric / datetime interval, ``low`` / ``high``
+      hold the bounds, either may be ``None`` for a one-sided range.
+
+    Any other kind, or a range without bounds, raises ``ValueError``.
+    Constants are normalised on construction: numpy scalars collapse to
+    their Python equivalents, so ``np.float64(3.0)`` and ``3.0`` (or
+    ``np.str_("a")`` and ``"a"``) give the same signature.  Signatures are
+    sorted by ``repr`` and key the mask and result caches, and numpy scalar
+    reprs differ from Python ones even where the values compare equal.
+    """
+
+    kind: str
+    attr: str
+    value: object = None
+    low: Optional[float] = None
+    high: Optional[float] = None
+    dtype: DType = DType.CATEGORICAL
+
+    def __post_init__(self):
+        if self.kind not in ("eq", "range"):
+            raise ValueError(f"Unknown predicate atom kind {self.kind!r}")
+        if self.kind == "range" and self.low is None and self.high is None:
+            raise ValueError(f"Range atom on {self.attr!r} needs at least one bound")
+        for name in ("value", "low", "high"):
+            constant = getattr(self, name)
+            if isinstance(constant, np.generic):
+                object.__setattr__(self, name, constant.item())
+
+    def signature(self) -> Optional[tuple]:
+        """Hashable identity of the atom (``None`` = uncacheable constants):
+        ``("eq", attr, value)`` or ``("range", attr, low, high)``."""
+        if self.kind == "eq":
+            sig: tuple = ("eq", self.attr, self.value)
+        else:
+            sig = ("range", self.attr, self.low, self.high)
+        try:
+            hash(sig)
+        except TypeError:
+            return None
+        return sig
+
+    def to_predicate(self) -> Predicate:
+        """The executable numpy predicate for this atom."""
+        if self.kind == "eq":
+            return Equals(self.attr, self.value)
+        return Range(self.attr, low=self.low, high=self.high, dtype=self.dtype)
 
 
 @dataclass
 class PredicateAwareQuery:
     """One query from a query pool (Definition 2).
 
-    ``predicates`` maps a predicate attribute to its concrete constraint:
-
-    * categorical attribute -> the equality value (or ``None`` for no
-      predicate on that attribute),
-    * numeric / datetime attribute -> a ``(low, high)`` tuple where either
-      bound may be ``None`` (one-sided range) or both may be ``None`` (no
-      predicate).
+    ``atoms`` is the WHERE clause: an equality atom per constrained
+    categorical attribute and a closed range per constrained numeric or
+    datetime attribute, in the template's attribute order
+    (:meth:`QueryPool.decode` builds them).  ``predicate_attrs`` is the
+    template's WHERE attribute combination ``P``; it stays part of the
+    query's identity even for attributes that carry no constraint.
     """
 
     agg_func: str
     agg_attr: str
     keys: Tuple[str, ...]
-    predicates: Dict[str, object] = field(default_factory=dict)
-    predicate_dtypes: Dict[str, DType] = field(default_factory=dict)
+    atoms: Tuple[PredicateAtom, ...] = ()
+    predicate_attrs: Tuple[str, ...] = ()
     relation_name: str = "R"
     feature_name: str = "feature"
 
     # ------------------------------------------------------------------
     def build_predicate(self) -> Predicate:
-        """Combine the per-attribute constraints into one WHERE predicate."""
-        parts: List[Predicate] = []
-        for attr, constraint in self.predicates.items():
-            dtype = self.predicate_dtypes.get(attr, DType.CATEGORICAL)
-            if constraint is None:
-                continue
-            if dtype is DType.CATEGORICAL:
-                parts.append(Equals(attr, constraint))
-            else:
-                low, high = constraint
-                if low is None and high is None:
-                    continue
-                parts.append(Range(attr, low=low, high=high, dtype=dtype))
-        return And(parts)
-
-    def has_predicates(self) -> bool:
-        """True when at least one attribute carries an actual constraint."""
-        for attr, constraint in self.predicates.items():
-            dtype = self.predicate_dtypes.get(attr, DType.CATEGORICAL)
-            if constraint is None:
-                continue
-            if dtype is DType.CATEGORICAL:
-                return True
-            low, high = constraint
-            if low is not None or high is not None:
-                return True
-        return False
+        """The WHERE predicate (an empty conjunction selects every row)."""
+        return And([atom.to_predicate() for atom in self.atoms])
 
     def to_sql(self) -> str:
         """Render the query as SQL text (for logs, examples and reports).
@@ -68,7 +99,6 @@ class PredicateAwareQuery:
         SQL's ``COUNT(DISTINCT price)``.
         """
         keys = ", ".join(self.keys)
-        where = self.build_predicate().to_sql()
         func = normalise_aggregate_name(self.agg_func)
         call = (
             f"COUNT(DISTINCT {self.agg_attr})"
@@ -79,41 +109,22 @@ class PredicateAwareQuery:
             f"SELECT {keys}, {call} AS {self.feature_name}\n"
             f"FROM {self.relation_name}\n"
         )
-        if where != "TRUE":
-            sql += f"WHERE {where}\n"
+        if self.atoms:
+            sql += f"WHERE {self.build_predicate().to_sql()}\n"
         sql += f"GROUP BY {keys}"
         return sql
 
     def signature(self) -> tuple:
-        """Hashable identity of the query (used to deduplicate results)."""
-        rendered: List[tuple] = []
-        for attr in sorted(self.predicates):
-            constraint = self.predicates[attr]
-            if isinstance(constraint, tuple):
-                rendered.append((attr, tuple(constraint)))
-            else:
-                rendered.append((attr, constraint))
-        return (self.agg_func, self.agg_attr, self.keys, tuple(rendered))
+        """Hashable identity of the query (used to deduplicate results).
 
-    def describe(self) -> str:
-        """Short human-readable description used in result summaries."""
-        clauses = []
-        for attr, constraint in self.predicates.items():
-            dtype = self.predicate_dtypes.get(attr, DType.CATEGORICAL)
-            if constraint is None:
-                continue
-            if dtype is DType.CATEGORICAL:
-                clauses.append(f"{attr}={constraint}")
-            else:
-                low, high = constraint
-                if low is None and high is None:
-                    continue
-                if dtype is DType.DATETIME:
-                    low_text = format_datetime(low) if low is not None else "-inf"
-                    high_text = format_datetime(high) if high is not None else "+inf"
-                else:
-                    low_text = f"{low:.4g}" if low is not None else "-inf"
-                    high_text = f"{high:.4g}" if high is not None else "+inf"
-                clauses.append(f"{attr} in [{low_text}, {high_text}]")
-        where = " AND ".join(clauses) if clauses else "no predicate"
-        return f"{self.agg_func}({self.agg_attr}) | {where}"
+        The atoms are frozen and compare by value; the template's attribute
+        set is part of the identity, so two unconstrained queries from
+        templates over different attributes stay distinct.
+        """
+        return (
+            self.agg_func,
+            self.agg_attr,
+            self.keys,
+            tuple(sorted(self.predicate_attrs)),
+            tuple(sorted(self.atoms, key=lambda atom: atom.attr)),
+        )

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -72,25 +71,3 @@ class QueryTemplate:
             if name in members:
                 encoding[i] = 1.0
         return encoding
-
-    def describe(self) -> str:
-        """Human-readable one-line summary."""
-        return (
-            f"T(F={list(self.agg_funcs)}, A={list(self.agg_attrs)}, "
-            f"P={list(self.predicate_attrs)}, K={list(self.keys)})"
-        )
-
-
-def enumerate_attribute_combinations(attrs: Sequence[str], max_size: int | None = None) -> List[Tuple[str, ...]]:
-    """All non-empty subsets of *attrs* up to size *max_size* (Definition 4).
-
-    The brute-force template set ``S_attr`` contains one template per subset;
-    this helper is used by the brute-force baseline and by the beam search's
-    cost accounting in tests.
-    """
-    attrs = list(attrs)
-    limit = len(attrs) if max_size is None else min(max_size, len(attrs))
-    subsets: List[Tuple[str, ...]] = []
-    for size in range(1, limit + 1):
-        subsets.extend(combinations(attrs, size))
-    return subsets

@@ -31,7 +31,7 @@ class TestCandidateQueries:
     def test_no_predicates_generated(self, logs_table):
         generator = FeaturetoolsGenerator(keys=["cname"], agg_funcs=["SUM"])
         for query in generator.candidate_queries(logs_table):
-            assert not query.has_predicates()
+            assert not query.atoms
             assert "WHERE" not in query.to_sql()
 
     def test_max_features_cap(self, logs_table):

@@ -11,7 +11,7 @@ from repro.dataframe.aggregates import DEFAULT_AGGREGATES
 from repro.dataframe.column import DType
 from repro.query.augment import augment_training_table
 from repro.query.engine import resolve_engine
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 
 @pytest.fixture
@@ -94,7 +94,7 @@ class TestBinaryEvaluation:
             PredicateAwareQuery(agg_func=agg_func, agg_attr="amount", keys=("uid",)),
             PredicateAwareQuery(
                 agg_func=agg_func, agg_attr="amount", keys=("uid",),
-                predicates={"amount": (0.5, None)}, predicate_dtypes={"amount": DType.NUMERIC},
+                atoms=(PredicateAtom("range", "amount", low=0.5, dtype=DType.NUMERIC),),
             ),
         ]
         train_vecs, valid_vecs = evaluator.feature_vectors_for_queries(queries, relevant)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.feataug import FeatAug
+from repro.core.sql_generation import GeneratedQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 
 @pytest.fixture
@@ -172,3 +174,27 @@ class TestFeatAugFacade:
         bundle = tiny_student
         feataug = FeatAug(label=bundle.label_col, keys=bundle.keys, task="binary", model="RF", config=fast_config)
         assert feataug.model is not None
+
+
+def generated(loss, predicate_attrs, atoms=()):
+    query = PredicateAwareQuery(
+        "MAD", "hover_duration", ("session_id",), atoms, predicate_attrs=predicate_attrs
+    )
+    return GeneratedQuery(query=query, loss=loss, metric=-loss)
+
+
+class TestDedupe:
+    def test_unpredicated_queries_from_different_templates_stay_apart(self):
+        """The query identity keeps the template's predicate attributes, so
+        two WHERE-less queries of different templates are two features."""
+        unique = FeatAug._dedupe([generated(0.3, ("event_type",)), generated(0.2, ("level",))])
+        assert [g.query.predicate_attrs for g in unique] == [("level",), ("event_type",)]
+
+    def test_same_query_keeps_the_lowest_loss(self):
+        level_1 = PredicateAtom("eq", "level", value=1)
+        unique = FeatAug._dedupe([
+            generated(0.5, ("level",), (level_1,)),
+            generated(0.1, ("level",), (level_1,)),
+            generated(0.3, ("level",)),
+        ])
+        assert [g.loss for g in unique] == [0.1, 0.3]

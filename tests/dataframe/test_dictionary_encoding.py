@@ -13,7 +13,7 @@ from repro.dataframe.groupby import factorize_column, group_by_aggregate
 from repro.dataframe.table import Table
 from repro.query.executor import execute_query_naive
 from repro.query.engine import QueryEngine
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 
 def categorical(values, name: str = "k") -> Column:
@@ -117,7 +117,7 @@ class TestRepresentativeLabel:
         keys = out.column("k").values.tolist()
         assert keys == [1, "b"] and type(keys[0]) is int
         assert out.column("feature").values.tolist() == [11.0, 4.0]
-        query = PredicateAwareQuery("SUM", "v", ("k",), {"f": "x"}, {"f": DType.CATEGORICAL})
+        query = PredicateAwareQuery("SUM", "v", ("k",), (PredicateAtom("eq", "f", value="x"),))
         served = QueryEngine(table).execute(query).column("k").values.tolist()
         reference = execute_query_naive(query, table).column("k").values.tolist()
         assert served == reference == [1, "b"]

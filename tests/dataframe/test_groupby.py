@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dataframe.column import Column, DType
-from repro.dataframe.groupby import group_by_aggregate, group_indices, group_sizes
+from repro.dataframe.groupby import group_by_aggregate, group_indices
 from repro.dataframe.table import Table
 
 
@@ -41,11 +41,6 @@ class TestGroupIndices:
     def test_requires_key(self, logs):
         with pytest.raises(ValueError):
             group_indices(logs, [])
-
-    def test_group_sizes(self, logs):
-        sizes = group_sizes(logs, ["cname"])
-        assert sizes[("alice",)] == 2
-        assert sizes[("bob",)] == 3
 
 
 class TestGroupByAggregate:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dataframe.column import DType
-from repro.dataframe.predicates import AlwaysTrue, And, Equals, Not, Or, Range
+from repro.dataframe.predicates import AlwaysTrue, And, Equals, Range
 from repro.dataframe.table import Table
 
 
@@ -86,21 +86,6 @@ class TestCombinators:
     def test_empty_and_selects_all(self, table):
         assert And([]).mask(table).all()
 
-    def test_or(self, table):
-        predicate = Or([Equals("dept", "media"), Equals("dept", "household")])
-        assert predicate.mask(table).sum() == 2
-
-    def test_or_operator_overload(self, table):
-        predicate = Equals("dept", "media") | Equals("dept", "household")
-        assert predicate.mask(table).sum() == 2
-
-    def test_not(self, table):
-        predicate = Not(Equals("dept", "electronics"))
-        assert list(predicate.mask(table)) == [False, True, False, True, True]
-
-    def test_invert_operator(self, table):
-        assert (~Equals("dept", "electronics")).mask(table).sum() == 3
-
     def test_always_true(self, table):
         assert AlwaysTrue().mask(table).all()
         assert AlwaysTrue().to_sql() == "TRUE"
@@ -112,10 +97,3 @@ class TestCombinators:
     def test_and_sql(self):
         predicate = And([Equals("a", "x"), Range("b", low=1, high=2)])
         assert predicate.to_sql() == "a = 'x' AND b >= 1 AND b <= 2"
-
-    def test_or_sql(self):
-        predicate = Or([Equals("a", "x"), Equals("a", "y")])
-        assert predicate.to_sql() == "(a = 'x') OR (a = 'y')"
-
-    def test_not_sql(self):
-        assert Not(Equals("a", 1)).to_sql() == "NOT (a = 1)"

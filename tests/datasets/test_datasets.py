@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import DATASET_NAMES, load_dataset
-from repro.dataframe.groupby import group_sizes
+from repro.dataframe.groupby import group_indices
 from repro.stats.mutual_information import mutual_information
 
 SMALL_SCALE = 0.08
@@ -78,14 +78,14 @@ class TestBundleStructure:
     def test_one_to_many_cardinality(self, bundles, name):
         bundle = bundles[name]
         assert bundle.relationship == "one-to-many"
-        sizes = group_sizes(bundle.relevant, bundle.keys)
-        assert max(sizes.values()) > 1
+        groups = group_indices(bundle.relevant, bundle.keys)
+        assert max(rows.size for rows in groups.values()) > 1
 
     @pytest.mark.parametrize("name", ["covtype", "household"])
     def test_one_to_one_cardinality(self, bundles, name):
         bundle = bundles[name]
-        sizes = group_sizes(bundle.relevant, bundle.keys)
-        assert max(sizes.values()) == 1
+        groups = group_indices(bundle.relevant, bundle.keys)
+        assert max(rows.size for rows in groups.values()) == 1
 
     @pytest.mark.parametrize("name", ["tmall", "instacart", "student"])
     def test_binary_labels(self, bundles, name):
@@ -109,16 +109,17 @@ class TestPlantedSignal:
 
     def test_student_predicate_feature_beats_unrestricted(self):
         bundle = load_dataset("student", scale=0.3, seed=0)
-        from repro.dataframe.predicates import And, Equals, Range
         from repro.query.executor import execute_query
-        from repro.query.query import PredicateAwareQuery
+        from repro.query.query import PredicateAtom, PredicateAwareQuery
         from repro.dataframe.column import DType
         from repro.query.augment import augment_training_table
 
         restricted = PredicateAwareQuery(
             agg_func="SUM", agg_attr="hover_duration", keys=tuple(bundle.keys),
-            predicates={"event_type": "notebook_click", "level": (13.0, None)},
-            predicate_dtypes={"event_type": DType.CATEGORICAL, "level": DType.NUMERIC},
+            atoms=(
+                PredicateAtom("eq", "event_type", value="notebook_click"),
+                PredicateAtom("range", "level", low=13.0, dtype=DType.NUMERIC),
+            ),
         )
         unrestricted = PredicateAwareQuery(
             agg_func="SUM", agg_attr="hover_duration", keys=tuple(bundle.keys)

@@ -18,6 +18,14 @@ def quadratic(params):
     return (params["x"] - 3) ** 2 + (params["y"] + 2) ** 2
 
 
+def ask_tell(optimizer, objective, n_iter):
+    """Run the ask/tell loop for *n_iter* evaluations; return the best trial."""
+    for _ in range(n_iter):
+        params = optimizer.suggest()
+        optimizer.observe(params, objective(params))
+    return optimizer.history.best(minimize=True)
+
+
 class TestTPE:
     def test_suggestions_valid(self, quadratic_space):
         optimizer = TPEOptimizer(quadratic_space, seed=0, n_startup_trials=3)
@@ -28,7 +36,7 @@ class TestTPE:
 
     def test_optimises_quadratic_better_than_random_on_average(self, quadratic_space):
         def best_of(optimizer_factory, seed):
-            return optimizer_factory(seed).minimize(quadratic, n_iter=60).value
+            return ask_tell(optimizer_factory(seed), quadratic, 60).value
 
         tpe_scores = [
             best_of(lambda s: TPEOptimizer(quadratic_space, seed=s, n_startup_trials=8), s)
@@ -55,7 +63,7 @@ class TestTPE:
         space = SearchSpace([CategoricalDimension("c", list("abcdef"))])
         target = {"a": 5.0, "b": 4.0, "c": 3.0, "d": 2.0, "e": 1.0, "f": 0.0}
         optimizer = TPEOptimizer(space, seed=0, n_startup_trials=5)
-        best = optimizer.minimize(lambda p: target[p["c"]], n_iter=40)
+        best = ask_tell(optimizer, lambda p: target[p["c"]], 40)
         assert best.params["c"] == "f"
 
     def test_integer_dimension_rounds(self):
@@ -73,7 +81,7 @@ class TestTPE:
         def objective(params):
             return 0.0 if params["x"] is None else 1.0 + params["x"]
 
-        best = optimizer.minimize(objective, n_iter=30)
+        best = ask_tell(optimizer, objective, 30)
         assert best.params["x"] is None
 
     def test_warm_start_biases_search(self, quadratic_space):
@@ -94,13 +102,13 @@ class TestTPE:
     def test_deterministic_given_seed(self, quadratic_space):
         def run(seed):
             opt = TPEOptimizer(quadratic_space, seed=seed, n_startup_trials=3)
-            return opt.minimize(quadratic, n_iter=20).value
+            return ask_tell(opt, quadratic, 20).value
 
         assert run(7) == run(7)
 
     def test_history_grows(self, quadratic_space):
         optimizer = TPEOptimizer(quadratic_space, seed=0)
-        optimizer.minimize(quadratic, n_iter=12)
+        ask_tell(optimizer, quadratic, 12)
         assert len(optimizer.history) == 12
 
 
@@ -175,7 +183,7 @@ class TestNonFiniteTrials:
             return float("nan") if params["x"] > 8 else value
 
         optimizer = TPEOptimizer(quadratic_space, seed=1, n_startup_trials=3)
-        best = optimizer.minimize(flaky, n_iter=25)
+        best = ask_tell(optimizer, flaky, 25)
         assert np.isfinite(best.value)
 
 

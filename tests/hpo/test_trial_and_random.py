@@ -13,6 +13,14 @@ def space():
     return SearchSpace([RealDimension("x", -5, 5), CategoricalDimension("c", ["a", "b"])])
 
 
+def ask_tell(optimizer, objective, n_iter):
+    """Run the ask/tell loop for *n_iter* evaluations; return the best trial."""
+    for _ in range(n_iter):
+        params = optimizer.suggest()
+        optimizer.observe(params, objective(params))
+    return optimizer.history.best(minimize=True)
+
+
 class TestTrialHistory:
     def test_add_and_len(self):
         history = TrialHistory()
@@ -61,7 +69,7 @@ class TestRandomSearch:
 
     def test_minimize_finds_decent_point(self, space):
         optimizer = RandomSearchOptimizer(space, seed=0)
-        best = optimizer.minimize(lambda p: p["x"] ** 2, n_iter=60)
+        best = ask_tell(optimizer, lambda p: p["x"] ** 2, 60)
         assert best.value < 1.0
 
     def test_observe_validates(self, space):
@@ -76,7 +84,7 @@ class TestRandomSearch:
 
     def test_history_recorded(self, space):
         optimizer = RandomSearchOptimizer(space, seed=0)
-        optimizer.minimize(lambda p: 0.0, n_iter=5)
+        ask_tell(optimizer, lambda p: 0.0, 5)
         assert len(optimizer.history) == 5
 
     def test_warm_start_appends_history(self, space):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dataframe.aggregates import aggregate
 from repro.dataframe.column import Column, DType
 from repro.dataframe.groupby import group_by_aggregate, group_indices
-from repro.dataframe.predicates import Equals, Not, Range
+from repro.dataframe.predicates import Equals, Range
 from repro.dataframe.table import Table
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -25,12 +25,12 @@ def keyed_table(draw):
 class TestPredicateProperties:
     @given(values=float_lists, threshold=finite_floats)
     @settings(max_examples=50, deadline=None)
-    def test_range_and_its_negation_partition_rows(self, values, threshold):
+    def test_lower_and_upper_ranges_cover_rows_and_meet_at_the_bound(self, values, threshold):
         table = Table([Column("x", values, dtype=DType.NUMERIC)])
-        predicate = Range("x", low=threshold)
-        mask = predicate.mask(table)
-        inverse = Not(predicate).mask(table)
-        assert np.all(mask ^ inverse)
+        at_least = Range("x", low=threshold).mask(table)
+        at_most = Range("x", high=threshold).mask(table)
+        assert np.all(at_least | at_most)
+        np.testing.assert_array_equal(at_least & at_most, np.asarray(values) == threshold)
 
     @given(values=float_lists, low=finite_floats, high=finite_floats)
     @settings(max_examples=50, deadline=None)

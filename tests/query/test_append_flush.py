@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
 from repro.query.engine import EngineConfig, QueryEngine
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 from _engine_paths import CACHE_PROFILES, ENTRY_POINTS, run_entry
 
@@ -73,23 +73,24 @@ def query_battery():
     for func in AGG_FUNCS:
         queries.append(
             PredicateAwareQuery(
-                func, "x", ("user",), {"cat": "a"}, {"cat": DType.CATEGORICAL}
+                func, "x", ("user",), (PredicateAtom("eq", "cat", value="a"),)
             )
         )
         queries.append(
             PredicateAwareQuery(
-                func, "x", ("user",), {"x": (0.2, 0.8)}, {"x": DType.NUMERIC}
+                func, "x", ("user",),
+                (PredicateAtom("range", "x", low=0.2, high=0.8, dtype=DType.NUMERIC),),
             )
         )
-        queries.append(PredicateAwareQuery(func, "x", ("user",), {}, {}))
+        queries.append(PredicateAwareQuery(func, "x", ("user",)))
         queries.append(
-            PredicateAwareQuery(func, "cat", ("user", "cat"), {}, {})
+            PredicateAwareQuery(func, "cat", ("user", "cat"))
         )
         # A label only the delta introduces: the mask rebuilt after the
         # flush must pick it up.
         queries.append(
             PredicateAwareQuery(
-                func, "x", ("user",), {"cat": "zz"}, {"cat": DType.CATEGORICAL}
+                func, "x", ("user",), (PredicateAtom("eq", "cat", value="zz"),)
             )
         )
     return queries

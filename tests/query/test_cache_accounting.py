@@ -31,7 +31,7 @@ from repro.query.engine import (
     _value_nbytes,
     engine_for,
 )
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 from _engine_paths import ENTRY_POINTS, run_entry
 
@@ -53,7 +53,7 @@ def make_relevant(seed: int, n: int = 400) -> Table:
 
 def query_with(value: str, agg_func: str = "SUM") -> PredicateAwareQuery:
     return PredicateAwareQuery(
-        agg_func, "val", ("key",), {"cat": value}, {"cat": DType.CATEGORICAL}
+        agg_func, "val", ("key",), (PredicateAtom("eq", "cat", value=value),)
     )
 
 
@@ -99,7 +99,7 @@ class TestValueNbytes:
         )
         engine = QueryEngine(table)
         query = PredicateAwareQuery(
-            "SUM", "val", ("key",), {"cat": "a"}, {"cat": DType.CATEGORICAL}
+            "SUM", "val", ("key",), (PredicateAtom("eq", "cat", value="a"),)
         )
         result = engine.execute(query)
         before = engine.cached_bytes

@@ -11,7 +11,7 @@ from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
 from repro.query.engine import EngineConfig, QueryEngine, engine_for
 from repro.query.executor import execute_query, execute_query_naive
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 
 def configured_engine(table: Table, **config_overrides) -> QueryEngine:
@@ -37,7 +37,7 @@ def make_relevant(seed: int) -> Table:
 
 def query_with(value: str, agg_func: str = "SUM") -> PredicateAwareQuery:
     return PredicateAwareQuery(
-        agg_func, "val", ("key",), {"cat": value}, {"cat": DType.CATEGORICAL}
+        agg_func, "val", ("key",), (PredicateAtom("eq", "cat", value=value),)
     )
 
 
@@ -57,8 +57,10 @@ class TestMaskCache:
             "SUM",
             "val",
             ("key",),
-            {"cat": "a", "val": (0.0, None)},
-            {"cat": DType.CATEGORICAL, "val": DType.NUMERIC},
+            (
+                PredicateAtom("eq", "cat", value="a"),
+                PredicateAtom("range", "val", low=0.0, dtype=DType.NUMERIC),
+            ),
         )
         engine.execute(both)
         assert engine.stats.mask_misses == 2
@@ -108,18 +110,19 @@ class TestResultCache:
             assert result.column("feature") == naive.column("feature")
 
     def test_result_key_distinguishes_predicate_dtypes(self):
-        """The predicate dtype decides the atom kind: a numeric-dtyped bound
-        pair is a range atom, a categorical-dtyped constant an equality
-        atom.  Their signatures (``("range", ...)`` vs ``("eq", ...)``) are
-        distinct, so the result cache can never hand one the other's table.
+        """The predicate dtype decides the atom kind in ``QueryPool.decode``:
+        a range atom and an equality atom over the same constant have
+        distinct signatures (``("range", ...)`` vs ``("eq", ...)``), so the
+        result cache can never hand one the other's table.
         """
         engine = QueryEngine(make_relevant(0))
         range_query = PredicateAwareQuery(
-            "SUM", "val", ("key",), {"val": (10.0, 10.0)}, {"val": DType.NUMERIC}
+            "SUM", "val", ("key",),
+            (PredicateAtom("range", "val", low=10.0, high=10.0, dtype=DType.NUMERIC),),
         )
         engine.execute(range_query)
         eq_query = PredicateAwareQuery(
-            "SUM", "val", ("key",), {"val": 10.0}  # dtype defaults to CATEGORICAL
+            "SUM", "val", ("key",), (PredicateAtom("eq", "val", value=10.0),)
         )
         result = engine.execute(eq_query)
         assert engine.stats.result_hits == 0
@@ -183,7 +186,7 @@ class TestSortOrderCache:
         engine.execute(query_with("b", "MEDIAN"))  # different predicate
         engine.execute(  # different group-by keys
             PredicateAwareQuery(
-                "MEDIAN", "val", ("key", "cat"), {"cat": "a"}, {"cat": DType.CATEGORICAL}
+                "MEDIAN", "val", ("key", "cat"), (PredicateAtom("eq", "cat", value="a"),)
             )
         )
         assert (engine.stats.sort_misses, engine.stats.sort_hits) == (3, 0)

@@ -26,7 +26,7 @@ import pytest
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
 from repro.query.engine import EngineConfig, EngineStats, QueryEngine, _LRUCache
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 from _engine_paths import ENTRY_POINTS, run_entry
 
@@ -56,7 +56,7 @@ def make_batch():
         for func in ("SUM", "AVG", "MEDIAN"):
             queries.append(
                 PredicateAwareQuery(
-                    func, "val", ("key",), {"cat": value}, {"cat": DType.CATEGORICAL}
+                    func, "val", ("key",), (PredicateAtom("eq", "cat", value=value),)
                 )
             )
     queries.append(PredicateAwareQuery("COUNT", "val", ("key",)))

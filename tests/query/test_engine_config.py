@@ -11,7 +11,7 @@ import pytest
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
 from repro.query.engine import EngineConfig, EngineStats, QueryEngine, engine_for
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 from _engine_paths import CACHE_PROFILES
 
@@ -34,7 +34,7 @@ def make_relevant(seed: int) -> Table:
 
 def query_with(value: str, agg_func: str = "SUM") -> PredicateAwareQuery:
     return PredicateAwareQuery(
-        agg_func, "val", ("key",), {"cat": value}, {"cat": DType.CATEGORICAL}
+        agg_func, "val", ("key",), (PredicateAtom("eq", "cat", value=value),)
     )
 
 

@@ -25,12 +25,17 @@ from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
 from repro.query.engine import EngineConfig, QueryEngine
 from repro.query.executor import execute_query, execute_query_naive
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 from _engine_paths import CACHE_PROFILES, ENGINE_STATES, engine_in_state, sibling_queries
 
 AGG_FUNCS = list(AGGREGATE_FUNCTIONS)
-PREDICATE_DTYPES = {"cat": DType.CATEGORICAL, "num": DType.NUMERIC}
+#: No filter, a value present in ``cat`` and one absent from it.
+CAT_FILTERS = (
+    (),
+    (PredicateAtom("eq", "cat", value="x"),),
+    (PredicateAtom("eq", "cat", value="missing"),),
+)
 
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
@@ -91,19 +96,18 @@ def random_queries(draw):
     # Include a categorical aggregation attribute: its integer coding depends
     # on the filter (codes by first appearance within the filtered rows).
     agg_attr = draw(st.sampled_from(["val", "num", "cat"]))
-    predicates = {}
+    atoms = []
     if draw(st.booleans()):
         # "q" never occurs, so empty filter results are generated regularly.
-        predicates["cat"] = draw(st.sampled_from(["x", "y", "q"]))
+        atoms.append(PredicateAtom("eq", "cat", value=draw(st.sampled_from(["x", "y", "q"]))))
     if draw(st.booleans()):
         low = draw(st.one_of(st.none(), finite_floats))
         high = draw(st.one_of(st.none(), finite_floats))
         if low is not None and high is not None and low > high:
             low, high = high, low
         if low is not None or high is not None:
-            predicates["num"] = (low, high)
-    dtypes = {attr: PREDICATE_DTYPES[attr] for attr in predicates}
-    return PredicateAwareQuery(agg_func, agg_attr, keys, predicates, dtypes)
+            atoms.append(PredicateAtom("range", "num", low=low, high=high, dtype=DType.NUMERIC))
+    return PredicateAwareQuery(agg_func, agg_attr, keys, tuple(atoms))
 
 
 @pytest.mark.parametrize("state", ENGINE_STATES)
@@ -156,14 +160,9 @@ SINGLE_GROUP_ROWS = (1, 2, 3, 5, 12)
 class TestCacheProfileEdgeCases:
     def run_batch(self, table, state, cache):
         queries = []
-        for predicates in ({}, {"cat": "x"}, {"cat": "missing"}):
+        for atoms in CAT_FILTERS:
             for func in ("SUM", "COUNT", "MEDIAN", "MODE", "ENTROPY", "KURTOSIS"):
-                queries.append(
-                    PredicateAwareQuery(
-                        func, "val", ("key",), dict(predicates),
-                        {k: DType.CATEGORICAL for k in predicates},
-                    )
-                )
+                queries.append(PredicateAwareQuery(func, "val", ("key",), atoms))
         engine, table = engine_with(table, state, queries, cache)
         results = engine.execute_batch(queries)
         for query, result in zip(queries, results):
@@ -236,18 +235,13 @@ def none_bearing_table(seed: int = 3) -> Table:
 
 def none_bearing_batch():
     queries = []
-    for predicates in ({}, {"cat": "x"}, {"cat": "missing"}):
+    for atoms in CAT_FILTERS:
         for func in ("SUM", "COUNT", "MEDIAN", "MODE", "ENTROPY", "KURTOSIS", "MAD"):
-            queries.append(
-                PredicateAwareQuery(
-                    func, "val", ("key",), dict(predicates),
-                    {k: DType.CATEGORICAL for k in predicates},
-                )
-            )
+            queries.append(PredicateAwareQuery(func, "val", ("key",), atoms))
     queries.append(
-        PredicateAwareQuery("MODE", "cat", ("key",), {"cat": "x"}, {"cat": DType.CATEGORICAL})
+        PredicateAwareQuery("MODE", "cat", ("key",), (PredicateAtom("eq", "cat", value="x"),))
     )
-    queries.append(PredicateAwareQuery("COUNT_DISTINCT", "cat", ("key",), {}, {}))
+    queries.append(PredicateAwareQuery("COUNT_DISTINCT", "cat", ("key",)))
     return queries
 
 
@@ -371,7 +365,7 @@ class TestAllAggregateFunctions:
     @pytest.mark.parametrize("agg_func", AGG_FUNCS)
     def test_numeric_attribute(self, state, table, agg_func):
         query = PredicateAwareQuery(
-            agg_func, "val", ("key",), {"cat": "u"}, {"cat": DType.CATEGORICAL}
+            agg_func, "val", ("key",), (PredicateAtom("eq", "cat", value="u"),)
         )
         engine, table = engine_with(table, state, [query])
         assert_tables_match(engine.execute(query), execute_query_naive(query, table))
@@ -380,7 +374,8 @@ class TestAllAggregateFunctions:
     def test_categorical_attribute_under_filter(self, state, table, agg_func):
         """Filtered categorical coding (MODE returns codes!) must match."""
         query = PredicateAwareQuery(
-            agg_func, "cat", ("key",), {"val": (-0.4, 2.0)}, {"val": DType.NUMERIC}
+            agg_func, "cat", ("key",),
+            (PredicateAtom("range", "val", low=-0.4, high=2.0, dtype=DType.NUMERIC),),
         )
         engine, table = engine_with(table, state, [query])
         assert_tables_match(engine.execute(query), execute_query_naive(query, table))
@@ -388,7 +383,7 @@ class TestAllAggregateFunctions:
     @pytest.mark.parametrize("agg_func", AGG_FUNCS)
     def test_batch_of_all_functions_shares_one_plan(self, state, table, agg_func):
         queries = [
-            PredicateAwareQuery(f, "val", ("key",), {"cat": "v"}, {"cat": DType.CATEGORICAL})
+            PredicateAwareQuery(f, "val", ("key",), (PredicateAtom("eq", "cat", value="v"),))
             for f in AGG_FUNCS
         ]
         target = AGG_FUNCS.index(agg_func)
@@ -440,7 +435,7 @@ class TestFusedPlanShapes:
         queries = [
             PredicateAwareQuery(
                 AGG_FUNCS[(7 * i) % len(AGG_FUNCS)], attr, ("key",),
-                {"cat": FUSED_FILTERS[where]}, {"cat": DType.CATEGORICAL},
+                (PredicateAtom("eq", "cat", value=FUSED_FILTERS[where]),),
             )
             for i, attr in enumerate(ATTR_MIXES[mix])
         ]
@@ -485,8 +480,7 @@ class TestEdgeCases:
             "AVG",
             "pprice",
             ("cname",),
-            {"department": "does-not-exist"},
-            {"department": DType.CATEGORICAL},
+            (PredicateAtom("eq", "department", value="does-not-exist"),),
         )
         engine, table = engine_with(logs_table, state, [query])
         empties = engine.stats.empty_results
@@ -514,8 +508,9 @@ class TestEdgeCases:
             "MAX",
             "pprice",
             ("cname", "pname"),
-            {"timestamp": (parse_datetime("2023-05-01"), None)},
-            {"timestamp": DType.DATETIME},
+            (PredicateAtom(
+                "range", "timestamp", low=parse_datetime("2023-05-01"), dtype=DType.DATETIME
+            ),),
         )
         engine, table = engine_with(logs_table, state, [query])
         assert_tables_match(engine.execute(query), execute_query_naive(query, table))
@@ -534,7 +529,8 @@ class TestEdgeCases:
 
     def test_range_predicate_on_categorical_raises(self, state, logs_table):
         query = PredicateAwareQuery(
-            "SUM", "pprice", ("cname",), {"department": (0.0, 1.0)}, {"department": DType.NUMERIC}
+            "SUM", "pprice", ("cname",),
+            (PredicateAtom("range", "department", low=0.0, high=1.0, dtype=DType.NUMERIC),),
         )
         engine, table = engine_with(logs_table, state, warm_queries=[LOGS_WARM_QUERY])
         with pytest.raises(TypeError):

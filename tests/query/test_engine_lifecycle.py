@@ -29,7 +29,7 @@ import repro.query.engine as engine_module
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
 from repro.query.engine import EngineConfig, QueryEngine, engine_for
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 from _engine_paths import CACHE_PROFILES
 
@@ -56,7 +56,7 @@ def make_relevant(seed: int, n: int = 60) -> Table:
 def small_batch():
     return [
         PredicateAwareQuery(
-            func, "val", ("key",), {"cat": "a"}, {"cat": DType.CATEGORICAL}
+            func, "val", ("key",), (PredicateAtom("eq", "cat", value="a"),)
         )
         for func in ("SUM", "COUNT", "MEDIAN")
     ]
@@ -66,7 +66,7 @@ def multi_plan_batch():
     """Six queries over three fused plans (three distinct predicates)."""
     return [
         PredicateAwareQuery(
-            func, "val", ("key",), {"cat": value}, {"cat": DType.CATEGORICAL}
+            func, "val", ("key",), (PredicateAtom("eq", "cat", value=value),)
         )
         for value in "abc"
         for func in ("SUM", "COUNT")

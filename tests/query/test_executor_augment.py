@@ -7,7 +7,7 @@ from repro.dataframe.column import DType, parse_datetime
 from repro.dataframe.table import Table
 from repro.query.augment import apply_queries, augment_training_table, generated_feature_names
 from repro.query.executor import execute_query, execute_query_naive
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 
 def paper_query():
@@ -16,11 +16,12 @@ def paper_query():
         agg_func="AVG",
         agg_attr="pprice",
         keys=("cname",),
-        predicates={
-            "department": "electronics",
-            "timestamp": (parse_datetime("2023-07-01"), None),
-        },
-        predicate_dtypes={"department": DType.CATEGORICAL, "timestamp": DType.DATETIME},
+        atoms=(
+            PredicateAtom("eq", "department", value="electronics"),
+            PredicateAtom(
+                "range", "timestamp", low=parse_datetime("2023-07-01"), dtype=DType.DATETIME
+            ),
+        ),
         relation_name="User_Logs",
         feature_name="avgprice",
     )
@@ -47,8 +48,7 @@ class TestExecuteQuery:
             agg_func="SUM",
             agg_attr="pprice",
             keys=("cname",),
-            predicates={"department": "does-not-exist"},
-            predicate_dtypes={"department": DType.CATEGORICAL},
+            atoms=(PredicateAtom("eq", "department", value="does-not-exist"),),
         )
         result = execute_query(query, logs_table)
         assert result.num_rows == 0
@@ -72,8 +72,7 @@ class TestEmptyFilterPath:
             agg_func="SUM",
             agg_attr="pprice",
             keys=("cname",),
-            predicates={"department": "does-not-exist"},
-            predicate_dtypes={"department": DType.CATEGORICAL},
+            atoms=(PredicateAtom("eq", "department", value="does-not-exist"),),
         )
 
     def test_naive_filters_the_table_only_once(self, logs_table, monkeypatch):

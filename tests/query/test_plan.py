@@ -6,15 +6,14 @@ import pytest
 from repro.dataframe.aggregates import AGGREGATE_FUNCTIONS, normalise_aggregate_name
 from repro.dataframe.column import DType
 from repro.dataframe.predicates import Equals, Range
-from repro.query.plan import (
-    AggregateSpec,
-    PredicateAtom,
-    QueryPlan,
-    aggregate_spec,
-    atoms_from_query,
-)
-from repro.query.query import PredicateAwareQuery
+from repro.query.plan import AggregateSpec, QueryPlan, aggregate_spec
+from repro.query.pool import QueryPool
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 from repro.query.template import QueryTemplate
+
+
+TOYS = PredicateAtom("eq", "dept", value="toys")
+LEVEL_1_5 = PredicateAtom("range", "level", low=1.0, high=5.0, dtype=DType.NUMERIC)
 
 
 def make_query(**overrides) -> PredicateAwareQuery:
@@ -22,8 +21,7 @@ def make_query(**overrides) -> PredicateAwareQuery:
         agg_func="avg",
         agg_attr="price",
         keys=("user",),
-        predicates={"dept": "toys", "level": (1.0, 5.0)},
-        predicate_dtypes={"dept": DType.CATEGORICAL, "level": DType.NUMERIC},
+        atoms=(TOYS, LEVEL_1_5),
         feature_name="f0",
     )
     defaults.update(overrides)
@@ -31,21 +29,24 @@ def make_query(**overrides) -> PredicateAwareQuery:
 
 
 class TestLowering:
-    def test_from_query_normalises_and_captures_everything(self):
-        plan = QueryPlan.from_query(make_query(agg_func="count distinct"))
+    def test_from_query_normalises_and_copies_the_atoms(self):
+        query = make_query(agg_func="count distinct")
+        plan = QueryPlan.from_query(query)
         assert plan.keys == ("user",)
         assert plan.aggregates == (AggregateSpec("COUNT_DISTINCT", "price", "f0"),)
-        kinds = {(atom.kind, atom.attr) for atom in plan.atoms}
-        assert kinds == {("eq", "dept"), ("range", "level")}
+        assert plan.atoms is query.atoms
 
-    def test_none_and_unbounded_constraints_are_dropped(self):
-        query = make_query(
-            predicates={"dept": None, "level": (None, None), "size": (2.0, None)},
-            predicate_dtypes={"dept": DType.CATEGORICAL, "level": DType.NUMERIC,
-                              "size": DType.NUMERIC},
+    def test_none_and_unbounded_constraints_are_dropped(self, logs_table):
+        template = QueryTemplate(
+            ["AVG"], ["pprice"], ["department", "timestamp", "pprice"], ["cname"]
         )
-        plan = QueryPlan.from_query(query)
-        assert [atom.attr for atom in plan.atoms] == ["size"]
+        pool = QueryPool(template, logs_table)
+        params = {name: None for name in pool.space.names}
+        params.update(agg_func="AVG", agg_attr="pprice", group_keys=("cname",))
+        params["pred_low::pprice"] = 2.0
+        plan = QueryPlan.from_query(pool.decode(params))
+        assert [atom.attr for atom in plan.atoms] == ["pprice"]
+        assert (plan.atoms[0].low, plan.atoms[0].high) == (2.0, None)
 
     def test_unknown_aggregate_rejected_at_plan_build(self):
         with pytest.raises(KeyError):
@@ -65,11 +66,14 @@ class TestLowering:
                 QueryPlan.from_query(make_query(agg_func=name))
 
     def test_atoms_lower_to_the_same_predicates_as_the_query(self):
+        """The engine masks from the plan's atoms, the naive executor from
+        ``query.build_predicate()``; both must render the same WHERE."""
         query = make_query()
-        atoms = atoms_from_query(query)
-        rendered = {atom.to_predicate().to_sql() for atom in atoms}
+        plan = QueryPlan.from_query(query)
+        rendered = {atom.to_predicate().to_sql() for atom in plan.atoms}
         assert rendered == {p.to_sql() for p in query.build_predicate().predicates}
-        assert isinstance(atoms[0].to_predicate(), (Equals, Range))
+        assert isinstance(plan.atoms[0].to_predicate(), Equals)
+        assert isinstance(plan.atoms[1].to_predicate(), Range)
 
 
 class TestAggregateSpellings:
@@ -92,8 +96,8 @@ class TestAggregateSpellings:
 
 class TestSignatures:
     def test_predicate_signature_is_order_independent(self):
-        a = make_query(predicates={"dept": "toys", "level": (1.0, 5.0)})
-        b = make_query(predicates={"level": (1.0, 5.0), "dept": "toys"})
+        a = make_query(atoms=(TOYS, LEVEL_1_5))
+        b = make_query(atoms=(LEVEL_1_5, TOYS))
         assert (
             QueryPlan.from_query(a).predicate_signature()
             == QueryPlan.from_query(b).predicate_signature()
@@ -105,12 +109,12 @@ class TestSignatures:
         assert signatures == {("eq", "dept", "toys"), ("range", "level", 1.0, 5.0)}
 
     def test_empty_where_clause_is_the_empty_tuple(self):
-        plan = QueryPlan.from_query(make_query(predicates={}, predicate_dtypes={}))
+        plan = QueryPlan.from_query(make_query(atoms=()))
         assert plan.predicate_signature() == ()
         assert plan.group_key() == ((), ("user",))
 
     def test_unhashable_constant_makes_the_plan_uncacheable(self):
-        query = make_query(predicates={"dept": {"un": "hashable"}})
+        query = make_query(atoms=(PredicateAtom("eq", "dept", value={"un": "hashable"}),))
         plan = QueryPlan.from_query(query)
         assert plan.predicate_signature() is None
         assert plan.group_key() is None
@@ -118,11 +122,10 @@ class TestSignatures:
         assert plan.signature() is None
 
     def test_result_key_distinguishes_predicate_dtypes(self):
-        """The dtype decides eq vs range, so the same constants never collide."""
-        range_query = make_query(predicates={"level": (1.0, 5.0)},
-                                 predicate_dtypes={"level": DType.NUMERIC})
-        equals_query = make_query(predicates={"level": (1.0, 5.0)},
-                                  predicate_dtypes={})  # defaults to CATEGORICAL
+        """A numeric attribute decodes to a range, a categorical one to an
+        equality; the two atom kinds over the same constants never collide."""
+        range_query = make_query(atoms=(LEVEL_1_5,))
+        equals_query = make_query(atoms=(PredicateAtom("eq", "level", value=(1.0, 5.0)),))
         assert (
             QueryPlan.from_query(range_query).result_key()
             != QueryPlan.from_query(equals_query).result_key()
@@ -135,7 +138,7 @@ class TestSignatures:
             dict(agg_attr="qty"),
             dict(keys=("user", "item")),
             dict(feature_name="f1"),
-            dict(predicates={"dept": "books"}),
+            dict(atoms=(PredicateAtom("eq", "dept", value="books"), LEVEL_1_5)),
         ):
             other = QueryPlan.from_query(make_query(**overrides))
             assert base.result_key() != other.result_key()
@@ -209,6 +212,11 @@ class TestAtomKinds:
         with pytest.raises(ValueError, match="atom kind"):
             PredicateAtom(kind, "level", low=1.0, high=5.0, dtype=DType.NUMERIC)
 
+    def test_range_without_bounds_rejected(self):
+        """A range needs a bound: "no predicate" is the absence of an atom."""
+        with pytest.raises(ValueError, match="at least one bound"):
+            PredicateAtom("range", "level", dtype=DType.NUMERIC)
+
 
 class TestEqConstantNormalisation:
     def test_numpy_scalar_eq_constant_hits_the_same_signature(self):
@@ -222,10 +230,10 @@ class TestEqConstantNormalisation:
         assert a.signature() == b.signature()
 
     def test_mixed_scalar_kinds_share_the_plan_signature(self):
-        a = make_query(predicates={"level": (np.float64(1.0), np.float64(5.0))},
-                       predicate_dtypes={"level": DType.NUMERIC})
-        b = make_query(predicates={"level": (1.0, 5.0)},
-                       predicate_dtypes={"level": DType.NUMERIC})
+        a = make_query(atoms=(PredicateAtom(
+            "range", "level", low=np.float64(1.0), high=np.float64(5.0), dtype=DType.NUMERIC
+        ),))
+        b = make_query(atoms=(LEVEL_1_5,))
         assert (
             QueryPlan.from_query(a).predicate_signature()
             == QueryPlan.from_query(b).predicate_signature()

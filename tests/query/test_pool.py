@@ -102,7 +102,8 @@ class TestDecodeEncode:
             "group_keys": ("cname",),
         }
         query = pool.decode(params)
-        assert query.predicates["timestamp"] == (50.0, 100.0)
+        (atom,) = query.atoms
+        assert (atom.kind, atom.attr, atom.low, atom.high) == ("range", "timestamp", 50.0, 100.0)
 
     def test_sample_random_queries_valid(self, pool, logs_table):
         queries = pool.sample_random(seed=0, n=10)
@@ -138,6 +139,82 @@ class TestDecodeEncode:
             assert result.column_names == expected.column_names
             for name in expected.column_names:
                 assert result.column(name) == expected.column(name)
+
+
+def params_for(pool, **overrides):
+    """A parameter dictionary with every WHERE dimension left at ``None``."""
+    params = {name: None for name in pool.space.names}
+    params.update(agg_func="SUM", agg_attr="pprice", group_keys=("cname",))
+    params.update(overrides)
+    return params
+
+
+class TestDecodeAtoms:
+    """``QueryPool.decode`` is where a query's typed WHERE atoms are built."""
+
+    def test_unconstrained_attributes_produce_no_atom(self, pool, template):
+        query = pool.decode(params_for(pool))
+        assert query.atoms == ()
+        assert query.predicate_attrs == template.predicate_attrs
+        assert "WHERE" not in query.to_sql()
+
+    def test_one_sided_range_keeps_its_open_bound(self, pool):
+        query = pool.decode(params_for(pool, **{"pred_high::timestamp": 75.0}))
+        (atom,) = query.atoms
+        assert (atom.kind, atom.low, atom.high) == ("range", None, 75.0)
+
+    def test_atoms_follow_the_template_attribute_order(self, pool):
+        query = pool.decode(params_for(
+            pool, **{"pred::department": "media", "pred_low::timestamp": 1.0}
+        ))
+        assert [(atom.kind, atom.attr) for atom in query.atoms] == [
+            ("eq", "department"), ("range", "timestamp")
+        ]
+        assert query.atoms[0].dtype is DType.CATEGORICAL
+
+    def test_datetime_attribute_keeps_its_dtype(self, pool):
+        query = pool.decode(params_for(
+            pool, **{"pred_low::timestamp": 1.0, "pred_high::timestamp": 2.0}
+        ))
+        assert query.atoms[0].dtype is DType.DATETIME
+        assert "timestamp >= '1970-01-01" in query.to_sql()
+
+    def test_numeric_attribute_keeps_its_dtype(self, logs_table):
+        pool = QueryPool(QueryTemplate(["SUM"], ["pprice"], ["pprice"], ["cname"]), logs_table)
+        query = pool.decode(params_for(pool, **{"pred_low::pprice": 3.0}))
+        assert query.atoms[0].dtype is DType.NUMERIC
+
+    def test_numpy_scalar_constants_give_the_python_signature(self, pool):
+        python = pool.decode(params_for(pool, **{
+            "pred::department": "media",
+            "pred_low::timestamp": 1.0,
+            "pred_high::timestamp": 2.0,
+        }))
+        numpy = pool.decode(params_for(pool, **{
+            "pred::department": np.str_("media"),
+            "pred_low::timestamp": np.float64(1.0),
+            "pred_high::timestamp": np.float64(2.0),
+        }))
+        assert numpy.signature() == python.signature()
+        assert [a.signature() for a in numpy.atoms] == [a.signature() for a in python.atoms]
+        assert numpy.to_sql() == python.to_sql()
+
+    @pytest.mark.parametrize(
+        "predicate_attrs",
+        [("department",), ("pprice",), ("timestamp",), ("department", "pprice", "timestamp")],
+    )
+    def test_query_mask_equals_the_engine_plan_mask(self, logs_table, predicate_attrs):
+        from repro.query.engine import QueryEngine
+
+        template = QueryTemplate(["SUM"], ["pprice"], predicate_attrs, ["cname"])
+        engine = QueryEngine(logs_table)
+        for query in QueryPool(template, logs_table).sample_random(seed=5, n=12):
+            expected = query.build_predicate().mask(logs_table)
+            plan_mask = engine.plan_mask(engine.plan(query))
+            if plan_mask is None:
+                assert query.atoms == () and expected.all()
+            else:
+                np.testing.assert_array_equal(plan_mask, expected)
 
 
 def appended_row(**overrides):

@@ -30,7 +30,7 @@ from repro.dataframe.grouped_kernels import GroupedAggregator
 from repro.dataframe.table import Table
 from repro.query.engine import EngineConfig, QueryEngine
 from repro.query.executor import execute_query_naive
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 #: Value pools: a handful of values so ties are heavy, plus every float the
 #: ordering has to get right (signed zeros compare equal and must keep row
@@ -198,9 +198,8 @@ def make_table(n: int = 400, seed: int = 0) -> Table:
 
 
 def median_query(cat=None, func: str = "MEDIAN") -> PredicateAwareQuery:
-    predicates = {} if cat is None else {"cat": cat}
-    dtypes = {} if cat is None else {"cat": DType.CATEGORICAL}
-    return PredicateAwareQuery(func, "x", ("user",), predicates, dtypes)
+    atoms = () if cat is None else (PredicateAtom("eq", "cat", value=cat),)
+    return PredicateAwareQuery(func, "x", ("user",), atoms)
 
 
 def appended_rows(n: int, seed: int) -> dict:
@@ -299,7 +298,7 @@ class TestEngineValueRank:
         table = make_table()
         engine = numpy_engine(table)
         spy = RankSpy(engine)
-        query = PredicateAwareQuery("MODE", "cat", ("user",), {}, {})
+        query = PredicateAwareQuery("MODE", "cat", ("user",))
         result = engine.execute(query)
         assert engine.stats.sort_misses == 1
         assert spy.used == []
@@ -327,7 +326,7 @@ class TestEngineValueRank:
         unseen = [
             median_query("c"),
             median_query("b"),
-            PredicateAwareQuery("MEDIAN", "x", ("cat",), {}, {}),
+            PredicateAwareQuery("MEDIAN", "x", ("cat",)),
         ]
         for step, fresh in enumerate(unseen):
             delta = appended_rows(25, seed=step)

@@ -36,7 +36,7 @@ import pytest
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
 from repro.query.engine import EngineConfig, QueryEngine
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 from repro.query.service import (
     MAX_BATCH_ENV_VAR,
     QUEUE_ENV_VAR,
@@ -80,7 +80,7 @@ def make_batch():
         for func in ("SUM", "AVG", "MEDIAN"):
             queries.append(
                 PredicateAwareQuery(
-                    func, "val", ("key",), {"cat": value}, {"cat": DType.CATEGORICAL}
+                    func, "val", ("key",), (PredicateAtom("eq", "cat", value=value),)
                 )
             )
     queries.append(PredicateAwareQuery("COUNT", "val", ("key",)))

@@ -25,7 +25,7 @@ from repro.dataframe.aggregates import AGGREGATE_FUNCTIONS
 from repro.dataframe.column import Column, DType, format_datetime, parse_datetime
 from repro.dataframe.table import Table
 from repro.query.executor import execute_query
-from repro.query.query import PredicateAwareQuery
+from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 #: Functions SQLite evaluates itself; the rest are registered below.
 SQLITE_NATIVE = {"SUM", "MIN", "MAX", "COUNT", "AVG", "COUNT_DISTINCT"}
@@ -48,20 +48,25 @@ ROWS = [
     ("u4", "x", 0.1, "2023-07-03 12:00:00", 4.25),
 ]
 
-DTYPES = {"cat": DType.CATEGORICAL, "num": DType.NUMERIC, "ts": DType.DATETIME}
-
 #: WHERE clauses by shape: none, equality (with a quote to escape), closed
 #: and one-sided numeric ranges whose bounds are data values, a datetime
 #: range with a timed bound, and an equality beside a range.
+def num_range(low, high):
+    return PredicateAtom("range", "num", low=low, high=high, dtype=DType.NUMERIC)
+
+
 WHERE_SHAPES = {
-    "none": {},
-    "eq": {"cat": "x"},
-    "eq_quoted": {"cat": "o'brien"},
-    "range": {"num": (0.1, 2.5)},
-    "low_only": {"num": (0.1, None)},
-    "high_only": {"num": (None, 2.5)},
-    "datetime": {"ts": (parse_datetime("2023-07-01"), parse_datetime("2023-07-03 12:00:00"))},
-    "eq_and_range": {"cat": "y", "num": (-3.0, 10.0)},
+    "none": (),
+    "eq": (PredicateAtom("eq", "cat", value="x"),),
+    "eq_quoted": (PredicateAtom("eq", "cat", value="o'brien"),),
+    "range": (num_range(0.1, 2.5),),
+    "low_only": (num_range(0.1, None),),
+    "high_only": (num_range(None, 2.5),),
+    "datetime": (PredicateAtom(
+        "range", "ts", low=parse_datetime("2023-07-01"),
+        high=parse_datetime("2023-07-03 12:00:00"), dtype=DType.DATETIME,
+    ),),
+    "eq_and_range": (PredicateAtom("eq", "cat", value="y"), num_range(-3.0, 10.0)),
 }
 
 
@@ -148,13 +153,8 @@ def conn(table):
 @pytest.mark.parametrize("shape", list(WHERE_SHAPES))
 @pytest.mark.parametrize("func", list(AGGREGATE_FUNCTIONS))
 def test_printed_sql_selects_the_engine_feature(table, conn, func, shape):
-    predicates = WHERE_SHAPES[shape]
     query = PredicateAwareQuery(
-        agg_func=func,
-        agg_attr="val",
-        keys=("k",),
-        predicates=predicates,
-        predicate_dtypes={attr: DTYPES[attr] for attr in predicates},
+        agg_func=func, agg_attr="val", keys=("k",), atoms=WHERE_SHAPES[shape]
     )
     assert_same_feature(table, conn, query)
 
@@ -166,8 +166,7 @@ def test_two_key_group_by_keeps_the_missing_key_group(table, conn, func):
         agg_func=func,
         agg_attr="val",
         keys=("k", "cat"),
-        predicates={"num": (0.0, 5.0)},
-        predicate_dtypes={"num": DType.NUMERIC},
+        atoms=(num_range(0.0, 5.0),),
     )
     assert ("u2", None) in engine_feature(query, table)
     assert_same_feature(table, conn, query)
@@ -176,14 +175,8 @@ def test_two_key_group_by_keeps_the_missing_key_group(table, conn, func):
 def test_where_shapes_select_different_rows(table):
     """The shapes are not vacuous: each selects a distinct, non-empty row set."""
     masks = set()
-    for shape, predicates in WHERE_SHAPES.items():
-        query = PredicateAwareQuery(
-            agg_func="COUNT",
-            agg_attr="val",
-            keys=("k",),
-            predicates=predicates,
-            predicate_dtypes={attr: DTYPES[attr] for attr in predicates},
-        )
+    for shape, atoms in WHERE_SHAPES.items():
+        query = PredicateAwareQuery(agg_func="COUNT", agg_attr="val", keys=("k",), atoms=atoms)
         mask = query.build_predicate().mask(table)
         assert mask.any(), shape
         masks.add(tuple(mask))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dataframe.aggregates import DEFAULT_AGGREGATES
-from repro.query.template import QueryTemplate, enumerate_attribute_combinations
+from repro.query.template import QueryTemplate
 
 
 class TestQueryTemplate:
@@ -52,29 +52,7 @@ class TestQueryTemplate:
         template = QueryTemplate(["SUM"], ["x"], ["A", "C", "E", "F"], ["k"])
         assert list(template.encode(list("ABCDEF"))) == [1, 0, 1, 0, 1, 1]
 
-    def test_describe_mentions_parts(self):
-        text = QueryTemplate(["SUM"], ["x"], ["a"], ["k"]).describe()
-        assert "SUM" in text and "x" in text and "a" in text and "k" in text
-
     def test_hashable_and_frozen(self):
         template = QueryTemplate(["SUM"], ["x"], ["a"], ["k"])
         assert hash(template) == hash(QueryTemplate(["SUM"], ["x"], ["a"], ["k"]))
 
-
-class TestEnumerateCombinations:
-    def test_counts_all_nonempty_subsets(self):
-        combos = enumerate_attribute_combinations(["a", "b", "c"])
-        assert len(combos) == 7
-
-    def test_max_size_limits(self):
-        combos = enumerate_attribute_combinations(["a", "b", "c", "d"], max_size=2)
-        assert all(len(c) <= 2 for c in combos)
-        assert len(combos) == 4 + 6
-
-    def test_empty_input(self):
-        assert enumerate_attribute_combinations([]) == []
-
-    def test_subset_count_matches_paper_formula(self):
-        """|S_attr| = 2^|attr| (including the empty set which we exclude)."""
-        attrs = list("abcde")
-        assert len(enumerate_attribute_combinations(attrs)) == 2 ** len(attrs) - 1
