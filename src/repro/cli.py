@@ -21,7 +21,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.core.config import FeatAugConfig
+from repro.core.config import PROXY_NAMES, FeatAugConfig
 from repro.core.feataug import FeatAug
 from repro.dataframe.io import read_csv, write_csv
 from repro.datasets import DATASET_NAMES, load_dataset
@@ -30,32 +30,42 @@ from repro.experiments.runner import METHOD_NAMES, run_method
 from repro.ml.model_zoo import MODEL_NAMES
 
 
-def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-templates", type=int, default=4, help="number of query templates to identify")
-    parser.add_argument("--queries-per-template", type=int, default=3, help="queries generated per template")
-    parser.add_argument("--warmup-iterations", type=int, default=30, help="proxy-TPE iterations in the warm-up phase")
-    parser.add_argument("--search-iterations", type=int, default=12, help="real-model TPE iterations per template")
-    parser.add_argument("--proxy", choices=["mi", "spearman", "lr"], default="mi", help="low-cost proxy")
-    parser.add_argument(
-        "--search-batch-size",
-        type=int,
-        default=1,
-        help="candidates proposed and evaluated per search round; >1 batches "
+#: The search profile ``run`` and ``augment`` start from: a smaller search
+#: than the :class:`FeatAugConfig` defaults, so one CLI run takes seconds.
+CLI_DEFAULTS = FeatAugConfig(
+    n_templates=4, queries_per_template=3, warmup_iterations=30, search_iterations=12
+)
+
+#: The config fields exposed as ``--field-name`` flags, with their help.
+CONFIG_FLAGS = (
+    ("n_templates", "number of query templates to identify"),
+    ("queries_per_template", "queries generated per template"),
+    ("warmup_iterations", "proxy-TPE iterations in the warm-up phase"),
+    ("search_iterations", "real-model TPE iterations per template"),
+    ("proxy", "low-cost proxy"),
+    (
+        "search_batch_size",
+        "candidates proposed and evaluated per search round; >1 batches "
         "them through one fused engine pass with proposal deduplication",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    ),
+    ("seed", "random seed"),
+)
+
+
+def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
+    for name, help_text in CONFIG_FLAGS:
+        default = getattr(CLI_DEFAULTS, name)
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            type=type(default),
+            default=default,
+            choices=PROXY_NAMES if name == "proxy" else None,
+            help=help_text,
+        )
 
 
 def _config_from_args(args: argparse.Namespace) -> FeatAugConfig:
-    return FeatAugConfig(
-        n_templates=args.n_templates,
-        queries_per_template=args.queries_per_template,
-        warmup_iterations=args.warmup_iterations,
-        search_iterations=args.search_iterations,
-        proxy=args.proxy,
-        search_batch_size=args.search_batch_size,
-        seed=args.seed,
-    )
+    return CLI_DEFAULTS.with_overrides(**{name: getattr(args, name) for name, _ in CONFIG_FLAGS})
 
 
 def build_parser() -> argparse.ArgumentParser:

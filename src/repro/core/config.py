@@ -9,7 +9,10 @@ queries before 40 real-model TPE iterations; the defaults here use 40 / 10 /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+#: The low-cost proxies a config may name (Table VIII).
+PROXY_NAMES = ("mi", "spearman", "lr")
 
 
 @dataclass
@@ -39,12 +42,8 @@ class FeatAugConfig:
     #: search strategy inside a query pool: "tpe" (the paper's choice) or
     #: "random" (pure random search, the strategy behind the Random baseline).
     search_strategy: str = "tpe"
-    #: TPE gamma (fraction of trials considered "good").
-    tpe_gamma: float = 0.15
     #: random trials before TPE starts modelling.
     tpe_startup_trials: int = 8
-    #: candidates scored per TPE suggestion.
-    tpe_candidates: int = 24
     #: suggestions proposed (and evaluated through one fused engine batch)
     #: per ask/tell round of every pool search -- warm-up proxy round, real
     #: search round and the template-identification scoring runs.  1 keeps
@@ -75,11 +74,8 @@ class FeatAugConfig:
     # ------------------------------------------------------------------
     # Proxy and evaluation
     # ------------------------------------------------------------------
-    #: low-cost proxy: "mi", "spearman" or "lr" (Table VIII).
+    #: low-cost proxy, one of :data:`PROXY_NAMES` (Table VIII).
     proxy: str = "mi"
-    #: fraction of the provided training table held out as the validation
-    #: split used by the search (the paper's D_valid).
-    validation_fraction: float = 0.25
     #: random seed for every stochastic component.
     seed: int = 0
 
@@ -89,13 +85,11 @@ class FeatAugConfig:
             raise ValueError("n_templates must be >= 1")
         if self.queries_per_template < 1:
             raise ValueError("queries_per_template must be >= 1")
-        if not 0 < self.validation_fraction < 1:
-            raise ValueError("validation_fraction must be in (0, 1)")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         if self.max_template_depth < 1:
             raise ValueError("max_template_depth must be >= 1")
-        if self.proxy not in ("mi", "spearman", "lr"):
+        if self.proxy not in PROXY_NAMES:
             raise ValueError(f"Unknown proxy {self.proxy!r}")
         if self.search_strategy not in ("tpe", "random"):
             raise ValueError(f"Unknown search strategy {self.search_strategy!r}")

@@ -35,6 +35,10 @@ from repro.query.engine import engine_for
 from repro.query.query import PredicateAwareQuery
 from repro.query.template import QueryTemplate
 
+#: Fraction of the provided training table held out as the validation split
+#: the search scores on (the paper's D_valid).
+VALIDATION_FRACTION = 0.25
+
 
 @dataclass
 class FeatAugResult:
@@ -99,9 +103,10 @@ class FeatAug:
     def _build_evaluator(
         self, train_table: Table, relevant_table: Table, engine=None
     ) -> ModelEvaluator:
-        fit_fraction = 1.0 - self.config.validation_fraction
         fit_table, valid_table, _ = train_valid_test_split(
-            train_table, ratios=(fit_fraction, self.config.validation_fraction, 0.0), seed=self.config.seed
+            train_table,
+            ratios=(1.0 - VALIDATION_FRACTION, VALIDATION_FRACTION, 0.0),
+            seed=self.config.seed,
         )
         base_features = [
             name for name in train_table.column_names if name != self.label and name not in self.keys

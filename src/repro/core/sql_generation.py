@@ -183,9 +183,7 @@ class SQLQueryGenerator:
         return TPEOptimizer(
             self.pool.space,
             seed=self.seed + seed_offset,
-            gamma=self.config.tpe_gamma,
             n_startup_trials=self.config.tpe_startup_trials,
-            n_candidates=self.config.tpe_candidates,
         )
 
     def _run_batched(

@@ -17,7 +17,6 @@ from repro.dataframe.predicates import (
     Equals,
     Range,
     And,
-    AlwaysTrue,
 )
 from repro.dataframe.aggregates import AGGREGATE_FUNCTIONS, aggregate
 from repro.dataframe.groupby import group_by_aggregate
@@ -31,7 +30,6 @@ __all__ = [
     "Equals",
     "Range",
     "And",
-    "AlwaysTrue",
     "AGGREGATE_FUNCTIONS",
     "aggregate",
     "group_by_aggregate",

@@ -22,9 +22,8 @@ functions, so evaluating all 15 aggregates costs roughly one sort plus a
 handful of ``bincount`` passes -- this is what makes
 ``QueryEngine.execute_batch`` scale past the per-group Python loop.  The
 sorted values themselves are an **injectable** intermediate: callers may
-pass precomputed ``sorted_values`` to the constructor or hook a
-``sorted_cache`` callable onto the aggregator, so the sort that dominates
-the order-statistics family (``SORT_BASED_KERNELS``) runs at most once per
+hook a ``sorted_cache`` callable onto the aggregator, so the sort that
+dominates the order-statistics family (``SORT_BASED_KERNELS``) runs at most once per
 (filter, grouping, value column) -- the query engine caches them across
 whole query batches (see ``QueryEngine.sort_order``) and builds them from
 one value rank per column (``QueryEngine.value_rank``).
@@ -117,22 +116,9 @@ class GroupedAggregator:
         float64 aggregation values aligned to *codes*; NaN marks missing.
     n_groups:
         Number of output groups (the length of every result array).
-    sorted_values:
-        Optional precomputed **NaN-stripped** values sorted by (code, value)
-        (see :meth:`sorted_values`).  Passing the array computed for the
-        same (codes, values) pair -- e.g. one cached by the query engine
-        across queries of a template -- skips the sort that otherwise
-        dominates the order-statistics kernels, and is bit-neutral: it is
-        exactly the array the aggregator would compute itself.
     """
 
-    def __init__(
-        self,
-        codes: np.ndarray,
-        values: np.ndarray,
-        n_groups: int,
-        sorted_values: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, codes: np.ndarray, values: np.ndarray, n_groups: int):
         codes = np.asarray(codes, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
         if codes.shape != values.shape:
@@ -148,11 +134,6 @@ class GroupedAggregator:
         else:
             self._codes, self._values = codes[valid], values[valid]
             self._valid = valid
-        if sorted_values is not None and len(sorted_values) != len(self._values):
-            raise ValueError(
-                f"sorted_values must cover the {len(self._values)} NaN-stripped "
-                f"rows, got {len(sorted_values)} entries"
-            )
         self._counts = np.bincount(self._codes, minlength=self.n_groups)
         self._nonempty = self._counts > 0
         #: Optional external source of the sorted values: a callable taking
@@ -181,7 +162,7 @@ class GroupedAggregator:
             Tuple[Callable[[], Tuple[np.ndarray, np.ndarray]], Optional[np.ndarray]]
         ] = None
         # Lazily shared intermediates.
-        self._svals: Optional[np.ndarray] = sorted_values
+        self._svals: Optional[np.ndarray] = None
         self._mad_dev: Optional[np.ndarray] = None
         self._mad_order: Optional[np.ndarray] = None
         self._sums: Optional[np.ndarray] = None
@@ -208,9 +189,9 @@ class GroupedAggregator:
         """The NaN-stripped values sorted by (code, value).
 
         Equal to ``values[np.lexsort((values, codes))]`` over the stripped
-        rows, bit for bit.  Resolved at most once: constructor-provided
-        values win, else the :attr:`sorted_cache` hook (the engine's shared
-        cache) is consulted, else they are computed locally: decoded from
+        rows, bit for bit.  Resolved at most once: the :attr:`sorted_cache`
+        hook (the engine's shared cache) is consulted if set, else they are
+        computed locally: decoded from
         packed rank keys when :attr:`value_rank` is set, else gathered
         through a lexsort.  Every order-statistics kernel (and the
         distribution family's value runs) reads this one array through
@@ -220,8 +201,7 @@ class GroupedAggregator:
             if self.sorted_cache is not None:
                 svals = self.sorted_cache(self._compute_sorted_values)
                 if len(svals) != len(self._values):
-                    # Same guard the constructor applies to provided values:
-                    # a stale or colliding cache entry must fail loudly, not
+                    # A stale or colliding cache entry must fail loudly, not
                     # silently corrupt every order statistic.
                     raise ValueError(
                         f"cached sorted values cover {len(svals)} rows, "

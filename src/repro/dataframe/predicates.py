@@ -36,16 +36,6 @@ class Predicate:
         return And([self, other])
 
 
-class AlwaysTrue(Predicate):
-    """The trivial predicate selecting every row (an empty WHERE clause)."""
-
-    def mask(self, table: Table) -> np.ndarray:
-        return np.ones(table.num_rows, dtype=bool)
-
-    def to_sql(self) -> str:
-        return "TRUE"
-
-
 class Equals(Predicate):
     """``column = value`` equality predicate (categorical attributes)."""
 
@@ -111,10 +101,10 @@ class Range(Predicate):
 
 
 class And(Predicate):
-    """Conjunction of predicates."""
+    """Conjunction of predicates (an empty one selects every row)."""
 
     def __init__(self, predicates: Sequence[Predicate]):
-        self.predicates = [p for p in predicates if not isinstance(p, AlwaysTrue)]
+        self.predicates = list(predicates)
 
     def mask(self, table: Table) -> np.ndarray:
         mask = np.ones(table.num_rows, dtype=bool)

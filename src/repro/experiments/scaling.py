@@ -19,6 +19,11 @@ from repro.dataframe.column import Column
 from repro.dataframe.table import Table
 from repro.datasets.base import DatasetBundle
 
+#: The small search every sweep runs unless handed another config.
+SWEEP_CONFIG = FeatAugConfig(
+    n_templates=2, queries_per_template=2, warmup_iterations=10, warmup_top_k=3, search_iterations=5
+)
+
 
 @dataclass
 class ScalingPoint:
@@ -156,7 +161,7 @@ def run_scaling_columns(
     config: FeatAugConfig | None = None,
 ) -> List[ScalingPoint]:
     """Figure 7: FeatAug runtime as the relevant table gets wider."""
-    config = config or FeatAugConfig(n_templates=2, queries_per_template=2, warmup_iterations=10, warmup_top_k=3, search_iterations=5)
+    config = config or SWEEP_CONFIG
     points = []
     for n_copies in copies:
         widened = widen_relevant_table(bundle, n_copies)
@@ -172,7 +177,7 @@ def run_scaling_rows_train(
     config: FeatAugConfig | None = None,
 ) -> List[ScalingPoint]:
     """Figure 8: FeatAug runtime as the training table grows."""
-    config = config or FeatAugConfig(n_templates=2, queries_per_template=2, warmup_iterations=10, warmup_top_k=3, search_iterations=5)
+    config = config or SWEEP_CONFIG
     points = []
     for n_rows in row_counts:
         reduced = subsample_train(bundle, n_rows)
@@ -187,7 +192,7 @@ def run_scaling_rows_relevant(
     config: FeatAugConfig | None = None,
 ) -> List[ScalingPoint]:
     """Figure 9: FeatAug runtime as the relevant table grows."""
-    config = config or FeatAugConfig(n_templates=2, queries_per_template=2, warmup_iterations=10, warmup_top_k=3, search_iterations=5)
+    config = config or SWEEP_CONFIG
     points = []
     for n_rows in row_counts:
         reduced = subsample_relevant(bundle, n_rows)

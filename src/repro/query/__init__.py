@@ -26,7 +26,7 @@ Implements the paper's core abstractions (Section III):
   plan dedup, and resolves per-caller futures with
   results bit-identical to serial execution; per-request deadlines and a
   draining ``close()`` round out the service contract
-  (:class:`ServiceConfig`, ``$REPRO_SERVICE_*``).
+  (:class:`ServiceConfig`: batch and queue bounds, default deadline).
 * :func:`execute_query` / :func:`augment_training_table` -- the relational
   plumbing (filter -> group-by aggregate -> left join onto the training
   table); :func:`execute_query_naive` is the uncached reference
@@ -51,9 +51,6 @@ from repro.query.service import (
     ServiceConfig,
     ServiceError,
     ServiceOverloadedError,
-    default_max_batch,
-    default_queue_depth,
-    default_timeout_ms,
 )
 from repro.query.executor import execute_query, execute_query_naive
 from repro.query.augment import augment_training_table, apply_queries
@@ -76,9 +73,6 @@ __all__ = [
     "ServiceClosedError",
     "ServiceOverloadedError",
     "DeadlineExpiredError",
-    "default_max_batch",
-    "default_queue_depth",
-    "default_timeout_ms",
     "execute_query",
     "execute_query_naive",
     "augment_training_table",

@@ -110,10 +110,6 @@ class EngineConfig:
         if self.sort_cache_size < 0:
             raise ValueError("sort_cache_size must be >= 0 (0 disables the cache)")
 
-    def cache_key(self) -> tuple:
-        """Identity used to share engines per table."""
-        return (self.mask_cache_size, self.result_cache_size, self.sort_cache_size)
-
 
 @dataclass
 class EngineStats:
@@ -921,41 +917,38 @@ class QueryEngine:
         self.stats.reset()
 
 
-#: Per-table shared engines (one per engine config), keyed by table identity.
+#: Per-table shared engines, keyed by table identity.
 #: Engines only hold a weak reference back to their table, so entries
 #: (engine, caches and all) disappear once the table is garbage-collected,
 #: and a held-out relevant table can never see masks or results computed
 #: against a different table.
-_ENGINE_REGISTRY: "weakref.WeakKeyDictionary[Table, Dict[tuple, QueryEngine]]" = (
+_ENGINE_REGISTRY: "weakref.WeakKeyDictionary[Table, QueryEngine]" = (
     weakref.WeakKeyDictionary()
 )
 
 #: Serialises registry lookups/creation so concurrent ``engine_for`` callers
-#: can never race two engines into the same (table, config) slot.
+#: can never race two engines into the same table's slot.
 _REGISTRY_LOCK = threading.Lock()
 
 
-def engine_for(table: Table, config: Optional[EngineConfig] = None) -> QueryEngine:
+def engine_for(table: Table) -> QueryEngine:
     """The process-wide shared :class:`QueryEngine` bound to *table*.
 
     Keyed by object identity: every distinct ``Table`` object gets its own
-    engine per :class:`EngineConfig`, and all call sites touching the same
-    relevant table with the same config share one.
+    engine (at the default :class:`EngineConfig`), and all call sites
+    touching the same relevant table share it.
     """
-    config = config if config is not None else EngineConfig()
-    key = config.cache_key()
     with _REGISTRY_LOCK:
-        per_table = _ENGINE_REGISTRY.setdefault(table, {})
-        engine = per_table.get(key)
+        engine = _ENGINE_REGISTRY.get(table)
     if engine is None:
         # Construct outside the registry lock, so unrelated tables' lookups
         # never serialise behind one construction.  The slot is
         # double-checked under the lock before insertion, so concurrent
         # first access yields exactly one registered engine; a losing
         # candidate is simply dropped.
-        candidate = QueryEngine(table, config=config, weak_table=True)
+        candidate = QueryEngine(table, weak_table=True)
         with _REGISTRY_LOCK:
-            engine = per_table.setdefault(key, candidate)
+            engine = _ENGINE_REGISTRY.setdefault(table, candidate)
     # A version bump must never serve state keyed to the old generation:
     # refresh outside the registry lock (refreshes of different tables'
     # engines need not serialise on it).

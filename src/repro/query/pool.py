@@ -157,7 +157,6 @@ class QueryPool:
             agg_attr=params["agg_attr"],
             keys=tuple(group_keys),
             atoms=tuple(atoms),
-            predicate_attrs=self.template.predicate_attrs,
             relation_name=self.relation_name,
         )
 

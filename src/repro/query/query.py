@@ -74,16 +74,13 @@ class PredicateAwareQuery:
     ``atoms`` is the WHERE clause: an equality atom per constrained
     categorical attribute and a closed range per constrained numeric or
     datetime attribute, in the template's attribute order
-    (:meth:`QueryPool.decode` builds them).  ``predicate_attrs`` is the
-    template's WHERE attribute combination ``P``; it stays part of the
-    query's identity even for attributes that carry no constraint.
+    (:meth:`QueryPool.decode` builds them).
     """
 
     agg_func: str
     agg_attr: str
     keys: Tuple[str, ...]
     atoms: Tuple[PredicateAtom, ...] = ()
-    predicate_attrs: Tuple[str, ...] = ()
     relation_name: str = "R"
     feature_name: str = "feature"
 
@@ -117,14 +114,12 @@ class PredicateAwareQuery:
     def signature(self) -> tuple:
         """Hashable identity of the query (used to deduplicate results).
 
-        The atoms are frozen and compare by value; the template's attribute
-        set is part of the identity, so two unconstrained queries from
-        templates over different attributes stay distinct.
+        The atoms are frozen and compare by value, so queries that compute
+        the same SQL are one query, whichever template they came from.
         """
         return (
             self.agg_func,
             self.agg_attr,
             self.keys,
-            tuple(sorted(self.predicate_attrs)),
             tuple(sorted(self.atoms, key=lambda atom: atom.attr)),
         )

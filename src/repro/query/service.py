@@ -50,40 +50,27 @@ Observability: the service books ``service_admitted`` / ``service_rejected``
 :class:`~repro.query.engine.EngineStats`, flowing through ``delta_since`` /
 ``reset`` under the documented counter-vs-gauge contract.
 
-Configuration: ``ServiceConfig(None)`` fields resolve against
-``$REPRO_SERVICE_MAX_BATCH``, ``$REPRO_SERVICE_QUEUE_DEPTH`` and
-``$REPRO_SERVICE_TIMEOUT_MS`` at use time, with malformed values (a
-non-integer bound, a NaN or non-positive deadline) failing eagerly at config
-resolution (``ServiceConfig.validate``).
+Configuration: :class:`ServiceConfig` holds the three knobs with concrete
+defaults (``max_batch=64``, ``max_queue=1024``, no deadline); malformed
+values (a non-integer bound, a NaN or non-positive deadline) fail when the
+config is constructed.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence
 
 from collections import deque
 
 from repro.query.engine import QueryEngine
 from repro.query.plan import QueryPlan
 from repro.query.query import PredicateAwareQuery
-
-#: Environment variables the ``ServiceConfig(None)`` fields resolve against.
-MAX_BATCH_ENV_VAR = "REPRO_SERVICE_MAX_BATCH"
-QUEUE_ENV_VAR = "REPRO_SERVICE_QUEUE_DEPTH"
-TIMEOUT_ENV_VAR = "REPRO_SERVICE_TIMEOUT_MS"
-
-#: Default bound on the queries executed per fused round.
-DEFAULT_MAX_BATCH = 64
-
-#: Default bound on the queries waiting in the admission queue.
-DEFAULT_QUEUE_DEPTH = 1024
 
 
 class ServiceError(RuntimeError):
@@ -128,79 +115,35 @@ def _count(name: str, value) -> int:
     return count
 
 
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return _count(f"${name}", int(raw))
-    except ValueError:
-        raise ValueError(f"${name} must be a positive integer, got {raw!r}") from None
-
-
-def default_max_batch() -> int:
-    """``$REPRO_SERVICE_MAX_BATCH`` or 64."""
-    value = _env_int(MAX_BATCH_ENV_VAR)
-    return DEFAULT_MAX_BATCH if value is None else value
-
-
-def default_queue_depth() -> int:
-    """``$REPRO_SERVICE_QUEUE_DEPTH`` or 1024."""
-    value = _env_int(QUEUE_ENV_VAR)
-    return DEFAULT_QUEUE_DEPTH if value is None else value
-
-
-def default_timeout_ms() -> Optional[float]:
-    """``$REPRO_SERVICE_TIMEOUT_MS`` or ``None`` (no deadline)."""
-    raw = os.environ.get(TIMEOUT_ENV_VAR, "").strip()
-    return _timeout_ms(f"${TIMEOUT_ENV_VAR}", raw) if raw else None
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Construction-time knobs of a :class:`QueryService`.
-
-    Like :class:`~repro.query.engine.EngineConfig`, every ``None`` field
-    resolves against its environment variable at use time, and
-    :meth:`validate` raises eagerly on malformed explicit *or* environment
-    values so a typo surfaces where the service is configured, not at the
-    first request.
-    """
+    """Construction-time knobs of a :class:`QueryService`, validated once
+    at construction so a typo surfaces where the service is configured,
+    not at the first request."""
 
     #: Bound on the queries executed per fused round.  Whole requests are
     #: never split: one request larger than the bound rides a round alone.
-    max_batch: Optional[int] = None
+    max_batch: int = 64
     #: Bound on the queries waiting in the admission queue; submissions
     #: that would overflow it raise :class:`ServiceOverloadedError`.
-    max_queue: Optional[int] = None
+    max_queue: int = 1024
     #: Default per-request deadline in milliseconds (queue wait only);
     #: ``None`` = requests wait indefinitely unless ``submit(timeout_ms=)``
     #: says otherwise.
     request_timeout_ms: Optional[float] = None
 
-    @property
-    def batch_limit(self) -> int:
-        if self.max_batch is None:
-            return default_max_batch()
-        return _count("max_batch", self.max_batch)
-
-    @property
-    def queue_limit(self) -> int:
-        if self.max_queue is None:
-            return default_queue_depth()
-        return _count("max_queue", self.max_queue)
-
-    @property
-    def timeout_ms(self) -> Optional[float]:
-        if self.request_timeout_ms is None:
-            return default_timeout_ms()
-        return _timeout_ms("request_timeout_ms", self.request_timeout_ms)
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` on malformed knobs, explicit or from the
-        environment (the resolution properties re-parse ``$REPRO_SERVICE_*``
-        and check every value they return)."""
-        _ = (self.batch_limit, self.queue_limit, self.timeout_ms)
+    def __post_init__(self) -> None:
+        # Store the checked values, so an ``np.int64`` bound reads back as
+        # a plain ``int``.
+        set_field = object.__setattr__
+        set_field(self, "max_batch", _count("max_batch", self.max_batch))
+        set_field(self, "max_queue", _count("max_queue", self.max_queue))
+        if self.request_timeout_ms is not None:
+            set_field(
+                self,
+                "request_timeout_ms",
+                _timeout_ms("request_timeout_ms", self.request_timeout_ms),
+            )
 
 
 class _Request:
@@ -224,7 +167,7 @@ class QueryService:
 
     See the module docstring for the full contract.  Typical use::
 
-        engine = engine_for(relevant_table, config)
+        engine = engine_for(relevant_table)
         with QueryService(engine, ServiceConfig(max_batch=64)) as service:
             future = service.submit(queries)          # from any thread
             tables = future.result()                  # list, input order
@@ -245,10 +188,6 @@ class QueryService:
     ):
         self.engine = engine
         self.config = config or ServiceConfig()
-        self.config.validate()
-        self._max_batch = self.config.batch_limit
-        self._max_queue = self.config.queue_limit
-        self._default_timeout_ms = self.config.timeout_ms
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._queue: Deque[_Request] = deque()
@@ -282,7 +221,7 @@ class QueryService:
         > 0 (``ValueError`` otherwise, NaN included, empty batches too).
         """
         if timeout_ms is None:
-            timeout_ms = self._default_timeout_ms
+            timeout_ms = self.config.request_timeout_ms
         else:
             timeout_ms = _timeout_ms("timeout_ms", timeout_ms)
         plans = [self.engine.plan(query) for query in queries]
@@ -297,10 +236,10 @@ class QueryService:
         with self._lock:
             if self._closing or self._closed:
                 raise ServiceClosedError("QueryService is closed to new submissions")
-            if self._depth + len(plans) > self._max_queue:
+            if self._depth + len(plans) > self.config.max_queue:
                 stats.bump(service_rejected=len(plans))
                 raise ServiceOverloadedError(
-                    f"admission queue is full ({self._depth}/{self._max_queue} "
+                    f"admission queue is full ({self._depth}/{self.config.max_queue} "
                     f"queries waiting; submission of {len(plans)} rejected)"
                 )
             self._queue.append(_Request(plans, future, deadline))
@@ -347,7 +286,7 @@ class QueryService:
         taken = 0
         while self._queue:
             request = self._queue[0]
-            if batch and taken + len(request.plans) > self._max_batch:
+            if batch and taken + len(request.plans) > self.config.max_batch:
                 break
             self._queue.popleft()
             batch.append(request)
@@ -388,7 +327,7 @@ class QueryService:
             service_deduped=duplicates,
             service_coalesced=len(plans) if len(live) > 1 else 0,
         )
-        stats.set_gauges(service_batch_occupancy=len(plans) / self._max_batch)
+        stats.set_gauges(service_batch_occupancy=len(plans) / self.config.max_batch)
         offset = 0
         for request in live:
             n = len(request.plans)

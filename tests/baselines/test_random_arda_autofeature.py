@@ -39,7 +39,7 @@ class TestRandomAugmenter:
         augmenter = RandomAugmenter(keys=["cname"], agg_attrs=["pprice"], n_templates=4, queries_per_template=1, seed=2)
         queries = augmenter.generate(logs_table, ["department"])
         for query in queries:
-            assert set(query.predicate_attrs) <= {"department"}
+            assert {atom.attr for atom in query.atoms} <= {"department"}
 
 
 @pytest.fixture(scope="module")

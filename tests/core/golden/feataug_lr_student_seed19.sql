@@ -16,10 +16,6 @@ SELECT session_id, MAD(hover_duration) AS feature
 FROM R
 GROUP BY session_id
 
-SELECT session_id, MAD(hover_duration) AS feature
-FROM R
-GROUP BY session_id
-
 SELECT session_id, SUM(level) AS feature
 FROM R
 WHERE elapsed_time >= 1016.4767787476098 AND elapsed_time <= 2782.7522335609633

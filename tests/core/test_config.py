@@ -21,10 +21,6 @@ class TestFeatAugConfig:
         with pytest.raises(ValueError):
             FeatAugConfig(queries_per_template=0).validate()
 
-    def test_invalid_validation_fraction(self):
-        with pytest.raises(ValueError):
-            FeatAugConfig(validation_fraction=1.5).validate()
-
     def test_invalid_beam_width(self):
         with pytest.raises(ValueError):
             FeatAugConfig(beam_width=0).validate()

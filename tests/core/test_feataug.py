@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.feataug import FeatAug
+from repro.core.feataug import VALIDATION_FRACTION, FeatAug
 from repro.core.sql_generation import GeneratedQuery
 from repro.query.query import PredicateAtom, PredicateAwareQuery
 
@@ -176,25 +176,43 @@ class TestFeatAugFacade:
         assert feataug.model is not None
 
 
-def generated(loss, predicate_attrs, atoms=()):
-    query = PredicateAwareQuery(
-        "MAD", "hover_duration", ("session_id",), atoms, predicate_attrs=predicate_attrs
-    )
+class TestValidationSplit:
+    def test_search_holds_out_a_quarter_of_the_training_rows(self, facade, tiny_student):
+        """The search scores on ``VALIDATION_FRACTION`` of the training
+        table (the paper's D_valid), split by the config's seed."""
+        from repro.ml.preprocessing import train_valid_test_split
+
+        bundle = tiny_student
+        evaluator = facade._build_evaluator(bundle.train, bundle.relevant)
+        fit, valid, _ = train_valid_test_split(
+            bundle.train, (0.75, 0.25, 0.0), seed=facade.config.seed
+        )
+        assert VALIDATION_FRACTION == 0.25
+        assert valid.num_rows == round(0.25 * bundle.train.num_rows) > 0
+        assert evaluator._train_table.num_rows == fit.num_rows
+        assert evaluator._valid_table.num_rows == valid.num_rows
+        for name in bundle.keys:
+            assert evaluator._valid_table.column(name) == valid.column(name)
+
+
+def generated(loss, atoms=()):
+    query = PredicateAwareQuery("MAD", "hover_duration", ("session_id",), atoms)
     return GeneratedQuery(query=query, loss=loss, metric=-loss)
 
 
 class TestDedupe:
-    def test_unpredicated_queries_from_different_templates_stay_apart(self):
-        """The query identity keeps the template's predicate attributes, so
-        two WHERE-less queries of different templates are two features."""
-        unique = FeatAug._dedupe([generated(0.3, ("event_type",)), generated(0.2, ("level",))])
-        assert [g.query.predicate_attrs for g in unique] == [("level",), ("event_type",)]
+    def test_unpredicated_queries_from_different_templates_are_one_feature(self):
+        """The query identity is the SQL it computes, so the WHERE-less
+        queries that two templates over different attributes both propose
+        are one feature, with the lower loss."""
+        unique = FeatAug._dedupe([generated(0.3), generated(0.2)])
+        assert [g.loss for g in unique] == [0.2]
 
     def test_same_query_keeps_the_lowest_loss(self):
         level_1 = PredicateAtom("eq", "level", value=1)
         unique = FeatAug._dedupe([
-            generated(0.5, ("level",), (level_1,)),
-            generated(0.1, ("level",), (level_1,)),
-            generated(0.3, ("level",)),
+            generated(0.5, (level_1,)),
+            generated(0.1, (level_1,)),
+            generated(0.3),
         ])
         assert [g.loss for g in unique] == [0.1, 0.3]

@@ -4,9 +4,9 @@ The scenario is the ``feataug-lr`` benchmark unit on one dataset seed:
 student at scale 0.25, dataset seed 19, FeatAug with logistic regression,
 ``FeatAugConfig(seed=19)`` and 12 features, searched on the train and
 validation splits of a 60/20/20 split.  The golden file pins the rendered
-WHERE clauses (constants, bound order, datetime and float spellings) and the
-two unpredicated ``MAD(hover_duration)`` queries that come from different
-templates and stay two features, which the seed's reference AUC depends on.
+WHERE clauses (constants, bound order, datetime and float spellings) and one
+unpredicated ``MAD(hover_duration)`` query: two templates over different
+attributes both propose it, and it is one feature.
 """
 
 from pathlib import Path

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dataframe.column import DType
-from repro.dataframe.predicates import AlwaysTrue, And, Equals, Range
+from repro.dataframe.predicates import And, Equals, Range
 from repro.dataframe.table import Table
 
 
@@ -85,14 +85,7 @@ class TestCombinators:
 
     def test_empty_and_selects_all(self, table):
         assert And([]).mask(table).all()
-
-    def test_always_true(self, table):
-        assert AlwaysTrue().mask(table).all()
-        assert AlwaysTrue().to_sql() == "TRUE"
-
-    def test_and_skips_always_true(self, table):
-        predicate = And([AlwaysTrue(), Equals("dept", "media")])
-        assert predicate.to_sql() == "dept = 'media'"
+        assert And([]).to_sql() == "TRUE"
 
     def test_and_sql(self):
         predicate = And([Equals("a", "x"), Range("b", low=1, high=2)])

@@ -35,6 +35,68 @@ class TestParser:
         assert config.search_batch_size == 4
         assert config.seed == 7
 
+    def test_default_flags_yield_the_cli_profile(self):
+        """With no config flag given, ``run`` searches with ``CLI_DEFAULTS``:
+        the :class:`FeatAugConfig` defaults except for four smaller search
+        sizes, the profile of the documented student parity run."""
+        from dataclasses import asdict
+
+        from repro.cli import CLI_DEFAULTS, _config_from_args
+        from repro.core.config import FeatAugConfig
+
+        config = _config_from_args(build_parser().parse_args(["run", "--dataset", "student"]))
+        assert asdict(config) == asdict(CLI_DEFAULTS)
+        differing = {
+            name: value
+            for name, value in asdict(CLI_DEFAULTS).items()
+            if value != getattr(FeatAugConfig(), name)
+        }
+        assert differing == {
+            "n_templates": 4,
+            "queries_per_template": 3,
+            "warmup_iterations": 30,
+            "search_iterations": 12,
+        }
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("n_templates", "5"),
+            ("queries_per_template", "2"),
+            ("warmup_iterations", "7"),
+            ("search_iterations", "3"),
+            ("proxy", "spearman"),
+            ("search_batch_size", "4"),
+            ("seed", "11"),
+        ],
+    )
+    def test_each_config_flag_sets_its_field(self, field, text):
+        """Every generated ``--field-name`` flag parses to its field's type
+        and overrides that field alone; the rest stay ``CLI_DEFAULTS``."""
+        from dataclasses import asdict
+
+        from repro.cli import CLI_DEFAULTS, CONFIG_FLAGS, _config_from_args
+
+        assert field in dict(CONFIG_FLAGS)
+        flag = "--" + field.replace("_", "-")
+        config = _config_from_args(
+            build_parser().parse_args(["run", "--dataset", "student", flag, text])
+        )
+        default = getattr(CLI_DEFAULTS, field)
+        value = getattr(config, field)
+        assert type(value) is type(default)
+        assert value == type(default)(text) != default
+        assert asdict(config) == {**asdict(CLI_DEFAULTS), field: value}
+
+    def test_proxy_choices_are_the_validated_names(self):
+        from repro.core.config import PROXY_NAMES
+
+        for name in PROXY_NAMES:
+            args = build_parser().parse_args(["run", "--dataset", "student", "--proxy", name])
+            assert args.proxy == name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--dataset", "student", "--proxy", "magic"])
+
     def test_engine_backend_flag_rejected(self):
         """The engine has one execution path; there is no backend to pick."""
         with pytest.raises(SystemExit):

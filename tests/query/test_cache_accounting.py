@@ -25,7 +25,6 @@ import pytest
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
 from repro.query.engine import (
-    EngineConfig,
     QueryEngine,
     _LRUCache,
     _value_nbytes,
@@ -314,19 +313,18 @@ class TestClearAndRegistry:
         registry hands back the same engine object but synced -- a lookup
         must never return an engine whose caches still cover the old rows."""
         table = make_relevant(6)
-        config = EngineConfig()
-        engine = engine_for(table, config=config)
+        engine = engine_for(table)
         stale = engine.execute(query_with("a", "COUNT"))
         assert engine._synced_version == 0
         table.append_rows(
             {"key": [0.0, 1.0], "cat": ["a", "a"], "val": [1.0, 2.0]}
         )
-        again = engine_for(table, config=config)
+        again = engine_for(table)
         assert again is engine
         assert again._synced_version == table.version
         assert again._synced_rows == table.num_rows
         fresh = again.execute(query_with("a", "COUNT"))
-        rebuilt = QueryEngine(table, config=config).execute(
+        rebuilt = QueryEngine(table).execute(
             query_with("a", "COUNT")
         )
         assert fresh.column("feature") == rebuilt.column("feature")

@@ -2,7 +2,6 @@
 exposes and the engine's state-reset contract."""
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,51 +67,30 @@ class TestEngineConfig:
         assert engine.sort_cache_len == 0
         assert (engine.stats.sort_misses, engine.stats.sort_hits) == (2, 0)
 
-    def test_engine_for_is_keyed_by_sort_cache_size(self):
-        table = make_relevant(0)
-        assert engine_for(table) is not engine_for(table, EngineConfig(sort_cache_size=8))
-
 
 class TestEngineForConfig:
-    def test_shared_per_table_and_config(self):
+    def test_one_engine_per_table_at_the_default_config(self):
         table = make_relevant(0)
         default = engine_for(table)
         assert engine_for(table) is default
-        assert engine_for(table, EngineConfig()) is default
-        # A different config gets its own engine.
-        other = engine_for(table, EngineConfig(result_cache_size=9))
-        assert other is not default
-        assert engine_for(table, EngineConfig(result_cache_size=9)) is other
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("mask_cache_size", 7),
-            ("mask_cache_size", 1),
-            ("result_cache_size", 7),
-            ("result_cache_size", 1),
-            ("sort_cache_size", 0),
-            ("sort_cache_size", 1),
-        ],
-    )
-    def test_every_cache_key_field_selects_its_own_engine(self, field, value):
-        table = make_relevant(0)
-        base = EngineConfig()
-        changed = replace(base, **{field: value})
-        assert changed.cache_key() != base.cache_key()
-        shared = engine_for(table, base)
-        other = engine_for(table, changed)
-        assert other is not shared
-        assert engine_for(table, changed) is other
+        assert default.config == EngineConfig()
 
     def test_registry_engines_never_cross_tables(self):
         a, b = make_relevant(0), make_relevant(1)
         assert engine_for(a) is not engine_for(b)
         assert engine_for(a).table is a and engine_for(b).table is b
 
-    def test_registry_rejects_invalid_configs(self):
-        with pytest.raises(ValueError, match="Cache sizes must be >= 1"):
-            engine_for(make_relevant(0), EngineConfig(mask_cache_size=0))
+    def test_a_configured_engine_stays_outside_the_registry(self):
+        """``engine_for`` takes no config: an engine at other cache sizes
+        is built directly and never replaces the table's shared one."""
+        table = make_relevant(0)
+        with pytest.raises(TypeError):
+            engine_for(table, EngineConfig(sort_cache_size=8))
+        custom = QueryEngine(table, config=EngineConfig(sort_cache_size=8))
+        shared = engine_for(table)
+        assert shared is not custom
+        assert shared.config == EngineConfig() != custom.config
+        assert engine_for(table) is shared
 
 
 class TestEngineConfigValidation:

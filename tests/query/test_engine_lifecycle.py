@@ -4,11 +4,12 @@ cache clears.
 Pinned here:
 
 * **`engine_for` first-access race** -- two threads looking up the same
-  (table, config) slot concurrently may both construct a candidate engine
+  table's slot concurrently may both construct a candidate engine
   (construction happens outside the global registry lock so unrelated
   tables never serialise on it), but the slot is double-checked before
   insertion: every caller gets the **same** registered engine, and the
-  losing candidate is dropped.
+  losing candidate is dropped.  First lookups of two different tables
+  construct concurrently and get one engine each.
 * **Empty batches are free** -- ``execute_batch([])`` / ``execute_plans([])``
   return ``[]`` without syncing the table or bumping any counter
   (``batches`` counts rounds that carried queries), under every cache
@@ -101,7 +102,6 @@ class TestEngineForRace:
 
         monkeypatch.setattr(engine_module, "QueryEngine", TrackedEngine)
         table = make_relevant(0)
-        config = EngineConfig()
         results = [None] * n_threads
         errors = []
         start_barrier = threading.Barrier(n_threads)
@@ -109,7 +109,7 @@ class TestEngineForRace:
         def lookup(slot):
             try:
                 start_barrier.wait(timeout=10)
-                results[slot] = engine_for(table, config=config)
+                results[slot] = engine_for(table)
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -128,11 +128,14 @@ class TestEngineForRace:
         winner = results[0]
         assert sum(engine is winner for engine in instances) == 1
         # ...and later lookups keep returning the winner.
-        assert engine_for(table, config=config) is winner
+        assert engine_for(table) is winner
 
-    def test_racing_configs_get_one_engine_each(self, monkeypatch):
-        """Concurrent first lookups of one table under two configs fill two
-        slots, one engine each, each bound to the table."""
+    def test_racing_tables_get_one_engine_each(self, monkeypatch):
+        """Concurrent first lookups of two tables construct their engines
+        at the same time (the barrier inside ``__init__`` only releases
+        once both exist, so construction under the registry lock would
+        break it) and fill two slots, one engine each, each bound to its
+        table."""
         construction_barrier = threading.Barrier(2)
         instances = []
 
@@ -143,14 +146,13 @@ class TestEngineForRace:
                 construction_barrier.wait(timeout=10)
 
         monkeypatch.setattr(engine_module, "QueryEngine", TrackedEngine)
-        table = make_relevant(1)
-        configs = (EngineConfig(), EngineConfig(sort_cache_size=0))
+        tables = (make_relevant(1), make_relevant(2))
         results = [None, None]
         errors = []
 
         def lookup(slot):
             try:
-                results[slot] = engine_for(table, config=configs[slot])
+                results[slot] = engine_for(tables[slot])
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -162,10 +164,10 @@ class TestEngineForRace:
         assert not errors, errors[0]
         assert results[0] is not results[1]
         assert len(instances) == 2
-        for engine, config in zip(results, configs):
-            assert engine.config == config
+        for engine, table in zip(results, tables):
             assert engine.table is table
-            assert engine_for(table, config=config) is engine
+            assert engine.config == EngineConfig()
+            assert engine_for(table) is engine
 
     def test_sequential_lookups_construct_exactly_once(self, monkeypatch):
         constructed = []

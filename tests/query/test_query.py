@@ -19,7 +19,6 @@ def make_query(**overrides):
         agg_attr="pprice",
         keys=("cname",),
         atoms=(ELECTRONICS, SINCE_JULY),
-        predicate_attrs=("department", "timestamp"),
         relation_name="User_Logs",
     )
     defaults.update(overrides)
@@ -95,9 +94,9 @@ class TestPredicateConstruction:
         # electronics AND timestamp >= 2023-07-01: rows 0, 2, 5
         assert list(mask) == [True, False, True, False, False, True, False, False, False]
 
-    def test_signature_stable_under_atom_and_attribute_order(self):
+    def test_signature_stable_under_atom_order(self):
         a = make_query()
-        b = make_query(atoms=(SINCE_JULY, ELECTRONICS), predicate_attrs=("timestamp", "department"))
+        b = make_query(atoms=(SINCE_JULY, ELECTRONICS))
         assert a.signature() == b.signature()
 
     def test_signature_stable_under_dict_order(self, logs_table):
@@ -114,14 +113,20 @@ class TestPredicateConstruction:
     def test_signature_differs_for_different_agg(self):
         assert make_query().signature() != make_query(agg_func="SUM").signature()
 
-    def test_signature_keeps_the_template_attributes(self):
-        """Unconstrained queries from templates over different attributes
-        are different queries, as are constrained and unconstrained ones."""
-        bare = make_query(atoms=(), predicate_attrs=("department",))
-        assert bare.signature() != make_query(atoms=(), predicate_attrs=("level",)).signature()
-        constrained = make_query(atoms=(ELECTRONICS,), predicate_attrs=("department",))
-        assert bare.signature() != constrained.signature()
-        assert bare.signature() == make_query(atoms=(), predicate_attrs=("department",)).signature()
+    def test_signature_is_the_computed_sql(self, logs_table):
+        """Unconstrained queries decoded from templates over different
+        attributes compute the same SQL and are one query; constrained and
+        unconstrained ones differ."""
+        bare = []
+        for attrs in (["department"], ["timestamp"]):
+            pool = QueryPool(QueryTemplate(["AVG"], ["pprice"], attrs, ["cname"]), logs_table)
+            params = {name: None for name in pool.space.names}
+            params.update(agg_func="AVG", agg_attr="pprice", group_keys=("cname",))
+            bare.append(pool.decode(params))
+        assert bare[0].signature() == bare[1].signature()
+        assert bare[0].to_sql() == bare[1].to_sql()
+        constrained = make_query(atoms=(ELECTRONICS,))
+        assert make_query(atoms=()).signature() != constrained.signature()
 
     def test_signature_equal_for_numpy_and_python_constants(self):
         numpy_atom = PredicateAtom("eq", "department", value=np.str_("electronics"))

@@ -2,9 +2,10 @@
 
 Covers the full service contract:
 
-* **Config resolution** -- ``ServiceConfig(None)`` fields fall back to the
-  ``$REPRO_SERVICE_*`` environment (empty = default, garbage fails eagerly
-  at ``validate``).
+* **Config** -- ``ServiceConfig`` defaults, garbage knobs failing at
+  construction, and the environment left unread.  Tests whose round bound is not the point run at
+  ``max_batch`` 8 and 64 (:data:`ROUND_BOUNDS`), so requests split over
+  small rounds as well as sharing the default one.
 * **Admission** -- bounded queue with deterministic
   ``ServiceOverloadedError`` backpressure (nothing enqueued on reject),
   ``ServiceClosedError`` after close, empty submissions resolving
@@ -29,6 +30,7 @@ test, never by thread timing.
 
 import threading
 import time
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -38,24 +40,21 @@ from repro.dataframe.table import Table
 from repro.query.engine import EngineConfig, QueryEngine
 from repro.query.query import PredicateAtom, PredicateAwareQuery
 from repro.query.service import (
-    MAX_BATCH_ENV_VAR,
-    QUEUE_ENV_VAR,
-    TIMEOUT_ENV_VAR,
     DeadlineExpiredError,
     QueryService,
     ServiceClosedError,
     ServiceConfig,
     ServiceError,
     ServiceOverloadedError,
-    default_max_batch,
-    default_queue_depth,
-    default_timeout_ms,
 )
 
 from _engine_paths import CACHE_PROFILES, ENGINE_STATES, engine_in_state, sibling_queries
 
 #: Numbers of concurrent callers hammering one service.
 HAMMER_CALLERS = (2, 4, 8)
+
+#: Round bounds for tests that do not pin one: a small one and the default.
+ROUND_BOUNDS = (8, 64)
 
 
 def make_relevant(seed: int, n: int = 80) -> Table:
@@ -138,61 +137,14 @@ class BlockedRound:
 
 
 # ----------------------------------------------------------------------
-# Config resolution
+# Config
 # ----------------------------------------------------------------------
 class TestServiceConfig:
-    def test_defaults(self, monkeypatch):
-        for var in (MAX_BATCH_ENV_VAR, QUEUE_ENV_VAR, TIMEOUT_ENV_VAR):
-            monkeypatch.delenv(var, raising=False)
+    def test_defaults(self):
         config = ServiceConfig()
-        config.validate()
-        assert config.batch_limit == 64 == default_max_batch()
-        assert config.queue_limit == 1024 == default_queue_depth()
-        assert config.timeout_ms is None and default_timeout_ms() is None
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(MAX_BATCH_ENV_VAR, "16")
-        monkeypatch.setenv(QUEUE_ENV_VAR, "32")
-        monkeypatch.setenv(TIMEOUT_ENV_VAR, "7.5")
-        config = ServiceConfig()
-        config.validate()
-        assert config.batch_limit == 16
-        assert config.queue_limit == 32
-        assert config.timeout_ms == 7.5
-
-    def test_explicit_values_beat_environment(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV_VAR, "7.5")
-        monkeypatch.setenv(MAX_BATCH_ENV_VAR, "16")
-        config = ServiceConfig(request_timeout_ms=0.5, max_batch=4)
-        assert config.timeout_ms == 0.5
-        assert config.batch_limit == 4
-
-    def test_blank_environment_means_default(self, monkeypatch):
-        monkeypatch.setenv(MAX_BATCH_ENV_VAR, "   ")
-        monkeypatch.setenv(TIMEOUT_ENV_VAR, "")
-        assert default_max_batch() == 64
-        assert default_timeout_ms() is None
-
-    @pytest.mark.parametrize(
-        "var, value",
-        [
-            (TIMEOUT_ENV_VAR, "soon"),
-            (TIMEOUT_ENV_VAR, "-1"),
-            (TIMEOUT_ENV_VAR, "nan"),
-            (MAX_BATCH_ENV_VAR, "many"),
-            (MAX_BATCH_ENV_VAR, "0"),
-            (MAX_BATCH_ENV_VAR, "2.5"),
-            (QUEUE_ENV_VAR, "-3"),
-            (TIMEOUT_ENV_VAR, "0"),
-            (TIMEOUT_ENV_VAR, "fast"),
-        ],
-    )
-    def test_garbage_environment_raises_naming_the_variable(
-        self, monkeypatch, var, value
-    ):
-        monkeypatch.setenv(var, value)
-        with pytest.raises(ValueError, match=var):
-            ServiceConfig().validate()
+        assert config.max_batch == 64
+        assert config.max_queue == 1024
+        assert config.request_timeout_ms is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -206,31 +158,57 @@ class TestServiceConfig:
             {"request_timeout_ms": 0.0},
             {"request_timeout_ms": -5.0},
             {"request_timeout_ms": float("nan")},
+            {"request_timeout_ms": "soon"},
+            {"max_queue": np.float64(3.0)},
         ],
     )
     def test_explicit_garbage_raises_naming_the_field(self, kwargs):
         [field] = kwargs
         with pytest.raises(ValueError, match=field):
-            ServiceConfig(**kwargs).validate()
+            ServiceConfig(**kwargs)
 
     def test_integral_bounds_are_accepted(self):
         config = ServiceConfig(max_batch=np.int64(8), max_queue=16)
-        config.validate()
-        assert config.batch_limit == 8 and config.queue_limit == 16
+        assert config.max_batch == 8 and config.max_queue == 16
+        assert type(config.max_batch) is int
 
     def test_service_validates_config_at_construction(self):
+        """No invalid config reaches a service: construction and
+        ``dataclasses.replace`` both validate, and the fields are frozen."""
         engine = make_engine()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_batch"):
             QueryService(engine, ServiceConfig(max_batch=0), auto_start=False)
+        with pytest.raises(ValueError, match="request_timeout_ms"):
+            replace(ServiceConfig(), request_timeout_ms=-1.0)
+        with pytest.raises(FrozenInstanceError):
+            ServiceConfig().max_queue = 0
+
+    @pytest.mark.parametrize(
+        "var",
+        ["REPRO_SERVICE_MAX_BATCH", "REPRO_SERVICE_QUEUE_DEPTH", "REPRO_SERVICE_TIMEOUT_MS"],
+    )
+    def test_environment_is_not_read(self, monkeypatch, var):
+        """The former ``$REPRO_SERVICE_*`` variables configure nothing:
+        garbage in them neither raises nor moves a default."""
+        monkeypatch.setenv(var, "0")
+        assert ServiceConfig() == ServiceConfig(
+            max_batch=64, max_queue=1024, request_timeout_ms=None
+        )
+        service = manual_service(make_engine())
+        future = service.submit(make_batch())
+        assert service.run_pending_round() == 1
+        assert len(future.result(timeout=5)) == len(make_batch())
+        service.close()
 
 
 # ----------------------------------------------------------------------
 # Admission: bounded queue, backpressure, closed service
 # ----------------------------------------------------------------------
 class TestAdmission:
-    def test_empty_submission_resolves_immediately(self):
+    @pytest.mark.parametrize("max_batch", ROUND_BOUNDS)
+    def test_empty_submission_resolves_immediately(self, max_batch):
         engine = make_engine()
-        service = manual_service(engine)
+        service = manual_service(engine, max_batch=max_batch)
         future = service.submit([])
         assert future.done() and future.result() == []
         assert engine.stats.service_admitted == 0
@@ -261,19 +239,21 @@ class TestAdmission:
         assert issubclass(ServiceClosedError, ServiceError)
         assert issubclass(DeadlineExpiredError, ServiceError)
 
-    def test_submit_after_close_raises(self):
+    @pytest.mark.parametrize("max_batch", ROUND_BOUNDS)
+    def test_submit_after_close_raises(self, max_batch):
         engine = make_engine()
-        service = manual_service(engine)
+        service = manual_service(engine, max_batch=max_batch)
         service.close()
         assert service.closed
         with pytest.raises(ServiceClosedError):
             service.submit(make_batch())
 
     @pytest.mark.parametrize("timeout_ms", [0, -1.0, float("nan")])
-    def test_nonpositive_timeout_rejected_at_submit(self, timeout_ms):
+    @pytest.mark.parametrize("max_batch", ROUND_BOUNDS)
+    def test_nonpositive_timeout_rejected_at_submit(self, max_batch, timeout_ms):
         """NaN passes ``<= 0`` but would never expire: rejected like 0."""
         engine = make_engine()
-        service = manual_service(engine)
+        service = manual_service(engine, max_batch=max_batch)
         with pytest.raises(ValueError, match="timeout_ms"):
             service.submit(make_batch(), timeout_ms=timeout_ms)
         with pytest.raises(ValueError, match="timeout_ms"):
@@ -369,9 +349,10 @@ class TestCoalescing:
         assert engine.stats.service_batch_occupancy == pytest.approx(2.0)
         service.close()
 
-    def test_run_pending_round_on_idle_service_is_a_noop(self):
+    @pytest.mark.parametrize("max_batch", ROUND_BOUNDS)
+    def test_run_pending_round_on_idle_service_is_a_noop(self, max_batch):
         engine = make_engine()
-        service = manual_service(engine)
+        service = manual_service(engine, max_batch=max_batch)
         baseline = engine.stats.as_dict()
         assert service.run_pending_round() == 0
         assert service_delta(engine.stats, baseline)["service_rounds"] == 0
@@ -397,9 +378,10 @@ class TestFailurePaths:
         assert delta["service_timeouts"] == 8
         service.close()
 
-    def test_config_default_timeout_applies_to_every_request(self):
+    @pytest.mark.parametrize("max_batch", ROUND_BOUNDS)
+    def test_config_default_timeout_applies_to_every_request(self, max_batch):
         engine = make_engine()
-        service = manual_service(engine, request_timeout_ms=1.0)
+        service = manual_service(engine, request_timeout_ms=1.0, max_batch=max_batch)
         future = service.submit(make_batch())
         time.sleep(0.02)
         service.run_pending_round()
@@ -454,9 +436,10 @@ class TestFailurePaths:
         assert service.closed
         service.close()  # idempotent
 
-    def test_non_draining_close_fails_queued_futures_deterministically(self):
+    @pytest.mark.parametrize("max_batch", ROUND_BOUNDS)
+    def test_non_draining_close_fails_queued_futures_deterministically(self, max_batch):
         engine = make_engine()
-        service = manual_service(engine)
+        service = manual_service(engine, max_batch=max_batch)
         futures = [service.submit(make_batch()) for _ in range(3)]
         service.close(drain=False)
         for future in futures:
