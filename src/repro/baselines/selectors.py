@@ -22,22 +22,12 @@ from repro.core.evaluation import ModelEvaluator
 from repro.ml.gbdt import GradientBoostingClassifier, GradientBoostingRegressor
 from repro.ml.linear import LinearRegression, LogisticRegression
 from repro.ml.forest import RandomForestClassifier
+from repro.ml.preprocessing import mean_impute
 from repro.stats.chi2 import chi2_statistic
 from repro.stats.gini import gini_importance
 from repro.stats.mutual_information import mutual_information
 
 SELECTOR_NAMES = ("lr", "gbdt", "mi", "chi2", "gini", "forward", "backward")
-
-
-def _impute(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=np.float64).copy()
-    for j in range(matrix.shape[1]):
-        column = matrix[:, j]
-        finite = column[~np.isnan(column)]
-        fill = float(finite.mean()) if finite.size else 0.0
-        column[np.isnan(column)] = fill
-        matrix[:, j] = column
-    return matrix
 
 
 def _score_based_selection(scores: Sequence[float], names: Sequence[str], k: int) -> List[str]:
@@ -50,7 +40,7 @@ def _score_based_selection(scores: Sequence[float], names: Sequence[str], k: int
 # ----------------------------------------------------------------------
 def lr_selector(X: np.ndarray, y: np.ndarray, names: Sequence[str], k: int, task: str) -> List[str]:
     """Top-k features by absolute LR / linear-regression coefficient."""
-    X = _impute(X)
+    (X,) = mean_impute(X)
     if task == "regression":
         model = LinearRegression().fit(X, y)
     else:
@@ -60,7 +50,7 @@ def lr_selector(X: np.ndarray, y: np.ndarray, names: Sequence[str], k: int, task
 
 def gbdt_selector(X: np.ndarray, y: np.ndarray, names: Sequence[str], k: int, task: str) -> List[str]:
     """Top-k features by gradient-boosting gain importance."""
-    X = _impute(X)
+    (X,) = mean_impute(X)
     if task == "regression":
         model = GradientBoostingRegressor(n_estimators=15, max_depth=3).fit(X, y)
     elif np.unique(y).size > 2:

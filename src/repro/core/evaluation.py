@@ -22,7 +22,7 @@ import numpy as np
 from repro.dataframe.table import Table
 from repro.ml.base import BaseEstimator, is_classifier
 from repro.ml.metrics import f1_score_macro, rmse, roc_auc_score
-from repro.ml.preprocessing import LabelEncoder, TableVectorizer
+from repro.ml.preprocessing import LabelEncoder, TableVectorizer, mean_impute
 from repro.query.engine import QueryEngine, resolve_engine
 from repro.query.query import PredicateAwareQuery
 
@@ -149,7 +149,7 @@ class ModelEvaluator:
         trained by one ``fit_batch`` call (logistic regression fits them in
         lockstep)."""
         pairs = [
-            _impute_pair(
+            mean_impute(
                 self._stack(self._X_train_base, extra_train),
                 self._stack(self._X_valid_base, extra_valid),
             )
@@ -204,19 +204,3 @@ class ModelEvaluator:
         pred = model.predict(X_valid)
         f1 = f1_score_macro(self.y_valid, pred)
         return EvaluationResult(loss=1.0 - f1, metric=f1, metric_name="f1")
-
-
-def _impute_pair(X_train: np.ndarray, X_valid: np.ndarray):
-    """Replace NaNs with the training-column mean in both matrices."""
-    X_train = X_train.copy()
-    X_valid = X_valid.copy()
-    for j in range(X_train.shape[1]):
-        column = X_train[:, j]
-        finite = column[~np.isnan(column)]
-        fill = float(finite.mean()) if finite.size else 0.0
-        column[np.isnan(column)] = fill
-        X_train[:, j] = column
-        valid_column = X_valid[:, j]
-        valid_column[np.isnan(valid_column)] = fill
-        X_valid[:, j] = valid_column
-    return X_train, X_valid

@@ -17,7 +17,6 @@ from repro.ml.metrics import (
 from repro.ml.preprocessing import (
     LabelEncoder,
     OneHotEncoder,
-    StandardScaler,
     SimpleImputer,
     TableVectorizer,
     train_valid_test_split,
@@ -39,7 +38,6 @@ __all__ = [
     "roc_auc_score",
     "LabelEncoder",
     "OneHotEncoder",
-    "StandardScaler",
     "SimpleImputer",
     "TableVectorizer",
     "train_valid_test_split",

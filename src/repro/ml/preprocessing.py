@@ -1,11 +1,11 @@
-"""Preprocessing: encoders, scaling, imputation, table vectorisation, splits.
+"""Preprocessing: encoders, imputation, table vectorisation, splits.
 
 The downstream models operate on dense float matrices; :class:`TableVectorizer`
 converts a :class:`~repro.dataframe.table.Table` into such a matrix by label-
-or one-hot-encoding categoricals, imputing missing numerics and (optionally)
-standardising.  This is the glue between the relational layer and the ML
-substrate, replacing the pandas ``get_dummies`` / sklearn pipelines of the
-original implementation.
+or one-hot-encoding categoricals and imputing missing numerics with the
+training mean (the linear models standardise their own inputs).  This is
+the glue between the relational layer and the ML substrate, replacing the
+pandas ``get_dummies`` / sklearn pipelines of the original implementation.
 """
 
 from __future__ import annotations
@@ -14,8 +14,22 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataframe.column import Column, DType
+from repro.dataframe.column import DType
 from repro.dataframe.table import Table
+
+
+class _Missing:
+    """The key of every missing label (``None`` or NaN): an object of its
+    own, so no real category can share it."""
+
+    def __repr__(self) -> str:
+        return "<missing>"
+
+    def __reduce__(self) -> str:  # copies and pickles stay the one key
+        return "_MISSING"
+
+
+_MISSING = _Missing()
 
 
 class LabelEncoder:
@@ -41,15 +55,10 @@ class LabelEncoder:
     def fit_transform(self, values) -> np.ndarray:
         return self.fit(values).transform(values)
 
-    def inverse_transform(self, codes) -> list:
-        return [self.classes_[int(c)] if 0 <= int(c) < len(self.classes_) else None for c in codes]
-
     @staticmethod
     def _key(value):
-        if value is None:
-            return "__missing__"
-        if isinstance(value, float) and np.isnan(value):
-            return "__missing__"
+        if value is None or (isinstance(value, float) and np.isnan(value)):
+            return _MISSING
         return value
 
 
@@ -82,60 +91,29 @@ class OneHotEncoder:
         return self.fit(values).transform(values)
 
 
-class StandardScaler:
-    """Standardise columns of a float matrix to zero mean and unit variance."""
-
-    def __init__(self):
-        self.mean_: np.ndarray | None = None
-        self.scale_: np.ndarray | None = None
-
-    def fit(self, X: np.ndarray) -> "StandardScaler":
-        X = np.asarray(X, dtype=np.float64)
-        self.mean_ = np.nanmean(X, axis=0)
-        scale = np.nanstd(X, axis=0)
-        scale[scale == 0] = 1.0
-        self.scale_ = scale
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return (X - self.mean_) / self.scale_
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-
 class SimpleImputer:
-    """Replace NaNs with the column mean (or a constant)."""
+    """Replace NaNs with the column mean (``fill_value`` for a column
+    without a single value)."""
 
-    def __init__(self, strategy: str = "mean", fill_value: float = 0.0):
-        if strategy not in ("mean", "median", "constant"):
-            raise ValueError(f"Unknown imputation strategy {strategy!r}")
-        self.strategy = strategy
+    def __init__(self, fill_value: float = 0.0):
         self.fill_value = fill_value
         self.statistics_: np.ndarray | None = None
 
     def fit(self, X: np.ndarray) -> "SimpleImputer":
         X = np.asarray(X, dtype=np.float64)
-        if self.strategy == "constant":
-            self.statistics_ = np.full(X.shape[1], self.fill_value, dtype=np.float64)
-        else:
-            # A column without a single value (or a table without rows) falls
-            # back to ``fill_value``.  Such columns are zero-filled before the
-            # reduction: np.nanmean / np.nanmedian warn on an all-NaN slice
-            # through ``warnings.warn``, which ``np.errstate`` cannot silence.
-            empty = np.isnan(X).all(axis=0)
-            statistics = np.full(X.shape[1], np.nan)
-            if not empty.all():
-                if empty.any():
-                    X = X.copy()
-                    X[:, empty] = 0.0
-                reduce = np.nanmedian if self.strategy == "median" else np.nanmean
-                with np.errstate(all="ignore"):
-                    statistics = reduce(X, axis=0)
-                statistics[empty] = np.nan
-            self.statistics_ = statistics
-        self.statistics_ = np.nan_to_num(self.statistics_, nan=self.fill_value)
+        # Columns without a value (or a table without rows) are zero-filled
+        # before the reduction: np.nanmean warns on an all-NaN slice through
+        # ``warnings.warn``, which ``np.errstate`` cannot silence.
+        empty = np.isnan(X).all(axis=0)
+        statistics = np.full(X.shape[1], np.nan)
+        if not empty.all():
+            if empty.any():
+                X = X.copy()
+                X[:, empty] = 0.0
+            with np.errstate(all="ignore"):
+                statistics = np.nanmean(X, axis=0)
+            statistics[empty] = np.nan
+        self.statistics_ = np.nan_to_num(statistics, nan=self.fill_value)
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -148,6 +126,21 @@ class SimpleImputer:
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)
+
+
+def mean_impute(X_train: np.ndarray, *others: np.ndarray) -> List[np.ndarray]:
+    """Float copies of *X_train* and *others* with every NaN replaced by the
+    mean of the non-NaN training values of its column (0.0 for a column
+    without any).  The mean is ``ndarray.mean`` over those values, not
+    ``np.nanmean``, whose summation order differs."""
+    matrices = [np.array(X, dtype=np.float64) for X in (X_train, *others)]
+    for j in range(matrices[0].shape[1]):
+        column = matrices[0][:, j]
+        finite = column[~np.isnan(column)]
+        fill = float(finite.mean()) if finite.size else 0.0
+        for X in matrices:
+            X[np.isnan(X[:, j]), j] = fill
+    return matrices
 
 
 class TableVectorizer:
@@ -166,7 +159,7 @@ class TableVectorizer:
         self.one_hot_max_cardinality = one_hot_max_cardinality
         self._encoders: Dict[str, object] = {}
         self._kind: Dict[str, str] = {}
-        self._imputer = SimpleImputer(strategy="mean")
+        self._imputer = SimpleImputer()
         self.output_names_: List[str] = []
         self.fitted_ = False
 
@@ -246,10 +239,3 @@ def train_valid_test_split(
     test_idx = indices[n_train + n_valid :]
     return table.take(train_idx), table.take(valid_idx), table.take(test_idx)
 
-
-def label_array(column: Column, task: str) -> np.ndarray:
-    """Convert a label column into a float array appropriate for *task*."""
-    if column.is_numeric_like:
-        return column.values.astype(np.float64)
-    encoder = LabelEncoder()
-    return encoder.fit_transform(column.values)

@@ -14,10 +14,10 @@ Implements the paper's core abstractions (Section III):
   keys, aggregate specs) that :meth:`QueryEngine.plan` lowers queries into.
 * :class:`QueryEngine` -- the batched execution engine bound to one relevant
   table: factorized group index, LRU predicate-mask / result caches and a
-  batched API with cache statistics (:class:`EngineStats`).  Construction is
-  configured by :class:`EngineConfig` (cache sizes).  Execution is serial:
-  each fused plan runs the vectorized grouped kernels on the calling
-  thread; an append that adds rows to the table flushes the caches.
+  batched API with lifetime counters (:class:`EngineStats`).  Construction
+  is configured by :class:`EngineConfig` (cache sizes).  Execution is
+  serial: each fused plan runs the vectorized grouped kernels on the
+  calling thread; an append that adds rows to the table flushes the caches.
 * :class:`QueryService` (:mod:`repro.query.service`) -- the admission layer
   over one warm engine: concurrent callers' submissions queue behind a
   bounded admission queue (deterministic :class:`ServiceOverloadedError`

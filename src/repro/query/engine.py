@@ -26,10 +26,10 @@ re-scan every WHERE predicate) wastes almost all of that work, so a
    keyed by ``(predicate signature, keys, attr)`` (each plan's sorted
    values are built once per filter/grouping/value-column triple and reused
    across plans and batches of one template) and an LRU result cache keyed by plan
-   signature (TPE frequently re-samples identical queries), plus cache /
-   timing statistics (:class:`EngineStats`) consumed by the Figure 5
-   benchmarks.  Each LRU is bounded by its entry count; the bytes it holds
-   are reported as gauges.
+   signature (TPE frequently re-samples identical queries), plus the
+   lifetime cache / timing counters of :class:`EngineStats`, read by the
+   Figure 5 benchmarks.  Each LRU is bounded by its entry count; the
+   ``bytes_cached`` gauge reads the bytes they hold when the stats are read.
 
 Execution is serial: every fused plan runs on the calling thread.  All
 shared state -- the LRU caches, the group-index map and every statistics
@@ -50,8 +50,8 @@ State-reset contract (pinned by ``tests/query/test_engine_config.py``):
 * :meth:`QueryEngine.clear_caches` drops every piece of derived state --
   masks, results, sort orders, value ranks and group indexes -- but leaves
   all statistics counters untouched (they are lifetime counters).
-* :meth:`EngineStats.reset` zeroes every counter and timer; the gauges
-  survive (they describe the caches' current contents).
+* :meth:`EngineStats.reset` zeroes every counter and timer;
+  ``bytes_cached`` still reads the caches' current contents.
 * :meth:`QueryEngine.reset` composes both: a cold engine whose subsequent
   traffic is indistinguishable from a freshly constructed one.
 """
@@ -62,9 +62,9 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,191 +111,122 @@ class EngineConfig:
             raise ValueError("sort_cache_size must be >= 0 (0 disables the cache)")
 
 
-@dataclass
-class EngineStats:
-    """Counters and wall-clock totals exposed for the Fig. 5 benchmarks.
+#: Every lifetime counter and timer of :class:`EngineStats`, declared once
+#: with its zero (the five ``seconds_*`` phase timers are floats).  Attribute
+#: reads, :meth:`~EngineStats.bump`, ``as_dict``, ``reset`` and
+#: ``delta_since`` all come from this table.
+_COUNTERS: Dict[str, float] = {
+    "queries": 0,
+    "batches": 0,
+    "batched_queries": 0,
+    "empty_results": 0,
+    "mask_hits": 0,
+    "mask_misses": 0,
+    "mask_evictions": 0,
+    "result_hits": 0,
+    "result_misses": 0,
+    # One hit or miss per (plan, value column) that evaluates an
+    # order-statistics kernel (see QueryEngine.sort_order).
+    "sort_hits": 0,
+    "sort_misses": 0,
+    "group_index_builds": 0,
+    "group_index_reuses": 0,
+    # Cache entries flushed because an append added rows (see
+    # QueryEngine.sync_with_table).
+    "staleness_evictions": 0,
+    "seconds_masking": 0.0,
+    "seconds_indexing": 0.0,
+    "seconds_grouping": 0.0,
+    "seconds_aggregating": 0.0,
+    # Sorting on sort-order cache misses (packed-key sorts, MAD's deviation
+    # sorts, categorical lexsorts, value ranks), outside the kernel timer.
+    "seconds_sorting": 0.0,
+    # Booked by a QueryService wrapping the engine: queries admitted,
+    # rejected at a full queue and expired in the queue; fused rounds run;
+    # queries run in a round shared by two or more requests; duplicates
+    # served by fan-out of another request's identical plan.
+    "service_admitted": 0,
+    "service_rejected": 0,
+    "service_timeouts": 0,
+    "service_rounds": 0,
+    "service_coalesced": 0,
+    "service_deduped": 0,
+}
 
-    Thread safety: every mutation goes through :meth:`bump` /
-    :meth:`set_gauges` / :meth:`record_kernel`, which serialise on one
-    re-entrant lock, so counters can never tear when concurrent
-    ``execute_batch`` callers book concurrently.
-    Fields prefixed with an underscore are implementation details and are
-    excluded from :meth:`as_dict` / :meth:`reset`.
+
+class EngineStats:
+    """An engine's lifetime counters and its one gauge, ``bytes_cached``.
+
+    The counters are the :data:`_COUNTERS` table, read as attributes
+    (``stats.sort_misses``) and mutated only through :meth:`bump`, which
+    serialises on one lock, so counters never tear under concurrent
+    ``execute_batch`` callers.  ``bytes_cached`` is not stored: it is read
+    live from *caches* (anything with a ``bytes`` attribute) whenever the
+    stats are read, so it always describes what the caches hold now.
     """
 
-    queries: int = 0
-    batches: int = 0
-    batched_queries: int = 0
-    empty_results: int = 0
-    mask_hits: int = 0
-    mask_misses: int = 0
-    mask_evictions: int = 0
-    result_hits: int = 0
-    result_misses: int = 0
-    #: Sort-order cache traffic: one hit or miss per (plan, value column)
-    #: that evaluates an order-statistics kernel (see
-    #: :meth:`QueryEngine.sort_order`); accumulation-only plans never
-    #: consult the cache.
-    sort_hits: int = 0
-    sort_misses: int = 0
-    group_index_builds: int = 0
-    group_index_reuses: int = 0
-    seconds_masking: float = 0.0
-    seconds_indexing: float = 0.0
-    seconds_grouping: float = 0.0
-    seconds_aggregating: float = 0.0
-    #: Wall-clock spent sorting on sort-order cache misses: packed-key sorts
-    #: over a column's value ranks, MAD's deviation sorts, the lexsorts that
-    #: remain (categorical values), and the value ranks themselves.  Booked
-    #: here rather than in the first sort-based kernel's ``kernel_seconds``
-    #: entry, so the per-kernel split measures the kernels' own work off the
-    #: shared sorted values.
-    seconds_sorting: float = 0.0
-    #: Aggregation seconds split per kernel (canonical aggregate name ->
-    #: cumulative wall-clock).
-    kernel_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Cache entries (masks, results, sort orders, group indexes) flushed
-    #: because a ``Table.append_rows`` that added rows made them stale (see
-    #: :meth:`QueryEngine.sync_with_table`).
-    staleness_evictions: int = 0
-    #: Queries admitted into a :class:`repro.query.service.QueryService`
-    #: queue wrapping this engine.  This and the five counters below are
-    #: ordinary lifetime counters: zeroed by :meth:`reset`, subtracted by
-    #: :meth:`delta_since`.
-    service_admitted: int = 0
-    #: Queries rejected at admission because the service queue was full
-    #: (deterministic backpressure, never a silent drop).
-    service_rejected: int = 0
-    #: Queries whose deadline expired while they waited in the service
-    #: queue (their futures resolve with ``DeadlineExpiredError``).
-    service_timeouts: int = 0
-    #: Fused micro-batch rounds the service dispatched to the engine.
-    service_rounds: int = 0
-    #: Queries executed in a round shared by two or more requests -- the
-    #: cross-request fusion the admission layer exists for.
-    service_coalesced: int = 0
-    #: Queries served by fan-out of another request's identical plan in the
-    #: same round (one execution, shared result table).
-    service_deduped: int = 0
-    #: Gauge (not a counter): total bytes currently held across the mask /
-    #: result / sort-order caches.  Carried as a current value -- never
-    #: subtracted -- through :meth:`delta_since`; zeroed by
-    #: ``QueryEngine.clear_caches``.
-    bytes_cached: int = 0
-    #: Gauge: current bytes per cache (``{"masks": ..., "results": ...,
-    #: "sort_orders": ...}``).
-    cache_bytes: Dict[str, float] = field(default_factory=dict)
-    #: Gauge: queries currently waiting in the service queue (0 when no
-    #: service wraps the engine).
-    service_queue_depth: int = 0
-    #: Gauge: occupancy of the service's most recent micro-batch round
-    #: (queries executed / ``max_batch``; can exceed 1.0 when one oversized
-    #: request rode alone).
-    service_batch_occupancy: float = 0.0
-    #: Serialises every mutation (excluded from :meth:`as_dict` / :meth:`reset`).
-    _lock: threading.RLock = field(
-        default_factory=threading.RLock, repr=False, compare=False
-    )
+    def __init__(self, caches: Iterable[object] = ()):
+        self._caches = tuple(caches)
+        self._lock = threading.Lock()
+        self._counts = dict(_COUNTERS)
 
-    #: Gauge fields: current values, not lifetime counters -- carried
-    #: through :meth:`delta_since` unsubtracted and zeroed when the caches
-    #: (or service queues) they describe are cleared / drained.
-    GAUGE_FIELDS = (
-        "bytes_cached",
-        "cache_bytes",
-        "service_queue_depth",
-        "service_batch_occupancy",
-    )
+    def __getattr__(self, name: str):
+        # Only reached for names that are not ordinary attributes.
+        try:
+            return self.__dict__["_counts"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     @property
-    def mask_hit_rate(self) -> float:
-        total = self.mask_hits + self.mask_misses
-        return self.mask_hits / total if total else 0.0
+    def bytes_cached(self) -> int:
+        """Bytes held now across the caches the stats were given."""
+        return sum(cache.bytes for cache in self._caches)
 
-    @property
-    def result_hit_rate(self) -> float:
-        total = self.result_hits + self.result_misses
-        return self.result_hits / total if total else 0.0
-
-    def bump(self, **deltas) -> None:
-        """Atomically add *deltas* to scalar counters / timers."""
+    def bump(self, **deltas: float) -> None:
+        """Atomically add *deltas* to declared counters (``KeyError`` for
+        any other name)."""
         with self._lock:
             for name, amount in deltas.items():
-                setattr(self, name, getattr(self, name) + amount)
+                self._counts[name] += amount
 
     def as_dict(self) -> Dict[str, float]:
+        """Every counter, ``bytes_cached`` and the mask / result hit rates."""
         with self._lock:
-            out = {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
-            out["kernel_seconds"] = dict(self.kernel_seconds)
-            out["cache_bytes"] = dict(self.cache_bytes)
-            out["mask_hit_rate"] = self.mask_hit_rate
-            out["result_hit_rate"] = self.result_hit_rate
-        return out
+            counts = dict(self._counts)
+        return self._with_gauge_and_rates(counts)
 
-    def set_gauges(self, **values) -> None:
-        """Atomically overwrite gauge fields with their current values."""
-        with self._lock:
-            for name, value in values.items():
-                if name not in self.GAUGE_FIELDS:
-                    raise ValueError(f"{name!r} is not a gauge field")
-                setattr(self, name, value)
-
-    def record_kernel(self, name: str, seconds: float) -> None:
-        """Book one aggregation into ``seconds_aggregating`` and the
-        per-kernel timing split."""
-        with self._lock:
-            self.seconds_aggregating += seconds
-            self.kernel_seconds[name] = self.kernel_seconds.get(name, 0.0) + seconds
+    def _with_gauge_and_rates(self, counts: Dict[str, float]) -> Dict[str, float]:
+        counts["bytes_cached"] = self.bytes_cached
+        for kind in ("mask", "result"):
+            hits, misses = counts[f"{kind}_hits"], counts[f"{kind}_misses"]
+            counts[f"{kind}_hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
+        return counts
 
     def reset(self) -> None:
-        """Zero every counter and timer; the gauges survive -- they
-        describe the caches' *current* contents, which resetting counters
-        does not change (:meth:`QueryEngine.reset` clears the caches first,
-        so its gauges genuinely read zero afterwards)."""
+        """Zero every counter.  ``bytes_cached`` is unaffected: it reads
+        the caches, which resetting counters does not touch."""
         with self._lock:
-            carried = {name: getattr(self, name) for name in self.GAUGE_FIELDS}
-            for name, value in EngineStats().__dict__.items():
-                if name.startswith("_"):
-                    continue
-                setattr(self, name, value)
-            for name, value in carried.items():
-                setattr(self, name, value)
+            self._counts = dict(_COUNTERS)
 
     def delta_since(self, baseline: Dict[str, float]) -> Dict[str, float]:
-        """Counters accumulated since *baseline* (an earlier ``as_dict()``).
+        """The counters booked since *baseline*, an earlier :meth:`as_dict`
+        of these stats (``{}`` counts from zero).
 
-        Engines are shared per table, so per-run reports must subtract the
-        traffic of earlier runs; derived rates are recomputed from the deltas,
-        and gauges (``bytes_cached``, ``cache_bytes``) pass through as
-        current values -- a byte gauge difference is meaningless.  Tolerant
-        of incomplete baselines: a key absent from *baseline* (a snapshot
-        captured before a feature -- the service -- first engaged, or from
-        an older engine) is treated as zero rather than raising, and a
-        baseline value of the wrong shape is ignored.
+        Engines are shared per table, so per-run reports subtract the
+        traffic of earlier runs.  ``bytes_cached`` passes through as the
+        current value and the rates are recomputed from the deltas.  A
+        baseline with other keys raises ``ValueError``.
         """
         current = self.as_dict()
-        baseline = baseline or {}
-        delta: Dict[str, float] = {}
-        for name, value in current.items():
-            if name.endswith("_rate"):
-                continue
-            if name in self.GAUGE_FIELDS:
-                delta[name] = value
-            elif isinstance(value, dict):
-                base = baseline.get(name)
-                if not isinstance(base, dict):
-                    base = {}
-                delta[name] = {k: v - base.get(k, 0.0) for k, v in value.items()}
-            else:
-                base = baseline.get(name, 0)
-                if not isinstance(base, (int, float)) or isinstance(base, bool):
-                    base = 0
-                delta[name] = value - base
-        masks = delta["mask_hits"] + delta["mask_misses"]
-        delta["mask_hit_rate"] = delta["mask_hits"] / masks if masks else 0.0
-        results = delta["result_hits"] + delta["result_misses"]
-        delta["result_hit_rate"] = delta["result_hits"] / results if results else 0.0
-        return delta
+        if baseline == {}:
+            return current
+        if baseline.keys() != current.keys():
+            raise ValueError(
+                "baseline is not an as_dict() of EngineStats; differing keys: "
+                f"{sorted(baseline.keys() ^ current.keys())}"
+            )
+        counts = {name: current[name] - baseline[name] for name in _COUNTERS}
+        return self._with_gauge_and_rates(counts)
 
 
 #: Sentinel distinguishing "absent" from a legitimately cached falsy value
@@ -334,7 +265,7 @@ class _LRUCache:
 
     The cache is bounded by its entry count only.  Every entry carries its
     :func:`_value_nbytes` cost and ``self.bytes`` tracks the exact total,
-    which the engine reports as a gauge.
+    which ``EngineStats.bytes_cached`` reads.
     """
 
     def __init__(self, maxsize: int):
@@ -426,7 +357,6 @@ class QueryEngine:
         self._sync_lock = threading.RLock()
         self._synced_version = table.version
         self._synced_rows = table.num_rows
-        self.stats = EngineStats()
         self._indexes: Dict[Tuple[str, ...], GroupIndex] = {}
         self._index_lock = threading.Lock()
         self._masks = _LRUCache(self.config.mask_cache_size)
@@ -444,7 +374,8 @@ class QueryEngine:
         # by attribute (see value_rank()); dropped with every other cache.
         self._value_ranks: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._rank_lock = threading.Lock()
-        self._refresh_byte_gauges()
+        caches = (self._masks, self._results, self._sort_orders)
+        self.stats = EngineStats(cache for cache in caches if cache is not None)
 
     @property
     def table(self) -> Table:
@@ -569,7 +500,6 @@ class QueryEngine:
         self.stats.bump(sort_misses=1, seconds_sorting=time.perf_counter() - start)
         if self._sort_orders is not None and key is not None:
             self._sort_orders.put(key, order)
-            self._refresh_byte_gauges()
         return order
 
     def _atom_mask(self, signature: Optional[tuple], predicate: Predicate) -> np.ndarray:
@@ -583,7 +513,6 @@ class QueryEngine:
         self.stats.bump(mask_misses=1, seconds_masking=time.perf_counter() - start)
         if signature is not None:
             self.stats.bump(mask_evictions=self._masks.put(signature, mask))
-            self._refresh_byte_gauges()
         return mask
 
     def plan_mask(self, plan: QueryPlan) -> Optional[np.ndarray]:
@@ -759,7 +688,6 @@ class QueryEngine:
         (callers check the cache first).
         """
         table_lists = [self._run_plan(plan) for plan in plans]
-        cached_any = False
         for plan, tables in zip(plans, table_lists):
             for position, table in enumerate(tables):
                 self.stats.bump(queries=1, batched_queries=1 if batched else 0)
@@ -767,9 +695,6 @@ class QueryEngine:
                 if key is not None:
                     self.stats.bump(result_misses=1)
                     self._results.put(key, table)
-                    cached_any = True
-        if cached_any:
-            self._refresh_byte_gauges()
         return table_lists
 
     def _run_plan(self, plan: QueryPlan) -> List[Table]:
@@ -814,7 +739,7 @@ class QueryEngine:
             for position, spec in positioned:
                 # Resolve the shared sorts outside the kernel timer, so
                 # their construction books once, into seconds_sorting, and
-                # kernel_seconds measures the kernel's own work.
+                # seconds_aggregating measures the kernels' own work.
                 # Accumulation-only plans never sort at all.
                 if spec.func in SORT_BASED_KERNELS:
                     aggregator.sorted_values()
@@ -822,7 +747,7 @@ class QueryEngine:
                     aggregator.mad_sort_order()
                 start = time.perf_counter()
                 feature = aggregator.compute(spec.func)
-                self.stats.record_kernel(spec.func, time.perf_counter() - start)
+                self.stats.bump(seconds_aggregating=time.perf_counter() - start)
                 if key_columns is None:
                     key_columns = index.key_columns(group_ids)
                 results[position] = Table(
@@ -834,30 +759,11 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Cache management
     # ------------------------------------------------------------------
-    def _refresh_byte_gauges(self) -> None:
-        """Re-read the caches' byte totals into the stats gauges.
-
-        Called after every insert and clear; reading the ``bytes`` ints
-        without the cache locks is safe (they are plain attribute reads and
-        gauges are best-effort current values).
-        """
-        cache_bytes = {
-            "masks": float(self._masks.bytes),
-            "results": float(self._results.bytes),
-            "sort_orders": float(
-                self._sort_orders.bytes if self._sort_orders is not None else 0
-            ),
-        }
-        self.stats.set_gauges(
-            bytes_cached=int(sum(cache_bytes.values())), cache_bytes=cache_bytes
-        )
-
     @property
     def presorted_bytes(self) -> int:
         """Bytes held now by the :meth:`value_rank` arrays (ranks and
         values in rank order).  They sit outside the three LRU caches, so
-        :attr:`cached_bytes` (the ``bytes_cached`` gauge) does not count
-        them."""
+        :attr:`cached_bytes` does not count them."""
         with self._rank_lock:
             return int(
                 sum(a.nbytes for ranked in self._value_ranks.values() for a in ranked)
@@ -866,11 +772,7 @@ class QueryEngine:
     @property
     def cached_bytes(self) -> int:
         """Current bytes held across the mask / result / sort-order caches."""
-        return (
-            self._masks.bytes
-            + self._results.bytes
-            + (self._sort_orders.bytes if self._sort_orders is not None else 0)
-        )
+        return self.stats.bytes_cached
 
     @property
     def mask_cache_len(self) -> int:
@@ -886,9 +788,9 @@ class QueryEngine:
 
     def clear_caches(self) -> None:
         """Drop all derived state: masks, results, sort orders, value
-        ranks and group indexes.  Statistics counters are lifetime counters and are deliberately left
-        untouched (the byte *gauges* drop to zero with the caches they
-        describe); use :meth:`reset` for a fully cold engine."""
+        ranks and group indexes.  Statistics counters are lifetime counters
+        and are deliberately left untouched (``bytes_cached`` reads the
+        now-empty caches); use :meth:`reset` for a fully cold engine."""
         self._masks.clear()
         self._results.clear()
         if self._sort_orders is not None:
@@ -903,7 +805,6 @@ class QueryEngine:
             with self._sync_lock:
                 self._synced_version = table.version
                 self._synced_rows = table.num_rows
-        self._refresh_byte_gauges()
 
     def reset(self) -> None:
         """Return the engine to a cold state: drop all caches, zero the stats

@@ -43,12 +43,11 @@ ordinary ``execute_plans`` calls, so results are **bit-identical** to each
 caller running its queries serially on the same engine, at any concurrency
 level -- pinned by ``tests/query/test_service.py`` and the acceptance hammer test.
 
-Observability: the service books ``service_admitted`` / ``service_rejected``
-/ ``service_timeouts`` / ``service_rounds`` / ``service_coalesced`` /
-``service_deduped`` counters and the ``service_queue_depth`` /
-``service_batch_occupancy`` gauges on the wrapped engine's
-:class:`~repro.query.engine.EngineStats`, flowing through ``delta_since`` /
-``reset`` under the documented counter-vs-gauge contract.
+Observability: the service books the ``service_admitted`` /
+``service_rejected`` / ``service_timeouts`` / ``service_rounds`` /
+``service_coalesced`` / ``service_deduped`` lifetime counters on the wrapped
+engine's :class:`~repro.query.engine.EngineStats`; the queries waiting now
+are :attr:`QueryService.queue_depth`.
 
 Configuration: :class:`ServiceConfig` holds the three knobs with concrete
 defaults (``max_batch=64``, ``max_queue=1024``, no deadline); malformed
@@ -245,7 +244,6 @@ class QueryService:
             self._queue.append(_Request(plans, future, deadline))
             self._depth += len(plans)
             stats.bump(service_admitted=len(plans))
-            stats.set_gauges(service_queue_depth=self._depth)
             self._not_empty.notify_all()
         return future
 
@@ -259,7 +257,7 @@ class QueryService:
 
     @property
     def queue_depth(self) -> int:
-        """Queries currently waiting for a round (also a stats gauge)."""
+        """Queries currently waiting for a round."""
         with self._lock:
             return self._depth
 
@@ -292,7 +290,6 @@ class QueryService:
             batch.append(request)
             taken += len(request.plans)
         self._depth -= taken
-        self.engine.stats.set_gauges(service_queue_depth=self._depth)
         return batch
 
     def _run_round(self, requests: List[_Request]) -> None:
@@ -327,7 +324,6 @@ class QueryService:
             service_deduped=duplicates,
             service_coalesced=len(plans) if len(live) > 1 else 0,
         )
-        stats.set_gauges(service_batch_occupancy=len(plans) / self.config.max_batch)
         offset = 0
         for request in live:
             n = len(request.plans)
@@ -374,7 +370,6 @@ class QueryService:
                 cancelled = list(self._queue)
                 self._queue.clear()
                 self._depth = 0
-                self.engine.stats.set_gauges(service_queue_depth=0)
             self._not_empty.notify_all()
         for request in cancelled:
             if request.future.set_running_or_notify_cancel():

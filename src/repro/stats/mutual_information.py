@@ -19,6 +19,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.dataframe.column import encode, renumber_codes_compact
 from repro.stats.entropy import code_counts, discretize, entropy_of_counts
 
 #: ``(weight, row mask)`` of each label code, in code order.
@@ -26,16 +27,11 @@ LabelGroups = List[Tuple[float, np.ndarray]]
 
 
 def _as_codes(values, n_bins: int) -> np.ndarray:
+    """Object arrays are dictionary-coded, ``None`` as a code of its own, in
+    first-appearance order; anything else is binned."""
     values = np.asarray(values)
     if values.dtype == object:
-        lookup = {}
-        codes = np.empty(values.shape[0], dtype=np.int64)
-        for i, v in enumerate(values):
-            key = "__missing__" if v is None else v
-            if key not in lookup:
-                lookup[key] = len(lookup)
-            codes[i] = lookup[key]
-        return codes
+        return renumber_codes_compact(encode(values)[0] + 1)[1]
     return discretize(values.astype(np.float64), n_bins=n_bins)
 
 

@@ -119,7 +119,7 @@ class TestFeatAugFacade:
         # The engine is shared per table, so earlier runs may have warmed the
         # result cache: count executed and cache-served queries together.
         assert result.engine_stats["queries"] + result.engine_stats["result_hits"] > 0
-        assert result.engine_stats["kernel_seconds"]
+        assert result.engine_stats["seconds_aggregating"] >= 0.0
 
     def test_run_uses_the_shared_engine_of_the_relevant_table(self, tiny_student, fast_config):
         """The run's traffic lands on ``engine_for(relevant)``, the engine

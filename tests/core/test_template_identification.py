@@ -99,7 +99,7 @@ class TestBeamSearch:
         # The engine is shared per table: earlier tests may have warmed the
         # result cache, so count executed and cache-served queries together.
         assert stats["queries"] + stats["result_hits"] > 0
-        assert all(seconds >= 0.0 for seconds in stats["kernel_seconds"].values())
+        assert stats["seconds_aggregating"] >= 0.0
 
     def test_beam_explores_fewer_templates_than_brute_force(self, qti_setup, qti_config):
         """The cost reduction claimed in Section VI.B/VI.C: brute force

@@ -1,4 +1,4 @@
-"""Unit tests for preprocessing: encoders, scaler, imputer, vectoriser, splits."""
+"""Unit tests for preprocessing: encoders, imputer, vectoriser, splits."""
 
 import warnings
 
@@ -11,8 +11,8 @@ from repro.ml.preprocessing import (
     LabelEncoder,
     OneHotEncoder,
     SimpleImputer,
-    StandardScaler,
     TableVectorizer,
+    mean_impute,
     train_valid_test_split,
 )
 
@@ -30,9 +30,14 @@ class TestLabelEncoder:
         codes = LabelEncoder().fit_transform(["a", None, "a"])
         assert codes[1] != codes[0]
 
-    def test_inverse_transform(self):
-        encoder = LabelEncoder().fit(["x", "y"])
-        assert encoder.inverse_transform([1, 0]) == ["y", "x"]
+    def test_missing_values_share_one_code(self):
+        codes = LabelEncoder().fit_transform([None, "a", float("nan"), np.nan])
+        assert codes[0] == codes[2] == codes[3] != codes[1]
+
+    def test_missing_is_not_the_string_missing(self):
+        encoder = LabelEncoder().fit([None, "__missing__"])
+        assert len(encoder.classes_) == 2
+        assert list(encoder.transform([None, "__missing__"])) == [0.0, 1.0]
 
 
 class TestOneHotEncoder:
@@ -54,55 +59,25 @@ class TestOneHotEncoder:
         assert set(encoder.categories_) == {"a", "b"}
 
 
-class TestStandardScaler:
-    def test_zero_mean_unit_variance(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(5, 3, size=(200, 3))
-        Z = StandardScaler().fit_transform(X)
-        assert np.allclose(Z.mean(axis=0), 0, atol=1e-9)
-        assert np.allclose(Z.std(axis=0), 1, atol=1e-9)
-
-    def test_constant_column_not_divided_by_zero(self):
-        X = np.ones((10, 1))
-        Z = StandardScaler().fit_transform(X)
-        assert np.all(np.isfinite(Z))
-
-
 class TestSimpleImputer:
     def test_mean_imputation(self):
         X = np.asarray([[1.0], [np.nan], [3.0]])
         out = SimpleImputer().fit_transform(X)
         assert out[1, 0] == 2.0
 
-    def test_median_imputation(self):
-        X = np.asarray([[1.0], [np.nan], [100.0], [3.0]])
-        out = SimpleImputer(strategy="median").fit_transform(X)
-        assert out[1, 0] == 3.0
-
-    def test_constant_imputation(self):
-        X = np.asarray([[np.nan], [np.nan]])
-        out = SimpleImputer(strategy="constant", fill_value=-1.0).fit_transform(X)
-        assert np.all(out == -1.0)
-
-    def test_unknown_strategy_raises(self):
-        with pytest.raises(ValueError):
-            SimpleImputer(strategy="magic")
-
     def test_all_nan_column_uses_fill_value(self):
         X = np.asarray([[np.nan], [np.nan]])
-        out = SimpleImputer(strategy="mean", fill_value=0.0).fit_transform(X)
-        assert np.all(out == 0.0)
+        out = SimpleImputer(fill_value=-1.0).fit_transform(X)
+        assert np.all(out == -1.0)
 
-    @pytest.mark.parametrize("strategy", ["mean", "median"])
-    def test_all_nan_column_fits_without_warnings(self, strategy):
+    def test_all_nan_column_fits_without_warnings(self):
         X = np.asarray([[1.0, np.nan, 2.0], [np.nan, np.nan, 5.0], [4.0, np.nan, np.nan]])
-        reduce = np.nanmedian if strategy == "median" else np.nanmean
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            imputer = SimpleImputer(strategy=strategy, fill_value=-1.0).fit(X)
-        # Columns with a value keep the nan-reduction's statistic exactly.
-        assert imputer.statistics_[0] == reduce(X[:, 0])
-        assert imputer.statistics_[2] == reduce(X[:, 2])
+            imputer = SimpleImputer(fill_value=-1.0).fit(X)
+        # Columns with a value keep np.nanmean's statistic exactly.
+        assert imputer.statistics_[0] == np.nanmean(X[:, 0])
+        assert imputer.statistics_[2] == np.nanmean(X[:, 2])
         assert imputer.statistics_[1] == -1.0
 
     def test_table_without_rows_fits_without_warnings(self):
@@ -110,6 +85,26 @@ class TestSimpleImputer:
             warnings.simplefilter("error")
             imputer = SimpleImputer(fill_value=7.0).fit(np.empty((0, 2)))
         assert np.array_equal(imputer.statistics_, [7.0, 7.0])
+
+
+class TestMeanImpute:
+    def test_fills_every_matrix_with_the_training_mean(self):
+        train = np.asarray([[1.0, np.nan], [np.nan, np.nan], [4.0, np.nan]])
+        valid = np.asarray([[np.nan, np.nan], [7.0, 3.0]])
+        filled_train, filled_valid = mean_impute(train, valid)
+        assert filled_train.tolist() == [[1.0, 0.0], [2.5, 0.0], [4.0, 0.0]]
+        assert filled_valid.tolist() == [[2.5, 0.0], [7.0, 3.0]]
+        assert np.isnan(train[1, 0]) and np.isnan(valid[0, 0])  # inputs untouched
+
+    def test_mean_of_the_present_values_not_nanmean(self):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(997, 3)) * 1e3
+        X[rng.random(X.shape) < 0.3] = np.nan
+        (filled,) = mean_impute(X)
+        for j in range(X.shape[1]):
+            column = X[:, j]
+            want = float(column[~np.isnan(column)].mean())
+            assert np.all(filled[np.isnan(column), j] == want)
 
 
 class TestTableVectorizer:

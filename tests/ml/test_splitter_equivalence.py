@@ -15,13 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import _reference_trees as ref
 from repro.baselines.featuretools import FeaturetoolsGenerator
-from repro.core.evaluation import _impute_pair
 from repro.datasets import load_dataset
 from repro.experiments.runner import _make_evaluator, _materialise_query_features
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.gbdt import GradientBoostingClassifier, GradientBoostingRegressor
 from repro.ml.model_zoo import make_model
-from repro.ml.preprocessing import train_valid_test_split
+from repro.ml.preprocessing import mean_impute, train_valid_test_split
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.stats.gini import gini_importance
 
@@ -201,7 +200,7 @@ def benchmark_training_matrix(name):
     queries = FeaturetoolsGenerator(keys=bundle.keys).candidate_queries(bundle.relevant)
     (extra,) = _materialise_query_features(queries[:BENCH_FEATURES], bundle.relevant, [train])
     X = np.hstack([evaluator._X_train_base, extra])
-    X, _ = _impute_pair(X, X)
+    (X,) = mean_impute(X)
     return bundle.task, X, evaluator.y_train
 
 

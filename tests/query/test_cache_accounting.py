@@ -2,15 +2,14 @@
 
 The mask / result / sort-order LRUs are bounded by entry count only.  Every
 entry carries its :func:`_value_nbytes` cost, each cache keeps the exact
-total, and the engine publishes the totals as the ``bytes_cached`` /
-``cache_bytes`` gauges.
+total, and ``EngineStats.bytes_cached`` reads the sum live.
 
 Regressions pinned here:
 
 * ``_LRUCache`` distinguishes a cached falsy value (``None``, an empty
   array, ``0``) from a miss via an internal sentinel.
-* ``EngineStats.delta_since`` tolerates baselines missing counter keys (or
-  carrying malformed values) instead of raising.
+* ``EngineStats.delta_since`` takes only an earlier ``as_dict()`` of the
+  same stats (or ``{}``): a partial or foreign baseline raises.
 * ``QueryEngine.clear_caches()`` is idempotent and leaves the engine
   usable; the ``engine_for`` registry holds its table weakly, so a
   registry engine is released once its table is garbage-collected.
@@ -25,6 +24,7 @@ import pytest
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
 from repro.query.engine import (
+    EngineConfig,
     QueryEngine,
     _LRUCache,
     _value_nbytes,
@@ -103,10 +103,9 @@ class TestValueNbytes:
         result = engine.execute(query)
         before = engine.cached_bytes
         assert result.column("key").values.tolist()  # decode the key column
-        engine._refresh_byte_gauges()
         assert engine.cached_bytes == before
         # One 7-row result: key and feature columns at 8 B a row each.
-        assert engine.stats.cache_bytes["results"] == 7 * 8 * 2
+        assert engine._results.bytes == 7 * 8 * 2
 
 
 class TestLRUCacheSentinel:
@@ -176,7 +175,7 @@ class TestLRUCacheBytes:
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
-class TestEngineByteGauges:
+class TestLiveByteGauge:
     @pytest.fixture(autouse=True)
     def _entry(self, entry):
         self.entry = entry
@@ -189,23 +188,37 @@ class TestEngineByteGauges:
         ]
         run_entry(engine, batch, self.entry)
 
-    def test_gauges_track_cache_contents(self):
+    def test_gauge_reads_the_three_caches(self):
         engine = QueryEngine(make_relevant(1))
         self.run_traffic(engine)
-        stats = engine.stats.as_dict()
-        assert stats["bytes_cached"] == engine.cached_bytes > 0
-        assert set(stats["cache_bytes"]) == {"masks", "results", "sort_orders"}
-        assert sum(stats["cache_bytes"].values()) == float(stats["bytes_cached"])
+        held = engine._masks.bytes + engine._results.bytes + engine._sort_orders.bytes
+        assert engine._sort_orders.bytes > 0
+        assert engine.stats.as_dict()["bytes_cached"] == engine.cached_bytes == held
 
-    def test_clear_caches_resets_gauges_keeps_counters(self):
+    def test_clear_caches_zeroes_the_gauge_keeps_counters(self):
         engine = QueryEngine(make_relevant(1))
         self.run_traffic(engine)
         queries = engine.stats.queries
         engine.clear_caches()
         assert engine.cached_bytes == 0
         assert engine.stats.bytes_cached == 0
-        assert all(v == 0.0 for v in engine.stats.cache_bytes.values())
         assert engine.stats.queries == queries
+
+    def test_stats_reset_keeps_the_gauge(self):
+        engine = QueryEngine(make_relevant(1))
+        self.run_traffic(engine)
+        held = engine.cached_bytes
+        engine.stats.reset()
+        assert engine.stats.queries == 0
+        assert engine.stats.bytes_cached == engine.cached_bytes == held > 0
+        engine.reset()
+        assert engine.stats.bytes_cached == engine.cached_bytes == 0
+
+    def test_gauge_without_a_sort_cache(self):
+        engine = QueryEngine(make_relevant(1), config=EngineConfig(sort_cache_size=0))
+        self.run_traffic(engine)
+        held = engine._masks.bytes + engine._results.bytes
+        assert engine.stats.bytes_cached == engine.cached_bytes == held > 0
 
     def test_append_flush_zeroes_the_gauges(self):
         """The flush after an append that adds rows drops every cache, so
@@ -234,8 +247,9 @@ class TestEngineByteGauges:
         assert engine.stats.staleness_evictions == 0
 
 
-class TestDeltaSinceTolerance:
-    """Satellite: ``delta_since`` must not raise on incomplete baselines."""
+class TestDeltaSinceStrict:
+    """``delta_since`` subtracts an earlier ``as_dict()`` of the same stats
+    and refuses anything else."""
 
     def traffic(self) -> QueryEngine:
         engine = QueryEngine(make_relevant(3))
@@ -243,43 +257,37 @@ class TestDeltaSinceTolerance:
         engine.execute(query_with("a", "MEDIAN"))
         return engine
 
-    def test_empty_baseline_equals_lifetime_counters(self):
+    def test_counters_subtract_gauge_passes_through_rates_recomputed(self):
         engine = self.traffic()
-        delta = engine.stats.delta_since({})
-        assert delta["queries"] == engine.stats.queries
-        assert delta["result_hits"] == engine.stats.result_hits
-        assert delta["kernel_seconds"] == engine.stats.kernel_seconds
-
-    def test_none_baseline_is_tolerated(self):
-        engine = self.traffic()
-        delta = engine.stats.delta_since(None)
-        assert delta["queries"] == engine.stats.queries
-
-    def test_partial_baseline_missing_keys_treated_as_zero(self):
-        engine = self.traffic()
-        baseline = {"queries": 1}  # every other counter absent
+        baseline = engine.stats.as_dict()
+        engine.execute(query_with("b", "MEDIAN"))
+        engine.execute(query_with("b", "MEDIAN"))
+        engine.execute(query_with("b", "MEDIAN"))
         delta = engine.stats.delta_since(baseline)
-        assert delta["queries"] == engine.stats.queries - 1
-        assert delta["result_misses"] == engine.stats.result_misses
+        assert delta.keys() == baseline.keys()
+        assert (delta["queries"], delta["result_hits"], delta["result_misses"]) == (1, 2, 1)
+        assert delta["result_hit_rate"] == pytest.approx(2 / 3)
+        assert delta["bytes_cached"] == engine.cached_bytes > baseline["bytes_cached"]
 
-    def test_malformed_baseline_values_are_ignored(self):
+    def test_empty_baseline_counts_from_zero(self):
         engine = self.traffic()
-        baseline = {
-            "queries": "garbage",
-            "kernel_seconds": 7,  # dict counter with a scalar baseline
-            "seconds_masking": {"oops": 1.0},  # scalar counter with a dict
-            "result_hits": True,  # bool is not a counter baseline
-        }
-        delta = engine.stats.delta_since(baseline)
-        assert delta["queries"] == engine.stats.queries
-        assert delta["kernel_seconds"] == engine.stats.kernel_seconds
-        assert delta["result_hits"] == engine.stats.result_hits
+        assert engine.stats.delta_since({}) == engine.stats.as_dict()
 
-    def test_gauges_pass_through_as_current_values(self):
+    def test_partial_baseline_raises(self):
         engine = self.traffic()
-        delta = engine.stats.delta_since({"bytes_cached": 10**9})
-        assert delta["bytes_cached"] == engine.stats.bytes_cached
-        assert delta["cache_bytes"] == engine.stats.cache_bytes
+        with pytest.raises(ValueError, match="result_hits"):
+            engine.stats.delta_since({"queries": 1})
+
+    def test_foreign_baseline_raises(self):
+        engine = self.traffic()
+        foreign = dict(engine.stats.as_dict(), kernel_seconds={"SUM": 0.0})
+        with pytest.raises(ValueError, match="kernel_seconds"):
+            engine.stats.delta_since(foreign)
+
+    def test_none_baseline_raises(self):
+        engine = self.traffic()
+        with pytest.raises(AttributeError):
+            engine.stats.delta_since(None)
 
 
 class TestClearAndRegistry:

@@ -5,9 +5,9 @@ of their own (the query service's dispatcher is one more), so the
 LRU predicate-mask / result caches, the group-index map and every
 ``EngineStats`` counter must behave under concurrency:
 
-* **no torn stats** -- counter updates are atomic (``EngineStats.bump`` /
-  ``set_gauges`` / ``record_kernel`` serialise on one lock), so hammering
-  them from many threads loses no increments;
+* **no torn stats** -- counter updates are atomic (``EngineStats.bump``
+  serialises on one lock), so hammering it from many threads loses no
+  increments;
 * **no cross-thread cache corruption** -- the LRU caches keep their bound
   and their entries stay internally consistent while readers and writers
   interleave;
@@ -100,23 +100,6 @@ class TestStatsAtomicity:
         assert stats.queries == per_thread * threads
         # 1.0-increments are exact in float64 far beyond this total.
         assert stats.seconds_masking == float(per_thread * threads)
-
-    def test_record_kernel_loses_no_updates(self):
-        stats = EngineStats()
-        per_thread, threads = 1000, 6
-
-        def hammer(i):
-            for _ in range(per_thread):
-                stats.record_kernel(("SUM", "MEDIAN")[i % 2], 1.0)
-
-        workers = [threading.Thread(target=hammer, args=(i,)) for i in range(threads)]
-        for t in workers:
-            t.start()
-        for t in workers:
-            t.join()
-        assert sum(stats.kernel_seconds.values()) == float(per_thread * threads)
-        assert stats.kernel_seconds["SUM"] == float(per_thread * threads // 2)
-        assert stats.seconds_aggregating == float(per_thread * threads)
 
     def test_as_dict_snapshot_is_consistent_under_writes(self):
         """Paired counters bumped atomically never tear in a snapshot."""

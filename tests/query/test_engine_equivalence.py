@@ -542,7 +542,6 @@ class TestEdgeCases:
 def test_kernel_timing_lands_in_stats(logs_table):
     engine = QueryEngine(logs_table)
     engine.execute(PredicateAwareQuery("SUM", "pprice", ("cname",)))
-    assert set(engine.stats.kernel_seconds) == {"SUM"}
-    assert engine.stats.kernel_seconds["SUM"] >= 0.0
+    assert engine.stats.seconds_aggregating > 0.0
     delta = engine.stats.delta_since(engine.stats.as_dict())
-    assert delta["kernel_seconds"]["SUM"] == 0.0
+    assert delta["seconds_aggregating"] == 0.0

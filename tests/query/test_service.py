@@ -261,14 +261,14 @@ class TestAdmission:
         assert service.queue_depth == 0
         service.close()
 
-    def test_queue_depth_gauge_tracks_admission_and_dispatch(self):
+    def test_queue_depth_tracks_admission_and_dispatch(self):
         engine = make_engine()
         service = manual_service(engine, max_batch=64)
-        assert engine.stats.service_queue_depth == 0
+        assert service.queue_depth == 0
         service.submit(make_batch())
-        assert engine.stats.service_queue_depth == 8 == service.queue_depth
+        assert service.queue_depth == 8
         service.run_pending_round()
-        assert engine.stats.service_queue_depth == 0 == service.queue_depth
+        assert service.queue_depth == 0
         service.close()
 
 
@@ -295,7 +295,6 @@ class TestCoalescing:
         # ...and the second request's 8 identical plans were served by
         # fan-out of the first's executions.
         assert delta["service_deduped"] == 8
-        assert delta["service_batch_occupancy"] == pytest.approx(16 / 64)
         service.close()
 
     def test_single_request_round_is_not_coalesced(self):
@@ -346,7 +345,7 @@ class TestCoalescing:
         future = service.submit(queries)
         assert service.run_pending_round() == 1
         assert len(future.result(timeout=5)) == 8
-        assert engine.stats.service_batch_occupancy == pytest.approx(2.0)
+        assert engine.stats.service_rounds == 1
         service.close()
 
     @pytest.mark.parametrize("max_batch", ROUND_BOUNDS)
@@ -445,7 +444,6 @@ class TestFailurePaths:
         for future in futures:
             with pytest.raises(ServiceClosedError):
                 future.result(timeout=5)
-        assert engine.stats.service_queue_depth == 0
         assert service.queue_depth == 0
 
 
@@ -578,25 +576,14 @@ class TestServiceStats:
             future.result(timeout=5)
         baseline = engine.stats.as_dict()
         assert baseline["service_rounds"] == 1
-        # A window that saw no service traffic reports zero deltas while
-        # the gauges pass through as current values.
+        # A window that saw no service traffic reports zero deltas.
         delta = engine.stats.delta_since(baseline)
         assert delta["service_rounds"] == 0
         assert delta["service_admitted"] == 0
-        assert delta["service_batch_occupancy"] == pytest.approx(16 / 64)
         engine.stats.reset()
         assert engine.stats.service_admitted == 0
         assert engine.stats.service_rounds == 0
-        # Gauges survive reset (they describe current state, not a window).
-        assert engine.stats.service_batch_occupancy == pytest.approx(16 / 64)
         service.close()
-
-    def test_service_gauges_are_settable_counters_are_not(self):
-        engine = make_engine()
-        engine.stats.set_gauges(service_queue_depth=3, service_batch_occupancy=0.5)
-        assert engine.stats.service_queue_depth == 3
-        with pytest.raises(ValueError):
-            engine.stats.set_gauges(service_admitted=1)
 
 
 # ----------------------------------------------------------------------

@@ -55,6 +55,10 @@ class TestMutualInformation:
         y = (x + rng.integers(0, 2, size=500)) % 4
         assert mutual_information(x, y) == pytest.approx(mutual_information(y, x), abs=1e-9)
 
+    def test_missing_category_is_not_the_string_missing(self):
+        x = np.array([None, "__missing__"] * 2, dtype=object)
+        assert mutual_information(x, np.array([0, 1] * 2)) == pytest.approx(np.log(2))
+
     def test_handles_nan_feature(self):
         x = np.asarray([1.0, np.nan, 2.0, np.nan] * 50)
         y = np.asarray([0, 1, 0, 1] * 50)
