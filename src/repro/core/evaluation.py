@@ -3,9 +3,13 @@
 The evaluator is constructed once per search with the training/validation
 split, the label and the base feature columns.  The base design matrices are
 vectorised and cached; scoring a candidate query then only requires executing
-the query, joining its feature onto both splits and retraining the (cloned)
-downstream model with one extra column.  The returned *loss* is minimised by
-the search:
+the query, reading its feature onto both splits and retraining the (cloned)
+downstream model with one extra column.  Candidates are scored on the key
+domain: the engine returns each query's values per group of its
+``GroupIndex``, and every split row is matched to its group once per
+(split, index), so a feature vector is one scatter and one gather, with no
+result table and no key matching per candidate.  The returned *loss* is
+minimised by the search:
 
 * binary classification  -> ``1 - AUC``
 * multi-class            -> ``1 - macro F1``
@@ -15,7 +19,7 @@ the search:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +27,7 @@ from repro.dataframe.table import Table
 from repro.ml.base import BaseEstimator, is_classifier
 from repro.ml.metrics import f1_score_macro, rmse, roc_auc_score
 from repro.ml.preprocessing import LabelEncoder, TableVectorizer, mean_impute
-from repro.query.engine import QueryEngine, resolve_engine
+from repro.query.engine import GroupIndex, QueryEngine, resolve_engine
 from repro.query.query import PredicateAwareQuery
 
 
@@ -61,6 +65,10 @@ class ModelEvaluator:
         self._engine = engine
         self._train_table = train_table
         self._valid_table = valid_table
+        # (split position, keys) -> (index, each split row's group code):
+        # rebuilt whenever the engine hands out another index for the keys
+        # (a flush after an append, another relevant table).
+        self._row_groups: Dict[Tuple[int, Tuple[str, ...]], Tuple[GroupIndex, np.ndarray]] = {}
         self.base_features = [f for f in base_features if f != label]
 
         self._vectorizer = TableVectorizer(self.base_features)
@@ -113,25 +121,38 @@ class ModelEvaluator:
         engine: QueryEngine | None = None,
         valid: bool = True,
     ):
-        """Batched variant: one engine pass, then per-query train/valid key gathers.
+        """Each query's feature on the train and validation splits.
 
-        Queries execute through the engine's vectorized grouped kernels
-        (see :mod:`repro.dataframe.grouped_kernels`).  Each split then gathers
-        the feature column by ``Table.lookup``: the key matching of
-        ``Table.left_join`` (factorized codes + first-occurrence index map),
-        NaN where no group matches, without building a joined table.  With
+        One engine pass (:meth:`QueryEngine.plan_results`) returns each
+        query's values per group of its plan's ``GroupIndex``; a split's
+        vector is those values gathered through the split rows' group codes
+        (:meth:`_split_row_groups`), NaN where a row's key matches no group
+        or its group has no value -- bit for bit the column
+        ``augment_training_table`` would join onto the split.  With
         ``valid=False`` the validation split is skipped and ``None`` stands
         for its vectors: the proxy search scores on the train split alone.
         """
         resolved = self._resolve_engine(relevant_table, engine)
-        feature_tables = resolved.execute_batch(list(queries))
+        results = resolved.plan_results([resolved.plan(query) for query in queries])
         splits = (self._train_table, self._valid_table) if valid else (self._train_table,)
         vectors: List[List[np.ndarray]] = [[] for _ in splits]
-        for query, feature_table in zip(queries, feature_tables):
-            for split, split_vectors in zip(splits, vectors):
-                feature = split.lookup(feature_table, query.keys, query.feature_name)
-                split_vectors.append(feature.values)
+        for result in results:
+            codes = [
+                self._split_row_groups(position, split, result.index)
+                for position, split in enumerate(splits)
+            ]
+            for split_vectors, vector in zip(vectors, result.gather(codes)):
+                split_vectors.append(vector)
         return vectors[0], (vectors[1] if valid else None)
+
+    def _split_row_groups(self, position: int, split: Table, index: GroupIndex) -> np.ndarray:
+        """The group code in *index* of each row of *split* (``n_groups``
+        for no group), matched once per (split, index)."""
+        key = (position, index.keys)
+        cached = self._row_groups.get(key)
+        if cached is None or cached[0] is not index:
+            cached = self._row_groups[key] = (index, index.row_groups(split))
+        return cached[1]
 
     # ------------------------------------------------------------------
     # Scoring

@@ -175,12 +175,6 @@ class Table:
             existing.add(out_name)
         return Table(new_columns)
 
-    def lookup(self, other: "Table", on: Sequence[str], name: str) -> Column:
-        """Column *name* of *other* matched onto this table's rows by the key
-        columns *on*: the column :meth:`left_join` would add, by the same
-        matching, without building the joined table."""
-        return _gather_with_missing(other.column(name), _join_match(self, other, on))
-
     def concat_rows(self, other: "Table") -> "Table":
         """Stack another table with the same schema below this one."""
         if self.num_columns == 0:

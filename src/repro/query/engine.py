@@ -15,7 +15,13 @@ re-scan every WHERE predicate) wastes almost all of that work, so a
    group index -> predicate mask -> filtered groups -> one
    :class:`~repro.dataframe.grouped_kernels.GroupedAggregator` per value
    column, whose vectorized kernels evaluate every aggregate of the plan for
-   all groups at once.
+   all groups at once.  Its results stay on the key domain: one
+   :class:`AggregateResult` per aggregate, the values of the surviving
+   groups of the plan's :class:`GroupIndex`, which
+   :meth:`QueryEngine.plan_results` returns as they are (candidate scoring
+   gathers them through :meth:`GroupIndex.row_groups` codes) and the
+   ``execute*`` entry points turn into result tables on demand, once per
+   result.
 3. **Shared derived state** -- a factorized group index per key combination,
    an LRU predicate-mask cache keyed by atom signature, one **value rank**
    per numeric-like value column and table version (each row's stable rank
@@ -25,8 +31,9 @@ re-scan every WHERE predicate) wastes almost all of that work, so a
    :meth:`QueryEngine.value_rank`), an LRU **sort-order cache**
    keyed by ``(predicate signature, keys, attr)`` (each plan's sorted
    values are built once per filter/grouping/value-column triple and reused
-   across plans and batches of one template) and an LRU result cache keyed by plan
-   signature (TPE frequently re-samples identical queries), plus the
+   across plans and batches of one template) and an LRU result cache of
+   :class:`AggregateResult`\\ s keyed by plan signature (TPE frequently
+   re-samples identical queries), plus the
    lifetime cache / timing counters of :class:`EngineStats`, read by the
    Figure 5 benchmarks.  Each LRU is bounded by its entry count; the
    ``bytes_cached`` gauge reads the bytes they hold when the stats are read.
@@ -77,7 +84,7 @@ from repro.dataframe.grouped_kernels import (
     rank_values,
 )
 from repro.dataframe.predicates import Predicate
-from repro.dataframe.table import Table
+from repro.dataframe.table import Table, _join_match
 from repro.query.plan import QueryPlan
 from repro.query.query import PredicateAwareQuery
 
@@ -239,28 +246,29 @@ def _value_nbytes(value) -> int:
     """Byte cost of one cached value, summed into the ``bytes_cached`` gauge.
 
     Masks are bool arrays (1 byte/row), sorted values and MAD orders 8-byte
-    arrays (8 bytes/filtered row) -- both fall out of ``ndarray.nbytes``.  Result
-    tables cost the sum of their columns' ``Column.nbytes``: 8 bytes per
-    row for a float64 or a categorical column, whether or not the
-    categorical's values were ever decoded.  Anything else (test fixtures,
-    third-party values) is charged 0.
+    arrays (8 bytes/filtered row) -- both fall out of ``ndarray.nbytes``.
+    Cached query results cost :attr:`AggregateResult.nbytes`: their group
+    ids and values, plus the key columns of their table once one is built
+    (``Column.nbytes``: 8 bytes per row for a float64 or a categorical
+    column, whether or not the categorical's values were ever decoded).
+    Anything else (test fixtures, third-party values) is charged 0.
     """
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
-    if isinstance(value, Table):
-        return sum(value.column(name).nbytes for name in value.column_names)
+    if isinstance(value, AggregateResult):
+        return value.nbytes
     return 0
 
 
 class _LRUCache:
-    """A tiny ordered-dict LRU used for masks, sort orders and result tables.
+    """A tiny ordered-dict LRU used for masks, sort orders and query results.
 
     Thread-safe: recency bookkeeping (``move_to_end`` during ``get``) makes
     even reads mutating, so every operation serialises on one lock --
     concurrent ``execute_batch`` callers can never corrupt
-    the order book or evict past the bound.  Cached values (masks, result
-    tables) are immutable by contract, so returning them outside the lock is
-    safe.  Presence tests use the ``_MISS`` sentinel, so a legitimately
+    the order book or evict past the bound.  Cached values (masks, sort
+    orders, results) are immutable by contract, so returning them outside
+    the lock is safe.  Presence tests use the ``_MISS`` sentinel, so a legitimately
     cached falsy value (``None``, an empty array) is a hit, not a miss.
 
     The cache is bounded by its entry count only.  Every entry carries its
@@ -307,6 +315,17 @@ class _LRUCache:
             self.bytes -= nbytes
             return 1
 
+    def recharge(self, key) -> None:
+        """Re-read the cost of the entry under *key* (absent: no-op), after
+        its value grew in place (a result whose table was built)."""
+        with self._lock:
+            entry = self._data.get(key, _MISS)
+            if entry is _MISS:
+                return
+            cost = _value_nbytes(entry[0])
+            self._data[key] = (entry[0], cost)
+            self.bytes += cost - entry[1]
+
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
@@ -331,6 +350,90 @@ class GroupIndex:
         if group_ids is None:
             return list(self._key_columns)
         return [column.take(group_ids) for column in self._key_columns]
+
+    def row_groups(self, table: Table) -> np.ndarray:
+        """The group of each row of *table*, matched on the key columns.
+
+        The matching is ``Table.left_join``'s (missing keys match missing
+        keys, numeric and categorical keys as it codes them); a row whose
+        key matches no group gets ``n_groups``.  Every group has a distinct
+        key, so a row matches at most one group, and it matches group ``g``
+        exactly when a left join onto a result table holding ``g``'s row
+        would match that row.
+        """
+        codes = _join_match(table, Table(self._key_columns), self.keys)
+        codes[codes < 0] = self.n_groups
+        return codes
+
+
+class AggregateResult:
+    """One aggregate of one plan, on the key domain of the plan's index.
+
+    ``values[i]`` is the aggregate of group ``group_ids[i]`` of *index*,
+    groups in first appearance within the filtered rows (the row order of
+    the result table); ``group_ids`` is ``None`` for a plan without a
+    WHERE clause, whose values cover every group in index order.
+    :meth:`gather` reads the values through :meth:`GroupIndex.row_groups`
+    codes, with no table; :meth:`table` builds the ``keys + feature`` table
+    once, on demand.  Immutable by the same contract as every other cached
+    value (the memoised table aside).
+    """
+
+    __slots__ = ("index", "group_ids", "values", "feature_name", "_table")
+
+    def __init__(
+        self,
+        index: GroupIndex,
+        group_ids: Optional[np.ndarray],
+        values: np.ndarray,
+        feature_name: str,
+    ):
+        self.index = index
+        self.group_ids = group_ids
+        self.values = values
+        self.feature_name = feature_name
+        self._table: Optional[Table] = None
+
+    @property
+    def has_table(self) -> bool:
+        return self._table is not None
+
+    def table(self) -> Table:
+        """The result table: the groups' key columns plus the feature."""
+        table = self._table
+        if table is None:
+            feature = Column(self.feature_name, self.values, dtype=DType.NUMERIC)
+            table = self._table = Table(self.index.key_columns(self.group_ids) + [feature])
+        return table
+
+    def gather(self, group_codes: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """The value of each entry's group, NaN for a group without one, for
+        each array of *group_codes*.
+
+        The codes are codes of :attr:`index` as :meth:`GroupIndex.row_groups`
+        returns them (``n_groups`` = no group): each vector equals the
+        feature column a left join of the :meth:`table` onto those rows
+        would add, bit for bit.  The values are scattered over the groups
+        once, then read through every code array.
+        """
+        dense = np.full(self.index.n_groups + 1, np.nan)
+        if self.group_ids is None:
+            dense[:-1] = self.values
+        else:
+            dense[self.group_ids] = self.values
+        return [dense.take(codes) for codes in group_codes]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: group ids and values, plus the table's key columns
+        once it is built (its feature column is :attr:`values`)."""
+        held = self.values.nbytes
+        if self.group_ids is not None:
+            held += self.group_ids.nbytes
+        table = self._table
+        if table is not None:
+            held += sum(table.column(name).nbytes for name in self.index.keys)
+        return int(held)
 
 
 class QueryEngine:
@@ -550,19 +653,6 @@ class QueryEngine:
         self.stats.bump(seconds_grouping=time.perf_counter() - start)
         return group_ids, codes, group_ids.size, row_idx
 
-    def empty_result(self, keys: Sequence[str], feature_name: str) -> Table:
-        """The empty feature table, constructed directly (no full-table scan)."""
-        self.stats.bump(empty_results=1)
-        columns: List[Column] = []
-        for name in keys:
-            source = self.table.column(name)
-            if source.is_numeric_like:
-                columns.append(Column(name, np.empty(0, dtype=np.float64), dtype=source.dtype))
-            else:
-                columns.append(Column(name, np.empty(0, dtype=object), dtype=DType.CATEGORICAL))
-        columns.append(Column(feature_name, np.empty(0, dtype=np.float64), dtype=DType.NUMERIC))
-        return Table(columns)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -572,19 +662,7 @@ class QueryEngine:
 
     def execute_plan(self, plan: QueryPlan) -> Table:
         """Run one single-aggregate plan through the result cache."""
-        if len(plan.aggregates) != 1:
-            raise ValueError(
-                "execute_plan expects a single-aggregate plan; "
-                "use execute_plans for a batch"
-            )
-        self.sync_with_table()
-        key = plan.result_key(0)
-        if key is not None:
-            cached = self._results.get(key, _MISS)
-            if cached is not _MISS:
-                self.stats.bump(result_hits=1)
-                return cached
-        return self._run_fused([plan], batched=False)[0][0]
+        return self._table_of(plan, self._plan_result(plan))
 
     def execute_batch(self, queries: Sequence[PredicateAwareQuery]) -> List[Table]:
         """Run many queries, sharing work between them.
@@ -597,53 +675,87 @@ class QueryEngine:
         return self.execute_plans([self.plan(query) for query in queries])
 
     def execute_plans(self, plans: Sequence[QueryPlan]) -> List[Table]:
-        """Batched execution of single-aggregate plans (input order preserved).
+        """Batched execution of single-aggregate plans (input order
+        preserved): the tables of :meth:`plan_results`."""
+        plans = list(plans)
+        return [
+            self._table_of(plan, result)
+            for plan, result in zip(plans, self.plan_results(plans))
+        ]
 
-        An empty batch returns ``[]`` immediately: no table sync and no
-        counter traffic (``batches`` counts rounds that actually carried
-        queries).
+    def _table_of(self, plan: QueryPlan, result: AggregateResult) -> Table:
+        """*result*'s table, built once per result; a cached result's cost
+        is re-read when its table is built."""
+        if not result.has_table:
+            result.table()
+            key = plan.result_key(0)
+            if key is not None:
+                self._results.recharge(key)
+        return result.table()
+
+    def _plan_result(self, plan: QueryPlan) -> AggregateResult:
+        """The result of one single-aggregate plan, through the result cache."""
+        if len(plan.aggregates) != 1:
+            raise ValueError(
+                "execute_plan expects a single-aggregate plan; "
+                "use execute_plans for a batch"
+            )
+        self.sync_with_table()
+        key = plan.result_key(0)
+        if key is not None:
+            cached = self._results.get(key, _MISS)
+            if cached is not _MISS:
+                self.stats.bump(result_hits=1)
+                return cached
+        return self._run_plan(plan, batched=False)[0]
+
+    def plan_results(self, plans: Sequence[QueryPlan]) -> List[AggregateResult]:
+        """Batched execution of single-aggregate plans on the key domain:
+        one :class:`AggregateResult` per plan, in input order, and no table.
+
+        Plans are fused by :meth:`QueryPlan.group_key`; the result cache is
+        read first and holds what this returns.  An empty batch returns
+        ``[]`` immediately: no table sync and no counter traffic
+        (``batches`` counts rounds that actually carried queries).
         """
         plans = list(plans)
         if not plans:
             return []
         self.sync_with_table()
-        results: List[Optional[Table]] = [None] * len(plans)
-        fused: "OrderedDict[tuple, List[int]]" = OrderedDict()
+        results: List[Optional[AggregateResult]] = [None] * len(plans)
+        fused: Dict[tuple, List[int]] = {}
         for i, plan in enumerate(plans):
             if len(plan.aggregates) != 1:
                 raise ValueError("execute_plans expects single-aggregate plans")
             group_key = plan.group_key()
             if group_key is None:
-                results[i] = self.execute_plan(plan)  # uncacheable WHERE clause
+                results[i] = self._plan_result(plan)  # uncacheable WHERE clause
                 continue
             fused.setdefault(group_key, []).append(i)
 
+        hits = 0
         pending_fused: List[Tuple[QueryPlan, List[int]]] = []
         for positions in fused.values():
             pending: List[int] = []
             for i in positions:
-                key = plans[i].result_key(0)
-                cached = self._results.get(key, _MISS) if key is not None else _MISS
+                cached = self._results.get(plans[i].result_key(0), _MISS)
                 if cached is not _MISS:
-                    self.stats.bump(result_hits=1)
+                    hits += 1
                     results[i] = cached
                 else:
                     pending.append(i)
-            if not pending:
-                continue
-            merged = plans[pending[0]].with_aggregates(
-                plans[i].aggregates[0] for i in pending
-            )
-            pending_fused.append((merged, pending))
+            if len(pending) == 1:
+                pending_fused.append((plans[pending[0]], pending))
+            elif pending:
+                merged = plans[pending[0]].with_aggregates(
+                    plans[i].aggregates[0] for i in pending
+                )
+                pending_fused.append((merged, pending))
 
-        if pending_fused:
-            table_lists = self._run_fused(
-                [merged for merged, _ in pending_fused], batched=True
-            )
-            for (merged, pending), tables in zip(pending_fused, table_lists):
-                for i, table in zip(pending, tables):
-                    results[i] = table
-        self.stats.bump(batches=1)
+        for merged, pending in pending_fused:
+            for i, result in zip(pending, self._run_plan(merged, batched=True)):
+                results[i] = result
+        self.stats.bump(batches=1, result_hits=hits)
         return results  # type: ignore[return-value]
 
     def execute_plans_deduped(
@@ -679,26 +791,10 @@ class QueryEngine:
         tables = self.execute_plans(unique)
         return [tables[slot] for slot in slots], len(plans) - len(unique)
 
-    def _run_fused(self, plans: List[QueryPlan], batched: bool) -> List[List[Table]]:
-        """Run fused plans; book stats and the result cache.
-
-        Each fused plan pays its mask / grouping once and yields one table
-        per aggregate spec.  Plans run one after another, in fused order.
-        Results are written to the result cache but never read from it
-        (callers check the cache first).
-        """
-        table_lists = [self._run_plan(plan) for plan in plans]
-        for plan, tables in zip(plans, table_lists):
-            for position, table in enumerate(tables):
-                self.stats.bump(queries=1, batched_queries=1 if batched else 0)
-                key = plan.result_key(position)
-                if key is not None:
-                    self.stats.bump(result_misses=1)
-                    self._results.put(key, table)
-        return table_lists
-
-    def _run_plan(self, plan: QueryPlan) -> List[Table]:
-        """Execute one (possibly fused) plan: one table per aggregate spec.
+    def _run_plan(self, plan: QueryPlan, batched: bool) -> List[AggregateResult]:
+        """Execute one (possibly fused) plan: one result per aggregate spec,
+        each written to the result cache (callers read the cache first) and
+        the plan's counters booked in one bump.
 
         The plan's filtered grouping is built once; then every spec of one
         value column aggregates off a single :class:`GroupedAggregator`,
@@ -711,18 +807,21 @@ class QueryEngine:
         decoded through :meth:`value_rank`, and a categorical column's a
         lexsort gather (its filter-local codes are not in dictionary
         order).  MAD's deviation order has its own key,
-        ``QueryPlan.mad_sort_key``.
+        ``QueryPlan.mad_sort_key``.  The results stay on the key domain of
+        the plan's :class:`GroupIndex`: no key column is gathered here.
         """
         index = self.group_index(plan.keys)
         mask = self.plan_mask(plan)
         group_ids, codes, n_groups, row_idx = self.filtered_groups(index, mask)
-        key_columns: Optional[List[Column]] = None
-        results: List[Optional[Table]] = [None] * len(plan.aggregates)
+        results: List[Optional[AggregateResult]] = [None] * len(plan.aggregates)
+        aggregating = 0.0
         for attr, positioned in plan.specs_by_attr().items():
             column = self.table.column(attr)  # KeyError for unknown attributes
             if n_groups == 0:
                 for position, spec in positioned:
-                    results[position] = self.empty_result(plan.keys, spec.feature_name)
+                    results[position] = AggregateResult(
+                        index, group_ids, np.empty(0, dtype=np.float64), spec.feature_name
+                    )
                 continue
             # Aligned to the full table.  Categorical values are coded by
             # first appearance *within the filter* (what the naive path's
@@ -747,13 +846,22 @@ class QueryEngine:
                     aggregator.mad_sort_order()
                 start = time.perf_counter()
                 feature = aggregator.compute(spec.func)
-                self.stats.bump(seconds_aggregating=time.perf_counter() - start)
-                if key_columns is None:
-                    key_columns = index.key_columns(group_ids)
-                results[position] = Table(
-                    list(key_columns)
-                    + [Column(spec.feature_name, feature, dtype=DType.NUMERIC)]
-                )
+                aggregating += time.perf_counter() - start
+                results[position] = AggregateResult(index, group_ids, feature, spec.feature_name)
+        keyed = 0
+        for position, result in enumerate(results):
+            key = plan.result_key(position)
+            if key is not None:
+                keyed += 1
+                self._results.put(key, result)
+        n = len(results)
+        self.stats.bump(
+            queries=n,
+            batched_queries=n if batched else 0,
+            result_misses=keyed,
+            empty_results=0 if n_groups else n,
+            seconds_aggregating=aggregating,
+        )
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------

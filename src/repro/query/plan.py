@@ -64,6 +64,12 @@ class QueryPlan:
     keys: Tuple[str, ...] = ()
     aggregates: Tuple[AggregateSpec, ...] = field(default_factory=tuple)
 
+    def __post_init__(self) -> None:
+        signatures = [atom.signature() for atom in self.atoms]
+        signature = None if None in signatures else tuple(sorted(signatures, key=repr))
+        # Not a field: equality, hashing and replace() see only the fields.
+        object.__setattr__(self, "_predicate_signature", signature)
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -107,15 +113,10 @@ class QueryPlan:
         """Hashable identity of the WHERE clause (``None`` = uncacheable).
 
         An empty tuple means "no predicate" (every row qualifies).  Sorted by
-        ``repr`` so atom order never affects identity.
+        ``repr`` so atom order never affects identity.  Computed once, when
+        the plan is built: every other signature below derives from it.
         """
-        signatures = []
-        for atom in self.atoms:
-            signature = atom.signature()
-            if signature is None:
-                return None
-            signatures.append(signature)
-        return tuple(sorted(signatures, key=repr))
+        return self._predicate_signature
 
     def group_key(self) -> Optional[tuple]:
         """The ``(predicate signature, keys)`` identity plans are fused by."""

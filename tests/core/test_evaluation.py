@@ -10,7 +10,7 @@ from repro.ml.preprocessing import train_valid_test_split
 from repro.dataframe.aggregates import DEFAULT_AGGREGATES
 from repro.dataframe.column import DType
 from repro.query.augment import augment_training_table
-from repro.query.engine import resolve_engine
+from repro.query.engine import AggregateResult, GroupIndex, resolve_engine
 from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 
@@ -70,19 +70,27 @@ class TestBinaryEvaluation:
             PredicateAwareQuery(agg_func="SUM", agg_attr="amount", keys=("uid",)),
             PredicateAwareQuery(agg_func="MAX", agg_attr="amount", keys=("uid",)),
         ]
-        train_vecs, valid_vecs = evaluator.feature_vectors_for_queries(queries, relevant)
-        joins = []
-        original = Table.lookup
+        matched, gathered = [], []
+        original_match, original_gather = GroupIndex.row_groups, AggregateResult.gather
 
-        def counting_join(table, *args, **kwargs):
-            joins.append(table)
-            return original(table, *args, **kwargs)
+        def counting_match(index, table):
+            matched.append(table)
+            return original_match(index, table)
 
-        monkeypatch.setattr(Table, "lookup", counting_join)
+        def counting_gather(result, group_codes):
+            gathered.append([codes.shape[0] for codes in group_codes])
+            return original_gather(result, group_codes)
+
+        monkeypatch.setattr(GroupIndex, "row_groups", counting_match)
+        monkeypatch.setattr(AggregateResult, "gather", counting_gather)
+        # A fresh evaluator: the train-only call matches the train split alone...
         train_only, none = evaluator.feature_vectors_for_queries(queries, relevant, valid=False)
         assert none is None
-        assert len(joins) == len(queries)
-        assert all(j.num_rows == evaluator.y_train.shape[0] for j in joins)
+        assert matched == [evaluator._train_table]
+        assert gathered == [[evaluator.y_train.shape[0]]] * len(queries)
+        # ...and a call with the validation split matches only that one more.
+        train_vecs, valid_vecs = evaluator.feature_vectors_for_queries(queries, relevant)
+        assert matched == [evaluator._train_table, evaluator._valid_table]
         for ours, full in zip(train_only, train_vecs):
             assert ours.tobytes() == full.tobytes()
         assert len(valid_vecs) == len(queries)

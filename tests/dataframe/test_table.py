@@ -135,41 +135,6 @@ class TestJoin:
         assert joined.column("tag").values[0] is None
 
 
-class TestLookup:
-    """``lookup`` is the column ``left_join`` adds, by the same matching."""
-
-    def test_numeric_column_with_nan_for_no_match(self, table):
-        right = Table.from_dict({"id": ["c", "a"], "feature": [300.0, 100.0]})
-        column = table.lookup(right, ["id"], "feature")
-        assert column.name == "feature"
-        assert column.values.tobytes() == table.left_join(right, on="id").column("feature").values.tobytes()
-        assert np.isnan(column.values[1]) and column.values[2] == 300.0
-
-    def test_categorical_column_with_none_for_no_match(self, table):
-        right = Table.from_dict({"id": ["b"], "tag": ["vip"]})
-        assert table.lookup(right, ["id"], "tag").to_list() == [None, "vip", None, None]
-
-    def test_first_matching_row_wins(self, table):
-        right = Table.from_dict({"id": ["a", "a"], "feature": [1.0, 2.0]})
-        assert table.lookup(right, ["id"], "feature").values[0] == 1.0
-
-    def test_multi_column_keys(self):
-        left = Table.from_dict({"k1": ["a", "a", "b"], "k2": [1.0, 2.0, 1.0]})
-        right = Table.from_dict({"k2": [1.0, 2.0], "k1": ["b", "a"], "v": [10.0, 20.0]})
-        values = left.lookup(right, ["k1", "k2"], "v").values
-        assert np.isnan(values[0]) and values[1] == 20.0 and values[2] == 10.0
-
-    def test_column_sharing_a_left_name(self, table):
-        right = Table.from_dict({"id": ["d"], "x": [99.0]})
-        assert table.lookup(right, ["id"], "x").values[3] == 99.0
-
-    @pytest.mark.parametrize("on,name", [(["nope"], "feature"), (["id"], "nope")])
-    def test_missing_key_or_column_raises(self, table, on, name):
-        right = Table.from_dict({"id": ["a"], "feature": [1.0]})
-        with pytest.raises(KeyError):
-            table.lookup(right, on, name)
-
-
 class TestConcat:
     def test_concat_rows(self, table):
         combined = table.concat_rows(table)

@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dataframe.column import Column, DType
+from repro.dataframe.groupby import group_codes
 from repro.dataframe.table import Table
+from repro.query.engine import AggregateResult, GroupIndex
 
 
 def reference_left_join(left: Table, right: Table, on, suffix: str = "_right") -> Table:
@@ -250,10 +252,15 @@ class TestJoinEquivalenceProperty:
 
     @given(data=join_tables())
     @settings(max_examples=80, deadline=None)
-    def test_lookup_is_the_joined_column(self, data):
+    def test_key_domain_gather_is_the_joined_column(self, data):
+        """The key-domain path of candidate scoring -- each left row's group
+        in an index of the right table, and a result's values gathered
+        through those codes -- reads the column the join adds: the first
+        matching right row's value, NaN where none matches."""
         left, right, on = data
-        expected = reference_left_join(left, right, on)
-        for name, out_name in (("feat", "feat"), ("tag", "tag"), ("payload", "payload_right")):
-            column = left.lookup(right, on, name)
-            assert column.name == name and column.dtype is right.column(name).dtype
-            assert column == expected.column(out_name).rename(name)
+        expected = reference_left_join(left, right, on).column("feat").values
+        index = GroupIndex(right, on)
+        _, first_rows = group_codes(right, on)
+        result = AggregateResult(index, None, right.column("feat").values[first_rows], "feat")
+        (gathered,) = result.gather([index.row_groups(left)])
+        assert gathered.tobytes() == expected.tobytes()

@@ -24,7 +24,9 @@ import pytest
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
 from repro.query.engine import (
+    AggregateResult,
     EngineConfig,
+    GroupIndex,
     QueryEngine,
     _LRUCache,
     _value_nbytes,
@@ -61,30 +63,34 @@ class TestValueNbytes:
         assert _value_nbytes(np.zeros(10, dtype=np.bool_)) == 10
         assert _value_nbytes(np.zeros(10, dtype=np.int64)) == 80
 
-    def test_table_costs_the_sum_of_its_columns(self):
+    def test_built_table_charges_its_key_columns(self):
         table = Table(
             [
-                Column("a", np.zeros(5), dtype=DType.NUMERIC),
-                Column("b", np.zeros(5), dtype=DType.NUMERIC),
+                Column("a", np.arange(5, dtype=np.float64), dtype=DType.NUMERIC),
+                Column("b", [f"s{i}" for i in range(5)], dtype=DType.CATEGORICAL),
             ]
         )
-        assert _value_nbytes(table) == 2 * 5 * 8
+        result = AggregateResult(GroupIndex(table, ["a", "b"]), None, np.zeros(5), "feature")
+        assert _value_nbytes(result) == 5 * 8
+        result.table()  # two key columns; the feature column is the values
+        assert _value_nbytes(result) == 3 * 5 * 8
 
     def test_unknown_values_cost_zero(self):
         assert _value_nbytes("whatever") == 0
         assert _value_nbytes(None) == 0
+        assert _value_nbytes(Table([Column("a", np.zeros(5), dtype=DType.NUMERIC)])) == 0
 
     def test_categorical_costs_eight_bytes_per_row_in_every_representation(self):
         """Raw, coded, coded-only and decoded categoricals cost the same."""
         raw = Column("k", ["a", "b", None, "a", "c"], dtype=DType.CATEGORICAL)
-        assert _value_nbytes(Table([raw])) == 5 * 8
+        assert raw.nbytes == 5 * 8
         raw.coding  # coding adds the codes, not to the charge
-        assert _value_nbytes(Table([raw])) == 5 * 8
+        assert raw.nbytes == 5 * 8
         derived = raw.take(np.array([0, 1, 2, 3, 4]))
         assert derived._values is None  # codes only
-        assert _value_nbytes(Table([derived])) == 5 * 8
+        assert derived.nbytes == 5 * 8
         derived.values  # decoding does not move the charge either
-        assert _value_nbytes(Table([derived])) == 5 * 8
+        assert derived.nbytes == 5 * 8
 
     def test_result_bytes_do_not_depend_on_decoding(self):
         """Cached result tables hold coded key columns; reading their values
@@ -104,8 +110,54 @@ class TestValueNbytes:
         before = engine.cached_bytes
         assert result.column("key").values.tolist()  # decode the key column
         assert engine.cached_bytes == before
-        # One 7-row result: key and feature columns at 8 B a row each.
-        assert engine._results.bytes == 7 * 8 * 2
+        # One 7-row filtered result with its table built: group ids, values
+        # and the key column at 8 B a row each (the table's feature column
+        # is the values array).
+        assert engine._results.bytes == 7 * 8 * 3
+
+    def _key_domain_engine(self):
+        table = Table(
+            [
+                Column("key", [f"s{i % 7}" for i in range(60)], dtype=DType.CATEGORICAL),
+                Column("cat", [str(v) for v in "abc" * 20], dtype=DType.CATEGORICAL),
+                Column("val", np.arange(60, dtype=np.float64), dtype=DType.NUMERIC),
+            ]
+        )
+        return QueryEngine(table)
+
+    @pytest.mark.parametrize(
+        "atoms,per_row",
+        [
+            ((), 8),  # unfiltered: every group, in index order -- values only
+            ((PredicateAtom("eq", "cat", value="a"),), 16),  # group ids and values
+        ],
+    )
+    def test_key_domain_result_costs_what_it_holds(self, atoms, per_row):
+        """A result cached by the key-domain path holds no table; building
+        its table later charges the key columns, once."""
+        engine = self._key_domain_engine()
+        plan = engine.plan(PredicateAwareQuery("SUM", "val", ("key",), atoms))
+        (result,) = engine.plan_results([plan])
+        assert not result.has_table
+        assert _value_nbytes(result) == result.nbytes == 7 * per_row
+        assert engine._results.bytes == 7 * per_row
+        table = engine.execute_plan(plan)  # a cache hit that builds the table
+        assert result.has_table and table is result.table()
+        assert _value_nbytes(result) == engine._results.bytes == 7 * (per_row + 8)
+        assert engine.execute_plan(plan) is table
+        assert engine._results.bytes == 7 * (per_row + 8)
+        assert engine.cached_bytes == engine._masks.bytes + engine._results.bytes
+
+    def test_building_an_evicted_results_table_charges_nothing(self):
+        engine = QueryEngine(self._key_domain_engine().table, EngineConfig(result_cache_size=1))
+        first, second = (
+            engine.plan(PredicateAwareQuery(func, "val", ("key",))) for func in ("SUM", "MAX")
+        )
+        (result,) = engine.plan_results([first])
+        engine.plan_results([second])  # evicts the first result
+        held = engine._results.bytes
+        engine._table_of(first, result)
+        assert result.has_table and engine._results.bytes == held == 7 * 8
 
 
 class TestLRUCacheSentinel:

@@ -17,6 +17,7 @@ LRU predicate-mask / result caches, the group-index map and every
   accounting invariants over the result-cache counters.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,7 +26,13 @@ import pytest
 
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
-from repro.query.engine import EngineConfig, EngineStats, QueryEngine, _LRUCache
+from repro.query.engine import (
+    EngineConfig,
+    EngineStats,
+    QueryEngine,
+    _LRUCache,
+    _value_nbytes,
+)
 from repro.query.query import PredicateAtom, PredicateAwareQuery
 
 from _engine_paths import ENTRY_POINTS, run_entry
@@ -260,3 +267,46 @@ def test_lru_byte_total_is_exact_after_concurrent_puts(maxsize):
             future.result()
     assert len(cache) <= maxsize
     assert cache.bytes == sum(nbytes for _, nbytes in cache._data.values())
+
+
+def test_concurrent_table_builds_keep_result_charges_exact():
+    """Results cached on the key domain get their tables built lazily by
+    whichever caller reads them first.  Six threads (more than this host's
+    cores, with a short switch interval) race to build and re-charge the
+    same entries: every table equals the serial one, and every entry's
+    recorded charge is what it holds afterwards, tables included."""
+    table = make_relevant(11)
+    expected = expected_for(table)
+    engine = QueryEngine(table)
+    queries = make_batch()
+    plans = [engine.plan(query) for query in queries]
+    errors = []
+    start = threading.Barrier(6)
+
+    def caller():
+        try:
+            start.wait(timeout=10)
+            for _ in range(N_ROUNDS):
+                engine.plan_results(plans)
+                assert_batch_equal(engine.execute_batch(queries), expected)
+        except Exception as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        engine.plan_results(plans)  # cached without tables
+        workers = [threading.Thread(target=caller) for _ in range(6)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert not errors, errors[0]
+    entries = list(engine._results._data.values())
+    assert len(entries) == len(queries)
+    assert all(result.has_table for result, _ in entries)
+    assert all(nbytes == _value_nbytes(result) for result, nbytes in entries)
+    assert engine._results.bytes == sum(nbytes for _, nbytes in entries)
