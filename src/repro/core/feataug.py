@@ -9,7 +9,8 @@ attributes.  It then:
 2. (optionally) runs Query Template Identification to pick the ``n_templates``
    most promising WHERE-clause attribute combinations,
 3. runs the SQL Query Generation component on every selected template to
-   produce ``queries_per_template`` queries each,
+   produce ``queries_per_template`` queries each, the templates shared out
+   over forked worker processes (:func:`_search_templates`),
 4. materialises every generated feature onto the *full* training table and
    returns a :class:`FeatAugResult` that can also re-apply the same queries to
    held-out tables (validation / test).
@@ -17,21 +18,26 @@ attributes.  It then:
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 import time
+import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import BinaryIO, Callable, Dict, List, Sequence, Tuple
 
 from repro.core.config import FeatAugConfig
 from repro.core.evaluation import ModelEvaluator
 from repro.core.proxies import make_proxy
-from repro.core.sql_generation import GeneratedQuery, SQLQueryGenerator
+from repro.core.sql_generation import GeneratedQuery, GenerationReport, SQLQueryGenerator
 from repro.core.template_identification import QueryTemplateIdentifier, TemplateScore
 from repro.dataframe.table import Table
 from repro.ml.base import BaseEstimator
 from repro.ml.model_zoo import make_model
 from repro.ml.preprocessing import train_valid_test_split
 from repro.query.augment import apply_queries, generated_feature_names
-from repro.query.engine import engine_for
+from repro.query.engine import EngineStats, engine_for
 from repro.query.query import PredicateAwareQuery
 from repro.query.template import QueryTemplate
 
@@ -51,14 +57,19 @@ class FeatAugResult:
     relevant_table: Table
     feature_prefix: str = "feataug"
     qti_seconds: float = 0.0
+    #: Sums over the templates of each search's warm-up and generation
+    #: times.  Templates are searched in parallel processes, so these are
+    #: busy times, not the wall time of the phase.
     warmup_seconds: float = 0.0
     generate_seconds: float = 0.0
     #: Cache/timing counters of the shared query engine at the end of the run
-    #: (this run's traffic only, see :meth:`EngineStats.delta_since`).
+    #: (this run's traffic only, see :meth:`EngineStats.delta_since`),
+    #: including what the template searches booked in worker processes.
     engine_stats: Dict[str, float] = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:
+        """QTI time plus the summed search times (not wall time)."""
         return self.qti_seconds + self.warmup_seconds + self.generate_seconds
 
     def apply(self, table: Table) -> Table:
@@ -154,6 +165,15 @@ class FeatAug:
         n_features:
             Total number of features to generate; defaults to
             ``n_templates * queries_per_template``.
+
+        The selected templates are searched in parallel: after template
+        identification, one worker process per usable core beyond the
+        first is forked and each searches its share of the templates (see
+        :func:`_search_templates`).  The results are those of searching the
+        templates one after another here, which is what happens when there
+        is one template or one usable core, when the platform has no
+        ``os.fork``, or when another thread is alive.  A failed search
+        raises ``RuntimeError``, and no worker outlives the call.
         """
         proxy = make_proxy(self.config.proxy)
         # One shared execution engine for the whole run: template search, SQL
@@ -194,12 +214,9 @@ class FeatAug:
         n_features = n_features or self.config.n_templates * self.config.queries_per_template
         queries_per_template = max(1, n_features // max(len(templates), 1))
 
-        generated: List[GeneratedQuery] = []
-        warmup_seconds = 0.0
-        generate_seconds = 0.0
-        for i, record in enumerate(templates):
+        def search(i: int) -> _TemplateSearch:
             generator = SQLQueryGenerator(
-                record.template,
+                templates[i].template,
                 relevant_table,
                 evaluator,
                 config=self.config,
@@ -207,9 +224,12 @@ class FeatAug:
                 seed=self.config.seed + 101 * (i + 1),
                 engine=engine,
             )
-            generated.extend(generator.generate(n_queries=queries_per_template))
-            warmup_seconds += generator.report.warmup_seconds
-            generate_seconds += generator.report.generate_seconds
+            return generator.generate(n_queries=queries_per_template), generator.report
+
+        searches = _search_templates(templates, search, engine.stats)
+        generated = [query for queries, _ in searches for query in queries]
+        warmup_seconds = sum(report.warmup_seconds for _, report in searches)
+        generate_seconds = sum(report.generate_seconds for _, report in searches)
 
         generated = self._dedupe(generated)
         # Keep only queries that beat the no-augmentation baseline on the
@@ -260,3 +280,130 @@ class FeatAug:
             seen.add(signature)
             unique.append(g)
         return unique
+
+
+#: What searching one template returns: its best queries and its report.
+_TemplateSearch = Tuple[List[GeneratedQuery], GenerationReport]
+
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shard_count(n_templates: int) -> int:
+    """How many processes search *n_templates* templates: one per usable
+    core, at most one per template, and only this one where ``os.fork`` is
+    missing or unsafe.  A fork copies the locks other threads hold but not
+    the threads, so with another Python thread alive a lock in the child
+    could stay held for ever."""
+    if n_templates < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(n_templates, _usable_cores())
+
+
+def _search_templates(
+    templates: Sequence[TemplateScore],
+    search: Callable[[int], _TemplateSearch],
+    stats: EngineStats,
+) -> List[_TemplateSearch]:
+    """``search(i)`` for every template index *i*, in template order.
+
+    The templates are dealt round robin into k shards (template *i* to
+    shard ``i % k``, k from :func:`_shard_count`).  Shard 0 runs here; each
+    other shard runs in a worker forked first, which inherits the
+    evaluator, the warm engine and the tables copy-on-write and sends back
+    its pickled results and the engine counters it booked, which are merged
+    into *stats*.  Every search has its own seed, pool, optimisers and
+    memos, and the shared engine and evaluator only cache values, so the
+    results are those of the serial run.
+
+    A worker whose search raises makes this raise ``RuntimeError`` naming
+    the template, with the worker's traceback; one that dies without a
+    result makes it raise with its exit status.  Every worker is killed and
+    reaped before this returns or raises.
+    """
+    n_shards = _shard_count(len(templates))
+    results: List[_TemplateSearch | None] = [None] * len(templates)
+    workers: Dict[int, Tuple[range, BinaryIO]] = {}  # pid -> (shard, its pipe's read end)
+    try:
+        for first in range(1, n_shards):
+            shard = range(first, len(templates), n_shards)
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                _run_worker(shard, search, stats, write_end)
+            workers[pid] = (shard, os.fdopen(read_end, "rb"))
+            os.close(write_end)
+        for i in range(0, len(templates), n_shards):
+            results[i] = search(i)
+        for pid in list(workers):
+            shard, pipe = workers[pid]
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del workers[pid]
+            pipe.close()
+            if status != 0:
+                how = (
+                    f"killed by signal {os.WTERMSIG(status)}"
+                    if os.WIFSIGNALED(status)
+                    else f"exit status {os.waitstatus_to_exitcode(status)}"
+                )
+                raise RuntimeError(
+                    f"the worker searching templates {list(shard)} (pid {pid}) "
+                    f"ended without a result: {how}"
+                )
+            # The bytes come from this process's own fork.
+            outcome, payload, detail = pickle.loads(data)
+            if outcome == "raised":
+                attrs = list(templates[payload].template.predicate_attrs)
+                raise RuntimeError(
+                    f"the search of template {payload} (WHERE attributes {attrs}) "
+                    f"raised in worker pid {pid}:\n{detail}"
+                )
+            for i, found in payload:
+                results[i] = found
+            stats.merge(detail)
+    finally:
+        for pid, (_, pipe) in workers.items():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped by the system
+                pass
+    return results  # type: ignore[return-value]
+
+
+def _run_worker(
+    shard: range, search: Callable[[int], _TemplateSearch], stats: EngineStats, write_end: int
+) -> None:
+    """The body of a forked worker: search *shard*'s templates, write one
+    pickled ``(outcome, payload, detail)`` to *write_end* and exit.
+
+    ``("done", [(i, search(i)), ...], engine counter delta)`` on success,
+    ``("raised", i, traceback text)`` when ``search(i)`` raised.  The worker
+    leaves through ``os._exit`` whatever happens: an exception escaping
+    into the caller's frames would run the parent's code in the child, and
+    a normal exit would run the parent's exit handlers and flush its
+    buffered output a second time.
+    """
+    status = 1
+    try:
+        baseline = stats.as_dict()
+        current = shard[0]
+        try:
+            found = []
+            for current in shard:
+                found.append((current, search(current)))
+            message = ("done", found, stats.delta_since(baseline))
+        except BaseException:  # reported to the parent, which raises it
+            message = ("raised", current, traceback.format_exc())
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(message))
+        status = 0
+    finally:
+        os._exit(status)

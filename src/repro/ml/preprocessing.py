@@ -132,14 +132,16 @@ def mean_impute(X_train: np.ndarray, *others: np.ndarray) -> List[np.ndarray]:
     """Float copies of *X_train* and *others* with every NaN replaced by the
     mean of the non-NaN training values of its column (0.0 for a column
     without any).  The mean is ``ndarray.mean`` over those values, not
-    ``np.nanmean``, whose summation order differs."""
+    ``np.nanmean``, whose summation order differs.  A column's mean is
+    computed only when some matrix holds a NaN in it."""
     matrices = [np.array(X, dtype=np.float64) for X in (X_train, *others)]
-    for j in range(matrices[0].shape[1]):
-        column = matrices[0][:, j]
-        finite = column[~np.isnan(column)]
+    missing = [np.isnan(X) for X in matrices]
+    holed = np.logical_or.reduce([mask.any(axis=0) for mask in missing])
+    for j in np.flatnonzero(holed):
+        finite = matrices[0][~missing[0][:, j], j]
         fill = float(finite.mean()) if finite.size else 0.0
-        for X in matrices:
-            X[np.isnan(X[:, j]), j] = fill
+        for X, mask in zip(matrices, missing):
+            X[mask[:, j], j] = fill
     return matrices
 
 

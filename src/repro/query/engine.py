@@ -235,6 +235,13 @@ class EngineStats:
         counts = {name: current[name] - baseline[name] for name in _COUNTERS}
         return self._with_gauge_and_rates(counts)
 
+    def merge(self, delta: Dict[str, float]) -> None:
+        """Add the counters of *delta*, a :meth:`delta_since` taken by a
+        copy of these stats in a forked process, so that these stats also
+        count that process's traffic.  Its gauge and rates are not counters
+        and are ignored."""
+        self.bump(**{name: delta[name] for name in _COUNTERS})
+
 
 #: Sentinel distinguishing "absent" from a legitimately cached falsy value
 #: (``None``, an empty array, an empty table): identity tests against

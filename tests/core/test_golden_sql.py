@@ -16,8 +16,16 @@ validation splits of a 60/20/20 split.
   validation loss, then the candidate's SQL on one line.  Any change to
   candidate scoring (feature vectors, proxies, model fits) or to the
   proposals TPE makes shows up here as the first differing line.
+
+The selected templates are searched in forked worker processes, so every
+process appends its lines to its own file, each line tagged with its
+generator's seed, and the serial order is rebuilt from the files: the
+template identification lines, then each selected template's lines in
+template order.
 """
 
+import os
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -33,34 +41,53 @@ GOLDEN_TRAJECTORY = GOLDEN_DIR / "feataug_lr_student_seed19.trajectory"
 SEED = 19
 
 
-def _recording(kind, objective, lines, sign):
+def _recording(kind, objective, log_dir, sign):
     """Wrap a batched objective of :class:`SQLQueryGenerator` so that every
-    evaluation it answers appends one trajectory line to *lines*."""
+    evaluation it answers appends one line, tagged with the generator's
+    seed, to this process's file in *log_dir*.  Each line is written
+    through at once: a worker process leaves without flushing."""
 
     def wrapper(self, params_batch):
         values = objective(self, params_batch)
-        for params, value in zip(params_batch, values):
-            sql = " ".join(self.pool.decode(params).to_sql().split("\n"))
-            lines.append(f"{kind} {sign * value!r} {sql}")
+        with open(log_dir / f"{os.getpid()}.lines", "a") as log:
+            for params, value in zip(params_batch, values):
+                sql = " ".join(self.pool.decode(params).to_sql().split("\n"))
+                log.write(f"{self.seed} {kind} {sign * value!r} {sql}\n")
         return values
 
     return wrapper
 
 
+def _serial_trajectory(log_dir, n_templates):
+    """The recorded lines in the order of a serial run: the template
+    identification lines (all recorded by the calling process, in order),
+    then the lines of each selected template's generator (seed
+    ``SEED + 101 * (i + 1)``) in template order.  Each generator runs in
+    one process, so its lines keep their order within that process's
+    file."""
+    template_seeds = [SEED + 101 * (i + 1) for i in range(n_templates)]
+    qti, by_seed = [], defaultdict(list)
+    for path in sorted(log_dir.glob("*.lines")):
+        for tagged in path.read_text().splitlines():
+            seed, line = tagged.split(" ", 1)
+            (by_seed[int(seed)] if int(seed) in template_seeds else qti).append(line)
+    return qti + [line for seed in template_seeds for line in by_seed[seed]]
+
+
 @pytest.fixture(scope="module")
-def golden_run():
+def golden_run(tmp_path_factory):
     """``(rendered SQL, rendered trajectory)`` of one run of the scenario."""
-    lines = []
+    log_dir = tmp_path_factory.mktemp("trajectory")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
             SQLQueryGenerator,
             "_proxy_objective_batch",
-            _recording("proxy", SQLQueryGenerator._proxy_objective_batch, lines, -1.0),
+            _recording("proxy", SQLQueryGenerator._proxy_objective_batch, log_dir, -1.0),
         )
         patch.setattr(
             SQLQueryGenerator,
             "_model_objective_batch",
-            _recording("model", SQLQueryGenerator._model_objective_batch, lines, 1.0),
+            _recording("model", SQLQueryGenerator._model_objective_batch, log_dir, 1.0),
         )
         bundle = load_dataset("student", 0.25, SEED)
         train, valid, _ = train_valid_test_split(
@@ -80,6 +107,7 @@ def golden_run():
             agg_attrs=bundle.agg_attrs,
             n_features=12,
         )
+    lines = _serial_trajectory(log_dir, len(result.templates))
     return "\n\n".join(result.sql()) + "\n", "\n".join(lines) + "\n"
 
 

@@ -106,6 +106,32 @@ class TestMeanImpute:
             want = float(column[~np.isnan(column)].mean())
             assert np.all(filled[np.isnan(column), j] == want)
 
+    def test_equals_the_every_column_reference(self):
+        """Filling only the columns that hold a NaN gives the floats of
+        the loop that computed every column's mean."""
+
+        def reference(*inputs):
+            matrices = [np.array(X, dtype=np.float64) for X in inputs]
+            for j in range(matrices[0].shape[1]):
+                column = matrices[0][:, j]
+                finite = column[~np.isnan(column)]
+                fill = float(finite.mean()) if finite.size else 0.0
+                for X in matrices:
+                    X[np.isnan(X[:, j]), j] = fill
+            return matrices
+
+        rng = np.random.default_rng(1)
+        train = rng.normal(size=(50, 5)) * 1e3
+        valid = rng.normal(size=(20, 5)) * 1e3
+        train[rng.random(50) < 0.3, 1] = np.nan  # NaN in the training matrix only
+        valid[rng.random(20) < 0.3, 2] = np.nan  # in the validation matrix only
+        train[:, 3] = np.nan  # no training value at all
+        valid[0, 3] = np.nan
+        for got, want in zip(mean_impute(train, valid), reference(train, valid)):
+            assert got.tobytes() == want.tobytes()
+        (got,) = mean_impute(np.empty((4, 0)))
+        assert got.shape == (4, 0)
+
 
 class TestTableVectorizer:
     @pytest.fixture

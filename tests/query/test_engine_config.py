@@ -270,6 +270,20 @@ class TestStatsTable:
         stats.reset()
         assert (stats.sort_misses, stats.seconds_sorting) == (0, 0.0)
 
+    def test_merge_adds_another_copys_counters_and_not_its_gauge(self):
+        engine = QueryEngine(make_relevant(0))
+        engine.execute_batch([query_with("a", "MEDIAN")])
+        copy = QueryEngine(make_relevant(0))
+        baseline = copy.stats.as_dict()
+        copy.execute_batch([query_with("a", "MEDIAN"), query_with("b")])
+        delta = copy.stats.delta_since(baseline)
+        before = engine.stats.as_dict()
+        engine.stats.merge(delta)
+        after = engine.stats.as_dict()
+        for name in _COUNTERS:
+            assert after[name] == before[name] + delta[name], name
+        assert after["bytes_cached"] == before["bytes_cached"]
+
 
 class TestStatsPhaseSplit:
     def test_kernels_book_the_aggregation_phase(self):
