@@ -9,11 +9,15 @@ attributes.  It then:
 2. (optionally) runs Query Template Identification to pick the ``n_templates``
    most promising WHERE-clause attribute combinations,
 3. runs the SQL Query Generation component on every selected template to
-   produce ``queries_per_template`` queries each, the templates shared out
-   over forked worker processes (:func:`_search_templates`),
+   produce ``queries_per_template`` queries each,
 4. materialises every generated feature onto the *full* training table and
    returns a :class:`FeatAugResult` that can also re-apply the same queries to
    held-out tables (validation / test).
+
+Steps 2 and 3 share one pool of forked worker processes
+(:class:`_WorkerPool`): its processes claim the scorings of each beam layer
+and then the template searches one at a time, with the results of a serial
+run.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import struct
 import threading
 import time
 import traceback
@@ -38,7 +43,6 @@ from repro.ml.model_zoo import make_model
 from repro.ml.preprocessing import train_valid_test_split
 from repro.query.augment import apply_queries, generated_feature_names
 from repro.query.engine import EngineStats, engine_for
-from repro.query.query import PredicateAwareQuery
 from repro.query.template import QueryTemplate
 
 #: Fraction of the provided training table held out as the validation split
@@ -56,6 +60,8 @@ class FeatAugResult:
     feature_names: List[str]
     relevant_table: Table
     feature_prefix: str = "feataug"
+    #: Wall time of template identification, whose beam layers are scored
+    #: in parallel processes.
     qti_seconds: float = 0.0
     #: Sums over the templates of each search's warm-up and generation
     #: times.  Templates are searched in parallel processes, so these are
@@ -69,7 +75,7 @@ class FeatAugResult:
 
     @property
     def total_seconds(self) -> float:
-        """QTI time plus the summed search times (not wall time)."""
+        """QTI wall time plus the summed search times (not wall time)."""
         return self.qti_seconds + self.warmup_seconds + self.generate_seconds
 
     def apply(self, table: Table) -> Table:
@@ -166,14 +172,15 @@ class FeatAug:
             Total number of features to generate; defaults to
             ``n_templates * queries_per_template``.
 
-        The selected templates are searched in parallel: after template
-        identification, one worker process per usable core beyond the
-        first is forked and each searches its share of the templates (see
-        :func:`_search_templates`).  The results are those of searching the
-        templates one after another here, which is what happens when there
-        is one template or one usable core, when the platform has no
-        ``os.fork``, or when another thread is alive.  A failed search
-        raises ``RuntimeError``, and no worker outlives the call.
+        Template identification and the template searches run in
+        parallel: at the first beam layer one worker process per usable
+        core beyond the first is forked, and these processes and this one
+        claim each layer's scorings and then the selected templates'
+        searches one at a time (see :class:`_WorkerPool`).  The results are
+        those of running every task one after another here, which is what
+        happens when there is one usable core, when the platform has no
+        ``os.fork``, or when another thread is alive.  A failed scoring or search raises
+        ``RuntimeError``, and no worker outlives the call.
         """
         proxy = make_proxy(self.config.proxy)
         # One shared execution engine for the whole run: template search, SQL
@@ -186,8 +193,7 @@ class FeatAug:
         evaluator = self._build_evaluator(train_table, relevant_table, engine=engine)
         agg_attrs = list(agg_attrs) if agg_attrs else self._default_agg_attrs(relevant_table)
 
-        templates: List[TemplateScore] = []
-        qti_seconds = 0.0
+        identifier = None
         if predicate_attrs is not None or not self.config.use_template_identification:
             attrs = list(predicate_attrs) if predicate_attrs is not None else list(candidate_attrs or [])
             if not attrs:
@@ -207,56 +213,71 @@ class FeatAug:
                 proxy=proxy,
                 engine=engine,
             )
-            start = time.perf_counter()
-            templates = identifier.identify(candidate_attrs, n_templates=self.config.n_templates)
-            qti_seconds = time.perf_counter() - start
 
-        n_features = n_features or self.config.n_templates * self.config.queries_per_template
-        queries_per_template = max(1, n_features // max(len(templates), 1))
-
-        def search(i: int) -> _TemplateSearch:
+        def search_template(template: QueryTemplate, seed: int, n_queries: int) -> _TemplateSearch:
             generator = SQLQueryGenerator(
-                templates[i].template,
+                template,
                 relevant_table,
                 evaluator,
                 config=self.config,
                 proxy=proxy,
-                seed=self.config.seed + 101 * (i + 1),
+                seed=seed,
                 engine=engine,
             )
-            return generator.generate(n_queries=queries_per_template), generator.report
+            return generator.generate(n_queries=n_queries), generator.report
 
-        searches = _search_templates(templates, search, engine.stats)
-        generated = [query for queries, _ in searches for query in queries]
-        warmup_seconds = sum(report.warmup_seconds for _, report in searches)
-        generate_seconds = sum(report.generate_seconds for _, report in searches)
+        functions = [search_template] + ([identifier.score_template] if identifier else [])
+        qti_seconds = 0.0
+        with _WorkerPool(functions, engine.stats) as pool:
+            if identifier is not None:
+                start = time.perf_counter()
+                templates = identifier.identify(
+                    candidate_attrs, n_templates=self.config.n_templates, map_tasks=pool.map
+                )
+                qti_seconds = time.perf_counter() - start
 
-        generated = self._dedupe(generated)
-        # Keep only queries that beat the no-augmentation baseline on the
-        # search validation split (always keeping at least one); adding
-        # features that the search itself scored below the baseline only
-        # injects noise into the downstream model.
-        baseline_loss = evaluator.evaluate_baseline().loss
-        helpful = [g for g in generated if g.loss <= baseline_loss + 1e-9]
-        if not helpful and generated:
-            helpful = generated[:1]
-        generated = helpful[:n_features]
-        queries = [g.query for g in generated]
-        augmented = apply_queries(
-            train_table, relevant_table, queries, prefix=feature_prefix, engine=engine
-        )
-        return FeatAugResult(
-            queries=generated,
-            templates=templates,
-            augmented_table=augmented,
-            feature_names=generated_feature_names(queries, prefix=feature_prefix),
-            relevant_table=relevant_table,
-            feature_prefix=feature_prefix,
-            qti_seconds=qti_seconds,
-            warmup_seconds=warmup_seconds,
-            generate_seconds=generate_seconds,
-            engine_stats=engine.stats.delta_since(stats_baseline),
-        )
+            n_features = n_features or self.config.n_templates * self.config.queries_per_template
+            queries_per_template = max(1, n_features // max(len(templates), 1))
+            searches = pool.map(
+                search_template,
+                [
+                    (scored.template, self.config.seed + 101 * (i + 1), queries_per_template)
+                    for i, scored in enumerate(templates)
+                ],
+            )
+            # The workers wind down while this process materialises the
+            # features; leaving the block reaps them.
+            pool.close()
+            generated = [query for queries, _ in searches for query in queries]
+            warmup_seconds = sum(report.warmup_seconds for _, report in searches)
+            generate_seconds = sum(report.generate_seconds for _, report in searches)
+
+            generated = self._dedupe(generated)
+            # Keep only queries that beat the no-augmentation baseline on the
+            # search validation split (always keeping at least one); adding
+            # features that the search itself scored below the baseline only
+            # injects noise into the downstream model.
+            baseline_loss = evaluator.evaluate_baseline().loss
+            helpful = [g for g in generated if g.loss <= baseline_loss + 1e-9]
+            if not helpful and generated:
+                helpful = generated[:1]
+            generated = helpful[:n_features]
+            queries = [g.query for g in generated]
+            augmented = apply_queries(
+                train_table, relevant_table, queries, prefix=feature_prefix, engine=engine
+            )
+            return FeatAugResult(
+                queries=generated,
+                templates=templates,
+                augmented_table=augmented,
+                feature_names=generated_feature_names(queries, prefix=feature_prefix),
+                relevant_table=relevant_table,
+                feature_prefix=feature_prefix,
+                qti_seconds=qti_seconds,
+                warmup_seconds=warmup_seconds,
+                generate_seconds=generate_seconds,
+                engine_stats=engine.stats.delta_since(stats_baseline),
+            )
 
     # ------------------------------------------------------------------
     def _default_agg_attrs(self, relevant_table: Table) -> List[str]:
@@ -293,117 +314,240 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _shard_count(n_templates: int) -> int:
-    """How many processes search *n_templates* templates: one per usable
-    core, at most one per template, and only this one where ``os.fork`` is
-    missing or unsafe.  A fork copies the locks other threads hold but not
-    the threads, so with another Python thread alive a lock in the child
-    could stay held for ever."""
-    if n_templates < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+def _shard_count(n_tasks: int) -> int:
+    """How many processes share *n_tasks* tasks: one per usable core, at
+    most one per task, and only this one where ``os.fork`` is missing or
+    unsafe.  A fork copies the locks other threads hold but not the
+    threads, so with another Python thread alive a lock in the child could
+    stay held for ever."""
+    if n_tasks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return min(n_templates, _usable_cores())
+    return min(n_tasks, _usable_cores())
 
 
-def _search_templates(
-    templates: Sequence[TemplateScore],
-    search: Callable[[int], _TemplateSearch],
-    stats: EngineStats,
-) -> List[_TemplateSearch]:
-    """``search(i)`` for every template index *i*, in template order.
+#: One task index in a pool's claim queue; a negative index ends a claim loop.
+_INDEX = struct.Struct("i")
 
-    The templates are dealt round robin into k shards (template *i* to
-    shard ``i % k``, k from :func:`_shard_count`).  Shard 0 runs here; each
-    other shard runs in a worker forked first, which inherits the
-    evaluator, the warm engine and the tables copy-on-write and sends back
-    its pickled results and the engine counters it booked, which are merged
-    into *stats*.  Every search has its own seed, pool, optimisers and
-    memos, and the shared engine and evaluator only cache values, so the
-    results are those of the serial run.
 
-    A worker whose search raises makes this raise ``RuntimeError`` naming
-    the template, with the worker's traceback; one that dies without a
-    result makes it raise with its exit status.  Every worker is killed and
-    reaped before this returns or raises.
+@dataclass
+class _Worker:
+    """A forked worker of a :class:`_WorkerPool` and its two pipes."""
+
+    pid: int
+    commands: BinaryIO  # write end: pickled ``(function number, tasks)``
+    results: BinaryIO  # read end: one pickled ``(outcome, payload, detail)`` per command
+
+
+class _WorkerPool:
+    """Runs the tasks of one :meth:`FeatAug.augment` call over forked
+    worker processes: template identification's scorings and the template
+    searches alike.
+
+    The pool is given every function it will run before anything forks.
+    At the first :meth:`map` of two tasks or more it forks
+    ``_shard_count(len(tasks)) - 1`` workers and keeps them until it is
+    closed, so a run forks once whatever the number of beam layers.  A
+    worker inherits the functions and all they reach (the evaluator with
+    its base matrices and split maps, the engine, the tables) copy-on-write,
+    so only a function's number and the tasks' arguments are pickled on the
+    way in.  Each task is an argument tuple whose first item is the
+    :class:`QueryTemplate` it works on.
+
+    ``map(fn, tasks)`` returns ``[fn(*task) for task in tasks]`` in task
+    order.  The k processes (this one included) claim the task indices one
+    at a time from a queue pipe they all read, so a process that finishes
+    early takes the next task instead of idling while another works through
+    a fixed share.  Each worker sends back its results and the engine
+    counters it booked, which are merged into *stats* before ``map``
+    returns.  Every task fixes its own seed, and the engine and evaluator
+    only cache values, so the results are those of running the tasks one
+    after another here, which is what happens when k is 1.
+
+    A task that raises in a worker makes ``map`` raise ``RuntimeError``
+    naming the template, with the worker's traceback; a worker that dies
+    without a result makes it raise with its exit status.  Leaving the
+    ``with`` block ends every worker (killing them when it is left by an
+    exception) and reaps them.
     """
-    n_shards = _shard_count(len(templates))
-    results: List[_TemplateSearch | None] = [None] * len(templates)
-    workers: Dict[int, Tuple[range, BinaryIO]] = {}  # pid -> (shard, its pipe's read end)
-    try:
-        for first in range(1, n_shards):
-            shard = range(first, len(templates), n_shards)
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_end)
-                _run_worker(shard, search, stats, write_end)
-            workers[pid] = (shard, os.fdopen(read_end, "rb"))
-            os.close(write_end)
-        for i in range(0, len(templates), n_shards):
-            results[i] = search(i)
-        for pid in list(workers):
-            shard, pipe = workers[pid]
-            data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del workers[pid]
-            pipe.close()
-            if status != 0:
-                how = (
-                    f"killed by signal {os.WTERMSIG(status)}"
-                    if os.WIFSIGNALED(status)
-                    else f"exit status {os.waitstatus_to_exitcode(status)}"
-                )
-                raise RuntimeError(
-                    f"the worker searching templates {list(shard)} (pid {pid}) "
-                    f"ended without a result: {how}"
-                )
-            # The bytes come from this process's own fork.
-            outcome, payload, detail = pickle.loads(data)
-            if outcome == "raised":
-                attrs = list(templates[payload].template.predicate_attrs)
-                raise RuntimeError(
-                    f"the search of template {payload} (WHERE attributes {attrs}) "
-                    f"raised in worker pid {pid}:\n{detail}"
-                )
-            for i, found in payload:
-                results[i] = found
-            stats.merge(detail)
-    finally:
-        for pid, (_, pipe) in workers.items():
-            pipe.close()
+
+    def __init__(self, functions: Sequence[Callable[..., object]], stats: EngineStats):
+        self._functions = list(functions)
+        self._stats = stats
+        self._workers: List[_Worker] | None = None  # None until the first fork decision
+        self._queue: Tuple[int, int] | None = None  # (read end, write end) once forked
+
+    def __enter__(self) -> "_WorkerPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for worker in list(self._workers or []):
+            self._end(worker, kill=exc_type is not None)
+        self._workers = []
+        for fd in self._queue or ():
+            os.close(fd)
+        self._queue = None
+
+    def close(self) -> None:
+        """Let every worker exit once it is idle, without waiting for it
+        (leaving the ``with`` block reaps it).  No ``map`` may follow."""
+        for worker in self._workers or []:
+            worker.commands.close()
+
+    def map(self, fn: Callable[..., object], tasks: Sequence[tuple]) -> List:
+        """``[fn(*task) for task in tasks]``, the tasks shared out over the
+        pool's processes."""
+        if self._workers is None and len(tasks) >= 2:
+            self._workers = []
+            n_workers = _shard_count(len(tasks)) - 1
+            if n_workers:
+                self._queue = os.pipe()
+            for _ in range(n_workers):
+                self._fork()
+        workers = self._workers or []
+        if not workers:
+            return [fn(*task) for task in tasks]
+        message = (self._functions.index(fn), list(tasks))
+        for worker in workers:
             try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):  # reaped by the system
+                pickle.dump(message, worker.commands)
+                worker.commands.flush()
+            except OSError:  # the worker has gone: _receive reports how
                 pass
-    return results  # type: ignore[return-value]
+        # Every index once, then one end marker for each process.
+        claims = [_INDEX.pack(i) for i in range(len(tasks))]
+        claims += [_INDEX.pack(-1)] * (len(workers) + 1)
+        _write_all(self._queue[1], b"".join(claims))
+        results: List = [None] * len(tasks)
+        for i in _claims(self._queue[0]):
+            results[i] = fn(*tasks[i])
+        for worker in workers:
+            for i, result in self._receive(worker, fn, tasks):
+                results[i] = result
+        return results
+
+    def _fork(self) -> None:
+        commands_read, commands_write = os.pipe()
+        results_read, results_write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            # Hold no end of an earlier worker's pipes: a command pipe with
+            # a writer left here would never give that worker its EOF.
+            for worker in self._workers:
+                os.close(worker.commands.fileno())
+                os.close(worker.results.fileno())
+            os.close(commands_write)
+            os.close(results_read)
+            os.close(self._queue[1])
+            _serve(self._functions, self._stats, commands_read, self._queue[0], results_write)
+        os.close(commands_read)
+        os.close(results_write)
+        self._workers.append(
+            _Worker(pid, os.fdopen(commands_write, "wb"), os.fdopen(results_read, "rb"))
+        )
+
+    def _receive(self, worker: _Worker, fn: Callable, tasks) -> list:
+        """The ``(index, result)`` pairs *worker* sends back for the tasks
+        it claimed."""
+        try:
+            outcome, payload, detail = pickle.load(worker.results)  # from this process's own fork
+        except (EOFError, pickle.UnpicklingError):  # the worker ended mid-way
+            status = self._end(worker, kill=False)
+            how = (
+                f"killed by signal {os.WTERMSIG(status)}"
+                if os.WIFSIGNALED(status)
+                else f"exit status {os.waitstatus_to_exitcode(status)}"
+            )
+            raise RuntimeError(
+                f"the worker running {fn.__name__} (pid {worker.pid}) ended without a result: {how}"
+            ) from None
+        if outcome == "raised":
+            attrs = list(tasks[payload][0].predicate_attrs)
+            raise RuntimeError(
+                f"{fn.__name__} of template {payload} (WHERE attributes {attrs}) "
+                f"raised in worker pid {worker.pid}:\n{detail}"
+            )
+        self._stats.merge(detail)
+        return payload
+
+    def _end(self, worker: _Worker, kill: bool) -> int:
+        """Close *worker*'s pipes -- which ends an idle worker -- kill it
+        first if *kill*, reap it, drop it from the pool and return its wait
+        status."""
+        for pipe in (worker.commands, worker.results):
+            try:
+                pipe.close()
+            except OSError:  # a flush into a pipe whose reader is gone
+                pass
+        if kill:
+            try:
+                os.kill(worker.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        _, status = os.waitpid(worker.pid, 0)
+        self._workers.remove(worker)
+        return status
 
 
-def _run_worker(
-    shard: range, search: Callable[[int], _TemplateSearch], stats: EngineStats, write_end: int
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of *data* to the pipe *fd*.  Every write is a whole number
+    of :data:`_INDEX` records, so no reader ever sees part of one."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _claims(queue: int):
+    """The task indices this process claims from the pool's *queue* pipe,
+    up to the first end marker.  A pipe read is atomic, so each index goes
+    to exactly one process."""
+    while True:
+        (index,) = _INDEX.unpack(os.read(queue, _INDEX.size))
+        if index < 0:
+            return
+        yield index
+
+
+def _serve(
+    functions: Sequence[Callable[..., object]],
+    stats: EngineStats,
+    commands: int,
+    queue: int,
+    results: int,
 ) -> None:
-    """The body of a forked worker: search *shard*'s templates, write one
-    pickled ``(outcome, payload, detail)`` to *write_end* and exit.
+    """The body of a forked worker: for each pickled ``(function number,
+    tasks)`` read from *commands*, run the tasks it claims from *queue* and
+    write one pickled ``(outcome, payload, detail)`` to *results*; exit at
+    the end of *commands*.
 
-    ``("done", [(i, search(i)), ...], engine counter delta)`` on success,
-    ``("raised", i, traceback text)`` when ``search(i)`` raised.  The worker
-    leaves through ``os._exit`` whatever happens: an exception escaping
-    into the caller's frames would run the parent's code in the child, and
-    a normal exit would run the parent's exit handlers and flush its
-    buffered output a second time.
+    ``("done", [(i, fn(*tasks[i])), ...], engine counter delta)`` on
+    success, ``("raised", i, traceback text)`` when task *i* raised an
+    ``Exception`` (the worker then claims the rest of the queue without
+    running it, so the parent soon sees the failure); an interrupt or ``SystemExit`` ends the worker with exit
+    status 1 instead.  The worker leaves through ``os._exit`` whatever
+    happens: an exception escaping into the caller's frames would run the
+    parent's code in the child, and a normal exit would run the parent's
+    exit handlers and flush its buffered output a second time.
     """
     status = 1
     try:
-        baseline = stats.as_dict()
-        current = shard[0]
-        try:
-            found = []
-            for current in shard:
-                found.append((current, search(current)))
-            message = ("done", found, stats.delta_since(baseline))
-        except BaseException:  # reported to the parent, which raises it
-            message = ("raised", current, traceback.format_exc())
-        with os.fdopen(write_end, "wb") as pipe:
-            pipe.write(pickle.dumps(message))
+        with os.fdopen(commands, "rb") as inbox, os.fdopen(results, "wb") as outbox:
+            while True:
+                try:
+                    number, tasks = pickle.load(inbox)  # from the parent of this fork
+                except EOFError:
+                    break
+                baseline = stats.as_dict()
+                done, failure = [], None
+                for i in _claims(queue):
+                    if failure is not None:  # drain the queue: the map fails
+                        continue
+                    try:
+                        done.append((i, functions[number](*tasks[i])))
+                    except Exception:  # reported to the parent, which raises it
+                        failure = ("raised", i, traceback.format_exc())
+                message = failure or ("done", done, stats.delta_since(baseline))
+                pickle.dump(message, outbox)
+                outbox.flush()
         status = 0
     finally:
         os._exit(status)

@@ -104,21 +104,14 @@ class SQLQueryGenerator:
     # ------------------------------------------------------------------
     # Objectives
     # ------------------------------------------------------------------
-    def _proxy_objective(self, params: Dict[str, object]) -> float:
-        """Negative proxy score of the decoded query (TPE minimises)."""
-        return self._proxy_objective_batch([params])[0]
-
-    def _model_objective(self, params: Dict[str, object]) -> float:
-        """Real validation loss of the decoded query."""
-        return self._model_objective_batch([params])[0]
-
     def _proxy_objective_batch(self, params_batch: Sequence[Dict[str, object]]) -> List[float]:
-        """Negative proxy scores for a whole suggestion batch.
+        """Negative proxy scores (TPE minimises) for a whole suggestion batch.
 
         Unique unseen queries execute through one
         :meth:`ModelEvaluator.feature_vectors_for_queries` call -- i.e. a
-        single ``QueryEngine.execute_batch`` -- so predicate masks, sort
-        orders and fused group scans are shared across the candidates.  Their
+        single :meth:`QueryEngine.plan_results` on the key domain -- so
+        predicate masks, sort orders and fused group scans are shared
+        across the candidates.  Their
         features are joined onto the train split only, the split the proxy
         scores on.
         """

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.config import FeatAugConfig
 from repro.core.evaluation import ModelEvaluator
@@ -49,9 +49,20 @@ class IdentificationReport:
     n_evaluated_templates: int = 0
     n_predicted_templates: int = 0
     evaluated: List[TemplateScore] = field(default_factory=list)
-    #: Snapshot of the shared query engine's cache/timing counters at the end
-    #: of the run (mask hit rate, group-index reuse, ...) for Fig. 5.
+    #: The shared query engine's cache/timing counters booked by the run
+    #: (mask hit rate, group-index reuse, ...) for Fig. 5, including what
+    #: scorings run in worker processes booked (see ``identify``).
     engine_stats: Dict[str, float] = field(default_factory=dict)
+
+
+#: How a beam layer's scorings run: ``map_tasks(fn, tasks)`` returns
+#: ``[fn(*task) for task in tasks]`` in task order, wherever it runs them.
+MapTasks = Callable[[Callable[..., float], Sequence[tuple]], List[float]]
+
+
+def map_in_process(fn: Callable[..., float], tasks: Sequence[tuple]) -> List[float]:
+    """Run every task here, one after another."""
+    return [fn(*task) for task in tasks]
 
 
 class QueryTemplateIdentifier:
@@ -86,24 +97,62 @@ class QueryTemplateIdentifier:
     def _make_template(self, predicate_attrs: Sequence[str]) -> QueryTemplate:
         return QueryTemplate(self.agg_funcs, self.agg_attrs, predicate_attrs, self.keys)
 
-    def _score_template(self, template: QueryTemplate) -> float:
-        """Effectiveness estimate of one template (higher = better)."""
+    def score_template(self, template: QueryTemplate, seed: int) -> float:
+        """Effectiveness estimate of one template (higher = better), from
+        a search seeded with *seed*."""
         generator = SQLQueryGenerator(
             template,
             self.relevant_table,
             self.evaluator,
             config=self.config,
             proxy=self.proxy,
-            seed=self.config.seed + len(self.report.evaluated),
+            seed=seed,
             engine=self.engine,
         )
         if self.config.use_low_cost_proxy:
             return generator.best_proxy_score()
         return generator.best_real_score()
 
+    def _score_layer(
+        self,
+        combos: Sequence[Tuple[str, ...]],
+        depth: int,
+        predictor: TemplatePerformancePredictor,
+        evaluated: Dict[Tuple[str, ...], TemplateScore],
+        map_tasks: MapTasks,
+    ) -> List[Tuple[Tuple[str, ...], float]]:
+        """Score one layer's attribute combinations through *map_tasks*.
+
+        The seeds are fixed before the scorings run, as the serial order
+        would draw them, and the scores are recorded and observed by the
+        predictor in layer order, so where the scorings ran does not change
+        any result.
+        """
+        templates = [self._make_template(combo) for combo in combos]
+        first_seed = self.config.seed + len(self.report.evaluated)
+        scores = map_tasks(
+            self.score_template,
+            [(template, first_seed + position) for position, template in enumerate(templates)],
+        )
+        for combo, template, score in zip(combos, templates, scores):
+            record = TemplateScore(template=template, score=score, layer=depth)
+            evaluated[combo] = record
+            self.report.evaluated.append(record)
+            predictor.observe(template, score)
+        return list(zip(combos, scores))
+
     # ------------------------------------------------------------------
-    def identify(self, candidate_attrs: Sequence[str], n_templates: int | None = None) -> List[TemplateScore]:
-        """Run the beam search and return the top-n templates (best first)."""
+    def identify(
+        self,
+        candidate_attrs: Sequence[str],
+        n_templates: int | None = None,
+        map_tasks: MapTasks = map_in_process,
+    ) -> List[TemplateScore]:
+        """Run the beam search and return the top-n templates (best first).
+
+        Each layer's scorings run through *map_tasks*; the default runs them
+        here, and :meth:`FeatAug.augment` passes its worker pool's ``map``.
+        """
         n_templates = n_templates or self.config.n_templates
         candidate_attrs = list(candidate_attrs)
         if not candidate_attrs:
@@ -115,17 +164,9 @@ class QueryTemplateIdentifier:
         evaluated: Dict[Tuple[str, ...], TemplateScore] = {}
 
         # Layer 1: evaluate every single-attribute template and train the predictor.
-        frontier: List[Tuple[Tuple[str, ...], float]] = []
-        for attr in candidate_attrs:
-            combo = (attr,)
-            template = self._make_template(combo)
-            score = self._score_template(template)
-            record = TemplateScore(template=template, score=score, layer=1)
-            evaluated[combo] = record
-            self.report.evaluated.append(record)
-            predictor.observe(template, score)
-            frontier.append((combo, score))
-
+        frontier = self._score_layer(
+            [(attr,) for attr in candidate_attrs], 1, predictor, evaluated, map_tasks
+        )
         frontier.sort(key=lambda pair: -pair[1])
         beam = frontier[: self.config.beam_width]
 
@@ -149,15 +190,7 @@ class QueryTemplateIdentifier:
                 keep = {tuple(sorted(t.predicate_attrs)) for t, _ in ranked[: self.config.beam_width]}
                 expansions = [combo for combo in expansions if combo in keep]
 
-            layer_scores: List[Tuple[Tuple[str, ...], float]] = []
-            for combo in expansions:
-                template = self._make_template(combo)
-                score = self._score_template(template)
-                record = TemplateScore(template=template, score=score, layer=depth)
-                evaluated[combo] = record
-                self.report.evaluated.append(record)
-                predictor.observe(template, score)
-                layer_scores.append((combo, score))
+            layer_scores = self._score_layer(expansions, depth, predictor, evaluated, map_tasks)
             layer_scores.sort(key=lambda pair: -pair[1])
             beam = layer_scores[: self.config.beam_width]
 

@@ -17,11 +17,12 @@ validation splits of a 60/20/20 split.
   candidate scoring (feature vectors, proxies, model fits) or to the
   proposals TPE makes shows up here as the first differing line.
 
-The selected templates are searched in forked worker processes, so every
-process appends its lines to its own file, each line tagged with its
-generator's seed, and the serial order is rebuilt from the files: the
-template identification lines, then each selected template's lines in
-template order.
+Template identification's scorings and the selected templates' searches
+run in forked worker processes, so every process appends its lines to its
+own file, each line tagged with its generator's seed, and the serial order
+is rebuilt from the files by seed: the template identification lines in
+ascending seed order, then each selected template's lines in template
+order.
 """
 
 import os
@@ -59,19 +60,20 @@ def _recording(kind, objective, log_dir, sign):
 
 
 def _serial_trajectory(log_dir, n_templates):
-    """The recorded lines in the order of a serial run: the template
-    identification lines (all recorded by the calling process, in order),
-    then the lines of each selected template's generator (seed
-    ``SEED + 101 * (i + 1)``) in template order.  Each generator runs in
-    one process, so its lines keep their order within that process's
-    file."""
+    """The recorded lines in the order of a serial run.  Template
+    identification seeds its k-th scoring ``SEED + k``, so its lines come
+    first in ascending seed order; then come the lines of each selected
+    template's generator (seed ``SEED + 101 * (i + 1)``) in template order.
+    Each generator runs in one process, so its lines keep their order
+    within that process's file."""
     template_seeds = [SEED + 101 * (i + 1) for i in range(n_templates)]
-    qti, by_seed = [], defaultdict(list)
+    by_seed = defaultdict(list)
     for path in sorted(log_dir.glob("*.lines")):
         for tagged in path.read_text().splitlines():
             seed, line = tagged.split(" ", 1)
-            (by_seed[int(seed)] if int(seed) in template_seeds else qti).append(line)
-    return qti + [line for seed in template_seeds for line in by_seed[seed]]
+            by_seed[int(seed)].append(line)
+    qti_seeds = sorted(seed for seed in by_seed if seed not in template_seeds)
+    return [line for seed in qti_seeds + template_seeds for line in by_seed[seed]]
 
 
 @pytest.fixture(scope="module")
